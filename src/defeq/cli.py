@@ -326,12 +326,14 @@ def cmd_spec_compare(args):
     t1, t2 = load_theory(args.t1), load_theory(args.t2)
     sizes, max_size = _spec_sizes(args)
     budget = _budget(args)
-    s1 = spectra.aut_spec(t1, max_size, budget, sizes=sizes)
-    s2 = spectra.aut_spec(t2, max_size, budget, sizes=sizes)
-    witness = spectra.compare_spectra(s1, s2)
-    if witness is None:
-        return 0, ["EQUAL"]
-    return 1, [f"WITNESS {witness.describe()}"]
+    # size by size, so a difference at a small size is reported before a
+    # larger size is enumerated (witnesses are ordered by size first)
+    for n in sizes or range(1, max_size + 1):
+        witness = spectra.compare_spectra(spectra.aut_spec(t1, n, budget, sizes=[n]),
+                                          spectra.aut_spec(t2, n, budget, sizes=[n]))
+        if witness is not None:
+            return 1, [f"WITNESS {witness.describe()}"]
+    return 0, ["EQUAL"]
 
 
 def cmd_build_iso(args):
@@ -487,9 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-model workbench: automorphism spectra, concrete "
                     "model-class bijections, ultraproducts, definability "
                     "checks, and irregular 0/1 sequences.")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count; accepted for compatibility, "
-                             "evaluation is sequential (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
@@ -597,9 +596,6 @@ def dispatch(argv: Sequence[str]) -> tuple[int, str]:
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 2
         return code, ""
-    if args.jobs < 1:
-        print("defeq: --jobs must be at least 1", file=sys.stderr)
-        return 2, ""
     try:
         code, lines = args.handler(args)
     except (CliError, FormulaSyntaxError, SignatureError, BudgetExceededError,

@@ -33,12 +33,17 @@ __all__ = [
     "Signature", "Var", "Const", "App", "Term",
     "Rel", "Eq", "Not", "And", "Or", "Implies", "Iff", "Forall", "Exists",
     "Formula", "FormulaSyntaxError", "SignatureError", "UnboundVariableError",
-    "parse_formula", "formula_to_text", "free_vars", "formula_size",
-    "formula_depth", "used_symbols", "validate_formula",
+    "MAX_SYNTAX_DEPTH", "parse_formula", "formula_to_text", "free_vars",
+    "formula_size", "formula_depth", "used_symbols", "validate_formula",
     "eval_term", "eval_formula", "enumerate_formulas", "random_formula",
 ]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# Most formula and term nodes on one root-to-leaf path that parse_formula
+# accepts.  Every walker here recurses once per node, so this keeps them far
+# below Python's default recursion limit.
+MAX_SYNTAX_DEPTH = 200
 
 
 class FormulaSyntaxError(ValueError):
@@ -518,12 +523,41 @@ class _Parser:
         return Var(name)
 
 
+def _deeper_than(f: Formula, limit: int) -> bool:
+    """Does a path of formula and term nodes pass limit?  Iterative, for any depth."""
+    stack = [(f, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > limit:
+            return True
+        if isinstance(node, (Rel, App)):
+            children = node.args
+        elif isinstance(node, (Not, Forall, Exists)):
+            children = (node.body,)
+        elif isinstance(node, (Var, Const)):
+            children = ()
+        else:
+            children = (node.left, node.right)
+        stack.extend((c, depth + 1) for c in children)
+    return False
+
+
 def parse_formula(sig: Signature, text: str) -> Formula:
-    """Parse text against sig; raises FormulaSyntaxError on any problem."""
+    """Parse text against sig; raises FormulaSyntaxError on any problem.
+
+    That includes nesting too deep for the recursive parser, and trees
+    deeper than MAX_SYNTAX_DEPTH, which the other walkers could not take.
+    """
     p = _Parser(sig, text)
-    out = p.formula()
+    try:
+        out = p.formula()
+    except RecursionError:
+        raise p.fail("formula nested too deeply") from None
     if p.peek() != "":
         raise FormulaSyntaxError(f"trailing input {p.peek()!r}", p.pos())
+    if _deeper_than(out, MAX_SYNTAX_DEPTH):
+        raise FormulaSyntaxError(
+            f"formula nested deeper than {MAX_SYNTAX_DEPTH} levels", 0)
     return out
 
 

@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "identity", "compose", "invert", "cycle_type",
     "PermutationGroup", "automorphism_group",
-    "base_isomorphisms", "canonical_form", "group_key", "group_to_text",
+    "base_isomorphisms", "canonical_form", "group_key", "form_key",
+    "group_to_text",
 ]
 
 
@@ -82,9 +83,6 @@ class PermutationGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, p: Sequence[int]) -> bool:
-        return tuple(p) in set(self.elements)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.elements)
@@ -168,7 +166,11 @@ def group_key(g: PermutationGroup) -> bytes:
     Keys are only comparable between groups on equal-size bases, which the
     leading size bytes enforce.
     """
-    canon = canonical_form(g)
+    return form_key(canonical_form(g))
+
+
+def form_key(canon: PermutationGroup) -> bytes:
+    """group_key of a group that is already in canonical form, without the search."""
     return canon.base_size.to_bytes(2, "big") + b"".join(
         bytes(p) for p in canon.elements)
 

@@ -5,24 +5,27 @@ class of permutation groups to how many models (and how many isomorphism
 classes of models) realize it as their automorphism group.  Equal spectra
 license an explicit universe-preserving bijection between the two model
 classes that preserves and reflects isomorphisms; build_concrete_iso
-constructs it and verify_concrete_iso checks it from scratch.
+constructs it and verify_concrete_iso checks it from scratch.  Spectra
+and the bijection both come from a Census, which classifies the models of
+one theory at one size once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .budget import WorkBudget
 from .groups import (PermutationGroup, automorphism_group, canonical_form,
-                     group_key, group_to_text)
+                     form_key, group_to_text)
 from .models import (FiniteModel, Theory, apply_permutation, canonical_key,
                      enumerate_models, find_isomorphisms, is_isomorphism)
 from .ultra import ultrafilters_on, ultraproduct
 
 __all__ = [
-    "SpectrumEntry", "Spectrum", "SpectrumWitness", "aut_spec",
+    "SpectrumEntry", "Spectrum", "SpectrumWitness", "Census", "aut_spec",
     "compare_spectra", "SpectraMismatchError", "ConcreteBijection",
     "build_concrete_iso", "VerificationReport", "verify_concrete_iso",
 ]
@@ -110,19 +113,45 @@ class SpectraMismatchError(ValueError):
         self.witness = witness
 
 
-def _grouped_models(t: Theory, size: int, budget: WorkBudget | None):
-    """Models of t at one size, grouped by group key, classed by canonical key.
+class Census:
+    """The models of t at one size, each classified once.
 
-    Returns (models, by_key) where by_key maps group_key -> dict mapping
-    canonical_key -> sorted list of models in that isomorphism class.
+    One enumeration, and per model one automorphism group, one canonical
+    form and one canonical key; no per-model group is kept.  cells maps
+    each group key to (canonical group, classes sorted by canonical key),
+    and each class is [members in encoding order, representative].  The
+    representative is the least member whose automorphism group literally
+    equals the canonical group.
     """
-    ms = enumerate_models(t, size, budget)
-    by_key: dict[bytes, dict[bytes, list[FiniteModel]]] = {}
-    for m in ms:
-        gkey = group_key(automorphism_group(m))
-        ckey = canonical_key(m)
-        by_key.setdefault(gkey, {}).setdefault(ckey, []).append(m)
-    return ms, by_key
+
+    __slots__ = ("cells",)
+
+    def __init__(self, t: Theory, size: int, budget: WorkBudget | None = None):
+        found: dict[PermutationGroup, dict[bytes, list]] = {}
+        for m in enumerate_models(t, size, budget):
+            aut = automorphism_group(m)
+            canon = canonical_form(aut)
+            cls = found.setdefault(canon, {}).setdefault(canonical_key(m), [[], None])
+            cls[0].append(m)
+            if cls[1] is None and aut == canon:
+                cls[1] = m
+        self.cells: dict[bytes, tuple[PermutationGroup, list[list]]] = {}
+        for canon, classes in found.items():
+            # orbit-stabilizer: a class is the n!/|Aut| relabellings of any
+            # member, and one of them has the canonical group itself
+            expected = math.factorial(size) // canon.order
+            for members, rep in classes.values():
+                if len(members) != expected or rep is None:
+                    raise RuntimeError(
+                        f"class of {members[0]!r} has {len(members)} members"
+                        f"{'' if rep else ' and no representative'}, "
+                        f"orbit-stabilizer expects {expected}")
+            self.cells[form_key(canon)] = (canon, [classes[k] for k in sorted(classes)])
+
+    def entries(self) -> dict[bytes, SpectrumEntry]:
+        """This size's spectrum table: group key -> counts."""
+        return {gkey: SpectrumEntry(len(classes), sum(len(ms) for ms, _ in classes), group)
+                for gkey, (group, classes) in self.cells.items()}
 
 
 def aut_spec(t: Theory, max_size: int, budget: WorkBudget | None = None,
@@ -133,35 +162,27 @@ def aut_spec(t: Theory, max_size: int, budget: WorkBudget | None = None,
     mode); max_size is ignored then.
     """
     size_list = tuple(sizes) if sizes is not None else tuple(range(1, max_size + 1))
-    table: dict[int, dict[bytes, SpectrumEntry]] = {}
-    for n in size_list:
-        cells: dict[bytes, SpectrumEntry] = {}
-        _, by_key = _grouped_models(t, n, budget)
-        for gkey, classes in by_key.items():
-            some_model = next(iter(classes.values()))[0]
-            rep = canonical_form(automorphism_group(some_model))
-            cells[gkey] = SpectrumEntry(
-                class_count=len(classes),
-                model_count=sum(len(v) for v in classes.values()),
-                group=rep)
-        table[n] = cells
-    return Spectrum(size_list, table)
+    return Spectrum(size_list, {n: Census(t, n, budget).entries() for n in size_list})
+
+
+def _first_difference(n: int, left: dict[bytes, SpectrumEntry],
+                      right: dict[bytes, SpectrumEntry]) -> SpectrumWitness | None:
+    """First cell of one size, in key order, whose counts differ."""
+    for key in sorted(set(left) | set(right)):
+        le, re = left.get(key), right.get(key)
+        lc = (le.class_count, le.model_count) if le else (0, 0)
+        rc = (re.class_count, re.model_count) if re else (0, 0)
+        if lc != rc:
+            return SpectrumWitness(n, key, (le or re).group, lc, rc)
+    return None
 
 
 def compare_spectra(s1: Spectrum, s2: Spectrum) -> SpectrumWitness | None:
     """None when equal; otherwise the first differing cell in (size, key) order."""
     if s1.sizes != s2.sizes:
         raise ValueError(f"size ranges differ: {s1.sizes} vs {s2.sizes}")
-    for n in s1.sizes:
-        left, right = s1.table[n], s2.table[n]
-        for key in sorted(set(left) | set(right)):
-            le, re = left.get(key), right.get(key)
-            lc = (le.class_count, le.model_count) if le else (0, 0)
-            rc = (re.class_count, re.model_count) if re else (0, 0)
-            if lc != rc:
-                group = (le or re).group
-                return SpectrumWitness(n, key, group, lc, rc)
-    return None
+    witnesses = (_first_difference(n, s1.table[n], s2.table[n]) for n in s1.sizes)
+    return next((w for w in witnesses if w is not None), None)
 
 
 # ============================================================
@@ -196,55 +217,40 @@ class ConcreteBijection:
                 yield m, self.pairs[n][m]
 
 
-def _class_representative(members: list[FiniteModel],
-                          rep_group: PermutationGroup) -> FiniteModel:
-    """Least member whose automorphism group literally equals rep_group.
+def _paired_classes(c1: Census, c2: Census):
+    """(rep1, rep2, members of rep1's class) for classes paired off per cell.
 
-    Such a member always exists: conjugating any member by a base
-    bijection that carries its group onto rep_group lands inside the same
-    isomorphism class, and enumeration covers the whole class.
+    Within each group key the classes of both censuses are paired in
+    canonical-key order; the censuses must have equal spectra.
     """
-    for m in sorted(members, key=FiniteModel.encode):
-        if automorphism_group(m) == rep_group:
-            return m
-    raise RuntimeError("no class member realizes the representative group")
+    for gkey, (_, classes1) in c1.cells.items():
+        for (members, rep1), (_, rep2) in zip(classes1, c2.cells[gkey][1]):
+            yield rep1, rep2, members
 
 
 def build_concrete_iso(t1: Theory, t2: Theory, max_size: int,
                        budget: WorkBudget | None = None) -> ConcreteBijection:
     """Build the spectrum-driven bijection b from Mod(t1) to Mod(t2).
 
-    Requires equal spectra (SpectraMismatchError otherwise).  Per size and
-    per group key, the isomorphism classes on both sides are ordered by
-    canonical key and paired off; each pair gets deterministic
+    Requires equal spectra: sizes are taken in turn, and the first size
+    whose spectra differ raises SpectraMismatchError before any larger size
+    is enumerated.  Per size and per group key, the isomorphism classes on
+    both sides are ordered by canonical key and paired off; each pair has
     representatives with literally equal automorphism groups, and then
     b(M) = f(M2rep) for the least isomorphism f from M's representative
     M1rep to M.  Any such f gives the same image, which is what makes b
     well defined; the tests iterate all f to confirm.
     """
-    witness = compare_spectra(aut_spec(t1, max_size, budget),
-                              aut_spec(t2, max_size, budget))
-    if witness is not None:
-        raise SpectraMismatchError(witness)
     sizes = range(1, max_size + 1)
     pairs: dict[int, dict[FiniteModel, FiniteModel]] = {}
     for n in sizes:
-        models1, by_key1 = _grouped_models(t1, n, budget)
-        _, by_key2 = _grouped_models(t2, n, budget)
-        image: dict[FiniteModel, FiniteModel] = {}
-        for gkey, classes1 in by_key1.items():
-            classes2 = by_key2[gkey]
-            rep_group = canonical_form(
-                automorphism_group(next(iter(classes1.values()))[0]))
-            order1 = sorted(classes1)
-            order2 = sorted(classes2)
-            for ckey1, ckey2 in zip(order1, order2):
-                rep1 = _class_representative(classes1[ckey1], rep_group)
-                rep2 = _class_representative(classes2[ckey2], rep_group)
-                for m in classes1[ckey1]:
-                    f = find_isomorphisms(rep1, m)[0]
-                    image[m] = apply_permutation(rep2, f)
-        pairs[n] = image
+        c1, c2 = Census(t1, n, budget), Census(t2, n, budget)
+        witness = _first_difference(n, c1.entries(), c2.entries())
+        if witness is not None:
+            raise SpectraMismatchError(witness)
+        pairs[n] = {m: apply_permutation(rep2, find_isomorphisms(rep1, m)[0])
+                    for rep1, rep2, members in _paired_classes(c1, c2)
+                    for m in members}
     return ConcreteBijection(tuple(sizes), pairs)
 
 

@@ -1,9 +1,8 @@
 import pytest
 
 from defeq import cli
-from defeq.groups import automorphism_group, canonical_form
 from defeq.models import apply_permutation, find_isomorphisms
-from defeq.spectra import _class_representative, _grouped_models
+from defeq.spectra import Census, _paired_classes
 
 
 def replay_images(ta, tb, n):
@@ -12,18 +11,9 @@ def replay_images(ta, tb, n):
     Yields (model, image set); a singleton image set per model is what
     makes the spectrum-driven bijection well defined.
     """
-    _, by_key1 = _grouped_models(ta, n, None)
-    _, by_key2 = _grouped_models(tb, n, None)
-    for gkey, classes1 in by_key1.items():
-        classes2 = by_key2[gkey]
-        rep_group = canonical_form(
-            automorphism_group(next(iter(classes1.values()))[0]))
-        for ckey1, ckey2 in zip(sorted(classes1), sorted(classes2)):
-            rep1 = _class_representative(classes1[ckey1], rep_group)
-            rep2 = _class_representative(classes2[ckey2], rep_group)
-            for m in classes1[ckey1]:
-                yield m, {apply_permutation(rep2, f)
-                          for f in find_isomorphisms(rep1, m)}
+    for rep1, rep2, members in _paired_classes(Census(ta, n), Census(tb, n)):
+        for m in members:
+            yield m, {apply_permutation(rep2, f) for f in find_isomorphisms(rep1, m)}
 
 
 @pytest.fixture(scope="session")

@@ -116,6 +116,20 @@ def test_parse_command():
     assert code == 2
 
 
+def test_deeply_nested_axioms_exit_2(tmp_path, capsys):
+    # too deep for the recursive parser, or deeper than the walkers take
+    axioms = ["(" * 150 + "A x. P(x)" + ")" * 150,
+              "(" * 2000 + "A x. P(x)" + ")" * 2000,
+              "!" * 5000 + "P(c)",
+              " & ".join(["P(c)"] * 5000)]
+    thy = tmp_path / "deep.thy"
+    for axiom in axioms:
+        thy.write_text(f"rel P 1\nconst c\naxiom {axiom}\n")
+        assert run("models", "--theory", str(thy), "--size", "1") == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("defeq: line 3: formula nested")
+
+
 def test_models_command(tmp_path):
     thy = tmp_path / "p.thy"
     thy.write_text("rel P 1\n")
@@ -157,6 +171,16 @@ def test_spec_commands():
     assert (code, out) == (0, "EQUAL\n")
     code, _ = run("spec", "--theory", "ex1_t1.thy", "--size", "1", "--max-size", "2")
     assert code == 2  # the two size modes exclude each other
+
+
+def test_spec_compare_stops_at_the_first_differing_size():
+    # size 3 would exceed the budget, but the spectra already differ at size 1
+    code, out = run("spec-compare", "--t1", "ex1_t1.thy", "--t2", "ex1_t2.thy",
+                    "--max-size", "3", "--max-nodes", "1000")
+    assert code == 1
+    assert out == ("WITNESS size=1 group=[[0]] order=1 "
+                   "left_classes=3 left_models=3 "
+                   "right_classes=2 right_models=2\n")
 
 
 def test_build_iso_command(tmp_path):
@@ -255,4 +279,6 @@ def test_usage_errors_and_main(capsys):
     assert code == 2
     assert main(["seq", "--variant", "master", "--range", "0..4"]) == 0
     assert capsys.readouterr().out == "0 1 x 0\n"
-    assert main(["--jobs", "0", "seq", "--variant", "master", "--range", "0..3"]) == 2
+    # --jobs was removed; it is now an unknown argument, even with a valid count
+    assert main(["--jobs=1", "seq", "--variant", "master", "--range", "0..3"]) == 2
+    assert "unrecognized arguments: --jobs=1" in capsys.readouterr().err

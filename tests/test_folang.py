@@ -124,6 +124,24 @@ def test_parse_errors(text):
         parse_formula(SIG, text)
 
 
+def test_every_walker_takes_the_deepest_parsable_formula():
+    limit = folang.MAX_SYNTAX_DEPTH
+    model = FiniteModel(SIG, 1, {"E": [], "R": [], "P": [(0,)]}, {"s": [0]}, {"c": 0})
+    # a Rel over a Const is two levels; Not and And add one each
+    for deepest, deeper in [("!" * (limit - 2) + "P(c)", "!" * (limit - 1) + "P(c)"),
+                            (" & ".join(["P(c)"] * (limit - 1)),
+                             " & ".join(["P(c)"] * limit))]:
+        f = parse_formula(SIG, deepest)
+        assert formula_depth(f) == limit - 1
+        assert parse_formula(SIG, formula_to_text(f)) == f
+        assert free_vars(f) == frozenset() and formula_size(f) >= limit - 1
+        assert folang.used_symbols(f)["relations"] == {"P"}
+        validate_formula(SIG, f)
+        assert eval_formula(model, f) == (deepest[0] == "P" or limit % 2 == 0)
+        with pytest.raises(FormulaSyntaxError, match="deeper than"):
+            parse_formula(SIG, deeper)
+
+
 def test_validate_formula_catches_foreign_symbols():
     f = parse_formula(SIG, "P(x)")
     with pytest.raises(SignatureError):

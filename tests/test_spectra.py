@@ -5,15 +5,15 @@ import itertools
 import pytest
 from conftest import replay_images
 
-from defeq import cli
+from defeq import cli, spectra
 from defeq.folang import Signature
 from defeq.groups import PermutationGroup, automorphism_group, group_key
 from defeq.models import (
     FiniteModel, Theory, enumerate_models, find_isomorphisms, is_isomorphism,
 )
 from defeq.spectra import (
-    ConcreteBijection, SpectraMismatchError, aut_spec, build_concrete_iso,
-    compare_spectra, verify_concrete_iso,
+    Census, ConcreteBijection, SpectraMismatchError, aut_spec,
+    build_concrete_iso, compare_spectra, verify_concrete_iso,
 )
 
 TRIVIAL2 = group_key(PermutationGroup(2, [(0, 1)]))
@@ -83,6 +83,40 @@ def test_compare_equal_and_range_mismatch(t2):
     assert s == aut_spec(t2, 2)
     with pytest.raises(ValueError):
         compare_spectra(s, aut_spec(t2, 1))
+
+
+def test_census_classes_and_representatives(t2):
+    for gkey, (group, classes) in Census(t2, 2).cells.items():
+        assert group_key(group) == gkey
+        for members, rep in classes:
+            assert members == sorted(members, key=FiniteModel.encode)
+            assert rep == min((m for m in members if automorphism_group(m) == group),
+                              key=FiniteModel.encode)
+
+
+def test_census_checks_orbit_stabilizer(t2, monkeypatch):
+    # without one rigid size-2 model, its class is short of n!/|Aut| = 2 members
+    real = spectra.enumerate_models
+
+    def one_short(t, n, budget=None):
+        ms = real(t, n, budget)
+        if n == 2:
+            ms.remove(next(m for m in ms if automorphism_group(m).order == 1))
+        return ms
+
+    monkeypatch.setattr(spectra, "enumerate_models", one_short)
+    with pytest.raises(RuntimeError, match="orbit-stabilizer"):
+        aut_spec(t2, 2)
+
+
+def test_build_enumerates_each_theory_and_size_once(t2, monkeypatch):
+    calls = []
+    real = spectra.enumerate_models
+    monkeypatch.setattr(spectra, "enumerate_models",
+                        lambda t, n, budget=None: calls.append((t.name, n)) or real(t, n, budget))
+    build_concrete_iso(t2, renamed_copy(t2), 2)
+    assert sorted(calls) == [("ex1_t2", 1), ("ex1_t2", 2),
+                             ("ex1_t2-renamed", 1), ("ex1_t2-renamed", 2)]
 
 
 def test_renaming_preserves_the_spectrum(t2):
