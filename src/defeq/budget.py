@@ -27,7 +27,12 @@ class BudgetExceededError(RuntimeError):
 class WorkBudget:
     """Caps for exhaustive searches.
 
-    max_nodes counts candidates actually visited by an enumeration.
+    max_nodes counts candidates actually visited by an enumeration.  For
+    model enumeration those are the function/constant choices probed, the
+    relation bitmaps evaluated while filtering each relation's tables, and
+    the relation tables assigned on the way to full candidates (see
+    models.enumerate_models); candidates ruled out relation by relation are
+    never visited.
     max_functions caps the size of the function-table/constant factor of a
     model search before it starts, since that factor cannot be pruned
     against relation-only axioms.

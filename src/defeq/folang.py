@@ -27,15 +27,16 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Signature", "Var", "Const", "App", "Term",
     "Rel", "Eq", "Not", "And", "Or", "Implies", "Iff", "Forall", "Exists",
     "Formula", "FormulaSyntaxError", "SignatureError", "UnboundVariableError",
-    "MAX_SYNTAX_DEPTH", "parse_formula", "formula_to_text", "free_vars",
-    "formula_size", "formula_depth", "used_symbols", "validate_formula",
-    "eval_term", "eval_formula", "enumerate_formulas", "random_formula",
+    "MAX_SYNTAX_DEPTH", "MAX_PAREN_DEPTH", "parse_formula", "formula_to_text",
+    "free_vars", "formula_size", "formula_depth", "used_symbols",
+    "validate_formula", "eval_term", "eval_formula", "compile_formula",
+    "enumerate_formulas", "random_formula",
 ]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -44,6 +45,12 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # accepts.  Every walker here recurses once per node, so this keeps them far
 # below Python's default recursion limit.
 MAX_SYNTAX_DEPTH = 200
+
+# Most parentheses, grouping or argument lists, open at once in text that
+# parse_formula accepts: about what the command line reached when Python's
+# recursion limit was the only bound.  The parser recurses only into
+# parentheses, at most three frames a level, so this bounds its stack use.
+MAX_PAREN_DEPTH = 140
 
 
 class FormulaSyntaxError(ValueError):
@@ -385,12 +392,47 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+# Binary connectives, loosest first: token, constructor, right associative.
+_OPERATORS = {"<->": (Iff, True), "->": (Implies, True), "|": (Or, False), "&": (And, False)}
+_LOOSEST_FIRST = tuple(_OPERATORS)
+
+
+def _combine(operands: list[Formula], ops: list[str], level: int) -> Formula:
+    """Tree of operands[0] ops[0] operands[1] ... with the grammar's precedence.
+
+    Splits at the level's connective and combines the parts by its
+    associativity; recursion goes only through the four levels.
+    """
+    if not ops:
+        return operands[0]
+    tok = _LOOSEST_FIRST[level]
+    cuts = [i for i, op in enumerate(ops) if op == tok]
+    if not cuts:
+        return _combine(operands, ops, level + 1)
+    parts = []
+    start = 0
+    for cut in cuts + [len(ops)]:
+        parts.append(_combine(operands[start:cut + 1], ops[start:cut], level + 1))
+        start = cut + 1
+    ctor, right_assoc = _OPERATORS[tok]
+    if right_assoc:
+        out = parts[-1]
+        for part in reversed(parts[:-1]):
+            out = ctor(part, out)
+    else:
+        out = parts[0]
+        for part in parts[1:]:
+            out = ctor(out, part)
+    return out
+
+
 class _Parser:
     def __init__(self, sig: Signature, text: str):
         self.sig = sig
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self, ahead: int = 0) -> str:
         j = min(self.i + ahead, len(self.tokens) - 1)
@@ -413,66 +455,54 @@ class _Parser:
     def fail(self, message: str) -> "FormulaSyntaxError":
         return FormulaSyntaxError(message, self.pos())
 
+    def open_paren(self) -> None:
+        if self.depth == MAX_PAREN_DEPTH:
+            raise self.fail(f"formula nested in more than {MAX_PAREN_DEPTH} parentheses")
+        self.expect("(")
+        self.depth += 1
+
+    def close_paren(self) -> None:
+        self.expect(")")
+        self.depth -= 1
+
     # ---- formula levels ----
 
     def formula(self) -> Formula:
-        if self.peek() in ("A", "E") and _IDENT.fullmatch(self.peek(1) or "") \
+        quants = []
+        while self.peek() in ("A", "E") and _IDENT.fullmatch(self.peek(1) or "") \
                 and self.peek(2) == ".":
             quant = self.take()
             var = self.take()
             if self.sig.has_symbol(var):
                 raise self.fail(f"quantified variable {var!r} clashes with a declared symbol")
             self.expect(".")
-            body = self.formula()
-            return Forall(var, body) if quant == "A" else Exists(var, body)
-        return self.iff()
-
-    def iff(self) -> Formula:
-        parts = [self.imp()]
-        while self.peek() == "<->":
-            self.take()
-            parts.append(self.imp())
-        out = parts[-1]
-        for left in reversed(parts[:-1]):
-            out = Iff(left, out)
-        return out
-
-    def imp(self) -> Formula:
-        parts = [self.disj()]
-        while self.peek() == "->":
-            self.take()
-            parts.append(self.disj())
-        out = parts[-1]
-        for left in reversed(parts[:-1]):
-            out = Implies(left, out)
-        return out
-
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.peek() == "|":
-            self.take()
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
-        out = self.unary()
-        while self.peek() == "&":
-            self.take()
-            out = And(out, self.unary())
+            quants.append((quant, var))
+        operands = [self.unary()]
+        ops = []
+        while self.peek() in _OPERATORS:
+            ops.append(self.take())
+            operands.append(self.unary())
+        out = _combine(operands, ops, 0)
+        for quant, var in reversed(quants):
+            out = Forall(var, out) if quant == "A" else Exists(var, out)
         return out
 
     def unary(self) -> Formula:
-        if self.peek() == "!":
+        nots = 0
+        while self.peek() == "!":
             self.take()
-            return Not(self.unary())
-        return self.atom()
+            nots += 1
+        out = self.atom()
+        for _ in range(nots):
+            out = Not(out)
+        return out
 
     def atom(self) -> Formula:
         tok = self.peek()
         if tok == "(":
-            self.take()
+            self.open_paren()
             out = self.formula()
-            self.expect(")")
+            self.close_paren()
             return out
         if tok in self.sig.relations and self.peek(1) == "(":
             name = self.take()
@@ -492,12 +522,12 @@ class _Parser:
         return Not(eq) if op == "!=" else eq
 
     def arg_list(self) -> tuple[Term, ...]:
-        self.expect("(")
+        self.open_paren()
         args = [self.term()]
         while self.peek() == ",":
             self.take()
             args.append(self.term())
-        self.expect(")")
+        self.close_paren()
         return tuple(args)
 
     def term(self) -> Term:
@@ -545,14 +575,12 @@ def _deeper_than(f: Formula, limit: int) -> bool:
 def parse_formula(sig: Signature, text: str) -> Formula:
     """Parse text against sig; raises FormulaSyntaxError on any problem.
 
-    That includes nesting too deep for the recursive parser, and trees
-    deeper than MAX_SYNTAX_DEPTH, which the other walkers could not take.
+    That includes more than MAX_PAREN_DEPTH open parentheses, reported at
+    the first parenthesis past the limit, and trees deeper than
+    MAX_SYNTAX_DEPTH, which the other walkers could not take.
     """
     p = _Parser(sig, text)
-    try:
-        out = p.formula()
-    except RecursionError:
-        raise p.fail("formula nested too deeply") from None
+    out = p.formula()
     if p.peek() != "":
         raise FormulaSyntaxError(f"trailing input {p.peek()!r}", p.pos())
     if _deeper_than(out, MAX_SYNTAX_DEPTH):
@@ -683,6 +711,104 @@ def eval_formula(m, f: Formula, assignment: Mapping[str, int] | None = None) -> 
         raise TypeError(f"not a formula: {f!r}")
 
     return go(f)
+
+
+def compile_formula(sig: Signature, f: Formula, size: int) -> Callable[[Sequence], bool]:
+    """Closed f, for models of sig on {0..size-1}, as nested closures.
+
+    The result takes one sequence: the model's relation bitmaps, function
+    tables and constant values, each group in signature order (the
+    flattened FiniteModel.encode layout, where bit j of a bitmap is the j-th
+    argument tuple in lexicographic order).  Every variable is resolved at
+    compile time to the slot of its binder, one slot per binder; the slots
+    live in one list shared by the closures, so a compiled formula must not
+    be evaluated by two threads at once.  eval_formula is the reference.
+    """
+    rel_at = {name: i for i, name in enumerate(sig.relations)}
+    fun_at = {name: len(rel_at) + i for i, name in enumerate(sig.functions)}
+    const_at = {name: len(rel_at) + len(fun_at) + i for i, name in enumerate(sig.constants)}
+    slots: list[int] = []
+    domain = range(size)
+
+    def term(t: Term, scope: Mapping[str, int]) -> Callable[[Sequence], int]:
+        if isinstance(t, Var):
+            if t.name not in scope:
+                raise UnboundVariableError(f"no value for variable {t.name!r}")
+            k = scope[t.name]
+            return lambda d: slots[k]
+        if isinstance(t, Const):
+            if t.name not in const_at:
+                raise SignatureError(f"unknown constant {t.name!r}")
+            c = const_at[t.name]
+            return lambda d: d[c]
+        if isinstance(t, App):
+            if t.name not in fun_at:
+                raise SignatureError(f"unknown function {t.name!r}")
+            g, rank = fun_at[t.name], index(t.args, scope)
+            return lambda d: d[g][rank(d)]
+        raise TypeError(f"not a term: {t!r}")
+
+    def index(args: Sequence[Term], scope: Mapping[str, int]) -> Callable[[Sequence], int]:
+        # mixed-radix rank of the argument tuple, the bit or entry it selects
+        if all(isinstance(a, Var) and a.name in scope for a in args) and len(args) <= 2:
+            if len(args) == 1:
+                i = scope[args[0].name]
+                return lambda d: slots[i]
+            i, j = scope[args[0].name], scope[args[1].name]
+            return lambda d: slots[i] * size + slots[j]
+        parts = [term(a, scope) for a in args]
+
+        def rank(d: Sequence) -> int:
+            out = 0
+            for part in parts:
+                out = out * size + part(d)
+            return out
+        return rank
+
+    def go(f: Formula, scope: Mapping[str, int]) -> Callable[[Sequence], bool]:
+        if isinstance(f, Rel):
+            if f.name not in rel_at:
+                raise SignatureError(f"unknown relation {f.name!r}")
+            r, rank = rel_at[f.name], index(f.args, scope)
+            return lambda d: d[r] >> rank(d) & 1 == 1
+        if isinstance(f, Eq):
+            left, right = term(f.left, scope), term(f.right, scope)
+            return lambda d: left(d) == right(d)
+        if isinstance(f, Not):
+            body = go(f.body, scope)
+            return lambda d: not body(d)
+        if isinstance(f, (And, Or, Implies, Iff)):
+            left, right = go(f.left, scope), go(f.right, scope)
+            if isinstance(f, And):
+                return lambda d: left(d) and right(d)
+            if isinstance(f, Or):
+                return lambda d: left(d) or right(d)
+            if isinstance(f, Implies):
+                return lambda d: not left(d) or right(d)
+            return lambda d: left(d) == right(d)
+        if isinstance(f, (Forall, Exists)):
+            k = len(slots)
+            slots.append(0)
+            body = go(f.body, {**scope, f.var: k})
+            if isinstance(f, Forall):
+                def forall(d: Sequence) -> bool:
+                    for value in domain:
+                        slots[k] = value
+                        if not body(d):
+                            return False
+                    return True
+                return forall
+
+            def exists(d: Sequence) -> bool:
+                for value in domain:
+                    slots[k] = value
+                    if body(d):
+                        return True
+                return False
+            return exists
+        raise TypeError(f"not a formula: {f!r}")
+
+    return go(f, {})
 
 
 # ============================================================

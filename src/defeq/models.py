@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import folang
 from .budget import BudgetExceededError, NodeCounter, WorkBudget
-from .folang import Formula, Signature, SignatureError
+from .folang import And, Formula, Or, Signature, SignatureError
 
 __all__ = [
     "FiniteModel", "Theory", "is_model", "enumerate_models",
@@ -206,15 +206,74 @@ def is_model(m: FiniteModel, t: Theory) -> bool:
     return all(folang.eval_formula(m, ax) for ax in t.axioms)
 
 
+def _split(f: Formula, ctor: type) -> list[Formula]:
+    """The top-level ctor-operands of f, left to right; iterative, for long chains."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, ctor):
+            stack += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
+
+
+def _any(evs: list):
+    return evs[0] if len(evs) == 1 else lambda d: any(ev(d) for ev in evs)
+
+
+def _all(evs: list):
+    return evs[0] if len(evs) == 1 else lambda d: all(ev(d) for ev in evs)
+
+
+class _Conjunct:
+    """One top-level conjunct of an axiom, its disjuncts compiled and grouped.
+
+    free holds the relation-free disjuncts, single maps a relation's index
+    to one check of the disjuncts that mention only that relation, and
+    multi holds the disjuncts over two or more relations.
+    """
+
+    __slots__ = ("free", "single", "multi", "last")
+
+    def __init__(self, sig: Signature, f: Formula, size: int):
+        rel_at = {name: i for i, name in enumerate(sig.relations)}
+        self.free, self.multi = [], []
+        single: dict[int, list] = {}
+        for d in _split(f, Or):
+            used = folang.used_symbols(d)["relations"]
+            ev = folang.compile_formula(sig, d, size)
+            if not used:
+                self.free.append(ev)
+            elif len(used) == 1:
+                single.setdefault(rel_at[used.pop()], []).append(ev)
+            else:
+                self.multi.append(ev)
+        self.single = {i: _any(evs) for i, evs in single.items()}
+        # The last relation the walk assigns is the conjunct's last chance,
+        # unless a multi disjunct can still satisfy it on the full candidate.
+        self.last = -1 if self.multi or not single else max(single)
+
+
 def enumerate_models(t: Theory, size: int,
                      budget: WorkBudget | None = None) -> list[FiniteModel]:
     """All models of t on the universe {0..size-1}, in encoding order.
 
-    The candidate space is every assignment of tables to t's symbols.
-    Axioms that mention no relation symbol are checked once per
-    (function tables, constants) choice, before the relation-table product
-    is entered; this keeps theories whose function axioms are unsatisfiable
-    within budget.  The budget counts candidates actually visited.
+    Each axiom is split into top-level conjuncts, and each conjunct into
+    top-level disjuncts, compiled once.  For every choice of function
+    tables and constants the relation-free disjuncts are decided first.  A
+    conjunct left with disjuncts about one relation only filters that
+    relation's bitmaps, once; a conjunct over several relations keeps, per
+    relation, the sub-list of filtered bitmaps on which its disjuncts about
+    that relation hold.  Relations are then assigned in signature order,
+    and once a conjunct has one unassigned relation left and is not yet
+    satisfied, that relation runs over the conjunct's sub-list only.
+    Disjuncts over two or more relations are checked on full candidates.
+
+    The budget counts candidates actually visited: each function/constant
+    choice probed, each relation bitmap evaluated while filtering, and each
+    relation table the walk assigns, so every full candidate reached and
+    every partial one on the way to it.
     """
     if size < 1:
         raise ValueError("universe must be nonempty")
@@ -227,43 +286,98 @@ def enumerate_models(t: Theory, size: int,
             f"enumerating {fun_space} function/constant tables at size {size}",
             budget.max_functions)
     nodes = NodeCounter(budget, f"enumerating models at size {size}")
-
-    rel_free = []
-    rel_using = []
-    for ax in t.axioms:
-        used = folang.used_symbols(ax)["relations"]
-        (rel_using if used else rel_free).append(ax)
+    conjuncts = [_Conjunct(sig, c, size) for ax in t.axioms for c in _split(ax, And)]
 
     rel_names = list(sig.relations)
-    rel_slots = {name: size ** arity for name, arity in sig.relations.items()}
-    rel_tuples = {name: list(itertools.product(range(size), repeat=arity))
-                  for name, arity in sig.relations.items()}
-    fun_names = list(sig.functions)
-    const_names = list(sig.constants)
-    empty_rels = {name: frozenset() for name in rel_names}
-
+    nrels = len(rel_names)
+    widths = [1 << size ** arity for arity in sig.relations.values()]
+    rel_tuples = [list(itertools.product(range(size), repeat=arity))
+                  for arity in sig.relations.values()]
+    tables: list[dict[int, frozenset]] = [{} for _ in rel_names]  # per accepted bitmap
+    # what the compiled disjuncts read: relation bitmaps, function tables, constants
+    data: list = [0] * nrels
     out: list[FiniteModel] = []
-    fun_factors = [itertools.product(range(size), repeat=size ** sig.functions[n])
-                   for n in fun_names]
-    const_factors = [range(size) for _ in const_names]
-    for combo in itertools.product(*fun_factors, *const_factors):
-        funs = dict(zip(fun_names, combo))
-        consts = dict(zip(const_names, combo[len(fun_names):]))
-        if rel_free:
+
+    def factor(i: int, checks: list, spanning: list[_Conjunct]) -> Sequence[int]:
+        # relation i's bitmaps on which every check holds; fills subs[c, i]
+        mine = [c for c in spanning if i in c.single]
+        if not checks and not mine:
+            return range(widths[i])
+        check = _all(checks)
+        kept = []
+        hits: list[list[int]] = [[] for _ in mine]
+        for bits in range(widths[i]):
             nodes.tick()
-            probe = FiniteModel._raw(sig, size, empty_rels, funs, consts)
-            if not all(folang.eval_formula(probe, ax) for ax in rel_free):
-                continue
-        for bitmaps in itertools.product(*(range(1 << rel_slots[n]) for n in rel_names)):
-            nodes.tick()
-            rels = {name: frozenset(t for j, t in enumerate(rel_tuples[name])
-                                    if bits >> j & 1)
-                    for name, bits in zip(rel_names, bitmaps)}
-            m = FiniteModel._raw(sig, size, rels, funs, consts)
-            if all(folang.eval_formula(m, ax) for ax in rel_using):
+            data[i] = bits
+            if check(data):
+                kept.append(bits)
+                for c, hit in zip(mine, hits):
+                    if c.single[i](data):
+                        hit.append(bits)
+        for c, hit in zip(mine, hits):
+            subs[c, i] = (hit, set(hit))
+        return kept
+
+    def walk(i: int, pending: list[_Conjunct]) -> None:
+        if i == nrels:
+            if all(any(ev(data) for ev in c.multi) for c in pending):
+                bitmaps = tuple(data[:nrels])
+                rels = {name: _table(tables[j], rel_tuples[j], bits)
+                        for j, (name, bits) in enumerate(zip(rel_names, bitmaps))}
+                m = FiniteModel._raw(sig, size, rels, funs, consts)
+                m._enc = (size, bitmaps, fun_part, const_part)  # what encode() computes
                 out.append(m)
+            return
+        forced = [c for c in pending if c.last == i]
+        if not forced:
+            choices = kept[i]
+        elif len(forced) == 1:
+            choices = subs[forced[0], i][0]
+        else:
+            choices = [b for b in subs[forced[0], i][0]
+                       if all(b in subs[c, i][1] for c in forced[1:])]
+        for bits in choices:
+            nodes.tick()
+            data[i] = bits
+            walk(i + 1, [c for c in pending
+                         if i not in c.single or bits not in subs[c, i][1]])
+
+    nfuns = len(sig.functions)
+    for combo in itertools.product(
+            *(itertools.product(range(size), repeat=size ** a) for a in sig.functions.values()),
+            *(range(size) for _ in sig.constants)):
+        nodes.tick()
+        data[nrels:] = combo
+        checks: list[list] = [[] for _ in rel_names]
+        spanning: list[_Conjunct] = []
+        for c in conjuncts:
+            if any(ev(data) for ev in c.free):
+                continue
+            if not c.single and not c.multi:
+                break
+            if not c.multi and len(c.single) == 1:
+                [(i, ev)] = c.single.items()
+                checks[i].append(ev)
+            else:
+                spanning.append(c)
+        else:
+            subs: dict[tuple[_Conjunct, int], tuple[list[int], set[int]]] = {}
+            kept = [factor(i, checks[i], spanning) for i in range(nrels)]
+            fun_part, const_part = combo[:nfuns], combo[nfuns:]
+            funs = dict(zip(sig.functions, fun_part))
+            consts = dict(zip(sig.constants, const_part))
+            walk(0, spanning)
     out.sort(key=FiniteModel.encode)
     return out
+
+
+def _table(cache: dict[int, frozenset], tuples: list[tuple[int, ...]],
+           bits: int) -> frozenset:
+    """The argument tuples of bitmap bits, built once per bitmap."""
+    got = cache.get(bits)
+    if got is None:
+        got = cache[bits] = frozenset(t for j, t in enumerate(tuples) if bits >> j & 1)
+    return got
 
 
 # ============================================================

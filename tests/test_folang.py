@@ -1,5 +1,6 @@
 """Syntax layer: parsing, printing, evaluation, enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from defeq import folang
 from defeq.folang import (
     And, App, Const, Eq, Exists, Forall, FormulaSyntaxError, Iff, Implies,
     Not, Or, Rel, Signature, SignatureError, Var,
-    enumerate_formulas, eval_formula, formula_depth, formula_size,
+    compile_formula, enumerate_formulas, eval_formula, formula_depth, formula_size,
     formula_to_text, free_vars, parse_formula, random_formula,
     validate_formula,
 )
@@ -138,8 +139,29 @@ def test_every_walker_takes_the_deepest_parsable_formula():
         assert folang.used_symbols(f)["relations"] == {"P"}
         validate_formula(SIG, f)
         assert eval_formula(model, f) == (deepest[0] == "P" or limit % 2 == 0)
+        assert compile_formula(SIG, f, 1)(flat_tables(model)) == eval_formula(model, f)
         with pytest.raises(FormulaSyntaxError, match="deeper than"):
             parse_formula(SIG, deeper)
+
+
+def test_paren_limit_does_not_depend_on_the_callers_stack():
+    deep = "(" * 150 + "A x. P(x)" + ")" * 150
+
+    def error(frames):
+        if frames:
+            return error(frames - 1)
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(SIG, deep)
+        return str(info.value)
+
+    limit = folang.MAX_PAREN_DEPTH
+    message = f"formula nested in more than {limit} parentheses (at offset {limit})"
+    assert error(0) == error(300) == message
+    # argument lists count too: P(c) inside limit - 1 groups is at the limit
+    inner = "(" * (limit - 1) + "P(c)" + ")" * (limit - 1)
+    assert parse_formula(SIG, inner) == Rel("P", (Const("c"),))
+    with pytest.raises(FormulaSyntaxError, match="parentheses"):
+        parse_formula(SIG, f"({inner})")
 
 
 def test_validate_formula_catches_foreign_symbols():
@@ -207,6 +229,56 @@ def test_eval_requires_bound_environment():
     m = _two_point_model()
     with pytest.raises(folang.UnboundVariableError):
         eval_formula(m, parse_formula(SIG, "P(x)"))
+    with pytest.raises(folang.UnboundVariableError):
+        compile_formula(SIG, parse_formula(SIG, "A y. E(x,y)"), 2)
+
+
+def flat_tables(m):
+    """A model's tables in the layout compiled formulas read."""
+    _, bitmaps, fun_tables, constants = m.encode()
+    return [*bitmaps, *fun_tables, *constants]
+
+
+def random_model(size, rng):
+    return FiniteModel(
+        SIG, size,
+        {name: [t for t in itertools.product(range(size), repeat=arity) if rng.random() < 0.5]
+         for name, arity in SIG.relations.items()},
+        {"s": [rng.randrange(size) for _ in range(size)]}, {"c": rng.randrange(size)})
+
+
+@pytest.mark.parametrize("text", [
+    # shadowed binders, the outer variable read again after the inner loop
+    "A x. P(x) & (E x. !P(x))",
+    "E x. (A x. E(x,x)) & P(x)",
+    "A x. E y. (E x. R(x,y)) <-> R(x,y)",
+    # <-> of atoms whose bits sit at different positions
+    "A x. A y. R(x,y) <-> R(y,x)",
+    "E x. E y. E(x,y) <-> P(y)",
+    # function terms and constants
+    "A x. P(s(x)) <-> s(s(x))=c",
+    "E(c,s(c)) | R(s(c),c)",
+    "E x. A y. E(s(y),x) -> y=c",
+])
+def test_compiled_formula_cases(text):
+    f = parse_formula(SIG, text)
+    rng = random.Random(text)
+    for size in (1, 2, 3):
+        ev = compile_formula(SIG, f, size)
+        for _ in range(20):
+            m = random_model(size, rng)
+            assert ev(flat_tables(m)) is eval_formula(m, f), (text, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 4))
+def test_compiled_formula_matches_eval_formula(seed, depth, size):
+    rng = random.Random(seed)
+    f = random_formula(SIG, rng, depth)
+    ev = compile_formula(SIG, f, size)
+    for _ in range(5):
+        m = random_model(size, rng)
+        assert ev(flat_tables(m)) is eval_formula(m, f)
 
 
 # ------------------------------------------------------------

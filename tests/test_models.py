@@ -4,9 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from defeq.budget import BudgetExceededError, WorkBudget
-from defeq.folang import Signature, parse_formula
+from defeq.folang import And, Or, Signature, eval_formula, parse_formula, random_formula
 from defeq.models import (
     FiniteModel, Theory, apply_permutation, canonical_key, enumerate_models,
     find_isomorphisms, is_isomorphism, is_model, reduct, substructure,
@@ -83,6 +84,56 @@ def test_enumeration_budget_guards():
     with pytest.raises(BudgetExceededError):
         enumerate_models(Theory(sig, [], name="free"), 4,
                          WorkBudget(max_functions=1000))
+
+
+def test_enumeration_budget_counts_visited_candidates(t1, t2):
+    # the full product at size 3 has 262,144 candidates per theory
+    assert len(enumerate_models(t2, 3, WorkBudget(max_nodes=5_000))) == 538
+    assert len(enumerate_models(t1, 3, WorkBudget(max_nodes=5_000))) == 1023
+
+
+def brute_force_models(t, size):
+    """Every table assignment filtered through eval_formula, in encoding order."""
+    sig = t.sig
+    rels = [[{tup for j, tup in enumerate(itertools.product(range(size), repeat=a))
+              if bits >> j & 1} for bits in range(1 << size ** a)]
+            for a in sig.relations.values()]
+    funs = [list(itertools.product(range(size), repeat=size ** a))
+            for a in sig.functions.values()]
+    consts = [range(size) for _ in sig.constants]
+    k, j = len(rels), len(rels) + len(funs)
+    found = []
+    for choice in itertools.product(*rels, *funs, *consts):
+        m = FiniteModel(sig, size, dict(zip(sig.relations, choice[:k])),
+                        dict(zip(sig.functions, choice[k:j])),
+                        dict(zip(sig.constants, choice[j:])))
+        if all(eval_formula(m, ax) for ax in t.axioms):
+            found.append(m.encode())
+    return sorted(found)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_enumeration_matches_brute_force_on_random_theories(seed, size):
+    rng = random.Random(seed)
+    rels = {name: rng.randint(1, 2) for name in rng.sample(["P", "Q"], rng.randint(1, 2))}
+    extra = rng.choice(["", "f", "c"])
+    sig = Signature(rels, {"f": 1} if extra == "f" else {}, ["c"] if extra == "c" else [])
+    candidates = 2 ** sum(size ** a for a in rels.values())
+    candidates *= size ** size if extra == "f" else size if extra == "c" else 1
+    assume(candidates <= 4096)
+    axioms = []
+    for _ in range(rng.randint(1, 3)):
+        ax = random_formula(sig, rng, rng.randint(2, 4))
+        for _ in range(rng.randint(0, 3)):
+            ax = rng.choice([And, Or])(ax, random_formula(sig, rng, rng.randint(2, 4)))
+        axioms.append(ax)
+    t = Theory(sig, axioms)
+    got = enumerate_models(t, size)
+    assert [m.encode() for m in got] == brute_force_models(t, size)
+    # the enumerator presets each encoding; the tables must agree with it
+    assert [FiniteModel(sig, size, m.rels, m.funs, m.consts).encode() for m in got] \
+        == [m.encode() for m in got]
 
 
 # ------------------------------------------------------------
