@@ -368,14 +368,6 @@ def cmd_build_iso(args):
     return (0 if report.ok else 1), lines
 
 
-def _closed_formulas_to_depth(sig: Signature, depth: int, budget: WorkBudget):
-    nodes = NodeCounter(budget, "enumerating closed formulas")
-    for f in folang.enumerate_formulas(sig, (), (1 << depth) - 1):
-        nodes.tick()
-        if folang.formula_depth(f) <= depth:
-            yield f
-
-
 def cmd_ultra(args):
     ms = load_models(args.models.split(","))
     u = ultra.Ultrafilter.principal(args.principal, len(ms))
@@ -385,14 +377,17 @@ def cmd_ultra(args):
     if args.los_depth is not None:
         checked = failures = 0
         witness = None
-        for f in _closed_formulas_to_depth(ms[0].sig, args.los_depth, budget):
+        depth = args.los_depth
+        nodes = NodeCounter(budget, "enumerating closed formulas")
+        for f in folang.enumerate_formulas(ms[0].sig, (), (1 << depth) - 1, depth):
+            nodes.tick()
             report = ultra.los_check(ms, u, f, budget)
             checked += 1
             if not report.ok:
                 failures += 1
                 if witness is None:
                     witness = f
-        lines.append(f"los depth={args.los_depth} formulas={checked} failures={failures}")
+        lines.append(f"los depth={depth} formulas={checked} failures={failures}")
         if witness is not None:
             lines.append(f"los witness: {folang.formula_to_text(witness)}")
             return 1, lines

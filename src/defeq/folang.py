@@ -41,16 +41,18 @@ __all__ = [
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Most formula and term nodes on one root-to-leaf path that parse_formula
-# accepts.  Every walker here recurses once per node, so this keeps them far
-# below Python's default recursion limit.
-MAX_SYNTAX_DEPTH = 200
-
 # Most parentheses, grouping or argument lists, open at once in text that
 # parse_formula accepts: about what the command line reached when Python's
 # recursion limit was the only bound.  The parser recurses only into
 # parentheses, at most three frames a level, so this bounds its stack use.
 MAX_PAREN_DEPTH = 140
+
+# Most formula and term nodes on one root-to-leaf path that parse_formula
+# accepts.  formula_to_text opens at most one parenthesis per node on a path
+# and none at the leaf, so every accepted tree prints within MAX_PAREN_DEPTH.
+# The walkers that recurse once per node stay far below Python's default
+# recursion limit.
+MAX_SYNTAX_DEPTH = MAX_PAREN_DEPTH + 1
 
 
 class FormulaSyntaxError(ValueError):
@@ -210,47 +212,53 @@ _BINARY = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
 _QUANT = {Forall: "A", Exists: "E"}
 
 
-def _term_vars(t: Term, out: set[str]) -> None:
-    if isinstance(t, Var):
-        out.add(t.name)
-    elif isinstance(t, App):
-        for a in t.args:
-            _term_vars(a, out)
+# The child formula and term nodes of each node kind, left to right: the one
+# place that knows the shape of the tree.
+_CHILDREN: dict[type, Callable[..., tuple]] = {
+    **dict.fromkeys((Var, Const), lambda n: ()),
+    **dict.fromkeys((App, Rel), lambda n: n.args),
+    **dict.fromkeys((Not, Forall, Exists), lambda n: (n.body,)),
+    **dict.fromkeys((Eq, And, Or, Implies, Iff), lambda n: (n.left, n.right)),
+}
+
+
+def _children(node: Union[Formula, Term]) -> tuple:
+    """Child formula and term nodes of node, left to right."""
+    try:
+        children = _CHILDREN[type(node)]
+    except KeyError:
+        raise TypeError(f"not a formula or term: {node!r}") from None
+    return children(node)
+
+
+def _walk(f: Formula) -> Iterator[tuple[Union[Formula, Term], int]]:
+    """(node, depth) for every formula and term node of f, the root at depth 1.
+
+    Left-to-right preorder, with an explicit stack, so any depth is fine.
+    """
+    stack = [(f, 1)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        stack.extend([(c, depth + 1) for c in reversed(_children(node))])
 
 
 def free_vars(f: Formula) -> frozenset[str]:
     """Free variable names of f."""
     out: set[str] = set()
 
-    def go(f: Formula, bound: frozenset[str]) -> None:
-        if isinstance(f, Rel):
-            vs: set[str] = set()
-            for a in f.args:
-                _term_vars(a, vs)
-            out.update(vs - bound)
-        elif isinstance(f, Eq):
-            vs = set()
-            _term_vars(f.left, vs)
-            _term_vars(f.right, vs)
-            out.update(vs - bound)
-        elif isinstance(f, Not):
-            go(f.body, bound)
-        elif isinstance(f, (And, Or, Implies, Iff)):
-            go(f.left, bound)
-            go(f.right, bound)
-        elif isinstance(f, (Forall, Exists)):
-            go(f.body, bound | {f.var})
-        else:
-            raise TypeError(f"not a formula: {f!r}")
+    def go(node, bound: frozenset[str]) -> None:
+        if isinstance(node, Var):
+            if node.name not in bound:
+                out.add(node.name)
+            return
+        if isinstance(node, (Forall, Exists)):
+            bound = bound | {node.var}
+        for child in _children(node):
+            go(child, bound)
 
     go(f, frozenset())
     return frozenset(out)
-
-
-def _term_func_nodes(t: Term) -> int:
-    if isinstance(t, App):
-        return 1 + sum(_term_func_nodes(a) for a in t.args)
-    return 0
 
 
 def formula_size(f: Formula) -> int:
@@ -260,61 +268,25 @@ def formula_size(f: Formula) -> int:
     variables and constants are free.  Every connective and quantifier
     costs 1.
     """
-    if isinstance(f, Rel):
-        return 1 + sum(_term_func_nodes(a) for a in f.args)
-    if isinstance(f, Eq):
-        return 1 + _term_func_nodes(f.left) + _term_func_nodes(f.right)
-    if isinstance(f, Not):
-        return 1 + formula_size(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return 1 + formula_size(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    own = 0 if isinstance(f, (Var, Const)) else 1
+    return own + sum(map(formula_size, _children(f)))
 
 
 def formula_depth(f: Formula) -> int:
     """Nesting depth of f; atoms have depth 1."""
     if isinstance(f, (Rel, Eq)):
         return 1
-    if isinstance(f, Not):
-        return 1 + formula_depth(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return 1 + max(formula_depth(f.left), formula_depth(f.right))
-    if isinstance(f, (Forall, Exists)):
-        return 1 + formula_depth(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return 1 + max(map(formula_depth, _children(f)))
 
 
 def used_symbols(f: Formula) -> dict[str, set[str]]:
     """Signature symbols occurring in f, keyed 'relations'/'functions'/'constants'."""
     out = {"relations": set(), "functions": set(), "constants": set()}
-
-    def go_term(t: Term) -> None:
-        if isinstance(t, Const):
-            out["constants"].add(t.name)
-        elif isinstance(t, App):
-            out["functions"].add(t.name)
-            for a in t.args:
-                go_term(a)
-
-    def go(f: Formula) -> None:
-        if isinstance(f, Rel):
-            out["relations"].add(f.name)
-            for a in f.args:
-                go_term(a)
-        elif isinstance(f, Eq):
-            go_term(f.left)
-            go_term(f.right)
-        elif isinstance(f, Not):
-            go(f.body)
-        elif isinstance(f, (And, Or, Implies, Iff)):
-            go(f.left)
-            go(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            go(f.body)
-
-    go(f)
+    kinds = {Rel: "relations", App: "functions", Const: "constants"}
+    for node, _ in _walk(f):
+        kind = kinds.get(type(node))
+        if kind is not None:
+            out[kind].add(node.name)
     return out
 
 
@@ -324,48 +296,23 @@ def validate_formula(sig: Signature, f: Formula) -> None:
     Also rejects variables whose names shadow declared symbols, which the
     parser can never produce and evaluation would misread.
     """
-
-    def go_term(t: Term) -> None:
-        if isinstance(t, Var):
-            if sig.has_symbol(t.name):
-                raise SignatureError(f"variable {t.name!r} shadows a declared symbol")
-        elif isinstance(t, Const):
-            if t.name not in sig.constants:
-                raise SignatureError(f"unknown constant {t.name!r}")
-        else:
-            arity = sig.functions.get(t.name)
+    for node, _ in _walk(f):
+        if isinstance(node, (Rel, App)):
+            kind, arities = (("relation", sig.relations) if isinstance(node, Rel)
+                             else ("function", sig.functions))
+            arity = arities.get(node.name)
             if arity is None:
-                raise SignatureError(f"unknown function {t.name!r}")
-            if arity != len(t.args):
-                raise SignatureError(f"function {t.name!r} expects {arity} arguments")
-            for a in t.args:
-                go_term(a)
-
-    def go(f: Formula) -> None:
-        if isinstance(f, Rel):
-            arity = sig.relations.get(f.name)
-            if arity is None:
-                raise SignatureError(f"unknown relation {f.name!r}")
-            if arity != len(f.args):
-                raise SignatureError(f"relation {f.name!r} expects {arity} arguments")
-            for a in f.args:
-                go_term(a)
-        elif isinstance(f, Eq):
-            go_term(f.left)
-            go_term(f.right)
-        elif isinstance(f, Not):
-            go(f.body)
-        elif isinstance(f, (And, Or, Implies, Iff)):
-            go(f.left)
-            go(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            if sig.has_symbol(f.var):
-                raise SignatureError(f"bound variable {f.var!r} shadows a declared symbol")
-            go(f.body)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-
-    go(f)
+                raise SignatureError(f"unknown {kind} {node.name!r}")
+            if arity != len(node.args):
+                raise SignatureError(f"{kind} {node.name!r} expects {arity} arguments")
+        elif isinstance(node, Const):
+            if node.name not in sig.constants:
+                raise SignatureError(f"unknown constant {node.name!r}")
+        elif isinstance(node, Var):
+            if sig.has_symbol(node.name):
+                raise SignatureError(f"variable {node.name!r} shadows a declared symbol")
+        elif isinstance(node, (Forall, Exists)) and sig.has_symbol(node.var):
+            raise SignatureError(f"bound variable {node.var!r} shadows a declared symbol")
 
 
 # ============================================================
@@ -553,25 +500,6 @@ class _Parser:
         return Var(name)
 
 
-def _deeper_than(f: Formula, limit: int) -> bool:
-    """Does a path of formula and term nodes pass limit?  Iterative, for any depth."""
-    stack = [(f, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > limit:
-            return True
-        if isinstance(node, (Rel, App)):
-            children = node.args
-        elif isinstance(node, (Not, Forall, Exists)):
-            children = (node.body,)
-        elif isinstance(node, (Var, Const)):
-            children = ()
-        else:
-            children = (node.left, node.right)
-        stack.extend((c, depth + 1) for c in children)
-    return False
-
-
 def parse_formula(sig: Signature, text: str) -> Formula:
     """Parse text against sig; raises FormulaSyntaxError on any problem.
 
@@ -583,7 +511,7 @@ def parse_formula(sig: Signature, text: str) -> Formula:
     out = p.formula()
     if p.peek() != "":
         raise FormulaSyntaxError(f"trailing input {p.peek()!r}", p.pos())
-    if _deeper_than(out, MAX_SYNTAX_DEPTH):
+    if any(depth > MAX_SYNTAX_DEPTH for _, depth in _walk(out)):
         raise FormulaSyntaxError(
             f"formula nested deeper than {MAX_SYNTAX_DEPTH} levels", 0)
     return out
@@ -823,8 +751,8 @@ def _fresh_names(sig: Signature, taken: Iterable[str]) -> Iterator[str]:
             yield name
 
 
-def enumerate_formulas(sig: Signature, free: Sequence[str],
-                       size_bound: int) -> Iterator[Formula]:
+def enumerate_formulas(sig: Signature, free: Sequence[str], size_bound: int,
+                       depth_bound: int | None = None) -> Iterator[Formula]:
     """All formulas over sig with free variables among `free`, by size.
 
     Emitted in increasing size (formula_size), with a fixed constructor
@@ -832,6 +760,11 @@ def enumerate_formulas(sig: Signature, free: Sequence[str],
     larger bound and no formula appears twice.  Bound variables are drawn
     from a canonical fresh-name sequence (one name per quantifier depth),
     so each alpha-equivalence class shows up exactly once.
+
+    With depth_bound, only formulas of formula_depth <= depth_bound are
+    built, in the order the unbounded stream has them.  Each level (size,
+    bound names in scope, depth left) is built once from smaller levels and
+    kept; the largest size is streamed and never stored.
     """
     free = tuple(free)
     if len(set(free)) != len(free):
@@ -846,64 +779,75 @@ def enumerate_formulas(sig: Signature, free: Sequence[str],
 
     term_memo: dict[tuple[int, int], list[Term]] = {}
 
-    def terms(k: int, depth: int) -> list[Term]:
+    def terms(k: int, binders: int) -> list[Term]:
         # terms containing exactly k function applications
-        got = term_memo.get((k, depth))
+        got = term_memo.get((k, binders))
         if got is not None:
             return got
         out: list[Term] = []
         if k == 0:
             out.extend(Var(v) for v in free)
-            out.extend(Var(v) for v in bound_names[:depth])
+            out.extend(Var(v) for v in bound_names[:binders])
             out.extend(const_terms)
         else:
             for fname, arity in fun_items:
-                for args in arg_tuples(k - 1, arity, depth):
+                for args in arg_tuples(k - 1, arity, binders):
                     out.append(App(fname, args))
-        term_memo[(k, depth)] = out
+        term_memo[(k, binders)] = out
         return out
 
-    def arg_tuples(k: int, arity: int, depth: int) -> Iterator[tuple[Term, ...]]:
+    def arg_tuples(k: int, arity: int, binders: int) -> Iterator[tuple[Term, ...]]:
         # argument tuples whose function applications total exactly k
         if arity == 1:
-            for t in terms(k, depth):
+            for t in terms(k, binders):
                 yield (t,)
             return
         for first in range(k + 1):
-            for head in terms(first, depth):
-                for rest in arg_tuples(k - first, arity - 1, depth):
+            for head in terms(first, binders):
+                for rest in arg_tuples(k - first, arity - 1, binders):
                     yield (head,) + rest
 
-    memo: dict[tuple[int, int], list[Formula]] = {}
+    memo: dict[tuple[int, int, int], list[Formula]] = {}
 
-    def formulas(s: int, depth: int) -> list[Formula]:
-        got = memo.get((s, depth))
-        if got is not None:
-            return got
-        out: list[Formula] = []
+    def level(s: int, binders: int, depth: int) -> list[Formula]:
+        # a formula's depth never exceeds its size, so depth >= s is no bound
+        key = (s, binders, min(depth, s))
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = list(stream(*key))
+        return got
+
+    def stream(s: int, binders: int, depth: int) -> Iterator[Formula]:
+        # formulas of size s and depth <= depth with `binders` bound names in scope
+        if depth < 1:
+            return
         for rname, arity in rel_items:
-            for args in arg_tuples(s - 1, arity, depth):
-                out.append(Rel(rname, args))
+            for args in arg_tuples(s - 1, arity, binders):
+                yield Rel(rname, args)
         for j in range(s):
-            for left in terms(j, depth):
-                for right in terms(s - 1 - j, depth):
-                    out.append(Eq(left, right))
-        if s >= 2:
-            out.extend(Not(sub) for sub in formulas(s - 1, depth))
-            for ctor in (And, Or, Implies, Iff):
-                for i in range(1, s - 1):
-                    for left in formulas(i, depth):
-                        for right in formulas(s - 1 - i, depth):
-                            out.append(ctor(left, right))
-            var = bound_names[depth]
-            for ctor in (Forall, Exists):
-                for body in formulas(s - 1, depth + 1):
-                    out.append(ctor(var, body))
-        memo[(s, depth)] = out
-        return out
+            for left in terms(j, binders):
+                for right in terms(s - 1 - j, binders):
+                    yield Eq(left, right)
+        if s < 2:
+            return
+        for sub in level(s - 1, binders, depth - 1):
+            yield Not(sub)
+        for ctor in (And, Or, Implies, Iff):
+            for i in range(1, s - 1):
+                rights = level(s - 1 - i, binders, depth - 1)
+                for left in level(i, binders, depth - 1):
+                    for right in rights:
+                        yield ctor(left, right)
+        var = bound_names[binders]
+        for ctor in (Forall, Exists):
+            for body in level(s - 1, binders + 1, depth - 1):
+                yield ctor(var, body)
 
-    for s in range(1, size_bound + 1):
-        yield from formulas(s, 0)
+    depth = size_bound if depth_bound is None else depth_bound
+    for s in range(1, size_bound):
+        yield from level(s, 0, depth)
+    if size_bound >= 1:
+        yield from stream(size_bound, 0, depth)
 
 
 def random_formula(sig: Signature, rng: random.Random, max_depth: int,

@@ -14,7 +14,7 @@ from conftest import replay_images
 from defeq import cli
 from defeq.cli import dispatch, model_to_text
 from defeq.folang import (
-    Signature, enumerate_formulas, eval_formula, formula_depth, free_vars,
+    Signature, enumerate_formulas, eval_formula, free_vars,
     parse_formula, random_formula,
 )
 from defeq.groups import automorphism_group
@@ -125,9 +125,7 @@ def test_criterion_4_product_truth_matches_quotient_truth():
         u = Ultrafilter.principal(point, 2)
         quotient = ultraproduct([m, m], u).quotient
         checked = 0
-        for f in enumerate_formulas(small_sig, (), 7):
-            if formula_depth(f) > 3:
-                continue
+        for f in enumerate_formulas(small_sig, (), 7, 3):
             assert eval_formula(m, f) == eval_formula(quotient, f)
             checked += 1
         assert checked == 132

@@ -164,6 +164,19 @@ def test_paren_limit_does_not_depend_on_the_callers_stack():
         parse_formula(SIG, f"({inner})")
 
 
+@pytest.mark.parametrize("ctor", [And, Or, Implies, Iff])
+@pytest.mark.parametrize("nest_right", [True, False])
+def test_chains_at_the_depth_limit_print_within_the_paren_limit(ctor, nest_right):
+    # P(c) is two levels and each connective one more; right-nested & and |
+    # and left-nested -> and <-> print one group of parentheses per level
+    atom = Rel("P", (Const("c"),))
+    f = atom
+    for _ in range(folang.MAX_SYNTAX_DEPTH - 2):
+        f = ctor(atom, f) if nest_right else ctor(f, atom)
+    assert formula_depth(f) == folang.MAX_SYNTAX_DEPTH - 1
+    assert parse_formula(SIG, formula_to_text(f)) == f
+
+
 def test_validate_formula_catches_foreign_symbols():
     f = parse_formula(SIG, "P(x)")
     with pytest.raises(SignatureError):
@@ -323,3 +336,39 @@ def test_enumeration_covers_small_formulas():
 def test_enumeration_closed_formulas_have_no_free_vars():
     for f in enumerate_formulas(ENUM_SIG, (), 4):
         assert free_vars(f) == frozenset()
+
+
+# signature, free variables, largest size bound the unbounded oracle may take
+DEPTH_CASES = [
+    (ENUM_SIG, ("x",), 5),
+    (Signature({"E": 2, "P": 1}, {"s": 1}, ["c"]), (), 4),
+    (Signature({"E": 2}, {}, []), ("x", "y"), 4),
+    (Signature({"R": 2}, {"f": 2}, ["a", "b"]), ("z",), 3),
+]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("sig, free, cap", DEPTH_CASES)
+def test_depth_bound_equals_the_filtered_stream(sig, free, cap, depth):
+    size = min(2 ** depth - 1, cap)
+    want = [f for f in enumerate_formulas(sig, free, size) if formula_depth(f) <= depth]
+    assert list(enumerate_formulas(sig, free, size, depth)) == want
+
+
+def test_the_largest_size_is_streamed_not_stored(monkeypatch):
+    made = 0
+    real = folang.Forall
+
+    def counting_forall(var, body):
+        nonlocal made
+        made += 1
+        return real(var, body)
+
+    monkeypatch.setattr(folang, "Forall", counting_forall)
+    shorter = sum(1 for _ in enumerate_formulas(ENUM_SIG, ("x",), 4))
+    made_for_shorter = made
+    made = 0
+    stream = enumerate_formulas(ENUM_SIG, ("x",), 5)
+    next(itertools.islice(stream, shorter, None))  # the first formula of size 5
+    # sizes 1-4 are built as for bound 4, and nothing of size 5 ahead of the stream
+    assert made == made_for_shorter
