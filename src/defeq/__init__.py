@@ -28,7 +28,14 @@ from .folang import (
 )
 from .groups import PermutationGroup, automorphism_group, group_key, group_to_text
 from .irregular import emit_ts_axioms, irregularity_report, register_variant, symbols
-from .models import FiniteModel, Theory, enumerate_models, find_isomorphisms, is_model
+from .models import (
+    FiniteModel,
+    InternalError,
+    Theory,
+    enumerate_models,
+    find_isomorphisms,
+    is_model,
+)
 from .spectra import (
     SpectraMismatchError,
     Spectrum,
@@ -66,6 +73,7 @@ __all__ = [
     "register_variant",
     "symbols",
     "FiniteModel",
+    "InternalError",
     "Theory",
     "enumerate_models",
     "find_isomorphisms",

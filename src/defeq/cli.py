@@ -2,8 +2,10 @@
 
 Exit codes: 0 when the command succeeds and any checked property holds,
 1 when a checked property fails (a witness goes to stdout), 2 on usage,
-parse, file, or budget errors (one-line diagnostic on stderr).  All output
-is deterministic byte for byte.
+parse, file, or budget errors (one-line diagnostic on stderr), 3 when an
+invariant that defeq checks on its own results fails (a bug; one
+"defeq: internal error:" line on stderr).  All output is deterministic
+byte for byte.
 
 Theory files (.thy)::
 
@@ -36,7 +38,7 @@ from typing import Sequence
 from . import definability, folang, groups, irregular, spectra, ultra
 from .budget import BudgetExceededError, NodeCounter, WorkBudget
 from .folang import FormulaSyntaxError, Signature, SignatureError
-from .models import FiniteModel, Theory, enumerate_models
+from .models import FiniteModel, InternalError, Theory, enumerate_models
 
 __all__ = [
     "CliError", "parse_theory_text", "load_theory", "theory_to_text",
@@ -369,6 +371,8 @@ def cmd_build_iso(args):
 
 
 def cmd_ultra(args):
+    if args.los_depth is not None and args.los_depth < 0:
+        raise CliError(f"--los-depth takes a depth of 0 or more, got {args.los_depth}")
     ms = load_models(args.models.split(","))
     u = ultra.Ultrafilter.principal(args.principal, len(ms))
     budget = _budget(args)
@@ -597,6 +601,9 @@ def dispatch(argv: Sequence[str]) -> tuple[int, str]:
             ValueError, OSError) as e:
         print(f"defeq: {e}", file=sys.stderr)
         return 2, ""
+    except InternalError as e:
+        print(f"defeq: internal error: {e}", file=sys.stderr)
+        return 3, ""
     return code, "".join(line + "\n" for line in lines)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import folang
 from .budget import BudgetExceededError, NodeCounter, WorkBudget
@@ -19,8 +19,13 @@ from .folang import And, Formula, Or, Signature, SignatureError
 __all__ = [
     "FiniteModel", "Theory", "is_model", "enumerate_models",
     "find_isomorphisms", "is_isomorphism", "canonical_key",
-    "reduct", "substructure", "apply_permutation",
+    "reduct", "substructure", "apply_permutation", "Relabelling", "orbits",
+    "InternalError",
 ]
+
+
+class InternalError(RuntimeError):
+    """An invariant the package checks on its own results failed: a bug, not bad input."""
 
 
 class FiniteModel:
@@ -493,6 +498,99 @@ def canonical_key(m: FiniteModel) -> bytes:
     """
     return min(apply_permutation(m, perm).encode_bytes()
                for perm in itertools.permutations(range(m.size)))
+
+
+class Relabelling:
+    """The n! relabellings of one signature's models on {0..n-1}, as index tables.
+
+    perms lists the permutations in lexicographic order.  For the i-th
+    permutation p and each arity k of the signature, the tables hold, per
+    k-tuple rank j, the bit (as a power of two) that p moves bit j of a
+    relation bitmap to, and, per rank r, the argument rank whose value
+    lands at rank r of a relabelled function table.  They are built per
+    instance, when a caller asks for one, never at import.
+    """
+
+    __slots__ = ("size", "perms", "_moves")
+
+    def __init__(self, sig: Signature, size: int):
+        self.size = size
+        self.perms = list(itertools.permutations(range(size)))
+        self._moves: dict[int, list[tuple[list[int], list[int]]]] = {}
+        for arity in {*sig.relations.values(), *sig.functions.values()}:
+            tuples = list(itertools.product(range(size), repeat=arity))
+            rank = {t: r for r, t in enumerate(tuples)}
+            rows = []
+            for p in self.perms:
+                dst = [rank[tuple(p[e] for e in t)] for t in tuples]
+                src = [0] * len(dst)
+                for j, d in enumerate(dst):
+                    src[d] = j
+                rows.append(([1 << d for d in dst], src))
+            self._moves[arity] = rows
+
+    def orbit(self, m: FiniteModel, nodes: NodeCounter | None = None
+              ) -> tuple[dict[tuple, tuple[int, ...]], list[tuple[int, ...]]]:
+        """Sweep every relabelling of m once: (images, stabilizer).
+
+        images maps each distinct image's encoding to the first permutation,
+        in lexicographic order, that gives it: apply_permutation(m, p) has
+        encoding e for p = images[e].  stabilizer lists the permutations
+        that fix m, which is Aut(m) in lexicographic order.  nodes, when
+        given, counts one node per permutation applied.
+        """
+        if m.size != self.size:
+            raise ValueError(f"model of size {m.size}, relabellings of size {self.size}")
+        if nodes is not None:
+            nodes.tick(len(self.perms))
+        enc = m.encode()
+        size, rel_part, fun_part, consts = enc
+        rels = [(self._moves[k], [j for j in range(size ** k) if bits >> j & 1])
+                for bits, k in zip(rel_part, m.sig.relations.values())]
+        funs = [(self._moves[k], table)
+                for table, k in zip(fun_part, m.sig.functions.values())]
+        images: dict[tuple, tuple[int, ...]] = {}
+        stabilizer = []
+        for i, p in enumerate(self.perms):
+            image = (size,
+                     tuple([sum(map(moves[i][0].__getitem__, ones)) for moves, ones in rels]),
+                     tuple([tuple([p[table[j]] for j in moves[i][1]]) for moves, table in funs]),
+                     tuple([p[c] for c in consts]))
+            images.setdefault(image, p)
+            if image == enc:
+                stabilizer.append(p)
+        return images, stabilizer
+
+
+def orbits(models: Sequence[FiniteModel], nodes: NodeCounter | None = None
+           ) -> Iterator[tuple[list[FiniteModel], list[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """Split models of one signature and size, in encoding order, into classes.
+
+    One Relabelling sweep per isomorphism class, from its least member m,
+    yields (members in encoding order, moves, Aut(m) in lexicographic
+    order), where moves[i] carries m = members[0] onto members[i].  Classes
+    come in the order of their least members; since fixed-width encodings
+    order like their bytes, members[0].encode_bytes() is the canonical key.
+    InternalError is raised unless every image is one of the models not
+    yet classified (the list is closed under relabelling) and
+    |class| * |Aut(m)| = n! (orbit-stabilizer).
+    """
+    if not models:
+        return
+    relabelling = Relabelling(models[0].sig, models[0].size)
+    pending = {m.encode(): m for m in models}
+    for m in models:
+        if m.encode() not in pending:
+            continue
+        images, stabilizer = relabelling.orbit(m, nodes)
+        order = sorted(images)
+        expected = len(relabelling.perms) // len(stabilizer)
+        strays = sum(enc not in pending for enc in order)
+        if strays or len(order) != expected:
+            raise InternalError(
+                f"class of {m!r} has {len(order)} members, {strays} of them not "
+                f"enumerated or already classified; orbit-stabilizer expects {expected}")
+        yield [pending.pop(enc) for enc in order], [images[enc] for enc in order], stabilizer
 
 
 def reduct(m: FiniteModel, keep: Iterable[str] | Signature) -> FiniteModel:

@@ -7,21 +7,22 @@ license an explicit universe-preserving bijection between the two model
 classes that preserves and reflects isomorphisms; build_concrete_iso
 constructs it and verify_concrete_iso checks it from scratch.  Spectra
 and the bijection both come from a Census, which classifies the models of
-one theory at one size once.
+one theory at one size with one relabelling sweep per class.  Since
+Iso(M, N) is a coset h Aut(M), the verifier checks isomorphisms class by
+class, one check per model (the coset criterion of VerificationReport).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .budget import WorkBudget
-from .groups import (PermutationGroup, automorphism_group, canonical_form,
-                     form_key, group_to_text)
-from .models import (FiniteModel, Theory, apply_permutation, canonical_key,
-                     enumerate_models, find_isomorphisms, is_isomorphism)
+from .budget import NodeCounter, WorkBudget
+from .groups import (PermutationGroup, canonical_form, compose, form_key,
+                     group_to_text, invert)
+from .models import (FiniteModel, InternalError, Theory, apply_permutation,
+                     enumerate_models, is_isomorphism, orbits)
 from .ultra import ultrafilters_on, ultraproduct
 
 __all__ = [
@@ -71,18 +72,17 @@ class Spectrum:
             for n, _, e in self.cells()
         ]
 
+    def _counts(self) -> tuple:
+        return self.sizes, tuple((n, k, e.class_count, e.model_count)
+                                 for n, k, e in self.cells())
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        if self.sizes != other.sizes:
-            return False
-        mine = {(n, k): (e.class_count, e.model_count) for n, k, e in self.cells()}
-        theirs = {(n, k): (e.class_count, e.model_count) for n, k, e in other.cells()}
-        return mine == theirs
+        return self._counts() == other._counts()
 
     def __hash__(self) -> int:
-        return hash((self.sizes,
-                     tuple((n, k, e.class_count, e.model_count) for n, k, e in self.cells())))
+        return hash(self._counts())
 
     def __repr__(self) -> str:
         return f"<Spectrum sizes={self.sizes}, {sum(len(v) for v in self.table.values())} cells>"
@@ -114,39 +114,36 @@ class SpectraMismatchError(ValueError):
 
 
 class Census:
-    """The models of t at one size, each classified once.
+    """The models of t at one size, classified by one sweep per class (models.orbits).
 
-    One enumeration, and per model one automorphism group, one canonical
-    form and one canonical key; no per-model group is kept.  cells maps
-    each group key to (canonical group, classes sorted by canonical key),
-    and each class is [members in encoding order, representative].  The
-    representative is the least member whose automorphism group literally
-    equals the canonical group.
+    cells maps group keys to (canonical group, classes by canonical key), a
+    class being [members in encoding order, representative]: the least
+    member whose group is literally the canonical one, by
+    Aut(p.M) = p Aut(M) p^-1, so canonical_form runs once per class.  moves
+    maps each representative to, per member, a permutation carrying it
+    onto that member.  The budget bounds enumeration and sweeps apart.
     """
 
-    __slots__ = ("cells",)
+    __slots__ = ("models", "cells", "moves")
 
     def __init__(self, t: Theory, size: int, budget: WorkBudget | None = None):
+        budget = budget or WorkBudget()
+        self.models = enumerate_models(t, size, budget)
+        nodes = NodeCounter(budget, f"relabelling models at size {size}")
         found: dict[PermutationGroup, dict[bytes, list]] = {}
-        for m in enumerate_models(t, size, budget):
-            aut = automorphism_group(m)
+        self.moves: dict[FiniteModel, list[tuple[int, ...]]] = {}
+        perms = {p: p for p in itertools.permutations(range(size))}  # one copy each
+        for members, moves, stabilizer in orbits(self.models, nodes):
+            aut = PermutationGroup(size, stabilizer, _trusted=True)
             canon = canonical_form(aut)
-            cls = found.setdefault(canon, {}).setdefault(canonical_key(m), [[], None])
-            cls[0].append(m)
-            if cls[1] is None and aut == canon:
-                cls[1] = m
-        self.cells: dict[bytes, tuple[PermutationGroup, list[list]]] = {}
-        for canon, classes in found.items():
-            # orbit-stabilizer: a class is the n!/|Aut| relabellings of any
-            # member, and one of them has the canonical group itself
-            expected = math.factorial(size) // canon.order
-            for members, rep in classes.values():
-                if len(members) != expected or rep is None:
-                    raise RuntimeError(
-                        f"class of {members[0]!r} has {len(members)} members"
-                        f"{'' if rep else ' and no representative'}, "
-                        f"orbit-stabilizer expects {expected}")
-            self.cells[form_key(canon)] = (canon, [classes[k] for k in sorted(classes)])
+            # canon is a conjugate of Aut(members[0]), so some member has it literally
+            at = next(i for i, p in enumerate(moves) if aut.conjugate(p) == canon)
+            back = invert(moves[at])
+            self.moves[members[at]] = [perms[compose(p, back)] for p in moves]
+            found.setdefault(canon, {})[members[0].encode_bytes()] = [members, members[at]]
+        self.cells: dict[bytes, tuple[PermutationGroup, list[list]]] = {
+            form_key(canon): (canon, [classes[k] for k in sorted(classes)])
+            for canon, classes in found.items()}
 
     def entries(self) -> dict[bytes, SpectrumEntry]:
         """This size's spectrum table: group key -> counts."""
@@ -218,11 +215,8 @@ class ConcreteBijection:
 
 
 def _paired_classes(c1: Census, c2: Census):
-    """(rep1, rep2, members of rep1's class) for classes paired off per cell.
-
-    Within each group key the classes of both censuses are paired in
-    canonical-key order; the censuses must have equal spectra.
-    """
+    """(rep1, rep2, members of rep1's class), paired per group key in
+    canonical-key order; the censuses must have equal spectra."""
     for gkey, (_, classes1) in c1.cells.items():
         for (members, rep1), (_, rep2) in zip(classes1, c2.cells[gkey][1]):
             yield rep1, rep2, members
@@ -234,12 +228,11 @@ def build_concrete_iso(t1: Theory, t2: Theory, max_size: int,
 
     Requires equal spectra: sizes are taken in turn, and the first size
     whose spectra differ raises SpectraMismatchError before any larger size
-    is enumerated.  Per size and per group key, the isomorphism classes on
-    both sides are ordered by canonical key and paired off; each pair has
-    representatives with literally equal automorphism groups, and then
-    b(M) = f(M2rep) for the least isomorphism f from M's representative
-    M1rep to M.  Any such f gives the same image, which is what makes b
-    well defined; the tests iterate all f to confirm.
+    is enumerated.  Per size and group key, the classes on both sides are
+    paired off in canonical-key order, with representatives of literally
+    equal automorphism groups, and b(M) = f(M2rep) for the census move f
+    from M's representative M1rep to M.  Any isomorphism f gives the same
+    image, which makes b well defined; the tests iterate all f to confirm.
     """
     sizes = range(1, max_size + 1)
     pairs: dict[int, dict[FiniteModel, FiniteModel]] = {}
@@ -248,9 +241,9 @@ def build_concrete_iso(t1: Theory, t2: Theory, max_size: int,
         witness = _first_difference(n, c1.entries(), c2.entries())
         if witness is not None:
             raise SpectraMismatchError(witness)
-        pairs[n] = {m: apply_permutation(rep2, find_isomorphisms(rep1, m)[0])
+        pairs[n] = {m: apply_permutation(rep2, p)
                     for rep1, rep2, members in _paired_classes(c1, c2)
-                    for m in members}
+                    for m, p in zip(members, c1.moves[rep1])}
     return ConcreteBijection(tuple(sizes), pairs)
 
 
@@ -260,8 +253,14 @@ class VerificationReport:
 
     universes_ok: every b(M) lives on M's universe.
     iso_ok: for all M, N and every base bijection h, h is an isomorphism
-        M -> N exactly when it is one b(M) -> b(N).  Taking M = N this
-        already forces Aut(M) = Aut(b(M)).
+        M -> N exactly when it is one b(M) -> b(N).  Decided by the coset
+        criterion: with each member of a class of t1 written M = p.R for its
+        representative R, this holds exactly when (a) Aut(R) = Aut(b(R)),
+        (b) b(p.R) = p.b(R), and (c) distinct classes go to distinct
+        classes.  Sketch: Iso(p.R, q.R) is the coset q Aut(R) p^-1, and by (b)
+        Iso(b(p.R), b(q.R)) is q Aut(b(R)) p^-1, equal to it by (a); across
+        classes both sides are empty, by (c).  Conversely M = N = R gives
+        (a), h = p gives (b), and an isomorphism b(R) -> b(R') gives (c).
     ultra_ok: b commutes with ultraproducts over every ultrafilter on index
         sets up to the checked bound, by literal table equality of the
         canonicalized quotients.  Finite index sets only carry principal
@@ -282,75 +281,86 @@ class VerificationReport:
         return self.universes_ok and self.iso_ok and self.ultra_ok
 
 
+def _iso_witness(b: ConcreteBijection, n: int, c1: Census, c2: Census,
+                 nodes: NodeCounter) -> tuple[FiniteModel, FiniteModel, tuple[int, ...]] | None:
+    """The first (M, N, h) of size n, in full-scan order, that breaks iso_ok.
+
+    b is injective here, and (a) and (b) of the coset criterion make it map
+    a class onto a whole class of the same size.  So (c) follows, and a
+    pair of models breaks iso_ok only when both their classes fail (a) or
+    (b): only those pairs are rescanned.
+    """
+    placed2 = {m: (group, p) for group, classes in c2.cells.values()
+               for members, rep in classes for m, p in zip(members, c2.moves[rep])}
+    failed: set[FiniteModel] = set()  # the members of classes that fail
+    for group, classes in c1.cells.values():
+        for members, rep in classes:
+            nodes.tick(len(members))
+            brep, ok = b.apply(rep), True
+            for m, p in zip(members, c1.moves[rep]):
+                if not is_isomorphism(rep, m, p):
+                    raise InternalError(f"census move {p} does not carry {rep!r} onto {m!r}")
+                ok = ok and is_isomorphism(brep, b.apply(m), p)  # (b), on M's universe
+            if not ok or placed2[brep][0].conjugate(placed2[brep][1]) != group:  # (a)
+                failed.update(members)
+    if not failed:
+        return None
+    perms = list(itertools.permutations(range(n)))
+    for m, other in itertools.product(c1.models, repeat=2):
+        if m in failed and other in failed:
+            nodes.tick()
+            bm, bo = b.apply(m), b.apply(other)
+            for h in perms:
+                if is_isomorphism(m, other, h) != is_isomorphism(bm, bo, h):
+                    return m, other, h
+    raise InternalError(f"the coset verdict failed at size {n}, but no model pair breaks it")
+
+
 def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
                         max_size: int, *, index_bound: int = 2,
                         sample_budget: int = 2000,
                         budget: WorkBudget | None = None) -> VerificationReport:
-    """Re-derive the model lists and check b against the three verdicts.
+    """Re-derive the model classes, with a Census per theory and size that
+    does not read b, and check b against the three verdicts.
 
     Raises ValueError when b is not a total injection from Mod(t1) into
     Mod(t2) on the checked sizes.  Witnesses are the first failures in
-    deterministic order.  The ultraproduct verdict draws model tuples in
-    lexicographic order up to sample_budget per (index set size, point).
+    deterministic order; the isomorphism witness is the first that a scan
+    of all model pairs and base bijections would meet.  The budget counts
+    a node per member checked and per model pair rescanned.  Ultraproducts
+    take up to sample_budget tuples per (index set size, point).
     """
-    models1: dict[int, list[FiniteModel]] = {}
-    models2: dict[int, list[FiniteModel]] = {}
+    budget = budget or WorkBudget()
+    nodes = NodeCounter(budget, "verifying the bijection")
+    all1: list[FiniteModel] = []
+    universe_witness = iso_witness = None
     for n in range(1, max_size + 1):
-        models1[n] = enumerate_models(t1, n, budget)
-        models2[n] = enumerate_models(t2, n, budget)
-        mod2set = set(models2[n])
-        seen: set[FiniteModel] = set()
-        for m in models1[n]:
+        c1, c2 = Census(t1, n, budget), Census(t2, n, budget)
+        mod2set, seen = set(c2.models), set()
+        for m in c1.models:
             bm = b.apply(m)  # raises if not total
             if bm in seen:
                 raise ValueError(f"bijection not injective at {bm!r}")
             seen.add(bm)
             if bm.size == n and bm not in mod2set:
                 raise ValueError(f"image {bm!r} is not a model of the target theory")
+            if bm.size != n and universe_witness is None:
+                universe_witness = m
+        all1 += c1.models
+        iso_witness = iso_witness or _iso_witness(b, n, c1, c2, nodes)
 
-    universes_ok, universe_witness = True, None
-    for n in range(1, max_size + 1):
-        for m in models1[n]:
-            if b.apply(m).size != n:
-                universes_ok, universe_witness = False, m
-                break
-        if not universes_ok:
-            break
-
-    iso_ok, iso_witness = True, None
-    for n in range(1, max_size + 1):
-        perms = list(itertools.permutations(range(n)))
-        for m, other in itertools.product(models1[n], repeat=2):
-            bm, bo = b.apply(m), b.apply(other)
-            for h in perms:
-                if is_isomorphism(m, other, h) != is_isomorphism(bm, bo, h):
-                    iso_ok, iso_witness = False, (m, other, h)
-                    break
-            if not iso_ok:
-                break
-        if not iso_ok:
-            break
-
-    all1 = [m for n in range(1, max_size + 1) for m in models1[n]]
-    ultra_ok, ultra_witness = True, None
+    ultra_witness = None
     checked = 0
-    for k in range(1, index_bound + 1):
-        for u in ultrafilters_on(k):
-            point = u.principal_point()
-            for count, tup in enumerate(itertools.product(all1, repeat=k)):
-                if count >= sample_budget:
-                    break
-                left = b.apply(ultraproduct(list(tup), u, budget).quotient)
-                right = ultraproduct([b.apply(m) for m in tup], u, budget).quotient
-                checked += 1
-                if left != right:
-                    ultra_ok, ultra_witness = False, (k, point, tup)
-                    break
-            if not ultra_ok:
+    for k, u in ((k, u) for k in range(1, index_bound + 1) for u in ultrafilters_on(k)):
+        for tup in itertools.islice(itertools.product(all1, repeat=k), sample_budget):
+            checked += 1
+            if b.apply(ultraproduct(list(tup), u, budget).quotient) != \
+                    ultraproduct([b.apply(m) for m in tup], u, budget).quotient:
+                ultra_witness = (k, u.principal_point(), tup)
                 break
-        if not ultra_ok:
+        if ultra_witness is not None:
             break
 
-    return VerificationReport(universes_ok, universe_witness,
-                              iso_ok, iso_witness,
-                              ultra_ok, ultra_witness, checked)
+    return VerificationReport(universe_witness is None, universe_witness,
+                              iso_witness is None, iso_witness,
+                              ultra_witness is None, ultra_witness, checked)

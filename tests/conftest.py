@@ -1,8 +1,26 @@
 import pytest
 
 from defeq import cli
-from defeq.models import apply_permutation, find_isomorphisms
+from defeq.folang import And, Or, Signature, random_formula
+from defeq.models import Theory, apply_permutation, find_isomorphisms
 from defeq.spectra import Census, _paired_classes
+
+
+def random_theory(rng, size):
+    """(theory, raw candidate count at size): 1-2 relations of arity <= 2,
+    maybe a unary function or a constant, 1-3 random axioms."""
+    rels = {name: rng.randint(1, 2) for name in rng.sample(["P", "Q"], rng.randint(1, 2))}
+    extra = rng.choice(["", "f", "c"])
+    sig = Signature(rels, {"f": 1} if extra == "f" else {}, ["c"] if extra == "c" else [])
+    candidates = 2 ** sum(size ** a for a in rels.values())
+    candidates *= size ** size if extra == "f" else size if extra == "c" else 1
+    axioms = []
+    for _ in range(rng.randint(1, 3)):
+        ax = random_formula(sig, rng, rng.randint(2, 4))
+        for _ in range(rng.randint(0, 3)):
+            ax = rng.choice([And, Or])(ax, random_formula(sig, rng, rng.randint(2, 4)))
+        axioms.append(ax)
+    return Theory(sig, axioms), candidates
 
 
 def replay_images(ta, tb, n):

@@ -2,11 +2,13 @@
 
 import pytest
 
+from defeq import spectra
 from defeq.cli import (
     CliError, dispatch, fixture_path, load_models, load_theory, main,
     model_to_text, parse_model_text, parse_theory_text, theory_to_text,
 )
 from defeq.folang import Signature, formula_to_text
+from defeq.groups import automorphism_group
 from defeq.models import FiniteModel
 
 
@@ -200,6 +202,40 @@ def test_build_iso_command(tmp_path):
     assert code == 1 and out.startswith("WITNESS size=1")
 
 
+def test_budgets_bound_the_census_sweep_and_the_verifier(tmp_path, capsys):
+    # two constants: at size 3 enumeration visits 9 nodes, the census sweep
+    # applies 12 permutations, and the verifier checks 1 + 4 + 9 members
+    thy, copy = tmp_path / "two.thy", tmp_path / "two_copy.thy"
+    thy.write_text("const a\nconst b\n")
+    copy.write_text("const c\nconst d\n")
+    assert run("spec", "--theory", str(thy), "--size", "3", "--max-nodes", "10") == (2, "")
+    assert capsys.readouterr().err == \
+        "defeq: work budget exceeded while relabelling models at size 3 (limit 10)\n"
+    build = ("build-iso", "--t1", str(thy), "--t2", str(copy), "--max-size", "3",
+             "--max-nodes", "13")
+    assert run(*build)[0] == 0
+    assert run(*build, "--verify") == (2, "")
+    assert capsys.readouterr().err == \
+        "defeq: work budget exceeded while verifying the bijection (limit 13)\n"
+
+
+def test_internal_errors_exit_3(monkeypatch, capsys):
+    # a census that misses one rigid size-2 model breaks closure under relabelling
+    real = spectra.enumerate_models
+
+    def one_short(t, n, budget=None):
+        ms = real(t, n, budget)
+        if n == 2:
+            ms.remove(next(m for m in ms if automorphism_group(m).order == 1))
+        return ms
+
+    monkeypatch.setattr(spectra, "enumerate_models", one_short)
+    assert run("spec", "--theory", "ex1_t2.thy", "--size", "2") == (3, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("defeq: internal error: class of ")
+    assert "orbit-stabilizer" in err[0]
+
+
 def test_ultra_command(tmp_path):
     a, b = tmp_path / "a.mod", tmp_path / "b.mod"
     a.write_text("size 1 rel P { }")
@@ -211,6 +247,14 @@ def test_ultra_command(tmp_path):
                                 "los depth=2 formulas=4 failures=0"]
     code, _ = run("ultra", "--models", f"{a},{b}", "--principal", "2")
     assert code == 2  # point outside the index set
+
+
+def test_ultra_rejects_a_negative_los_depth(tmp_path, capsys):
+    a = tmp_path / "a.mod"
+    a.write_text("size 1 rel P { }")
+    assert run("ultra", "--models", str(a), "--principal", "0", "--los-depth", "-1") == (2, "")
+    assert capsys.readouterr().err == \
+        "defeq: --los-depth takes a depth of 0 or more, got -1\n"
 
 
 def test_beth_and_idc_commands(tmp_path):

@@ -4,10 +4,11 @@ import itertools
 import random
 
 import pytest
+from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
 
 from defeq.budget import BudgetExceededError, WorkBudget
-from defeq.folang import And, Or, Signature, eval_formula, parse_formula, random_formula
+from defeq.folang import Signature, eval_formula, parse_formula
 from defeq.models import (
     FiniteModel, Theory, apply_permutation, canonical_key, enumerate_models,
     find_isomorphisms, is_isomorphism, is_model, reduct, substructure,
@@ -115,20 +116,9 @@ def brute_force_models(t, size):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
 def test_enumeration_matches_brute_force_on_random_theories(seed, size):
-    rng = random.Random(seed)
-    rels = {name: rng.randint(1, 2) for name in rng.sample(["P", "Q"], rng.randint(1, 2))}
-    extra = rng.choice(["", "f", "c"])
-    sig = Signature(rels, {"f": 1} if extra == "f" else {}, ["c"] if extra == "c" else [])
-    candidates = 2 ** sum(size ** a for a in rels.values())
-    candidates *= size ** size if extra == "f" else size if extra == "c" else 1
+    t, candidates = random_theory(random.Random(seed), size)
     assume(candidates <= 4096)
-    axioms = []
-    for _ in range(rng.randint(1, 3)):
-        ax = random_formula(sig, rng, rng.randint(2, 4))
-        for _ in range(rng.randint(0, 3)):
-            ax = rng.choice([And, Or])(ax, random_formula(sig, rng, rng.randint(2, 4)))
-        axioms.append(ax)
-    t = Theory(sig, axioms)
+    sig = t.sig
     got = enumerate_models(t, size)
     assert [m.encode() for m in got] == brute_force_models(t, size)
     # the enumerator presets each encoding; the tables must agree with it

@@ -1,15 +1,20 @@
 """Spectra: frozen cell counts, comparison witnesses, the concrete bijection."""
 
 import itertools
+import random
 
 import pytest
-from conftest import replay_images
+from conftest import random_theory, replay_images
+from hypothesis import assume, given, settings, strategies as st
 
 from defeq import cli, spectra
 from defeq.folang import Signature
-from defeq.groups import PermutationGroup, automorphism_group, group_key
+from defeq.groups import (
+    PermutationGroup, automorphism_group, canonical_form, form_key, group_key,
+)
 from defeq.models import (
-    FiniteModel, Theory, enumerate_models, find_isomorphisms, is_isomorphism,
+    FiniteModel, InternalError, Relabelling, Theory, apply_permutation, canonical_key,
+    enumerate_models, find_isomorphisms, is_isomorphism, is_model, orbits,
 )
 from defeq.spectra import (
     Census, ConcreteBijection, SpectraMismatchError, aut_spec,
@@ -107,6 +112,61 @@ def test_census_checks_orbit_stabilizer(t2, monkeypatch):
     monkeypatch.setattr(spectra, "enumerate_models", one_short)
     with pytest.raises(RuntimeError, match="orbit-stabilizer"):
         aut_spec(t2, 2)
+
+
+def per_model_cells(t, n):
+    """The census built model by model from the public oracles, no sweep."""
+    found = {}
+    for m in enumerate_models(t, n):
+        aut = automorphism_group(m)
+        canon = canonical_form(aut)
+        cls = found.setdefault(canon, {}).setdefault(canonical_key(m), [[], None])
+        cls[0].append(m)
+        if cls[1] is None and aut == canon:
+            cls[1] = m
+    return [(form_key(canon), canon, [classes[k] for k in sorted(classes)])
+            for canon, classes in found.items()]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_orbit_census_matches_the_per_model_census(seed, size):
+    t, candidates = random_theory(random.Random(seed), size)
+    assume(candidates <= 1024)
+    census = Census(t, size)
+    assert [(gkey, group, classes) for gkey, (group, classes) in census.cells.items()] \
+        == per_model_cells(t, size)
+    for _, classes in census.cells.values():
+        for members, rep in classes:
+            assert [apply_permutation(rep, p) for p in census.moves[rep]] == members
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_every_image_of_a_class_sweep_is_a_model(seed, size):
+    t, candidates = random_theory(random.Random(seed), size)
+    assume(candidates <= 4096)
+    relabelling = Relabelling(t.sig, size)
+    for members, _, _ in orbits(enumerate_models(t, size)):
+        images, stabilizer = relabelling.orbit(members[0])
+        assert sorted(images) == [m.encode() for m in members]
+        for enc, p in images.items():
+            image = apply_permutation(members[0], p)
+            assert image.encode() == enc and is_model(image, t)
+        assert stabilizer == find_isomorphisms(members[0], members[0])
+
+
+def test_census_checks_the_sweep_against_orbit_stabilizer(t2, monkeypatch):
+    # a sweep that loses an automorphism would give a class too small for it
+    real = Relabelling.orbit
+
+    def short(self, m, nodes=None):
+        images, stabilizer = real(self, m, nodes)
+        return images, stabilizer[:1]
+
+    monkeypatch.setattr(Relabelling, "orbit", short)
+    with pytest.raises(InternalError, match="orbit-stabilizer expects 2"):
+        Census(t2, 2)
 
 
 def test_build_enumerates_each_theory_and_size_once(t2, monkeypatch):
@@ -224,3 +284,126 @@ def test_verifier_catches_a_universe_change(t2):
     report = verify_concrete_iso(ConcreteBijection(b.sizes, pairs), t2, t2r, 2)
     assert not report.universes_ok
     assert report.universe_witness == small
+
+
+# ------------------------------------------------------------
+# the coset verifier against the brute-force scan
+# ------------------------------------------------------------
+
+def brute_force_verdicts(b, t1, t2, max_size):
+    """The |Mod|^2 * n! scan: universes and isomorphism verdicts with witnesses."""
+    models1 = {}
+    for n in range(1, max_size + 1):
+        models1[n] = enumerate_models(t1, n)
+        mod2set = set(enumerate_models(t2, n))
+        seen = set()
+        for m in models1[n]:
+            bm = b.apply(m)
+            if bm in seen:
+                raise ValueError(f"bijection not injective at {bm!r}")
+            seen.add(bm)
+            if bm.size == n and bm not in mod2set:
+                raise ValueError(f"image {bm!r} is not a model of the target theory")
+    universe_witness = next((m for n in models1 for m in models1[n]
+                             if b.apply(m).size != n), None)
+    for n in range(1, max_size + 1):
+        for m, other in itertools.product(models1[n], repeat=2):
+            bm, bo = b.apply(m), b.apply(other)
+            for h in itertools.permutations(range(n)):
+                if is_isomorphism(m, other, h) != is_isomorphism(bm, bo, h):
+                    return universe_witness, (m, other, h)
+    return universe_witness, None
+
+
+def assert_verdicts_agree(pairs, t1, t2, max_size=2):
+    b = ConcreteBijection(range(1, max_size + 1), pairs)
+    try:
+        expected = brute_force_verdicts(b, t1, t2, max_size)
+    except ValueError as e:
+        with pytest.raises(ValueError) as err:
+            verify_concrete_iso(b, t1, t2, max_size, index_bound=0)
+        assert str(err.value) == str(e)
+        return None
+    report = verify_concrete_iso(b, t1, t2, max_size, index_bound=0)
+    assert (report.universe_witness, report.iso_witness) == expected
+    assert report.universes_ok == (expected[0] is None)
+    assert report.iso_ok == (expected[1] is None)
+    return report
+
+
+@pytest.fixture(scope="module")
+def built(t2):
+    t2r = renamed_copy(t2)
+    b = build_concrete_iso(t2, t2r, 2)
+    return t2r, b, Census(t2, 2)
+
+
+def test_coset_verdict_equals_the_scan_on_broken_bijections(t2, built):
+    t2r, b, census = built
+    classes = [ms for _, cls in census.cells.values() for ms, _ in cls]
+    within = next(ms for ms in classes if len(ms) > 1)
+    across = [next(ms for ms in classes if len(ms) == 1), within]  # unequal groups
+    outside = FiniteModel(t2r.sig, 2, {"Q": [(0, 1)], "S": [(0, 1), (1, 0)]})
+    assert outside not in enumerate_models(t2r, 2)
+    broken = []
+    for m1, m2 in [(within[0], within[1]), (across[0][0], across[1][0])]:
+        pairs = {n: dict(d) for n, d in b.pairs.items()}
+        pairs[2][m1], pairs[2][m2] = pairs[2][m2], pairs[2][m1]
+        broken.append(pairs)
+    for change in [lambda p: p[2].update({within[0]: p[2][within[1]]}),   # not injective
+                   lambda p: p[2].update({within[0]: outside}),           # outside Mod(t2)
+                   lambda p: p[1].update({next(iter(p[1])): b.apply(within[0])})]:  # universe
+        pairs = {n: dict(d) for n, d in b.pairs.items()}
+        change(pairs)
+        broken.append(pairs)
+    reports = [assert_verdicts_agree(pairs, t2, t2r) for pairs in broken]
+    # a swap inside a two-member class relabels that class: still a good bijection
+    assert [r and (r.universes_ok, r.iso_ok) for r in reports] == \
+        [(True, True), (True, False), None, None, (False, False)]
+    assert assert_verdicts_agree(b.pairs, t2, t2r).ok
+
+
+def test_coset_verdict_equals_the_scan_on_a_three_member_swap():
+    # one unary relation: at size 3 the classes with one or two points have three members
+    t1 = Theory(Signature({"P": 1}), [], name="unary")
+    t2 = Theory(Signature({"U": 1}), [], name="unary-renamed")
+    b = build_concrete_iso(t1, t2, 3)
+    single = [m for m in enumerate_models(t1, 3) if len(m.rels["P"]) == 1]
+    pairs = {n: dict(d) for n, d in b.pairs.items()}
+    pairs[3][single[0]], pairs[3][single[1]] = pairs[3][single[1]], pairs[3][single[0]]
+    assert assert_verdicts_agree(b.pairs, t1, t2, 3).ok
+    report = assert_verdicts_agree(pairs, t1, t2, 3)
+    assert report.universes_ok and not report.iso_ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_coset_verdict_equals_the_scan_on_random_bijections(t2, built, seed):
+    t2r, b, _ = built
+    rng = random.Random(seed)
+    pairs = {}
+    for n, d in b.pairs.items():
+        images = list(d.values())
+        if rng.random() < 0.5:
+            rng.shuffle(images)
+        else:  # one transposition of the built bijection
+            i, j = rng.randrange(len(images)), rng.randrange(len(images))
+            images[i], images[j] = images[j], images[i]
+        pairs[n] = dict(zip(d, images))
+    assert_verdicts_agree(pairs, t2, t2r)
+
+
+def test_verifier_checks_the_census_moves(t2, monkeypatch):
+    t2r = renamed_copy(t2)
+    b = build_concrete_iso(t2, t2r, 2)
+    real = Census.__init__
+
+    def wrong_moves(self, t, n, budget=None):
+        real(self, t, n, budget)
+        for rep, moves in self.moves.items():
+            if len(moves) > 1:
+                moves[0], moves[1] = moves[1], moves[0]
+
+    monkeypatch.setattr(Census, "__init__", wrong_moves)
+    with pytest.raises(InternalError, match="census move"):
+        verify_concrete_iso(b, t2, t2r, 2, index_bound=0)
