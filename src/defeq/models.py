@@ -529,20 +529,19 @@ class Relabelling:
                 rows.append(([1 << d for d in dst], src))
             self._moves[arity] = rows
 
-    def orbit(self, m: FiniteModel, nodes: NodeCounter | None = None
+    def orbit(self, m: FiniteModel, nodes: NodeCounter
               ) -> tuple[dict[tuple, tuple[int, ...]], list[tuple[int, ...]]]:
         """Sweep every relabelling of m once: (images, stabilizer).
 
         images maps each distinct image's encoding to the first permutation,
         in lexicographic order, that gives it: apply_permutation(m, p) has
         encoding e for p = images[e].  stabilizer lists the permutations
-        that fix m, which is Aut(m) in lexicographic order.  nodes, when
-        given, counts one node per permutation applied.
+        that fix m, which is Aut(m) in lexicographic order.  nodes counts
+        one node per permutation applied.
         """
         if m.size != self.size:
             raise ValueError(f"model of size {m.size}, relabellings of size {self.size}")
-        if nodes is not None:
-            nodes.tick(len(self.perms))
+        nodes.tick(len(self.perms))
         enc = m.encode()
         size, rel_part, fun_part, consts = enc
         rels = [(self._moves[k], [j for j in range(size ** k) if bits >> j & 1])
@@ -562,7 +561,7 @@ class Relabelling:
         return images, stabilizer
 
 
-def orbits(models: Sequence[FiniteModel], nodes: NodeCounter | None = None
+def orbits(models: Sequence[FiniteModel], nodes: NodeCounter
            ) -> Iterator[tuple[list[FiniteModel], list[tuple[int, ...]], list[tuple[int, ...]]]]:
     """Split models of one signature and size, in encoding order, into classes.
 

@@ -72,17 +72,18 @@ class Spectrum:
             for n, _, e in self.cells()
         ]
 
-    def _counts(self) -> tuple:
-        return self.sizes, tuple((n, k, e.class_count, e.model_count)
-                                 for n, k, e in self.cells())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return self._counts() == other._counts()
+        if self.sizes != other.sizes:
+            return False
+        mine = {(n, k): (e.class_count, e.model_count) for n, k, e in self.cells()}
+        theirs = {(n, k): (e.class_count, e.model_count) for n, k, e in other.cells()}
+        return mine == theirs
 
     def __hash__(self) -> int:
-        return hash(self._counts())
+        return hash((self.sizes,
+                     tuple((n, k, e.class_count, e.model_count) for n, k, e in self.cells())))
 
     def __repr__(self) -> str:
         return f"<Spectrum sizes={self.sizes}, {sum(len(v) for v in self.table.values())} cells>"
@@ -215,8 +216,11 @@ class ConcreteBijection:
 
 
 def _paired_classes(c1: Census, c2: Census):
-    """(rep1, rep2, members of rep1's class), paired per group key in
-    canonical-key order; the censuses must have equal spectra."""
+    """(rep1, rep2, members of rep1's class) for classes paired off per cell.
+
+    Within each group key the classes of both censuses are paired in
+    canonical-key order; the censuses must have equal spectra.
+    """
     for gkey, (_, classes1) in c1.cells.items():
         for (members, rep1), (_, rep2) in zip(classes1, c2.cells[gkey][1]):
             yield rep1, rep2, members
@@ -228,11 +232,12 @@ def build_concrete_iso(t1: Theory, t2: Theory, max_size: int,
 
     Requires equal spectra: sizes are taken in turn, and the first size
     whose spectra differ raises SpectraMismatchError before any larger size
-    is enumerated.  Per size and group key, the classes on both sides are
-    paired off in canonical-key order, with representatives of literally
-    equal automorphism groups, and b(M) = f(M2rep) for the census move f
-    from M's representative M1rep to M.  Any isomorphism f gives the same
-    image, which makes b well defined; the tests iterate all f to confirm.
+    is enumerated.  Per size and per group key, the isomorphism classes on
+    both sides are ordered by canonical key and paired off; each pair has
+    representatives with literally equal automorphism groups, and then
+    b(M) = f(M2rep) for the census move f from M's representative M1rep to
+    M.  Any isomorphism f gives the same image, which is what makes b
+    well defined; the tests iterate all f to confirm.
     """
     sizes = range(1, max_size + 1)
     pairs: dict[int, dict[FiniteModel, FiniteModel]] = {}
@@ -255,12 +260,15 @@ class VerificationReport:
     iso_ok: for all M, N and every base bijection h, h is an isomorphism
         M -> N exactly when it is one b(M) -> b(N).  Decided by the coset
         criterion: with each member of a class of t1 written M = p.R for its
-        representative R, this holds exactly when (a) Aut(R) = Aut(b(R)),
-        (b) b(p.R) = p.b(R), and (c) distinct classes go to distinct
-        classes.  Sketch: Iso(p.R, q.R) is the coset q Aut(R) p^-1, and by (b)
-        Iso(b(p.R), b(q.R)) is q Aut(b(R)) p^-1, equal to it by (a); across
-        classes both sides are empty, by (c).  Conversely M = N = R gives
-        (a), h = p gives (b), and an isomorphism b(R) -> b(R') gives (c).
+        representative R, an injective b passes exactly when (a) Aut(R) is
+        contained in Aut(b(R)) and (b) b(p.R) = p.b(R).  Sketch: by (b), b
+        maps R's class, n!/|Aut(R)| models, injectively into b(R)'s class,
+        n!/|Aut(b(R))| models, and by (a) that is no larger; so b maps the
+        class onto it, Aut(R) = Aut(b(R)), and distinct classes go to
+        distinct classes.  Iso(p.R, q.R) is the coset q Aut(R) p^-1, and by
+        (b) Iso(b(p.R), b(q.R)) is q Aut(b(R)) p^-1, the same coset; across
+        classes both sides are empty.  Conversely M = N = R gives (a) and
+        h = p gives (b).
     ultra_ok: b commutes with ultraproducts over every ultrafilter on index
         sets up to the checked bound, by literal table equality of the
         canonicalized quotients.  Finite index sets only carry principal
@@ -281,38 +289,36 @@ class VerificationReport:
         return self.universes_ok and self.iso_ok and self.ultra_ok
 
 
-def _iso_witness(b: ConcreteBijection, n: int, c1: Census, c2: Census,
+def _iso_witness(b: ConcreteBijection, n: int, c1: Census,
                  nodes: NodeCounter) -> tuple[FiniteModel, FiniteModel, tuple[int, ...]] | None:
     """The first (M, N, h) of size n, in full-scan order, that breaks iso_ok.
 
-    b is injective here, and (a) and (b) of the coset criterion make it map
-    a class onto a whole class of the same size.  So (c) follows, and a
-    pair of models breaks iso_ok only when both their classes fail (a) or
-    (b): only those pairs are rescanned.
+    b is injective here, and a class that passes (a) and (b) of the coset
+    criterion is mapped onto a whole class of b(R)'s.  So a pair of models
+    breaks iso_ok only when both their classes fail: only those pairs are
+    rescanned.
     """
-    placed2 = {m: (group, p) for group, classes in c2.cells.values()
-               for members, rep in classes for m, p in zip(members, c2.moves[rep])}
     failed: set[FiniteModel] = set()  # the members of classes that fail
     for group, classes in c1.cells.values():
         for members, rep in classes:
             nodes.tick(len(members))
-            brep, ok = b.apply(rep), True
+            brep = b.apply(rep)
+            ok = all(is_isomorphism(brep, brep, g) for g in group)  # (a); group is Aut(rep)
             for m, p in zip(members, c1.moves[rep]):
                 if not is_isomorphism(rep, m, p):
                     raise InternalError(f"census move {p} does not carry {rep!r} onto {m!r}")
                 ok = ok and is_isomorphism(brep, b.apply(m), p)  # (b), on M's universe
-            if not ok or placed2[brep][0].conjugate(placed2[brep][1]) != group:  # (a)
+            if not ok:
                 failed.update(members)
     if not failed:
         return None
     perms = list(itertools.permutations(range(n)))
-    for m, other in itertools.product(c1.models, repeat=2):
-        if m in failed and other in failed:
-            nodes.tick()
-            bm, bo = b.apply(m), b.apply(other)
-            for h in perms:
-                if is_isomorphism(m, other, h) != is_isomorphism(bm, bo, h):
-                    return m, other, h
+    for m, other in itertools.product([m for m in c1.models if m in failed], repeat=2):
+        nodes.tick()
+        bm, bo = b.apply(m), b.apply(other)
+        for h in perms:
+            if is_isomorphism(m, other, h) != is_isomorphism(bm, bo, h):
+                return m, other, h
     raise InternalError(f"the coset verdict failed at size {n}, but no model pair breaks it")
 
 
@@ -320,24 +326,27 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
                         max_size: int, *, index_bound: int = 2,
                         sample_budget: int = 2000,
                         budget: WorkBudget | None = None) -> VerificationReport:
-    """Re-derive the model classes, with a Census per theory and size that
-    does not read b, and check b against the three verdicts.
+    """Re-derive the model lists, with a Census of t1 per size that does
+    not read b, and check b against the three verdicts.
 
     Raises ValueError when b is not a total injection from Mod(t1) into
     Mod(t2) on the checked sizes.  Witnesses are the first failures in
     deterministic order; the isomorphism witness is the first that a scan
     of all model pairs and base bijections would meet.  The budget counts
-    a node per member checked and per model pair rescanned.  Ultraproducts
-    take up to sample_budget tuples per (index set size, point).
+    a node per member checked and per model pair rescanned.  The
+    ultraproduct verdict draws model tuples in lexicographic order up to
+    sample_budget per (index set size, point).
     """
     budget = budget or WorkBudget()
     nodes = NodeCounter(budget, "verifying the bijection")
-    all1: list[FiniteModel] = []
+    models1: dict[int, list[FiniteModel]] = {}
     universe_witness = iso_witness = None
     for n in range(1, max_size + 1):
-        c1, c2 = Census(t1, n, budget), Census(t2, n, budget)
-        mod2set, seen = set(c2.models), set()
-        for m in c1.models:
+        c1 = Census(t1, n, budget)
+        models1[n] = c1.models
+        mod2set = set(enumerate_models(t2, n, budget))
+        seen: set[FiniteModel] = set()
+        for m in models1[n]:
             bm = b.apply(m)  # raises if not total
             if bm in seen:
                 raise ValueError(f"bijection not injective at {bm!r}")
@@ -346,21 +355,28 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
                 raise ValueError(f"image {bm!r} is not a model of the target theory")
             if bm.size != n and universe_witness is None:
                 universe_witness = m
-        all1 += c1.models
-        iso_witness = iso_witness or _iso_witness(b, n, c1, c2, nodes)
+        iso_witness = iso_witness or _iso_witness(b, n, c1, nodes)
 
-    ultra_witness = None
+    all1 = [m for n in range(1, max_size + 1) for m in models1[n]]
+    ultra_ok, ultra_witness = True, None
     checked = 0
-    for k, u in ((k, u) for k in range(1, index_bound + 1) for u in ultrafilters_on(k)):
-        for tup in itertools.islice(itertools.product(all1, repeat=k), sample_budget):
-            checked += 1
-            if b.apply(ultraproduct(list(tup), u, budget).quotient) != \
-                    ultraproduct([b.apply(m) for m in tup], u, budget).quotient:
-                ultra_witness = (k, u.principal_point(), tup)
+    for k in range(1, index_bound + 1):
+        for u in ultrafilters_on(k):
+            point = u.principal_point()
+            for count, tup in enumerate(itertools.product(all1, repeat=k)):
+                if count >= sample_budget:
+                    break
+                left = b.apply(ultraproduct(list(tup), u, budget).quotient)
+                right = ultraproduct([b.apply(m) for m in tup], u, budget).quotient
+                checked += 1
+                if left != right:
+                    ultra_ok, ultra_witness = False, (k, point, tup)
+                    break
+            if not ultra_ok:
                 break
-        if ultra_witness is not None:
+        if not ultra_ok:
             break
 
     return VerificationReport(universe_witness is None, universe_witness,
                               iso_witness is None, iso_witness,
-                              ultra_witness is None, ultra_witness, checked)
+                              ultra_ok, ultra_witness, checked)

@@ -8,6 +8,7 @@ from conftest import random_theory, replay_images
 from hypothesis import assume, given, settings, strategies as st
 
 from defeq import cli, spectra
+from defeq.budget import NodeCounter, WorkBudget
 from defeq.folang import Signature
 from defeq.groups import (
     PermutationGroup, automorphism_group, canonical_form, form_key, group_key,
@@ -146,9 +147,9 @@ def test_orbit_census_matches_the_per_model_census(seed, size):
 def test_every_image_of_a_class_sweep_is_a_model(seed, size):
     t, candidates = random_theory(random.Random(seed), size)
     assume(candidates <= 4096)
-    relabelling = Relabelling(t.sig, size)
-    for members, _, _ in orbits(enumerate_models(t, size)):
-        images, stabilizer = relabelling.orbit(members[0])
+    relabelling, nodes = Relabelling(t.sig, size), NodeCounter(WorkBudget(), "test")
+    for members, _, _ in orbits(enumerate_models(t, size), nodes):
+        images, stabilizer = relabelling.orbit(members[0], nodes)
         assert sorted(images) == [m.encode() for m in members]
         for enc, p in images.items():
             image = apply_permutation(members[0], p)
@@ -160,7 +161,7 @@ def test_census_checks_the_sweep_against_orbit_stabilizer(t2, monkeypatch):
     # a sweep that loses an automorphism would give a class too small for it
     real = Relabelling.orbit
 
-    def short(self, m, nodes=None):
+    def short(self, m, nodes):
         images, stabilizer = real(self, m, nodes)
         return images, stabilizer[:1]
 
@@ -374,6 +375,44 @@ def test_coset_verdict_equals_the_scan_on_a_three_member_swap():
     assert assert_verdicts_agree(b.pairs, t1, t2, 3).ok
     report = assert_verdicts_agree(pairs, t1, t2, 3)
     assert report.universes_ok and not report.iso_ok
+
+
+def test_rescan_visits_only_the_failing_classes(monkeypatch):
+    # one binary relation: 512 models at size 3.  Swapping the complete
+    # relation with the one missing only (2,2) fails two classes, and the
+    # first failing model in encoding order is the 256th
+    t1 = Theory(Signature({"E": 2}), [], name="graph")
+    t2 = Theory(Signature({"Q": 2}), [], name="graph-renamed")
+    b = build_concrete_iso(t1, t2, 3)
+    models = enumerate_models(t1, 3)
+    full, loopless2 = models[511], models[255]
+    assert loopless2.rels["E"] == full.rels["E"] - {(2, 2)}
+    pairs = {n: dict(d) for n, d in b.pairs.items()}
+    pairs[3][full], pairs[3][loopless2] = pairs[3][loopless2], pairs[3][full]
+    hashes = 0
+    real_hash = FiniteModel.__hash__
+
+    def counted(self):
+        nonlocal hashes
+        hashes += 1
+        return real_hash(self)
+
+    counters = []
+
+    class Recorded(NodeCounter):
+        def __init__(self, budget, what):
+            super().__init__(budget, what)
+            counters.append(self)
+
+    monkeypatch.setattr(FiniteModel, "__hash__", counted)
+    monkeypatch.setattr(spectra, "NodeCounter", Recorded)
+    report = verify_concrete_iso(ConcreteBijection(b.sizes, pairs), t1, t2, 3, index_bound=0)
+    # (0, 2, 1) moves 2's missing loop to 1, so it fixes b(loopless2) = full alone
+    assert report.iso_witness == (loopless2, loopless2, (0, 2, 1))
+    # one node per model checked (2 + 16 + 512), then one rescanned pair
+    assert [c.count for c in counters if c.what == "verifying the bijection"] == [531]
+    # set lookups stay linear in |Mod|; a walk over all pairs takes over 130,000
+    assert hashes < 20 * len(models)
 
 
 @settings(max_examples=25, deadline=None)
