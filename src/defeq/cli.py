@@ -288,6 +288,13 @@ def model_to_text(m: FiniteModel) -> str:
 # subcommands
 # ============================================================
 
+def _at_least(args, dest: str, least: int, noun: str) -> None:
+    value = getattr(args, dest, None)
+    if value is not None and value < least:
+        flag = "--" + dest.replace("_", "-")
+        raise CliError(f"{flag} takes {noun} of {least} or more, got {value}")
+
+
 def _budget(args) -> WorkBudget:
     return WorkBudget(max_nodes=args.max_nodes, max_functions=args.max_functions)
 
@@ -371,8 +378,7 @@ def cmd_build_iso(args):
 
 
 def cmd_ultra(args):
-    if args.los_depth is not None and args.los_depth < 0:
-        raise CliError(f"--los-depth takes a depth of 0 or more, got {args.los_depth}")
+    _at_least(args, "los_depth", 0, "a depth")
     ms = load_models(args.models.split(","))
     u = ultra.Ultrafilter.principal(args.principal, len(ms))
     budget = _budget(args)
@@ -399,6 +405,7 @@ def cmd_ultra(args):
 
 
 def cmd_beth(args):
+    _at_least(args, "bound", 0, "a bound")
     t = load_theory(args.theory)
     phi = definability.beth_search(t, args.target, args.size, args.bound, _budget(args))
     if phi is None:
@@ -596,6 +603,9 @@ def dispatch(argv: Sequence[str]) -> tuple[int, str]:
         code = e.code if isinstance(e.code, int) else 2
         return code, ""
     try:
+        # every command that takes a universe size needs a nonempty universe
+        _at_least(args, "size", 1, "a size")
+        _at_least(args, "max_size", 1, "a size")
         code, lines = args.handler(args)
     except (CliError, FormulaSyntaxError, SignatureError, BudgetExceededError,
             ValueError, OSError) as e:

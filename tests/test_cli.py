@@ -7,7 +7,7 @@ from defeq.cli import (
     CliError, dispatch, fixture_path, load_models, load_theory, main,
     model_to_text, parse_model_text, parse_theory_text, theory_to_text,
 )
-from defeq.folang import Signature, formula_to_text
+from defeq.folang import Signature, enumerate_formulas, formula_to_text
 from defeq.groups import automorphism_group
 from defeq.models import FiniteModel
 
@@ -274,6 +274,49 @@ def test_beth_and_idc_commands(tmp_path):
     code, out = run("idc", "--theory", "glymour_subst.thy", "--hidden", "R",
                     "--size", "2")
     assert (code, out) == (0, "OK\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("models", "--theory", "ex1_t1.thy", "--size", "0"),
+    ("spec", "--theory", "ex1_t1.thy", "--size", "0"),
+    ("spec", "--theory", "ex1_t1.thy", "--max-size", "0"),
+    ("spec-compare", "--t1", "ex1_t1.thy", "--t2", "ex1_t2.thy", "--size", "0"),
+    ("spec-compare", "--t1", "ex1_t1.thy", "--t2", "ex1_t2.thy", "--max-size", "0"),
+    ("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "0", "--verify"),
+    ("beth", "--theory", "glymour_subst.thy", "--target", "R", "--size", "0", "--bound", "3"),
+    ("idc", "--theory", "glymour_subst.thy", "--hidden", "R", "--size", "-1"),
+    ("subclosure", "--theory", "glymour_subst.thy", "--size", "0"),
+], ids=lambda argv: " ".join(a for a in argv if a in (argv[0], "--size", "--max-size")))
+def test_universe_sizes_below_one_exit_2(argv, capsys):
+    # no model is checked on an empty range of sizes, so no verdict is given
+    flag, value = next((a, v) for a, v in zip(argv, argv[1:]) if a.endswith("size"))
+    assert run(*argv) == (2, "")
+    assert capsys.readouterr().err == f"defeq: {flag} takes a size of 1 or more, got {value}\n"
+
+
+def test_beth_rejects_a_negative_bound(capsys):
+    beth = ("beth", "--theory", "glymour_subst.thy", "--target", "R", "--size", "2")
+    assert run(*beth, "--bound", "-1") == (2, "")
+    assert capsys.readouterr().err == "defeq: --bound takes a bound of 0 or more, got -1\n"
+    assert run(*beth, "--bound", "0") == (1, "NOTFOUND target=R size<=2 bound<=0\n")
+
+
+def test_beth_budget_counts_one_node_per_candidate(capsys):
+    # the answer is candidate N of the stream, far more nodes than the
+    # enumeration of glymour_subst's models takes, so N nodes are enough
+    # and N - 1 run out while scanning the candidates
+    beth = ("beth", "--theory", "glymour_subst.thy", "--target", "R", "--size", "2",
+            "--bound", "6")
+    code, out = run(*beth)
+    assert code == 0
+    t = load_theory("glymour_subst.thy")
+    stream = enumerate_formulas(t.sig.restrict(["c"]), ("x1",), 6)
+    n = next(i for i, f in enumerate(stream, 1) if formula_to_text(f) + "\n" == out)
+    assert n > 1000
+    assert run(*beth, "--max-nodes", str(n)) == (0, out)
+    assert run(*beth, "--max-nodes", str(n - 1)) == (2, "")
+    assert capsys.readouterr().err == ("defeq: work budget exceeded while scanning "
+                                       f"candidate defining formulas (limit {n - 1})\n")
 
 
 def test_subclosure_command(tmp_path):
