@@ -295,6 +295,18 @@ def _at_least(args, dest: str, least: int, noun: str) -> None:
         raise CliError(f"{flag} takes {noun} of {least} or more, got {value}")
 
 
+# Flags with one range on every command that takes them, checked before any
+# command runs so that the diagnostic names the flag; below it a search
+# would check nothing.  --bound is checked by each command, since its range
+# differs between them.
+_RANGES = (
+    ("size", 1, "a size"), ("max_size", 1, "a size"),
+    ("max_nodes", 1, "a limit"), ("max_functions", 1, "a limit"),
+    ("index_bound", 1, "an index size"), ("sample_budget", 1, "a budget"),
+    ("los_depth", 0, "a depth"), ("max_n", 1, "a length"),
+)
+
+
 def _budget(args) -> WorkBudget:
     return WorkBudget(max_nodes=args.max_nodes, max_functions=args.max_functions)
 
@@ -378,7 +390,6 @@ def cmd_build_iso(args):
 
 
 def cmd_ultra(args):
-    _at_least(args, "los_depth", 0, "a depth")
     ms = load_models(args.models.split(","))
     u = ultra.Ultrafilter.principal(args.principal, len(ms))
     budget = _budget(args)
@@ -446,6 +457,7 @@ def cmd_seq(args):
 
 
 def cmd_pattern(args):
+    _at_least(args, "bound", 0, "a bound")
     p = irregular.parse_pattern(args.pattern)
     pos = irregular.find_pattern(args.variant, p, args.bound)
     if pos is None:
@@ -454,6 +466,7 @@ def cmd_pattern(args):
 
 
 def cmd_irregular_report(args):
+    _at_least(args, "bound", 1, "a bound")
     report = irregular.irregularity_report(args.variant, args.max_n, args.bound)
     lines = [f"pattern={e.pattern.to_text()} "
              f"first={'-' if e.first is None else e.first} count={e.count}"
@@ -603,9 +616,8 @@ def dispatch(argv: Sequence[str]) -> tuple[int, str]:
         code = e.code if isinstance(e.code, int) else 2
         return code, ""
     try:
-        # every command that takes a universe size needs a nonempty universe
-        _at_least(args, "size", 1, "a size")
-        _at_least(args, "max_size", 1, "a size")
+        for dest, least, noun in _RANGES:
+            _at_least(args, dest, least, noun)
         code, lines = args.handler(args)
     except (CliError, FormulaSyntaxError, SignatureError, BudgetExceededError,
             ValueError, OSError) as e:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import folang
 from .budget import NodeCounter, WorkBudget
@@ -154,7 +154,9 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
     candidate that survives them is checked on every point.  A candidate is
     dropped only on a point where it disagrees with target, so the answer
     is the one a plain scan in stream order gives, with far fewer
-    evaluations: the counterexample cache of CEGIS.
+    evaluations: the counterexample cache of CEGIS.  A cached point keeps
+    its folang.truth_at evaluator, which reuses the atom masks that earlier
+    candidates built there.
     """
     budget = budget or WorkBudget()
     arity = t.sig.relations.get(target)
@@ -174,23 +176,23 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
                 for args in itertools.product(range(n), repeat=arity)]
         for m in enumerate_models(t, n, budget):
             points.extend((m, env, args in m.rels[target]) for args, env in envs)
-    refuters: list[tuple[FiniteModel, dict[str, int], bool]] = []  # move-to-front
+    # (truth at the point, target value), most recent refutation first
+    refuters: list[tuple[Callable[[Formula], bool], bool]] = []
     evaluate = folang.eval_formula
     nodes = NodeCounter(budget, "scanning candidate defining formulas")
     for phi in folang.enumerate_formulas(base_sig, variables, formula_bound):
         nodes.tick()
-        for i, point in enumerate(refuters):
-            m, env, holds = point
-            if evaluate(m, phi, env) != holds:
+        for i, refuter in enumerate(refuters):
+            truth, holds = refuter
+            if truth(phi) != holds:
                 if i:
                     del refuters[i]
-                    refuters.insert(0, point)
+                    refuters.insert(0, refuter)
                 break
         else:
-            for point in points:
-                m, env, holds = point
+            for m, env, holds in points:
                 if evaluate(m, phi, env) != holds:
-                    refuters.insert(0, point)
+                    refuters.insert(0, (folang.truth_at(m, env), holds))
                     break
             else:
                 return phi

@@ -35,7 +35,7 @@ __all__ = [
     "Formula", "FormulaSyntaxError", "SignatureError", "UnboundVariableError",
     "MAX_SYNTAX_DEPTH", "MAX_PAREN_DEPTH", "parse_formula", "formula_to_text",
     "free_vars", "formula_size", "formula_depth", "used_symbols",
-    "validate_formula", "eval_term", "eval_formula", "compile_formula",
+    "validate_formula", "eval_term", "eval_formula", "truth_at", "compile_formula",
     "enumerate_formulas", "random_formula",
 ]
 
@@ -134,17 +134,17 @@ class Signature:
 # terms and formulas
 # ============================================================
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     name: str
     args: "tuple[Term, ...]"
@@ -153,54 +153,54 @@ class App:
 Term = Union[Var, Const, App]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rel:
     name: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists:
     var: str
     body: "Formula"
@@ -639,6 +639,76 @@ def eval_formula(m, f: Formula, assignment: Mapping[str, int] | None = None) -> 
         raise TypeError(f"not a formula: {f!r}")
 
     return go(f)
+
+
+def truth_at(m, assignment: Mapping[str, int] | None = None) -> Callable[[Formula], bool]:
+    """Truth of formulas at one model and assignment, one bitmask per node.
+
+    The returned function gives eval_formula(m, f, assignment) for any f.
+    It computes bottom-up, for each node, an int with one bit per
+    assignment to the variables bound on the path to it: bit i is the
+    assignment whose j-th binder takes digit j of i in base m.size, and a
+    name bound twice reads its innermost binder.  Connectives are single
+    int operations; a quantifier ANDs or ORs the m.size blocks of its
+    body's mask, one block per value of the innermost binder.  Atom masks
+    come from eval_formula and are kept per (atom, binders) for the life of
+    the function, so formulas that share atom objects, as the ones of
+    enumerate_formulas do, evaluate their atoms once.
+    """
+    n = m.size
+    base = dict(assignment) if assignment else {}
+
+    def atom_mask(f: Formula, scope: tuple[str, ...]) -> int:
+        env = dict(base)
+        bits = []
+        # values[0] belongs to the innermost binder, the most significant digit
+        for values in itertools.product(range(n), repeat=len(scope)):
+            for name, value in zip(scope, reversed(values)):
+                env[name] = value
+            bits.append("1" if eval_formula(m, f, env) else "0")
+        return int("".join(reversed(bits)), 2)
+
+    def level(scope: tuple[str, ...]) -> Callable[[Formula], int]:
+        # the mask of a formula under the binders `scope`, outermost first
+        width = n ** len(scope)
+        full = (1 << width) - 1
+        atoms: dict[int, tuple[Formula, int]] = {}  # id -> (atom, pinned; mask)
+        inner: dict[str, Callable[[Formula], int]] = {}  # binder -> level below
+
+        def go(f: Formula) -> int:
+            kind = type(f)
+            if kind is Rel or kind is Eq:
+                got = atoms.get(id(f))
+                if got is None:
+                    got = atoms[id(f)] = (f, atom_mask(f, scope))
+                return got[1]
+            if kind is Not:
+                return full ^ go(f.body)
+            if kind is And:
+                return go(f.left) & go(f.right)
+            if kind is Or:
+                return go(f.left) | go(f.right)
+            if kind is Implies:
+                return (full ^ go(f.left)) | go(f.right)
+            if kind is Iff:
+                return full ^ go(f.left) ^ go(f.right)
+            if kind is Forall or kind is Exists:
+                below = inner.get(f.var)
+                if below is None:
+                    below = inner[f.var] = level(scope + (f.var,))
+                body = below(f.body)
+                out = body if kind is Forall else 0
+                for value in range(n):
+                    if kind is Forall:
+                        out &= body >> value * width
+                    else:
+                        out |= body >> value * width
+                return out & full
+            raise TypeError(f"not a formula: {f!r}")
+        return go
+
+    top = level(())
+    return lambda f: top(f) == 1
 
 
 def compile_formula(sig: Signature, f: Formula, size: int) -> Callable[[Sequence], bool]:

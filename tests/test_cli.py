@@ -301,6 +301,43 @@ def test_beth_rejects_a_negative_bound(capsys):
     assert run(*beth, "--bound", "0") == (1, "NOTFOUND target=R size<=2 bound<=0\n")
 
 
+_VERIFY = ("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "2",
+           "--verify")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # with no index set or no sampled tuple the ultraproduct verdict checks nothing
+    ((*_VERIFY, "--index-bound", "0"), "--index-bound takes an index size of 1 or more, got 0"),
+    ((*_VERIFY, "--index-bound", "-2"), "--index-bound takes an index size of 1 or more, got -2"),
+    ((*_VERIFY, "--sample-budget", "0"), "--sample-budget takes a budget of 1 or more, got 0"),
+    (("models", "--theory", "ex1_t1.thy", "--size", "2", "--max-nodes", "0"),
+     "--max-nodes takes a limit of 1 or more, got 0"),
+    (("models", "--theory", "ex1_t1.thy", "--size", "2", "--max-functions", "-1"),
+     "--max-functions takes a limit of 1 or more, got -1"),
+    (("irregular-report", "--variant", "s0", "--max-n", "0", "--bound", "100"),
+     "--max-n takes a length of 1 or more, got 0"),
+    (("irregular-report", "--variant", "s0", "--max-n", "2", "--bound", "0"),
+     "--bound takes a bound of 1 or more, got 0"),
+    (("pattern", "--variant", "s0", "--pattern", "0,2:3", "--bound", "-5"),
+     "--bound takes a bound of 0 or more, got -5"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else v.split()[0] + "=" + v.split()[-1])
+def test_flags_out_of_range_exit_2(argv, message, capsys):
+    assert run(*argv) == (2, "")
+    assert capsys.readouterr().err == f"defeq: {message}\n"
+
+
+def test_smallest_flag_values_in_range_still_run():
+    code, out = run(*_VERIFY, "--index-bound", "1", "--sample-budget", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == ("verdict universes=PASS isomorphisms=PASS "
+                                    "ultraproducts=PASS checked_tuples=1")
+    assert run("pattern", "--variant", "s0", "--pattern", "0,2:3", "--bound", "0") == \
+        (1, "NOTFOUND\n")
+    code, out = run("irregular-report", "--variant", "s0", "--max-n", "1", "--bound", "1")
+    assert code == 1
+    assert out.splitlines()[-1] == "IRREGULAR-UP-TO n=1 bound=1: FAIL missing=0:1"
+
+
 def test_beth_budget_counts_one_node_per_candidate(capsys):
     # the answer is candidate N of the stream, far more nodes than the
     # enumeration of glymour_subst's models takes, so N nodes are enough

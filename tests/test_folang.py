@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +101,20 @@ def test_quantifier_vs_relation_lookahead():
     # E is both a relation name and the exists keyword; the dot decides
     f = parse_formula(SIG, "E x. E(x,x)")
     assert f == Exists("x", Rel("E", (Var("x"), Var("x"))))
+
+
+_X = Var("x")
+_NODES = [_X, Const("c"), App("s", (_X,)), Rel("P", (_X,)), Eq(_X, _X), Not(Eq(_X, _X)),
+          *(ctor(Eq(_X, _X), Eq(_X, _X)) for ctor in (And, Or, Implies, Iff)),
+          Forall("x", Eq(_X, _X)), Exists("x", Eq(_X, _X))]
+
+
+def test_nodes_have_slots_not_dicts():
+    # streams of formulas hold hundreds of thousands of nodes at once
+    assert {type(node) for node in _NODES} == \
+        {*typing.get_args(folang.Formula), *typing.get_args(folang.Term)}
+    for node in _NODES:
+        assert not hasattr(node, "__dict__"), type(node).__name__
 
 
 def test_rebinding_shadows_the_outer_variable():
@@ -252,12 +267,14 @@ def flat_tables(m):
     return [*bitmaps, *fun_tables, *constants]
 
 
-def random_model(size, rng):
+def random_model(size, rng, sig=SIG):
     return FiniteModel(
-        SIG, size,
+        sig, size,
         {name: [t for t in itertools.product(range(size), repeat=arity) if rng.random() < 0.5]
-         for name, arity in SIG.relations.items()},
-        {"s": [rng.randrange(size) for _ in range(size)]}, {"c": rng.randrange(size)})
+         for name, arity in sig.relations.items()},
+        {name: [rng.randrange(size) for _ in range(size ** arity)]
+         for name, arity in sig.functions.items()},
+        {name: rng.randrange(size) for name in sig.constants})
 
 
 @pytest.mark.parametrize("text", [
@@ -292,6 +309,55 @@ def test_compiled_formula_matches_eval_formula(seed, depth, size):
     for _ in range(5):
         m = random_model(size, rng)
         assert ev(flat_tables(m)) is eval_formula(m, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 3), st.booleans())
+def test_truth_at_matches_eval_formula(seed, depth, size, function):
+    # formulas with the free variable x, over a unary function or a constant;
+    # one evaluator per point serves every formula, as in beth's cache
+    rng = random.Random(seed)
+    sig = Signature({"E": 2, "P": 1}, {"s": 1} if function else {}, [] if function else ["c"])
+    formulas = [random_formula(sig, rng, depth, free=("x",)) for _ in range(4)]
+    m = random_model(size, rng, sig)
+    for x in range(size):
+        truth = folang.truth_at(m, {"x": x})
+        for f in formulas + formulas[::-1]:
+            assert truth(f) is eval_formula(m, f, {"x": x}), (formula_to_text(f), m)
+
+
+@pytest.mark.parametrize("text", [
+    "A x. E x. P(x)",                      # the innermost binder of x is read
+    "E x. A x. P(x)",
+    "A y. E x. A y. E(x,y)",
+    "P(x) & (E x. !P(x))",                 # a binder reuses the free variable's name
+    "(A x. P(x)) | P(x)",
+    "E y. (A x. E(x,y)) <-> E(x,y)",
+])
+def test_truth_at_resolves_names_like_eval_formula(text):
+    f = parse_formula(SIG, text)
+    rng = random.Random(text)
+    for size in (1, 2, 3):
+        for _ in range(10):
+            m = random_model(size, rng)
+            for x in range(size):
+                assert folang.truth_at(m, {"x": x})(f) is eval_formula(m, f, {"x": x}), \
+                    (text, m, x)
+
+
+def test_truth_at_keeps_its_atoms_apart():
+    # one atom object under different binders, and fresh atoms that could
+    # take the memory of dropped ones, keep their own masks
+    m = FiniteModel(SIG, 2, {"E": [(0, 1)], "R": [], "P": [(1,)]}, {"s": (1, 0)}, {"c": 0})
+    truth = folang.truth_at(m, {"x": 0})
+    atom = Rel("P", (Var("x"),))
+    assert truth(And(Not(atom), Exists("x", atom))) is True
+    assert truth(Forall("x", atom)) is False
+    for i in range(200):
+        f = Rel("P", (Var("x"),)) if i % 2 else Eq(Var("x"), Const("c"))
+        assert truth(f) is bool(i % 2 == 0)
+    with pytest.raises(folang.UnboundVariableError):
+        truth(Rel("P", (Var("y"),)))
 
 
 # ------------------------------------------------------------
