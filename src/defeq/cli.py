@@ -275,7 +275,7 @@ def model_to_text(m: FiniteModel) -> str:
     """Single-line rendering in the model file syntax."""
     parts = [f"size {m.size}"]
     for name in m.sig.relations:
-        tuples = " ".join(f"({','.join(map(str, t))})" for t in sorted(m.rels[name]))
+        tuples = " ".join(f"({','.join(map(str, t))})" for t in m.tuples(name))
         parts.append(f"rel {name} {{ {tuples} }}".replace("{  }", "{ }"))
     for name in m.sig.functions:
         parts.append(f"fun {name} [ {' '.join(map(str, m.funs[name]))} ]")
@@ -303,8 +303,18 @@ _RANGES = (
     ("size", 1, "a size"), ("max_size", 1, "a size"),
     ("max_nodes", 1, "a limit"), ("max_functions", 1, "a limit"),
     ("index_bound", 1, "an index size"), ("sample_budget", 1, "a budget"),
-    ("los_depth", 0, "a depth"), ("max_n", 1, "a length"),
+    ("los_depth", 0, "a depth"), ("max_n", 1, "a length"), ("depth", 1, "a depth"),
 )
+
+
+def _in_index_set(args) -> None:
+    # ultra's index set has one point per model file
+    point = getattr(args, "principal", None)
+    if point is not None:
+        count = len(args.models.split(","))
+        if not 0 <= point < count:
+            raise CliError(f"--principal takes a point of the index set 0..{count - 1}, "
+                           f"got {point}")
 
 
 def _budget(args) -> WorkBudget:
@@ -618,6 +628,7 @@ def dispatch(argv: Sequence[str]) -> tuple[int, str]:
     try:
         for dest, least, noun in _RANGES:
             _at_least(args, dest, least, noun)
+        _in_index_set(args)
         code, lines = args.handler(args)
     except (CliError, FormulaSyntaxError, SignatureError, BudgetExceededError,
             ValueError, OSError) as e:

@@ -170,12 +170,14 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
     # (model, assignment, target value) in the order of a plain scan: models
     # in enumeration order, then assignments lexicographically.  Models of
     # one size share their assignment dicts; eval_formula copies them.
+    # The target's value is bit j of its bitmap for the j-th assignment.
     points: list[tuple[FiniteModel, dict[str, int], bool]] = []
+    at = list(t.sig.relations).index(target)
     for n in range(1, max_size + 1):
-        envs = [(args, dict(zip(variables, args)))
-                for args in itertools.product(range(n), repeat=arity)]
+        envs = [dict(zip(variables, args)) for args in itertools.product(range(n), repeat=arity)]
         for m in enumerate_models(t, n, budget):
-            points.extend((m, env, args in m.rels[target]) for args, env in envs)
+            bits = m.encode()[1][at]
+            points.extend((m, env, bits >> j & 1 == 1) for j, env in enumerate(envs))
     # (truth at the point, target value), most recent refutation first
     refuters: list[tuple[Callable[[Formula], bool], bool]] = []
     evaluate = folang.eval_formula

@@ -1,15 +1,19 @@
 """Finite models over {0..n-1}, theories, enumeration, isomorphism search.
 
-Universe elements are always 0..size-1.  A model's encoding is the tuple
-(relation bitmaps, function tables, constant values) with symbols in sorted
-name order; enumeration, canonical keys and every deterministic tiebreak in
-the package order models by that encoding.
+Universe elements are always 0..size-1.  A model is stored as its
+encoding, the tuple (size, relation bitmaps, function tables, constant
+values) with symbols in sorted name order; enumeration, canonical keys and
+every deterministic tiebreak in the package order models by that encoding.
+Bit j of a relation bitmap, and entry j of a function table, belong to the
+j-th argument tuple in lexicographic order: its mixed-radix rank.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache, reduce
 from math import prod
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import folang
@@ -28,15 +32,49 @@ class InternalError(RuntimeError):
     """An invariant the package checks on its own results failed: a bug, not bad input."""
 
 
+@lru_cache(maxsize=None)
+def _tuples(size: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """The argument tuples over {0..size-1} in rank order."""
+    return tuple(itertools.product(range(size), repeat=arity))
+
+
+def _rank(args: Iterable[int], size: int) -> int:
+    out = 0
+    for a in args:
+        out = out * size + a
+    return out
+
+
+def _ranks(size: int, arity: int, perm: Sequence[int]) -> list[int]:
+    """Per tuple rank j, the rank of the j-th tuple's image under perm."""
+    out = [0]
+    for _ in range(arity):
+        out = [r * size + perm[e] for r in out for e in range(size)]
+    return out
+
+
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _ones(bits: int, start: int = 0) -> list[int]:
+    """start plus the position of each set bit of bits, in increasing order."""
+    # bin() lists the bits from the top; reversed and mapped to bytes 0/1 it
+    # selects the positions in C, without a Python-level step per bit
+    return list(itertools.compress(itertools.count(start),
+                                   bin(bits)[:1:-1].encode().translate(_BIT)))
+
+
 class FiniteModel:
     """A finite structure: tables for every symbol of its signature.
 
-    rels maps relation name to a frozenset of argument tuples, funs maps
-    function name to a flat value table indexed by mixed-radix argument
-    rank, consts maps constant name to an element.
+    The model is stored as its encoding (see encode).  rels, funs and consts
+    are read-only views of it, built on first use: rels maps relation name
+    to a frozenset of argument tuples, funs maps function name to a flat
+    value table indexed by argument rank, consts maps constant name to an
+    element.
     """
 
-    __slots__ = ("sig", "size", "rels", "funs", "consts", "_enc")
+    __slots__ = ("sig", "size", "_enc", "_rels", "_funs", "_consts")
 
     def __init__(self, sig: Signature, size: int,
                  rels: Mapping[str, Iterable[tuple[int, ...]]] | None = None,
@@ -53,82 +91,92 @@ class FiniteModel:
                 ((n, sig.constants) for n in consts)):
             if name not in kind:
                 raise SignatureError(f"table for undeclared symbol {name!r}")
-        norm_rels: dict[str, frozenset[tuple[int, ...]]] = {}
+        rel_part = []
         for name, arity in sig.relations.items():
-            table = frozenset(tuple(t) for t in rels.get(name, ()))
-            for t in table:
+            bits = 0
+            for t in rels.get(name, ()):
+                t = tuple(t)
                 if len(t) != arity or not all(0 <= e < size for e in t):
                     raise ValueError(f"bad tuple {t!r} for relation {name!r}")
-            norm_rels[name] = table
-        norm_funs: dict[str, tuple[int, ...]] = {}
+                bits |= 1 << _rank(t, size)
+            rel_part.append(bits)
+        fun_part = []
         for name, arity in sig.functions.items():
             if name not in funs:
                 raise ValueError(f"missing table for function {name!r}")
             table = tuple(funs[name])
             if len(table) != size ** arity or not all(0 <= v < size for v in table):
                 raise ValueError(f"bad table for function {name!r}")
-            norm_funs[name] = table
-        norm_consts: dict[str, int] = {}
+            fun_part.append(table)
+        const_part = []
         for name in sig.constants:
             if name not in consts:
                 raise ValueError(f"missing value for constant {name!r}")
             value = consts[name]
             if not 0 <= value < size:
                 raise ValueError(f"constant {name!r} out of range")
-            norm_consts[name] = value
+            const_part.append(value)
+        self._set(sig, (size, tuple(rel_part), tuple(fun_part), tuple(const_part)))
+
+    def _set(self, sig: Signature, enc: tuple) -> None:
         self.sig = sig
-        self.size = size
-        self.rels = norm_rels
-        self.funs = norm_funs
-        self.consts = norm_consts
-        self._enc = None
+        self.size = enc[0]
+        self._enc = enc
+        self._rels = self._funs = self._consts = None
 
     @classmethod
-    def _raw(cls, sig: Signature, size: int, rels, funs, consts) -> "FiniteModel":
-        # trusted fast path for enumeration loops; inputs already normalized
+    def _from_encoding(cls, sig: Signature, enc: tuple) -> "FiniteModel":
+        """The model whose encode() is enc; trusted, enc is not checked."""
         m = object.__new__(cls)
-        m.sig = sig
-        m.size = size
-        m.rels = rels
-        m.funs = funs
-        m.consts = consts
-        m._enc = None
+        m._set(sig, enc)
         return m
 
-    # ---- lookups ----
+    # ---- views and lookups ----
+
+    @property
+    def rels(self) -> Mapping[str, frozenset[tuple[int, ...]]]:
+        if self._rels is None:
+            self._rels = MappingProxyType(
+                {name: frozenset(self.tuples(name)) for name in self.sig.relations})
+        return self._rels
+
+    @property
+    def funs(self) -> Mapping[str, tuple[int, ...]]:
+        if self._funs is None:
+            self._funs = MappingProxyType(dict(zip(self.sig.functions, self._enc[2])))
+        return self._funs
+
+    @property
+    def consts(self) -> Mapping[str, int]:
+        if self._consts is None:
+            self._consts = MappingProxyType(dict(zip(self.sig.constants, self._enc[3])))
+        return self._consts
+
+    def tuples(self, name: str) -> list[tuple[int, ...]]:
+        """The argument tuples of relation name in lexicographic order, off its bitmap."""
+        for (other, arity), bits in zip(self.sig.relations.items(), self._enc[1]):
+            if other == name:
+                return list(map(_tuples(self.size, arity).__getitem__, _ones(bits)))
+        raise KeyError(name)
 
     def fun_value(self, name: str, args: Sequence[int]) -> int:
-        idx = 0
-        for a in args:
-            idx = idx * self.size + a
-        return self.funs[name][idx]
+        return self.funs[name][_rank(args, self.size)]
 
     # ---- encoding and ordering ----
 
     def encode(self) -> tuple:
-        """Order-defining encoding: relation bitmaps, function tables, constants.
+        """Order-defining encoding: (size, relation bitmaps, function tables, constants).
 
         Bit j of a relation bitmap is membership of the j-th argument tuple
         in lexicographic order, so counting the bitmap upward walks tables
         in the documented enumeration order.
         """
-        if self._enc is None:
-            rel_part = []
-            for name, arity in self.sig.relations.items():
-                bits = 0
-                for j, t in enumerate(itertools.product(range(self.size), repeat=arity)):
-                    if t in self.rels[name]:
-                        bits |= 1 << j
-                rel_part.append(bits)
-            fun_part = tuple(self.funs[name] for name in self.sig.functions)
-            const_part = tuple(self.consts[name] for name in self.sig.constants)
-            self._enc = (self.size, tuple(rel_part), fun_part, const_part)
         return self._enc
 
     def encode_bytes(self) -> bytes:
-        size, rel_part, fun_part, const_part = self.encode()
+        size, rel_part, fun_part, const_part = self._enc
         out = [size.to_bytes(2, "big")]
-        for bits, (name, arity) in zip(rel_part, self.sig.relations.items()):
+        for bits, arity in zip(rel_part, self.sig.relations.values()):
             width = (size ** arity + 7) // 8
             out.append(bits.to_bytes(width, "big"))
         for table in fun_part:
@@ -138,14 +186,14 @@ class FiniteModel:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FiniteModel) and self.sig == other.sig
-                and self.size == other.size and self.encode() == other.encode())
+                and self._enc == other._enc)
 
     def __hash__(self) -> int:
-        return hash((self.sig, self.encode()))
+        return hash((self.sig, self._enc))
 
     def __repr__(self) -> str:
         parts = [f"size={self.size}"]
-        parts.extend(f"{name}={sorted(self.rels[name])}" for name in self.sig.relations)
+        parts.extend(f"{name}={self.tuples(name)}" for name in self.sig.relations)
         parts.extend(f"{name}={list(self.funs[name])}" for name in self.sig.functions)
         parts.extend(f"{name}={self.consts[name]}" for name in self.sig.constants)
         return f"FiniteModel({', '.join(parts)})"
@@ -155,23 +203,19 @@ def apply_permutation(m: FiniteModel, perm: Sequence[int]) -> FiniteModel:
     """The image of m under a permutation of its universe."""
     if sorted(perm) != list(range(m.size)):
         raise ValueError("not a permutation of the universe")
-    rels = {name: frozenset(tuple(perm[e] for e in t) for t in table)
-            for name, table in m.rels.items()}
-    funs = {}
-    for name, arity in m.sig.functions.items():
-        table = m.funs[name]
+    size, bitmaps, tables, consts = m.encode()
+    rel_part = []
+    for bits, arity in zip(bitmaps, m.sig.relations.values()):
+        dst = _ranks(size, arity, perm)
+        rel_part.append(sum(1 << dst[j] for j in _ones(bits)))
+    fun_part = []
+    for table, arity in zip(tables, m.sig.functions.values()):
         new = [0] * len(table)
-        for args in itertools.product(range(m.size), repeat=arity):
-            idx = 0
-            for a in args:
-                idx = idx * m.size + perm[a]
-            old = 0
-            for a in args:
-                old = old * m.size + a
-            new[idx] = perm[table[old]]
-        funs[name] = tuple(new)
-    consts = {name: perm[value] for name, value in m.consts.items()}
-    return FiniteModel._raw(m.sig, m.size, rels, funs, consts)
+        for j, d in enumerate(_ranks(size, arity, perm)):
+            new[d] = perm[table[j]]
+        fun_part.append(tuple(new))
+    return FiniteModel._from_encoding(
+        m.sig, (size, tuple(rel_part), tuple(fun_part), tuple(perm[c] for c in consts)))
 
 
 class Theory:
@@ -223,20 +267,43 @@ def _split(f: Formula, ctor: type) -> list[Formula]:
     return out
 
 
-def _any(evs: list):
-    return evs[0] if len(evs) == 1 else lambda d: any(ev(d) for ev in evs)
+# Tuple bits that vary within one block of lanes: a block evaluates 2**16
+# tables of a relation at once, in ints of 8 KB.
+_LANE_BITS = 16
 
 
-def _all(evs: list):
-    return evs[0] if len(evs) == 1 else lambda d: all(ev(d) for ev in evs)
+@lru_cache(maxsize=None)
+def _lanes(width: int) -> tuple[list[int], int]:
+    """(patterns, full) for the tables of a relation with width tuple bits.
+
+    A block holds 2**k tables, k = min(width, _LANE_BITS), one per bit
+    lane: lane b is the table whose low k bits are b.  patterns[j] has bit b
+    set when bit j of b is, so it is the lane mask of the j-th tuple, and
+    full has every lane set.
+    """
+    k = min(width, _LANE_BITS)
+    full = (1 << (1 << k)) - 1
+    # a run of 2**j clear then 2**j set lanes, repeated across the block
+    patterns = [((1 << (1 << j)) - 1 << (1 << j)) * (full // ((1 << (2 << j)) - 1))
+                for j in range(k)]
+    return patterns, full
+
+
+def _blocks(width: int) -> Iterator[tuple[int, list[int]]]:
+    """(first table, lane mask per tuple rank) for each block of tables, in order."""
+    patterns, full = _lanes(width)
+    k = len(patterns)
+    for high in range(1 << (width - k)):
+        yield high << k, patterns + [full if high >> j & 1 else 0 for j in range(width - k)]
 
 
 class _Conjunct:
     """One top-level conjunct of an axiom, its disjuncts compiled and grouped.
 
     free holds the relation-free disjuncts, single maps a relation's index
-    to one check of the disjuncts that mention only that relation, and
-    multi holds the disjuncts over two or more relations.
+    to the lane check (folang.compile_lanes) of the disjunction of the
+    disjuncts that mention only that relation, and multi holds the
+    disjuncts over two or more relations.
     """
 
     __slots__ = ("free", "single", "multi", "last")
@@ -244,20 +311,21 @@ class _Conjunct:
     def __init__(self, sig: Signature, f: Formula, size: int):
         rel_at = {name: i for i, name in enumerate(sig.relations)}
         self.free, self.multi = [], []
-        single: dict[int, list] = {}
+        single: dict[str, list[Formula]] = {}
         for d in _split(f, Or):
             used = folang.used_symbols(d)["relations"]
+            if len(used) == 1:
+                single.setdefault(used.pop(), []).append(d)
+                continue
             ev = folang.compile_formula(sig, d, size)
-            if not used:
-                self.free.append(ev)
-            elif len(used) == 1:
-                single.setdefault(rel_at[used.pop()], []).append(ev)
-            else:
-                self.multi.append(ev)
-        self.single = {i: _any(evs) for i, evs in single.items()}
+            (self.multi if used else self.free).append(ev)
+        self.single = {}
+        for name, ds in single.items():
+            full = _lanes(size ** sig.relations[name])[1]
+            self.single[rel_at[name]] = folang.compile_lanes(sig, reduce(Or, ds), size, full)
         # The last relation the walk assigns is the conjunct's last chance,
         # unless a multi disjunct can still satisfy it on the full candidate.
-        self.last = -1 if self.multi or not single else max(single)
+        self.last = -1 if self.multi or not single else max(self.single)
 
 
 def enumerate_models(t: Theory, size: int,
@@ -270,15 +338,18 @@ def enumerate_models(t: Theory, size: int,
     conjunct left with disjuncts about one relation only filters that
     relation's bitmaps, once; a conjunct over several relations keeps, per
     relation, the sub-list of filtered bitmaps on which its disjuncts about
-    that relation hold.  Relations are then assigned in signature order,
-    and once a conjunct has one unassigned relation left and is not yet
-    satisfied, that relation runs over the conjunct's sub-list only.
-    Disjuncts over two or more relations are checked on full candidates.
+    that relation hold.  The filter evaluates a relation's disjuncts on
+    2**16 bitmaps at a time, one per bit lane of an int (_blocks).
+    Relations are then assigned in signature order, and once a conjunct
+    has one unassigned relation left and is not yet satisfied, that
+    relation runs over the conjunct's sub-list only.  Disjuncts over two or
+    more relations are checked on full candidates.
 
     The budget counts candidates actually visited: each function/constant
-    choice probed, each relation bitmap evaluated while filtering, and each
-    relation table the walk assigns, so every full candidate reached and
-    every partial one on the way to it.
+    choice probed, each relation bitmap evaluated while filtering (ticked a
+    block at a time, before the block is evaluated), and each relation
+    table the walk assigns, so every full candidate reached and every
+    partial one on the way to it.
     """
     if size < 1:
         raise ValueError("universe must be nonempty")
@@ -293,32 +364,32 @@ def enumerate_models(t: Theory, size: int,
     nodes = NodeCounter(budget, f"enumerating models at size {size}")
     conjuncts = [_Conjunct(sig, c, size) for ax in t.axioms for c in _split(ax, And)]
 
-    rel_names = list(sig.relations)
-    nrels = len(rel_names)
-    widths = [1 << size ** arity for arity in sig.relations.values()]
-    rel_tuples = [list(itertools.product(range(size), repeat=arity))
-                  for arity in sig.relations.values()]
-    tables: list[dict[int, frozenset]] = [{} for _ in rel_names]  # per accepted bitmap
-    # what the compiled disjuncts read: relation bitmaps, function tables, constants
+    nrels = len(sig.relations)
+    widths = [size ** arity for arity in sig.relations.values()]
+    # what the compiled disjuncts read: relation bitmaps, function tables,
+    # constants; while relation i is filtered, its slot holds a block's lanes
     data: list = [0] * nrels
     out: list[FiniteModel] = []
 
-    def factor(i: int, checks: list, spanning: list[_Conjunct]) -> Sequence[int]:
+    def filter_tables(i: int, checks: list, spanning: list[_Conjunct]) -> Sequence[int]:
         # relation i's bitmaps on which every check holds; fills subs[c, i]
         mine = [c for c in spanning if i in c.single]
         if not checks and not mine:
-            return range(widths[i])
-        check = _all(checks)
-        kept = []
+            return range(1 << widths[i])
+        full = _lanes(widths[i])[1]
+        kept: list[int] = []
         hits: list[list[int]] = [[] for _ in mine]
-        for bits in range(widths[i]):
-            nodes.tick()
-            data[i] = bits
-            if check(data):
-                kept.append(bits)
-                for c, hit in zip(mine, hits):
-                    if c.single[i](data):
-                        hit.append(bits)
+        for first, lanes in _blocks(widths[i]):
+            nodes.tick(full.bit_length())  # one node per table in the block
+            data[i] = lanes
+            ok = full
+            for check in checks:
+                ok &= check(data)
+                if not ok:
+                    break
+            kept += _ones(ok, first)
+            for c, hit in zip(mine, hits):
+                hit += _ones(ok and ok & c.single[i](data), first)
         for c, hit in zip(mine, hits):
             subs[c, i] = (hit, set(hit))
         return kept
@@ -326,12 +397,8 @@ def enumerate_models(t: Theory, size: int,
     def walk(i: int, pending: list[_Conjunct]) -> None:
         if i == nrels:
             if all(any(ev(data) for ev in c.multi) for c in pending):
-                bitmaps = tuple(data[:nrels])
-                rels = {name: _table(tables[j], rel_tuples[j], bits)
-                        for j, (name, bits) in enumerate(zip(rel_names, bitmaps))}
-                m = FiniteModel._raw(sig, size, rels, funs, consts)
-                m._enc = (size, bitmaps, fun_part, const_part)  # what encode() computes
-                out.append(m)
+                out.append(FiniteModel._from_encoding(
+                    sig, (size, tuple(data[:nrels]), fun_part, const_part)))
             return
         forced = [c for c in pending if c.last == i]
         if not forced:
@@ -353,7 +420,7 @@ def enumerate_models(t: Theory, size: int,
             *(range(size) for _ in sig.constants)):
         nodes.tick()
         data[nrels:] = combo
-        checks: list[list] = [[] for _ in rel_names]
+        checks: list[list] = [[] for _ in range(nrels)]
         spanning: list[_Conjunct] = []
         for c in conjuncts:
             if any(ev(data) for ev in c.free):
@@ -367,22 +434,11 @@ def enumerate_models(t: Theory, size: int,
                 spanning.append(c)
         else:
             subs: dict[tuple[_Conjunct, int], tuple[list[int], set[int]]] = {}
-            kept = [factor(i, checks[i], spanning) for i in range(nrels)]
+            kept = [filter_tables(i, checks[i], spanning) for i in range(nrels)]
             fun_part, const_part = combo[:nfuns], combo[nfuns:]
-            funs = dict(zip(sig.functions, fun_part))
-            consts = dict(zip(sig.constants, const_part))
             walk(0, spanning)
     out.sort(key=FiniteModel.encode)
     return out
-
-
-def _table(cache: dict[int, frozenset], tuples: list[tuple[int, ...]],
-           bits: int) -> frozenset:
-    """The argument tuples of bitmap bits, built once per bitmap."""
-    got = cache.get(bits)
-    if got is None:
-        got = cache[bits] = frozenset(t for j, t in enumerate(tuples) if bits >> j & 1)
-    return got
 
 
 # ============================================================
@@ -411,18 +467,7 @@ def is_isomorphism(m: FiniteModel, n: FiniteModel, h: Sequence[int]) -> bool:
         raise SignatureError("models have different signatures")
     if m.size != n.size or sorted(h) != list(range(m.size)):
         return False
-    for name, table in m.rels.items():
-        if {tuple(h[e] for e in t) for t in table} != n.rels[name]:
-            return False
-    for name, arity in m.sig.functions.items():
-        for args in itertools.product(range(m.size), repeat=arity):
-            image = tuple(h[a] for a in args)
-            if h[m.fun_value(name, args)] != n.fun_value(name, image):
-                return False
-    for name, value in m.consts.items():
-        if h[value] != n.consts[name]:
-            return False
-    return True
+    return apply_permutation(m, h).encode() == n.encode()
 
 
 def find_isomorphisms(m: FiniteModel, n: FiniteModel) -> list[tuple[int, ...]]:
@@ -518,11 +563,9 @@ class Relabelling:
         self.perms = list(itertools.permutations(range(size)))
         self._moves: dict[int, list[tuple[list[int], list[int]]]] = {}
         for arity in {*sig.relations.values(), *sig.functions.values()}:
-            tuples = list(itertools.product(range(size), repeat=arity))
-            rank = {t: r for r, t in enumerate(tuples)}
             rows = []
             for p in self.perms:
-                dst = [rank[tuple(p[e] for e in t)] for t in tuples]
+                dst = _ranks(size, arity, p)
                 src = [0] * len(dst)
                 for j, d in enumerate(dst):
                     src[d] = j
@@ -601,12 +644,13 @@ def reduct(m: FiniteModel, keep: Iterable[str] | Signature) -> FiniteModel:
             raise SignatureError("not a sub-signature of the model's signature")
     else:
         sub = m.sig.restrict(keep)
-    return FiniteModel._raw(
-        sub, m.size,
-        {name: m.rels[name] for name in sub.relations},
-        {name: m.funs[name] for name in sub.functions},
-        {name: m.consts[name] for name in sub.constants},
-    )
+    size, bitmaps, tables, consts = m.encode()
+    # sub lists its symbols in m.sig's order, so each part keeps its order
+    return FiniteModel._from_encoding(sub, (
+        size,
+        tuple(bits for name, bits in zip(m.sig.relations, bitmaps) if name in sub.relations),
+        tuple(table for name, table in zip(m.sig.functions, tables) if name in sub.functions),
+        tuple(value for name, value in zip(m.sig.constants, consts) if name in sub.constants)))
 
 
 def substructure(m: FiniteModel, subset: Iterable[int]) -> tuple[FiniteModel, dict[int, int]]:
@@ -630,18 +674,14 @@ def substructure(m: FiniteModel, subset: Iterable[int]) -> tuple[FiniteModel, di
             if m.fun_value(name, args) not in inside:
                 raise ValueError(f"subset not closed under function {name!r}")
     relabel = {e: i for i, e in enumerate(elems)}
-    k = len(elems)
-    rels = {name: frozenset(tuple(relabel[e] for e in t)
-                            for t in table if all(e in inside for e in t))
-            for name, table in m.rels.items()}
-    funs = {}
-    for name, arity in m.sig.functions.items():
-        table = [0] * (k ** arity)
-        for args in itertools.product(elems, repeat=arity):
-            idx = 0
-            for a in args:
-                idx = idx * k + relabel[a]
-            table[idx] = relabel[m.fun_value(name, args)]
-        funs[name] = tuple(table)
-    consts = {name: relabel[value] for name, value in m.consts.items()}
-    return FiniteModel._raw(m.sig, k, rels, funs, consts), relabel
+    size, bitmaps, tables, consts = m.encode()
+    # tuples over elems in lexicographic order are the substructure's in rank order
+    rel_part = tuple(
+        sum(1 << j for j, args in enumerate(itertools.product(elems, repeat=arity))
+            if bits >> _rank(args, size) & 1)
+        for bits, arity in zip(bitmaps, m.sig.relations.values()))
+    fun_part = tuple(
+        tuple(relabel[table[_rank(args, size)]] for args in itertools.product(elems, repeat=arity))
+        for table, arity in zip(tables, m.sig.functions.values()))
+    const_part = tuple(relabel[value] for value in consts)
+    return FiniteModel._from_encoding(m.sig, (len(elems), rel_part, fun_part, const_part)), relabel

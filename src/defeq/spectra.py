@@ -134,9 +134,12 @@ class Census:
         found: dict[PermutationGroup, dict[bytes, list]] = {}
         self.moves: dict[FiniteModel, list[tuple[int, ...]]] = {}
         perms = {p: p for p in itertools.permutations(range(size))}  # one copy each
+        forms: dict[PermutationGroup, PermutationGroup] = {}  # canonical_form, per group
         for members, moves, stabilizer in orbits(self.models, nodes):
             aut = PermutationGroup(size, stabilizer, _trusted=True)
-            canon = canonical_form(aut)
+            canon = forms.get(aut)
+            if canon is None:
+                canon = forms[aut] = canonical_form(aut)
             # canon is a conjugate of Aut(members[0]), so some member has it literally
             at = next(i for i, p in enumerate(moves) if aut.conjugate(p) == canon)
             back = invert(moves[at])

@@ -157,28 +157,34 @@ def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
             reps.append(f)
 
     m_count = len(reps)
-    rels = {}
-    for name, arity in sig.relations.items():
-        table = set()
-        for classes in itertools.product(range(m_count), repeat=arity):
-            chosen = [reps[c] for c in classes]
-            agree = sum(1 << i for i in range(k)
-                        if tuple(rep[i] for rep in chosen) in models[i].rels[name])
+    sizes = [m.size for m in models]
+    encs = [m.encode() for m in models]
+
+    def ranks(classes: tuple[int, ...]) -> list[int]:
+        # per factor, the rank of the argument tuple the classes' reps pick there
+        out = []
+        for i, n in enumerate(sizes):
+            r = 0
+            for c in classes:
+                r = r * n + reps[c][i]
+            out.append(r)
+        return out
+
+    rel_part = []
+    for r, arity in enumerate(sig.relations.values()):
+        bits = 0
+        for j, classes in enumerate(itertools.product(range(m_count), repeat=arity)):
+            agree = sum(1 << i for i, rank in enumerate(ranks(classes))
+                        if encs[i][1][r] >> rank & 1)
             if u._contains_mask(agree):
-                table.add(classes)
-        rels[name] = frozenset(table)
-    funs = {}
-    for name, arity in sig.functions.items():
-        table = []
-        for classes in itertools.product(range(m_count), repeat=arity):
-            chosen = [reps[c] for c in classes]
-            g = tuple(models[i].fun_value(name, tuple(rep[i] for rep in chosen))
-                      for i in range(k))
-            table.append(class_map[g])
-        funs[name] = tuple(table)
-    consts = {name: class_map[tuple(m.consts[name] for m in models)]
-              for name in sig.constants}
-    quotient = FiniteModel(sig, m_count, rels, funs, consts)
+                bits |= 1 << j
+        rel_part.append(bits)
+    fun_part = tuple(
+        tuple(class_map[tuple(encs[i][2][g][rank] for i, rank in enumerate(ranks(classes)))]
+              for classes in itertools.product(range(m_count), repeat=arity))
+        for g, arity in enumerate(sig.functions.values()))
+    const_part = tuple(class_map[values] for values in zip(*(enc[3] for enc in encs)))
+    quotient = FiniteModel._from_encoding(sig, (m_count, tuple(rel_part), fun_part, const_part))
     return UltraproductResult(quotient, class_map, tuple(reps))
 
 

@@ -1,7 +1,13 @@
 """Command line surface: exit codes, golden output, file formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import defeq
 from defeq import spectra
 from defeq.cli import (
     CliError, dispatch, fixture_path, load_models, load_theory, main,
@@ -320,10 +326,21 @@ _VERIFY = ("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size"
      "--bound takes a bound of 1 or more, got 0"),
     (("pattern", "--variant", "s0", "--pattern", "0,2:3", "--bound", "-5"),
      "--bound takes a bound of 0 or more, got -5"),
+    (("ts-axioms", "--variant", "s0", "--depth", "0"), "--depth takes a depth of 1 or more, got 0"),
 ], ids=lambda v: v[0] if isinstance(v, tuple) else v.split()[0] + "=" + v.split()[-1])
 def test_flags_out_of_range_exit_2(argv, message, capsys):
     assert run(*argv) == (2, "")
     assert capsys.readouterr().err == f"defeq: {message}\n"
+
+
+def test_principal_point_outside_the_index_set_exits_2(tmp_path, capsys):
+    a, b = tmp_path / "a.mod", tmp_path / "b.mod"
+    a.write_text("size 1 rel P { }")
+    b.write_text("size 2 rel P { (1) }")
+    for point in ("2", "-1"):
+        assert run("ultra", "--models", f"{a},{b}", "--principal", point) == (2, "")
+        assert capsys.readouterr().err == \
+            f"defeq: --principal takes a point of the index set 0..1, got {point}\n"
 
 
 def test_smallest_flag_values_in_range_still_run():
@@ -406,3 +423,39 @@ def test_usage_errors_and_main(capsys):
     # --jobs was removed; it is now an unknown argument, even with a valid count
     assert main(["--jobs=1", "seq", "--variant", "master", "--range", "0..3"]) == 2
     assert "unrecognized arguments: --jobs=1" in capsys.readouterr().err
+
+
+def test_size_4_counts_and_census_build_no_tuple_view(monkeypatch):
+    # the rels view and the printer read tuples through FiniteModel.tuples;
+    # counting models and classifying them needs the bitmaps only
+    def tuples(self, name):
+        raise AssertionError("tuple view built")
+    monkeypatch.setattr(FiniteModel, "tuples", tuples)
+    assert run("models", "--theory", "ex1_t1.thy", "--size", "4", "--count-only") == \
+        (0, "131071\n")  # 2 * 2**16 - 1
+    code, out = run("spec", "--theory", "ex1_t2.thy", "--size", "4")
+    assert code == 0
+    # 2**16 + 3**6 - 1: E alone, or R asymmetric, one of them empty
+    assert sum(int(line.rsplit("models=", 1)[1]) for line in out.splitlines()) == 66264
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    a, b = tmp_path / "a.mod", tmp_path / "b.mod"
+    a.write_text("size 2 rel P { (0) } rel E { (0,1) (1,1) }")
+    b.write_text("size 3 rel P { (1) (2) } rel E { (2,0) }")
+    commands = [
+        ("models", "--theory", "ex1_t2.thy", "--size", "3"),
+        ("spec", "--theory", "ex1_t2.thy", "--size", "3"),
+        ("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "2", "--verify"),
+        ("ultra", "--models", f"{a},{b}", "--principal", "1", "--los-depth", "2"),
+    ]
+    src = str(Path(defeq.__file__).parent.parent)
+    outputs = {}
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        outputs[seed] = [subprocess.run([sys.executable, "-m", "defeq.cli", *argv], env=env,
+                                        capture_output=True, text=True, check=True).stdout
+                         for argv in commands]
+    assert all(outputs["0"])
+    assert outputs["0"] == outputs["1"]

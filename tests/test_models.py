@@ -8,9 +8,11 @@ from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
 
 from defeq.budget import BudgetExceededError, WorkBudget
-from defeq.folang import Signature, eval_formula, parse_formula
+from defeq.folang import (
+    Signature, compile_formula, compile_lanes, eval_formula, parse_formula, random_formula,
+)
 from defeq.models import (
-    FiniteModel, Theory, apply_permutation, canonical_key, enumerate_models,
+    FiniteModel, Theory, _blocks, _lanes, apply_permutation, canonical_key, enumerate_models,
     find_isomorphisms, is_isomorphism, is_model, reduct, substructure,
 )
 
@@ -126,6 +128,40 @@ def test_enumeration_matches_brute_force_on_random_theories(seed, size):
         == [m.encode() for m in got]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.integers(1, 3), st.integers(1, 2),
+       st.booleans())
+def test_lane_filter_matches_compile_formula(seed, depth, size, arity, function):
+    # one relation R of up to 9 tuple bits, all its tables in one block of
+    # lanes, next to a unary function or a constant; lane b is R's table b
+    rng = random.Random(seed)
+    sig = Signature({"R": arity}, {"s": 1} if function else {}, [] if function else ["c"])
+    f = random_formula(sig, rng, depth)
+    rest = [tuple(rng.randrange(size) for _ in range(size)) if function else rng.randrange(size)]
+    width = size ** arity
+    [(first, lanes)] = _blocks(width)
+    got = compile_lanes(sig, f, size, _lanes(width)[1])([lanes, *rest])
+    ev = compile_formula(sig, f, size)
+    assert first == 0
+    assert got == sum(ev([bits, *rest]) << bits for bits in range(1 << width))
+
+
+def test_lane_filter_past_one_block():
+    # 17 tuple bits: two blocks of 2**16 tables, bit 16 fixed in each
+    sig = Signature({"P": 1}, {"s": 1}, ["c"])
+    f = parse_formula(sig, "(A x. (P(x) -> P(s(x)))) | (P(c) & (E x. (!P(x) & x != c)))")
+    size = 17
+    rest = [tuple((3 * e + 1) % size for e in range(size)), 16]
+    ev, lane_ev = compile_formula(sig, f, size), compile_lanes(sig, f, size, _lanes(size)[1])
+    blocks = list(_blocks(size))
+    assert [first for first, _ in blocks] == [0, 1 << 16]
+    rng = random.Random(17)
+    for first, lanes in blocks:
+        got = lane_ev([lanes, *rest])
+        for b in [0, 1, (1 << 16) - 1, *rng.sample(range(1 << 16), 300)]:
+            assert got >> b & 1 == ev([first + b, *rest]), first + b
+
+
 # ------------------------------------------------------------
 # model construction and encoding
 # ------------------------------------------------------------
@@ -146,6 +182,24 @@ def test_model_validation():
         FiniteModel(sig_fc, 2, {}, {"f": (0, 1)}, {})          # missing const
     m = FiniteModel(sig_fc, 2, {}, {"f": (1, 0)}, {"c": 1})
     assert m.fun_value("f", [0]) == 1
+
+
+def test_tables_are_read_only_views_of_the_encoding():
+    sig = Signature({"E": 2, "P": 1}, {"f": 1}, ["c"])
+    rng = random.Random(5)
+    for size in (1, 2, 3):
+        rels = {"E": [t for t in itertools.product(range(size), repeat=2) if rng.random() < 0.5],
+                "P": [(a,) for a in range(size) if rng.random() < 0.5]}
+        funs = {"f": [rng.randrange(size) for _ in range(size)]}
+        consts = {"c": rng.randrange(size)}
+        m = FiniteModel(sig, size, rels, funs, consts)
+        assert m.rels == {name: frozenset(ts) for name, ts in rels.items()}
+        assert m.funs == {"f": tuple(funs["f"])} and m.consts == consts
+        assert m.tuples("E") == sorted(rels["E"])
+    with pytest.raises(AttributeError):
+        m.rels = {}
+    with pytest.raises(TypeError):
+        m.rels["E"] = frozenset()
 
 
 def test_encoding_orders_models_deterministically():
@@ -227,6 +281,48 @@ def test_apply_permutation_is_an_isomorphism():
     n = apply_permutation(m, h)
     assert is_isomorphism(m, n, h)
     assert not is_isomorphism(m, n, (0, 1, 2)) or m == n
+
+
+def tuple_permutation(m, perm):
+    """The image of m under perm, tuple by tuple: the oracle of apply_permutation."""
+    rels = {name: {tuple(perm[e] for e in t) for t in table} for name, table in m.rels.items()}
+    funs = {}
+    for name, arity in m.sig.functions.items():
+        table = {tuple(perm[a] for a in args): perm[m.fun_value(name, args)]
+                 for args in itertools.product(range(m.size), repeat=arity)}
+        funs[name] = [table[args] for args in itertools.product(range(m.size), repeat=arity)]
+    consts = {name: perm[value] for name, value in m.consts.items()}
+    return FiniteModel(m.sig, m.size, rels, funs, consts)
+
+
+def tuple_is_isomorphism(m, n, h):
+    """h carries every tuple, function entry and constant of m onto n's: the oracle."""
+    if m.size != n.size or sorted(h) != list(range(m.size)):
+        return False
+    for name, table in m.rels.items():
+        if {tuple(h[e] for e in t) for t in table} != n.rels[name]:
+            return False
+    for name, arity in m.sig.functions.items():
+        for args in itertools.product(range(m.size), repeat=arity):
+            if h[m.fun_value(name, args)] != n.fun_value(name, tuple(h[a] for a in args)):
+                return False
+    return all(h[value] == n.consts[name] for name, value in m.consts.items())
+
+
+def test_relabelling_matches_the_tuple_oracles():
+    sig = Signature({"E": 2, "P": 1}, {"f": 1, "g": 2}, ["c"])
+    rng = random.Random(20261018)
+    for _ in range(60):
+        size = rng.choice([1, 2, 3, 4])
+        m = random_model(sig, size, rng)
+        perm = tuple(rng.sample(range(size), size))
+        image = apply_permutation(m, perm)
+        assert image == tuple_permutation(m, perm)
+        assert image.rels == tuple_permutation(m, perm).rels
+        others = [image, m, random_model(sig, size, rng)]
+        for n, h in itertools.product(others, [perm, tuple(range(size)), perm[::-1]]):
+            assert is_isomorphism(m, n, h) == tuple_is_isomorphism(m, n, h)
+    assert not is_isomorphism(m, m, (0,) * m.size) or m.size == 1
 
 
 def test_canonical_key_is_permutation_invariant():

@@ -110,6 +110,48 @@ def test_principal_quotient_equals_the_pointed_factor_randomized():
             assert res.quotient == ms[point]
 
 
+def tuple_quotient(models, u, res):
+    """The quotient's tables read tuple by tuple off res's representatives: the oracle."""
+    sig, reps, k = models[0].sig, res.reps, u.size
+    classes = {arity: list(itertools.product(range(len(reps)), repeat=arity))
+               for arity in {*sig.relations.values(), *sig.functions.values()}}
+
+    def picked(i, cs):
+        return tuple(reps[c][i] for c in cs)
+
+    rels = {name: [cs for cs in classes[arity]
+                   if u.contains(i for i in range(k) if picked(i, cs) in models[i].rels[name])]
+            for name, arity in sig.relations.items()}
+    funs = {name: [res.class_map[tuple(models[i].fun_value(name, picked(i, cs))
+                                       for i in range(k))]
+                   for cs in classes[arity]]
+            for name, arity in sig.functions.items()}
+    consts = {name: res.class_map[tuple(m.consts[name] for m in models)] for name in sig.constants}
+    return FiniteModel(sig, len(reps), rels, funs, consts)
+
+
+def test_quotient_tables_match_the_tuple_oracle():
+    # principal ultrafilters, and arbitrary set families, which the table
+    # loop reads the same way
+    sig = Signature({"P": 1, "E": 2}, {"f": 1}, ["c"])
+    rng = random.Random(1018)
+    for _ in range(40):
+        ms = []
+        for _ in range(rng.choice([1, 2, 3])):
+            size = rng.choice([1, 2, 3])
+            ms.append(FiniteModel(
+                sig, size,
+                {"P": [(a,) for a in range(size) if rng.random() < 0.5],
+                 "E": [t for t in itertools.product(range(size), repeat=2) if rng.random() < 0.4]},
+                {"f": [rng.randrange(size) for _ in range(size)]}, {"c": rng.randrange(size)}))
+        k = len(ms)
+        subsets = [s for r in range(k + 1) for s in itertools.combinations(range(k), r)]
+        for u in [*ultrafilters_on(k), Ultrafilter(k, rng.sample(subsets, len(subsets) // 2))]:
+            res = ultraproduct(ms, u)
+            oracle = tuple_quotient(ms, u, res)
+            assert res.quotient == oracle and res.quotient.rels == oracle.rels
+
+
 def test_class_map_is_consistent_with_representatives():
     ms = [model_of(2, [0]), model_of(3, [1, 2])]
     u = Ultrafilter.principal(1, 2)
