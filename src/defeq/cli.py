@@ -321,10 +321,10 @@ def _budget(args) -> WorkBudget:
     return WorkBudget(max_nodes=args.max_nodes, max_functions=args.max_functions)
 
 
-def _spec_sizes(args) -> tuple[Sequence[int] | None, int]:
+def _spec_sizes(args) -> Sequence[int]:
     if args.size is not None:
-        return [args.size], args.size
-    return None, args.max_size
+        return [args.size]
+    return range(1, args.max_size + 1)
 
 
 def cmd_parse(args):
@@ -348,22 +348,17 @@ def cmd_aut(args):
 
 def cmd_spec(args):
     t = load_theory(args.theory)
-    sizes, max_size = _spec_sizes(args)
-    s = spectra.aut_spec(t, max_size, _budget(args), sizes=sizes)
+    s = spectra.aut_spec(t, _spec_sizes(args), _budget(args))
     return 0, s.report_lines()
 
 
 def cmd_spec_compare(args):
     t1, t2 = load_theory(args.t1), load_theory(args.t2)
-    sizes, max_size = _spec_sizes(args)
-    budget = _budget(args)
-    # size by size, so a difference at a small size is reported before a
-    # larger size is enumerated (witnesses are ordered by size first)
-    for n in sizes or range(1, max_size + 1):
-        witness = spectra.compare_spectra(spectra.aut_spec(t1, n, budget, sizes=[n]),
-                                          spectra.aut_spec(t2, n, budget, sizes=[n]))
-        if witness is not None:
-            return 1, [f"WITNESS {witness.describe()}"]
+    try:
+        for _ in spectra.spectra(t1, t2, _spec_sizes(args), _budget(args)):
+            pass
+    except spectra.SpectraMismatchError as e:
+        return 1, [f"WITNESS {e.witness.describe()}"]
     return 0, ["EQUAL"]
 
 
@@ -401,8 +396,10 @@ def cmd_build_iso(args):
 
 def cmd_ultra(args):
     ms = load_models(args.models.split(","))
-    u = ultra.Ultrafilter.principal(args.principal, len(ms))
     budget = _budget(args)
+    # the principal ultrafilter on k points has 2^(k-1) member sets
+    NodeCounter(budget, "building the ultrafilter's member sets").tick(1 << (len(ms) - 1))
+    u = ultra.Ultrafilter.principal(args.principal, len(ms))
     result = ultra.ultraproduct(ms, u, budget)
     lines = [model_to_text(result.quotient)]
     if args.los_depth is not None:

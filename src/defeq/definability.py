@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Mapping
 
 from . import folang
 from .budget import NodeCounter, WorkBudget
-from .folang import (Forall, Formula, Iff, Rel, Signature, SignatureError, Var)
+from .folang import (App, Const, Exists, Forall, Formula, Iff, Not, Rel, Signature,
+                     SignatureError, Var)
 from .models import FiniteModel, Theory, enumerate_models, is_model, reduct, substructure
 
 __all__ = [
@@ -72,28 +73,25 @@ def _biconditional(name: str, d: Definition) -> Formula:
     return body
 
 
+def _extended_signature(sig: Signature, defs: DefinitionSet) -> Signature:
+    """sig plus the defined relations, whose definitions must be over sig."""
+    for name, d in defs.items():
+        if sig.has_symbol(name):
+            raise SignatureError(f"defined symbol {name!r} already declared")
+        folang.validate_formula(sig, d.formula)
+    return Signature({**sig.relations, **{name: d.arity for name, d in defs.items()}},
+                     sig.functions, sig.constants)
+
+
 def extend_theory(t: Theory, defs: DefinitionSet) -> Theory:
     """t plus the defined relations and their biconditional axioms."""
-    for name, d in defs.items():
-        if t.sig.has_symbol(name):
-            raise SignatureError(f"defined symbol {name!r} already declared")
-        folang.validate_formula(t.sig, d.formula)
-    new_sig = Signature(
-        {**t.sig.relations, **{name: d.arity for name, d in defs.items()}},
-        t.sig.functions, t.sig.constants)
     axioms = list(t.axioms) + [_biconditional(name, d) for name, d in defs.items()]
-    return Theory(new_sig, axioms, name=t.name)
+    return Theory(_extended_signature(t.sig, defs), axioms, name=t.name)
 
 
 def expand_model(m: FiniteModel, defs: DefinitionSet) -> FiniteModel:
     """The unique expansion of m interpreting each defined relation by its formula."""
-    for name, d in defs.items():
-        if m.sig.has_symbol(name):
-            raise SignatureError(f"defined symbol {name!r} already declared")
-        folang.validate_formula(m.sig, d.formula)
-    new_sig = Signature(
-        {**m.sig.relations, **{name: d.arity for name, d in defs.items()}},
-        m.sig.functions, m.sig.constants)
+    new_sig = _extended_signature(m.sig, defs)
     rels = dict(m.rels)
     for name, d in defs.items():
         rels[name] = frozenset(
@@ -107,9 +105,19 @@ def _hidden_reduct_names(t: Theory, hidden: Iterable[str]) -> list[str]:
     for name in hidden:
         if name not in t.sig.relations:
             raise ValueError(f"hidden symbol {name!r} is not a relation of the theory")
-    keep = [n for n in itertools.chain(t.sig.relations, t.sig.functions, t.sig.constants)
+    return [n for n in itertools.chain(t.sig.relations, t.sig.functions, t.sig.constants)
             if n not in hidden]
-    return keep
+
+
+def _shared_reduct(models: Iterable[FiniteModel], keep: list[str],
+                   ) -> tuple[FiniteModel, FiniteModel] | None:
+    """The first two models, in the given order, whose reducts to keep agree."""
+    seen: dict[bytes, FiniteModel] = {}
+    for m in models:
+        first = seen.setdefault(reduct(m, keep).encode_bytes(), m)
+        if first is not m:
+            return first, m
+    return None
 
 
 def unique_expansion_check(t: Theory, hidden: Iterable[str], max_size: int,
@@ -123,16 +131,9 @@ def unique_expansion_check(t: Theory, hidden: Iterable[str], max_size: int,
     witness.
     """
     keep = _hidden_reduct_names(t, hidden)
-    for n in range(1, max_size + 1):
-        seen: dict[bytes, FiniteModel] = {}
-        for m in enumerate_models(t, n, budget):
-            key = reduct(m, keep).encode_bytes()
-            first = seen.get(key)
-            if first is None:
-                seen[key] = m
-            elif first != m:
-                return first, m
-    return None
+    witnesses = (_shared_reduct(enumerate_models(t, n, budget), keep)
+                 for n in range(1, max_size + 1))
+    return next((w for w in witnesses if w is not None), None)
 
 
 def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
@@ -142,12 +143,13 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
     Scans enumerate_formulas order; a candidate phi qualifies when every
     model of t of size <= max_size satisfies the pointwise biconditional
     between target and phi.  None means no formula within formula_bound
-    works (bounded evidence only).
+    works (bounded evidence only).  Its variables avoid every symbol of t,
+    target included, so the answer parses against t.
 
     When two models of t share a reduct, no candidate can ever separate
-    them (candidates do not mention target), so the search starts with a
-    unique-expansion check and returns None at once on a witness; this
-    changes nothing observable, only the running time.
+    them (candidates do not mention target), so the one enumeration of
+    each size also looks for such a pair, and the search returns None at
+    once on one; this changes nothing observable, only the running time.
 
     Each candidate is first tried on the points (model, assignment) that
     refuted earlier candidates, most recent refutation first, and only a
@@ -162,11 +164,9 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
     arity = t.sig.relations.get(target)
     if arity is None:
         raise ValueError(f"target {target!r} is not a relation of the theory")
-    if unique_expansion_check(t, [target], max_size, budget) is not None:
-        return None
     keep = _hidden_reduct_names(t, [target])
     base_sig = t.sig.restrict(keep)
-    variables = _argument_variables(base_sig, arity)
+    variables = _argument_variables(t.sig, arity)
     # (model, assignment, target value) in the order of a plain scan: models
     # in enumeration order, then assignments lexicographically.  Models of
     # one size share their assignment dicts; eval_formula copies them.
@@ -174,8 +174,11 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
     points: list[tuple[FiniteModel, dict[str, int], bool]] = []
     at = list(t.sig.relations).index(target)
     for n in range(1, max_size + 1):
+        ms = enumerate_models(t, n, budget)
+        if _shared_reduct(ms, keep) is not None:
+            return None
         envs = [dict(zip(variables, args)) for args in itertools.product(range(n), repeat=arity)]
-        for m in enumerate_models(t, n, budget):
+        for m in ms:
             bits = m.encode()[1][at]
             points.extend((m, env, bits >> j & 1 == 1) for j, env in enumerate(envs))
     # (truth at the point, target value), most recent refutation first
@@ -197,20 +200,34 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
                     refuters.insert(0, (folang.truth_at(m, env), holds))
                     break
             else:
-                return phi
+                # the stream's bound variables avoid base_sig only; renamed
+                # in order onto names that avoid target too, phi becomes the
+                # formula a stream over those names holds in its place
+                names = zip(folang._fresh_names(base_sig, variables), itertools.islice(
+                    folang._fresh_names(t.sig, variables), folang.formula_size(phi)))
+                return _renamed(phi, dict(names))
     return None
+
+
+def _renamed(node, names: Mapping[str, str]):
+    """node with every variable, bound or free, renamed through names."""
+    if isinstance(node, Var):
+        return Var(names.get(node.name, node.name))
+    if isinstance(node, (Forall, Exists)):
+        return type(node)(names.get(node.var, node.var), _renamed(node.body, names))
+    if isinstance(node, (App, Rel)):
+        return type(node)(node.name, tuple(_renamed(a, names) for a in node.args))
+    if isinstance(node, Not):
+        return Not(_renamed(node.body, names))
+    if isinstance(node, Const):
+        return node
+    return type(node)(_renamed(node.left, names), _renamed(node.right, names))
 
 
 def _argument_variables(sig: Signature, arity: int) -> tuple[str, ...]:
     """x1..xk, stepping around any collision with declared symbols."""
-    out = []
-    i = 1
-    while len(out) < arity:
-        name = f"x{i}"
-        if not sig.has_symbol(name):
-            out.append(name)
-        i += 1
-    return tuple(out)
+    names = (f"x{i}" for i in itertools.count(1))
+    return tuple(itertools.islice((n for n in names if not sig.has_symbol(n)), arity))
 
 
 def substructure_closure_check(t: Theory, max_size: int,

@@ -209,7 +209,6 @@ class Exists:
 
 Formula = Union[Rel, Eq, Not, And, Or, Implies, Iff, Forall, Exists]
 
-_BINARY = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
 _QUANT = {Forall: "A", Exists: "E"}
 
 
@@ -522,8 +521,10 @@ def parse_formula(sig: Signature, text: str) -> Formula:
 # printing
 # ============================================================
 
-# precedence levels: 0 formula (quantifiers), 1 iff, 2 imp, 3 or, 4 and, 5 unary
-_LEVEL = {Iff: 1, Implies: 2, Or: 3, And: 4}
+# precedence levels: 0 formula (quantifiers), then the binary connectives
+# from 1 in the parser's loosest-first order, then 5 unary and 6 atoms
+_CONNECTIVES = {ctor: (tok, level, right_assoc) for level, (tok, (ctor, right_assoc))
+                in enumerate(_OPERATORS.items(), start=1)}
 
 
 def _term_text(t: Term) -> str:
@@ -536,18 +537,11 @@ def _print(f: Formula, need: int) -> str:
     if isinstance(f, (Forall, Exists)):
         text = f"{_QUANT[type(f)]} {f.var}. {_print(f.body, 0)}"
         own = 0
-    elif isinstance(f, Iff):
-        text = f"{_print(f.left, 2)} <-> {_print(f.right, 1)}"
-        own = 1
-    elif isinstance(f, Implies):
-        text = f"{_print(f.left, 3)} -> {_print(f.right, 2)}"
-        own = 2
-    elif isinstance(f, Or):
-        text = f"{_print(f.left, 3)} | {_print(f.right, 4)}"
-        own = 3
-    elif isinstance(f, And):
-        text = f"{_print(f.left, 4)} & {_print(f.right, 5)}"
-        own = 4
+    elif type(f) in _CONNECTIVES:
+        tok, own, right_assoc = _CONNECTIVES[type(f)]
+        # the operand on the associative side may share the level
+        left, right = (own + 1, own) if right_assoc else (own, own + 1)
+        text = f"{_print(f.left, left)} {tok} {_print(f.right, right)}"
     elif isinstance(f, Not):
         if isinstance(f.body, Eq):
             text = f"!({_print(f.body, 0)})"
@@ -922,7 +916,9 @@ def enumerate_formulas(sig: Signature, free: Sequence[str], size_bound: int,
     for v in free:
         if sig.has_symbol(v):
             raise SignatureError(f"free variable {v!r} shadows a declared symbol")
-    bound_names = list(itertools.islice(_fresh_names(sig, free), max(size_bound, 0)))
+    depth = size_bound if depth_bound is None else depth_bound
+    # a quantifier with b names in scope needs size and depth above b
+    bound_names = list(itertools.islice(_fresh_names(sig, free), max(min(size_bound, depth), 0)))
     rel_items = sorted(sig.relations.items())
     fun_items = sorted(sig.functions.items())
     const_terms = tuple(Const(c) for c in sig.constants)
@@ -993,7 +989,6 @@ def enumerate_formulas(sig: Signature, free: Sequence[str], size_bound: int,
             for body in level(s - 1, binders + 1, depth - 1):
                 yield ctor(var, body)
 
-    depth = size_bound if depth_bound is None else depth_bound
     for s in range(1, size_bound):
         yield from level(s, 0, depth)
     if size_bound >= 1:

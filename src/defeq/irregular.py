@@ -166,10 +166,6 @@ def find_pattern(variant: str, p: Pattern, bound: int) -> int | None:
     return None
 
 
-def _bit_prefix(variant: str, bound: int) -> list[int]:
-    return [1 if membership(variant, k) else 0 for k in range(bound)]
-
-
 @dataclass(frozen=True)
 class ReportEntry:
     pattern: Pattern
@@ -195,28 +191,30 @@ class IrregularityReport:
 
 
 def irregularity_report(variant: str, max_n: int, bound: int) -> IrregularityReport:
-    """Occurrence counts for all 2**1 + ... + 2**max_n patterns.
+    """Occurrence counts and first starts for all 2**1 + ... + 2**max_n patterns.
 
-    Counts windows starting anywhere in 0..bound-n.  The bit prefix is
-    materialized once and window values histogrammed, so the cost is
-    O(bound * max_n) rather than per-pattern scans.
+    Counts windows starting anywhere in 0..bound-n, the starts find_pattern
+    scans.  The bit prefix is materialized once and, per n, one pass over
+    it histograms the window values and notes where each value first
+    starts, so the cost is O(bound * max_n) rather than per-pattern scans.
     """
     if max_n < 1 or bound < 1:
         raise ValueError("need max_n >= 1 and bound >= 1")
-    bits = _bit_prefix(variant, bound)
+    bits = [1 if membership(variant, k) else 0 for k in range(bound)]
     entries = []
     for n in range(1, max_n + 1):
         counts = [0] * (1 << n)
+        firsts: list[int | None] = [None] * (1 << n)
         window = 0
-        for pos in range(len(bits)):
-            window = (window >> 1) | (bits[pos] << (n - 1))
+        for pos, bit in enumerate(bits):
+            window = (window >> 1) | (bit << (n - 1))
             if pos >= n - 1:
+                if not counts[window]:
+                    firsts[window] = pos - n + 1
                 counts[window] += 1
         for value in range(1 << n):
             p = Pattern(n, frozenset(m for m in range(n) if value >> m & 1))
-            count = counts[value]
-            first = find_pattern(variant, p, bound) if count else None
-            entries.append(ReportEntry(p, first, count))
+            entries.append(ReportEntry(p, firsts[value], counts[value]))
     return IrregularityReport(variant, max_n, bound, tuple(entries))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budget import NodeCounter, WorkBudget
 from .groups import (PermutationGroup, canonical_form, compose, form_key,
@@ -27,7 +27,7 @@ from .ultra import ultrafilters_on, ultraproduct
 
 __all__ = [
     "SpectrumEntry", "Spectrum", "SpectrumWitness", "Census", "aut_spec",
-    "compare_spectra", "SpectraMismatchError", "ConcreteBijection",
+    "spectra", "compare_spectra", "SpectraMismatchError", "ConcreteBijection",
     "build_concrete_iso", "VerificationReport", "verify_concrete_iso",
 ]
 
@@ -107,7 +107,7 @@ class SpectrumWitness:
 
 
 class SpectraMismatchError(ValueError):
-    """build_concrete_iso was asked to pair theories with unequal spectra."""
+    """Two theories that had to have equal spectra do not."""
 
     def __init__(self, witness: SpectrumWitness):
         super().__init__(f"spectra differ: {witness.describe()}")
@@ -155,15 +155,10 @@ class Census:
                 for gkey, (group, classes) in self.cells.items()}
 
 
-def aut_spec(t: Theory, max_size: int, budget: WorkBudget | None = None,
-             *, sizes: Sequence[int] | None = None) -> Spectrum:
-    """The automorphism spectrum of t for sizes 1..max_size.
-
-    Pass sizes= to restrict to an explicit size list (the CLI's exact-size
-    mode); max_size is ignored then.
-    """
-    size_list = tuple(sizes) if sizes is not None else tuple(range(1, max_size + 1))
-    return Spectrum(size_list, {n: Census(t, n, budget).entries() for n in size_list})
+def aut_spec(t: Theory, sizes: Iterable[int], budget: WorkBudget | None = None) -> Spectrum:
+    """The automorphism spectrum of t at each of the given sizes."""
+    sizes = tuple(sizes)
+    return Spectrum(sizes, {n: Census(t, n, budget).entries() for n in sizes})
 
 
 def _first_difference(n: int, left: dict[bytes, SpectrumEntry],
@@ -176,6 +171,19 @@ def _first_difference(n: int, left: dict[bytes, SpectrumEntry],
         if lc != rc:
             return SpectrumWitness(n, key, (le or re).group, lc, rc)
     return None
+
+
+def spectra(t1: Theory, t2: Theory, sizes: Iterable[int],
+            budget: WorkBudget | None = None) -> Iterator[tuple[int, Census, Census]]:
+    """(n, census of t1, census of t2) for each size n in turn; raises
+    SpectraMismatchError at the first size whose spectra differ, before any
+    larger size is enumerated (or could exceed the budget)."""
+    for n in sizes:
+        c1, c2 = Census(t1, n, budget), Census(t2, n, budget)
+        witness = _first_difference(n, c1.entries(), c2.entries())
+        if witness is not None:
+            raise SpectraMismatchError(witness)
+        yield n, c1, c2
 
 
 def compare_spectra(s1: Spectrum, s2: Spectrum) -> SpectrumWitness | None:
@@ -233,25 +241,20 @@ def build_concrete_iso(t1: Theory, t2: Theory, max_size: int,
                        budget: WorkBudget | None = None) -> ConcreteBijection:
     """Build the spectrum-driven bijection b from Mod(t1) to Mod(t2).
 
-    Requires equal spectra: sizes are taken in turn, and the first size
-    whose spectra differ raises SpectraMismatchError before any larger size
-    is enumerated.  Per size and per group key, the isomorphism classes on
-    both sides are ordered by canonical key and paired off; each pair has
+    Requires equal spectra: the sizes are taken in turn by spectra, which
+    raises SpectraMismatchError at the first size whose spectra differ.
+    Per size and per group key, the isomorphism classes on both sides are
+    ordered by canonical key and paired off; each pair has
     representatives with literally equal automorphism groups, and then
     b(M) = f(M2rep) for the census move f from M's representative M1rep to
     M.  Any isomorphism f gives the same image, which is what makes b
     well defined; the tests iterate all f to confirm.
     """
     sizes = range(1, max_size + 1)
-    pairs: dict[int, dict[FiniteModel, FiniteModel]] = {}
-    for n in sizes:
-        c1, c2 = Census(t1, n, budget), Census(t2, n, budget)
-        witness = _first_difference(n, c1.entries(), c2.entries())
-        if witness is not None:
-            raise SpectraMismatchError(witness)
-        pairs[n] = {m: apply_permutation(rep2, p)
-                    for rep1, rep2, members in _paired_classes(c1, c2)
-                    for m, p in zip(members, c1.moves[rep1])}
+    pairs = {n: {m: apply_permutation(rep2, p)
+                 for rep1, rep2, members in _paired_classes(c1, c2)
+                 for m, p in zip(members, c1.moves[rep1])}
+             for n, c1, c2 in spectra(t1, t2, sizes, budget)}
     return ConcreteBijection(tuple(sizes), pairs)
 
 
@@ -342,14 +345,14 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
     """
     budget = budget or WorkBudget()
     nodes = NodeCounter(budget, "verifying the bijection")
-    models1: dict[int, list[FiniteModel]] = {}
+    all1: list[FiniteModel] = []
     universe_witness = iso_witness = None
     for n in range(1, max_size + 1):
         c1 = Census(t1, n, budget)
-        models1[n] = c1.models
+        all1.extend(c1.models)
         mod2set = set(enumerate_models(t2, n, budget))
         seen: set[FiniteModel] = set()
-        for m in models1[n]:
+        for m in c1.models:
             bm = b.apply(m)  # raises if not total
             if bm in seen:
                 raise ValueError(f"bijection not injective at {bm!r}")
@@ -360,26 +363,18 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
                 universe_witness = m
         iso_witness = iso_witness or _iso_witness(b, n, c1, nodes)
 
-    all1 = [m for n in range(1, max_size + 1) for m in models1[n]]
-    ultra_ok, ultra_witness = True, None
+    ultra_witness = None
     checked = 0
-    for k in range(1, index_bound + 1):
-        for u in ultrafilters_on(k):
-            point = u.principal_point()
-            for count, tup in enumerate(itertools.product(all1, repeat=k)):
-                if count >= sample_budget:
-                    break
-                left = b.apply(ultraproduct(list(tup), u, budget).quotient)
-                right = ultraproduct([b.apply(m) for m in tup], u, budget).quotient
-                checked += 1
-                if left != right:
-                    ultra_ok, ultra_witness = False, (k, point, tup)
-                    break
-            if not ultra_ok:
-                break
-        if not ultra_ok:
+    samples = ((k, u, tup) for k in range(1, index_bound + 1) for u in ultrafilters_on(k)
+               for tup in itertools.islice(itertools.product(all1, repeat=k), sample_budget))
+    for k, u, tup in samples:
+        left = b.apply(ultraproduct(list(tup), u, budget).quotient)
+        right = ultraproduct([b.apply(m) for m in tup], u, budget).quotient
+        checked += 1
+        if left != right:
+            ultra_witness = (k, u.principal_point(), tup)
             break
 
     return VerificationReport(universe_witness is None, universe_witness,
                               iso_witness is None, iso_witness,
-                              ultra_ok, ultra_witness, checked)
+                              ultra_witness is None, ultra_witness, checked)

@@ -51,11 +51,8 @@ class Ultrafilter:
         if not 0 <= point < size:
             raise ValueError("principal point outside the index set")
         rest = [i for i in range(size) if i != point]
-        members = []
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                members.append(frozenset((point,) + extra))
-        return cls(size, members)
+        return cls(size, (frozenset((point,) + extra) for r in range(size)
+                          for extra in itertools.combinations(rest, r)))
 
     def validate(self) -> None:
         """Raise ValueError naming the first violated ultrafilter axiom."""

@@ -58,8 +58,8 @@ def test_criterion_1_rigid_binary_relations_on_two_points():
 
 def test_criterion_2_spectra_separate_the_two_bundled_theories(t1, t2):
     t0 = time.time()
-    s1 = aut_spec(t1, 0, sizes=[2])
-    s2 = aut_spec(t2, 0, sizes=[2])
+    s1 = aut_spec(t1, [2])
+    s2 = aut_spec(t2, [2])
     cells1 = {(e.group.order, e.class_count, e.model_count) for _, _, e in s1.cells()}
     assert (1, 12, 24) in cells1
     assert any(e.class_count == 7 and e.model_count == 14 and e.group.order == 1
@@ -79,7 +79,7 @@ def test_criterion_3_renamed_theory_gets_a_verified_bijection(t2, tmp_path):
     renamed = tmp_path / "renamed.thy"
     renamed.write_text(cli.theory_to_text(t2).replace("E", "Q").replace("R", "S"))
     t2r = cli.load_theory(str(renamed))
-    assert compare_spectra(aut_spec(t2, 2), aut_spec(t2r, 2)) is None
+    assert compare_spectra(aut_spec(t2, [1, 2]), aut_spec(t2r, [1, 2])) is None
     b = build_concrete_iso(t2, t2r, 2)
     report = verify_concrete_iso(b, t2, t2r, 2)
     assert report.universes_ok and report.universe_witness is None
@@ -207,7 +207,7 @@ def test_criterion_9_spectra_survive_definitional_extension(subst, chain):
         ds = DefinitionSet()
         ds.add("R", ("x",), parse_formula(base_sig, definition))
         ext = extend_theory(base, ds)
-        s_base, s_ext = aut_spec(base, 3), aut_spec(ext, 3)
+        s_base, s_ext = aut_spec(base, [1, 2, 3]), aut_spec(ext, [1, 2, 3])
         assert compare_spectra(s_base, s_ext) is None
         assert [(n, k) for n, k, _ in s_base.cells()] == \
             [(n, k) for n, k, _ in s_ext.cells()]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import defeq
-from defeq import spectra
+from defeq import folang, spectra
 from defeq.cli import (
     CliError, dispatch, fixture_path, load_models, load_theory, main,
     model_to_text, parse_model_text, parse_theory_text, theory_to_text,
@@ -261,6 +261,43 @@ def test_ultra_rejects_a_negative_los_depth(tmp_path, capsys):
     assert run("ultra", "--models", str(a), "--principal", "0", "--los-depth", "-1") == (2, "")
     assert capsys.readouterr().err == \
         "defeq: --los-depth takes a depth of 0 or more, got -1\n"
+
+
+def test_ultra_names_only_the_bound_variables_it_can_use(tmp_path, monkeypatch, capsys):
+    # depth d allows formulas of size 2^d - 1 but at most d nested
+    # quantifiers, so the stream needs d bound names, not 2^d - 1
+    a = tmp_path / "a.mod"
+    a.write_text("size 1 rel P { }")
+    drawn = 0
+    real = folang._fresh_names
+
+    def counted(*args):
+        nonlocal drawn
+        for name in real(*args):
+            drawn += 1
+            assert drawn <= 64, "more bound names than the depth allows"
+            yield name
+
+    monkeypatch.setattr(folang, "_fresh_names", counted)
+    assert run("ultra", "--models", str(a), "--principal", "0", "--los-depth", "64",
+               "--max-nodes", "10") == (2, "")
+    assert capsys.readouterr().err == \
+        "defeq: work budget exceeded while enumerating closed formulas (limit 10)\n"
+    assert drawn == 64
+
+
+def test_ultra_counts_its_ultrafilter_against_the_budget(tmp_path, capsys):
+    # on 20 model files the principal ultrafilter has 2^19 member sets
+    paths = []
+    for i in range(20):
+        paths.append(tmp_path / f"m{i}.mod")
+        paths[-1].write_text("size 1 rel P { }")
+    models = ",".join(map(str, paths))
+    assert run("ultra", "--models", models, "--principal", "3", "--max-nodes", "1000") == (2, "")
+    assert capsys.readouterr().err == ("defeq: work budget exceeded while building "
+                                       "the ultrafilter's member sets (limit 1000)\n")
+    assert run("ultra", "--models", ",".join(models.split(",")[:11]), "--principal", "3",
+               "--max-nodes", "1024") == (0, "size 1 rel P { }\n")
 
 
 def test_beth_and_idc_commands(tmp_path):

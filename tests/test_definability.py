@@ -7,7 +7,7 @@ import pytest
 from conftest import random_theory
 from hypothesis import given, settings, strategies as st
 
-from defeq import folang
+from defeq import definability, folang
 from defeq.definability import (
     DefinitionSet, beth_search, expand_model, extend_theory,
     substructure_closure_check, unique_expansion_check,
@@ -138,6 +138,36 @@ def test_beth_search_recovers_the_marked_point_definition(subst):
 def test_beth_search_short_circuits_when_not_implicitly_defined():
     loose = Theory(SIG_PR, [], name="loose")
     assert beth_search(loose, "R", 2, 6) is None
+
+
+def test_beth_search_enumerates_each_theory_and_size_once(subst, monkeypatch):
+    calls = []
+    real = definability.enumerate_models
+    monkeypatch.setattr(definability, "enumerate_models",
+                        lambda t, n, budget=None: calls.append((t.name, n)) or real(t, n, budget))
+    assert beth_search(subst, "R", 3, 6) is not None
+    assert calls == [("glymour_subst", 1), ("glymour_subst", 2), ("glymour_subst", 3)]
+    calls.clear()
+    # two models of size 1 share a reduct, so no size 2 is enumerated
+    assert beth_search(Theory(SIG_PR, [], name="loose"), "R", 2, 6) is None
+    assert calls == [("loose", 1)]
+
+
+@pytest.mark.parametrize("target, expected", [
+    ("R", "E v0. G(x1,v0)"),   # no clash: the stream's own names
+    ("x1", "E v0. G(x2,v0)"),  # the first argument variable's name
+    ("v0", "E v1. G(x1,v1)"),  # the first bound variable's name
+])
+def test_beth_definitions_parse_against_their_theory(target, expected):
+    sig = Signature({target: 1, "G": 2}, {}, [])
+    t = Theory(sig, [parse_formula(sig, f"A x. ({target}(x) <-> (E y. G(x,y)))")])
+    phi = beth_search(t, target, 2, 4)
+    assert formula_to_text(phi) == expected
+    assert parse_formula(t.sig, expected) == phi
+    for m in enumerate_models(t, 2):
+        for a in range(2):
+            assert eval_formula(m, phi, {free: a for free in free_vars(phi)}) == \
+                ((a,) in m.rels[target])
 
 
 def full_scan(t, target, max_size, bound):

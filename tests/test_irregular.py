@@ -2,6 +2,7 @@
 
 import pytest
 
+from defeq import irregular
 from defeq.folang import formula_to_text
 from defeq.irregular import (
     PREFIX_ONLY_NOTE, Pattern, chain_stats, emit_ts_axioms, find_pattern,
@@ -127,6 +128,18 @@ def test_report_matches_a_naive_window_scan():
     for entry in got.entries:
         count, first = naive.get(entry.pattern, (0, None))
         assert (entry.count, entry.first) == (count, first), entry.pattern.to_text()
+
+
+def test_report_reads_first_starts_off_its_window_pass(monkeypatch):
+    def rescan(*args):
+        raise AssertionError("find_pattern rescans the sequence")
+
+    monkeypatch.setattr(irregular, "find_pattern", rescan)
+    got = irregularity_report("s0", 5, 2000)
+    naive = naive_report_counts("s0", 5, 2000)
+    assert len(got.entries) == 62
+    for entry in got.entries:
+        assert (entry.count, entry.first) == naive.get(entry.pattern, (0, None))
 
 
 def test_report_verdicts():

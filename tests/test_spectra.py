@@ -37,7 +37,7 @@ def renamed_copy(t):
 # ------------------------------------------------------------
 
 def test_spectrum_cells_frozen(t1, t2):
-    s1, s2 = aut_spec(t1, 2), aut_spec(t2, 2)
+    s1, s2 = aut_spec(t1, [1, 2]), aut_spec(t2, [1, 2])
 
     def counts(s, n, key):
         e = s.entry(n, key)
@@ -51,7 +51,7 @@ def test_spectrum_cells_frozen(t1, t2):
 
 
 def test_report_lines_frozen(t1):
-    assert aut_spec(t1, 2).report_lines() == [
+    assert aut_spec(t1, [1, 2]).report_lines() == [
         "size=1 group=[[0]] order=1 classes=3 models=3",
         "size=2 group=[[0,1]] order=1 classes=12 models=24",
         "size=2 group=[[0,1],[1,0]] order=2 classes=7 models=7",
@@ -60,35 +60,35 @@ def test_report_lines_frozen(t1):
 
 def test_free_unary_spectrum():
     t = Theory(Signature({"P": 1}, {}, []), [], name="free")
-    s = aut_spec(t, 1)
+    s = aut_spec(t, [1])
     e = s.entry(1, group_key(PermutationGroup(1, [(0,)])))
     assert (e.class_count, e.model_count) == (2, 2)
 
 
 def test_model_and_class_totals_agree_with_enumeration(t2):
-    s = aut_spec(t2, 2)
+    s = aut_spec(t2, [1, 2])
     for n in (1, 2):
         total = sum(e.model_count for sz, _, e in s.cells() if sz == n)
         assert total == len(enumerate_models(t2, n))
 
 
 def test_compare_witness_is_first_cell_in_order(t1, t2):
-    w = compare_spectra(aut_spec(t1, 2), aut_spec(t2, 2))
+    w = compare_spectra(aut_spec(t1, [1, 2]), aut_spec(t2, [1, 2]))
     assert w.describe() == ("size=1 group=[[0]] order=1 "
                             "left_classes=3 left_models=3 "
                             "right_classes=2 right_models=2")
-    w2 = compare_spectra(aut_spec(t1, 0, sizes=[2]), aut_spec(t2, 0, sizes=[2]))
+    w2 = compare_spectra(aut_spec(t1, [2]), aut_spec(t2, [2]))
     assert w2.describe() == ("size=2 group=[[0,1]] order=1 "
                              "left_classes=12 left_models=24 "
                              "right_classes=7 right_models=14")
 
 
 def test_compare_equal_and_range_mismatch(t2):
-    s = aut_spec(t2, 2)
-    assert compare_spectra(s, aut_spec(t2, 2)) is None
-    assert s == aut_spec(t2, 2)
+    s = aut_spec(t2, [1, 2])
+    assert compare_spectra(s, aut_spec(t2, [1, 2])) is None
+    assert s == aut_spec(t2, [1, 2])
     with pytest.raises(ValueError):
-        compare_spectra(s, aut_spec(t2, 1))
+        compare_spectra(s, aut_spec(t2, [1]))
 
 
 def test_census_classes_and_representatives(t2):
@@ -112,7 +112,7 @@ def test_census_checks_orbit_stabilizer(t2, monkeypatch):
 
     monkeypatch.setattr(spectra, "enumerate_models", one_short)
     with pytest.raises(RuntimeError, match="orbit-stabilizer"):
-        aut_spec(t2, 2)
+        aut_spec(t2, [1, 2])
 
 
 def per_model_cells(t, n):
@@ -181,7 +181,7 @@ def test_build_enumerates_each_theory_and_size_once(t2, monkeypatch):
 
 
 def test_renaming_preserves_the_spectrum(t2):
-    assert compare_spectra(aut_spec(t2, 2), aut_spec(renamed_copy(t2), 2)) is None
+    assert compare_spectra(aut_spec(t2, [1, 2]), aut_spec(renamed_copy(t2), [1, 2])) is None
 
 
 # ------------------------------------------------------------
