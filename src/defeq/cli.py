@@ -307,11 +307,19 @@ _RANGES = (
 )
 
 
+def _model_paths(args) -> list[str]:
+    paths = args.models.split(",")
+    if not all(p.strip() for p in paths):
+        raise CliError(f"--models takes comma-separated model files, got an empty entry "
+                       f"in {args.models!r}")
+    return paths
+
+
 def _in_index_set(args) -> None:
     # ultra's index set has one point per model file
     point = getattr(args, "principal", None)
     if point is not None:
-        count = len(args.models.split(","))
+        count = len(_model_paths(args))
         if not 0 <= point < count:
             raise CliError(f"--principal takes a point of the index set 0..{count - 1}, "
                            f"got {point}")
@@ -395,29 +403,21 @@ def cmd_build_iso(args):
 
 
 def cmd_ultra(args):
-    ms = load_models(args.models.split(","))
+    ms = load_models(_model_paths(args))
     budget = _budget(args)
-    # the principal ultrafilter on k points has 2^(k-1) member sets
-    NodeCounter(budget, "building the ultrafilter's member sets").tick(1 << (len(ms) - 1))
-    u = ultra.Ultrafilter.principal(args.principal, len(ms))
-    result = ultra.ultraproduct(ms, u, budget)
+    result = ultra.ultraproduct(ms, ultra.Ultrafilter.principal(args.principal, len(ms)), budget)
     lines = [model_to_text(result.quotient)]
     if args.los_depth is not None:
-        checked = failures = 0
-        witness = None
         depth = args.los_depth
+        failed = []
         nodes = NodeCounter(budget, "enumerating closed formulas")
         for f in folang.enumerate_formulas(ms[0].sig, (), (1 << depth) - 1, depth):
             nodes.tick()
-            report = ultra.los_check(ms, u, f, budget)
-            checked += 1
-            if not report.ok:
-                failures += 1
-                if witness is None:
-                    witness = f
-        lines.append(f"los depth={depth} formulas={checked} failures={failures}")
-        if witness is not None:
-            lines.append(f"los witness: {folang.formula_to_text(witness)}")
+            if not ultra.los_check(result, f).ok:
+                failed.append(f)
+        lines.append(f"los depth={depth} formulas={nodes.count} failures={len(failed)}")
+        if failed:
+            lines.append(f"los witness: {folang.formula_to_text(failed[0])}")
             return 1, lines
     return 0, lines
 

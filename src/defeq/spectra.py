@@ -341,7 +341,8 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
     of all model pairs and base bijections would meet.  The budget counts
     a node per member checked and per model pair rescanned.  The
     ultraproduct verdict draws model tuples in lexicographic order up to
-    sample_budget per (index set size, point).
+    sample_budget per (index set size, point), and its own count against
+    the budget ticks once per tuple.
     """
     budget = budget or WorkBudget()
     nodes = NodeCounter(budget, "verifying the bijection")
@@ -364,17 +365,17 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
         iso_witness = iso_witness or _iso_witness(b, n, c1, nodes)
 
     ultra_witness = None
-    checked = 0
+    sampled = NodeCounter(budget, "sampling ultraproduct tuples")
     samples = ((k, u, tup) for k in range(1, index_bound + 1) for u in ultrafilters_on(k)
                for tup in itertools.islice(itertools.product(all1, repeat=k), sample_budget))
     for k, u, tup in samples:
+        sampled.tick()
         left = b.apply(ultraproduct(list(tup), u, budget).quotient)
         right = ultraproduct([b.apply(m) for m in tup], u, budget).quotient
-        checked += 1
         if left != right:
             ultra_witness = (k, u.principal_point(), tup)
             break
 
     return VerificationReport(universe_witness is None, universe_witness,
                               iso_witness is None, iso_witness,
-                              ultra_witness is None, ultra_witness, checked)
+                              ultra_witness is None, ultra_witness, sampled.count)

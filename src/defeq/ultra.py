@@ -15,7 +15,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from . import folang
-from .budget import BudgetExceededError, WorkBudget
+from .budget import NodeCounter, WorkBudget
 from .folang import Formula, SignatureError
 from .models import FiniteModel
 
@@ -25,79 +25,77 @@ __all__ = [
 ]
 
 
+def _mask(s: Iterable[int], size: int) -> int:
+    """The bit mask of an index set; bit i is index i."""
+    indices = set(s)
+    if not indices <= set(range(size)):
+        raise ValueError(f"{sorted(indices)} not within the index set 0..{size - 1}")
+    return sum(1 << i for i in indices)
+
+
 class Ultrafilter:
     """A family of subsets of {0..size-1} intended to be an ultrafilter.
 
-    Construction normalizes but does not validate; call validate() to check
-    the axioms (no empty set, upward closed, closed under intersection, and
-    containing exactly one of each complementary pair).
+    The family is stored as one membership test on bit masks (bit i is
+    index i): a passed family becomes a frozenset of masks, a principal
+    ultrafilter tests its point's bit.  Construction does not validate;
+    call validate() to check the axioms (no empty set, upward closed,
+    closed under intersection, and containing exactly one of each
+    complementary pair).
     """
 
-    __slots__ = ("size", "members", "_masks")
+    __slots__ = ("size", "_test")
 
     def __init__(self, size: int, members: Iterable[Iterable[int]]):
         if size < 1:
             raise ValueError("index set must be nonempty")
         self.size = size
-        self.members = frozenset(frozenset(s) for s in members)
-        for s in self.members:
-            if not all(0 <= i < size for i in s):
-                raise ValueError(f"member {sorted(s)} not within the index set")
-        self._masks = frozenset(sum(1 << i for i in s) for s in self.members)
+        self._test = frozenset(_mask(s, size) for s in members).__contains__
 
     @classmethod
     def principal(cls, point: int, size: int) -> "Ultrafilter":
         """All subsets of {0..size-1} containing the point."""
         if not 0 <= point < size:
             raise ValueError("principal point outside the index set")
-        rest = [i for i in range(size) if i != point]
-        return cls(size, (frozenset((point,) + extra) for r in range(size)
-                          for extra in itertools.combinations(rest, r)))
+        u = cls(size, ())
+        u._test = lambda mask: mask >> point & 1
+        return u
+
+    @property
+    def members(self) -> frozenset[frozenset[int]]:
+        """Every member set, found by testing all 2^size subsets."""
+        return frozenset(frozenset(i for i in range(self.size) if bits >> i & 1)
+                         for bits in range(1 << self.size) if self._test(bits))
 
     def validate(self) -> None:
         """Raise ValueError naming the first violated ultrafilter axiom."""
-        if frozenset() in self.members:
+        members = self.members
+        if frozenset() in members:
             raise ValueError("contains the empty set")
-        universe = frozenset(range(self.size))
-        for s in self.members:
-            for t in self.members:
-                if s & t not in self.members:
-                    raise ValueError(
-                        f"not closed under intersection: {sorted(s)} and {sorted(t)}")
-        for s in self.members:
-            for extra in range(self.size):
-                if s | {extra} not in self.members:
-                    raise ValueError(f"not upward closed at {sorted(s | {extra})}")
+        for s, t in itertools.product(members, repeat=2):
+            if s & t not in members:
+                raise ValueError(f"not closed under intersection: {sorted(s)} and {sorted(t)}")
+        for s, extra in itertools.product(members, range(self.size)):
+            if s | {extra} not in members:
+                raise ValueError(f"not upward closed at {sorted(s | {extra})}")
+        full = (1 << self.size) - 1
         for bits in range(1 << self.size):
-            s = frozenset(i for i in range(self.size) if bits >> i & 1)
-            if (s in self.members) == (universe - s in self.members):
-                raise ValueError(
-                    f"must contain exactly one of {sorted(s)} and its complement")
+            if bool(self._test(bits)) == bool(self._test(full ^ bits)):
+                s = [i for i in range(self.size) if bits >> i & 1]
+                raise ValueError(f"must contain exactly one of {s} and its complement")
 
     def contains(self, s: Iterable[int]) -> bool:
-        return frozenset(s) in self.members
-
-    def _contains_mask(self, mask: int) -> bool:
-        return mask in self._masks
+        return bool(self._test(_mask(s, self.size)))
 
     def principal_point(self) -> int:
-        """The point every member contains; on a finite index set one exists."""
-        core = frozenset(range(self.size))
-        for s in self.members:
-            core &= s
-        if len(core) != 1:
+        """The point whose singleton is a member; on a finite index set one exists."""
+        points = [i for i in range(self.size) if self._test(1 << i)]
+        if len(points) != 1:
             raise ValueError("not a principal ultrafilter")
-        return next(iter(core))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Ultrafilter) and self.size == other.size
-                and self.members == other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.size, self.members))
+        return points[0]
 
     def __repr__(self) -> str:
-        return f"<Ultrafilter on {self.size} indices, {len(self.members)} members>"
+        return f"<Ultrafilter on {self.size} indices>"
 
 
 def ultrafilters_on(size: int) -> list[Ultrafilter]:
@@ -112,11 +110,14 @@ def ultrafilters_on(size: int) -> list[Ultrafilter]:
 
 @dataclass(frozen=True)
 class UltraproductResult:
-    """Quotient model plus the choice-function -> class map."""
+    """Quotient model plus the choice-function -> class map, with the
+    factors and the ultrafilter it was built from."""
 
     quotient: FiniteModel
     class_map: dict[tuple[int, ...], int]
     reps: tuple[tuple[int, ...], ...]
+    factors: tuple[FiniteModel, ...]
+    ultrafilter: Ultrafilter
 
 
 def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
@@ -136,17 +137,15 @@ def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
         if m.sig != sig:
             raise SignatureError("ultraproduct factors must share a signature")
     space = prod(m.size for m in models)
-    if space > budget.max_nodes:
-        raise BudgetExceededError(
-            f"enumerating {space} choice functions", budget.max_nodes)
+    NodeCounter(budget, f"enumerating {space} choice functions").tick(space)
 
-    k = u.size
+    k, test = u.size, u._test
     reps: list[tuple[int, ...]] = []
     class_map: dict[tuple[int, ...], int] = {}
     for f in itertools.product(*(range(m.size) for m in models)):
         for ci, rep in enumerate(reps):
             agree = sum(1 << i for i in range(k) if f[i] == rep[i])
-            if u._contains_mask(agree):
+            if test(agree):
                 class_map[f] = ci
                 break
         else:
@@ -173,7 +172,7 @@ def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
         for j, classes in enumerate(itertools.product(range(m_count), repeat=arity)):
             agree = sum(1 << i for i, rank in enumerate(ranks(classes))
                         if encs[i][1][r] >> rank & 1)
-            if u._contains_mask(agree):
+            if test(agree):
                 bits |= 1 << j
         rel_part.append(bits)
     fun_part = tuple(
@@ -182,7 +181,7 @@ def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
         for g, arity in enumerate(sig.functions.values()))
     const_part = tuple(class_map[values] for values in zip(*(enc[3] for enc in encs)))
     quotient = FiniteModel._from_encoding(sig, (m_count, tuple(rel_part), fun_part, const_part))
-    return UltraproductResult(quotient, class_map, tuple(reps))
+    return UltraproductResult(quotient, class_map, tuple(reps), tuple(models), u)
 
 
 def diagonal_embedding(m: FiniteModel, u: Ultrafilter,
@@ -205,17 +204,15 @@ class LosReport:
         return self.lhs == self.rhs
 
 
-def los_check(models: Sequence[FiniteModel], u: Ultrafilter, f: Formula,
-              budget: WorkBudget | None = None) -> LosReport:
+def los_check(product: UltraproductResult, f: Formula) -> LosReport:
     """Compare truth of a closed formula in the quotient with its truth set.
 
-    lhs is eval in the ultraproduct; rhs is whether {i : models[i] |= f}
-    belongs to u.  The Los theorem says they always agree.
+    lhs is eval in the ultraproduct; rhs is whether {i : factor i |= f}
+    belongs to its ultrafilter.  The Los theorem says they always agree.
     """
     fv = folang.free_vars(f)
     if fv:
         raise ValueError(f"los_check needs a closed formula, free: {sorted(fv)}")
-    result = ultraproduct(models, u, budget)
-    lhs = folang.eval_formula(result.quotient, f)
-    truth_set = frozenset(i for i, m in enumerate(models) if folang.eval_formula(m, f))
-    return LosReport(lhs, truth_set, u.contains(truth_set))
+    lhs = folang.eval_formula(product.quotient, f)
+    truth_set = frozenset(i for i, m in enumerate(product.factors) if folang.eval_formula(m, f))
+    return LosReport(lhs, truth_set, product.ultrafilter.contains(truth_set))

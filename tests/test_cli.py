@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import defeq
-from defeq import folang, spectra
+from defeq import folang, spectra, ultra
 from defeq.cli import (
     CliError, dispatch, fixture_path, load_models, load_theory, main,
     model_to_text, parse_model_text, parse_theory_text, theory_to_text,
@@ -225,6 +225,17 @@ def test_budgets_bound_the_census_sweep_and_the_verifier(tmp_path, capsys):
         "defeq: work budget exceeded while verifying the bijection (limit 13)\n"
 
 
+def test_budget_bounds_the_verifiers_ultraproduct_samples(capsys):
+    # one tuple per (index size, point): 1 + 2 + ... + 16 = 136 samples
+    verify = ("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "1",
+              "--verify", "--index-bound", "16", "--sample-budget", "1")
+    assert run(*verify, "--max-nodes", "100") == (2, "")
+    assert capsys.readouterr().err == \
+        "defeq: work budget exceeded while sampling ultraproduct tuples (limit 100)\n"
+    code, out = run(*verify, "--max-nodes", "1000")
+    assert code == 0 and out.splitlines()[-1].endswith(" checked_tuples=136")
+
+
 def test_internal_errors_exit_3(monkeypatch, capsys):
     # a census that misses one rigid size-2 model breaks closure under relabelling
     real = spectra.enumerate_models
@@ -286,18 +297,66 @@ def test_ultra_names_only_the_bound_variables_it_can_use(tmp_path, monkeypatch, 
     assert drawn == 64
 
 
-def test_ultra_counts_its_ultrafilter_against_the_budget(tmp_path, capsys):
-    # on 20 model files the principal ultrafilter has 2^19 member sets
+def test_ultra_on_twenty_files_runs_under_a_small_budget(tmp_path):
+    # the principal ultrafilter is a bit test, so its 2^19 member sets are
+    # never built; only the one choice function counts
     paths = []
     for i in range(20):
         paths.append(tmp_path / f"m{i}.mod")
         paths[-1].write_text("size 1 rel P { }")
     models = ",".join(map(str, paths))
-    assert run("ultra", "--models", models, "--principal", "3", "--max-nodes", "1000") == (2, "")
-    assert capsys.readouterr().err == ("defeq: work budget exceeded while building "
-                                       "the ultrafilter's member sets (limit 1000)\n")
-    assert run("ultra", "--models", ",".join(models.split(",")[:11]), "--principal", "3",
-               "--max-nodes", "1024") == (0, "size 1 rel P { }\n")
+    assert run("ultra", "--models", models, "--principal", "3", "--max-nodes", "10") == \
+        (0, "size 1 rel P { }\n")
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_ultra_builds_one_product_per_command(tmp_path, monkeypatch, count):
+    texts = ["size 1 rel P { }", "size 2 rel P { (1) }", "size 2 rel P { (0) (1) }"]
+    paths = []
+    for i, text in enumerate(texts[:count]):
+        paths.append(tmp_path / f"m{i}.mod")
+        paths[-1].write_text(text)
+    calls = 0
+    real = ultra.ultraproduct
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(ultra, "ultraproduct", counted)
+    code, out = run("ultra", "--models", ",".join(map(str, paths)), "--principal", "1",
+                    "--los-depth", "3")
+    assert code == 0 and out.splitlines()[1] == "los depth=3 formulas=132 failures=0"
+    assert calls == 1
+
+
+def test_ultra_reports_the_first_los_failure(tmp_path, monkeypatch):
+    # Los's theorem never fails, so a flipped rhs stands in for a broken product
+    a, b = tmp_path / "a.mod", tmp_path / "b.mod"
+    a.write_text("size 1 rel P { }")
+    b.write_text("size 2 rel P { (1) }")
+    real = ultra.los_check
+
+    def flipped(product, f):
+        report = real(product, f)
+        return ultra.LosReport(report.lhs, report.truth_set, not report.rhs)
+
+    monkeypatch.setattr(ultra, "los_check", flipped)
+    code, out = run("ultra", "--models", f"{a},{b}", "--principal", "1", "--los-depth", "2")
+    assert code == 1
+    assert out.splitlines()[1:] == ["los depth=2 formulas=4 failures=4",
+                                    "los witness: A v0. P(v0)"]
+
+
+@pytest.mark.parametrize("entries", ["{a},,{a}", ",", "{a},"])
+def test_ultra_rejects_an_empty_models_entry(tmp_path, capsys, entries):
+    a = tmp_path / "a.mod"
+    a.write_text("size 1 rel P { }")
+    models = entries.format(a=a)
+    assert run("ultra", "--models", models, "--principal", "0") == (2, "")
+    assert capsys.readouterr().err == ("defeq: --models takes comma-separated model files, "
+                                       f"got an empty entry in {models!r}\n")
 
 
 def test_beth_and_idc_commands(tmp_path):

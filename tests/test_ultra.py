@@ -63,6 +63,14 @@ def test_principal_ultrafilters_validate():
         Ultrafilter.principal(3, 3)
 
 
+def test_principal_membership_is_the_point_test():
+    for size in range(1, 6):
+        subsets = [s for r in range(size + 1) for s in itertools.combinations(range(size), r)]
+        for point in range(size):
+            u = Ultrafilter.principal(point, size)
+            assert all(u.contains(s) is (point in s) for s in subsets)
+
+
 def test_validate_names_the_broken_axiom():
     with pytest.raises(ValueError, match="empty set"):
         Ultrafilter(2, [frozenset(), frozenset({0}), frozenset({0, 1})]).validate()
@@ -213,7 +221,7 @@ def test_los_equivalence_on_random_triples():
         ms = random_family(rng, rng.choice([2, 3]))
         point = rng.randrange(len(ms))
         f = random_formula(SIG, rng, rng.choice([2, 3, 4]))
-        report = los_check(ms, Ultrafilter.principal(point, len(ms)), f)
+        report = los_check(ultraproduct(ms, Ultrafilter.principal(point, len(ms))), f)
         if not report.ok:
             failures += 1
     assert failures == 0
@@ -223,16 +231,16 @@ def test_los_report_fields_frozen():
     ms = [model_of(1, []), model_of(1, [0]), model_of(1, [0])]
     u = Ultrafilter.principal(2, 3)
     f = parse_formula(SIG, "E x. P(x)")
-    report = los_check(ms, u, f)
+    report = los_check(ultraproduct(ms, u), f)
     assert report.lhs is True
     assert sorted(report.truth_set) == [1, 2]
     assert report.rhs is True and report.ok
     g = parse_formula(SIG, "A x. P(x) & E(x,x)")
-    report2 = los_check(ms, u, g)
+    report2 = los_check(ultraproduct(ms, u), g)
     assert report2.lhs is False and sorted(report2.truth_set) == [] and report2.ok
 
 
 def test_los_check_requires_closed_formulas():
     ms = [model_of(1, []), model_of(1, [0])]
     with pytest.raises(ValueError):
-        los_check(ms, Ultrafilter.principal(0, 2), parse_formula(SIG, "P(x)"))
+        los_check(ultraproduct(ms, Ultrafilter.principal(0, 2)), parse_formula(SIG, "P(x)"))
