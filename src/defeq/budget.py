@@ -8,7 +8,7 @@ crossing the cap raises BudgetExceededError instead of hanging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 DEFAULT_MAX_NODES = 5_000_000
 DEFAULT_MAX_FUNCTIONS = 1_000_000
@@ -23,8 +23,7 @@ class BudgetExceededError(RuntimeError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class WorkBudget:
+class WorkBudget(Record):
     """Caps for exhaustive searches.
 
     max_nodes counts candidates actually visited by an enumeration.  For
@@ -38,8 +37,10 @@ class WorkBudget:
     against relation-only axioms.
     """
 
-    max_nodes: int = DEFAULT_MAX_NODES
-    max_functions: int = DEFAULT_MAX_FUNCTIONS
+    __slots__ = ("max_nodes", "max_functions")
+    max_nodes: int
+    max_functions: int
+    _defaults = {"max_nodes": DEFAULT_MAX_NODES, "max_functions": DEFAULT_MAX_FUNCTIONS}
 
     def __post_init__(self) -> None:
         if self.max_nodes < 1 or self.max_functions < 1:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from importlib.resources import files as package_files
 from pathlib import Path
 from typing import Sequence
 
@@ -107,7 +106,7 @@ def theory_to_text(t: Theory) -> str:
 
 
 def fixture_path(name: str) -> Path:
-    return Path(str(package_files("defeq") / "fixtures" / name))
+    return Path(__file__).parent / "fixtures" / name
 
 
 def _resolve(path: str) -> Path:

@@ -11,7 +11,6 @@ only about the sizes and formula sizes actually searched.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from . import folang
@@ -19,6 +18,7 @@ from .budget import NodeCounter, WorkBudget
 from .folang import (App, Const, Exists, Forall, Formula, Iff, Not, Rel, Signature,
                      SignatureError, Var)
 from .models import FiniteModel, Theory, enumerate_models, is_model, reduct, substructure
+from .record import Record
 
 __all__ = [
     "Definition", "DefinitionSet", "extend_theory", "expand_model",
@@ -26,10 +26,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(Record):
     """A defining formula with its argument variable tuple."""
 
+    __slots__ = ("variables", "formula")
     variables: tuple[str, ...]
     formula: Formula
 

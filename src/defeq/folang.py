@@ -26,8 +26,9 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+
+from .record import Record, _set
 
 __all__ = [
     "Signature", "Var", "Const", "App", "Term",
@@ -83,7 +84,7 @@ class Signature:
     and arities are positive.
     """
 
-    __slots__ = ("relations", "functions", "constants", "_key")
+    __slots__ = ("relations", "functions", "constants", "_key", "_rel_at")
 
     def __init__(self,
                  relations: Mapping[str, int] | None = None,
@@ -105,6 +106,8 @@ class Signature:
         self.functions = funs
         self.constants = consts
         self._key = (tuple(rels.items()), tuple(funs.items()), consts)
+        # each relation's position among the relations, with its arity
+        self._rel_at = {name: (i, arity) for i, (name, arity) in enumerate(rels.items())}
 
     def has_symbol(self, name: str) -> bool:
         return name in self.relations or name in self.functions or name in self.constants
@@ -135,76 +138,94 @@ class Signature:
 # terms and formulas
 # ============================================================
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+# Each node kind has its own __init__, one of the five below by the shape of
+# its fields: the formula stream builds hundreds of thousands of nodes, and
+# Record's generic __init__ takes about twice as long.
+
+def _init_name(self, name: str) -> None:
+    _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    name: str
+def _init_name_args(self, name: str, args: "tuple[Term, ...]") -> None:
+    _set(self, "name", name)
+    _set(self, "args", args)
 
 
-@dataclass(frozen=True, slots=True)
-class App:
-    name: str
-    args: "tuple[Term, ...]"
+def _init_body(self, body: "Formula") -> None:
+    _set(self, "body", body)
+
+
+def _init_left_right(self, left, right) -> None:
+    _set(self, "left", left)
+    _set(self, "right", right)
+
+
+def _init_var_body(self, var: str, body: "Formula") -> None:
+    _set(self, "var", var)
+    _set(self, "body", body)
+
+
+class Var(Record):
+    __slots__ = ("name",)
+    __init__ = _init_name
+
+
+class Const(Record):
+    __slots__ = ("name",)
+    __init__ = _init_name
+
+
+class App(Record):
+    __slots__ = ("name", "args")
+    __init__ = _init_name_args
 
 
 Term = Union[Var, Const, App]
 
 
-@dataclass(frozen=True, slots=True)
-class Rel:
-    name: str
-    args: tuple[Term, ...]
+class Rel(Record):
+    __slots__ = ("name", "args")
+    __init__ = _init_name_args
 
 
-@dataclass(frozen=True, slots=True)
-class Eq:
-    left: Term
-    right: Term
+class Eq(Record):
+    __slots__ = ("left", "right")
+    __init__ = _init_left_right
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    body: "Formula"
+class Not(Record):
+    __slots__ = ("body",)
+    __init__ = _init_body
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Record):
+    __slots__ = ("left", "right")
+    __init__ = _init_left_right
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(Record):
+    __slots__ = ("left", "right")
+    __init__ = _init_left_right
 
 
-@dataclass(frozen=True, slots=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(Record):
+    __slots__ = ("left", "right")
+    __init__ = _init_left_right
 
 
-@dataclass(frozen=True, slots=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+class Iff(Record):
+    __slots__ = ("left", "right")
+    __init__ = _init_left_right
 
 
-@dataclass(frozen=True, slots=True)
-class Forall:
-    var: str
-    body: "Formula"
+class Forall(Record):
+    __slots__ = ("var", "body")
+    __init__ = _init_var_body
 
 
-@dataclass(frozen=True, slots=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Exists(Record):
+    __slots__ = ("var", "body")
+    __init__ = _init_var_body
 
 
 Formula = Union[Rel, Eq, Not, And, Or, Implies, Iff, Forall, Exists]
@@ -600,11 +621,9 @@ def eval_formula(m, f: Formula, assignment: Mapping[str, int] | None = None) -> 
 
     def go(f: Formula) -> bool:
         if isinstance(f, Rel):
-            try:
-                table = m.rels[f.name]
-            except KeyError:
-                raise SignatureError(f"model has no relation {f.name!r}") from None
-            return tuple(eval_term(m, a, env) for a in f.args) in table
+            if f.name not in m.sig.relations:
+                raise SignatureError(f"model has no relation {f.name!r}")
+            return m.holds(f.name, [eval_term(m, a, env) for a in f.args])
         if isinstance(f, Eq):
             return eval_term(m, f.left, env) == eval_term(m, f.right, env)
         if isinstance(f, Not):

@@ -15,12 +15,12 @@ regular set the patterns are meant to separate from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .folang import (App, Const, Eq, Forall, Formula, Implies, Not, Rel,
                      Signature, Term, Var)
 from .models import Theory
+from .record import Record
 
 __all__ = [
     "master_symbol", "membership", "marker_positions", "symbols",
@@ -123,10 +123,10 @@ def symbols(variant: str, start: int, stop: int) -> list[str]:
 # patterns
 # ============================================================
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     """A window shape: offsets within 0..n-1 that must be members."""
 
+    __slots__ = ("n", "members")
     n: int
     members: frozenset[int]
 
@@ -166,15 +166,15 @@ def find_pattern(variant: str, p: Pattern, bound: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(Record):
+    __slots__ = ("pattern", "first", "count")
     pattern: Pattern
     first: int | None
     count: int
 
 
-@dataclass(frozen=True)
-class IrregularityReport:
+class IrregularityReport(Record):
+    __slots__ = ("variant", "max_n", "bound", "entries")
     variant: str
     max_n: int
     bound: int
@@ -222,10 +222,10 @@ def irregularity_report(variant: str, max_n: int, bound: int) -> IrregularityRep
 # chains around markers
 # ============================================================
 
-@dataclass(frozen=True)
-class ChainStats:
+class ChainStats(Record):
     """Run lengths around a position in S0: ones before, zeros after."""
 
+    __slots__ = ("ones_before", "zeros_after", "truncated")
     ones_before: int
     zeros_after: int
     truncated: bool

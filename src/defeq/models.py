@@ -154,10 +154,21 @@ class FiniteModel:
 
     def tuples(self, name: str) -> list[tuple[int, ...]]:
         """The argument tuples of relation name in lexicographic order, off its bitmap."""
-        for (other, arity), bits in zip(self.sig.relations.items(), self._enc[1]):
-            if other == name:
-                return list(map(_tuples(self.size, arity).__getitem__, _ones(bits)))
-        raise KeyError(name)
+        i, arity = self.sig._rel_at[name]
+        return list(map(_tuples(self.size, arity).__getitem__, _ones(self._enc[1][i])))
+
+    def holds(self, name: str, args: Sequence[int]) -> bool:
+        """Is args in relation name?  Read off its bitmap; False for a tuple
+        of the wrong arity or with an element outside the universe."""
+        i, arity = self.sig._rel_at[name]
+        if len(args) != arity:
+            return False
+        size, rank = self.size, 0
+        for a in args:
+            if not 0 <= a < size:
+                return False
+            rank = rank * size + a
+        return self._enc[1][i] >> rank & 1 == 1
 
     def fun_value(self, name: str, args: Sequence[int]) -> int:
         return self.funs[name][_rank(args, self.size)]

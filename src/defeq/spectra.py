@@ -15,7 +15,6 @@ class, one check per model (the coset criterion of VerificationReport).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .budget import NodeCounter, WorkBudget
@@ -23,6 +22,7 @@ from .groups import (PermutationGroup, canonical_form, compose, form_key,
                      group_to_text, invert)
 from .models import (FiniteModel, InternalError, Theory, apply_permutation,
                      enumerate_models, is_isomorphism, orbits)
+from .record import Record
 from .ultra import ultrafilters_on, ultraproduct
 
 __all__ = [
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(Record):
     """Counts for one (size, group) cell.
 
     class_count is the number of isomorphism classes of models whose
@@ -41,6 +40,7 @@ class SpectrumEntry:
     the number of raw models on {0..n-1}.
     """
 
+    __slots__ = ("class_count", "model_count", "group")
     class_count: int
     model_count: int
     group: PermutationGroup  # canonical representative
@@ -89,10 +89,10 @@ class Spectrum:
         return f"<Spectrum sizes={self.sizes}, {sum(len(v) for v in self.table.values())} cells>"
 
 
-@dataclass(frozen=True)
-class SpectrumWitness:
+class SpectrumWitness(Record):
     """First cell on which two spectra disagree; absent cells count (0, 0)."""
 
+    __slots__ = ("size", "key", "group", "left", "right")
     size: int
     key: bytes
     group: PermutationGroup
@@ -258,8 +258,7 @@ def build_concrete_iso(t1: Theory, t2: Theory, max_size: int,
     return ConcreteBijection(tuple(sizes), pairs)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of the three verifier verdicts, with first witnesses.
 
     universes_ok: every b(M) lives on M's universe.
@@ -282,6 +281,8 @@ class VerificationReport:
         the elementary-embedding condition.
     """
 
+    __slots__ = ("universes_ok", "universe_witness", "iso_ok", "iso_witness",
+                 "ultra_ok", "ultra_witness", "checked_tuples")
     universes_ok: bool
     universe_witness: FiniteModel | None
     iso_ok: bool

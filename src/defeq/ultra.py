@@ -10,7 +10,6 @@ are theorems the tests check against this construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
@@ -18,6 +17,7 @@ from . import folang
 from .budget import NodeCounter, WorkBudget
 from .folang import Formula, SignatureError
 from .models import FiniteModel
+from .record import Record
 
 __all__ = [
     "Ultrafilter", "ultrafilters_on", "UltraproductResult",
@@ -108,11 +108,11 @@ def ultrafilters_on(size: int) -> list[Ultrafilter]:
     return [Ultrafilter.principal(i, size) for i in range(size)]
 
 
-@dataclass(frozen=True)
-class UltraproductResult:
+class UltraproductResult(Record):
     """Quotient model plus the choice-function -> class map, with the
     factors and the ultrafilter it was built from."""
 
+    __slots__ = ("quotient", "class_map", "reps", "factors", "ultrafilter")
     quotient: FiniteModel
     class_map: dict[tuple[int, ...], int]
     reps: tuple[tuple[int, ...], ...]
@@ -191,10 +191,10 @@ def diagonal_embedding(m: FiniteModel, u: Ultrafilter,
     return {a: result.class_map[(a,) * u.size] for a in range(m.size)}
 
 
-@dataclass(frozen=True)
-class LosReport:
+class LosReport(Record):
     """One Los-theorem instance: quotient truth vs truth-set membership."""
 
+    __slots__ = ("lhs", "truth_set", "rhs")
     lhs: bool
     truth_set: frozenset[int]
     rhs: bool

@@ -253,6 +253,15 @@ def test_eval_formula_cases():
         assert eval_formula(m, parse_formula(SIG, text), env) is expected, text
 
 
+def test_eval_formula_reads_relation_bitmaps():
+    m = _two_point_model()
+    assert eval_formula(m, parse_formula(SIG, "E x. E y. (E(x,y) & P(y))")) is True
+    assert m._rels is None  # no frozenset view was built
+    other = FiniteModel(Signature({"P": 1}), 2, {"P": [(0,)]})
+    with pytest.raises(SignatureError, match="model has no relation 'E'"):
+        eval_formula(other, parse_formula(SIG, "E(c,c)"))
+
+
 def test_eval_requires_bound_environment():
     m = _two_point_model()
     with pytest.raises(folang.UnboundVariableError):

@@ -196,6 +196,13 @@ def test_tables_are_read_only_views_of_the_encoding():
         assert m.rels == {name: frozenset(ts) for name, ts in rels.items()}
         assert m.funs == {"f": tuple(funs["f"])} and m.consts == consts
         assert m.tuples("E") == sorted(rels["E"])
+        # holds reads the bitmap: false off the universe and at the wrong arity
+        for arity in (1, 2, 3):
+            for t in itertools.product(range(-1, size + 1), repeat=arity):
+                for name in ("E", "P"):
+                    assert m.holds(name, t) is (t in m.rels[name])
+    with pytest.raises(KeyError):
+        m.holds("Q", (0,))
     with pytest.raises(AttributeError):
         m.rels = {}
     with pytest.raises(TypeError):

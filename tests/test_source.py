@@ -1,6 +1,8 @@
 """Source checks on the package itself, read with the standard library's ast."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import defeq
@@ -34,3 +36,20 @@ def test_every_module_level_private_name_is_read():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted(f"{defined[n]}: {n}" for n in set(defined) - read) == []
+
+
+# Modules that cost a command more to import than its own work takes at
+# small sizes; nothing on a command's path needs them.
+HEAVY = ("dataclasses", "inspect", "importlib.resources")
+
+
+def test_the_command_line_imports_no_heavy_module():
+    # a fresh interpreter without site, so nothing but defeq loads modules
+    src = str(Path(defeq.__file__).parent.parent)
+    script = (f"import sys; sys.path.insert(0, {src!r})\n"
+              "from defeq.cli import dispatch\n"
+              "code, _ = dispatch(['--help'])\n"
+              f"print(code, sorted(set({HEAVY!r}) & set(sys.modules)))\n")
+    run = subprocess.run([sys.executable, "-S", "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"
