@@ -11,7 +11,6 @@ from __future__ import annotations
 from .record import Record
 
 DEFAULT_MAX_NODES = 5_000_000
-DEFAULT_MAX_FUNCTIONS = 1_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -24,27 +23,25 @@ class BudgetExceededError(RuntimeError):
 
 
 class WorkBudget(Record):
-    """Caps for exhaustive searches.
+    """The one cap for exhaustive searches.
 
-    max_nodes counts candidates actually visited by an enumeration.  For
-    model enumeration those are the function/constant choices probed, the
+    max_nodes counts candidates actually visited by a search.  For model
+    enumeration those are the function/constant choices probed, the
     relation bitmaps evaluated while filtering each relation's tables, and
     the relation tables assigned on the way to full candidates (see
     models.enumerate_models); candidates ruled out relation by relation are
-    never visited.
-    max_functions caps the size of the function-table/constant factor of a
-    model search before it starts, since that factor cannot be pruned
-    against relation-only axioms.
+    never visited.  Since every function/constant choice is probed, a model
+    search whose function/constant factor alone exceeds max_nodes is refused
+    before it starts.
     """
 
-    __slots__ = ("max_nodes", "max_functions")
+    __slots__ = ("max_nodes",)
     max_nodes: int
-    max_functions: int
-    _defaults = {"max_nodes": DEFAULT_MAX_NODES, "max_functions": DEFAULT_MAX_FUNCTIONS}
+    _defaults = {"max_nodes": DEFAULT_MAX_NODES}
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 1 or self.max_functions < 1:
-            raise ValueError("budget limits must be positive")
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be positive")
 
 
 class NodeCounter:

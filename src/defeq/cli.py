@@ -31,8 +31,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from . import definability, folang, groups, irregular, spectra, ultra
 from .budget import BudgetExceededError, NodeCounter, WorkBudget
@@ -55,18 +55,16 @@ class CliError(Exception):
 # ============================================================
 
 def parse_theory_text(text: str, name: str = "") -> Theory:
-    decls: list[tuple[str, list[str], int]] = []
+    relations: dict[str, int] = {}
+    functions: dict[str, int] = {}
+    constants: list[str] = []
+    axiom_sources: list[tuple[str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         kind, _, rest = line.partition(" ")
-        decls.append((kind, [rest.strip()], lineno))
-    relations: dict[str, int] = {}
-    functions: dict[str, int] = {}
-    constants: list[str] = []
-    axiom_sources: list[tuple[str, int]] = []
-    for kind, (rest,), lineno in decls:
+        rest = rest.strip()
         try:
             if kind in ("rel", "fun"):
                 name_part, arity_part = rest.rsplit(" ", 1)
@@ -81,8 +79,10 @@ def parse_theory_text(text: str, name: str = "") -> Theory:
                 axiom_sources.append((rest, lineno))
             else:
                 raise CliError(f"line {lineno}: unknown directive {kind!r}")
-        except (ValueError, SignatureError) as e:
+        except ValueError as e:
             raise CliError(f"line {lineno}: {e}") from None
+    # axioms are parsed against the whole signature, so they may mention
+    # symbols declared below them
     try:
         sig = Signature(relations, functions, constants)
     except SignatureError as e:
@@ -250,7 +250,7 @@ def _build_model(raw: _RawModel, sig: Signature) -> FiniteModel:
         return FiniteModel(sig, raw.size,
                            {n: raw.rels.get(n, []) for n in sig.relations},
                            raw.funs, raw.consts)
-    except (ValueError, SignatureError) as e:
+    except ValueError as e:
         raise CliError(str(e)) from None
 
 
@@ -300,32 +300,31 @@ def _at_least(args, dest: str, least: int, noun: str) -> None:
 # differs between them.
 _RANGES = (
     ("size", 1, "a size"), ("max_size", 1, "a size"),
-    ("max_nodes", 1, "a limit"), ("max_functions", 1, "a limit"),
+    ("max_nodes", 1, "a limit"),
     ("index_bound", 1, "an index size"), ("sample_budget", 1, "a budget"),
     ("los_depth", 0, "a depth"), ("max_n", 1, "a length"), ("depth", 1, "a depth"),
 )
 
 
-def _model_paths(args) -> list[str]:
-    paths = args.models.split(",")
-    if not all(p.strip() for p in paths):
-        raise CliError(f"--models takes comma-separated model files, got an empty entry "
-                       f"in {args.models!r}")
-    return paths
+def _comma_list(value: str, flag: str, noun: str) -> list[str]:
+    entries = value.split(",")
+    if not all(e.strip() for e in entries):
+        raise CliError(f"{flag} takes comma-separated {noun}, got an empty entry in {value!r}")
+    return entries
 
 
 def _in_index_set(args) -> None:
     # ultra's index set has one point per model file
     point = getattr(args, "principal", None)
     if point is not None:
-        count = len(_model_paths(args))
+        count = len(_comma_list(args.models, "--models", "model files"))
         if not 0 <= point < count:
             raise CliError(f"--principal takes a point of the index set 0..{count - 1}, "
                            f"got {point}")
 
 
 def _budget(args) -> WorkBudget:
-    return WorkBudget(max_nodes=args.max_nodes, max_functions=args.max_functions)
+    return WorkBudget(args.max_nodes)
 
 
 def _spec_sizes(args) -> Sequence[int]:
@@ -402,7 +401,7 @@ def cmd_build_iso(args):
 
 
 def cmd_ultra(args):
-    ms = load_models(_model_paths(args))
+    ms = load_models(_comma_list(args.models, "--models", "model files"))
     budget = _budget(args)
     result = ultra.ultraproduct(ms, ultra.Ultrafilter.principal(args.principal, len(ms)), budget)
     lines = [model_to_text(result.quotient)]
@@ -432,7 +431,7 @@ def cmd_beth(args):
 
 def cmd_idc(args):
     t = load_theory(args.theory)
-    hidden = [h for h in args.hidden.split(",") if h]
+    hidden = _comma_list(args.hidden, "--hidden", "relation names")
     witness = definability.unique_expansion_check(t, hidden, args.size, _budget(args))
     if witness is None:
         return 0, ["OK"]
@@ -496,8 +495,6 @@ def cmd_ts_axioms(args):
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-nodes", type=int, default=WorkBudget().max_nodes,
                    help="cap on search nodes visited (default %(default)s)")
-    p.add_argument("--max-functions", type=int, default=WorkBudget().max_functions,
-                   help="cap on function/constant table combinations (default %(default)s)")
 
 
 def _add_size_choice(p: argparse.ArgumentParser) -> None:
@@ -626,8 +623,7 @@ def dispatch(argv: Sequence[str]) -> tuple[int, str]:
             _at_least(args, dest, least, noun)
         _in_index_set(args)
         code, lines = args.handler(args)
-    except (CliError, FormulaSyntaxError, SignatureError, BudgetExceededError,
-            ValueError, OSError) as e:
+    except (CliError, BudgetExceededError, ValueError, OSError) as e:
         print(f"defeq: {e}", file=sys.stderr)
         return 2, ""
     except InternalError as e:

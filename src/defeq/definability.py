@@ -11,7 +11,7 @@ only about the sizes and formula sizes actually searched.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from . import folang
 from .budget import NodeCounter, WorkBudget

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .record import Record, _set
 
@@ -180,7 +180,7 @@ class App(Record):
     __init__ = _init_name_args
 
 
-Term = Union[Var, Const, App]
+Term = Var | Const | App
 
 
 class Rel(Record):
@@ -228,7 +228,7 @@ class Exists(Record):
     __init__ = _init_var_body
 
 
-Formula = Union[Rel, Eq, Not, And, Or, Implies, Iff, Forall, Exists]
+Formula = Rel | Eq | Not | And | Or | Implies | Iff | Forall | Exists
 
 _QUANT = {Forall: "A", Exists: "E"}
 
@@ -243,7 +243,7 @@ _CHILDREN: dict[type, Callable[..., tuple]] = {
 }
 
 
-def _children(node: Union[Formula, Term]) -> tuple:
+def _children(node: Formula | Term) -> tuple:
     """Child formula and term nodes of node, left to right."""
     try:
         children = _CHILDREN[type(node)]
@@ -252,7 +252,7 @@ def _children(node: Union[Formula, Term]) -> tuple:
     return children(node)
 
 
-def _walk(f: Formula) -> Iterator[tuple[Union[Formula, Term], int]]:
+def _walk(f: Formula) -> Iterator[tuple[Formula | Term, int]]:
     """(node, depth) for every formula and term node of f, the root at depth 1.
 
     Left-to-right preorder, with an explicit stack, so any depth is fine.

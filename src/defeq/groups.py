@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 __all__ = [
     "identity", "compose", "invert", "cycle_type",

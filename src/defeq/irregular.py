@@ -15,7 +15,7 @@ regular set the patterns are meant to separate from.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .folang import (App, Const, Eq, Forall, Formula, Implies, Not, Rel,
                      Signature, Term, Var)

@@ -11,10 +11,10 @@ j-th argument tuple in lexicographic order: its mixed-radix rank.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce
 from math import prod
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import folang
 from .budget import BudgetExceededError, NodeCounter, WorkBudget
@@ -360,7 +360,8 @@ def enumerate_models(t: Theory, size: int,
     choice probed, each relation bitmap evaluated while filtering (ticked a
     block at a time, before the block is evaluated), and each relation
     table the walk assigns, so every full candidate reached and every
-    partial one on the way to it.
+    partial one on the way to it.  A function/constant factor larger than
+    the budget is refused before the search starts.
     """
     if size < 1:
         raise ValueError("universe must be nonempty")
@@ -368,10 +369,10 @@ def enumerate_models(t: Theory, size: int,
     sig = t.sig
     fun_space = prod(size ** (size ** a) for a in sig.functions.values()) \
         * size ** len(sig.constants)
-    if fun_space > budget.max_functions:
+    if fun_space > budget.max_nodes:
         raise BudgetExceededError(
             f"enumerating {fun_space} function/constant tables at size {size}",
-            budget.max_functions)
+            budget.max_nodes)
     nodes = NodeCounter(budget, f"enumerating models at size {size}")
     conjuncts = [_Conjunct(sig, c, size) for ax in t.axioms for c in _split(ax, And)]
 
@@ -646,15 +647,9 @@ def orbits(models: Sequence[FiniteModel], nodes: NodeCounter
         yield [pending.pop(enc) for enc in order], [images[enc] for enc in order], stabilizer
 
 
-def reduct(m: FiniteModel, keep: Iterable[str] | Signature) -> FiniteModel:
+def reduct(m: FiniteModel, keep: Iterable[str]) -> FiniteModel:
     """Forget every symbol not named; the universe stays put."""
-    if isinstance(keep, Signature):
-        sub = keep
-        names = set(sub.relations) | set(sub.functions) | set(sub.constants)
-        if m.sig.restrict(names) != sub:
-            raise SignatureError("not a sub-signature of the model's signature")
-    else:
-        sub = m.sig.restrict(keep)
+    sub = m.sig.restrict(keep)
     size, bitmaps, tables, consts = m.encode()
     # sub lists its symbols in m.sig's order, so each part keeps its order
     return FiniteModel._from_encoding(sub, (

@@ -15,7 +15,7 @@ class, one check per model (the coset criterion of VerificationReport).
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .budget import NodeCounter, WorkBudget
 from .groups import (PermutationGroup, canonical_form, compose, form_key,

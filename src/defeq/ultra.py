@@ -10,8 +10,8 @@ are theorems the tests check against this construction.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from math import prod
-from typing import Iterable, Sequence
 
 from . import folang
 from .budget import NodeCounter, WorkBudget

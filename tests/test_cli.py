@@ -1,6 +1,7 @@
 """Command line surface: exit codes, golden output, file formats."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +153,37 @@ def test_models_command(tmp_path):
     ]
     code, _ = run("models", "--theory", str(thy), "--size", "2", "--max-nodes", "2")
     assert code == 2  # budget exhausted
+
+
+def test_a_function_factor_above_the_budget_is_refused_up_front(tmp_path, capsys):
+    # each of the 3**9 tables of a binary function at size 3 would cost a node
+    thy = tmp_path / "f.thy"
+    thy.write_text("fun f 2\n")
+    models = ("models", "--theory", str(thy), "--size", "3")
+    assert run(*models, "--max-nodes", "1000") == (2, "")
+    assert capsys.readouterr().err == ("defeq: work budget exceeded while enumerating 19683 "
+                                       "function/constant tables at size 3 (limit 1000)\n")
+
+
+def test_every_search_command_takes_one_budget_flag(capsys):
+    for command in ("models", "spec", "spec-compare", "build-iso", "ultra", "beth", "idc",
+                    "subclosure"):
+        assert run(command, "--help") == (0, "")
+        flags = set(re.findall(r"--max-[a-z-]+", capsys.readouterr().out))
+        assert flags - {"--max-size"} == {"--max-nodes"}, command
+
+
+def test_the_node_count_of_a_function_search_is_exact(tmp_path, capsys):
+    # 256 choices of f, 16 P tables filtered for each of its 10 involutions,
+    # and the 76 P tables kept
+    thy = tmp_path / "involution.thy"
+    thy.write_text("rel P 1\nfun f 1\naxiom A x. f(f(x)) = x\n"
+                   "axiom A x. (P(x) -> P(f(x)))\n")
+    models = ("models", "--theory", str(thy), "--size", "4", "--count-only")
+    assert run(*models, "--max-nodes", "492") == (0, "76\n")
+    assert run(*models, "--max-nodes", "491") == (2, "")
+    assert capsys.readouterr().err == \
+        "defeq: work budget exceeded while enumerating models at size 4 (limit 491)\n"
 
 
 def test_aut_command(tmp_path):
@@ -359,6 +391,15 @@ def test_ultra_rejects_an_empty_models_entry(tmp_path, capsys, entries):
                                        f"got an empty entry in {models!r}\n")
 
 
+@pytest.mark.parametrize("hidden", ["", ",", "R,,"])
+def test_idc_rejects_an_empty_hidden_entry(capsys, hidden):
+    # with nothing hidden every model is its own reduct, so OK would be vacuous
+    assert run("idc", "--theory", "glymour_subst.thy", "--hidden", hidden,
+               "--size", "2") == (2, "")
+    assert capsys.readouterr().err == ("defeq: --hidden takes comma-separated relation "
+                                       f"names, got an empty entry in {hidden!r}\n")
+
+
 def test_beth_and_idc_commands(tmp_path):
     code, out = run("beth", "--theory", "glymour_subst.thy", "--target", "R",
                     "--size", "3", "--bound", "6")
@@ -414,8 +455,6 @@ _VERIFY = ("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size"
     ((*_VERIFY, "--sample-budget", "0"), "--sample-budget takes a budget of 1 or more, got 0"),
     (("models", "--theory", "ex1_t1.thy", "--size", "2", "--max-nodes", "0"),
      "--max-nodes takes a limit of 1 or more, got 0"),
-    (("models", "--theory", "ex1_t1.thy", "--size", "2", "--max-functions", "-1"),
-     "--max-functions takes a limit of 1 or more, got -1"),
     (("irregular-report", "--variant", "s0", "--max-n", "0", "--bound", "100"),
      "--max-n takes a length of 1 or more, got 0"),
     (("irregular-report", "--variant", "s0", "--max-n", "2", "--bound", "0"),

@@ -85,8 +85,7 @@ def test_enumeration_budget_guards():
         enumerate_models(free, 2, WorkBudget(max_nodes=10))
     sig = Signature({}, {"f": 2}, [])
     with pytest.raises(BudgetExceededError):
-        enumerate_models(Theory(sig, [], name="free"), 4,
-                         WorkBudget(max_functions=1000))
+        enumerate_models(Theory(sig, [], name="free"), 4, WorkBudget(max_nodes=1000))
 
 
 def test_enumeration_budget_counts_visited_candidates(t1, t2):

@@ -75,7 +75,7 @@ def sample_records() -> list:
     report = irregularity_report("s0", 2, 30)
     x_eq_x = parse_formula(sig, "x = x")
     return [
-        WorkBudget(), WorkBudget(10, 20), WorkBudget(max_functions=3),
+        WorkBudget(), WorkBudget(10), WorkBudget(max_nodes=3),
         Definition(("x",), x_eq_x), Definition(("x", "y"), x_eq_x),
         report, *report.entries, *report.missing, Pattern(3, frozenset({0, 2})),
         ChainStats(3, 1, False), ChainStats(3, 1, True),
@@ -147,11 +147,11 @@ def test_validation_still_runs():
         Pattern(0, frozenset())
     with pytest.raises(ValueError):
         Definition(("x", "x"), parse_formula(SIG, "E(x, x)"))
-    assert WorkBudget(max_functions=3) == WorkBudget(DEFAULT_MAX_NODES, 3)
+    assert WorkBudget() == WorkBudget(DEFAULT_MAX_NODES) != WorkBudget(3)
 
 
 @pytest.mark.parametrize("cls, args, kwargs", [
-    (WorkBudget, (1, 2, 3), {}), (WorkBudget, (1,), {"max_nodes": 2}),
+    (WorkBudget, (1, 2), {}), (WorkBudget, (1,), {"max_nodes": 2}),
     (WorkBudget, (), {"limit": 2}), (ChainStats, (1, 2), {}),
 ])
 def test_bad_arguments_raise_type_error(cls, args, kwargs):
