@@ -27,10 +27,11 @@ class WorkBudget(Record):
 
     max_nodes counts candidates actually visited by a search.  For model
     enumeration those are the function/constant choices probed, the
-    relation bitmaps evaluated while filtering each relation's tables, and
-    the relation tables assigned on the way to full candidates (see
-    models.enumerate_models); candidates ruled out relation by relation are
-    never visited.  Since every function/constant choice is probed, a model
+    relation bitmaps evaluated while filtering each relation's tables or,
+    for axiom parts over several relations, per assignment of the relations
+    before, and the relation tables assigned on the way to full candidates
+    (see models.enumerate_models); candidates ruled out relation by
+    relation are never visited.  Since every function/constant choice is probed, a model
     search whose function/constant factor alone exceeds max_nodes is refused
     before it starts.
     """

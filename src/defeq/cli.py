@@ -369,6 +369,12 @@ def cmd_spec_compare(args):
 
 
 def cmd_build_iso(args):
+    # the verifier's limits that were given; the others keep its defaults
+    limits = {dest: getattr(args, dest) for dest in ("index_bound", "sample_budget")
+              if getattr(args, dest) is not None}
+    if limits and not args.verify:
+        flag = "--" + next(iter(limits)).replace("_", "-")
+        raise CliError(f"{flag} takes effect only with --verify")
     t1, t2 = load_theory(args.t1), load_theory(args.t2)
     budget = _budget(args)
     try:
@@ -378,10 +384,7 @@ def cmd_build_iso(args):
     lines = [f"{model_to_text(m)} => {model_to_text(bm)}" for m, bm in b.items()]
     if not args.verify:
         return 0, lines
-    report = spectra.verify_concrete_iso(
-        b, t1, t2, args.max_size,
-        index_bound=args.index_bound, sample_budget=args.sample_budget,
-        budget=budget)
+    report = spectra.verify_concrete_iso(b, t1, t2, args.max_size, budget=budget, **limits)
     flag = {True: "PASS", False: "FAIL"}
     lines.append(f"verdict universes={flag[report.universes_ok]} "
                  f"isomorphisms={flag[report.iso_ok]} "
@@ -548,10 +551,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", required=True)
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--index-bound", type=int, default=2,
-                   help="largest ultrafilter index set for the verifier")
-    p.add_argument("--sample-budget", type=int, default=2000,
-                   help="model tuples sampled per (index size, point)")
+    p.add_argument("--index-bound", type=int,
+                   help="largest ultrafilter index set for --verify (default 2)")
+    p.add_argument("--sample-budget", type=int,
+                   help="model tuples --verify samples per (index size, point) (default 2000)")
     _add_budget_flags(p)
 
     p = add("ultra", cmd_ultra, "ultraproduct of model files")

@@ -36,8 +36,7 @@ __all__ = [
     "Formula", "FormulaSyntaxError", "SignatureError", "UnboundVariableError",
     "MAX_SYNTAX_DEPTH", "MAX_PAREN_DEPTH", "parse_formula", "formula_to_text",
     "free_vars", "formula_size", "formula_depth", "used_symbols",
-    "validate_formula", "eval_term", "eval_formula", "truth_at", "compile_formula",
-    "compile_lanes",
+    "validate_formula", "eval_term", "eval_formula", "truth_at", "compile_lanes",
     "enumerate_formulas", "random_formula",
 ]
 
@@ -725,19 +724,31 @@ def truth_at(m, assignment: Mapping[str, int] | None = None) -> Callable[[Formul
     return lambda f: top(f) == 1
 
 
-def _compiler(sig: Signature, size: int):
-    """The term and rank compilers that compile_formula and compile_lanes share.
+def compile_lanes(sig: Signature, f: Formula, size: int, full: int,
+                  lane: str | None = None) -> Callable[[Sequence], int]:
+    """Closed f, for models of sig on {0..size-1}, on many tables of one relation at once.
 
-    Returns (rel_at, slots, term, index): rel_at maps a relation to its
-    slot in the evaluated sequence, slots holds the binders' values, and
-    term(t, scope) and index(args, scope) compile a term and the
-    mixed-radix rank of an argument tuple, with scope mapping each bound
-    variable to its slot.
+    The result takes one sequence: relation bitmaps, function tables and
+    constant values, each group in signature order (the flattened
+    FiniteModel.encode layout, where bit j of a bitmap is the j-th argument
+    tuple in lexicographic order).  The slot of the relation named lane
+    holds instead one int per argument-tuple rank j whose bit b is set when
+    the b-th table of lane under evaluation, its lane, holds the j-th tuple;
+    full has one bit per lane.  Bit b of the result is the truth of f when
+    lane is its b-th table, so every other relation reads full or 0 off its
+    bitmap, connectives are int operations, and a quantifier ANDs or ORs
+    its body over the domain, stopping once no lane can change.  With full
+    = 1 and no lane relation the result is f's truth value, 1 or 0.
+
+    Every variable is resolved at compile time to the slot of its binder,
+    one slot per binder; the slots live in one list shared by the closures,
+    so a compiled formula must not be evaluated by two threads at once.
+    eval_formula is the reference.
     """
-    rel_at = {name: i for i, name in enumerate(sig.relations)}
-    fun_at = {name: len(rel_at) + i for i, name in enumerate(sig.functions)}
-    const_at = {name: len(rel_at) + len(fun_at) + i for i, name in enumerate(sig.constants)}
+    fun_at = {name: len(sig.relations) + i for i, name in enumerate(sig.functions)}
+    const_at = {name: len(sig.relations) + len(fun_at) + i for i, name in enumerate(sig.constants)}
     slots: list[int] = []
+    domain = range(size)
 
     def term(t: Term, scope: Mapping[str, int]) -> Callable[[Sequence], int]:
         if isinstance(t, Var):
@@ -774,90 +785,14 @@ def _compiler(sig: Signature, size: int):
             return out
         return rank
 
-    return rel_at, slots, term, index
-
-
-def compile_formula(sig: Signature, f: Formula, size: int) -> Callable[[Sequence], bool]:
-    """Closed f, for models of sig on {0..size-1}, as nested closures.
-
-    The result takes one sequence: the model's relation bitmaps, function
-    tables and constant values, each group in signature order (the
-    flattened FiniteModel.encode layout, where bit j of a bitmap is the j-th
-    argument tuple in lexicographic order).  Every variable is resolved at
-    compile time to the slot of its binder, one slot per binder; the slots
-    live in one list shared by the closures, so a compiled formula must not
-    be evaluated by two threads at once.  eval_formula is the reference.
-    """
-    rel_at, slots, term, index = _compiler(sig, size)
-    domain = range(size)
-
-    def go(f: Formula, scope: Mapping[str, int]) -> Callable[[Sequence], bool]:
-        if isinstance(f, Rel):
-            if f.name not in rel_at:
-                raise SignatureError(f"unknown relation {f.name!r}")
-            r, rank = rel_at[f.name], index(f.args, scope)
-            return lambda d: d[r] >> rank(d) & 1 == 1
-        if isinstance(f, Eq):
-            left, right = term(f.left, scope), term(f.right, scope)
-            return lambda d: left(d) == right(d)
-        if isinstance(f, Not):
-            body = go(f.body, scope)
-            return lambda d: not body(d)
-        if isinstance(f, (And, Or, Implies, Iff)):
-            left, right = go(f.left, scope), go(f.right, scope)
-            if isinstance(f, And):
-                return lambda d: left(d) and right(d)
-            if isinstance(f, Or):
-                return lambda d: left(d) or right(d)
-            if isinstance(f, Implies):
-                return lambda d: not left(d) or right(d)
-            return lambda d: left(d) == right(d)
-        if isinstance(f, (Forall, Exists)):
-            k = len(slots)
-            slots.append(0)
-            body = go(f.body, {**scope, f.var: k})
-            if isinstance(f, Forall):
-                def forall(d: Sequence) -> bool:
-                    for value in domain:
-                        slots[k] = value
-                        if not body(d):
-                            return False
-                    return True
-                return forall
-
-            def exists(d: Sequence) -> bool:
-                for value in domain:
-                    slots[k] = value
-                    if body(d):
-                        return True
-                return False
-            return exists
-        raise TypeError(f"not a formula: {f!r}")
-
-    return go(f, {})
-
-
-def compile_lanes(sig: Signature, f: Formula, size: int, full: int) -> Callable[[Sequence], int]:
-    """Closed f, which mentions at most one relation R, on many tables of R at once.
-
-    Like compile_formula, but the slot of R in the sequence holds one int
-    per argument-tuple rank j whose bit b is set when the b-th table of R
-    under evaluation, its lane, holds the j-th tuple; full has one bit per
-    lane.  Bit b of the result is the truth of f when R is the b-th table,
-    so connectives are int operations and a quantifier ANDs or ORs its
-    body over the domain, stopping once no lane can change.  The other
-    slots and the one-slot-per-binder rule are compile_formula's, which is
-    the reference.
-    """
-    rel_at, slots, term, index = _compiler(sig, size)
-    domain = range(size)
-
     def go(f: Formula, scope: Mapping[str, int]) -> Callable[[Sequence], int]:
         if isinstance(f, Rel):
-            if f.name not in rel_at:
+            if f.name not in sig.relations:
                 raise SignatureError(f"unknown relation {f.name!r}")
-            r, rank = rel_at[f.name], index(f.args, scope)
-            return lambda d: d[r][rank(d)]
+            r, rank = sig._rel_at[f.name][0], index(f.args, scope)
+            if f.name == lane:
+                return lambda d: d[r][rank(d)]
+            return lambda d: full if d[r] >> rank(d) & 1 else 0
         if isinstance(f, Eq):
             left, right = term(f.left, scope), term(f.right, scope)
             return lambda d: full if left(d) == right(d) else 0

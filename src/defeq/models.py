@@ -311,32 +311,37 @@ def _blocks(width: int) -> Iterator[tuple[int, list[int]]]:
 class _Conjunct:
     """One top-level conjunct of an axiom, its disjuncts compiled and grouped.
 
-    free holds the relation-free disjuncts, single maps a relation's index
-    to the lane check (folang.compile_lanes) of the disjunction of the
-    disjuncts that mention only that relation, and multi holds the
-    disjuncts over two or more relations.
+    free is the check (folang.compile_lanes with full = 1) of the
+    disjunction of the relation-free disjuncts, or None.  Every other
+    disjunct goes to the group of the last relation it mentions in
+    signature order: at maps that relation's index j to the lane check of
+    the group's disjunction, with relation j as the lane relation, and
+    spans holds the j whose group also reads an earlier relation.  last is
+    the last relation any disjunct mentions, -1 if none.
     """
 
-    __slots__ = ("free", "single", "multi", "last")
+    __slots__ = ("free", "at", "spans", "last")
 
     def __init__(self, sig: Signature, f: Formula, size: int):
-        rel_at = {name: i for i, name in enumerate(sig.relations)}
-        self.free, self.multi = [], []
-        single: dict[str, list[Formula]] = {}
+        free: list[Formula] = []
+        groups: dict[str, list[Formula]] = {}
+        wide: set[str] = set()
         for d in _split(f, Or):
-            used = folang.used_symbols(d)["relations"]
-            if len(used) == 1:
-                single.setdefault(used.pop(), []).append(d)
+            used = sorted(folang.used_symbols(d)["relations"], key=sig._rel_at.__getitem__)
+            if not used:
+                free.append(d)
                 continue
-            ev = folang.compile_formula(sig, d, size)
-            (self.multi if used else self.free).append(ev)
-        self.single = {}
-        for name, ds in single.items():
-            full = _lanes(size ** sig.relations[name])[1]
-            self.single[rel_at[name]] = folang.compile_lanes(sig, reduce(Or, ds), size, full)
-        # The last relation the walk assigns is the conjunct's last chance,
-        # unless a multi disjunct can still satisfy it on the full candidate.
-        self.last = -1 if self.multi or not single else max(self.single)
+            groups.setdefault(used[-1], []).append(d)
+            if len(used) > 1:
+                wide.add(used[-1])
+        self.free = folang.compile_lanes(sig, reduce(Or, free), size, 1) if free else None
+        self.at = {}
+        for name, ds in groups.items():
+            j, arity = sig._rel_at[name]
+            self.at[j] = folang.compile_lanes(sig, reduce(Or, ds), size,
+                                              _lanes(size ** arity)[1], name)
+        self.spans = {sig._rel_at[name][0] for name in wide}
+        self.last = max(self.at, default=-1)
 
 
 def enumerate_models(t: Theory, size: int,
@@ -344,24 +349,29 @@ def enumerate_models(t: Theory, size: int,
     """All models of t on the universe {0..size-1}, in encoding order.
 
     Each axiom is split into top-level conjuncts, and each conjunct into
-    top-level disjuncts, compiled once.  For every choice of function
-    tables and constants the relation-free disjuncts are decided first.  A
-    conjunct left with disjuncts about one relation only filters that
-    relation's bitmaps, once; a conjunct over several relations keeps, per
-    relation, the sub-list of filtered bitmaps on which its disjuncts about
-    that relation hold.  The filter evaluates a relation's disjuncts on
+    top-level disjuncts, grouped by the last relation they mention and
+    compiled once per group.  For every choice of function tables and
+    constants the relation-free disjuncts are decided first.  A conjunct
+    left with one group, about one relation only, filters that relation's
+    bitmaps, once; a conjunct left with several keeps, per relation whose
+    group mentions that relation only, the sub-list of filtered bitmaps on
+    which the group holds.  The filter evaluates a relation's groups on
     2**16 bitmaps at a time, one per bit lane of an int (_blocks).
-    Relations are then assigned in signature order, and once a conjunct
-    has one unassigned relation left and is not yet satisfied, that
-    relation runs over the conjunct's sub-list only.  Disjuncts over two or
-    more relations are checked on full candidates.
+    Relations are then assigned in signature order.  When the walk reaches
+    relation i, a group that also reads relations before i is evaluated on
+    all of i's filtered bitmaps at once, in lanes, giving its sub-list for
+    this prefix.  A conjunct is satisfied once a bitmap assigned is on the
+    sub-list of one of its groups; at its last relation, that relation runs
+    over the conjunct's sub-list only.  So every full candidate reached is
+    a model.
 
     The budget counts candidates actually visited: each function/constant
-    choice probed, each relation bitmap evaluated while filtering (ticked a
-    block at a time, before the block is evaluated), and each relation
-    table the walk assigns, so every full candidate reached and every
-    partial one on the way to it.  A function/constant factor larger than
-    the budget is refused before the search starts.
+    choice probed, each relation bitmap evaluated in lanes, while filtering
+    or at a prefix (ticked a block at a time, before the block is
+    evaluated), and each relation table the walk assigns, so every model
+    reached and every partial candidate on the way to it.  A
+    function/constant factor larger than the budget is refused before the
+    search starts.
     """
     if size < 1:
         raise ValueError("universe must be nonempty")
@@ -378,19 +388,23 @@ def enumerate_models(t: Theory, size: int,
 
     nrels = len(sig.relations)
     widths = [size ** arity for arity in sig.relations.values()]
-    # what the compiled disjuncts read: relation bitmaps, function tables,
-    # constants; while relation i is filtered, its slot holds a block's lanes
+    # what the compiled groups read: relation bitmaps, function tables,
+    # constants; while relation i is evaluated in lanes, its slot holds a
+    # block's lanes
     data: list = [0] * nrels
     out: list[FiniteModel] = []
 
     def filter_tables(i: int, checks: list, spanning: list[_Conjunct]) -> Sequence[int]:
-        # relation i's bitmaps on which every check holds; fills subs[c, i]
-        mine = [c for c in spanning if i in c.single]
-        if not checks and not mine:
-            return range(1 << widths[i])
+        # relation i's bitmaps on which every check holds; fills subs[c, i],
+        # and oks[i] with the kept lanes per block when a group spans to i
+        mine = [c for c in spanning if i in c.at and i not in c.spans]
         full = _lanes(widths[i])[1]
+        if not checks and not mine:
+            oks[i] = itertools.repeat(full)  # every lane of every block
+            return range(1 << widths[i])
         kept: list[int] = []
         hits: list[list[int]] = [[] for _ in mine]
+        blocks = oks[i] = []
         for first, lanes in _blocks(widths[i]):
             nodes.tick(full.bit_length())  # one node per table in the block
             data[i] = lanes
@@ -399,19 +413,39 @@ def enumerate_models(t: Theory, size: int,
                 ok &= check(data)
                 if not ok:
                     break
+            if i in spanned:
+                blocks.append(ok)
             kept += _ones(ok, first)
             for c, hit in zip(mine, hits):
-                hit += _ones(ok and ok & c.single[i](data), first)
+                hit += _ones(ok and ok & c.at[i](data), first)
         for c, hit in zip(mine, hits):
             subs[c, i] = (hit, set(hit))
         return kept
 
+    def sieve(i: int, spans: list[_Conjunct]) -> None:
+        # subs[c, i] for the groups at i that read earlier relations, on
+        # the kept bitmaps of i, with relations 0..i-1 assigned
+        full = _lanes(widths[i])[1]
+        hits: list[list[int]] = [[] for _ in spans]
+        for (first, lanes), ok in zip(_blocks(widths[i]), oks[i]):
+            if not ok:
+                continue
+            nodes.tick(full.bit_length())
+            data[i] = lanes
+            for c, hit in zip(spans, hits):
+                hit += _ones(ok & c.at[i](data), first)
+        for c, hit in zip(spans, hits):
+            subs[c, i] = (hit, set(hit))
+
     def walk(i: int, pending: list[_Conjunct]) -> None:
         if i == nrels:
-            if all(any(ev(data) for ev in c.multi) for c in pending):
-                out.append(FiniteModel._from_encoding(
-                    sig, (size, tuple(data[:nrels]), fun_part, const_part)))
+            out.append(FiniteModel._from_encoding(
+                sig, (size, tuple(data[:nrels]), fun_part, const_part)))
             return
+        if i in spanned:
+            spans = [c for c in pending if i in c.spans]
+            if spans:
+                sieve(i, spans)
         forced = [c for c in pending if c.last == i]
         if not forced:
             choices = kept[i]
@@ -424,7 +458,7 @@ def enumerate_models(t: Theory, size: int,
             nodes.tick()
             data[i] = bits
             walk(i + 1, [c for c in pending
-                         if i not in c.single or bits not in subs[c, i][1]])
+                         if i not in c.at or bits not in subs[c, i][1]])
 
     nfuns = len(sig.functions)
     for combo in itertools.product(
@@ -435,17 +469,19 @@ def enumerate_models(t: Theory, size: int,
         checks: list[list] = [[] for _ in range(nrels)]
         spanning: list[_Conjunct] = []
         for c in conjuncts:
-            if any(ev(data) for ev in c.free):
+            if c.free and c.free(data):
                 continue
-            if not c.single and not c.multi:
+            if not c.at:
                 break
-            if not c.multi and len(c.single) == 1:
-                [(i, ev)] = c.single.items()
+            if not c.spans and len(c.at) == 1:
+                [(i, ev)] = c.at.items()
                 checks[i].append(ev)
             else:
                 spanning.append(c)
         else:
             subs: dict[tuple[_Conjunct, int], tuple[list[int], set[int]]] = {}
+            spanned = {i for c in spanning for i in c.spans}
+            oks: list = [None] * nrels
             kept = [filter_tables(i, checks[i], spanning) for i in range(nrels)]
             fun_part, const_part = combo[:nfuns], combo[nfuns:]
             walk(0, spanning)

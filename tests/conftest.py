@@ -1,20 +1,31 @@
 import pytest
 
 from defeq import cli
-from defeq.folang import And, Or, Signature, random_formula
+from defeq.folang import And, Forall, Iff, Or, Rel, Signature, Var, random_formula
 from defeq.models import Theory, apply_permutation, find_isomorphisms
 from defeq.spectra import Census, _paired_classes
 
 
 def random_theory(rng, size):
     """(theory, raw candidate count at size): 1-2 relations of arity <= 2,
-    maybe a unary function or a constant, 1-3 random axioms."""
+    maybe a unary function or a constant, 1-3 random axioms.  With two
+    relations, half the time the first axiom is an explicit definition
+    A x1..xk. (R(x1,..,xk) <-> phi) of either relation, phi free of it."""
     rels = {name: rng.randint(1, 2) for name in rng.sample(["P", "Q"], rng.randint(1, 2))}
     extra = rng.choice(["", "f", "c"])
     sig = Signature(rels, {"f": 1} if extra == "f" else {}, ["c"] if extra == "c" else [])
     candidates = 2 ** sum(size ** a for a in rels.values())
     candidates *= size ** size if extra == "f" else size if extra == "c" else 1
     axioms = []
+    if len(rels) == 2 and rng.random() < 0.5:
+        defined, other = rng.sample(sorted(rels), 2)
+        xs = tuple(f"x{i}" for i in range(1, rels[defined] + 1))
+        phi = random_formula(sig.restrict([other, *sig.functions, *sig.constants]), rng,
+                             rng.randint(1, 3), free=xs)
+        ax = Iff(Rel(defined, tuple(map(Var, xs))), phi)
+        for x in reversed(xs):
+            ax = Forall(x, ax)
+        axioms.append(ax)
     for _ in range(rng.randint(1, 3)):
         ax = random_formula(sig, rng, rng.randint(2, 4))
         for _ in range(rng.randint(0, 3)):

@@ -186,6 +186,22 @@ def test_the_node_count_of_a_function_search_is_exact(tmp_path, capsys):
         "defeq: work budget exceeded while enumerating models at size 4 (limit 491)\n"
 
 
+@pytest.mark.parametrize("theory, models, nodes", [
+    # no disjunct spans two relations, so each relation is filtered on its own
+    ("ex1_t2.thy", 538, 2075),
+    # the one (empty) function/constant choice, the 8 R tables walked, le's
+    # 512 tables evaluated in one block of lanes per R table, and the 512 le
+    # tables kept, one per R table that le defines
+    ("glymour_chain.thy", 512, 4617),
+])
+def test_the_node_count_of_a_relation_search_is_exact(theory, models, nodes, capsys):
+    argv = ("models", "--theory", theory, "--size", "3", "--count-only")
+    assert run(*argv, "--max-nodes", str(nodes)) == (0, f"{models}\n")
+    assert run(*argv, "--max-nodes", str(nodes - 1)) == (2, "")
+    assert capsys.readouterr().err == \
+        f"defeq: work budget exceeded while enumerating models at size 3 (limit {nodes - 1})\n"
+
+
 def test_aut_command(tmp_path):
     mod = tmp_path / "m.mod"
     mod.write_text("size 2 rel R { (0,1) (1,0) }")
@@ -466,6 +482,14 @@ _VERIFY = ("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size"
 def test_flags_out_of_range_exit_2(argv, message, capsys):
     assert run(*argv) == (2, "")
     assert capsys.readouterr().err == f"defeq: {message}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--index-bound", "99"), ("--sample-budget", "7")])
+def test_verifier_flags_without_verify_exit_2(flag, value, capsys):
+    # only the verifier reads them, so without --verify they would do nothing
+    build = ("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "1")
+    assert run(*build, flag, value) == (2, "")
+    assert capsys.readouterr().err == f"defeq: {flag} takes effect only with --verify\n"
 
 
 def test_principal_point_outside_the_index_set_exits_2(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from defeq.budget import BudgetExceededError, WorkBudget
 from defeq.folang import (
-    Signature, compile_formula, compile_lanes, eval_formula, parse_formula, random_formula,
+    Signature, compile_lanes, eval_formula, parse_formula, random_formula,
 )
 from defeq.models import (
     FiniteModel, Theory, _blocks, _lanes, apply_permutation, canonical_key, enumerate_models,
@@ -127,22 +127,41 @@ def test_enumeration_matches_brute_force_on_random_theories(seed, size):
         == [m.encode() for m in got]
 
 
+def flat_model(sig, size, flat):
+    """The model whose tables, in the layout compiled formulas read, are flat."""
+    k, j = len(sig.relations), len(sig.relations) + len(sig.functions)
+    rels = {name: [t for r, t in enumerate(itertools.product(range(size), repeat=arity))
+                   if flat[i] >> r & 1]
+            for i, (name, arity) in enumerate(sig.relations.items())}
+    return FiniteModel(sig, size, rels, dict(zip(sig.functions, flat[k:j])),
+                       dict(zip(sig.constants, flat[j:])))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.integers(1, 3), st.integers(1, 2),
-       st.booleans())
-def test_lane_filter_matches_compile_formula(seed, depth, size, arity, function):
+       st.booleans(), st.sampled_from(["", "A", "S"]))
+def test_lane_filter_matches_eval_formula(seed, depth, size, arity, function, other):
     # one relation R of up to 9 tuple bits, all its tables in one block of
-    # lanes, next to a unary function or a constant; lane b is R's table b
+    # lanes, next to a unary function or a constant and maybe a unary
+    # relation read off its bitmap, named to sort before or after R; lane b
+    # is R's table b
     rng = random.Random(seed)
-    sig = Signature({"R": arity}, {"s": 1} if function else {}, [] if function else ["c"])
+    rels = {"R": arity, **({other: 1} if other else {})}
+    sig = Signature(rels, {"s": 1} if function else {}, [] if function else ["c"])
     f = random_formula(sig, rng, depth)
     rest = [tuple(rng.randrange(size) for _ in range(size)) if function else rng.randrange(size)]
     width = size ** arity
     [(first, lanes)] = _blocks(width)
-    got = compile_lanes(sig, f, size, _lanes(width)[1])([lanes, *rest])
-    ev = compile_formula(sig, f, size)
+    got = compile_lanes(sig, f, size, _lanes(width)[1], "R")
+    bitmap = rng.randrange(1 << size)
+    at = sorted(rels).index("R")
+    slots = [bitmap] * len(rels)
+    slots[at] = lanes
+    lane_truth = got([*slots, *rest])
     assert first == 0
-    assert got == sum(ev([bits, *rest]) << bits for bits in range(1 << width))
+    for bits in range(1 << width):
+        slots[at] = bits
+        assert lane_truth >> bits & 1 == eval_formula(flat_model(sig, size, [*slots, *rest]), f)
 
 
 def test_lane_filter_past_one_block():
@@ -151,14 +170,15 @@ def test_lane_filter_past_one_block():
     f = parse_formula(sig, "(A x. (P(x) -> P(s(x)))) | (P(c) & (E x. (!P(x) & x != c)))")
     size = 17
     rest = [tuple((3 * e + 1) % size for e in range(size)), 16]
-    ev, lane_ev = compile_formula(sig, f, size), compile_lanes(sig, f, size, _lanes(size)[1])
+    lane_ev = compile_lanes(sig, f, size, _lanes(size)[1], "P")
     blocks = list(_blocks(size))
     assert [first for first, _ in blocks] == [0, 1 << 16]
     rng = random.Random(17)
     for first, lanes in blocks:
         got = lane_ev([lanes, *rest])
         for b in [0, 1, (1 << 16) - 1, *rng.sample(range(1 << 16), 300)]:
-            assert got >> b & 1 == ev([first + b, *rest]), first + b
+            m = flat_model(sig, size, [first + b, *rest])
+            assert got >> b & 1 == eval_formula(m, f), first + b
 
 
 # ------------------------------------------------------------
