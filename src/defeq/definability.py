@@ -11,13 +11,14 @@ only about the sizes and formula sizes actually searched.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from . import folang
 from .budget import NodeCounter, WorkBudget
 from .folang import (App, Const, Exists, Forall, Formula, Iff, Not, Rel, Signature,
                      SignatureError, Var)
-from .models import FiniteModel, Theory, enumerate_models, is_model, reduct, substructure
+from .models import (FiniteModel, InternalError, Theory, enumerate_models, is_model, reduct,
+                     substructure)
 from .record import Record
 
 __all__ = [
@@ -151,14 +152,18 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
     each size also looks for such a pair, and the search returns None at
     once on one; this changes nothing observable, only the running time.
 
-    Each candidate is first tried on the points (model, assignment) that
-    refuted earlier candidates, most recent refutation first, and only a
-    candidate that survives them is checked on every point.  A candidate is
-    dropped only on a point where it disagrees with target, so the answer
-    is the one a plain scan in stream order gives, with far fewer
-    evaluations: the counterexample cache of CEGIS.  A cached point keeps
-    its folang.truth_at evaluator, which reuses the atom masks that earlier
-    candidates built there.
+    The candidates are read off the stream's sections (folang.FormulaLevels)
+    with one bit each.  A point (model, assignment) that refuted an earlier
+    candidate is kept with its folang.LevelTruth, and the AND of the kept
+    points' agreement with target, one big-int vector per section, leaves
+    exactly the candidates that no kept point refutes.  Only the first of
+    them is built, with unrank, and checked on every point in turn by
+    eval_formula; the first point it fails on is kept and its vector ANDed
+    in.  A candidate is dropped only on a point where it disagrees with
+    target, so the answer is the one a plain scan in stream order gives:
+    the counterexample cache of CEGIS, with whole sections of candidates
+    ruled out at once.  The budget counts one node per candidate up to the
+    one checked, as a scan would.
     """
     budget = budget or WorkBudget()
     arity = t.sig.relations.get(target)
@@ -181,31 +186,42 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
         for m in ms:
             bits = m.encode()[1][at]
             points.extend((m, env, bits >> j & 1 == 1) for j, env in enumerate(envs))
-    # (truth at the point, target value), most recent refutation first
-    refuters: list[tuple[Callable[[Formula], bool], bool]] = []
+    levels = folang.FormulaLevels(base_sig, variables, formula_bound)
+    # (truth at a point that refuted a candidate, target value there)
+    refuters: list[tuple[folang.LevelTruth, bool]] = []
     evaluate = folang.eval_formula
     nodes = NodeCounter(budget, "scanning candidate defining formulas")
-    for phi in folang.enumerate_formulas(base_sig, variables, formula_bound):
-        nodes.tick()
-        for i, refuter in enumerate(refuters):
-            truth, holds = refuter
-            if truth(phi) != holds:
-                if i:
-                    del refuters[i]
-                    refuters.insert(0, refuter)
-                break
-        else:
-            for m, env, holds in points:
-                if evaluate(m, phi, env) != holds:
-                    refuters.insert(0, (folang.truth_at(m, env), holds))
-                    break
-            else:
-                # the stream's bound variables avoid base_sig only; renamed
-                # in order onto names that avoid target too, phi becomes the
-                # formula a stream over those names holds in its place
-                names = zip(folang._fresh_names(base_sig, variables), itertools.islice(
-                    folang._fresh_names(t.sig, variables), folang.formula_size(phi)))
-                return _renamed(phi, dict(names))
+    for size in range(1, formula_bound + 1):
+        key = levels.top(size)
+        first = nodes.count
+        for k, section in enumerate(levels.sections(key)):
+            width = levels.section_count(section)
+            full = alive = (1 << width) - 1
+            for truth, holds in refuters:
+                bits = truth.section(key, k)[0]
+                alive &= bits if holds else full ^ bits
+            start = nodes.count
+            while alive:
+                i = (alive & -alive).bit_length() - 1
+                nodes.tick(start + i + 1 - nodes.count)
+                phi = levels.unrank(key, start - first + i)
+                for m, env, holds in points:
+                    if evaluate(m, phi, env) != holds:
+                        truth = folang.LevelTruth(levels, m, env)
+                        refuters.append((truth, holds))
+                        bits = truth.section(key, k)[0]
+                        alive &= bits if holds else full ^ bits
+                        if alive >> i & 1:
+                            raise InternalError(f"truth vector keeps refuted candidate {phi!r}")
+                        break
+                else:
+                    # the stream's bound variables avoid base_sig only; renamed
+                    # in order onto names that avoid target too, phi becomes the
+                    # formula a stream over those names holds in its place
+                    names = zip(folang._fresh_names(base_sig, variables), itertools.islice(
+                        folang._fresh_names(t.sig, variables), folang.formula_size(phi)))
+                    return _renamed(phi, dict(names))
+            nodes.tick(start + width - nodes.count)
     return None
 
 

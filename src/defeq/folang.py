@@ -23,6 +23,7 @@ variable.  't1 != t2' is sugar for '!(t1 = t2)'.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -36,8 +37,8 @@ __all__ = [
     "Formula", "FormulaSyntaxError", "SignatureError", "UnboundVariableError",
     "MAX_SYNTAX_DEPTH", "MAX_PAREN_DEPTH", "parse_formula", "formula_to_text",
     "free_vars", "formula_size", "formula_depth", "used_symbols",
-    "validate_formula", "eval_term", "eval_formula", "truth_at", "compile_lanes",
-    "enumerate_formulas", "random_formula",
+    "validate_formula", "eval_term", "eval_formula", "compile_lanes",
+    "FormulaLevels", "LevelTruth", "enumerate_formulas", "random_formula",
 ]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -654,76 +655,6 @@ def eval_formula(m, f: Formula, assignment: Mapping[str, int] | None = None) -> 
     return go(f)
 
 
-def truth_at(m, assignment: Mapping[str, int] | None = None) -> Callable[[Formula], bool]:
-    """Truth of formulas at one model and assignment, one bitmask per node.
-
-    The returned function gives eval_formula(m, f, assignment) for any f.
-    It computes bottom-up, for each node, an int with one bit per
-    assignment to the variables bound on the path to it: bit i is the
-    assignment whose j-th binder takes digit j of i in base m.size, and a
-    name bound twice reads its innermost binder.  Connectives are single
-    int operations; a quantifier ANDs or ORs the m.size blocks of its
-    body's mask, one block per value of the innermost binder.  Atom masks
-    come from eval_formula and are kept per (atom, binders) for the life of
-    the function, so formulas that share atom objects, as the ones of
-    enumerate_formulas do, evaluate their atoms once.
-    """
-    n = m.size
-    base = dict(assignment) if assignment else {}
-
-    def atom_mask(f: Formula, scope: tuple[str, ...]) -> int:
-        env = dict(base)
-        bits = []
-        # values[0] belongs to the innermost binder, the most significant digit
-        for values in itertools.product(range(n), repeat=len(scope)):
-            for name, value in zip(scope, reversed(values)):
-                env[name] = value
-            bits.append("1" if eval_formula(m, f, env) else "0")
-        return int("".join(reversed(bits)), 2)
-
-    def level(scope: tuple[str, ...]) -> Callable[[Formula], int]:
-        # the mask of a formula under the binders `scope`, outermost first
-        width = n ** len(scope)
-        full = (1 << width) - 1
-        atoms: dict[int, tuple[Formula, int]] = {}  # id -> (atom, pinned; mask)
-        inner: dict[str, Callable[[Formula], int]] = {}  # binder -> level below
-
-        def go(f: Formula) -> int:
-            kind = type(f)
-            if kind is Rel or kind is Eq:
-                got = atoms.get(id(f))
-                if got is None:
-                    got = atoms[id(f)] = (f, atom_mask(f, scope))
-                return got[1]
-            if kind is Not:
-                return full ^ go(f.body)
-            if kind is And:
-                return go(f.left) & go(f.right)
-            if kind is Or:
-                return go(f.left) | go(f.right)
-            if kind is Implies:
-                return (full ^ go(f.left)) | go(f.right)
-            if kind is Iff:
-                return full ^ go(f.left) ^ go(f.right)
-            if kind is Forall or kind is Exists:
-                below = inner.get(f.var)
-                if below is None:
-                    below = inner[f.var] = level(scope + (f.var,))
-                body = below(f.body)
-                out = body if kind is Forall else 0
-                for value in range(n):
-                    if kind is Forall:
-                        out &= body >> value * width
-                    else:
-                        out |= body >> value * width
-                return out & full
-            raise TypeError(f"not a formula: {f!r}")
-        return go
-
-    top = level(())
-    return lambda f: top(f) == 1
-
-
 def compile_lanes(sig: Signature, f: Formula, size: int, full: int,
                   lane: str | None = None) -> Callable[[Sequence], int]:
     """Closed f, for models of sig on {0..size-1}, on many tables of one relation at once.
@@ -849,104 +780,297 @@ def _fresh_names(sig: Signature, taken: Iterable[str]) -> Iterator[str]:
             yield name
 
 
+class FormulaLevels:
+    """The levels of the formula stream, and the one description of its order.
+
+    A level is a key (size, binders, depth): the formulas of that
+    formula_size and of formula_depth <= depth whose free variables are
+    among `free` and the first `binders` names of bound_names.  A level is
+    a list of sections, in stream order:
+
+        ("atoms", atoms)               relation atoms, relations by name, then equations
+        ("not", sub)                   Not(f) for f in level sub
+        ("binary", ctor, left, right)  ctor(f, g) for f in left, then g in right
+        ("quant", ctor, var, body)     ctor(var, f) for f in body
+
+    with a binary section per connective (And, Or, Implies, Iff, in that
+    order) and split of the size, and the quantifiers binding the next
+    bound name.  The object stream (formulas, stream), unrank and the truth
+    vectors of LevelTruth all read these sections, so the order is written
+    down here only.  Nothing is built before it is asked for, so a level
+    far beyond what is read costs nothing.
+    """
+
+    __slots__ = ("free", "bound_names", "size_bound", "depth", "_rels", "_funs",
+                 "_consts", "_terms", "_sections", "_counts", "_lists")
+
+    def __init__(self, sig: Signature, free: Sequence[str], size_bound: int,
+                 depth_bound: int | None = None):
+        free = tuple(free)
+        if len(set(free)) != len(free):
+            raise ValueError("free variable names must be distinct")
+        for v in free:
+            if sig.has_symbol(v):
+                raise SignatureError(f"free variable {v!r} shadows a declared symbol")
+        self.free = free
+        self.size_bound = size_bound
+        self.depth = size_bound if depth_bound is None else depth_bound
+        # a quantifier with b names in scope needs size and depth above b
+        self.bound_names = tuple(itertools.islice(
+            _fresh_names(sig, free), max(min(size_bound, self.depth), 0)))
+        self._rels = sorted(sig.relations.items())
+        self._funs = sorted(sig.functions.items())
+        self._consts = tuple(Const(c) for c in sig.constants)
+        self._terms: dict[tuple[int, int], list[Term]] = {}
+        self._sections: dict[tuple[int, int, int], list[tuple]] = {}
+        self._counts: dict[tuple[int, int, int], int] = {}
+        self._lists: dict[tuple[int, int, int], list[Formula]] = {}
+
+    def top(self, size: int) -> tuple[int, int, int]:
+        """The key of the stream's formulas of one size."""
+        return self.key(size, 0, self.depth)
+
+    @staticmethod
+    def key(size: int, binders: int, depth: int) -> tuple[int, int, int]:
+        # a formula's depth never exceeds its size, so depth >= size is no bound
+        return size, binders, min(depth, size)
+
+    def _term_list(self, k: int, binders: int) -> list[Term]:
+        # terms containing exactly k function applications
+        got = self._terms.get((k, binders))
+        if got is None:
+            if k == 0:
+                got = [Var(v) for v in self.free + self.bound_names[:binders]]
+                got.extend(self._consts)
+            else:
+                got = [App(fname, args) for fname, arity in self._funs
+                       for args in self._arg_tuples(k - 1, arity, binders)]
+            self._terms[(k, binders)] = got
+        return got
+
+    def _arg_tuples(self, k: int, arity: int, binders: int) -> Iterator[tuple[Term, ...]]:
+        # argument tuples whose function applications total exactly k
+        if arity == 1:
+            for t in self._term_list(k, binders):
+                yield (t,)
+            return
+        for first in range(k + 1):
+            for head in self._term_list(first, binders):
+                for rest in self._arg_tuples(k - first, arity - 1, binders):
+                    yield (head,) + rest
+
+    def sections(self, key: tuple[int, int, int]) -> list[tuple]:
+        """The sections of a level, in stream order."""
+        got = self._sections.get(key)
+        if got is not None:
+            return got
+        s, binders, depth = key
+        got = []
+        if depth >= 1:
+            atoms: list[Formula] = [Rel(rname, args) for rname, arity in self._rels
+                                    for args in self._arg_tuples(s - 1, arity, binders)]
+            atoms.extend(Eq(left, right) for j in range(s)
+                         for left in self._term_list(j, binders)
+                         for right in self._term_list(s - 1 - j, binders))
+            got.append(("atoms", atoms))
+        if depth >= 2:
+            got.append(("not", self.key(s - 1, binders, depth - 1)))
+            got.extend(("binary", ctor, self.key(i, binders, depth - 1),
+                        self.key(s - 1 - i, binders, depth - 1))
+                       for ctor in (And, Or, Implies, Iff) for i in range(1, s - 1))
+            var = self.bound_names[binders]
+            got.extend(("quant", ctor, var, self.key(s - 1, binders + 1, depth - 1))
+                       for ctor in (Forall, Exists))
+        self._sections[key] = got
+        return got
+
+    def section_count(self, section: tuple) -> int:
+        """The number of formulas in a section."""
+        kind = section[0]
+        if kind == "atoms":
+            return len(section[1])
+        if kind == "binary":
+            return self.count(section[2]) * self.count(section[3])
+        return self.count(section[-1])
+
+    def count(self, key: tuple[int, int, int]) -> int:
+        """The number of formulas in a level."""
+        got = self._counts.get(key)
+        if got is None:
+            got = self._counts[key] = sum(map(self.section_count, self.sections(key)))
+        return got
+
+    def stream(self, key: tuple[int, int, int]) -> Iterator[Formula]:
+        """The formulas of a level in order, built as they are read; the
+        sub-levels they are made of are kept."""
+        formulas = self.formulas
+        for section in self.sections(key):
+            kind = section[0]
+            if kind == "atoms":
+                yield from section[1]
+            elif kind == "not":
+                for sub in formulas(section[1]):
+                    yield Not(sub)
+            elif kind == "binary":
+                _, ctor, left, right = section
+                rights = formulas(right)
+                for f in formulas(left):
+                    for g in rights:
+                        yield ctor(f, g)
+            else:
+                _, ctor, var, body = section
+                for f in formulas(body):
+                    yield ctor(var, f)
+
+    def formulas(self, key: tuple[int, int, int]) -> list[Formula]:
+        """The formulas of a level in order, built once and kept."""
+        got = self._lists.get(key)
+        if got is None:
+            got = self._lists[key] = list(self.stream(key))
+        return got
+
+    def unrank(self, key: tuple[int, int, int], i: int) -> Formula:
+        """The i-th formula of a level, built alone."""
+        for section in self.sections(key):
+            width = self.section_count(section)
+            if i >= width:
+                i -= width
+                continue
+            kind = section[0]
+            if kind == "atoms":
+                return section[1][i]
+            if kind == "not":
+                return Not(self.unrank(section[1], i))
+            if kind == "binary":
+                _, ctor, left, right = section
+                j, k = divmod(i, self.count(right))
+                return ctor(self.unrank(left, j), self.unrank(right, k))
+            _, ctor, var, body = section
+            return ctor(var, self.unrank(body, i))
+        raise IndexError("formula index out of range")
+
+
+# The block of a binary connective's (left, right) section under one left
+# formula, from the right level's truth bits r and all-ones mask full:
+# (when the left formula holds, when it fails).
+_BLOCKS: dict[type, Callable[[int, int], tuple[int, int]]] = {
+    And: lambda r, full: (r, 0),
+    Or: lambda r, full: (full, r),
+    Implies: lambda r, full: (r, full),
+    Iff: lambda r, full: (r, full ^ r),
+}
+
+
+class LevelTruth:
+    """Truth of the formulas of some FormulaLevels at one model and assignment.
+
+    A level's truth vector has one int per assignment to its bound names,
+    the a-th for the assignment whose j-th name takes digit j of a in base
+    m.size (the first name is the most significant digit); bit i of it is
+    the truth of the level's i-th formula there, as eval_formula gives it.
+    Atom bits are read off the model, a negation is a complement, a binary
+    section spreads the left level's bits to the right level's stride and
+    multiplies them by a block of the right level's bits, and a quantifier
+    ANDs or ORs the m.size ints of its body that differ in its own name
+    only.  Vectors of the levels below the size bound are kept, as the
+    object stream keeps their formulas.
+    """
+
+    __slots__ = ("levels", "m", "assignment", "_vectors")
+
+    def __init__(self, levels: FormulaLevels, m, assignment: Mapping[str, int] | None = None):
+        self.levels = levels
+        self.m = m
+        self.assignment = dict(assignment) if assignment else {}
+        self._vectors: dict[tuple[int, int, int], list[int]] = {}
+
+    def vector(self, key: tuple[int, int, int]) -> list[int]:
+        """A level's truth vector."""
+        got = self._vectors.get(key)
+        if got is not None:
+            return got
+        got = [0] * self.m.size ** key[1]
+        shift = 0
+        for section in self.levels.sections(key):
+            for a, bits in enumerate(self._section(key, section)):
+                got[a] |= bits << shift
+            shift += self.levels.section_count(section)
+        if key[0] < self.levels.size_bound:
+            self._vectors[key] = got
+        return got
+
+    def section(self, key: tuple[int, int, int], k: int) -> list[int]:
+        """The truth vector of the k-th section of a level alone."""
+        sections = self.levels.sections(key)
+        if key[0] >= self.levels.size_bound:
+            return self._section(key, sections[k])
+        shift = sum(map(self.levels.section_count, sections[:k]))
+        mask = (1 << self.levels.section_count(sections[k])) - 1
+        return [bits >> shift & mask for bits in self.vector(key)]
+
+    def _section(self, key: tuple[int, int, int], section: tuple) -> list[int]:
+        levels, n = self.levels, self.m.size
+        kind = section[0]
+        if kind == "atoms":
+            return self._atoms(section[1], key[1])
+        if kind == "not":
+            full = (1 << levels.count(section[1])) - 1
+            return [full ^ bits for bits in self.vector(section[1])]
+        if kind == "quant":
+            body = self.vector(section[3])
+            fold = int.__or__ if section[1] is Exists else int.__and__
+            return [functools.reduce(fold, body[a:a + n]) for a in range(0, len(body), n)]
+        _, ctor, left, right = section
+        width, stride = levels.count(left), levels.count(right)
+        if not width or not stride:
+            return [0] * n ** key[1]
+        full_left, full = (1 << width) - 1, (1 << stride) - 1
+        gap, digits = "0" * (stride - 1), f"0{width}b"
+        blocks = _BLOCKS[ctor]
+        out = []
+        for lbits, rbits in zip(self.vector(left), self.vector(right)):
+            when_true, when_false = blocks(rbits, full)
+            # bit j * stride set when the j-th left formula holds (fails)
+            bits = int(gap.join(format(lbits, digits)), 2) * when_true if when_true else 0
+            if when_false:
+                bits |= int(gap.join(format(full_left ^ lbits, digits)), 2) * when_false
+            out.append(bits)
+        return out
+
+    def _atoms(self, atoms: list[Formula], binders: int) -> list[int]:
+        m, env = self.m, dict(self.assignment)
+        names = self.levels.bound_names[:binders]
+        out = []
+        for values in itertools.product(range(m.size), repeat=binders):
+            env.update(zip(names, values))
+            bits = [m.holds(f.name, [eval_term(m, t, env) for t in f.args]) if type(f) is Rel
+                    else eval_term(m, f.left, env) == eval_term(m, f.right, env)
+                    for f in atoms]
+            out.append(int("".join("1" if b else "0" for b in reversed(bits)) or "0", 2))
+        return out
+
+
 def enumerate_formulas(sig: Signature, free: Sequence[str], size_bound: int,
                        depth_bound: int | None = None) -> Iterator[Formula]:
     """All formulas over sig with free variables among `free`, by size.
 
     Emitted in increasing size (formula_size), with a fixed constructor
-    order inside each size, so the stream is a prefix of the stream for any
-    larger bound and no formula appears twice.  Bound variables are drawn
-    from a canonical fresh-name sequence (one name per quantifier depth),
-    so each alpha-equivalence class shows up exactly once.
+    order inside each size (FormulaLevels), so the stream is a prefix of
+    the stream for any larger bound and no formula appears twice.  Bound
+    variables are drawn from a canonical fresh-name sequence (one name per
+    quantifier depth), so each alpha-equivalence class shows up exactly
+    once.
 
     With depth_bound, only formulas of formula_depth <= depth_bound are
     built, in the order the unbounded stream has them.  Each level (size,
     bound names in scope, depth left) is built once from smaller levels and
     kept; the largest size is streamed and never stored.
     """
-    free = tuple(free)
-    if len(set(free)) != len(free):
-        raise ValueError("free variable names must be distinct")
-    for v in free:
-        if sig.has_symbol(v):
-            raise SignatureError(f"free variable {v!r} shadows a declared symbol")
-    depth = size_bound if depth_bound is None else depth_bound
-    # a quantifier with b names in scope needs size and depth above b
-    bound_names = list(itertools.islice(_fresh_names(sig, free), max(min(size_bound, depth), 0)))
-    rel_items = sorted(sig.relations.items())
-    fun_items = sorted(sig.functions.items())
-    const_terms = tuple(Const(c) for c in sig.constants)
-
-    term_memo: dict[tuple[int, int], list[Term]] = {}
-
-    def terms(k: int, binders: int) -> list[Term]:
-        # terms containing exactly k function applications
-        got = term_memo.get((k, binders))
-        if got is not None:
-            return got
-        out: list[Term] = []
-        if k == 0:
-            out.extend(Var(v) for v in free)
-            out.extend(Var(v) for v in bound_names[:binders])
-            out.extend(const_terms)
-        else:
-            for fname, arity in fun_items:
-                for args in arg_tuples(k - 1, arity, binders):
-                    out.append(App(fname, args))
-        term_memo[(k, binders)] = out
-        return out
-
-    def arg_tuples(k: int, arity: int, binders: int) -> Iterator[tuple[Term, ...]]:
-        # argument tuples whose function applications total exactly k
-        if arity == 1:
-            for t in terms(k, binders):
-                yield (t,)
-            return
-        for first in range(k + 1):
-            for head in terms(first, binders):
-                for rest in arg_tuples(k - first, arity - 1, binders):
-                    yield (head,) + rest
-
-    memo: dict[tuple[int, int, int], list[Formula]] = {}
-
-    def level(s: int, binders: int, depth: int) -> list[Formula]:
-        # a formula's depth never exceeds its size, so depth >= s is no bound
-        key = (s, binders, min(depth, s))
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = list(stream(*key))
-        return got
-
-    def stream(s: int, binders: int, depth: int) -> Iterator[Formula]:
-        # formulas of size s and depth <= depth with `binders` bound names in scope
-        if depth < 1:
-            return
-        for rname, arity in rel_items:
-            for args in arg_tuples(s - 1, arity, binders):
-                yield Rel(rname, args)
-        for j in range(s):
-            for left in terms(j, binders):
-                for right in terms(s - 1 - j, binders):
-                    yield Eq(left, right)
-        if s < 2:
-            return
-        for sub in level(s - 1, binders, depth - 1):
-            yield Not(sub)
-        for ctor in (And, Or, Implies, Iff):
-            for i in range(1, s - 1):
-                rights = level(s - 1 - i, binders, depth - 1)
-                for left in level(i, binders, depth - 1):
-                    for right in rights:
-                        yield ctor(left, right)
-        var = bound_names[binders]
-        for ctor in (Forall, Exists):
-            for body in level(s - 1, binders + 1, depth - 1):
-                yield ctor(var, body)
-
+    levels = FormulaLevels(sig, free, size_bound, depth_bound)
     for s in range(1, size_bound):
-        yield from level(s, 0, depth)
+        yield from levels.formulas(levels.top(s))
     if size_bound >= 1:
-        yield from stream(size_bound, 0, depth)
+        yield from levels.stream(levels.top(size_bound))
 
 
 def random_formula(sig: Signature, rng: random.Random, max_depth: int,

@@ -532,6 +532,29 @@ def test_beth_budget_counts_one_node_per_candidate(capsys):
                                        f"candidate defining formulas (limit {n - 1})\n")
 
 
+MUTUAL_PAIR = "rel G 2\nrel R 1\naxiom A x. (R(x) <-> (E y. (G(x,y) & G(y,x) & !(x=y))))\n"
+
+
+@pytest.mark.parametrize("size, bound, nodes, code, out", [
+    # the answer is candidate 34,459 of the stream
+    (2, 7, 34_459, 0, "!(E v0. A v1. G(v0,v1) -> v0=v1)\n"),
+    # no candidate of size 6 or less defines R: all 254,620 are scanned
+    (3, 6, 254_620, 1, "NOTFOUND target=R size<=3 bound<=6\n"),
+], ids=["answer", "notfound"])
+def test_beth_budget_stops_at_the_same_candidate_as_a_scan(tmp_path, capsys, size, bound,
+                                                           nodes, code, out):
+    # the bench's mutual pair: whole sections of candidates are ruled out
+    # at once, yet the budget still counts each one up to the one checked
+    thy = tmp_path / "mutual.thy"
+    thy.write_text(MUTUAL_PAIR)
+    beth = ("beth", "--theory", str(thy), "--target", "R", "--size", str(size),
+            "--bound", str(bound))
+    assert run(*beth, "--max-nodes", str(nodes)) == (code, out)
+    assert run(*beth, "--max-nodes", str(nodes - 1)) == (2, "")
+    assert capsys.readouterr().err == ("defeq: work budget exceeded while scanning "
+                                       f"candidate defining formulas (limit {nodes - 1})\n")
+
+
 def test_subclosure_command(tmp_path):
     base = tmp_path / "base.thy"
     base.write_text("const c\n")

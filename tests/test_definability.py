@@ -223,8 +223,9 @@ def test_beth_search_tries_earlier_counterexamples_first(monkeypatch):
     # the mutual-pair theory of the benchmark: at size 2 and bound 7 the
     # answer is candidate 34,459; a scan of every point from the first makes
     # 134,217 evaluations, the counterexample cache with one evaluation per
-    # candidate and cached point 41,511, and with the cached points' atom
-    # masks (folang.truth_at) 3,863, counting the evaluations that build them
+    # candidate and cached point 41,511, and with the cached points' truth
+    # vectors (folang.LevelTruth) 111, the full scans of the few candidates
+    # that survive every cached point
     sig = Signature({"G": 2, "R": 1}, {}, [])
     t = Theory(sig, [parse_formula(
         sig, "A x. (R(x) <-> (E y. (G(x,y) & G(y,x) & !(x=y))))")], name="mutual")

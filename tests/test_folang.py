@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from defeq import folang
 from defeq.folang import (
-    And, App, Const, Eq, Exists, Forall, FormulaSyntaxError, Iff, Implies,
-    Not, Or, Rel, Signature, SignatureError, Var,
+    And, App, Const, Eq, Exists, Forall, FormulaLevels, FormulaSyntaxError, Iff,
+    Implies, LevelTruth, Not, Or, Rel, Signature, SignatureError, Var,
     compile_lanes, enumerate_formulas, eval_formula, formula_depth, formula_size,
     formula_to_text, free_vars, parse_formula, random_formula,
     validate_formula,
@@ -320,55 +320,6 @@ def test_compiled_formula_matches_eval_formula(seed, depth, size):
         assert ev(flat_tables(m)) == int(eval_formula(m, f))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 3), st.booleans())
-def test_truth_at_matches_eval_formula(seed, depth, size, function):
-    # formulas with the free variable x, over a unary function or a constant;
-    # one evaluator per point serves every formula, as in beth's cache
-    rng = random.Random(seed)
-    sig = Signature({"E": 2, "P": 1}, {"s": 1} if function else {}, [] if function else ["c"])
-    formulas = [random_formula(sig, rng, depth, free=("x",)) for _ in range(4)]
-    m = random_model(size, rng, sig)
-    for x in range(size):
-        truth = folang.truth_at(m, {"x": x})
-        for f in formulas + formulas[::-1]:
-            assert truth(f) is eval_formula(m, f, {"x": x}), (formula_to_text(f), m)
-
-
-@pytest.mark.parametrize("text", [
-    "A x. E x. P(x)",                      # the innermost binder of x is read
-    "E x. A x. P(x)",
-    "A y. E x. A y. E(x,y)",
-    "P(x) & (E x. !P(x))",                 # a binder reuses the free variable's name
-    "(A x. P(x)) | P(x)",
-    "E y. (A x. E(x,y)) <-> E(x,y)",
-])
-def test_truth_at_resolves_names_like_eval_formula(text):
-    f = parse_formula(SIG, text)
-    rng = random.Random(text)
-    for size in (1, 2, 3):
-        for _ in range(10):
-            m = random_model(size, rng)
-            for x in range(size):
-                assert folang.truth_at(m, {"x": x})(f) is eval_formula(m, f, {"x": x}), \
-                    (text, m, x)
-
-
-def test_truth_at_keeps_its_atoms_apart():
-    # one atom object under different binders, and fresh atoms that could
-    # take the memory of dropped ones, keep their own masks
-    m = FiniteModel(SIG, 2, {"E": [(0, 1)], "R": [], "P": [(1,)]}, {"s": (1, 0)}, {"c": 0})
-    truth = folang.truth_at(m, {"x": 0})
-    atom = Rel("P", (Var("x"),))
-    assert truth(And(Not(atom), Exists("x", atom))) is True
-    assert truth(Forall("x", atom)) is False
-    for i in range(200):
-        f = Rel("P", (Var("x"),)) if i % 2 else Eq(Var("x"), Const("c"))
-        assert truth(f) is bool(i % 2 == 0)
-    with pytest.raises(folang.UnboundVariableError):
-        truth(Rel("P", (Var("y"),)))
-
-
 # ------------------------------------------------------------
 # enumeration
 # ------------------------------------------------------------
@@ -447,3 +398,61 @@ def test_the_largest_size_is_streamed_not_stored(monkeypatch):
     next(itertools.islice(stream, shorter, None))  # the first formula of size 5
     # sizes 1-4 are built as for bound 4, and nothing of size 5 ahead of the stream
     assert made == made_for_shorter
+
+
+# a signature with a unary function or a constant, the free variables, and
+# the largest size bound taken
+UNRANK_CASES = [
+    (Signature({"P": 1}, {"s": 1}, []), ("x",), 5),
+    (Signature({"P": 1}, {}, ["c"]), (), 5),
+    (Signature({"E": 2}, {"s": 1}, ["c"]), ("x", "y"), 4),
+]
+
+
+@pytest.mark.parametrize("depth", [None, 2, 3])
+@pytest.mark.parametrize("sig, free, cap", UNRANK_CASES)
+def test_unrank_agrees_with_the_stream_on_every_index(sig, free, cap, depth):
+    for bound in range(1, cap + 1):
+        levels = FormulaLevels(sig, free, bound, depth)
+        ranked = [levels.unrank(levels.top(s), i) for s in range(1, bound + 1)
+                  for i in range(levels.count(levels.top(s)))]
+        assert ranked == list(enumerate_formulas(sig, free, bound, depth))
+    with pytest.raises(IndexError):
+        levels.unrank(levels.top(cap), levels.count(levels.top(cap)))
+
+
+def reachable_levels(levels, key):
+    """key and every level its sections are built from."""
+    seen = [key]
+    for k in seen:
+        for section in levels.sections(k):
+            seen.extend(sub for sub in section[2:] if isinstance(sub, tuple) and sub not in seen)
+    return seen
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans(), st.sampled_from([None, 2, 3]))
+def test_level_truth_matches_eval_formula(seed, size, function, depth):
+    # bit i of a level's vector at assignment a is eval_formula of the
+    # level's i-th formula there, over a unary function or a constant
+    rng = random.Random(seed)
+    sig = Signature({"E": 2, "P": 1}, {"s": 1} if function else {}, [] if function else ["c"])
+    m = random_model(size, rng, sig)
+    x = rng.randrange(size)
+    levels = FormulaLevels(sig, ("x",), 4, depth)
+    truth = LevelTruth(levels, m, {"x": x})
+    for key in reachable_levels(levels, levels.top(4)):
+        vector = truth.vector(key)
+        names = levels.bound_names[:key[1]]
+        assert len(vector) == size ** len(names)
+        for a, values in enumerate(itertools.product(range(size), repeat=len(names))):
+            env = {"x": x, **dict(zip(names, values))}
+            for i, f in enumerate(levels.formulas(key)):
+                assert (vector[a] >> i & 1 == 1) is eval_formula(m, f, env), \
+                    (formula_to_text(f), env, m)
+        # a section read alone is that stretch of the level's bits
+        shift = 0
+        for k, section in enumerate(levels.sections(key)):
+            width = levels.section_count(section)
+            assert truth.section(key, k) == [v >> shift & (1 << width) - 1 for v in vector]
+            shift += width
