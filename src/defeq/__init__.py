@@ -26,7 +26,7 @@ from .folang import (
     formula_to_text,
     parse_formula,
 )
-from .groups import PermutationGroup, automorphism_group, group_key, group_to_text
+from .groups import PermutationGroup, automorphism_group, group_to_text
 from .irregular import emit_ts_axioms, irregularity_report, register_variant, symbols
 from .models import (
     FiniteModel,
@@ -66,7 +66,6 @@ __all__ = [
     "parse_formula",
     "PermutationGroup",
     "automorphism_group",
-    "group_key",
     "group_to_text",
     "emit_ts_axioms",
     "irregularity_report",

@@ -29,10 +29,10 @@ to arity 1), function arity from the table length.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 
 from . import definability, folang, groups, irregular, spectra, ultra
 from .budget import BudgetExceededError, NodeCounter, WorkBudget
@@ -105,24 +105,31 @@ def theory_to_text(t: Theory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fixture_path(name: str) -> Path:
-    return Path(__file__).parent / "fixtures" / name
+def fixture_path(name: str) -> str:
+    return os.path.join(os.path.dirname(__file__), "fixtures", name)
 
 
-def _resolve(path: str) -> Path:
-    p = Path(path)
-    if p.exists():
-        return p
-    if "/" not in path:
+def _resolve(path: str) -> str:
+    if os.path.exists(path):
+        return path
+    if path and "/" not in path:
         packaged = fixture_path(path)
-        if packaged.exists():
+        if os.path.exists(packaged):
             return packaged
     raise CliError(f"no such file: {path}")
 
 
+def _read(path: str) -> str:
+    with open(_resolve(path)) as f:
+        return f.read()
+
+
 def load_theory(path: str) -> Theory:
-    p = _resolve(path)
-    return parse_theory_text(p.read_text(), name=p.stem)
+    text = _read(path)
+    # the file name without its last suffix, as pathlib's stem gives it
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    return parse_theory_text(text, name=name[:dot] if 0 < dot < len(name) - 1 else name)
 
 
 # ============================================================
@@ -133,13 +140,13 @@ _MOD_TOKEN = re.compile(r"[(){}\[\],]|[^\s(){}\[\],#]+|#[^\n]*")
 
 
 class _RawModel:
-    __slots__ = ("size", "rels", "funs", "consts")
+    __slots__ = ("size", "relations", "functions", "constants")
 
     def __init__(self):
         self.size = None
-        self.rels: dict[str, list[tuple[int, ...]]] = {}
-        self.funs: dict[str, tuple[int, ...]] = {}
-        self.consts: dict[str, int] = {}
+        self.relations: dict[str, list[tuple[int, ...]]] = {}
+        self.functions: dict[str, tuple[int, ...]] = {}
+        self.constants: dict[str, int] = {}
 
 
 def _parse_model_raw(text: str) -> _RawModel:
@@ -183,9 +190,9 @@ def _parse_model_raw(text: str) -> _RawModel:
                 expect(")")
                 table.append(tuple(entry))
             expect("}")
-            if name in raw.rels:
+            if name in raw.relations:
                 raise CliError(f"duplicate relation {name!r}")
-            raw.rels[name] = table
+            raw.relations[name] = table
         elif kind == "fun":
             name = take()
             expect("[")
@@ -193,12 +200,12 @@ def _parse_model_raw(text: str) -> _RawModel:
             while tokens[i:i + 1] != ["]"]:
                 values.append(take_int())
             expect("]")
-            if name in raw.funs:
+            if name in raw.functions:
                 raise CliError(f"duplicate function {name!r}")
-            raw.funs[name] = tuple(values)
+            raw.functions[name] = tuple(values)
         elif kind == "const":
             name = take()
-            raw.consts[name] = take_int()
+            raw.constants[name] = take_int()
         else:
             raise CliError(f"unknown model directive {kind!r}")
     if raw.size is None:
@@ -224,11 +231,11 @@ def _infer_signature(raws: Sequence[_RawModel]) -> Signature:
     fun_arities: dict[str, set[int]] = {}
     consts: set[str] = set()
     for raw in raws:
-        for name, table in raw.rels.items():
+        for name, table in raw.relations.items():
             rel_arities.setdefault(name, set()).update(len(t) for t in table)
-        for name, table in raw.funs.items():
+        for name, table in raw.functions.items():
             fun_arities.setdefault(name, set()).add(_fun_arity(name, len(table), raw.size))
-        consts.update(raw.consts)
+        consts.update(raw.constants)
     relations = {}
     for name, arities in rel_arities.items():
         if len(arities) > 1:
@@ -248,8 +255,8 @@ def _infer_signature(raws: Sequence[_RawModel]) -> Signature:
 def _build_model(raw: _RawModel, sig: Signature) -> FiniteModel:
     try:
         return FiniteModel(sig, raw.size,
-                           {n: raw.rels.get(n, []) for n in sig.relations},
-                           raw.funs, raw.consts)
+                           {n: raw.relations.get(n, []) for n in sig.relations},
+                           raw.functions, raw.constants)
     except ValueError as e:
         raise CliError(str(e)) from None
 
@@ -260,12 +267,12 @@ def parse_model_text(text: str, sig: Signature | None = None) -> FiniteModel:
 
 
 def load_model(path: str, sig: Signature | None = None) -> FiniteModel:
-    return parse_model_text(_resolve(path).read_text(), sig)
+    return parse_model_text(_read(path), sig)
 
 
 def load_models(paths: Sequence[str]) -> list[FiniteModel]:
     """Load several model files against their common inferred signature."""
-    raws = [_parse_model_raw(_resolve(p).read_text()) for p in paths]
+    raws = [_parse_model_raw(_read(p)) for p in paths]
     sig = _infer_signature(raws)
     return [_build_model(raw, sig) for raw in raws]
 

@@ -17,8 +17,7 @@ from . import folang
 from .budget import NodeCounter, WorkBudget
 from .folang import (App, Const, Exists, Forall, Formula, Iff, Not, Rel, Signature,
                      SignatureError, Var)
-from .models import (FiniteModel, InternalError, Theory, enumerate_models, is_model, reduct,
-                     substructure)
+from .models import FiniteModel, InternalError, Theory, enumerate_models, is_model, substructure
 from .record import Record
 
 __all__ = [
@@ -93,7 +92,7 @@ def extend_theory(t: Theory, defs: DefinitionSet) -> Theory:
 def expand_model(m: FiniteModel, defs: DefinitionSet) -> FiniteModel:
     """The unique expansion of m interpreting each defined relation by its formula."""
     new_sig = _extended_signature(m.sig, defs)
-    rels = dict(m.rels)
+    rels = {name: m.tuples(name) for name in m.sig.relations}
     for name, d in defs.items():
         rels[name] = frozenset(
             args for args in itertools.product(range(m.size), repeat=d.arity)
@@ -101,21 +100,27 @@ def expand_model(m: FiniteModel, defs: DefinitionSet) -> FiniteModel:
     return FiniteModel(new_sig, m.size, rels, m.funs, m.consts)
 
 
-def _hidden_reduct_names(t: Theory, hidden: Iterable[str]) -> list[str]:
+def _visible(t: Theory, hidden: Iterable[str]) -> list[int]:
+    """Positions of t's relations not in hidden, which may name relations of t only."""
     hidden = set(hidden)
     for name in hidden:
         if name not in t.sig.relations:
             raise ValueError(f"hidden symbol {name!r} is not a relation of the theory")
-    return [n for n in itertools.chain(t.sig.relations, t.sig.functions, t.sig.constants)
-            if n not in hidden]
+    return [i for i, name in enumerate(t.sig.relations) if name not in hidden]
 
 
-def _shared_reduct(models: Iterable[FiniteModel], keep: list[str],
+def _shared_reduct(models: Iterable[FiniteModel], visible: list[int],
                    ) -> tuple[FiniteModel, FiniteModel] | None:
-    """The first two models, in the given order, whose reducts to keep agree."""
-    seen: dict[bytes, FiniteModel] = {}
+    """The first two models, in the given order, whose reducts to the visible
+    relations, every function and every constant agree.
+
+    The models share a signature and a size, so each is keyed on its
+    encoding with the hidden relations' bitmaps left out.
+    """
+    seen: dict[tuple, FiniteModel] = {}
     for m in models:
-        first = seen.setdefault(reduct(m, keep).encode_bytes(), m)
+        _, bitmaps, tables, consts = m.encode()
+        first = seen.setdefault((tables, consts, *[bitmaps[i] for i in visible]), m)
         if first is not m:
             return first, m
     return None
@@ -131,8 +136,8 @@ def unique_expansion_check(t: Theory, hidden: Iterable[str], max_size: int,
     the bound); otherwise the first such pair in enumeration order is the
     witness.
     """
-    keep = _hidden_reduct_names(t, hidden)
-    witnesses = (_shared_reduct(enumerate_models(t, n, budget), keep)
+    visible = _visible(t, hidden)
+    witnesses = (_shared_reduct(enumerate_models(t, n, budget), visible)
                  for n in range(1, max_size + 1))
     return next((w for w in witnesses if w is not None), None)
 
@@ -169,8 +174,9 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
     arity = t.sig.relations.get(target)
     if arity is None:
         raise ValueError(f"target {target!r} is not a relation of the theory")
-    keep = _hidden_reduct_names(t, [target])
-    base_sig = t.sig.restrict(keep)
+    visible = _visible(t, [target])
+    base_sig = Signature({name: a for name, a in t.sig.relations.items() if name != target},
+                         t.sig.functions, t.sig.constants)
     variables = _argument_variables(t.sig, arity)
     # (model, assignment, target value) in the order of a plain scan: models
     # in enumeration order, then assignments lexicographically.  Models of
@@ -180,7 +186,7 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
     at = list(t.sig.relations).index(target)
     for n in range(1, max_size + 1):
         ms = enumerate_models(t, n, budget)
-        if _shared_reduct(ms, keep) is not None:
+        if _shared_reduct(ms, visible) is not None:
             return None
         envs = [dict(zip(variables, args)) for args in itertools.product(range(n), repeat=arity)]
         for m in ms:
@@ -255,11 +261,16 @@ def substructure_closure_check(t: Theory, max_size: int,
     in order of cardinality then lexicographically.  Subsets that miss a
     constant or are not closed under a function are not substructures and
     are skipped.  None means t held in every induced substructure seen.
+    The budget counts one node per subset tried, over all sizes, apart from
+    the nodes each size's enumeration counts.
     """
+    budget = budget or WorkBudget()
+    nodes = NodeCounter(budget, "checking induced substructures")
     for n in range(1, max_size + 1):
         for m in enumerate_models(t, n, budget):
             for r in range(1, n + 1):
                 for subset in itertools.combinations(range(n), r):
+                    nodes.tick()
                     try:
                         sub, _ = substructure(m, subset)
                     except ValueError:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -38,7 +37,7 @@ __all__ = [
     "MAX_SYNTAX_DEPTH", "MAX_PAREN_DEPTH", "parse_formula", "formula_to_text",
     "free_vars", "formula_size", "formula_depth", "used_symbols",
     "validate_formula", "eval_term", "eval_formula", "compile_lanes",
-    "FormulaLevels", "LevelTruth", "enumerate_formulas", "random_formula",
+    "FormulaLevels", "LevelTruth", "enumerate_formulas",
 ]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -1071,58 +1070,3 @@ def enumerate_formulas(sig: Signature, free: Sequence[str], size_bound: int,
         yield from levels.formulas(levels.top(s))
     if size_bound >= 1:
         yield from levels.stream(levels.top(size_bound))
-
-
-def random_formula(sig: Signature, rng: random.Random, max_depth: int,
-                   free: Sequence[str] = ()) -> Formula:
-    """Random formula of depth <= max_depth, closed when free is empty.
-
-    Deterministic for a given seeded rng.  Used by the randomized Los
-    harness; not a uniform distribution over anything.
-    """
-    fresh = _fresh_names(sig, free)
-
-    def rand_term(vars_avail: tuple[str, ...], fuel: int) -> Term:
-        pool: list[Term] = [Var(v) for v in vars_avail]
-        pool.extend(Const(c) for c in sig.constants)
-        if sig.functions and fuel > 0 and rng.random() < 0.3:
-            name, arity = rng.choice(sorted(sig.functions.items()))
-            return App(name, tuple(rand_term(vars_avail, fuel - 1) for _ in range(arity)))
-        if not pool:
-            raise ValueError("no terms available: no variables in scope and no constants")
-        return rng.choice(pool)
-
-    def rand_atom(vars_avail: tuple[str, ...]) -> Formula:
-        choices = []
-        if sig.relations:
-            choices.append("rel")
-        if vars_avail or sig.constants:
-            choices.append("eq")
-        kind = rng.choice(choices)
-        if kind == "rel":
-            name, arity = rng.choice(sorted(sig.relations.items()))
-            return Rel(name, tuple(rand_term(vars_avail, 1) for _ in range(arity)))
-        return Eq(rand_term(vars_avail, 1), rand_term(vars_avail, 1))
-
-    def go(depth: int, vars_avail: tuple[str, ...]) -> Formula:
-        atoms_possible = bool(vars_avail or sig.constants)
-        if depth <= 1:
-            if not atoms_possible:
-                raise ValueError("cannot build a closed atom: empty scope, no constants")
-            return rand_atom(vars_avail)
-        kinds = ["forall", "exists"]
-        if atoms_possible:
-            kinds += ["atom", "not", "and", "or", "imp", "iff"]
-        kind = rng.choice(kinds)
-        if kind == "atom":
-            return rand_atom(vars_avail)
-        if kind == "not":
-            return Not(go(depth - 1, vars_avail))
-        if kind in ("and", "or", "imp", "iff"):
-            ctor = {"and": And, "or": Or, "imp": Implies, "iff": Iff}[kind]
-            return ctor(go(depth - 1, vars_avail), go(depth - 1, vars_avail))
-        var = next(fresh)
-        body = go(depth - 1, vars_avail + (var,))
-        return Forall(var, body) if kind == "forall" else Exists(var, body)
-
-    return go(max_depth, tuple(free))

@@ -4,20 +4,18 @@ Permutations are image tuples: p[i] is where i goes.  Groups store their
 full element set, not generators; every question about them is answered by
 finite search.  Two groups on bases of equal size are base-isomorphic when
 some bijection of the bases conjugates one onto the other; the canonical
-form of a group is its lexicographically least conjugate, and group_key is
+form of a group is its lexicographically least conjugate, and form_key is
 that form's byte encoding.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
 __all__ = [
-    "identity", "compose", "invert", "cycle_type",
-    "PermutationGroup", "automorphism_group",
-    "base_isomorphisms", "canonical_form", "group_key", "form_key",
+    "identity", "compose", "invert",
+    "PermutationGroup", "automorphism_group", "canonical_form", "form_key",
     "group_to_text",
 ]
 
@@ -36,23 +34,6 @@ def invert(p: Sequence[int]) -> tuple[int, ...]:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
-    """Cycle lengths of p, descending.  Invariant under conjugation."""
-    seen = [False] * len(p)
-    lengths = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
 
 
 class PermutationGroup:
@@ -116,26 +97,6 @@ def automorphism_group(m) -> PermutationGroup:
     return PermutationGroup(m.size, find_isomorphisms(m, m), _trusted=True)
 
 
-def base_isomorphisms(g: PermutationGroup, h: PermutationGroup) -> list[tuple[int, ...]]:
-    """All base bijections b with b g b^-1 = h, in lexicographic order.
-
-    Empty when the bases differ in size, the orders differ, or the
-    multisets of cycle types differ; those are conjugation invariants, so
-    pruning on them loses nothing.
-    """
-    if g.base_size != h.base_size or g.order != h.order:
-        return []
-    if Counter(map(cycle_type, g)) != Counter(map(cycle_type, h)):
-        return []
-    target = set(h.elements)
-    out = []
-    for b in itertools.permutations(range(g.base_size)):
-        binv = invert(b)
-        if all(compose(b, compose(x, binv)) in target for x in g):
-            out.append(b)
-    return out
-
-
 def canonical_form(g: PermutationGroup) -> PermutationGroup:
     """The lexicographically least conjugate of g over all base bijections.
 
@@ -159,18 +120,13 @@ def canonical_form(g: PermutationGroup) -> PermutationGroup:
     return PermutationGroup(n, best, _trusted=True)
 
 
-def group_key(g: PermutationGroup) -> bytes:
-    """Byte encoding of canonical_form(g).
-
-    Two groups get the same key exactly when they are base-isomorphic.
-    Keys are only comparable between groups on equal-size bases, which the
-    leading size bytes enforce.
-    """
-    return form_key(canonical_form(g))
-
-
 def form_key(canon: PermutationGroup) -> bytes:
-    """group_key of a group that is already in canonical form, without the search."""
+    """Byte encoding of a group already in canonical form (canonical_form).
+
+    Two groups' canonical forms get the same key exactly when the groups
+    are base-isomorphic.  Keys are only comparable between groups on
+    equal-size bases, which the leading size bytes enforce.
+    """
     return canon.base_size.to_bytes(2, "big") + b"".join(
         bytes(p) for p in canon.elements)
 

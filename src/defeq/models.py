@@ -23,7 +23,7 @@ from .folang import And, Formula, Or, Signature, SignatureError
 __all__ = [
     "FiniteModel", "Theory", "is_model", "enumerate_models",
     "find_isomorphisms", "is_isomorphism", "canonical_key",
-    "reduct", "substructure", "apply_permutation", "Relabelling", "orbits",
+    "substructure", "apply_permutation", "Relabelling", "orbits",
     "InternalError",
 ]
 
@@ -494,19 +494,27 @@ def enumerate_models(t: Theory, size: int,
 # ============================================================
 
 def _colors(m: FiniteModel) -> list[tuple]:
-    """Cheap permutation-invariant label per element, for search pruning."""
-    out = []
-    for e in range(m.size):
-        label = []
-        for name, arity in m.sig.relations.items():
-            table = m.rels[name]
-            label.append(tuple(sum(1 for t in table if t[p] == e) for p in range(arity)))
-        for name in m.sig.functions:
-            table = m.funs[name]
-            label.append(sum(1 for v in table if v == e))
-        label.append(tuple(m.consts[name] == e for name in m.sig.constants))
-        out.append(tuple(label))
-    return out
+    """Cheap permutation-invariant label per element, for search pruning.
+
+    An element's label holds, per relation, how many tuples have it at each
+    position; per function, how many entries take it as value; and which
+    constants name it.
+    """
+    size, bitmaps, tables, consts = m.encode()
+    labels: list[list] = [[] for _ in range(size)]
+    for bits, arity in zip(bitmaps, m.sig.relations.values()):
+        counts = [[0] * arity for _ in range(size)]
+        for t in map(_tuples(size, arity).__getitem__, _ones(bits)):
+            for p, e in enumerate(t):
+                counts[e][p] += 1
+        for label, c in zip(labels, counts):
+            label.append(tuple(c))
+    for table in tables:
+        for e, label in enumerate(labels):
+            label.append(table.count(e))
+    for e, label in enumerate(labels):
+        label.append(tuple(c == e for c in consts))
+    return [tuple(label) for label in labels]
 
 
 def is_isomorphism(m: FiniteModel, n: FiniteModel, h: Sequence[int]) -> bool:
@@ -523,7 +531,9 @@ def find_isomorphisms(m: FiniteModel, n: FiniteModel) -> list[tuple[int, ...]]:
 
     Backtracking over partial maps with color pruning; elements of m are
     assigned in increasing order, candidate images in increasing order, so
-    the output order is the lexicographic order on image tuples.
+    the output order is the lexicographic order on image tuples.  Equal
+    sorted colors give equal tuple counts, so a map carrying every tuple of
+    m into n's bitmap carries m's tables onto n's.
     """
     if m.sig != n.sig:
         raise SignatureError("models have different signatures")
@@ -533,37 +543,37 @@ def find_isomorphisms(m: FiniteModel, n: FiniteModel) -> list[tuple[int, ...]]:
     cm, cn = _colors(m), _colors(n)
     if sorted(cm) != sorted(cn):
         return []
-    for name in m.sig.relations:
-        if len(m.rels[name]) != len(n.rels[name]):
-            return []
+    _, m_bitmaps, m_tables, m_consts = m.encode()
+    _, n_bitmaps, n_tables, n_consts = n.encode()
 
-    # relation tuples and function entries become checkable once their
-    # largest element is assigned (assignment order is 0,1,2,...)
-    rel_by_max: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in range(size)]
-    for name, table in m.rels.items():
-        for t in table:
-            rel_by_max[max(t)].append((name, t))
-    fun_by_max: list[list[tuple[str, tuple[int, ...], int]]] = [[] for _ in range(size)]
-    for name, arity in m.sig.functions.items():
-        for args in itertools.product(range(size), repeat=arity):
-            value = m.fun_value(name, args)
-            fun_by_max[max((*args, value))].append((name, args, value))
+    # relation tuples, function entries and constants become checkable once
+    # their largest element is assigned (assignment order is 0,1,2,...):
+    # (n's bitmap, m's tuple), (n's table, m's arguments, m's value), n's value
+    rel_by_max: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(size)]
+    for bits, other, arity in zip(m_bitmaps, n_bitmaps, m.sig.relations.values()):
+        for t in map(_tuples(size, arity).__getitem__, _ones(bits)):
+            rel_by_max[max(t)].append((other, t))
+    fun_by_max: list[list[tuple[tuple[int, ...], tuple[int, ...], int]]] = \
+        [[] for _ in range(size)]
+    for table, other, arity in zip(m_tables, n_tables, m.sig.functions.values()):
+        for args, value in zip(_tuples(size, arity), table):
+            fun_by_max[max(*args, value)].append((other, args, value))
+    const_at: list[list[int]] = [[] for _ in range(size)]
+    for value, other in zip(m_consts, n_consts):
+        const_at[value].append(other)
 
     out: list[tuple[int, ...]] = []
     image = [-1] * size
     used = [False] * size
 
     def consistent(k: int) -> bool:
-        for name, t in rel_by_max[k]:
-            if tuple(image[e] for e in t) not in n.rels[name]:
+        for bits, t in rel_by_max[k]:
+            if not bits >> _rank(map(image.__getitem__, t), size) & 1:
                 return False
-        for name, args, value in fun_by_max[k]:
-            if n.fun_value(name, tuple(image[a] for a in args)) != image[value]:
+        for table, args, value in fun_by_max[k]:
+            if table[_rank(map(image.__getitem__, args), size)] != image[value]:
                 return False
-        for name, value in m.consts.items():
-            if value == k and image[k] != n.consts[name]:
-                return False
-        return True
+        return all(image[k] == other for other in const_at[k])
 
     def extend(k: int) -> None:
         if k == size:
@@ -681,18 +691,6 @@ def orbits(models: Sequence[FiniteModel], nodes: NodeCounter
                 f"class of {m!r} has {len(order)} members, {strays} of them not "
                 f"enumerated or already classified; orbit-stabilizer expects {expected}")
         yield [pending.pop(enc) for enc in order], [images[enc] for enc in order], stabilizer
-
-
-def reduct(m: FiniteModel, keep: Iterable[str]) -> FiniteModel:
-    """Forget every symbol not named; the universe stays put."""
-    sub = m.sig.restrict(keep)
-    size, bitmaps, tables, consts = m.encode()
-    # sub lists its symbols in m.sig's order, so each part keeps its order
-    return FiniteModel._from_encoding(sub, (
-        size,
-        tuple(bits for name, bits in zip(m.sig.relations, bitmaps) if name in sub.relations),
-        tuple(table for name, table in zip(m.sig.functions, tables) if name in sub.functions),
-        tuple(value for name, value in zip(m.sig.constants, consts) if name in sub.constants)))
 
 
 def substructure(m: FiniteModel, subset: Iterable[int]) -> tuple[FiniteModel, dict[int, int]]:

@@ -1,7 +1,9 @@
 import pytest
 
+from oracles import random_formula
+
 from defeq import cli
-from defeq.folang import And, Forall, Iff, Or, Rel, Signature, Var, random_formula
+from defeq.folang import And, Forall, Iff, Or, Rel, Signature, Var
 from defeq.models import Theory, apply_permutation, find_isomorphisms
 from defeq.spectra import Census, _paired_classes
 

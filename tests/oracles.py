@@ -1,0 +1,101 @@
+"""Slow reference implementations and random inputs the tests share.
+
+Nothing here is on a command's path: each function is either the
+definition-chasing version of something the package computes faster, or
+a generator of test inputs.
+"""
+
+import random
+from collections.abc import Sequence
+
+from defeq.folang import (
+    And, App, Const, Eq, Exists, Forall, Formula, Iff, Implies, Not, Or, Rel, Signature, Term,
+    Var, _fresh_names,
+)
+from defeq.groups import PermutationGroup, canonical_form, form_key
+from defeq.models import FiniteModel, enumerate_models
+
+
+def group_key(g: PermutationGroup) -> bytes:
+    """Byte encoding of canonical_form(g).
+
+    Two groups get the same key exactly when they are base-isomorphic.
+    """
+    return form_key(canonical_form(g))
+
+
+def reduct(m: FiniteModel, keep) -> FiniteModel:
+    """m with every symbol not named in keep forgotten; the universe stays put."""
+    sub = m.sig.restrict(keep)
+    return FiniteModel(sub, m.size, {name: m.tuples(name) for name in sub.relations},
+                       {name: m.funs[name] for name in sub.functions},
+                       {name: m.consts[name] for name in sub.constants})
+
+
+def reduct_expansion_check(t, hidden, max_size):
+    """unique_expansion_check by the definition: the first two models of one
+    size, in enumeration order, whose reducts forgetting hidden agree."""
+    keep = [n for n in (*t.sig.relations, *t.sig.functions, *t.sig.constants)
+            if n not in set(hidden)]
+    for n in range(1, max_size + 1):
+        seen: dict[bytes, FiniteModel] = {}
+        for m in enumerate_models(t, n):
+            first = seen.setdefault(reduct(m, keep).encode_bytes(), m)
+            if first is not m:
+                return first, m
+    return None
+
+
+def random_formula(sig: Signature, rng: random.Random, max_depth: int,
+                   free: Sequence[str] = ()) -> Formula:
+    """Random formula of depth <= max_depth, closed when free is empty.
+
+    Deterministic for a given seeded rng.  Used by the randomized Los
+    harness; not a uniform distribution over anything.
+    """
+    fresh = _fresh_names(sig, free)
+
+    def rand_term(vars_avail: tuple[str, ...], fuel: int) -> Term:
+        pool: list[Term] = [Var(v) for v in vars_avail]
+        pool.extend(Const(c) for c in sig.constants)
+        if sig.functions and fuel > 0 and rng.random() < 0.3:
+            name, arity = rng.choice(sorted(sig.functions.items()))
+            return App(name, tuple(rand_term(vars_avail, fuel - 1) for _ in range(arity)))
+        if not pool:
+            raise ValueError("no terms available: no variables in scope and no constants")
+        return rng.choice(pool)
+
+    def rand_atom(vars_avail: tuple[str, ...]) -> Formula:
+        choices = []
+        if sig.relations:
+            choices.append("rel")
+        if vars_avail or sig.constants:
+            choices.append("eq")
+        kind = rng.choice(choices)
+        if kind == "rel":
+            name, arity = rng.choice(sorted(sig.relations.items()))
+            return Rel(name, tuple(rand_term(vars_avail, 1) for _ in range(arity)))
+        return Eq(rand_term(vars_avail, 1), rand_term(vars_avail, 1))
+
+    def go(depth: int, vars_avail: tuple[str, ...]) -> Formula:
+        atoms_possible = bool(vars_avail or sig.constants)
+        if depth <= 1:
+            if not atoms_possible:
+                raise ValueError("cannot build a closed atom: empty scope, no constants")
+            return rand_atom(vars_avail)
+        kinds = ["forall", "exists"]
+        if atoms_possible:
+            kinds += ["atom", "not", "and", "or", "imp", "iff"]
+        kind = rng.choice(kinds)
+        if kind == "atom":
+            return rand_atom(vars_avail)
+        if kind == "not":
+            return Not(go(depth - 1, vars_avail))
+        if kind in ("and", "or", "imp", "iff"):
+            ctor = {"and": And, "or": Or, "imp": Implies, "iff": Iff}[kind]
+            return ctor(go(depth - 1, vars_avail), go(depth - 1, vars_avail))
+        var = next(fresh)
+        body = go(depth - 1, vars_avail + (var,))
+        return Forall(var, body) if kind == "forall" else Exists(var, body)
+
+    return go(max_depth, tuple(free))

@@ -10,12 +10,12 @@ import random
 import time
 
 from conftest import replay_images
+from oracles import random_formula
 
 from defeq import cli
 from defeq.cli import dispatch, model_to_text
 from defeq.folang import (
-    Signature, enumerate_formulas, eval_formula, free_vars,
-    parse_formula, random_formula,
+    Signature, enumerate_formulas, eval_formula, free_vars, parse_formula,
 )
 from defeq.groups import automorphism_group
 from defeq.irregular import (

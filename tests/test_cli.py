@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -48,11 +47,13 @@ def test_theory_comments_and_blanks():
 
 
 def test_fixture_resolution():
-    assert fixture_path("ex1_t1.thy").exists()
+    assert os.path.exists(fixture_path("ex1_t1.thy"))
     t = load_theory("ex1_t1.thy")  # bare name falls back to the package copy
     assert set(t.sig.relations) == {"E", "R"}
     with pytest.raises(CliError):
         load_theory("missing_file.thy")
+    with pytest.raises(CliError, match="no such file"):
+        load_theory("")  # not the package's fixture directory
 
 
 # ------------------------------------------------------------
@@ -566,6 +567,18 @@ def test_subclosure_command(tmp_path):
                                 "subset: 0"]
 
 
+def test_subclosure_budget_bounds_the_subset_loop(capsys):
+    # ex1_t2 up to size 3: enumeration ticks 2,075 nodes at size 3 on its
+    # own counter, and the subsets of its 2 + 18 + 538 models number
+    # 2*1 + 18*3 + 538*7 = 3,822
+    argv = ("subclosure", "--theory", "ex1_t2.thy", "--size", "3")
+    assert run(*argv, "--max-nodes", "3822") == (0, "OK\n")
+    for limit in (3821, 3000):
+        assert run(*argv, "--max-nodes", str(limit)) == (2, "")
+        assert capsys.readouterr().err == ("defeq: work budget exceeded while checking "
+                                           f"induced substructures (limit {limit})\n")
+
+
 def test_sequence_commands():
     assert run("seq", "--variant", "master", "--range", "0..15") == \
         (0, "0 1 x 0 0 0 1 1 0 1 1 x 0 0 0\n")
@@ -621,6 +634,38 @@ def test_size_4_counts_and_census_build_no_tuple_view(monkeypatch):
     assert sum(int(line.rsplit("models=", 1)[1]) for line in out.splitlines()) == 66264
 
 
+def test_search_commands_build_no_rels_view(tmp_path, monkeypatch):
+    # every command reads relations off the bitmaps; the frozenset view is
+    # for library callers only
+    a, b = tmp_path / "a.mod", tmp_path / "b.mod"
+    a.write_text("size 3 rel E { (0,1) (1,0) (2,2) } fun f [ 1 0 2 ] const c 2")
+    b.write_text("size 2 rel E { (0,1) } fun f [ 1 0 ] const c 0")
+    mutual, loose = tmp_path / "mutual.thy", tmp_path / "loose.thy"
+    mutual.write_text(MUTUAL_PAIR)
+    loose.write_text("rel P 1\nrel R 1\n")
+    commands = [
+        ("models", "--theory", "ex1_t2.thy", "--size", "2"),
+        ("spec", "--theory", "ex1_t2.thy", "--size", "3"),
+        ("spec-compare", "--t1", "ex1_t1.thy", "--t2", "ex1_t2.thy", "--max-size", "2"),
+        ("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "2", "--verify"),
+        ("aut", "--model", str(a)),
+        ("aut", "--model", str(b)),
+        ("ultra", "--models", f"{a},{b}", "--principal", "0", "--los-depth", "2"),
+        ("beth", "--theory", str(mutual), "--target", "R", "--size", "2", "--bound", "7"),
+        ("idc", "--theory", "glymour_chain.thy", "--hidden", "R", "--size", "3"),
+        ("idc", "--theory", str(loose), "--hidden", "R", "--size", "2"),
+        ("subclosure", "--theory", "glymour_subst.thy", "--size", "3"),
+    ]
+    expected = [run(*argv) for argv in commands]
+    assert all(out for _, out in expected)
+
+    def rels(self):
+        raise AssertionError("rels view built")
+    monkeypatch.setattr(FiniteModel, "rels", property(rels))
+    for argv, want in zip(commands, expected):
+        assert run(*argv) == want, argv
+
+
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     a, b = tmp_path / "a.mod", tmp_path / "b.mod"
     a.write_text("size 2 rel P { (0) } rel E { (0,1) (1,1) }")
@@ -631,7 +676,7 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         ("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "2", "--verify"),
         ("ultra", "--models", f"{a},{b}", "--principal", "1", "--los-depth", "2"),
     ]
-    src = str(Path(defeq.__file__).parent.parent)
+    src = os.path.dirname(os.path.dirname(defeq.__file__))
     outputs = {}
     for seed in ("0", "1"):
         env = {**os.environ, "PYTHONHASHSEED": seed,

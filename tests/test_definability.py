@@ -5,7 +5,8 @@ import random
 
 import pytest
 from conftest import random_theory
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from oracles import reduct, reduct_expansion_check
 
 from defeq import definability, folang
 from defeq.definability import (
@@ -16,7 +17,7 @@ from defeq.folang import (
     Signature, SignatureError, enumerate_formulas, eval_formula, formula_to_text,
     free_vars, parse_formula,
 )
-from defeq.models import FiniteModel, Theory, enumerate_models, reduct
+from defeq.models import FiniteModel, Theory, enumerate_models
 
 SIG_P = Signature({"P": 1}, {}, [])
 SIG_PR = Signature({"P": 1, "R": 1}, {}, [])
@@ -95,6 +96,39 @@ def test_unique_expansion_fails_without_axioms():
     assert reduct(m1, ["P"]) == reduct(m2, ["P"])
     assert m1.rels["R"] != m2.rels["R"]
     assert {m1.rels["R"], m2.rels["R"]} == {frozenset(), frozenset({(0,)})}
+
+
+def test_unique_expansion_builds_no_signature_per_model(monkeypatch):
+    # the mutual pair has 2 models at size 1 and 512 at size 3; keying each
+    # on its encoding needs no reduct signature, so no restrict per model
+    sig = Signature({"G": 2, "R": 1}, {}, [])
+    t = Theory(sig, [parse_formula(
+        sig, "A x. (R(x) <-> (E y. (G(x,y) & G(y,x) & !(x=y))))")], name="mutual")
+    calls = 0
+    real = Signature.restrict
+
+    def counted(self, keep):
+        nonlocal calls
+        calls += 1
+        return real(self, keep)
+
+    monkeypatch.setattr(Signature, "restrict", counted)
+    counts = []
+    for size in (1, 3):
+        calls = 0
+        assert unique_expansion_check(t, ["R"], size) is None
+        counts.append(calls)
+    assert counts[1] == counts[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_unique_expansion_matches_the_reduct_oracle(seed, size):
+    rng = random.Random(seed)
+    t, candidates = random_theory(rng, size)
+    assume(candidates <= 4096)
+    hidden = [rng.choice(sorted(t.sig.relations))]
+    assert unique_expansion_check(t, hidden, size) == reduct_expansion_check(t, hidden, size)
 
 
 def test_unique_expansion_rejects_non_relations(subst):

@@ -6,14 +6,14 @@ import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import random_formula
 
 from defeq import folang
 from defeq.folang import (
     And, App, Const, Eq, Exists, Forall, FormulaLevels, FormulaSyntaxError, Iff,
     Implies, LevelTruth, Not, Or, Rel, Signature, SignatureError, Var,
     compile_lanes, enumerate_formulas, eval_formula, formula_depth, formula_size,
-    formula_to_text, free_vars, parse_formula, random_formula,
-    validate_formula,
+    formula_to_text, free_vars, parse_formula, validate_formula,
 )
 from defeq.models import FiniteModel
 

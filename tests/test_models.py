@@ -6,14 +6,13 @@ import random
 import pytest
 from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
+from oracles import random_formula, reduct
 
 from defeq.budget import BudgetExceededError, WorkBudget
-from defeq.folang import (
-    Signature, compile_lanes, eval_formula, parse_formula, random_formula,
-)
+from defeq.folang import Signature, compile_lanes, eval_formula, parse_formula
 from defeq.models import (
     FiniteModel, Theory, _blocks, _lanes, apply_permutation, canonical_key, enumerate_models,
-    find_isomorphisms, is_isomorphism, is_model, reduct, substructure,
+    find_isomorphisms, is_isomorphism, is_model, substructure,
 )
 
 SIG_ER = Signature({"E": 2, "R": 2}, {}, [])
@@ -286,7 +285,7 @@ def random_model(sig, size, rng):
 
 
 def test_isomorphism_search_matches_oracle():
-    sig = Signature({"E": 2, "P": 1}, {"f": 1}, ["c"])
+    sig = Signature({"E": 2, "P": 1}, {"f": 1, "g": 2}, ["c"])
     rng = random.Random(20260815)
     for trial in range(40):
         size = rng.choice([1, 2, 3, 4])

@@ -13,12 +13,12 @@ import random
 import typing
 
 import pytest
+from oracles import random_formula
 
 from defeq import cli, folang
 from defeq.budget import DEFAULT_MAX_NODES, WorkBudget
 from defeq.definability import Definition
-from defeq.folang import (And, Const, Or, Signature, Var, formula_to_text, parse_formula,
-                          random_formula)
+from defeq.folang import And, Const, Or, Signature, Var, formula_to_text, parse_formula
 from defeq.irregular import ChainStats, Pattern, irregularity_report
 from defeq.models import FiniteModel
 from defeq.record import Record

@@ -40,7 +40,7 @@ def test_every_module_level_private_name_is_read():
 
 # Modules that cost a command more to import than its own work takes at
 # small sizes; nothing on a command's path needs them.
-HEAVY = ("dataclasses", "inspect", "importlib.resources", "typing")
+HEAVY = ("dataclasses", "inspect", "importlib.resources", "typing", "pathlib", "random")
 
 
 def test_the_command_line_imports_no_heavy_module():

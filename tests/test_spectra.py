@@ -6,13 +6,12 @@ import random
 import pytest
 from conftest import random_theory, replay_images
 from hypothesis import assume, given, settings, strategies as st
+from oracles import group_key
 
 from defeq import cli, spectra
 from defeq.budget import NodeCounter, WorkBudget
 from defeq.folang import Signature
-from defeq.groups import (
-    PermutationGroup, automorphism_group, canonical_form, form_key, group_key,
-)
+from defeq.groups import PermutationGroup, automorphism_group, canonical_form, form_key
 from defeq.models import (
     FiniteModel, InternalError, Relabelling, Theory, apply_permutation, canonical_key,
     enumerate_models, find_isomorphisms, is_isomorphism, is_model, orbits,

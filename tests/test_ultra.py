@@ -4,9 +4,10 @@ import itertools
 import random
 
 import pytest
+from oracles import random_formula
 
 from defeq.budget import BudgetExceededError, WorkBudget
-from defeq.folang import Signature, SignatureError, parse_formula, random_formula
+from defeq.folang import Signature, SignatureError, parse_formula
 from defeq.models import FiniteModel
 from defeq.ultra import (
     Ultrafilter, diagonal_embedding, los_check, ultrafilters_on, ultraproduct,
