@@ -33,11 +33,12 @@ import os
 import re
 import sys
 from collections.abc import Sequence
+from functools import lru_cache
 
 from . import definability, folang, groups, irregular, spectra, ultra
 from .budget import BudgetExceededError, NodeCounter, WorkBudget
 from .folang import FormulaSyntaxError, Signature, SignatureError
-from .models import FiniteModel, InternalError, Theory, enumerate_models
+from .models import FiniteModel, InternalError, Theory, _ones, _tuples, enumerate_models
 
 __all__ = [
     "CliError", "parse_theory_text", "load_theory", "theory_to_text",
@@ -176,7 +177,10 @@ def _parse_model_raw(text: str) -> _RawModel:
     while i < len(tokens):
         kind = take()
         if kind == "size":
-            raw.size = take_int()
+            size = take_int()
+            if raw.size is not None:
+                raise CliError("duplicate size")
+            raw.size = size
         elif kind == "rel":
             name = take()
             expect("{")
@@ -205,7 +209,10 @@ def _parse_model_raw(text: str) -> _RawModel:
             raw.functions[name] = tuple(values)
         elif kind == "const":
             name = take()
-            raw.constants[name] = take_int()
+            value = take_int()
+            if name in raw.constants:
+                raise CliError(f"duplicate constant {name!r}")
+            raw.constants[name] = value
         else:
             raise CliError(f"unknown model directive {kind!r}")
     if raw.size is None:
@@ -277,16 +284,23 @@ def load_models(paths: Sequence[str]) -> list[FiniteModel]:
     return [_build_model(raw, sig) for raw in raws]
 
 
+@lru_cache(maxsize=None)
+def _tuple_texts(size: int, arity: int) -> tuple[str, ...]:
+    """"(a,b)" for each argument tuple over {0..size-1}, in rank order."""
+    return tuple(f"({','.join(map(str, t))})" for t in _tuples(size, arity))
+
+
 def model_to_text(m: FiniteModel) -> str:
     """Single-line rendering in the model file syntax."""
-    parts = [f"size {m.size}"]
-    for name in m.sig.relations:
-        tuples = " ".join(f"({','.join(map(str, t))})" for t in m.tuples(name))
-        parts.append(f"rel {name} {{ {tuples} }}".replace("{  }", "{ }"))
-    for name in m.sig.functions:
-        parts.append(f"fun {name} [ {' '.join(map(str, m.funs[name]))} ]")
-    for name in m.sig.constants:
-        parts.append(f"const {name} {m.consts[name]}")
+    size, rel_part, fun_part, const_part = m.encode()
+    parts = [f"size {size}"]
+    for (name, arity), bits in zip(m.sig.relations.items(), rel_part):
+        tuples = " ".join(map(_tuple_texts(size, arity).__getitem__, _ones(bits)))
+        parts.append(f"rel {name} {{ {tuples} }}" if tuples else f"rel {name} {{ }}")
+    for name, table in zip(m.sig.functions, fun_part):
+        parts.append(f"fun {name} [ {' '.join(map(str, table))} ]")
+    for name, value in zip(m.sig.constants, const_part):
+        parts.append(f"const {name} {value}")
     return " ".join(parts)
 
 

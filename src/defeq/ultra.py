@@ -1,23 +1,28 @@
 """Ultrafilters on finite index sets and explicit ultraproducts.
 
 The quotient is built verbatim: enumerate every choice function, partition
-by U-agreement, then read the tables off class representatives.  No step
-assumes the ultrafilter is principal; that every ultrafilter on a finite
-index set IS principal, and that the quotient then collapses to one factor,
-are theorems the tests check against this construction.
+by U-agreement, then read the tables off class representatives.  The
+partition depends only on the factor sizes and the ultrafilter, so it is
+made once per (factor sizes, ultrafilter) and reused: an Ultrafilter keeps
+the plan of the last factor sizes it was asked for, and every result of
+those sizes shares its read-only class_map.  No step assumes the
+ultrafilter is principal; that every ultrafilter on a finite index set IS
+principal, and that the quotient then collapses to one factor, are theorems
+the tests check against this construction.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from math import prod
+from types import MappingProxyType
 
 from . import folang
 from .budget import NodeCounter, WorkBudget
 from .folang import Formula, SignatureError
 from .models import FiniteModel
-from .record import Record
+from .record import Record, _set
 
 __all__ = [
     "Ultrafilter", "ultrafilters_on", "UltraproductResult",
@@ -41,16 +46,18 @@ class Ultrafilter:
     ultrafilter tests its point's bit.  Construction does not validate;
     call validate() to check the axioms (no empty set, upward closed,
     closed under intersection, and containing exactly one of each
-    complementary pair).
+    complementary pair).  An ultrafilter also keeps the plan (see
+    ultraproduct) of the last factor sizes a product over it was built for.
     """
 
-    __slots__ = ("size", "_test")
+    __slots__ = ("size", "_test", "_plan")
 
     def __init__(self, size: int, members: Iterable[Iterable[int]]):
         if size < 1:
             raise ValueError("index set must be nonempty")
         self.size = size
         self._test = frozenset(_mask(s, size) for s in members).__contains__
+        self._plan: _Plan | None = None
 
     @classmethod
     def principal(cls, point: int, size: int) -> "Ultrafilter":
@@ -108,16 +115,67 @@ def ultrafilters_on(size: int) -> list[Ultrafilter]:
     return [Ultrafilter.principal(i, size) for i in range(size)]
 
 
+class _Plan:
+    """What an ultraproduct reads that depends only on the factor sizes and
+    the ultrafilter: the U-agreement classes of the choice functions, and
+    per arity the ranks that the classes' representatives pick in each factor."""
+
+    __slots__ = ("sizes", "reps", "class_map", "_ranks")
+
+    def __init__(self, sizes: tuple[int, ...], test) -> None:
+        k = len(sizes)
+        reps: list[tuple[int, ...]] = []
+        class_map: dict[tuple[int, ...], int] = {}
+        for f in itertools.product(*map(range, sizes)):
+            for ci, rep in enumerate(reps):
+                agree = sum(1 << i for i in range(k) if f[i] == rep[i])
+                if test(agree):
+                    class_map[f] = ci
+                    break
+            else:
+                class_map[f] = len(reps)
+                reps.append(f)
+        self.sizes = sizes
+        self.reps = tuple(reps)
+        self.class_map = MappingProxyType(class_map)
+        self._ranks: dict[int, list[list[int]]] = {}
+
+    def ranks(self, arity: int) -> list[list[int]]:
+        """Per factor i, for each tuple of classes in lexicographic order, the
+        rank of the argument tuple its representatives pick in factor i."""
+        out = self._ranks.get(arity)
+        if out is None:
+            out = []
+            for i, n in enumerate(self.sizes):
+                picked = [rep[i] for rep in self.reps]
+                ranks = [0]
+                for _ in range(arity):
+                    ranks = [r * n + e for r in ranks for e in picked]
+                out.append(ranks)
+            self._ranks[arity] = out
+        return out
+
+
 class UltraproductResult(Record):
     """Quotient model plus the choice-function -> class map, with the
-    factors and the ultrafilter it was built from."""
+    factors and the ultrafilter it was built from.  Results over the same
+    factor sizes and ultrafilter share one read-only class_map."""
 
     __slots__ = ("quotient", "class_map", "reps", "factors", "ultrafilter")
     quotient: FiniteModel
-    class_map: dict[tuple[int, ...], int]
+    class_map: Mapping[tuple[int, ...], int]
     reps: tuple[tuple[int, ...], ...]
     factors: tuple[FiniteModel, ...]
     ultrafilter: Ultrafilter
+
+    def __init__(self, quotient: FiniteModel, class_map: Mapping[tuple[int, ...], int],
+                 reps: tuple[tuple[int, ...], ...], factors: tuple[FiniteModel, ...],
+                 ultrafilter: Ultrafilter) -> None:
+        _set(self, "quotient", quotient)
+        _set(self, "class_map", class_map)
+        _set(self, "reps", reps)
+        _set(self, "factors", factors)
+        _set(self, "ultrafilter", ultrafilter)
 
 
 def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
@@ -127,7 +185,10 @@ def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
     Classes are numbered by their lexicographically least choice function,
     in order of first appearance; with initial-segment universes this makes
     the quotient of a principal ultrafilter literally equal to the factor
-    at its principal point.
+    at its principal point.  The classes come from u's plan for these
+    factor sizes, made on first use; a relation's tuple of classes holds
+    when the factors whose bitmaps hold at its representatives' ranks form
+    a member of u.
     """
     budget = budget or WorkBudget()
     if len(models) != u.size:
@@ -136,52 +197,34 @@ def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
     for m in models[1:]:
         if m.sig != sig:
             raise SignatureError("ultraproduct factors must share a signature")
-    space = prod(m.size for m in models)
+    sizes = tuple(m.size for m in models)
+    space = prod(sizes)
     NodeCounter(budget, f"enumerating {space} choice functions").tick(space)
 
-    k, test = u.size, u._test
-    reps: list[tuple[int, ...]] = []
-    class_map: dict[tuple[int, ...], int] = {}
-    for f in itertools.product(*(range(m.size) for m in models)):
-        for ci, rep in enumerate(reps):
-            agree = sum(1 << i for i in range(k) if f[i] == rep[i])
-            if test(agree):
-                class_map[f] = ci
-                break
-        else:
-            class_map[f] = len(reps)
-            reps.append(f)
-
-    m_count = len(reps)
-    sizes = [m.size for m in models]
+    test = u._test
+    plan = u._plan
+    if plan is None or plan.sizes != sizes:
+        plan = u._plan = _Plan(sizes, test)
+    class_of = plan.class_map.__getitem__
     encs = [m.encode() for m in models]
-
-    def ranks(classes: tuple[int, ...]) -> list[int]:
-        # per factor, the rank of the argument tuple the classes' reps pick there
-        out = []
-        for i, n in enumerate(sizes):
-            r = 0
-            for c in classes:
-                r = r * n + reps[c][i]
-            out.append(r)
-        return out
 
     rel_part = []
     for r, arity in enumerate(sig.relations.values()):
-        bits = 0
-        for j, classes in enumerate(itertools.product(range(m_count), repeat=arity)):
-            agree = sum(1 << i for i, rank in enumerate(ranks(classes))
-                        if encs[i][1][r] >> rank & 1)
-            if test(agree):
-                bits |= 1 << j
-        rel_part.append(bits)
+        agree = [0] * len(plan.reps) ** arity
+        for i, (enc, ranks) in enumerate(zip(encs, plan.ranks(arity))):
+            bitmap, bit = enc[1][r], 1 << i
+            if bitmap:
+                agree = [a | bit if bitmap >> rank & 1 else a for a, rank in zip(agree, ranks)]
+        rel_part.append(sum(map((1).__lshift__,
+                                itertools.compress(itertools.count(), map(test, agree)))))
     fun_part = tuple(
-        tuple(class_map[tuple(encs[i][2][g][rank] for i, rank in enumerate(ranks(classes)))]
-              for classes in itertools.product(range(m_count), repeat=arity))
+        tuple(map(class_of, zip(*[list(map(enc[2][g].__getitem__, ranks))
+                                  for enc, ranks in zip(encs, plan.ranks(arity))])))
         for g, arity in enumerate(sig.functions.values()))
-    const_part = tuple(class_map[values] for values in zip(*(enc[3] for enc in encs)))
-    quotient = FiniteModel._from_encoding(sig, (m_count, tuple(rel_part), fun_part, const_part))
-    return UltraproductResult(quotient, class_map, tuple(reps), tuple(models), u)
+    const_part = tuple(map(class_of, zip(*[enc[3] for enc in encs])))
+    quotient = FiniteModel._from_encoding(
+        sig, (len(plan.reps), tuple(rel_part), fun_part, const_part))
+    return UltraproductResult(quotient, plan.class_map, plan.reps, tuple(models), u)
 
 
 def diagonal_embedding(m: FiniteModel, u: Ultrafilter,

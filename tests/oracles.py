@@ -5,6 +5,7 @@ definition-chasing version of something the package computes faster, or
 a generator of test inputs.
 """
 
+import itertools
 import random
 from collections.abc import Sequence
 
@@ -14,6 +15,7 @@ from defeq.folang import (
 )
 from defeq.groups import PermutationGroup, canonical_form, form_key
 from defeq.models import FiniteModel, enumerate_models
+from defeq.ultra import Ultrafilter
 
 
 def group_key(g: PermutationGroup) -> bytes:
@@ -44,6 +46,56 @@ def reduct_expansion_check(t, hidden, max_size):
             if first is not m:
                 return first, m
     return None
+
+
+def verbatim_ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter):
+    """(quotient, reps, class_map) of ultraproduct, all made afresh in one call:
+    partition every choice function by U-agreement, then read each table
+    entry off the ranks its class tuple's representatives pick per factor."""
+    sig = models[0].sig
+    k, test = u.size, u._test
+    reps: list[tuple[int, ...]] = []
+    class_map: dict[tuple[int, ...], int] = {}
+    for f in itertools.product(*(range(m.size) for m in models)):
+        for ci, rep in enumerate(reps):
+            agree = sum(1 << i for i in range(k) if f[i] == rep[i])
+            if test(agree):
+                class_map[f] = ci
+                break
+        else:
+            class_map[f] = len(reps)
+            reps.append(f)
+
+    m_count = len(reps)
+    sizes = [m.size for m in models]
+    encs = [m.encode() for m in models]
+
+    def ranks(classes: tuple[int, ...]) -> list[int]:
+        # per factor, the rank of the argument tuple the classes' reps pick there
+        out = []
+        for i, n in enumerate(sizes):
+            r = 0
+            for c in classes:
+                r = r * n + reps[c][i]
+            out.append(r)
+        return out
+
+    rel_part = []
+    for r, arity in enumerate(sig.relations.values()):
+        bits = 0
+        for j, classes in enumerate(itertools.product(range(m_count), repeat=arity)):
+            agree = sum(1 << i for i, rank in enumerate(ranks(classes))
+                        if encs[i][1][r] >> rank & 1)
+            if test(agree):
+                bits |= 1 << j
+        rel_part.append(bits)
+    fun_part = tuple(
+        tuple(class_map[tuple(encs[i][2][g][rank] for i, rank in enumerate(ranks(classes)))]
+              for classes in itertools.product(range(m_count), repeat=arity))
+        for g, arity in enumerate(sig.functions.values()))
+    const_part = tuple(class_map[values] for values in zip(*(enc[3] for enc in encs)))
+    quotient = FiniteModel._from_encoding(sig, (m_count, tuple(rel_part), fun_part, const_part))
+    return quotient, tuple(reps), class_map
 
 
 def random_formula(sig: Signature, rng: random.Random, max_depth: int,

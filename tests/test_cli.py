@@ -100,6 +100,20 @@ def test_model_parse_errors():
             parse_model_text(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("size 2 rel P { (2) }\nsize 3\n", "duplicate size"),
+    ("size 2 const c 0 const c 1\n", "duplicate constant 'c'"),
+    ("size 2 rel P { (0) } rel P { (1) }\n", "duplicate relation 'P'"),
+    ("size 2 fun f [ 0 1 ] fun f [ 1 0 ]\n", "duplicate function 'f'"),
+])
+def test_a_second_declaration_is_refused(tmp_path, capsys, text, message):
+    # the later one silently won before: a size-2 table loaded as a size-3 model
+    mod = tmp_path / "dup.mod"
+    mod.write_text(text)
+    assert run("aut", "--model", str(mod)) == (2, "")
+    assert capsys.readouterr().err == f"defeq: {message}\n"
+
+
 def test_load_models_unifies_signatures(tmp_path):
     a = tmp_path / "a.mod"
     b = tmp_path / "b.mod"

@@ -1,16 +1,18 @@
 """Ultrafilters and ultraproducts, checked against first principles."""
 
+import gc
 import itertools
 import random
 
 import pytest
-from oracles import random_formula
+from hypothesis import given, settings, strategies as st
+from oracles import random_formula, verbatim_ultraproduct
 
 from defeq.budget import BudgetExceededError, WorkBudget
 from defeq.folang import Signature, SignatureError, parse_formula
 from defeq.models import FiniteModel
 from defeq.ultra import (
-    Ultrafilter, diagonal_embedding, los_check, ultrafilters_on, ultraproduct,
+    Ultrafilter, _Plan, diagonal_embedding, los_check, ultrafilters_on, ultraproduct,
 )
 
 SIG = Signature({"P": 1, "E": 2}, {}, ["c"])
@@ -119,6 +121,17 @@ def test_principal_quotient_equals_the_pointed_factor_randomized():
             assert res.quotient == ms[point]
 
 
+FUN_SIG = Signature({"P": 1, "E": 2}, {"f": 1}, ["c"])
+
+
+def random_fun_model(rng, size):
+    return FiniteModel(
+        FUN_SIG, size,
+        {"P": [(a,) for a in range(size) if rng.random() < 0.5],
+         "E": [t for t in itertools.product(range(size), repeat=2) if rng.random() < 0.4]},
+        {"f": [rng.randrange(size) for _ in range(size)]}, {"c": rng.randrange(size)})
+
+
 def tuple_quotient(models, u, res):
     """The quotient's tables read tuple by tuple off res's representatives: the oracle."""
     sig, reps, k = models[0].sig, res.reps, u.size
@@ -142,23 +155,60 @@ def tuple_quotient(models, u, res):
 def test_quotient_tables_match_the_tuple_oracle():
     # principal ultrafilters, and arbitrary set families, which the table
     # loop reads the same way
-    sig = Signature({"P": 1, "E": 2}, {"f": 1}, ["c"])
     rng = random.Random(1018)
     for _ in range(40):
-        ms = []
-        for _ in range(rng.choice([1, 2, 3])):
-            size = rng.choice([1, 2, 3])
-            ms.append(FiniteModel(
-                sig, size,
-                {"P": [(a,) for a in range(size) if rng.random() < 0.5],
-                 "E": [t for t in itertools.product(range(size), repeat=2) if rng.random() < 0.4]},
-                {"f": [rng.randrange(size) for _ in range(size)]}, {"c": rng.randrange(size)}))
+        ms = [random_fun_model(rng, rng.choice([1, 2, 3])) for _ in range(rng.choice([1, 2, 3]))]
         k = len(ms)
         subsets = [s for r in range(k + 1) for s in itertools.combinations(range(k), r)]
         for u in [*ultrafilters_on(k), Ultrafilter(k, rng.sample(subsets, len(subsets) // 2))]:
             res = ultraproduct(ms, u)
             oracle = tuple_quotient(ms, u, res)
             assert res.quotient == oracle and res.quotient.rels == oracle.rels
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_ultraproduct_matches_the_verbatim_oracle(seed, k):
+    # calls alternate between factor lists of different sizes and between two
+    # ultrafilters on the same index set, so a plan kept for the wrong
+    # shape, or shared between ultrafilters, gives a wrong quotient
+    rng = random.Random(seed)
+    subsets = [s for r in range(k + 1) for s in itertools.combinations(range(k), r)]
+    us = [Ultrafilter.principal(rng.randrange(k), k),
+          rng.choice([Ultrafilter.principal(rng.randrange(k), k),
+                      Ultrafilter(k, rng.sample(subsets, rng.randint(0, len(subsets))))])]
+    families = [[random_fun_model(rng, rng.randint(1, 3)) for _ in range(k)] for _ in range(3)]
+    families.append([random_fun_model(rng, m.size) for m in families[0]])
+    done = []
+    for _ in range(12):
+        ms, u = rng.choice(families), rng.choice(us)
+        res = ultraproduct(ms, u)
+        assert (res.quotient, res.reps, res.class_map) == verbatim_ultraproduct(ms, u)
+        done.append((ms, u, res))
+    for ms, u, res in done:  # later calls left earlier results as they were
+        assert (res.quotient, res.reps, res.class_map) == verbatim_ultraproduct(ms, u)
+
+
+def test_an_ultrafilter_keeps_only_the_last_plan():
+    u = Ultrafilter(2, [{0}, {0, 1}])
+    first = ultraproduct([model_of(1, []), model_of(2, [1])], u)
+    for sizes in [(3, 1), (1, 2), (2, 2)]:
+        res = ultraproduct([model_of(n, [0]) for n in sizes], u)
+    # besides its size and its membership test, u refers to one plan
+    kept = [x for x in gc.get_referents(u) if not callable(x) and not isinstance(x, int)]
+    assert [type(x) for x in kept] == [_Plan] and kept[0].sizes == (2, 2)
+    again = ultraproduct([model_of(2, []), model_of(2, [0, 1])], u)
+    assert again.class_map is res.class_map and again.reps is res.reps
+    assert first.class_map == {(0, 0): 0, (0, 1): 0}
+
+
+def test_class_map_is_read_only():
+    res = ultraproduct([model_of(2, [0]), model_of(1, [])], Ultrafilter.principal(0, 2))
+    with pytest.raises(TypeError):
+        res.class_map[(0, 0)] = 1
+    with pytest.raises(TypeError):
+        del res.class_map[(0, 0)]
+    assert dict(res.class_map) == {(0, 0): 0, (1, 0): 1}
 
 
 def test_class_map_is_consistent_with_representatives():
