@@ -45,6 +45,11 @@ class WorkBudget(Record):
             raise ValueError("max_nodes must be positive")
 
 
+# The budget of a call given none; one instance serves every such call,
+# since a WorkBudget is immutable.
+DEFAULT_BUDGET = WorkBudget()
+
+
 class NodeCounter:
     """Mutable tally of visited search nodes against a budget."""
 

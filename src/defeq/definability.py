@@ -14,7 +14,7 @@ import itertools
 from collections.abc import Iterable, Mapping
 
 from . import folang
-from .budget import NodeCounter, WorkBudget
+from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from .folang import (App, Const, Exists, Forall, Formula, Iff, Not, Rel, Signature,
                      SignatureError, Var)
 from .models import FiniteModel, InternalError, Theory, enumerate_models, is_model, substructure
@@ -170,7 +170,7 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
     ruled out at once.  The budget counts one node per candidate up to the
     one checked, as a scan would.
     """
-    budget = budget or WorkBudget()
+    budget = budget or DEFAULT_BUDGET
     arity = t.sig.relations.get(target)
     if arity is None:
         raise ValueError(f"target {target!r} is not a relation of the theory")
@@ -264,7 +264,7 @@ def substructure_closure_check(t: Theory, max_size: int,
     The budget counts one node per subset tried, over all sizes, apart from
     the nodes each size's enumeration counts.
     """
-    budget = budget or WorkBudget()
+    budget = budget or DEFAULT_BUDGET
     nodes = NodeCounter(budget, "checking induced substructures")
     for n in range(1, max_size + 1):
         for m in enumerate_models(t, n, budget):

@@ -17,7 +17,7 @@ from math import prod
 from types import MappingProxyType
 
 from . import folang
-from .budget import BudgetExceededError, NodeCounter, WorkBudget
+from .budget import DEFAULT_BUDGET, BudgetExceededError, NodeCounter, WorkBudget
 from .folang import And, Formula, Or, Signature, SignatureError
 
 __all__ = [
@@ -375,7 +375,7 @@ def enumerate_models(t: Theory, size: int,
     """
     if size < 1:
         raise ValueError("universe must be nonempty")
-    budget = budget or WorkBudget()
+    budget = budget or DEFAULT_BUDGET
     sig = t.sig
     fun_space = prod(size ** (size ** a) for a in sig.functions.values()) \
         * size ** len(sig.constants)
@@ -630,6 +630,26 @@ class Relabelling:
                 rows.append(([1 << d for d in dst], src))
             self._moves[arity] = rows
 
+    def images(self, m: FiniteModel) -> list[tuple]:
+        """The encoding of p.m for each permutation p of perms, in order:
+        apply_permutation(m, perms[i]).encode() is images(m)[i].  Two models
+        of one size, each swept with the relabelling of its own signature,
+        give the images of one permutation at one index."""
+        if m.size != self.size:
+            raise ValueError(f"model of size {m.size}, relabellings of size {self.size}")
+        size, rel_part, fun_part, consts = m.encode()
+        perms = self.perms
+        # one column per symbol, one entry per permutation; zip makes the rows
+        rels = [[sum(map(bits.__getitem__, ones)) for bits, _ in self._moves[k]]
+                for ones, k in zip(map(_ones, rel_part), m.sig.relations.values())]
+        funs = [[tuple(map(p.__getitem__, map(table.__getitem__, src)))
+                 for p, (_, src) in zip(perms, self._moves[k])]
+                for table, k in zip(fun_part, m.sig.functions.values())]
+        values = [[p[c] for p in perms] for c in consts]
+        empty = [()] * len(perms)
+        return list(zip([size] * len(perms), list(zip(*rels)) or empty,
+                        list(zip(*funs)) or empty, list(zip(*values)) or empty))
+
     def orbit(self, m: FiniteModel, nodes: NodeCounter
               ) -> tuple[dict[tuple, tuple[int, ...]], list[tuple[int, ...]]]:
         """Sweep every relabelling of m once: (images, stabilizer).
@@ -640,44 +660,32 @@ class Relabelling:
         that fix m, which is Aut(m) in lexicographic order.  nodes counts
         one node per permutation applied.
         """
-        if m.size != self.size:
-            raise ValueError(f"model of size {m.size}, relabellings of size {self.size}")
+        swept = self.images(m)
         nodes.tick(len(self.perms))
         enc = m.encode()
-        size, rel_part, fun_part, consts = enc
-        rels = [(self._moves[k], [j for j in range(size ** k) if bits >> j & 1])
-                for bits, k in zip(rel_part, m.sig.relations.values())]
-        funs = [(self._moves[k], table)
-                for table, k in zip(fun_part, m.sig.functions.values())]
         images: dict[tuple, tuple[int, ...]] = {}
         stabilizer = []
-        for i, p in enumerate(self.perms):
-            image = (size,
-                     tuple([sum(map(moves[i][0].__getitem__, ones)) for moves, ones in rels]),
-                     tuple([tuple([p[table[j]] for j in moves[i][1]]) for moves, table in funs]),
-                     tuple([p[c] for c in consts]))
+        for p, image in zip(self.perms, swept):
             images.setdefault(image, p)
             if image == enc:
                 stabilizer.append(p)
         return images, stabilizer
 
 
-def orbits(models: Sequence[FiniteModel], nodes: NodeCounter
+def orbits(relabelling: Relabelling, models: Sequence[FiniteModel], nodes: NodeCounter
            ) -> Iterator[tuple[list[FiniteModel], list[tuple[int, ...]], list[tuple[int, ...]]]]:
     """Split models of one signature and size, in encoding order, into classes.
 
-    One Relabelling sweep per isomorphism class, from its least member m,
-    yields (members in encoding order, moves, Aut(m) in lexicographic
-    order), where moves[i] carries m = members[0] onto members[i].  Classes
-    come in the order of their least members; since fixed-width encodings
-    order like their bytes, members[0].encode_bytes() is the canonical key.
-    InternalError is raised unless every image is one of the models not
-    yet classified (the list is closed under relabelling) and
-    |class| * |Aut(m)| = n! (orbit-stabilizer).
+    One sweep of relabelling (made for that signature and size) per
+    isomorphism class, from its least member m, yields (members in encoding
+    order, moves, Aut(m) in lexicographic order), where moves[i] carries
+    m = members[0] onto members[i].  Classes come in the order of their
+    least members; since fixed-width encodings order like their bytes,
+    members[0].encode_bytes() is the canonical key.  InternalError is
+    raised unless every image is one of the models not yet classified (the
+    list is closed under relabelling) and |class| * |Aut(m)| = n!
+    (orbit-stabilizer).
     """
-    if not models:
-        return
-    relabelling = Relabelling(models[0].sig, models[0].size)
     pending = {m.encode(): m for m in models}
     for m in models:
         if m.encode() not in pending:

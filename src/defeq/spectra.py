@@ -17,13 +17,13 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 
-from .budget import NodeCounter, WorkBudget
-from .groups import (PermutationGroup, canonical_form, compose, form_key,
-                     group_to_text, invert)
-from .models import (FiniteModel, InternalError, Theory, apply_permutation,
-                     enumerate_models, is_isomorphism, orbits)
+from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
+from .folang import Signature, SignatureError
+from .groups import PermutationGroup, canonical_form, form_key, group_to_text
+from .models import (FiniteModel, InternalError, Relabelling, Theory, enumerate_models,
+                     is_isomorphism, orbits)
 from .record import Record
-from .ultra import ultrafilters_on, ultraproduct
+from .ultra import quotient_encoding, ultrafilters_on
 
 __all__ = [
     "SpectrumEntry", "Spectrum", "SpectrumWitness", "Census", "aut_spec",
@@ -120,34 +120,48 @@ class Census:
     cells maps group keys to (canonical group, classes by canonical key), a
     class being [members in encoding order, representative]: the least
     member whose group is literally the canonical one, by
-    Aut(p.M) = p Aut(M) p^-1, so canonical_form runs once per class.  moves
-    maps each representative to, per member, a permutation carrying it
-    onto that member.  The budget bounds enumeration and sweeps apart.
+    Aut(p.M) = p Aut(M) p^-1, so canonical_form runs once per class.
+    relabelling holds the index tables of the sweeps (None when there are no
+    models).  The budget bounds enumeration and sweeps apart.
     """
 
-    __slots__ = ("models", "cells", "moves")
+    __slots__ = ("models", "cells", "relabelling", "_moves")
 
     def __init__(self, t: Theory, size: int, budget: WorkBudget | None = None):
-        budget = budget or WorkBudget()
+        budget = budget or DEFAULT_BUDGET
         self.models = enumerate_models(t, size, budget)
+        self.relabelling = Relabelling(t.sig, size) if self.models else None
         nodes = NodeCounter(budget, f"relabelling models at size {size}")
         found: dict[PermutationGroup, dict[bytes, list]] = {}
-        self.moves: dict[FiniteModel, list[tuple[int, ...]]] = {}
-        perms = {p: p for p in itertools.permutations(range(size))}  # one copy each
         forms: dict[PermutationGroup, PermutationGroup] = {}  # canonical_form, per group
-        for members, moves, stabilizer in orbits(self.models, nodes):
+        for members, moves, stabilizer in orbits(self.relabelling, self.models, nodes):
             aut = PermutationGroup(size, stabilizer, _trusted=True)
             canon = forms.get(aut)
             if canon is None:
                 canon = forms[aut] = canonical_form(aut)
             # canon is a conjugate of Aut(members[0]), so some member has it literally
-            at = next(i for i, p in enumerate(moves) if aut.conjugate(p) == canon)
-            back = invert(moves[at])
-            self.moves[members[at]] = [perms[compose(p, back)] for p in moves]
-            found.setdefault(canon, {})[members[0].encode_bytes()] = [members, members[at]]
+            rep = next(m for m, p in zip(members, moves) if aut.conjugate(p) == canon)
+            found.setdefault(canon, {})[members[0].encode_bytes()] = [members, rep]
         self.cells: dict[bytes, tuple[PermutationGroup, list[list]]] = {
             form_key(canon): (canon, [classes[k] for k in sorted(classes)])
             for canon, classes in found.items()}
+        self._moves: dict[FiniteModel, list[tuple[int, ...]]] | None = None
+
+    @property
+    def moves(self) -> dict[FiniteModel, list[tuple[int, ...]]]:
+        """Each representative mapped to, per member, the first permutation
+        in lexicographic order that carries it onto that member.  Built on
+        first read, by one more sweep of each representative; only the
+        verifier reads it."""
+        if self._moves is None:
+            self._moves = {}
+            for _, classes in self.cells.values():
+                for members, rep in classes:
+                    # reversed, so that the first permutation giving an image is the one kept
+                    first = dict(zip(reversed(self.relabelling.images(rep)),
+                                     reversed(self.relabelling.perms)))
+                    self._moves[rep] = [first[m.encode()] for m in members]
+        return self._moves
 
     def entries(self) -> dict[bytes, SpectrumEntry]:
         """This size's spectrum table: group key -> counts."""
@@ -246,15 +260,20 @@ def build_concrete_iso(t1: Theory, t2: Theory, max_size: int,
     Per size and per group key, the isomorphism classes on both sides are
     ordered by canonical key and paired off; each pair has
     representatives with literally equal automorphism groups, and then
-    b(M) = f(M2rep) for the census move f from M's representative M1rep to
-    M.  Any isomorphism f gives the same image, which is what makes b
-    well defined; the tests iterate all f to confirm.
+    b(f.M1rep) = f.M2rep for every permutation f.  Any f carrying M1rep
+    onto M gives the same image, which is what makes b well defined; the
+    tests iterate all f to confirm.  The images come from one paired sweep
+    of M1rep and M2rep, each with its census's relabellings.
     """
     sizes = range(1, max_size + 1)
-    pairs = {n: {m: apply_permutation(rep2, p)
-                 for rep1, rep2, members in _paired_classes(c1, c2)
-                 for m, p in zip(members, c1.moves[rep1])}
-             for n, c1, c2 in spectra(t1, t2, sizes, budget)}
+    pairs: dict[int, dict[FiniteModel, FiniteModel]] = {}
+    for n, c1, c2 in spectra(t1, t2, sizes, budget):
+        pairs[n] = images = {}
+        for rep1, rep2, members in _paired_classes(c1, c2):
+            # the i-th relabellings of rep1 and rep2 come from one permutation
+            image = dict(zip(c1.relabelling.images(rep1), c2.relabelling.images(rep2)))
+            for m in members:
+                images[m] = FiniteModel._from_encoding(rep2.sig, image[m.encode()])
     return ConcreteBijection(tuple(sizes), pairs)
 
 
@@ -329,6 +348,44 @@ def _iso_witness(b: ConcreteBijection, n: int, c1: Census,
     raise InternalError(f"the coset verdict failed at size {n}, but no model pair breaks it")
 
 
+def _ultra_witness(b: ConcreteBijection, sig: Signature, models: list[FiniteModel],
+                   index_bound: int, sample_budget: int, budget: WorkBudget,
+                   sampled: NodeCounter) -> tuple[int, int, tuple[FiniteModel, ...]] | None:
+    """The first sampled (k, point, tuple) whose product b does not commute with.
+
+    b is total on models, which are over sig.  Each model's image is taken
+    once, and the products are made on encodings by ultra.quotient_encoding,
+    the kernel of ultra.ultraproduct, with the same plans and the same
+    budget check, made once per factor shape.
+    """
+    source = {m.encode(): m for m in models}
+    image = {enc: b.apply(m) for enc, m in source.items()}
+    image_enc = {enc: bm.encode() for enc, bm in image.items()}
+    mixed = len({bm.sig for bm in image.values()}) > 1  # so a tuple may mix signatures
+    encs = list(source)
+    for k in range(1, index_bound + 1):
+        for u in ultrafilters_on(k):
+            plan = None
+            for tup in itertools.islice(itertools.product(encs, repeat=k), sample_budget):
+                sampled.tick()
+                sizes = tuple([enc[0] for enc in tup])
+                if plan is None or plan.sizes != sizes:
+                    plan = u.plan(sizes, budget)
+                q = quotient_encoding(plan, tup, sig)
+                # a quotient outside models goes through b.apply, which raises if b misses it
+                left = image.get(q) or b.apply(FiniteModel._from_encoding(sig, q))
+                if mixed and len({image[enc].sig for enc in tup}) > 1:
+                    raise SignatureError("ultraproduct factors must share a signature")
+                target = image[tup[0]].sig
+                right_encs = list(map(image_enc.__getitem__, tup))
+                right_sizes = tuple([enc[0] for enc in right_encs])
+                right_plan = plan if right_sizes == sizes else u.plan(right_sizes, budget)
+                if (left.encode() != quotient_encoding(right_plan, right_encs, target)
+                        or left.sig != target):
+                    return k, u.principal_point(), tuple(map(source.__getitem__, tup))
+    return None
+
+
 def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
                         max_size: int, *, index_bound: int = 2,
                         sample_budget: int = 2000,
@@ -345,7 +402,7 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
     sample_budget per (index set size, point), and its own count against
     the budget ticks once per tuple.
     """
-    budget = budget or WorkBudget()
+    budget = budget or DEFAULT_BUDGET
     nodes = NodeCounter(budget, "verifying the bijection")
     all1: list[FiniteModel] = []
     universe_witness = iso_witness = None
@@ -365,18 +422,8 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
                 universe_witness = m
         iso_witness = iso_witness or _iso_witness(b, n, c1, nodes)
 
-    ultra_witness = None
     sampled = NodeCounter(budget, "sampling ultraproduct tuples")
-    samples = ((k, u, tup) for k in range(1, index_bound + 1) for u in ultrafilters_on(k)
-               for tup in itertools.islice(itertools.product(all1, repeat=k), sample_budget))
-    for k, u, tup in samples:
-        sampled.tick()
-        left = b.apply(ultraproduct(list(tup), u, budget).quotient)
-        right = ultraproduct([b.apply(m) for m in tup], u, budget).quotient
-        if left != right:
-            ultra_witness = (k, u.principal_point(), tup)
-            break
-
+    ultra_witness = _ultra_witness(b, t1.sig, all1, index_bound, sample_budget, budget, sampled)
     return VerificationReport(universe_witness is None, universe_witness,
                               iso_witness is None, iso_witness,
                               ultra_witness is None, ultra_witness, sampled.count)

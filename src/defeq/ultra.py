@@ -19,14 +19,14 @@ from math import prod
 from types import MappingProxyType
 
 from . import folang
-from .budget import NodeCounter, WorkBudget
-from .folang import Formula, SignatureError
+from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
+from .folang import Formula, Signature, SignatureError
 from .models import FiniteModel
 from .record import Record, _set
 
 __all__ = [
     "Ultrafilter", "ultrafilters_on", "UltraproductResult",
-    "ultraproduct", "diagonal_embedding", "LosReport", "los_check",
+    "ultraproduct", "quotient_encoding", "diagonal_embedding", "LosReport", "los_check",
 ]
 
 
@@ -42,12 +42,12 @@ class Ultrafilter:
     """A family of subsets of {0..size-1} intended to be an ultrafilter.
 
     The family is stored as one membership test on bit masks (bit i is
-    index i): a passed family becomes a frozenset of masks, a principal
-    ultrafilter tests its point's bit.  Construction does not validate;
-    call validate() to check the axioms (no empty set, upward closed,
-    closed under intersection, and containing exactly one of each
-    complementary pair).  An ultrafilter also keeps the plan (see
-    ultraproduct) of the last factor sizes a product over it was built for.
+    index i), truthy for a member: a passed family becomes a frozenset of
+    masks, a principal ultrafilter ands the mask with its point's bit.
+    Construction does not validate; call validate() to check the axioms
+    (no empty set, upward closed, closed under intersection, and containing
+    exactly one of each complementary pair).  An ultrafilter also keeps the
+    plan (see plan) of the last factor sizes a product over it was built for.
     """
 
     __slots__ = ("size", "_test", "_plan")
@@ -65,7 +65,7 @@ class Ultrafilter:
         if not 0 <= point < size:
             raise ValueError("principal point outside the index set")
         u = cls(size, ())
-        u._test = lambda mask: mask >> point & 1
+        u._test = (1 << point).__and__
         return u
 
     @property
@@ -90,6 +90,19 @@ class Ultrafilter:
             if bool(self._test(bits)) == bool(self._test(full ^ bits)):
                 s = [i for i in range(self.size) if bits >> i & 1]
                 raise ValueError(f"must contain exactly one of {s} and its complement")
+
+    def plan(self, sizes: tuple[int, ...], budget: WorkBudget) -> "_Plan":
+        """The plan of products over this ultrafilter of factors of these
+        sizes: the one kept if it is for these sizes, else a new one, kept
+        in its place.  Either way the prod(sizes) choice functions count
+        against the budget first, so a shape over the budget is refused
+        before anything is read."""
+        space = prod(sizes)
+        NodeCounter(budget, f"enumerating {space} choice functions").tick(space)
+        plan = self._plan
+        if plan is None or plan.sizes != sizes:
+            plan = self._plan = _Plan(sizes, self._test)
+        return plan
 
     def contains(self, s: Iterable[int]) -> bool:
         return bool(self._test(_mask(s, self.size)))
@@ -120,7 +133,7 @@ class _Plan:
     the ultrafilter: the U-agreement classes of the choice functions, and
     per arity the ranks that the classes' representatives pick in each factor."""
 
-    __slots__ = ("sizes", "reps", "class_map", "_ranks")
+    __slots__ = ("sizes", "test", "reps", "class_map", "_ranks")
 
     def __init__(self, sizes: tuple[int, ...], test) -> None:
         k = len(sizes)
@@ -136,6 +149,7 @@ class _Plan:
                 class_map[f] = len(reps)
                 reps.append(f)
         self.sizes = sizes
+        self.test = test
         self.reps = tuple(reps)
         self.class_map = MappingProxyType(class_map)
         self._ranks: dict[int, list[list[int]]] = {}
@@ -186,28 +200,30 @@ def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
     in order of first appearance; with initial-segment universes this makes
     the quotient of a principal ultrafilter literally equal to the factor
     at its principal point.  The classes come from u's plan for these
-    factor sizes, made on first use; a relation's tuple of classes holds
-    when the factors whose bitmaps hold at its representatives' ranks form
-    a member of u.
+    factor sizes (see Ultrafilter.plan), the tables from quotient_encoding.
     """
-    budget = budget or WorkBudget()
+    budget = budget or DEFAULT_BUDGET
     if len(models) != u.size:
         raise ValueError(f"expected {u.size} models, got {len(models)}")
     sig = models[0].sig
     for m in models[1:]:
         if m.sig != sig:
             raise SignatureError("ultraproduct factors must share a signature")
-    sizes = tuple(m.size for m in models)
-    space = prod(sizes)
-    NodeCounter(budget, f"enumerating {space} choice functions").tick(space)
+    plan = u.plan(tuple(m.size for m in models), budget)
+    enc = quotient_encoding(plan, [m.encode() for m in models], sig)
+    return UltraproductResult(FiniteModel._from_encoding(sig, enc), plan.class_map,
+                              plan.reps, tuple(models), u)
 
-    test = u._test
-    plan = u._plan
-    if plan is None or plan.sizes != sizes:
-        plan = u._plan = _Plan(sizes, test)
-    class_of = plan.class_map.__getitem__
-    encs = [m.encode() for m in models]
 
+def quotient_encoding(plan: _Plan, encs: Sequence[tuple], sig: Signature) -> tuple:
+    """The quotient's encoding for factors over sig with encodings encs;
+    plan must be the one for their sizes and ultrafilter (Ultrafilter.plan).
+
+    A relation's tuple of classes holds when the factors whose bitmaps
+    hold at its representatives' ranks form a member of the ultrafilter;
+    function tables and constants are read through the class map.
+    """
+    test, class_of = plan.test, plan.class_map.__getitem__
     rel_part = []
     for r, arity in enumerate(sig.relations.values()):
         agree = [0] * len(plan.reps) ** arity
@@ -217,14 +233,12 @@ def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
                 agree = [a | bit if bitmap >> rank & 1 else a for a, rank in zip(agree, ranks)]
         rel_part.append(sum(map((1).__lshift__,
                                 itertools.compress(itertools.count(), map(test, agree)))))
-    fun_part = tuple(
+    fun_part = tuple([
         tuple(map(class_of, zip(*[list(map(enc[2][g].__getitem__, ranks))
                                   for enc, ranks in zip(encs, plan.ranks(arity))])))
-        for g, arity in enumerate(sig.functions.values()))
-    const_part = tuple(map(class_of, zip(*[enc[3] for enc in encs])))
-    quotient = FiniteModel._from_encoding(
-        sig, (len(plan.reps), tuple(rel_part), fun_part, const_part))
-    return UltraproductResult(quotient, plan.class_map, plan.reps, tuple(models), u)
+        for g, arity in enumerate(sig.functions.values())])
+    const_part = tuple(map(class_of, zip(*[enc[3] for enc in encs]))) if sig.constants else ()
+    return len(plan.reps), tuple(rel_part), fun_part, const_part
 
 
 def diagonal_embedding(m: FiniteModel, u: Ultrafilter,

@@ -13,9 +13,11 @@ from defeq.folang import (
     And, App, Const, Eq, Exists, Forall, Formula, Iff, Implies, Not, Or, Rel, Signature, Term,
     Var, _fresh_names,
 )
+from defeq.budget import DEFAULT_BUDGET, NodeCounter
 from defeq.groups import PermutationGroup, canonical_form, form_key
-from defeq.models import FiniteModel, enumerate_models
-from defeq.ultra import Ultrafilter
+from defeq.models import FiniteModel, apply_permutation, enumerate_models
+from defeq.spectra import Census, _paired_classes
+from defeq.ultra import Ultrafilter, ultrafilters_on, ultraproduct
 
 
 def group_key(g: PermutationGroup) -> bytes:
@@ -96,6 +98,35 @@ def verbatim_ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter):
     const_part = tuple(class_map[values] for values in zip(*(enc[3] for enc in encs)))
     quotient = FiniteModel._from_encoding(sig, (m_count, tuple(rel_part), fun_part, const_part))
     return quotient, tuple(reps), class_map
+
+
+def pairs_by_moves(t1, t2, max_size):
+    """build_concrete_iso's pairs made member by member: per size, each
+    member m of rep1's class goes to apply_permutation(rep2, p) for the
+    census move p carrying rep1 onto m."""
+    pairs = {}
+    for n in range(1, max_size + 1):
+        c1, c2 = Census(t1, n), Census(t2, n)
+        pairs[n] = {m: apply_permutation(rep2, p)
+                    for rep1, rep2, members in _paired_classes(c1, c2)
+                    for m, p in zip(members, c1.moves[rep1])}
+    return pairs
+
+
+def ultra_verdict(b, models, index_bound=2, sample_budget=2000, budget=DEFAULT_BUDGET):
+    """(ultra_witness, checked_tuples) of verify_concrete_iso, by the loop on
+    models: for each sampled tuple, the image under b of the ultraproduct
+    against the ultraproduct of the images, b applied to every member."""
+    sampled = NodeCounter(budget, "sampling ultraproduct tuples")
+    for k in range(1, index_bound + 1):
+        for u in ultrafilters_on(k):
+            for tup in itertools.islice(itertools.product(models, repeat=k), sample_budget):
+                sampled.tick()
+                left = b.apply(ultraproduct(list(tup), u, budget).quotient)
+                right = ultraproduct([b.apply(m) for m in tup], u, budget).quotient
+                if left != right:
+                    return (k, u.principal_point(), tup), sampled.count
+    return None, sampled.count
 
 
 def random_formula(sig: Signature, rng: random.Random, max_depth: int,

@@ -299,6 +299,22 @@ def test_budget_bounds_the_verifiers_ultraproduct_samples(capsys):
     assert code == 0 and out.splitlines()[-1].endswith(" checked_tuples=136")
 
 
+def test_budget_bounds_the_choice_functions_of_a_verifier_product(tmp_path, capsys):
+    # models of size 3 only, one class: the census applies 6 permutations,
+    # the verifier checks 3 members and samples 3 tuples at k = 1, and the
+    # first tuple at k = 2 has 3 * 3 choice functions
+    thy, copy = tmp_path / "three.thy", tmp_path / "three_copy.thy"
+    three = "axiom E x. E y. E z. (!(x=y) & !(x=z) & !(y=z))\n"
+    thy.write_text("const a\n" + three)
+    copy.write_text("const b\n" + three)
+    build = ("build-iso", "--t1", str(thy), "--t2", str(copy), "--max-size", "3",
+             "--max-nodes", "8")
+    assert run(*build)[0] == 0
+    assert run(*build, "--verify") == (2, "")
+    assert capsys.readouterr().err == \
+        "defeq: work budget exceeded while enumerating 9 choice functions (limit 8)\n"
+
+
 def test_internal_errors_exit_3(monkeypatch, capsys):
     # a census that misses one rigid size-2 model breaks closure under relabelling
     real = spectra.enumerate_models

@@ -2,22 +2,23 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from conftest import random_theory, replay_images
 from hypothesis import assume, given, settings, strategies as st
-from oracles import group_key
+from oracles import group_key, pairs_by_moves, ultra_verdict
 
-from defeq import cli, spectra
+from defeq import cli, spectra, ultra
 from defeq.budget import NodeCounter, WorkBudget
-from defeq.folang import Signature
+from defeq.folang import Signature, SignatureError, parse_formula
 from defeq.groups import PermutationGroup, automorphism_group, canonical_form, form_key
 from defeq.models import (
     FiniteModel, InternalError, Relabelling, Theory, apply_permutation, canonical_key,
     enumerate_models, find_isomorphisms, is_isomorphism, is_model, orbits,
 )
 from defeq.spectra import (
-    Census, ConcreteBijection, SpectraMismatchError, aut_spec,
+    Census, ConcreteBijection, SpectraMismatchError, VerificationReport, aut_spec,
     build_concrete_iso, compare_spectra, verify_concrete_iso,
 )
 
@@ -147,7 +148,7 @@ def test_every_image_of_a_class_sweep_is_a_model(seed, size):
     t, candidates = random_theory(random.Random(seed), size)
     assume(candidates <= 4096)
     relabelling, nodes = Relabelling(t.sig, size), NodeCounter(WorkBudget(), "test")
-    for members, _, _ in orbits(enumerate_models(t, size), nodes):
+    for members, _, _ in orbits(relabelling, enumerate_models(t, size), nodes):
         images, stabilizer = relabelling.orbit(members[0], nodes)
         assert sorted(images) == [m.encode() for m in members]
         for enc, p in images.items():
@@ -445,3 +446,135 @@ def test_verifier_checks_the_census_moves(t2, monkeypatch):
     monkeypatch.setattr(Census, "__init__", wrong_moves)
     with pytest.raises(InternalError, match="census move"):
         verify_concrete_iso(b, t2, t2r, 2, index_bound=0)
+
+
+# ------------------------------------------------------------
+# the paired sweep and the verdict on encodings, against their oracles
+# ------------------------------------------------------------
+
+def renamed_symbols(t):
+    """A random theory (conftest.random_theory) over fresh symbol names,
+    which sort as the old ones do."""
+    names = {"P": "S", "Q": "T", "f": "g", "c": "d"}
+    text = re.sub(r"\b[PQfc]\b", lambda m: names[m.group()], cli.theory_to_text(t))
+    return cli.parse_theory_text(text, name="renamed")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_paired_sweep_gives_the_per_member_images(seed, size):
+    t, candidates = random_theory(random.Random(seed), size)
+    assume((t.sig.functions or t.sig.constants) and candidates <= 4096)
+    tr = renamed_symbols(t)
+    b = build_concrete_iso(t, tr, size)
+    expected = pairs_by_moves(t, tr, size)
+    assert [list(b.pairs[n].items()) for n in b.sizes] == \
+        [list(expected[n].items()) for n in b.sizes]
+
+
+def test_paired_sweep_relabels_each_side_in_its_own_signature():
+    # a constant, and a unary relation holding at exactly one point: equal
+    # spectra over signatures with no arity in common
+    point = Theory(Signature({}, {}, ["a"]), [], name="point")
+    sig = Signature({"U": 1})
+    marked = Theory(sig, [parse_formula(sig, "E x. (U(x) & (A y. (U(y) -> y=x)))")],
+                    name="marked")
+    b = build_concrete_iso(point, marked, 3)
+    assert b.pairs == pairs_by_moves(point, marked, 3)
+    assert [bm.tuples("U") for m, bm in b.items() if m.size == 3] == [[(0,)], [(1,)], [(2,)]]
+    assert verify_concrete_iso(b, point, marked, 3).ok
+
+
+def perturbed(b, rng):
+    """b as built, with its images shuffled within one size, or with the
+    images of two models of different sizes swapped."""
+    pairs = {n: dict(d) for n, d in b.pairs.items()}
+    kind, filled = rng.randrange(3), [n for n in pairs if pairs[n]]
+    if kind == 1:
+        n = rng.choice(filled)
+        images = list(pairs[n].values())
+        rng.shuffle(images)
+        pairs[n] = dict(zip(pairs[n], images))
+    elif kind == 2 and len(filled) > 1:
+        n1, n2 = rng.sample(filled, 2)
+        m1, m2 = rng.choice(list(pairs[n1])), rng.choice(list(pairs[n2]))
+        pairs[n1][m1], pairs[n2][m2] = pairs[n2][m2], pairs[n1][m1]
+    return ConcreteBijection(b.sizes, pairs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_verifier_report_equals_the_oracle_verdicts(seed, size):
+    # the scan of brute_force_verdicts for universes and isomorphisms, and
+    # the loop of two ultraproducts per tuple for ultraproducts
+    rng = random.Random(seed)
+    t, candidates = random_theory(rng, size)
+    assume((t.sig.functions or t.sig.constants) and candidates <= 4096)
+    models = [m for n in range(1, size + 1) for m in enumerate_models(t, n)]
+    assume(models and all(sum(m.size == n for m in models) <= 40 for n in range(1, size + 1)))
+    tr = renamed_symbols(t)
+    b = perturbed(build_concrete_iso(t, tr, size), rng)
+    universe, iso = brute_force_verdicts(b, t, tr, size)
+    witness, checked = ultra_verdict(b, models)
+    assert verify_concrete_iso(b, t, tr, size) == VerificationReport(
+        universe is None, universe, iso is None, iso, witness is None, witness, checked)
+
+
+def test_ultra_witness_equals_the_oracle_loops(t2, monkeypatch):
+    # a product kernel that flips one bit of the right-hand product of the
+    # 422nd tuple: the second tuple at k = 2 on point 1, after 20 tuples at
+    # k = 1 and 400 on point 0
+    t2r = renamed_copy(t2)
+    b = build_concrete_iso(t2, t2r, 2)
+    models = [m for n in (1, 2) for m in enumerate_models(t2, n)]
+    real, calls = ultra.quotient_encoding, []
+
+    def flipped(plan, encs, sig):
+        size, rel_part, fun_part, const_part = real(plan, encs, sig)
+        calls.append(sig)
+        if len(calls) == 2 * 422:
+            rel_part = (rel_part[0] ^ 1, *rel_part[1:])
+        return size, rel_part, fun_part, const_part
+
+    monkeypatch.setattr(ultra, "quotient_encoding", flipped)
+    monkeypatch.setattr(spectra, "quotient_encoding", flipped)
+    report = verify_concrete_iso(b, t2, t2r, 2)
+    assert calls[-2:] == [t2.sig, t2r.sig]
+    assert (report.ultra_ok, report.ultra_witness, report.checked_tuples) == \
+        (False, (2, 1, (models[0], models[1])), 422)
+    calls.clear()
+    assert ultra_verdict(b, models) == (report.ultra_witness, report.checked_tuples)
+
+
+def test_verifier_refuses_products_of_images_over_two_signatures(t2):
+    # one image on another universe and over another signature: the first
+    # product of a tuple mixing it with an image over t2r's fails, as in the loop
+    t2r = renamed_copy(t2)
+    pairs = {n: dict(d) for n, d in build_concrete_iso(t2, t2r, 2).pairs.items()}
+    m = next(iter(pairs[1]))
+    pairs[1][m] = FiniteModel(Signature({"P": 1}), 2, {"P": [(1,)]})
+    b = ConcreteBijection((1, 2), pairs)
+    models = [model for n in (1, 2) for model in enumerate_models(t2, n)]
+    with pytest.raises(SignatureError, match="share a signature"):
+        ultra_verdict(b, models)
+    with pytest.raises(SignatureError, match="share a signature"):
+        verify_concrete_iso(b, t2, t2r, 2)
+
+
+def test_only_the_verifier_reads_the_census_moves(t2, tmp_path, monkeypatch):
+    renamed = tmp_path / "renamed.thy"
+    renamed.write_text(cli.theory_to_text(renamed_copy(t2)))
+    pair = ("--t1", "ex1_t2.thy", "--t2", str(renamed))
+    commands = [("spec", "--theory", "ex1_t2.thy", "--max-size", "3"),
+                ("spec-compare", *pair, "--max-size", "3"),
+                ("build-iso", *pair, "--max-size", "3")]
+    expected = [cli.dispatch(argv) for argv in commands]
+    assert all(code == 0 and out for code, out in expected)
+
+    def moves(self):
+        raise AssertionError("census moves built")
+    monkeypatch.setattr(Census, "moves", property(moves))
+    for argv, want in zip(commands, expected):
+        assert cli.dispatch(argv) == want, argv
+    with pytest.raises(AssertionError, match="census moves built"):
+        cli.dispatch(["build-iso", *pair, "--max-size", "2", "--verify"])
