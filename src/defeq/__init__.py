@@ -1,7 +1,8 @@
 """Finite-model workbench.
 
 Everything here works over explicit finite models: first-order syntax and
-evaluation (`folang`), model enumeration and isomorphism (`models`),
+evaluation (`folang`), the truth of whole levels of the formula stream at
+once (`truth`), model enumeration and isomorphism (`models`),
 permutation groups (`groups`), automorphism spectra and concrete
 model-class bijections (`spectra`), ultraproducts (`ultra`), definability
 checks (`definability`), and a family of irregular 0/1 sequences

@@ -431,15 +431,21 @@ def cmd_ultra(args):
     lines = [model_to_text(result.quotient)]
     if args.los_depth is not None:
         depth = args.los_depth
-        failed = []
+        # the closed formulas of depth <= depth, in enumerate_formulas order
+        levels = folang.FormulaLevels(ms[0].sig, (), (1 << depth) - 1, depth)
+        verdicts = ultra.LosLevels(result, levels)
         nodes = NodeCounter(budget, "enumerating closed formulas")
-        for f in folang.enumerate_formulas(ms[0].sig, (), (1 << depth) - 1, depth):
-            nodes.tick()
-            if not ultra.los_check(result, f).ok:
-                failed.append(f)
-        lines.append(f"los depth={depth} formulas={nodes.count} failures={len(failed)}")
-        if failed:
-            lines.append(f"los witness: {folang.formula_to_text(failed[0])}")
+        failures, witness = 0, None
+        for size in range(1, levels.size_bound + 1):
+            key = levels.top(size)
+            nodes.tick(levels.count(key))
+            failed = verdicts.failures(key)
+            failures += bin(failed).count("1")
+            if failed and witness is None:
+                witness = levels.unrank(key, (failed & -failed).bit_length() - 1)
+        lines.append(f"los depth={depth} formulas={nodes.count} failures={failures}")
+        if witness is not None:
+            lines.append(f"los witness: {folang.formula_to_text(witness)}")
             return 1, lines
     return 0, lines
 

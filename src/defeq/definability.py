@@ -10,8 +10,9 @@ only about the sizes and formula sizes actually searched.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from . import folang
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
@@ -159,17 +160,22 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
 
     The candidates are read off the stream's sections (folang.FormulaLevels)
     with one bit each.  A point (model, assignment) that refuted an earlier
-    candidate is kept with its folang.LevelTruth, and the AND of the kept
+    candidate is kept with its truth.LevelTruth, and the AND of the kept
     points' agreement with target, one big-int vector per section, leaves
     exactly the candidates that no kept point refutes.  Only the first of
-    them is built, with unrank, and checked on every point in turn by
-    eval_formula; the first point it fails on is kept and its vector ANDed
-    in.  A candidate is dropped only on a point where it disagrees with
-    target, so the answer is the one a plain scan in stream order gives:
-    the counterexample cache of CEGIS, with whole sections of candidates
-    ruled out at once.  The budget counts one node per candidate up to the
-    one checked, as a scan would.
+    them is built, with unrank, and checked on every point at once, in
+    model lanes (_first_refutation); the first point, in the order of a
+    plain scan, that it fails on is kept and its vector ANDed in.  A
+    candidate is dropped only on a point where it disagrees with target,
+    so the answer is the one a plain scan in stream order gives: the
+    counterexample cache of CEGIS, with whole sections of candidates ruled
+    out at once.  The budget counts one node per candidate up to the one
+    checked, as a scan would.
     """
+    # only beth and the Los checks read truth vectors, so the commands that
+    # do not search formulas start without the module
+    from .truth import LevelTruth
+
     budget = budget or DEFAULT_BUDGET
     arity = t.sig.relations.get(target)
     if arity is None:
@@ -178,24 +184,16 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
     base_sig = Signature({name: a for name, a in t.sig.relations.items() if name != target},
                          t.sig.functions, t.sig.constants)
     variables = _argument_variables(t.sig, arity)
-    # (model, assignment, target value) in the order of a plain scan: models
-    # in enumeration order, then assignments lexicographically.  Models of
-    # one size share their assignment dicts; eval_formula copies them.
-    # The target's value is bit j of its bitmap for the j-th assignment.
-    points: list[tuple[FiniteModel, dict[str, int], bool]] = []
     at = list(t.sig.relations).index(target)
+    sizes = []
     for n in range(1, max_size + 1):
         ms = enumerate_models(t, n, budget)
         if _shared_reduct(ms, visible) is not None:
             return None
-        envs = [dict(zip(variables, args)) for args in itertools.product(range(n), repeat=arity)]
-        for m in ms:
-            bits = m.encode()[1][at]
-            points.extend((m, env, bits >> j & 1 == 1) for j, env in enumerate(envs))
+        sizes.append(_Points(ms, n, at, arity))
     levels = folang.FormulaLevels(base_sig, variables, formula_bound)
     # (truth at a point that refuted a candidate, target value there)
-    refuters: list[tuple[folang.LevelTruth, bool]] = []
-    evaluate = folang.eval_formula
+    refuters: list[tuple[LevelTruth, bool]] = []
     nodes = NodeCounter(budget, "scanning candidate defining formulas")
     for size in range(1, formula_bound + 1):
         key = levels.top(size)
@@ -211,23 +209,92 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
                 i = (alive & -alive).bit_length() - 1
                 nodes.tick(start + i + 1 - nodes.count)
                 phi = levels.unrank(key, start - first + i)
-                for m, env, holds in points:
-                    if evaluate(m, phi, env) != holds:
-                        truth = folang.LevelTruth(levels, m, env)
-                        refuters.append((truth, holds))
-                        bits = truth.section(key, k)[0]
-                        alive &= bits if holds else full ^ bits
-                        if alive >> i & 1:
-                            raise InternalError(f"truth vector keeps refuted candidate {phi!r}")
-                        break
-                else:
+                refuted = _first_refutation(sizes, base_sig, phi, variables)
+                if refuted is None:
                     # the stream's bound variables avoid base_sig only; renamed
                     # in order onto names that avoid target too, phi becomes the
                     # formula a stream over those names holds in its place
                     names = zip(folang._fresh_names(base_sig, variables), itertools.islice(
                         folang._fresh_names(t.sig, variables), folang.formula_size(phi)))
                     return _renamed(phi, dict(names))
+                m, args, holds = refuted
+                truth = LevelTruth(levels, m, dict(zip(variables, args)))
+                refuters.append((truth, holds))
+                bits = truth.section(key, k)[0]
+                alive &= bits if holds else full ^ bits
+                if alive >> i & 1:
+                    raise InternalError(f"truth vector keeps refuted candidate {phi!r}")
             nodes.tick(start + width - nodes.count)
+    return None
+
+
+class _Points:
+    """The points (model, argument tuple) of one size, in model lanes.
+
+    models are the models of t of size size in enumeration order, and
+    args the argument tuples in rank order; a plain scan meets the points
+    model by model, then tuple by tuple.  Models that share their function
+    tables and constants form a batch (positions, data, target): the
+    positions of its models in models, in increasing order, the slots that
+    folang.compile_lanes reads with every relation but the target as a
+    lane relation, lane b being the model at positions[b], and per
+    argument rank j the lane mask of the models where the target holds the
+    j-th tuple.
+    """
+
+    __slots__ = ("size", "models", "args", "batches")
+
+    def __init__(self, models: list[FiniteModel], size: int, target_at: int, arity: int):
+        from .truth import _transpose
+
+        self.size = n = size
+        self.models = models
+        self.args = list(itertools.product(range(n), repeat=arity))
+        groups: dict[tuple, list[int]] = {}
+        for pos, m in enumerate(models):
+            _, _, tables, consts = m.encode()
+            groups.setdefault((tables, consts), []).append(pos)
+        self.batches = []
+        for (tables, consts), positions in groups.items():
+            bitmaps = [models[pos].encode()[1] for pos in positions]
+            rels = [_transpose([b[r] for b in bitmaps], n ** a)
+                    for r, a in enumerate(models[0].sig.relations.values())]
+            target = rels.pop(target_at)
+            self.batches.append((positions, [*rels, *tables, *consts], target))
+
+
+def _first_refutation(sizes: list[_Points], base_sig: Signature, phi: Formula,
+                      variables: tuple[str, ...],
+                      ) -> tuple[FiniteModel, tuple[int, ...], bool] | None:
+    """(model, argument tuple, target value) of the first point, in the
+    order of a plain scan, where phi disagrees with the target; None if
+    there is none.
+
+    phi is evaluated once per batch and argument tuple, on all the
+    batch's models at once; its lanes XOR the target's give the models
+    it fails on at that tuple.  The lowest model of the batches' failures
+    over all tuples, then the first tuple failing there, is the point.
+    """
+    lanes = tuple(base_sig.relations)
+    for points in sizes:
+        compiled: dict[int, Callable] = {}  # per batch width
+        first = None
+        for positions, data, target in points.batches:
+            full = (1 << len(positions)) - 1
+            run = compiled.get(full)
+            if run is None:
+                run = compiled[full] = folang.compile_lanes(
+                    base_sig, phi, points.size, full, lanes, variables)
+            misses = [run(data, args) ^ want for args, want in zip(points.args, target)]
+            anywhere = functools.reduce(int.__or__, misses)
+            if anywhere:
+                b = (anywhere & -anywhere).bit_length() - 1
+                j = next(j for j, miss in enumerate(misses) if miss >> b & 1)
+                if first is None or positions[b] < first[0]:
+                    first = positions[b], j, target[j] >> b & 1 == 1
+        if first is not None:
+            pos, j, holds = first
+            return points.models[pos], points.args[j], holds
     return None
 
 

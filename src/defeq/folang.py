@@ -23,10 +23,9 @@ variable.  't1 != t2' is sugar for '!(t1 = t2)'.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .record import Record, _set
 
@@ -37,7 +36,7 @@ __all__ = [
     "MAX_SYNTAX_DEPTH", "MAX_PAREN_DEPTH", "parse_formula", "formula_to_text",
     "free_vars", "formula_size", "formula_depth", "used_symbols",
     "validate_formula", "eval_term", "eval_formula", "compile_lanes",
-    "FormulaLevels", "LevelTruth", "enumerate_formulas",
+    "FormulaLevels", "enumerate_formulas",
 ]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -655,29 +654,36 @@ def eval_formula(m, f: Formula, assignment: Mapping[str, int] | None = None) -> 
 
 
 def compile_lanes(sig: Signature, f: Formula, size: int, full: int,
-                  lane: str | None = None) -> Callable[[Sequence], int]:
-    """Closed f, for models of sig on {0..size-1}, on many tables of one relation at once.
+                  lanes: Collection[str] = (), free: Sequence[str] = ()) -> Callable:
+    """f, for models of sig on {0..size-1}, on many models at once.
 
     The result takes one sequence: relation bitmaps, function tables and
     constant values, each group in signature order (the flattened
     FiniteModel.encode layout, where bit j of a bitmap is the j-th argument
-    tuple in lexicographic order).  The slot of the relation named lane
-    holds instead one int per argument-tuple rank j whose bit b is set when
-    the b-th table of lane under evaluation, its lane, holds the j-th tuple;
-    full has one bit per lane.  Bit b of the result is the truth of f when
-    lane is its b-th table, so every other relation reads full or 0 off its
-    bitmap, connectives are int operations, and a quantifier ANDs or ORs
-    its body over the domain, stopping once no lane can change.  With full
-    = 1 and no lane relation the result is f's truth value, 1 or 0.
+    tuple in lexicographic order).  The slot of each relation named in
+    lanes holds instead one int per argument-tuple rank j whose bit b is
+    set when the b-th model under evaluation, its lane, holds the j-th
+    tuple; full has one bit per lane.  Bit b of the result is the truth of
+    f in the b-th model, so every other relation, every function table and
+    every constant is shared by the lanes: a relation reads full or 0 off
+    its bitmap, connectives are int operations, and a quantifier ANDs or
+    ORs its body over the domain, stopping once no lane can change.  With
+    full = 1 and no lane relation the result is f's truth value, 1 or 0.
 
-    Every variable is resolved at compile time to the slot of its binder,
-    one slot per binder; the slots live in one list shared by the closures,
-    so a compiled formula must not be evaluated by two threads at once.
-    eval_formula is the reference.
+    The free variables of f must be among free, whose values the result
+    takes as a second argument, a sequence in the order of free; with no
+    free it takes the one sequence only.  Every variable is resolved at
+    compile time to a slot, the free ones first, then one per binder; the
+    slots live in one list shared by the closures, so a compiled formula
+    must not be evaluated by two threads at once.  eval_formula is the
+    reference.
     """
     fun_at = {name: len(sig.relations) + i for i, name in enumerate(sig.functions)}
     const_at = {name: len(sig.relations) + len(fun_at) + i for i, name in enumerate(sig.constants)}
-    slots: list[int] = []
+    if isinstance(lanes, str):
+        raise TypeError("lanes takes a collection of relation names, not one name")
+    lanes = frozenset(lanes)
+    slots = [0] * len(free)
     domain = range(size)
 
     def term(t: Term, scope: Mapping[str, int]) -> Callable[[Sequence], int]:
@@ -720,7 +726,7 @@ def compile_lanes(sig: Signature, f: Formula, size: int, full: int,
             if f.name not in sig.relations:
                 raise SignatureError(f"unknown relation {f.name!r}")
             r, rank = sig._rel_at[f.name][0], index(f.args, scope)
-            if f.name == lane:
+            if f.name in lanes:
                 return lambda d: d[r][rank(d)]
             return lambda d: full if d[r] >> rank(d) & 1 else 0
         if isinstance(f, Eq):
@@ -764,7 +770,16 @@ def compile_lanes(sig: Signature, f: Formula, size: int, full: int,
             return exists
         raise TypeError(f"not a formula: {f!r}")
 
-    return go(f, {})
+    top = go(f, {v: k for k, v in enumerate(free)})
+    if not free:
+        return top
+
+    nfree = len(free)
+
+    def preset(d: Sequence, values: Sequence[int]) -> int:
+        slots[:nfree] = values
+        return top(d)
+    return preset
 
 
 # ============================================================
@@ -795,7 +810,7 @@ class FormulaLevels:
     with a binary section per connective (And, Or, Implies, Iff, in that
     order) and split of the size, and the quantifiers binding the next
     bound name.  The object stream (formulas, stream), unrank and the truth
-    vectors of LevelTruth all read these sections, so the order is written
+    vectors of truth.LevelTruth all read these sections, so the order is written
     down here only.  Nothing is built before it is asked for, so a level
     far beyond what is read costs nothing.
     """
@@ -947,106 +962,6 @@ class FormulaLevels:
             _, ctor, var, body = section
             return ctor(var, self.unrank(body, i))
         raise IndexError("formula index out of range")
-
-
-# The block of a binary connective's (left, right) section under one left
-# formula, from the right level's truth bits r and all-ones mask full:
-# (when the left formula holds, when it fails).
-_BLOCKS: dict[type, Callable[[int, int], tuple[int, int]]] = {
-    And: lambda r, full: (r, 0),
-    Or: lambda r, full: (full, r),
-    Implies: lambda r, full: (r, full),
-    Iff: lambda r, full: (r, full ^ r),
-}
-
-
-class LevelTruth:
-    """Truth of the formulas of some FormulaLevels at one model and assignment.
-
-    A level's truth vector has one int per assignment to its bound names,
-    the a-th for the assignment whose j-th name takes digit j of a in base
-    m.size (the first name is the most significant digit); bit i of it is
-    the truth of the level's i-th formula there, as eval_formula gives it.
-    Atom bits are read off the model, a negation is a complement, a binary
-    section spreads the left level's bits to the right level's stride and
-    multiplies them by a block of the right level's bits, and a quantifier
-    ANDs or ORs the m.size ints of its body that differ in its own name
-    only.  Vectors of the levels below the size bound are kept, as the
-    object stream keeps their formulas.
-    """
-
-    __slots__ = ("levels", "m", "assignment", "_vectors")
-
-    def __init__(self, levels: FormulaLevels, m, assignment: Mapping[str, int] | None = None):
-        self.levels = levels
-        self.m = m
-        self.assignment = dict(assignment) if assignment else {}
-        self._vectors: dict[tuple[int, int, int], list[int]] = {}
-
-    def vector(self, key: tuple[int, int, int]) -> list[int]:
-        """A level's truth vector."""
-        got = self._vectors.get(key)
-        if got is not None:
-            return got
-        got = [0] * self.m.size ** key[1]
-        shift = 0
-        for section in self.levels.sections(key):
-            for a, bits in enumerate(self._section(key, section)):
-                got[a] |= bits << shift
-            shift += self.levels.section_count(section)
-        if key[0] < self.levels.size_bound:
-            self._vectors[key] = got
-        return got
-
-    def section(self, key: tuple[int, int, int], k: int) -> list[int]:
-        """The truth vector of the k-th section of a level alone."""
-        sections = self.levels.sections(key)
-        if key[0] >= self.levels.size_bound:
-            return self._section(key, sections[k])
-        shift = sum(map(self.levels.section_count, sections[:k]))
-        mask = (1 << self.levels.section_count(sections[k])) - 1
-        return [bits >> shift & mask for bits in self.vector(key)]
-
-    def _section(self, key: tuple[int, int, int], section: tuple) -> list[int]:
-        levels, n = self.levels, self.m.size
-        kind = section[0]
-        if kind == "atoms":
-            return self._atoms(section[1], key[1])
-        if kind == "not":
-            full = (1 << levels.count(section[1])) - 1
-            return [full ^ bits for bits in self.vector(section[1])]
-        if kind == "quant":
-            body = self.vector(section[3])
-            fold = int.__or__ if section[1] is Exists else int.__and__
-            return [functools.reduce(fold, body[a:a + n]) for a in range(0, len(body), n)]
-        _, ctor, left, right = section
-        width, stride = levels.count(left), levels.count(right)
-        if not width or not stride:
-            return [0] * n ** key[1]
-        full_left, full = (1 << width) - 1, (1 << stride) - 1
-        gap, digits = "0" * (stride - 1), f"0{width}b"
-        blocks = _BLOCKS[ctor]
-        out = []
-        for lbits, rbits in zip(self.vector(left), self.vector(right)):
-            when_true, when_false = blocks(rbits, full)
-            # bit j * stride set when the j-th left formula holds (fails)
-            bits = int(gap.join(format(lbits, digits)), 2) * when_true if when_true else 0
-            if when_false:
-                bits |= int(gap.join(format(full_left ^ lbits, digits)), 2) * when_false
-            out.append(bits)
-        return out
-
-    def _atoms(self, atoms: list[Formula], binders: int) -> list[int]:
-        m, env = self.m, dict(self.assignment)
-        names = self.levels.bound_names[:binders]
-        out = []
-        for values in itertools.product(range(m.size), repeat=binders):
-            env.update(zip(names, values))
-            bits = [m.holds(f.name, [eval_term(m, t, env) for t in f.args]) if type(f) is Rel
-                    else eval_term(m, f.left, env) == eval_term(m, f.right, env)
-                    for f in atoms]
-            out.append(int("".join("1" if b else "0" for b in reversed(bits)) or "0", 2))
-        return out
 
 
 def enumerate_formulas(sig: Signature, free: Sequence[str], size_bound: int,

@@ -339,7 +339,7 @@ class _Conjunct:
         for name, ds in groups.items():
             j, arity = sig._rel_at[name]
             self.at[j] = folang.compile_lanes(sig, reduce(Or, ds), size,
-                                              _lanes(size ** arity)[1], name)
+                                              _lanes(size ** arity)[1], (name,))
         self.spans = {sig._rel_at[name][0] for name in wide}
         self.last = max(self.at, default=-1)
 

@@ -134,13 +134,17 @@ class Census:
         nodes = NodeCounter(budget, f"relabelling models at size {size}")
         found: dict[PermutationGroup, dict[bytes, list]] = {}
         forms: dict[PermutationGroup, PermutationGroup] = {}  # canonical_form, per group
+        elements: dict[PermutationGroup, frozenset] = {}  # per canonical form
         for members, moves, stabilizer in orbits(self.relabelling, self.models, nodes):
             aut = PermutationGroup(size, stabilizer, _trusted=True)
             canon = forms.get(aut)
             if canon is None:
                 canon = forms[aut] = canonical_form(aut)
+            if canon not in elements:
+                elements[canon] = frozenset(canon.elements)
             # canon is a conjugate of Aut(members[0]), so some member has it literally
-            rep = next(m for m, p in zip(members, moves) if aut.conjugate(p) == canon)
+            rep = next(m for m, p in zip(members, moves)
+                       if _conjugates_into(aut, p, elements[canon]))
             found.setdefault(canon, {})[members[0].encode_bytes()] = [members, rep]
         self.cells: dict[bytes, tuple[PermutationGroup, list[list]]] = {
             form_key(canon): (canon, [classes[k] for k in sorted(classes)])
@@ -167,6 +171,16 @@ class Census:
         """This size's spectrum table: group key -> counts."""
         return {gkey: SpectrumEntry(len(classes), sum(len(ms) for ms, _ in classes), group)
                 for gkey, (group, classes) in self.cells.items()}
+
+
+def _conjugates_into(group: Iterable[tuple[int, ...]], p: tuple[int, ...],
+                     elements: frozenset) -> bool:
+    """Is p g p^-1 in elements for every g of group?  When elements is a
+    group of the same order, that makes p group p^-1 equal to it."""
+    inverse = [0] * len(p)
+    for i, v in enumerate(p):
+        inverse[v] = i
+    return all(tuple([p[g[v]] for v in inverse]) in elements for g in group)
 
 
 def aut_spec(t: Theory, sizes: Iterable[int], budget: WorkBudget | None = None) -> Spectrum:

@@ -27,6 +27,7 @@ from .record import Record, _set
 __all__ = [
     "Ultrafilter", "ultrafilters_on", "UltraproductResult",
     "ultraproduct", "quotient_encoding", "diagonal_embedding", "LosReport", "los_check",
+    "LosLevels",
 ]
 
 
@@ -273,3 +274,55 @@ def los_check(product: UltraproductResult, f: Formula) -> LosReport:
     lhs = folang.eval_formula(product.quotient, f)
     truth_set = frozenset(i for i, m in enumerate(product.factors) if folang.eval_formula(m, f))
     return LosReport(lhs, truth_set, product.ultrafilter.contains(truth_set))
+
+
+class LosLevels:
+    """The Los verdicts of one product on whole levels of closed formulas.
+
+    levels must have no free variables.  The quotient and each factor get
+    a truth.LevelTruth over levels; for a level, bit i of the quotient's
+    truth is lhs of los_check on the level's i-th formula, and rhs is read
+    off the factors' truths by expanding the ultrafilter's membership test
+    over them (_members), so the Los check of every formula of the level is
+    a handful of int operations.  los_check is the reference.
+    """
+
+    __slots__ = ("levels", "test", "truths")
+
+    def __init__(self, product: UltraproductResult, levels: folang.FormulaLevels):
+        from .truth import LevelTruth  # see definability.beth_search
+
+        if levels.free:
+            raise ValueError(f"Los checks need closed formulas, free: {list(levels.free)}")
+        self.levels = levels
+        self.test = product.ultrafilter._test
+        self.truths = [LevelTruth(levels, m) for m in (product.quotient, *product.factors)]
+
+    def failures(self, key: tuple[int, int, int]) -> int:
+        """Bit i set when the Los check fails on the i-th formula of the
+        level key: the quotient's truth XOR the membership of its truth set."""
+        lhs, *rows = [truth.vector(key)[0] for truth in self.truths]
+        return lhs ^ _members(rows, self.test, (1 << self.levels.count(key)) - 1)
+
+
+def _members(rows: Sequence[int], test, full: int) -> int:
+    """The bits i of full whose truth set {k : bit i of rows[k]} passes test.
+
+    A Shannon expansion of test over the rows: each branch fixes whether
+    the next factor is in the truth set and keeps the bits that agree, and
+    a branch left with no bits is dropped, so at most one leaf per bit is
+    reached and test runs once per leaf, on the leaf's truth set.
+    """
+    out = 0
+    stack = [(0, full, 0)]
+    while stack:
+        k, bits, members = stack.pop()
+        if not bits:
+            continue
+        if k == len(rows):
+            if test(members):
+                out |= bits
+            continue
+        stack.append((k + 1, bits & ~rows[k], members))
+        stack.append((k + 1, bits & rows[k], members | 1 << k))
+    return out

@@ -11,13 +11,14 @@ from collections.abc import Sequence
 
 from defeq.folang import (
     And, App, Const, Eq, Exists, Forall, Formula, Iff, Implies, Not, Or, Rel, Signature, Term,
-    Var, _fresh_names,
+    Var, _fresh_names, eval_formula,
 )
 from defeq.budget import DEFAULT_BUDGET, NodeCounter
+from defeq.definability import _argument_variables
 from defeq.groups import PermutationGroup, canonical_form, form_key
 from defeq.models import FiniteModel, apply_permutation, enumerate_models
 from defeq.spectra import Census, _paired_classes
-from defeq.ultra import Ultrafilter, ultrafilters_on, ultraproduct
+from defeq.ultra import Ultrafilter, los_check, ultrafilters_on, ultraproduct
 
 
 def group_key(g: PermutationGroup) -> bytes:
@@ -129,6 +130,17 @@ def ultra_verdict(b, models, index_bound=2, sample_budget=2000, budget=DEFAULT_B
     return None, sampled.count
 
 
+def random_model(sig: Signature, size: int, rng: random.Random) -> FiniteModel:
+    """Random model of sig on {0..size-1}, each relation tuple in with probability 0.4."""
+    rels = {name: [t for t in itertools.product(range(size), repeat=a)
+                   if rng.random() < 0.4]
+            for name, a in sig.relations.items()}
+    funs = {name: tuple(rng.randrange(size) for _ in range(size ** a))
+            for name, a in sig.functions.items()}
+    consts = {name: rng.randrange(size) for name in sig.constants}
+    return FiniteModel(sig, size, rels, funs, consts)
+
+
 def random_formula(sig: Signature, rng: random.Random, max_depth: int,
                    free: Sequence[str] = ()) -> Formula:
     """Random formula of depth <= max_depth, closed when free is empty.
@@ -182,3 +194,32 @@ def random_formula(sig: Signature, rng: random.Random, max_depth: int,
         return Forall(var, body) if kind == "forall" else Exists(var, body)
 
     return go(max_depth, tuple(free))
+
+
+def scan_points(t, target, max_size):
+    """beth_search's points in the order of a plain scan: (model, assignment,
+    target value), the models of sizes 1..max_size in enumeration order,
+    then the argument tuples in rank order."""
+    arity = t.sig.relations[target]
+    variables = _argument_variables(t.sig, arity)
+    at = list(t.sig.relations).index(target)
+    points = []
+    for n in range(1, max_size + 1):
+        envs = [dict(zip(variables, args)) for args in itertools.product(range(n), repeat=arity)]
+        for m in enumerate_models(t, n):
+            bits = m.encode()[1][at]
+            points.extend((m, env, bits >> j & 1 == 1) for j, env in enumerate(envs))
+    return points
+
+
+def first_refuting_point(points, phi):
+    """The first of scan_points where phi disagrees with the target, or None."""
+    return next(((m, env, holds) for m, env, holds in points
+                 if eval_formula(m, phi, env) != holds), None)
+
+
+def los_loop(product, levels, key):
+    """(failures, first failing formula or None) of los_check on each
+    formula of a closed level in turn."""
+    failed = [f for f in levels.formulas(key) if not los_check(product, f).ok]
+    return len(failed), (failed[0] if failed else None)

@@ -411,17 +411,22 @@ def test_ultra_builds_one_product_per_command(tmp_path, monkeypatch, count):
 
 
 def test_ultra_reports_the_first_los_failure(tmp_path, monkeypatch):
-    # Los's theorem never fails, so a flipped rhs stands in for a broken product
+    # Los's theorem never fails, so a flipped verdict stands in for a broken
+    # product: every formula of every level fails
     a, b = tmp_path / "a.mod", tmp_path / "b.mod"
     a.write_text("size 1 rel P { }")
     b.write_text("size 2 rel P { (1) }")
-    real = ultra.los_check
+    real = ultra.LosLevels.failures
 
-    def flipped(product, f):
-        report = real(product, f)
-        return ultra.LosReport(report.lhs, report.truth_set, not report.rhs)
+    def flipped(self, key):
+        return real(self, key) ^ (1 << self.levels.count(key)) - 1
 
-    monkeypatch.setattr(ultra, "los_check", flipped)
+    def refused(*args):
+        raise AssertionError("ultra checked a formula on its own")
+
+    monkeypatch.setattr(ultra.LosLevels, "failures", flipped)
+    monkeypatch.setattr(ultra, "los_check", refused)
+    monkeypatch.setattr(folang, "eval_formula", refused)
     code, out = run("ultra", "--models", f"{a},{b}", "--principal", "1", "--los-depth", "2")
     assert code == 1
     assert out.splitlines()[1:] == ["los depth=2 formulas=4 failures=4",

@@ -6,9 +6,11 @@ import random
 import pytest
 from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
-from oracles import reduct, reduct_expansion_check
+from oracles import (first_refuting_point, random_formula, reduct, reduct_expansion_check,
+                     scan_points)
 
 from defeq import definability, folang
+from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
 from defeq.definability import (
     DefinitionSet, beth_search, expand_model, extend_theory,
     substructure_closure_check, unique_expansion_check,
@@ -255,29 +257,130 @@ def test_beth_search_agrees_with_the_full_scan_when_the_bound_is_too_small():
 
 def test_beth_search_tries_earlier_counterexamples_first(monkeypatch):
     # the mutual-pair theory of the benchmark: at size 2 and bound 7 the
-    # answer is candidate 34,459; a scan of every point from the first makes
-    # 134,217 evaluations, the counterexample cache with one evaluation per
-    # candidate and cached point 41,511, and with the cached points' truth
-    # vectors (folang.LevelTruth) 111, the full scans of the few candidates
-    # that survive every cached point
+    # answer is candidate 34,459.  A scan of every point from the first
+    # evaluates 134,217 times; with the counterexample cache and its truth
+    # vectors (truth.LevelTruth) only the few candidates that survive every
+    # cached point are scanned, in model lanes: 44 lane evaluations,
+    # enumeration's included, and none point by point
     sig = Signature({"G": 2, "R": 1}, {}, [])
     t = Theory(sig, [parse_formula(
         sig, "A x. (R(x) <-> (E y. (G(x,y) & G(y,x) & !(x=y))))")], name="mutual")
-    calls = 0
-    real = folang.eval_formula
+    evaluations = 0
+    real = folang.compile_lanes
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def counted(*args, **kwargs):
+        run = real(*args, **kwargs)
 
-    monkeypatch.setattr(folang, "eval_formula", counted)
+        def evaluate(*slots):
+            nonlocal evaluations
+            evaluations += 1
+            return run(*slots)
+        return evaluate
+
+    def refused(*args):
+        raise AssertionError("beth_search evaluated a formula point by point")
+
+    monkeypatch.setattr(folang, "compile_lanes", counted)
+    monkeypatch.setattr(folang, "eval_formula", refused)
     phi = beth_search(t, "R", 2, 7)
     monkeypatch.undo()
     stream = enumerate_formulas(sig.restrict(["G"]), ("x1",), 7)
     candidates = next(i for i, f in enumerate(stream, 1) if f == phi)
     assert candidates == 34_459
-    assert calls <= candidates // 8
+    assert 0 < evaluations <= candidates // 8
+
+
+def _target_and_base(t, rng):
+    """A random relation of t, its arity, argument variables and index, and
+    t's signature without it."""
+    target = rng.choice(sorted(t.sig.relations))
+    arity = t.sig.relations[target]
+    base_sig = t.sig.restrict([s for s in (*t.sig.relations, *t.sig.functions,
+                                           *t.sig.constants) if s != target])
+    return (target, arity, definability._argument_variables(t.sig, arity),
+            list(t.sig.relations).index(target), base_sig)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 4))
+def test_lane_scan_finds_the_first_refuting_point(seed, size, depth):
+    # random theories, with a unary function or a constant half the time,
+    # so models fall into several batches; random candidates over the
+    # argument variables, against eval_formula point by point
+    rng = random.Random(seed)
+    t, candidates = random_theory(rng, size)
+    assume(candidates <= 4096)
+    target, arity, variables, at, base_sig = _target_and_base(t, rng)
+    sizes = [definability._Points(enumerate_models(t, n), n, at, arity)
+             for n in range(1, size + 1)]
+    points = scan_points(t, target, size)
+    for _ in range(8):
+        phi = random_formula(base_sig, rng, depth, free=variables)
+        want = first_refuting_point(points, phi)
+        got = definability._first_refutation(sizes, base_sig, phi, variables)
+        if want is None:
+            assert got is None, formula_to_text(phi)
+        else:
+            m, env, holds = want
+            assert got == (m, tuple(env[v] for v in variables), holds), formula_to_text(phi)
+
+
+def test_lane_scan_takes_the_earliest_model_over_all_batches():
+    # models sort by their relations first, so the batches of the four
+    # tables of f interleave; "f is the identity" agrees with the empty
+    # target on the first model (f constant 0) and fails on the second,
+    # the identity's batch, before its own batch's first failure
+    sig = Signature({"P": 1, "Q": 1}, {"f": 1}, [])
+    t = Theory(sig, [], name="free")
+    sizes = [definability._Points(enumerate_models(t, 2), 2, 1, 1)]
+    phi = parse_formula(sig, "A v0. f(v0)=v0")
+    m, args, holds = definability._first_refutation(sizes, sig.restrict(["P", "f"]), phi, ("x1",))
+    assert (m.funs["f"], m.tuples("P"), m.tuples("Q"), args, holds) == ((0, 1), [], [], (0,), False)
+    points = [point for point in scan_points(t, "Q", 2) if point[0].size == 2]
+    assert first_refuting_point(points, phi)[0] == m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2), st.integers(1, 5), st.booleans())
+def test_beth_search_matches_the_point_scan(seed, size, bound, defined):
+    # the same answer and the same node count, or the same budget exit, as
+    # the search with each surviving candidate checked point by point;
+    # defined adds a relation R defined by a candidate of the stream, as
+    # the target
+    rng = random.Random(seed)
+    t, candidates = random_theory(rng, size)
+    assume(candidates <= 4096)
+    if defined:
+        variables = ("x1", "x2")[:rng.randint(1, 2)]
+        stream = list(enumerate_formulas(t.sig, variables, bound))
+        t = extend_theory(t, DefinitionSet().add("R", variables, rng.choice(stream)))
+        target = "R"
+    else:
+        target = _target_and_base(t, rng)[0]
+    points = scan_points(t, target, size)
+
+    def per_point(sizes, base_sig, phi, variables):
+        refuted = first_refuting_point(points, phi)
+        return refuted and (refuted[0], tuple(map(refuted[1].get, variables)), refuted[2])
+
+    outcomes = []
+    for scan in (definability._first_refutation, per_point):
+        counters = []
+
+        class Recorded(NodeCounter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                counters.append(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(definability, "NodeCounter", Recorded)
+            mp.setattr(definability, "_first_refutation", scan)
+            try:
+                phi = beth_search(t, target, size, bound, WorkBudget(20_000))
+            except BudgetExceededError:
+                phi = "budget"
+        outcomes.append((phi, sum(c.count for c in counters)))
+    assert outcomes[0] == outcomes[1]
 
 
 # ------------------------------------------------------------

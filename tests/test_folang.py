@@ -11,11 +11,12 @@ from oracles import random_formula
 from defeq import folang
 from defeq.folang import (
     And, App, Const, Eq, Exists, Forall, FormulaLevels, FormulaSyntaxError, Iff,
-    Implies, LevelTruth, Not, Or, Rel, Signature, SignatureError, Var,
+    Implies, Not, Or, Rel, Signature, SignatureError, Var,
     compile_lanes, enumerate_formulas, eval_formula, formula_depth, formula_size,
     formula_to_text, free_vars, parse_formula, validate_formula,
 )
 from defeq.models import FiniteModel
+from defeq.truth import _TRANSPOSE_CHUNK, LevelTruth, _transpose
 
 SIG = Signature({"E": 2, "R": 2, "P": 1}, {"s": 1}, ["c"])
 
@@ -430,17 +431,34 @@ def reachable_levels(levels, key):
     return seen
 
 
+def _repeats(node) -> bool:
+    """Does an atom or term node take one variable as two of its arguments?"""
+    names = [a.name for a in node.args if isinstance(a, Var)]
+    return len(set(names)) < len(names)
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans(), st.sampled_from([None, 2, 3]))
-def test_level_truth_matches_eval_formula(seed, size, function, depth):
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from(["s", "g", "c"]),
+       st.sampled_from([None, 2, 3]))
+def test_level_truth_matches_eval_formula(seed, size, extra, depth):
     # bit i of a level's vector at assignment a is eval_formula of the
-    # level's i-th formula there, over a unary function or a constant
+    # level's i-th formula there, over a unary function s, a binary
+    # function g or a constant c
     rng = random.Random(seed)
-    sig = Signature({"E": 2, "P": 1}, {"s": 1} if function else {}, [] if function else ["c"])
+    sig = Signature({"E": 2, "P": 1}, {extra: {"s": 1, "g": 2}[extra]} if extra != "c" else {},
+                    ["c"] if extra == "c" else [])
     m = random_model(size, rng, sig)
     x = rng.randrange(size)
     levels = FormulaLevels(sig, ("x",), 4, depth)
     truth = LevelTruth(levels, m, {"x": x})
+    # atoms and function terms that repeat a variable, E(x,x) or g(v0,v0),
+    # read one value mask twice
+    atoms = [f for key in reachable_levels(levels, levels.top(4))
+             for section in levels.sections(key) if section[0] == "atoms" for f in section[1]]
+    assert any(isinstance(f, Rel) and _repeats(f) for f in atoms)
+    if extra == "g":
+        assert any(isinstance(t, App) and _repeats(t)
+                   for f in atoms for t in (f.args if isinstance(f, Rel) else (f.left, f.right)))
     for key in reachable_levels(levels, levels.top(4)):
         vector = truth.vector(key)
         names = levels.bound_names[:key[1]]
@@ -456,3 +474,14 @@ def test_level_truth_matches_eval_formula(seed, size, function, depth):
             width = levels.section_count(section)
             assert truth.section(key, k) == [v >> shift & (1 << width) - 1 for v in vector]
             shift += width
+
+
+def test_transpose_past_one_chunk():
+    # a bit matrix of more columns than one chunk reads: row j has bit i
+    # set when column i has bit j
+    rng = random.Random(2)
+    width = 5
+    columns = [rng.randrange(1 << width) for _ in range(2 * _TRANSPOSE_CHUNK + 7)]
+    rows = _transpose(columns, width)
+    assert rows == [sum((c >> j & 1) << i for i, c in enumerate(columns)) for j in range(width)]
+    assert _transpose([], 3) == [0, 0, 0]

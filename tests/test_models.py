@@ -6,7 +6,7 @@ import random
 import pytest
 from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
-from oracles import random_formula, reduct
+from oracles import random_formula, random_model, reduct
 
 from defeq.budget import BudgetExceededError, WorkBudget
 from defeq.folang import Signature, compile_lanes, eval_formula, parse_formula
@@ -151,7 +151,7 @@ def test_lane_filter_matches_eval_formula(seed, depth, size, arity, function, ot
     rest = [tuple(rng.randrange(size) for _ in range(size)) if function else rng.randrange(size)]
     width = size ** arity
     [(first, lanes)] = _blocks(width)
-    got = compile_lanes(sig, f, size, _lanes(width)[1], "R")
+    got = compile_lanes(sig, f, size, _lanes(width)[1], {"R"})
     bitmap = rng.randrange(1 << size)
     at = sorted(rels).index("R")
     slots = [bitmap] * len(rels)
@@ -169,7 +169,7 @@ def test_lane_filter_past_one_block():
     f = parse_formula(sig, "(A x. (P(x) -> P(s(x)))) | (P(c) & (E x. (!P(x) & x != c)))")
     size = 17
     rest = [tuple((3 * e + 1) % size for e in range(size)), 16]
-    lane_ev = compile_lanes(sig, f, size, _lanes(size)[1], "P")
+    lane_ev = compile_lanes(sig, f, size, _lanes(size)[1], {"P"})
     blocks = list(_blocks(size))
     assert [first for first, _ in blocks] == [0, 1 << 16]
     rng = random.Random(17)
@@ -272,16 +272,6 @@ def naive_isomorphisms(m, n):
         if ok:
             found.append(perm)
     return found
-
-
-def random_model(sig, size, rng):
-    rels = {name: [t for t in itertools.product(range(size), repeat=a)
-                   if rng.random() < 0.4]
-            for name, a in sig.relations.items()}
-    funs = {name: tuple(rng.randrange(size) for _ in range(size ** a))
-            for name, a in sig.functions.items()}
-    consts = {name: rng.randrange(size) for name in sig.constants}
-    return FiniteModel(sig, size, rels, funs, consts)
 
 
 def test_isomorphism_search_matches_oracle():

@@ -6,13 +6,13 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import random_formula, verbatim_ultraproduct
+from oracles import los_loop, random_formula, random_model, verbatim_ultraproduct
 
 from defeq.budget import BudgetExceededError, WorkBudget
-from defeq.folang import Signature, SignatureError, parse_formula
+from defeq.folang import FormulaLevels, Signature, SignatureError, parse_formula
 from defeq.models import FiniteModel
 from defeq.ultra import (
-    Ultrafilter, _Plan, diagonal_embedding, los_check, ultrafilters_on, ultraproduct,
+    LosLevels, Ultrafilter, _Plan, diagonal_embedding, los_check, ultrafilters_on, ultraproduct,
 )
 
 SIG = Signature({"P": 1, "E": 2}, {}, ["c"])
@@ -295,3 +295,39 @@ def test_los_check_requires_closed_formulas():
     ms = [model_of(1, []), model_of(1, [0])]
     with pytest.raises(ValueError):
         los_check(ultraproduct(ms, Ultrafilter.principal(0, 2)), parse_formula(SIG, "P(x)"))
+
+
+# (signature, depth) pairs whose closed formulas number a few hundred at most
+LOS_LEVELS = [(FUN_SIG, 2), (SIG, 2), (Signature({"E": 2}, {}, []), 3),
+              (Signature({"P": 1}, {"g": 2}, []), 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from(LOS_LEVELS),
+       st.booleans())
+def test_batched_los_verdict_matches_a_loop_of_los_check(seed, k, sig_depth, principal):
+    # the same failure count and first failing formula per level as
+    # los_check formula by formula, over principal ultrafilters and
+    # arbitrary set families, on which Los's theorem may fail
+    rng = random.Random(seed)
+    sig, depth = sig_depth
+    ms = [random_model(sig, rng.randint(1, 3), rng) for _ in range(k)]
+    subsets = [s for r in range(k + 1) for s in itertools.combinations(range(k), r)]
+    u = (Ultrafilter.principal(rng.randrange(k), k) if principal
+         else Ultrafilter(k, rng.sample(subsets, rng.randint(0, len(subsets)))))
+    product = ultraproduct(ms, u)
+    levels = FormulaLevels(sig, (), (1 << depth) - 1, depth)
+    verdicts = LosLevels(product, levels)
+    for size in range(1, levels.size_bound + 1):
+        key = levels.top(size)
+        failed = verdicts.failures(key)
+        first = levels.unrank(key, (failed & -failed).bit_length() - 1) if failed else None
+        assert (bin(failed).count("1"), first) == los_loop(product, levels, key)
+        if principal:
+            assert not failed
+
+
+def test_los_levels_require_closed_formulas():
+    ms = [model_of(1, []), model_of(1, [0])]
+    with pytest.raises(ValueError):
+        LosLevels(ultraproduct(ms, Ultrafilter.principal(0, 2)), FormulaLevels(SIG, ("x",), 2))
