@@ -38,7 +38,8 @@ from functools import lru_cache
 from . import definability, folang, groups, irregular, spectra, ultra
 from .budget import BudgetExceededError, NodeCounter, WorkBudget
 from .folang import FormulaSyntaxError, Signature, SignatureError
-from .models import FiniteModel, InternalError, Theory, _ones, _tuples, enumerate_models
+from .models import (FiniteModel, InternalError, Theory, _ByteTable, count_models,
+                     enumerate_models)
 
 __all__ = [
     "CliError", "parse_theory_text", "load_theory", "theory_to_text",
@@ -284,24 +285,58 @@ def load_models(paths: Sequence[str]) -> list[FiniteModel]:
     return [_build_model(raw, sig) for raw in raws]
 
 
-@lru_cache(maxsize=None)
-def _tuple_texts(size: int, arity: int) -> tuple[str, ...]:
-    """"(a,b)" for each argument tuple over {0..size-1}, in rank order."""
-    return tuple(f"({','.join(map(str, t))})" for t in _tuples(size, arity))
+class _Renderer:
+    """model_to_text for the models of one signature and size; _renderer
+    keeps one per (signature, size).
+
+    A relation's text is read off a byte table (models._ByteTable) whose
+    entries are the texts of the tuples a bitmap byte holds, "(a,b) (c,d)",
+    so a model costs one lookup per byte of each bitmap.
+    """
+
+    __slots__ = ("size", "head", "rels", "funs", "consts", "values")
+
+    def __init__(self, sig: Signature, size: int) -> None:
+        self.size = size
+        self.head = f"size {size}"
+        self.values = [str(v) for v in range(size)]
+        self.rels = [(f"rel {name} {{ ", f"rel {name} {{ }}",
+                      _ByteTable(size ** arity, self._tuple_text(arity), " ".join))
+                     for name, arity in sig.relations.items()]
+        self.funs = [f"fun {name} [ " for name in sig.functions]
+        self.consts = [f"const {name} " for name in sig.constants]
+
+    def _tuple_text(self, arity: int):
+        values, size = self.values, self.size
+
+        def text(rank: int) -> str:
+            digits = []
+            for _ in range(arity):
+                rank, d = divmod(rank, size)
+                digits.append(values[d])
+            return f"({','.join(reversed(digits))})"
+        return lru_cache(maxsize=None)(text)  # a tuple is in half the entries of its byte
+
+    def __call__(self, enc: tuple) -> str:
+        _, rel_part, fun_part, const_part = enc
+        parts = [self.head]
+        for (head, empty, table), bits in zip(self.rels, rel_part):
+            parts.append(f"{head}{' '.join(filter(None, table.read(bits)))} }}" if bits else empty)
+        if fun_part:
+            values = self.values
+            parts += [f"{head}{' '.join(map(values.__getitem__, table))} ]"
+                      for head, table in zip(self.funs, fun_part)]
+        if const_part:
+            parts += [head + self.values[value] for head, value in zip(self.consts, const_part)]
+        return " ".join(parts)
+
+
+_renderer = lru_cache(maxsize=64)(_Renderer)
 
 
 def model_to_text(m: FiniteModel) -> str:
     """Single-line rendering in the model file syntax."""
-    size, rel_part, fun_part, const_part = m.encode()
-    parts = [f"size {size}"]
-    for (name, arity), bits in zip(m.sig.relations.items(), rel_part):
-        tuples = " ".join(map(_tuple_texts(size, arity).__getitem__, _ones(bits)))
-        parts.append(f"rel {name} {{ {tuples} }}" if tuples else f"rel {name} {{ }}")
-    for name, table in zip(m.sig.functions, fun_part):
-        parts.append(f"fun {name} [ {' '.join(map(str, table))} ]")
-    for name, value in zip(m.sig.constants, const_part):
-        parts.append(f"const {name} {value}")
-    return " ".join(parts)
+    return _renderer(m.sig, m.size)(m.encode())
 
 
 # ============================================================
@@ -362,10 +397,9 @@ def cmd_parse(args):
 
 def cmd_models(args):
     t = load_theory(args.theory)
-    ms = enumerate_models(t, args.size, _budget(args))
     if args.count_only:
-        return 0, [str(len(ms))]
-    return 0, [model_to_text(m) for m in ms]
+        return 0, [str(count_models(t, args.size, _budget(args)))]
+    return 0, [model_to_text(m) for m in enumerate_models(t, args.size, _budget(args))]
 
 
 def cmd_aut(args):

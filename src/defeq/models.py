@@ -11,6 +11,7 @@ j-th argument tuple in lexicographic order: its mixed-radix rank.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce
 from math import prod
@@ -21,7 +22,7 @@ from .budget import DEFAULT_BUDGET, BudgetExceededError, NodeCounter, WorkBudget
 from .folang import And, Formula, Or, Signature, SignatureError
 
 __all__ = [
-    "FiniteModel", "Theory", "is_model", "enumerate_models",
+    "FiniteModel", "Theory", "is_model", "enumerate_models", "count_models",
     "find_isomorphisms", "is_isomorphism", "canonical_key",
     "substructure", "apply_permutation", "Relabelling", "orbits",
     "InternalError",
@@ -62,6 +63,48 @@ def _ones(bits: int, start: int = 0) -> list[int]:
     # selects the positions in C, without a Python-level step per bit
     return list(itertools.compress(itertools.count(start),
                                    bin(bits)[:1:-1].encode().translate(_BIT)))
+
+
+class _ByteTable(dict):
+    """Per byte of a bitmap, a value read off the bit positions set in it.
+
+    The key of byte value v at byte position p is p << 8 | v, and its value
+    is join([part(j) for each bit j set in v, counted from bit 8p]).  An
+    entry is made on first use, so a wide bitmap costs only the entries its
+    bytes reach.
+    """
+
+    __slots__ = ("part", "join", "nbytes", "_offsets")
+
+    def __init__(self, width: int, part, join) -> None:
+        super().__init__()
+        self.nbytes = (width + 7) >> 3  # of a bitmap of width bits
+        self._offsets = range(0, self.nbytes << 8, 256)  # the keys of byte value 0
+        self.part = part
+        self.join = join
+
+    def __missing__(self, key: int):
+        first = key >> 8 << 3
+        value = self[key] = self.join([self.part(first + b) for b in range(8) if key >> b & 1])
+        return value
+
+    def read(self, bits: int) -> Iterator:
+        """The values of bits' bytes, lowest byte first; a zero byte's value
+        is join([])."""
+        return map(self.__getitem__,
+                   map(operator.add, bits.to_bytes(self.nbytes, "little"), self._offsets))
+
+    def sums(self, column: Sequence[int]) -> Iterator:
+        """sum(self.read(bits)) for each bits of column, read one byte
+        position at a time over the whole column."""
+        out = None
+        for offset in self._offsets:
+            low = map(operator.rshift, column, itertools.repeat(offset >> 5)) if offset else column
+            keys = map(operator.or_, map(operator.and_, low, itertools.repeat(255)),
+                       itertools.repeat(offset))
+            values = map(self.__getitem__, keys)
+            out = values if out is None else map(operator.add, out, values)
+        return out
 
 
 class FiniteModel:
@@ -363,16 +406,40 @@ def enumerate_models(t: Theory, size: int,
     this prefix.  A conjunct is satisfied once a bitmap assigned is on the
     sub-list of one of its groups; at its last relation, that relation runs
     over the conjunct's sub-list only.  So every full candidate reached is
-    a model.
+    a model, and at the last relation every choice left completes one: the
+    walk hands those choices over at once (_leaves), one comprehension
+    builds their models, and count_models only counts them.
 
     The budget counts candidates actually visited: each function/constant
     choice probed, each relation bitmap evaluated in lanes, while filtering
     or at a prefix (ticked a block at a time, before the block is
-    evaluated), and each relation table the walk assigns, so every model
-    reached and every partial candidate on the way to it.  A
-    function/constant factor larger than the budget is refused before the
-    search starts.
+    evaluated), and each relation table the walk assigns (those of the
+    last relation ticked at once), so every model reached and every
+    partial candidate on the way to it.  A function/constant factor larger
+    than the budget is refused before the search starts.
     """
+    sig = t.sig
+    out: list[FiniteModel] = []
+    for _, rel_parts, fun_part, const_part in _leaves(t, size, budget):
+        out += [FiniteModel._from_encoding(sig, (size, rels, fun_part, const_part))
+                for rels in rel_parts]
+    out.sort(key=FiniteModel.encode)
+    return out
+
+
+def count_models(t: Theory, size: int, budget: WorkBudget | None = None) -> int:
+    """len(enumerate_models(t, size, budget)) by the same search, with the
+    same node count and budget exits, building no model."""
+    return sum(leaf[0] for leaf in _leaves(t, size, budget))
+
+
+def _leaves(t: Theory, size: int, budget: WorkBudget | None
+            ) -> Iterator[tuple[int, Iterable[tuple[int, ...]], tuple, tuple]]:
+    """The search of enumerate_models, one item per leaf: (count, relation
+    parts, function tables, constants), the relation parts being the
+    tuples of relation bitmaps of the leaf's count models.  A leaf is a
+    prefix of every relation but the last, with the last relation's choices
+    left, or a function/constant choice when there are no relations."""
     if size < 1:
         raise ValueError("universe must be nonempty")
     budget = budget or DEFAULT_BUDGET
@@ -392,7 +459,7 @@ def enumerate_models(t: Theory, size: int,
     # constants; while relation i is evaluated in lanes, its slot holds a
     # block's lanes
     data: list = [0] * nrels
-    out: list[FiniteModel] = []
+    last = nrels - 1
 
     def filter_tables(i: int, checks: list, spanning: list[_Conjunct]) -> Sequence[int]:
         # relation i's bitmaps on which every check holds; fills subs[c, i],
@@ -437,11 +504,7 @@ def enumerate_models(t: Theory, size: int,
         for c, hit in zip(spans, hits):
             subs[c, i] = (hit, set(hit))
 
-    def walk(i: int, pending: list[_Conjunct]) -> None:
-        if i == nrels:
-            out.append(FiniteModel._from_encoding(
-                sig, (size, tuple(data[:nrels]), fun_part, const_part)))
-            return
+    def walk(i: int, pending: list[_Conjunct]):
         if i in spanned:
             spans = [c for c in pending if i in c.spans]
             if spans:
@@ -454,11 +517,17 @@ def enumerate_models(t: Theory, size: int,
         else:
             choices = [b for b in subs[forced[0], i][0]
                        if all(b in subs[c, i][1] for c in forced[1:])]
+        if i == last:
+            # every pending conjunct is forced here, so each choice is a model
+            nodes.tick(len(choices))
+            yield len(choices), zip(*map(itertools.repeat, data[:i]), choices), \
+                fun_part, const_part
+            return
         for bits in choices:
             nodes.tick()
             data[i] = bits
-            walk(i + 1, [c for c in pending
-                         if i not in c.at or bits not in subs[c, i][1]])
+            yield from walk(i + 1, [c for c in pending
+                                    if i not in c.at or bits not in subs[c, i][1]])
 
     nfuns = len(sig.functions)
     for combo in itertools.product(
@@ -484,9 +553,10 @@ def enumerate_models(t: Theory, size: int,
             oks: list = [None] * nrels
             kept = [filter_tables(i, checks[i], spanning) for i in range(nrels)]
             fun_part, const_part = combo[:nfuns], combo[nfuns:]
-            walk(0, spanning)
-    out.sort(key=FiniteModel.encode)
-    return out
+            if nrels:
+                yield from walk(0, spanning)
+            else:
+                yield 1, [()], fun_part, const_part
 
 
 # ============================================================

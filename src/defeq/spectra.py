@@ -362,6 +362,21 @@ def _iso_witness(b: ConcreteBijection, n: int, c1: Census,
     raise InternalError(f"the coset verdict failed at size {n}, but no model pair breaks it")
 
 
+def _sampled_runs(encs: list[tuple], k: int, sample_budget: int
+                  ) -> Iterator[tuple[tuple[tuple, ...], list[tuple]]]:
+    """The first sample_budget k-tuples of encs, in lexicographic order, as
+    (head, lasts): the tuples head + (last,) for last in lasts, lasts being
+    a run of encodings of one size."""
+    runs = [list(run) for _, run in itertools.groupby(encs, key=lambda enc: enc[0])]
+    left = sample_budget
+    for head in itertools.product(encs, repeat=k - 1):
+        for run in runs:
+            if left <= 0:
+                return
+            yield head, run[:left]
+            left -= len(run)
+
+
 def _ultra_witness(b: ConcreteBijection, sig: Signature, models: list[FiniteModel],
                    index_bound: int, sample_budget: int, budget: WorkBudget,
                    sampled: NodeCounter) -> tuple[int, int, tuple[FiniteModel, ...]] | None:
@@ -370,7 +385,11 @@ def _ultra_witness(b: ConcreteBijection, sig: Signature, models: list[FiniteMode
     b is total on models, which are over sig.  Each model's image is taken
     once, and the products are made on encodings by ultra.quotient_encoding,
     the kernel of ultra.ultraproduct, with the same plans and the same
-    budget check, made once per factor shape.
+    budget check, made once per factor shape.  The tuples come in runs
+    that share all factors but the last, and the last factors' size, so a
+    run's products are made by one kernel call per side (on the right, one
+    per stretch of the run whose images share their size and signature);
+    the tuples are then checked, and counted, one at a time.
     """
     source = {m.encode(): m for m in models}
     image = {enc: b.apply(m) for enc, m in source.items()}
@@ -380,23 +399,37 @@ def _ultra_witness(b: ConcreteBijection, sig: Signature, models: list[FiniteMode
     for k in range(1, index_bound + 1):
         for u in ultrafilters_on(k):
             plan = None
-            for tup in itertools.islice(itertools.product(encs, repeat=k), sample_budget):
+            for head, lasts in _sampled_runs(encs, k, sample_budget):
                 sampled.tick()
-                sizes = tuple([enc[0] for enc in tup])
+                sizes = (*[enc[0] for enc in head], lasts[0][0])
                 if plan is None or plan.sizes != sizes:
                     plan = u.plan(sizes, budget)
-                q = quotient_encoding(plan, tup, sig)
-                # a quotient outside models goes through b.apply, which raises if b misses it
-                left = image.get(q) or b.apply(FiniteModel._from_encoding(sig, q))
-                if mixed and len({image[enc].sig for enc in tup}) > 1:
-                    raise SignatureError("ultraproduct factors must share a signature")
-                target = image[tup[0]].sig
-                right_encs = list(map(image_enc.__getitem__, tup))
-                right_sizes = tuple([enc[0] for enc in right_encs])
-                right_plan = plan if right_sizes == sizes else u.plan(right_sizes, budget)
-                if (left.encode() != quotient_encoding(right_plan, right_encs, target)
-                        or left.sig != target):
-                    return k, u.principal_point(), tuple(map(source.__getitem__, tup))
+                products = quotient_encoding(plan, head, lasts, sig)
+                right_head = [image_enc[enc] for enc in head]
+                rights = [image_enc[enc] for enc in lasts]
+                right_products: list[tuple] = []
+                for i, (q, last) in enumerate(zip(products, lasts)):
+                    if i:
+                        sampled.tick()
+                    # a quotient outside models goes through b.apply, which raises if b misses it
+                    left = image.get(q) or b.apply(FiniteModel._from_encoding(sig, q))
+                    if mixed and len({image[enc].sig for enc in (*head, last)}) > 1:
+                        raise SignatureError("ultraproduct factors must share a signature")
+                    if i == len(right_products):
+                        # the stretch from i whose images share a size and a signature
+                        target = image[head[0] if head else last].sig
+                        right_sizes = (*[enc[0] for enc in right_head], rights[i][0])
+                        right_plan = plan if right_sizes == sizes else u.plan(right_sizes, budget)
+                        j = i + 1
+                        while j < len(lasts) and rights[j][0] == rights[i][0] and (
+                                not mixed or image[lasts[j]].sig == target):
+                            j += 1
+                        right_products += quotient_encoding(right_plan, right_head,
+                                                            rights[i:j], target)
+                    if left.encode() != right_products[i] or (left.sig is not target
+                                                              and left.sig != target):
+                        return k, u.principal_point(), tuple(map(source.__getitem__,
+                                                                 (*head, last)))
     return None
 
 

@@ -5,23 +5,28 @@ by U-agreement, then read the tables off class representatives.  The
 partition depends only on the factor sizes and the ultrafilter, so it is
 made once per (factor sizes, ultrafilter) and reused: an Ultrafilter keeps
 the plan of the last factor sizes it was asked for, and every result of
-those sizes shares its read-only class_map.  No step assumes the
-ultrafilter is principal; that every ultrafilter on a finite index set IS
-principal, and that the quotient then collapses to one factor, are theorems
-the tests check against this construction.
+those sizes shares its read-only class_map.  A relation of the quotient is
+read off byte tables that scatter each factor's bitmap onto the tuples of
+classes, and the membership test is expanded over all factors but the last
+(the cofactors), so products that differ in their last factor only share
+that work.  No step assumes the ultrafilter is principal; that every
+ultrafilter on a finite index set IS principal, and that the quotient then
+collapses to one factor, are theorems the tests check against this
+construction.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
+from functools import lru_cache
 from math import prod
 from types import MappingProxyType
 
 from . import folang
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from .folang import Formula, Signature, SignatureError
-from .models import FiniteModel
+from .models import FiniteModel, _ByteTable
 from .record import Record, _set
 
 __all__ = [
@@ -129,12 +134,23 @@ def ultrafilters_on(size: int) -> list[Ultrafilter]:
     return [Ultrafilter.principal(i, size) for i in range(size)]
 
 
+@lru_cache(maxsize=64)
+def _scatter_table(onto: tuple[int, ...]) -> _ByteTable:
+    """The byte table that sends bit r of a factor's bitmap to the tuples of
+    classes in onto[r].  It depends on nothing else, so plans with equal
+    onto share it: a plan rebuilt for factor sizes seen before (an
+    ultrafilter keeps one plan) starts with the entries made before."""
+    return _ByteTable(len(onto), onto.__getitem__, sum)
+
+
 class _Plan:
     """What an ultraproduct reads that depends only on the factor sizes and
-    the ultrafilter: the U-agreement classes of the choice functions, and
-    per arity the ranks that the classes' representatives pick in each factor."""
+    the ultrafilter: the U-agreement classes of the choice functions, per
+    arity the ranks that the classes' representatives pick in each factor,
+    and per arity and factor the byte table that scatters the factor's
+    bitmaps onto the tuples of classes (scatter)."""
 
-    __slots__ = ("sizes", "test", "reps", "class_map", "_ranks")
+    __slots__ = ("sizes", "test", "reps", "class_map", "_ranks", "_scatter")
 
     def __init__(self, sizes: tuple[int, ...], test) -> None:
         k = len(sizes)
@@ -154,6 +170,7 @@ class _Plan:
         self.reps = tuple(reps)
         self.class_map = MappingProxyType(class_map)
         self._ranks: dict[int, list[list[int]]] = {}
+        self._scatter: dict[int, list[_ByteTable]] = {}
 
     def ranks(self, arity: int) -> list[list[int]]:
         """Per factor i, for each tuple of classes in lexicographic order, the
@@ -168,6 +185,40 @@ class _Plan:
                     ranks = [r * n + e for r in ranks for e in picked]
                 out.append(ranks)
             self._ranks[arity] = out
+        return out
+
+    def scatter(self, arity: int) -> list[_ByteTable]:
+        """Per factor i, the table whose read(bits), summed, has bit j set
+        when the j-th tuple of classes picks in factor i a tuple that bits
+        holds.  Each tuple of classes picks one tuple per factor, so the
+        masks of distinct tuples are disjoint and their sum is their union."""
+        out = self._scatter.get(arity)
+        if out is None:
+            out = []
+            for n, ranks in zip(self.sizes, self.ranks(arity)):
+                onto = [0] * n ** arity
+                for j, rank in enumerate(ranks):
+                    onto[rank] |= 1 << j
+                out.append(_scatter_table(tuple(onto)))
+            self._scatter[arity] = out
+        return out
+
+    def cofactors(self, head: Sequence[tuple], sig: Signature) -> list[tuple[int, int, _ByteTable]]:
+        """Per relation of sig, (A, B, the last factor's scatter table) for
+        the encodings head of all factors but the last: bit j of A (of B) is
+        set when the factors holding the j-th tuple of classes form a member
+        of the ultrafilter, given that the last factor holds it (does not
+        hold it).  The relation's quotient bitmap is then A & h | B & ~h, h
+        the last factor's bitmap scattered onto the tuples of classes."""
+        last = 1 << len(head)
+        test = self.test
+        out = []
+        for r, arity in enumerate(sig.relations.values()):
+            *tables, table = self.scatter(arity)
+            rows = [sum(t.read(enc[1][r])) for enc, t in zip(head, tables)]
+            full = (1 << len(self.reps) ** arity) - 1
+            out.append((_members(rows, lambda s: test(s | last), full),
+                        _members(rows, test, full), table))
         return out
 
 
@@ -211,35 +262,43 @@ def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
         if m.sig != sig:
             raise SignatureError("ultraproduct factors must share a signature")
     plan = u.plan(tuple(m.size for m in models), budget)
-    enc = quotient_encoding(plan, [m.encode() for m in models], sig)
+    *head, last = [m.encode() for m in models]
+    [enc] = quotient_encoding(plan, head, [last], sig)
     return UltraproductResult(FiniteModel._from_encoding(sig, enc), plan.class_map,
                               plan.reps, tuple(models), u)
 
 
-def quotient_encoding(plan: _Plan, encs: Sequence[tuple], sig: Signature) -> tuple:
-    """The quotient's encoding for factors over sig with encodings encs;
-    plan must be the one for their sizes and ultrafilter (Ultrafilter.plan).
+def quotient_encoding(plan: _Plan, head: Sequence[tuple], lasts: Sequence[tuple],
+                      sig: Signature) -> list[tuple]:
+    """The quotients' encodings for the factors head + (last,), for each
+    encoding last in lasts, all over sig; plan must be the one for their
+    sizes and ultrafilter (Ultrafilter.plan).
 
     A relation's tuple of classes holds when the factors whose bitmaps
-    hold at its representatives' ranks form a member of the ultrafilter;
-    function tables and constants are read through the class map.
+    hold at its representatives' ranks form a member of the ultrafilter.
+    Its bitmap is read off the cofactors of head (plan.cofactors), made
+    once for all of lasts, and the last factor's bitmap scattered onto the
+    tuples of classes.  Function tables and constants are read through the
+    class map, one quotient at a time.
     """
-    test, class_of = plan.test, plan.class_map.__getitem__
-    rel_part = []
-    for r, arity in enumerate(sig.relations.values()):
-        agree = [0] * len(plan.reps) ** arity
-        for i, (enc, ranks) in enumerate(zip(encs, plan.ranks(arity))):
-            bitmap, bit = enc[1][r], 1 << i
-            if bitmap:
-                agree = [a | bit if bitmap >> rank & 1 else a for a, rank in zip(agree, ranks)]
-        rel_part.append(sum(map((1).__lshift__,
-                                itertools.compress(itertools.count(), map(test, agree)))))
-    fun_part = tuple([
-        tuple(map(class_of, zip(*[list(map(enc[2][g].__getitem__, ranks))
-                                  for enc, ranks in zip(encs, plan.ranks(arity))])))
-        for g, arity in enumerate(sig.functions.values())])
-    const_part = tuple(map(class_of, zip(*[enc[3] for enc in encs]))) if sig.constants else ()
-    return len(plan.reps), tuple(rel_part), fun_part, const_part
+    size = len(plan.reps)
+    columns = [[a & h | b & ~h for h in table.sums(bitmaps)]
+               for (a, b, table), bitmaps in zip(plan.cofactors(head, sig),
+                                                 zip(*[last[1] for last in lasts]))]
+    rel_parts = zip(*columns) if columns else itertools.repeat(())
+    if not (sig.functions or sig.constants):
+        return [(size, rels, (), ()) for rels, _ in zip(rel_parts, lasts)]
+    class_of = plan.class_map.__getitem__
+    out = []
+    for rels, last in zip(rel_parts, lasts):
+        encs = (*head, last)
+        fun_part = tuple([
+            tuple(map(class_of, zip(*[list(map(enc[2][g].__getitem__, ranks))
+                                      for enc, ranks in zip(encs, plan.ranks(arity))])))
+            for g, arity in enumerate(sig.functions.values())])
+        const_part = tuple(map(class_of, zip(*[enc[3] for enc in encs])))
+        out.append((size, rels, fun_part, const_part))
+    return out
 
 
 def diagonal_embedding(m: FiniteModel, u: Ultrafilter,

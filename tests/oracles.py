@@ -16,7 +16,7 @@ from defeq.folang import (
 from defeq.budget import DEFAULT_BUDGET, NodeCounter
 from defeq.definability import _argument_variables
 from defeq.groups import PermutationGroup, canonical_form, form_key
-from defeq.models import FiniteModel, apply_permutation, enumerate_models
+from defeq.models import FiniteModel, _ones, _tuples, apply_permutation, enumerate_models
 from defeq.spectra import Census, _paired_classes
 from defeq.ultra import Ultrafilter, los_check, ultrafilters_on, ultraproduct
 
@@ -99,6 +99,44 @@ def verbatim_ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter):
     const_part = tuple(class_map[values] for values in zip(*(enc[3] for enc in encs)))
     quotient = FiniteModel._from_encoding(sig, (m_count, tuple(rel_part), fun_part, const_part))
     return quotient, tuple(reps), class_map
+
+
+def quotient_by_class_tuples(plan, encs, sig):
+    """ultra.quotient_encoding of the factors with encodings encs, class
+    tuple by class tuple: per relation, the set of factors that hold each
+    tuple of classes at its representatives' ranks, then the membership
+    test on each set; function tables and constants through the class map."""
+    test, class_of = plan.test, plan.class_map.__getitem__
+    rel_part = []
+    for r, arity in enumerate(sig.relations.values()):
+        agree = [0] * len(plan.reps) ** arity
+        for i, (enc, ranks) in enumerate(zip(encs, plan.ranks(arity))):
+            bitmap, bit = enc[1][r], 1 << i
+            if bitmap:
+                agree = [a | bit if bitmap >> rank & 1 else a for a, rank in zip(agree, ranks)]
+        rel_part.append(sum(map((1).__lshift__,
+                                itertools.compress(itertools.count(), map(test, agree)))))
+    fun_part = tuple([
+        tuple(map(class_of, zip(*[list(map(enc[2][g].__getitem__, ranks))
+                                  for enc, ranks in zip(encs, plan.ranks(arity))])))
+        for g, arity in enumerate(sig.functions.values())])
+    const_part = tuple(map(class_of, zip(*[enc[3] for enc in encs]))) if sig.constants else ()
+    return len(plan.reps), tuple(rel_part), fun_part, const_part
+
+
+def model_text_by_tuples(m: FiniteModel) -> str:
+    """cli.model_to_text with each relation's tuples listed one by one."""
+    size, rel_part, fun_part, const_part = m.encode()
+    parts = [f"size {size}"]
+    for (name, arity), bits in zip(m.sig.relations.items(), rel_part):
+        texts = [f"({','.join(map(str, t))})" for t in _tuples(size, arity)]
+        tuples = " ".join(map(texts.__getitem__, _ones(bits)))
+        parts.append(f"rel {name} {{ {tuples} }}" if tuples else f"rel {name} {{ }}")
+    for name, table in zip(m.sig.functions, fun_part):
+        parts.append(f"fun {name} [ {' '.join(map(str, table))} ]")
+    for name, value in zip(m.sig.constants, const_part):
+        parts.append(f"const {name} {value}")
+    return " ".join(parts)
 
 
 def pairs_by_moves(t1, t2, max_size):

@@ -1,14 +1,17 @@
 """Command line surface: exit codes, golden output, file formats."""
 
 import os
+import random
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import model_text_by_tuples, random_model
 
 import defeq
-from defeq import folang, spectra, ultra
+from defeq import cli, folang, spectra, ultra
 from defeq.cli import (
     CliError, dispatch, fixture_path, load_models, load_theory, main,
     model_to_text, parse_model_text, parse_theory_text, theory_to_text,
@@ -68,6 +71,36 @@ def test_model_text_round_trip():
     assert text == ("size 3 rel E { (0,1) (2,0) } rel P { } "
                     "fun f [ 2 2 1 ] const c 1")
     assert parse_model_text(text) == m
+
+
+# (size, relation arities): bitmaps 1 bit wide; 8 and 2; 9 and 27; 25 and 5,
+# so that a bitmap ends on, just past and well past a byte boundary
+BYTE_SHAPES = [(1, (1, 2)), (2, (3, 1)), (3, (2, 3)), (5, (2, 1))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(BYTE_SHAPES),
+       st.sampled_from(["", "f", "c", "fc"]))
+def test_model_text_matches_the_tuple_oracle(seed, shape, extra):
+    size, arities = shape
+    sig = Signature({f"R{i}": a for i, a in enumerate(arities)},
+                    {"f": 1} if "f" in extra else {}, ["c"] if "c" in extra else [])
+    rng = random.Random(seed)
+    for _ in range(4):
+        m = random_model(sig, size, rng)
+        text = model_to_text(m)
+        assert text == model_text_by_tuples(m)
+        assert parse_model_text(text, sig) == m
+
+
+def test_a_wide_model_fills_one_text_entry_per_byte():
+    # 1,000 bits: the renderer's table for the relation holds the texts of
+    # the 125 bytes one model reads, not all 256 values of each byte
+    sig = Signature({"Wide": 3})
+    m = random_model(sig, 10, random.Random(7))
+    assert model_to_text(m) == model_text_by_tuples(m)
+    [(_, _, table)] = cli._renderer(sig, 10).rels
+    assert 0 < len(table) <= 125
 
 
 def test_model_parse_multiline_and_comments():

@@ -8,11 +8,12 @@ from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
 from oracles import random_formula, random_model, reduct
 
-from defeq.budget import BudgetExceededError, WorkBudget
+from defeq import models
+from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
 from defeq.folang import Signature, compile_lanes, eval_formula, parse_formula
 from defeq.models import (
-    FiniteModel, Theory, _blocks, _lanes, apply_permutation, canonical_key, enumerate_models,
-    find_isomorphisms, is_isomorphism, is_model, substructure,
+    FiniteModel, Theory, _blocks, _lanes, apply_permutation, canonical_key, count_models,
+    enumerate_models, find_isomorphisms, is_isomorphism, is_model, substructure,
 )
 
 SIG_ER = Signature({"E": 2, "R": 2}, {}, [])
@@ -91,6 +92,43 @@ def test_enumeration_budget_counts_visited_candidates(t1, t2):
     # the full product at size 3 has 262,144 candidates per theory
     assert len(enumerate_models(t2, 3, WorkBudget(max_nodes=5_000))) == 538
     assert len(enumerate_models(t1, 3, WorkBudget(max_nodes=5_000))) == 1023
+
+
+def outcome(search, t, size, budget):
+    """What search(t, size, budget) gives, or the message of its budget exit."""
+    try:
+        return search(t, size, budget)
+    except BudgetExceededError as e:
+        return str(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_count_models_shares_the_search_of_enumerate_models(seed, size):
+    # the same count, the same nodes, and the same budget exits one node
+    # short of them, with no model built for the count
+    t, candidates = random_theory(random.Random(seed), size)
+    assume(candidates <= 4096)
+    counters = []
+
+    class Recording(NodeCounter):
+        def __init__(self, budget, what):
+            super().__init__(budget, what)
+            counters.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "NodeCounter", Recording)
+        found = enumerate_models(t, size)
+        mp.setattr(FiniteModel, "_from_encoding", None)  # count_models builds no model
+        count = count_models(t, size)
+    assert count == len(found)
+    assert len(counters) == 2 and counters[0].count == counters[1].count
+    nodes = counters[0].count
+    for limit in {max(nodes - 1, 1), nodes}:
+        budget = WorkBudget(max_nodes=limit)
+        assert outcome(lambda *a: len(enumerate_models(*a)), t, size, budget) == \
+            outcome(count_models, t, size, budget)
+    assert outcome(count_models, t, size, WorkBudget(max_nodes=nodes)) == count
 
 
 def brute_force_models(t, size):

@@ -5,14 +5,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from oracles import los_loop, random_formula, random_model, verbatim_ultraproduct
+from hypothesis import assume, given, settings, strategies as st
+from oracles import (
+    los_loop, quotient_by_class_tuples, random_formula, random_model, verbatim_ultraproduct,
+)
 
 from defeq.budget import BudgetExceededError, WorkBudget
 from defeq.folang import FormulaLevels, Signature, SignatureError, parse_formula
 from defeq.models import FiniteModel
 from defeq.ultra import (
-    LosLevels, Ultrafilter, _Plan, diagonal_embedding, los_check, ultrafilters_on, ultraproduct,
+    LosLevels, Ultrafilter, _Plan, diagonal_embedding, los_check, quotient_encoding,
+    ultrafilters_on, ultraproduct,
 )
 
 SIG = Signature({"P": 1, "E": 2}, {}, ["c"])
@@ -187,6 +190,33 @@ def test_ultraproduct_matches_the_verbatim_oracle(seed, k):
         done.append((ms, u, res))
     for ms, u, res in done:  # later calls left earlier results as they were
         assert (res.quotient, res.reps, res.class_map) == verbatim_ultraproduct(ms, u)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.lists(st.integers(1, 3), min_size=1, max_size=2), st.sampled_from(["", "f", "c"]),
+       st.none() | st.sets(st.frozensets(st.integers(0, 3)), max_size=10))
+def test_quotient_kernel_matches_the_class_tuple_oracle(seed, sizes, arities, extra, family):
+    # the cofactor kernel against the loop over tuples of classes it
+    # replaced: on every principal ultrafilter, or on a family of sets that
+    # is not an ultrafilter, so that a kernel that took the test for
+    # principal would differ; several last factors at once, as the
+    # verifier asks
+    rng = random.Random(seed)
+    k = len(sizes)
+    sig = Signature({f"R{i}": a for i, a in enumerate(arities)},
+                    {"f": 1} if extra == "f" else {}, ["c"] if extra == "c" else [])
+    if family is None:
+        us = ultrafilters_on(k)
+    else:
+        us = [Ultrafilter(k, [s for s in family if max(s, default=0) < k])]
+    head = [random_model(sig, n, rng).encode() for n in sizes[:-1]]
+    lasts = [random_model(sig, sizes[-1], rng).encode() for _ in range(3)]
+    for u in us:
+        plan = u.plan(tuple(sizes), WorkBudget())
+        assume(len(plan.reps) ** max(arities) <= 4096)
+        assert quotient_encoding(plan, head, lasts, sig) == \
+            [quotient_by_class_tuples(plan, (*head, last), sig) for last in lasts]
 
 
 def test_an_ultrafilter_keeps_only_the_last_plan():
