@@ -36,7 +36,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from . import definability, folang, groups, irregular, spectra, ultra
-from .budget import BudgetExceededError, NodeCounter, WorkBudget
+from .budget import DEFAULT_MAX_NODES, BudgetExceededError, NodeCounter, WorkBudget
 from .folang import FormulaSyntaxError, Signature, SignatureError
 from .models import (FiniteModel, InternalError, Theory, _ByteTable, count_models,
                      enumerate_models)
@@ -44,7 +44,7 @@ from .models import (FiniteModel, InternalError, Theory, _ByteTable, count_model
 __all__ = [
     "CliError", "parse_theory_text", "load_theory", "theory_to_text",
     "parse_model_text", "load_model", "load_models", "model_to_text",
-    "fixture_path", "dispatch", "main",
+    "fixture_path", "dispatch", "main", "run",
 ]
 
 
@@ -556,117 +556,89 @@ def cmd_ts_axioms(args):
 # parser and dispatch
 # ============================================================
 
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-nodes", type=int, default=WorkBudget().max_nodes,
-                   help="cap on search nodes visited (default %(default)s)")
+# A flag is (name, add_argument keywords); a tuple of flags is a required
+# choice of one of them.
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+_SWITCH = {"action": "store_true"}
+_BUDGET = ("--max-nodes", {"type": int, "default": DEFAULT_MAX_NODES,
+                           "help": "cap on search nodes visited (default %(default)s)"})
+_SIZE_CHOICE = (("--size", {"type": int, "help": "universe size (this size only)"}),
+                ("--max-size", {"type": int, "help": "all universe sizes 1..N"}))
+
+# name: (handler, help, flags), in the order of the help listing
+_COMMANDS = {
+    "parse": (cmd_parse, "parse a formula against a theory's signature",
+              [("--theory", _REQUIRED), ("--formula", _REQUIRED)]),
+    "models": (cmd_models, "enumerate the models of a theory at one size",
+               [("--theory", _REQUIRED), ("--size", _INT), ("--count-only", _SWITCH), _BUDGET]),
+    "aut": (cmd_aut, "automorphism group of a model", [("--model", _REQUIRED)]),
+    "spec": (cmd_spec, "automorphism spectrum of a theory",
+             [("--theory", _REQUIRED), _SIZE_CHOICE, _BUDGET]),
+    "spec-compare": (cmd_spec_compare, "compare two spectra",
+                     [("--t1", _REQUIRED), ("--t2", _REQUIRED), _SIZE_CHOICE, _BUDGET]),
+    "build-iso": (cmd_build_iso, "build (and optionally verify) the spectrum-driven bijection",
+                  [("--t1", _REQUIRED), ("--t2", _REQUIRED), ("--max-size", _INT),
+                   ("--verify", _SWITCH),
+                   ("--index-bound", {"type": int, "help": "largest ultrafilter index set "
+                                                           "for --verify (default 2)"}),
+                   ("--sample-budget", {"type": int, "help": "model tuples --verify samples "
+                                                             "per (index size, point) "
+                                                             "(default 2000)"}),
+                   _BUDGET]),
+    "ultra": (cmd_ultra, "ultraproduct of model files",
+              [("--models", {"required": True,
+                             "help": "comma-separated model files, one per index"}),
+               ("--principal", {**_INT, "help": "principal point of the ultrafilter"}),
+               ("--los-depth", {"type": int, "help": "also check the Los equivalence for all "
+                                                     "closed formulas up to this depth"}),
+               _BUDGET]),
+    "beth": (cmd_beth, "search for an explicit definition of a relation",
+             [("--theory", _REQUIRED), ("--target", _REQUIRED), ("--size", _INT),
+              ("--bound", {**_INT, "help": "formula size bound for the search"}), _BUDGET]),
+    "idc": (cmd_idc, "implicit definability (unique expansion) check",
+            [("--theory", _REQUIRED),
+             ("--hidden", {"required": True, "help": "comma-separated relation names to hide"}),
+             ("--size", _INT), _BUDGET]),
+    "subclosure": (cmd_subclosure, "substructure closure check",
+                   [("--theory", _REQUIRED), ("--size", _INT), _BUDGET]),
+    "seq": (cmd_seq, "print a stretch of a sequence variant",
+            [("--variant", _REQUIRED), ("--range", {"required": True,
+                                                    "help": "half-open START..STOP"})]),
+    "pattern": (cmd_pattern, "first occurrence of a membership pattern",
+                [("--variant", _REQUIRED),
+                 ("--pattern", {"required": True, "help": "'m1,m2,...:n' (':n' for empty)"}),
+                 ("--bound", _INT)]),
+    "irregular-report": (cmd_irregular_report,
+                         "occurrence report for all patterns up to a length",
+                         [("--variant", _REQUIRED), ("--max-n", _INT), ("--bound", _INT)]),
+    "ts-axioms": (cmd_ts_axioms, "emit the finite prefix theory of a variant",
+                  [("--variant", _REQUIRED), ("--depth", _INT)]),
+}
 
 
-def _add_size_choice(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--size", type=int, default=None,
-                   help="universe size (this size only)")
-    g.add_argument("--max-size", type=int, default=None,
-                   help="all universe sizes 1..N")
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for argv: only its command's subparser when argv[0] names
+    one, since argparse then hands every later argument to that subparser;
+    every command's otherwise, for the listing and argparse's own errors."""
     parser = argparse.ArgumentParser(
         prog="defeq",
         description="Finite-model workbench: automorphism spectra, concrete "
                     "model-class bijections, ultraproducts, definability "
                     "checks, and irregular 0/1 sequences.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        handler, help_text, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("parse", cmd_parse, "parse a formula against a theory's signature")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--formula", required=True)
-
-    p = add("models", cmd_models, "enumerate the models of a theory at one size")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    _add_budget_flags(p)
-
-    p = add("aut", cmd_aut, "automorphism group of a model")
-    p.add_argument("--model", required=True)
-
-    p = add("spec", cmd_spec, "automorphism spectrum of a theory")
-    p.add_argument("--theory", required=True)
-    _add_size_choice(p)
-    _add_budget_flags(p)
-
-    p = add("spec-compare", cmd_spec_compare, "compare two spectra")
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2", required=True)
-    _add_size_choice(p)
-    _add_budget_flags(p)
-
-    p = add("build-iso", cmd_build_iso,
-            "build (and optionally verify) the spectrum-driven bijection")
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2", required=True)
-    p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--index-bound", type=int,
-                   help="largest ultrafilter index set for --verify (default 2)")
-    p.add_argument("--sample-budget", type=int,
-                   help="model tuples --verify samples per (index size, point) (default 2000)")
-    _add_budget_flags(p)
-
-    p = add("ultra", cmd_ultra, "ultraproduct of model files")
-    p.add_argument("--models", required=True,
-                   help="comma-separated model files, one per index")
-    p.add_argument("--principal", type=int, required=True,
-                   help="principal point of the ultrafilter")
-    p.add_argument("--los-depth", type=int, default=None,
-                   help="also check the Los equivalence for all closed "
-                        "formulas up to this depth")
-    _add_budget_flags(p)
-
-    p = add("beth", cmd_beth, "search for an explicit definition of a relation")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True,
-                   help="formula size bound for the search")
-    _add_budget_flags(p)
-
-    p = add("idc", cmd_idc, "implicit definability (unique expansion) check")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--hidden", required=True,
-                   help="comma-separated relation names to hide")
-    p.add_argument("--size", type=int, required=True)
-    _add_budget_flags(p)
-
-    p = add("subclosure", cmd_subclosure, "substructure closure check")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--size", type=int, required=True)
-    _add_budget_flags(p)
-
-    p = add("seq", cmd_seq, "print a stretch of a sequence variant")
-    p.add_argument("--variant", required=True)
-    p.add_argument("--range", required=True, help="half-open START..STOP")
-
-    p = add("pattern", cmd_pattern, "first occurrence of a membership pattern")
-    p.add_argument("--variant", required=True)
-    p.add_argument("--pattern", required=True, help="'m1,m2,...:n' (':n' for empty)")
-    p.add_argument("--bound", type=int, required=True)
-
-    p = add("irregular-report", cmd_irregular_report,
-            "occurrence report for all patterns up to a length")
-    p.add_argument("--variant", required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-
-    p = add("ts-axioms", cmd_ts_axioms, "emit the finite prefix theory of a variant")
-    p.add_argument("--variant", required=True)
-    p.add_argument("--depth", type=int, required=True)
-
+        for flag in flags:
+            if isinstance(flag[0], str):
+                p.add_argument(flag[0], **flag[1])
+            else:
+                group = p.add_mutually_exclusive_group(required=True)
+                for choice, options in flag:
+                    group.add_argument(choice, **options)
     return parser
 
 
@@ -676,9 +648,9 @@ def dispatch(argv: Sequence[str]) -> tuple[int, str]:
     Diagnostics go straight to stderr, witnesses and results to the
     returned text.
     """
-    parser = _build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 2
         return code, ""
@@ -702,5 +674,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
+def run():
+    """The process entry: main(), then the output flushed, then os._exit.
+
+    Tearing the interpreter down, which frees every object one by one, took
+    longer than most commands' own work, and nothing is left to do once the
+    output is out; so atexit hooks do not run in this process.  Output that
+    cannot be written, a closed pipe say, exits 2 with one line on stderr.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as e:
+        code = 2
+        try:
+            print(f"defeq: cannot write the output: {e}", file=sys.stderr)
+        except OSError:
+            pass
+    try:
+        sys.stderr.flush()
+    except OSError:
+        code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -338,22 +338,16 @@ def validate_formula(sig: Signature, f: Formula) -> None:
 # parsing
 # ============================================================
 
-_TOKEN = re.compile(r"\s*(<->|->|!=|[()=.,!&|]|[A-Za-z_][A-Za-z0-9_]*)")
+# A token, or the first character that starts none: the error.
+_TOKEN = re.compile(r"\s*(?:(<->|->|!=|[()=.,!&|]|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise FormulaSyntaxError(f"unexpected character {stripped[0]!r}", at)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 2:
+            raise FormulaSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
+        tokens.append((m[1], m.start(1)))
     tokens.append(("", len(text)))
     return tokens
 

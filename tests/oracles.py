@@ -7,11 +7,12 @@ a generator of test inputs.
 
 import itertools
 import random
+import re
 from collections.abc import Sequence
 
 from defeq.folang import (
     And, App, Const, Eq, Exists, Forall, Formula, Iff, Implies, Not, Or, Rel, Signature, Term,
-    Var, _fresh_names, eval_formula,
+    FormulaSyntaxError, Var, _fresh_names, eval_formula,
 )
 from defeq.budget import DEFAULT_BUDGET, NodeCounter
 from defeq.definability import _argument_variables
@@ -166,6 +167,29 @@ def ultra_verdict(b, models, index_bound=2, sample_budget=2000, budget=DEFAULT_B
                 if left != right:
                     return (k, u.principal_point(), tup), sampled.count
     return None, sampled.count
+
+
+_TOKEN = re.compile(r"\s*(<->|->|!=|[()=.,!&|]|[A-Za-z_][A-Za-z0-9_]*)")
+
+
+def tokenize_by_match(text: str) -> list[tuple[str, int]]:
+    """folang._tokenize one anchored match at a time: (token, offset) pairs
+    and ("", len(text)), or FormulaSyntaxError at the first character that
+    starts no token."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise FormulaSyntaxError(f"unexpected character {stripped[0]!r}", at)
+        tokens.append((m.group(1), m.start(1)))
+        pos = m.end()
+    tokens.append(("", len(text)))
+    return tokens
 
 
 def random_model(sig: Signature, size: int, rng: random.Random) -> FiniteModel:

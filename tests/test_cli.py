@@ -688,6 +688,124 @@ def test_usage_errors_and_main(capsys):
     assert "unrecognized arguments: --jobs=1" in capsys.readouterr().err
 
 
+def parse_outcome(parser, argv, capsys):
+    """(exit code, stdout, stderr) of parsing argv; code None if it parsed."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_command_parser_reads_as_the_full_parser(command, monkeypatch, capsys):
+    # dispatch builds only the named command's subparser; its help, its
+    # usage errors and their exit codes must be the full parser's
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli._build_parser([])
+    cases = [["--help"], ["--bogus"], ["--size", "x"], ["--max-size"], ["--verify=1"],
+             ["--theory", "t.thy", "--help"]]
+    for case in cases:
+        argv = [command, *case]
+        one = cli._build_parser(argv)
+        assert list(one._subparsers._group_actions[0].choices) == [command]
+        assert parse_outcome(one, argv, capsys) == parse_outcome(full, argv, capsys), argv
+
+
+FULL_HELP = """\
+usage: defeq [-h] COMMAND ...
+
+Finite-model workbench: automorphism spectra, concrete model-class bijections,
+ultraproducts, definability checks, and irregular 0/1 sequences.
+
+positional arguments:
+  COMMAND
+    parse           parse a formula against a theory's signature
+    models          enumerate the models of a theory at one size
+    aut             automorphism group of a model
+    spec            automorphism spectrum of a theory
+    spec-compare    compare two spectra
+    build-iso       build (and optionally verify) the spectrum-driven
+                    bijection
+    ultra           ultraproduct of model files
+    beth            search for an explicit definition of a relation
+    idc             implicit definability (unique expansion) check
+    subclosure      substructure closure check
+    seq             print a stretch of a sequence variant
+    pattern         first occurrence of a membership pattern
+    irregular-report
+                    occurrence report for all patterns up to a length
+    ts-axioms       emit the finite prefix theory of a variant
+
+options:
+  -h, --help        show this help message and exit
+"""
+CHOICES = ("(choose from 'parse', 'models', 'aut', 'spec', 'spec-compare', 'build-iso', "
+           "'ultra', 'beth', 'idc', 'subclosure', 'seq', 'pattern', 'irregular-report', "
+           "'ts-axioms')")
+USAGE = "usage: defeq [-h] COMMAND ...\n"
+
+
+# argparse's messages change between Python versions; these are CPython 3.11's
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse text of CPython 3.11")
+@pytest.mark.parametrize("argv, want", [
+    (["--help"], (0, FULL_HELP, "")),
+    (["-h", "models"], (0, FULL_HELP, "")),
+    (["modles"], (2, "", f"{USAGE}defeq: error: argument COMMAND: "
+                         f"invalid choice: 'modles' {CHOICES}\n")),
+    (["--", "models", "--theory", "ex1_t1.thy", "--size", "2", "--count-only"],
+     (2, "", f"{USAGE}defeq: error: argument COMMAND: invalid choice: '--' {CHOICES}\n")),
+    (["--jobs=1", "seq", "--variant", "master", "--range", "0..3"],
+     (2, "", f"{USAGE}defeq: error: unrecognized arguments: --jobs=1\n")),
+])
+def test_command_lines_that_name_no_command_first(argv, want, monkeypatch, capsys):
+    # these need every command's parser: the listing, or argparse's own scan
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = run(*argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out + out, captured.err) == want
+
+
+def cli_process(*argv, **options) -> subprocess.CompletedProcess:
+    """python -m defeq.cli ARGV on this checkout's package, with stdout
+    buffered as it is by default."""
+    src = os.path.dirname(os.path.dirname(defeq.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "defeq.cli", *argv], env=env, **options)
+
+
+@pytest.mark.parametrize("argv, code", [
+    # 60 KB of pairs, past any one buffer of stdout
+    (("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "3"), 0),
+    (("spec-compare", "--t1", "ex1_t1.thy", "--t2", "ex1_t2.thy", "--max-size", "2"), 1),
+    (("models", "--theory", "ex1_t1.thy", "--size", "0"), 2),
+    (("models", "--theory", "ex1_t1.thy", "--bogus"), 2),
+])
+def test_the_process_writes_what_dispatch_returns(argv, code, capsys):
+    # the process ends with os._exit, so everything must be flushed before it
+    want = run(*argv)
+    want_err = capsys.readouterr().err
+    done = cli_process(*argv, capture_output=True)
+    assert done.returncode == want[0] == code
+    assert done.stdout == want[1].encode()
+    assert done.stderr == want_err.encode()
+
+
+def test_a_closed_stdout_exits_2_with_one_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the first write fails with EPIPE
+    try:
+        done = cli_process("seq", "--variant", "master", "--range", "0..4",
+                           stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == b"defeq: cannot write the output: [Errno 32] Broken pipe\n"
+
+
 def test_size_4_counts_and_census_build_no_tuple_view(monkeypatch):
     # the rels view and the printer read tuples through FiniteModel.tuples;
     # counting models and classifying them needs the bitmaps only

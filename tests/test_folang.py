@@ -6,7 +6,7 @@ import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import random_formula
+from oracles import random_formula, tokenize_by_match
 
 from defeq import folang
 from defeq.folang import (
@@ -219,6 +219,35 @@ def test_formula_size_and_depth():
 def test_round_trip_random_asts(seed, depth):
     f = random_formula(SIG, random.Random(seed), depth, free=("x",))
     assert parse_formula(SIG, formula_to_text(f)) == f
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except FormulaSyntaxError as e:
+        return str(e), e.position
+
+
+# near misses of tokens, and whitespace that str.isspace knows but ASCII does not
+TOKEN_CHARS = st.sampled_from("()=.,!&|<->AEx_09 \t\n\x0b\x1c\xa0\u2003\u3000@#~é")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
+                          TOKEN_CHARS | st.characters()), max_size=4))
+def test_tokenizer_matches_the_match_loop(seed, depth, edits):
+    # the same tokens and offsets, or the same first error, on formula text
+    # and on formula text with characters inserted, deleted or replaced
+    text = formula_to_text(random_formula(SIG, random.Random(seed), depth, free=("x",)))
+    texts = [text]
+    for at, op, ch in edits:
+        at %= len(text) + 1
+        text = text[:at] + ch * (op != 1) + text[at + (op > 0):]
+        texts.append(text)
+    for text in texts:
+        assert tokens_or_error(folang._tokenize, text) == \
+            tokens_or_error(tokenize_by_match, text), text
 
 
 def test_random_formula_is_deterministic():

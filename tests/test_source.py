@@ -56,3 +56,22 @@ def test_the_command_line_imports_no_heavy_module():
     run = subprocess.run([sys.executable, "-S", "-c", script],
                          capture_output=True, text=True, check=True)
     assert run.stdout.splitlines()[-1] == "0 0 31 []"
+
+
+def test_only_the_process_entry_skips_teardown():
+    # os._exit ends the process without teardown, so only cli.run may call
+    # it, and only the __main__ guard calls run: tests and the benchmark
+    # call main() and dispatch() in process
+    def calls(tree: ast.Module, test) -> list[str]:
+        return [ast.unparse(top).splitlines()[0] for top in tree.body for node in ast.walk(top)
+                if isinstance(node, ast.Call) and test(node.func)]
+
+    exits = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        exits += [f"{path.name}: {line}" for line in calls(
+            tree, lambda f: isinstance(f, ast.Attribute) and f.attr == "_exit")]
+    assert exits == ["cli.py: def run():"]
+    cli = ast.parse((SOURCES[0].parent / "cli.py").read_text())
+    assert calls(cli, lambda f: isinstance(f, ast.Name) and f.id == "run") == \
+        ["if __name__ == '__main__':"]
