@@ -1,0 +1,196 @@
+"""The models of one theory at one size, classified into isomorphism classes.
+
+A Census sweeps every relabelling of one member per class (Relabelling,
+orbits), on model encodings, and groups the classes by the canonical form
+of their automorphism groups.  Spectra, the concrete bijection and its
+verifier are read off it (spectra).  Only the commands that need a census
+import this module.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections.abc import Iterable, Iterator, Sequence
+from operator import itemgetter
+
+from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
+from .folang import Signature
+from .groups import PermutationGroup, canonical_form, form_key
+from .models import InternalError, Theory, _ones, _ranks, enumerate_encodings
+
+__all__ = ["Relabelling", "orbits", "Census"]
+
+
+class Relabelling:
+    """The n! relabellings of one signature's models on {0..n-1}, as index tables.
+
+    perms lists the permutations in lexicographic order.  For the i-th
+    permutation p and each symbol of the signature, the tables hold, per
+    k-tuple rank j, the bit (as a power of two) that p moves bit j of a
+    relation bitmap to, and, per rank r, the argument rank whose value
+    lands at rank r of a relabelled function table.  They are built per
+    instance, when a caller asks for one, never at import.
+    """
+
+    __slots__ = ("size", "perms", "_rels", "_funs")
+
+    def __init__(self, sig: Signature, size: int):
+        self.size = size
+        self.perms = list(itertools.permutations(range(size)))
+        bits: dict[int, list[list[int]]] = {}  # per arity, per permutation
+        srcs: dict[int, list[list[int]]] = {}
+        for arity in {*sig.relations.values(), *sig.functions.values()}:
+            bits[arity], srcs[arity] = [], []
+            for p in self.perms:
+                dst = _ranks(size, arity, p)
+                src = [0] * len(dst)
+                for j, d in enumerate(dst):
+                    src[d] = j
+                bits[arity].append([1 << d for d in dst])
+                srcs[arity].append(src)
+        # the tables per symbol, in signature order
+        self._rels = [bits[k] for k in sig.relations.values()]
+        self._funs = [srcs[k] for k in sig.functions.values()]
+
+    def images(self, enc: tuple) -> list[tuple]:
+        """The encoding of p.M for each permutation p of perms, in order, M
+        having encoding enc: apply_permutation(M, perms[i]).encode() is
+        images(enc)[i].  Two models of one size, each swept with the
+        relabelling of its own signature, give the images of one
+        permutation at one index."""
+        size, rel_part, fun_part, consts = enc
+        if size != self.size:
+            raise ValueError(f"model of size {size}, relabellings of size {self.size}")
+        perms = self.perms
+        # one column per symbol, one entry per permutation; zip makes the rows
+        rels = [_gathered(rows, ones) for ones, rows in zip(map(_ones, rel_part), self._rels)]
+        funs = [[tuple(map(p.__getitem__, map(table.__getitem__, src)))
+                 for p, src in zip(perms, srcs)]
+                for table, srcs in zip(fun_part, self._funs)]
+        values = [[p[c] for p in perms] for c in consts]
+        empty = [()] * len(perms)
+        return list(zip([size] * len(perms), list(zip(*rels)) or empty,
+                        list(zip(*funs)) or empty, list(zip(*values)) or empty))
+
+    def orbit(self, enc: tuple, nodes: NodeCounter
+              ) -> tuple[dict[tuple, tuple[int, ...]], list[tuple[int, ...]]]:
+        """Sweep every relabelling of M, with encoding enc, once: (images,
+        stabilizer).
+
+        images maps each distinct image's encoding to the first permutation,
+        in lexicographic order, that gives it.  stabilizer lists the
+        permutations that fix M, which is Aut(M) in lexicographic order.
+        nodes counts one node per permutation applied.
+        """
+        swept = self.images(enc)
+        nodes.tick(len(self.perms))
+        # reversed, so that the first permutation giving an image is the one kept
+        images = dict(zip(reversed(swept), reversed(self.perms)))
+        return images, [p for p, image in zip(self.perms, swept) if image == enc]
+
+
+def _gathered(rows: list[list[int]], ones: list[int]) -> list[int]:
+    """sum(row[j] for j in ones) for each row of rows."""
+    if len(ones) > 1:
+        return list(map(sum, map(itemgetter(*ones), rows)))
+    return list(map(itemgetter(*ones), rows)) if ones else [0] * len(rows)
+
+
+def orbits(relabelling: Relabelling, encodings: Sequence[tuple], nodes: NodeCounter
+           ) -> Iterator[tuple[list[tuple], list[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """Split models of one signature and size, as sorted encodings, into classes.
+
+    One sweep of relabelling (made for that signature and size) per
+    isomorphism class, from its least member m, yields (members in encoding
+    order, moves, Aut(m) in lexicographic order), where moves[i] carries
+    m = members[0] onto members[i]; members are objects of encodings.
+    Classes come in the order of their least members, which are the
+    canonical keys.  InternalError is raised unless every image is one of
+    the models not yet classified (the list is closed under relabelling)
+    and |class| * |Aut(m)| = n! (orbit-stabilizer).
+    """
+    pending = {enc: i for i, enc in enumerate(encodings)}  # the models not yet classified
+    for m in encodings:
+        if m not in pending:
+            continue
+        images, stabilizer = relabelling.orbit(m, nodes)
+        found = list(map(pending.pop, images, itertools.repeat(None)))
+        expected = len(relabelling.perms) // len(stabilizer)
+        strays = found.count(None)
+        if strays or len(found) != expected:
+            raise InternalError(
+                f"class of {m} has {len(found)} members, {strays} of them not "
+                f"enumerated or already classified; orbit-stabilizer expects {expected}")
+        # encoding order is the order of the positions in encodings
+        order = sorted(zip(found, images.values()))
+        yield [encodings[i] for i, _ in order], [p for _, p in order], stabilizer
+
+
+class Census:
+    """The models of t at one size, classified by one sweep per class (orbits).
+
+    encodings lists the models' encodings in encoding order
+    (models.enumerate_encodings); the members and representatives below
+    are those same objects.  cells maps group keys to (canonical group,
+    classes in canonical-key order), a class being [members in encoding
+    order, representative]: the least member whose group is literally the
+    canonical one, by Aut(p.M) = p Aut(M) p^-1, so canonical_form runs once
+    per literal group.  forms, the memo of those calls, maps a literal group
+    to its canonical form and that form's element set; the censuses of one
+    size may share it.
+    relabelling holds the index tables of the sweeps (None when there are no
+    models).  The budget bounds enumeration and sweeps apart.
+    """
+
+    __slots__ = ("sig", "encodings", "cells", "relabelling", "_moves")
+
+    def __init__(self, t: Theory, size: int, budget: WorkBudget | None = None,
+                 forms: dict[PermutationGroup, tuple[PermutationGroup, frozenset]] | None = None):
+        budget = budget or DEFAULT_BUDGET
+        forms = {} if forms is None else forms
+        self.sig = t.sig
+        self.encodings = enumerate_encodings(t, size, budget)
+        self.relabelling = Relabelling(t.sig, size) if self.encodings else None
+        nodes = NodeCounter(budget, f"relabelling models at size {size}")
+        found: dict[PermutationGroup, list[list]] = {}
+        # classes come in the order of their least members, the canonical keys
+        for members, moves, stabilizer in orbits(self.relabelling, self.encodings, nodes):
+            aut = PermutationGroup(size, stabilizer, _trusted=True)
+            form = forms.get(aut)
+            if form is None:
+                canon = canonical_form(aut)
+                form = forms[aut] = canon, frozenset(canon.elements)
+            canon, elements = form
+            # canon is a conjugate of Aut(members[0]), so some member has it literally
+            rep = next(m for m, p in zip(members, moves) if _conjugates_into(aut, p, elements))
+            found.setdefault(canon, []).append([members, rep])
+        self.cells: dict[bytes, tuple[PermutationGroup, list[list]]] = {
+            form_key(canon): (canon, classes) for canon, classes in found.items()}
+        self._moves: dict[tuple, list[tuple[int, ...]]] | None = None
+
+    @property
+    def moves(self) -> dict[tuple, list[tuple[int, ...]]]:
+        """Each representative mapped to, per member, the first permutation
+        in lexicographic order that carries it onto that member.  Built on
+        first read, by one more sweep of each representative; only the
+        verifier reads it."""
+        if self._moves is None:
+            self._moves = {}
+            for _, classes in self.cells.values():
+                for members, rep in classes:
+                    # reversed, so that the first permutation giving an image is the one kept
+                    first = dict(zip(reversed(self.relabelling.images(rep)),
+                                     reversed(self.relabelling.perms)))
+                    self._moves[rep] = [first[m] for m in members]
+        return self._moves
+
+
+def _conjugates_into(group: Iterable[tuple[int, ...]], p: tuple[int, ...],
+                     elements: frozenset) -> bool:
+    """Is p g p^-1 in elements for every g of group?  When elements is a
+    group of the same order, that makes p group p^-1 equal to it."""
+    inverse = [0] * len(p)
+    for i, v in enumerate(p):
+        inverse[v] = i
+    return all(tuple(map(p.__getitem__, map(g.__getitem__, inverse))) in elements
+               for g in group)

@@ -29,10 +29,12 @@ to arity 1), function arity from the table length.
 from __future__ import annotations
 
 import argparse
+import itertools
+import operator
 import os
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from . import definability, folang, groups, irregular, spectra, ultra
@@ -286,12 +288,16 @@ def load_models(paths: Sequence[str]) -> list[FiniteModel]:
 
 
 class _Renderer:
-    """model_to_text for the models of one signature and size; _renderer
-    keeps one per (signature, size).
+    """Model texts, in the model file syntax on one line, for the models of
+    one signature and size; _renderer keeps one per (signature, size).
 
-    A relation's text is read off a byte table (models._ByteTable) whose
-    entries are the texts of the tuples a bitmap byte holds, "(a,b) (c,d)",
-    so a model costs one lookup per byte of each bitmap.
+    A model's text is made a column at a time: column() renders a whole
+    list of models one symbol after another, and model_to_text is its
+    one-model case.  A relation's text is read off a byte table
+    (models._ByteTable) whose entries are the texts of the tuples a bitmap
+    byte holds, each followed by a space, "(a,b) (c,d) ", so the texts of
+    a column are the byte texts summed one byte position at a time
+    (_ByteTable.sums).
     """
 
     __slots__ = ("size", "head", "rels", "funs", "consts", "values")
@@ -300,8 +306,8 @@ class _Renderer:
         self.size = size
         self.head = f"size {size}"
         self.values = [str(v) for v in range(size)]
-        self.rels = [(f"rel {name} {{ ", f"rel {name} {{ }}",
-                      _ByteTable(size ** arity, self._tuple_text(arity), " ".join))
+        self.rels = [(f"rel {name} {{ ",
+                      _ByteTable(size ** arity, self._tuple_text(arity), "".join))
                      for name, arity in sig.relations.items()]
         self.funs = [f"fun {name} [ " for name in sig.functions]
         self.consts = [f"const {name} " for name in sig.constants]
@@ -314,21 +320,25 @@ class _Renderer:
             for _ in range(arity):
                 rank, d = divmod(rank, size)
                 digits.append(values[d])
-            return f"({','.join(reversed(digits))})"
+            return f"({','.join(reversed(digits))}) "
         return lru_cache(maxsize=None)(text)  # a tuple is in half the entries of its byte
 
-    def __call__(self, enc: tuple) -> str:
-        _, rel_part, fun_part, const_part = enc
-        parts = [self.head]
-        for (head, empty, table), bits in zip(self.rels, rel_part):
-            parts.append(f"{head}{' '.join(filter(None, table.read(bits)))} }}" if bits else empty)
-        if fun_part:
-            values = self.values
-            parts += [f"{head}{' '.join(map(values.__getitem__, table))} ]"
-                      for head, table in zip(self.funs, fun_part)]
-        if const_part:
-            parts += [head + self.values[value] for head, value in zip(self.consts, const_part)]
-        return " ".join(parts)
+    def column(self, encs: Sequence[tuple]) -> Iterator[str]:
+        """The text of the model with each encoding of encs, in order; made
+        as it is read."""
+        parts = []
+        for i, (head, table) in enumerate(self.rels):
+            parts.append(map("{}{}}}".format, itertools.repeat(head),
+                             table.sums([enc[1][i] for enc in encs])))
+        values = self.values.__getitem__
+        for i, head in enumerate(self.funs):
+            tables = [enc[2][i] for enc in encs]
+            parts.append(map("{}{} ]".format, itertools.repeat(head),
+                             map(" ".join, map(map, itertools.repeat(values), tables))))
+        for i, head in enumerate(self.consts):
+            parts.append(map(operator.add, itertools.repeat(head),
+                             map(values, [enc[3][i] for enc in encs])))
+        return map(" ".join, zip(itertools.repeat(self.head, len(encs)), *parts))
 
 
 _renderer = lru_cache(maxsize=64)(_Renderer)
@@ -336,7 +346,7 @@ _renderer = lru_cache(maxsize=64)(_Renderer)
 
 def model_to_text(m: FiniteModel) -> str:
     """Single-line rendering in the model file syntax."""
-    return _renderer(m.sig, m.size)(m.encode())
+    return next(_renderer(m.sig, m.size).column([m.encode()]))
 
 
 # ============================================================
@@ -399,12 +409,13 @@ def cmd_models(args):
     t = load_theory(args.theory)
     if args.count_only:
         return 0, [str(count_models(t, args.size, _budget(args)))]
-    return 0, [model_to_text(m) for m in enumerate_models(t, args.size, _budget(args))]
+    models = enumerate_models(t, args.size, _budget(args))
+    return 0, _renderer(t.sig, args.size).column([m.encode() for m in models])
 
 
 def cmd_aut(args):
     m = load_model(args.model)
-    return 0, [groups.group_to_text(groups.automorphism_group(m))]
+    return 0, [groups.group_to_text(groups.automorphism_group(m, _budget(args)))]
 
 
 def cmd_spec(args):
@@ -436,15 +447,20 @@ def cmd_build_iso(args):
         b = spectra.build_concrete_iso(t1, t2, args.max_size, budget)
     except spectra.SpectraMismatchError as e:
         return 1, [f"WITNESS {e.witness.describe()}"]
-    lines = [f"{model_to_text(m)} => {model_to_text(bm)}" for m, bm in b.items()]
+    # the pairs a column at a time, in the order of b's columns
+    source, target = b.sigs
+    listing = itertools.chain.from_iterable(
+        map(" => ".join, zip(_renderer(source, n).column(b.columns[n][0]),
+                             _renderer(target, n).column(b.columns[n][1])))
+        for n in b.sizes)
     if not args.verify:
-        return 0, lines
+        return 0, listing
     report = spectra.verify_concrete_iso(b, t1, t2, args.max_size, budget=budget, **limits)
     flag = {True: "PASS", False: "FAIL"}
-    lines.append(f"verdict universes={flag[report.universes_ok]} "
-                 f"isomorphisms={flag[report.iso_ok]} "
-                 f"ultraproducts={flag[report.ultra_ok]} "
-                 f"checked_tuples={report.checked_tuples}")
+    lines = [f"verdict universes={flag[report.universes_ok]} "
+             f"isomorphisms={flag[report.iso_ok]} "
+             f"ultraproducts={flag[report.ultra_ok]} "
+             f"checked_tuples={report.checked_tuples}"]
     if report.universe_witness is not None:
         lines.append(f"universe witness: {model_to_text(report.universe_witness)}")
     if report.iso_witness is not None:
@@ -455,7 +471,7 @@ def cmd_build_iso(args):
         k, point, tup = report.ultra_witness
         shown = " | ".join(model_to_text(m) for m in tup)
         lines.append(f"ultra witness: k={k} point={point} models: {shown}")
-    return (0 if report.ok else 1), lines
+    return (0 if report.ok else 1), itertools.chain(listing, lines)
 
 
 def cmd_ultra(args):
@@ -572,7 +588,7 @@ _COMMANDS = {
               [("--theory", _REQUIRED), ("--formula", _REQUIRED)]),
     "models": (cmd_models, "enumerate the models of a theory at one size",
                [("--theory", _REQUIRED), ("--size", _INT), ("--count-only", _SWITCH), _BUDGET]),
-    "aut": (cmd_aut, "automorphism group of a model", [("--model", _REQUIRED)]),
+    "aut": (cmd_aut, "automorphism group of a model", [("--model", _REQUIRED), _BUDGET]),
     "spec": (cmd_spec, "automorphism spectrum of a theory",
              [("--theory", _REQUIRED), _SIZE_CHOICE, _BUDGET]),
     "spec-compare": (cmd_spec_compare, "compare two spectra",
@@ -660,12 +676,19 @@ def dispatch(argv: Sequence[str]) -> tuple[int, str]:
         _in_index_set(args)
         code, lines = args.handler(args)
     except (CliError, BudgetExceededError, ValueError, OSError) as e:
-        print(f"defeq: {e}", file=sys.stderr)
+        _diagnose(f"defeq: {e}")
         return 2, ""
     except InternalError as e:
-        print(f"defeq: internal error: {e}", file=sys.stderr)
+        _diagnose(f"defeq: internal error: {e}")
         return 3, ""
     return code, "".join(line + "\n" for line in lines)
+
+
+def _diagnose(line: str) -> None:
+    """One diagnostic line on stderr; with stderr closed, none anywhere
+    (print would fall back to stdout)."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -680,19 +703,23 @@ def run():
     Tearing the interpreter down, which frees every object one by one, took
     longer than most commands' own work, and nothing is left to do once the
     output is out; so atexit hooks do not run in this process.  Output that
-    cannot be written, a closed pipe say, exits 2 with one line on stderr.
+    cannot be written, a closed pipe or a closed descriptor 1 say, exits 2
+    with one line on stderr, if stderr is open.
     """
     try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         code = main()
         sys.stdout.flush()
     except OSError as e:
         code = 2
         try:
-            print(f"defeq: cannot write the output: {e}", file=sys.stderr)
+            _diagnose(f"defeq: cannot write the output: {e}")
         except OSError:
             pass
     try:
-        sys.stderr.flush()
+        if sys.stderr is not None:
+            sys.stderr.flush()
     except OSError:
         code = 2
     os._exit(code)

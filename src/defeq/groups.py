@@ -68,17 +68,6 @@ class PermutationGroup:
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.elements)
 
-    def conjugate(self, h: Sequence[int]) -> "PermutationGroup":
-        """The group {h g h^-1 : g in G}; h must be a bijection of the base."""
-        h = tuple(h)
-        if sorted(h) != list(range(self.base_size)):
-            raise ValueError("not a bijection of the base")
-        hinv = invert(h)
-        return PermutationGroup(
-            self.base_size,
-            (compose(h, compose(g, hinv)) for g in self.elements),
-            _trusted=True)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PermutationGroup)
                 and self.base_size == other.base_size
@@ -91,10 +80,11 @@ class PermutationGroup:
         return f"<PermutationGroup order {self.order} on {self.base_size} points>"
 
 
-def automorphism_group(m) -> PermutationGroup:
-    """Aut(m) as a concrete group.  m is a FiniteModel."""
+def automorphism_group(m, budget=None) -> PermutationGroup:
+    """Aut(m) as a concrete group.  m is a FiniteModel; the budget bounds
+    the search (models.find_isomorphisms)."""
     from .models import find_isomorphisms
-    return PermutationGroup(m.size, find_isomorphisms(m, m), _trusted=True)
+    return PermutationGroup(m.size, find_isomorphisms(m, m, budget), _trusted=True)
 
 
 def canonical_form(g: PermutationGroup) -> PermutationGroup:
@@ -110,10 +100,11 @@ def canonical_form(g: PermutationGroup) -> PermutationGroup:
     for b in itertools.permutations(range(n)):
         if b in seen:
             continue
-        for x in elems:
-            seen.add(compose(b, x))
+        image = b.__getitem__
+        seen.update(tuple(map(image, x)) for x in elems)  # the coset bG
         binv = invert(b)
-        conj = tuple(sorted(compose(b, compose(x, binv)) for x in elems))
+        # b x b^-1 takes i to b[x[binv[i]]]
+        conj = tuple(sorted(tuple(map(image, map(x.__getitem__, binv))) for x in elems))
         if best is None or conj < best:
             best = conj
     assert best is not None

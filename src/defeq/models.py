@@ -22,10 +22,10 @@ from .budget import DEFAULT_BUDGET, BudgetExceededError, NodeCounter, WorkBudget
 from .folang import And, Formula, Or, Signature, SignatureError
 
 __all__ = [
-    "FiniteModel", "Theory", "is_model", "enumerate_models", "count_models",
+    "FiniteModel", "Theory", "is_model", "enumerate_models", "enumerate_encodings",
+    "count_models",
     "find_isomorphisms", "is_isomorphism", "canonical_key",
-    "substructure", "apply_permutation", "Relabelling", "orbits",
-    "InternalError",
+    "substructure", "apply_permutation", "InternalError",
 ]
 
 
@@ -408,7 +408,7 @@ def enumerate_models(t: Theory, size: int,
     over the conjunct's sub-list only.  So every full candidate reached is
     a model, and at the last relation every choice left completes one: the
     walk hands those choices over at once (_leaves), one comprehension
-    builds their models, and count_models only counts them.
+    builds their encodings, and count_models only counts them.
 
     The budget counts candidates actually visited: each function/constant
     choice probed, each relation bitmap evaluated in lanes, while filtering
@@ -419,11 +419,17 @@ def enumerate_models(t: Theory, size: int,
     than the budget is refused before the search starts.
     """
     sig = t.sig
-    out: list[FiniteModel] = []
+    return [FiniteModel._from_encoding(sig, enc) for enc in enumerate_encodings(t, size, budget)]
+
+
+def enumerate_encodings(t: Theory, size: int,
+                        budget: WorkBudget | None = None) -> list[tuple]:
+    """The sorted encodings of enumerate_models(t, size, budget), by its
+    search, building no model."""
+    out: list[tuple] = []
     for _, rel_parts, fun_part, const_part in _leaves(t, size, budget):
-        out += [FiniteModel._from_encoding(sig, (size, rels, fun_part, const_part))
-                for rels in rel_parts]
-    out.sort(key=FiniteModel.encode)
+        out += [(size, rels, fun_part, const_part) for rels in rel_parts]
+    out.sort()
     return out
 
 
@@ -596,14 +602,16 @@ def is_isomorphism(m: FiniteModel, n: FiniteModel, h: Sequence[int]) -> bool:
     return apply_permutation(m, h).encode() == n.encode()
 
 
-def find_isomorphisms(m: FiniteModel, n: FiniteModel) -> list[tuple[int, ...]]:
+def find_isomorphisms(m: FiniteModel, n: FiniteModel,
+                      budget: WorkBudget | None = None) -> list[tuple[int, ...]]:
     """All isomorphisms m -> n as image tuples, in lexicographic order.
 
     Backtracking over partial maps with color pruning; elements of m are
     assigned in increasing order, candidate images in increasing order, so
     the output order is the lexicographic order on image tuples.  Equal
     sorted colors give equal tuple counts, so a map carrying every tuple of
-    m into n's bitmap carries m's tables onto n's.
+    m into n's bitmap carries m's tables onto n's.  The budget counts each
+    partial map tried.
     """
     if m.sig != n.sig:
         raise SignatureError("models have different signatures")
@@ -632,6 +640,7 @@ def find_isomorphisms(m: FiniteModel, n: FiniteModel) -> list[tuple[int, ...]]:
     for value, other in zip(m_consts, n_consts):
         const_at[value].append(other)
 
+    nodes = NodeCounter(budget or DEFAULT_BUDGET, f"searching for isomorphisms at size {size}")
     out: list[tuple[int, ...]] = []
     image = [-1] * size
     used = [False] * size
@@ -649,9 +658,9 @@ def find_isomorphisms(m: FiniteModel, n: FiniteModel) -> list[tuple[int, ...]]:
         if k == size:
             out.append(tuple(image))
             return
-        for cand in range(size):
-            if used[cand] or cn[cand] != cm[k]:
-                continue
+        cands = [c for c in range(size) if not used[c] and cn[c] == cm[k]]
+        nodes.tick(len(cands))
+        for cand in cands:
             image[k] = cand
             used[cand] = True
             if consistent(k):
@@ -671,104 +680,6 @@ def canonical_key(m: FiniteModel) -> bytes:
     """
     return min(apply_permutation(m, perm).encode_bytes()
                for perm in itertools.permutations(range(m.size)))
-
-
-class Relabelling:
-    """The n! relabellings of one signature's models on {0..n-1}, as index tables.
-
-    perms lists the permutations in lexicographic order.  For the i-th
-    permutation p and each arity k of the signature, the tables hold, per
-    k-tuple rank j, the bit (as a power of two) that p moves bit j of a
-    relation bitmap to, and, per rank r, the argument rank whose value
-    lands at rank r of a relabelled function table.  They are built per
-    instance, when a caller asks for one, never at import.
-    """
-
-    __slots__ = ("size", "perms", "_moves")
-
-    def __init__(self, sig: Signature, size: int):
-        self.size = size
-        self.perms = list(itertools.permutations(range(size)))
-        self._moves: dict[int, list[tuple[list[int], list[int]]]] = {}
-        for arity in {*sig.relations.values(), *sig.functions.values()}:
-            rows = []
-            for p in self.perms:
-                dst = _ranks(size, arity, p)
-                src = [0] * len(dst)
-                for j, d in enumerate(dst):
-                    src[d] = j
-                rows.append(([1 << d for d in dst], src))
-            self._moves[arity] = rows
-
-    def images(self, m: FiniteModel) -> list[tuple]:
-        """The encoding of p.m for each permutation p of perms, in order:
-        apply_permutation(m, perms[i]).encode() is images(m)[i].  Two models
-        of one size, each swept with the relabelling of its own signature,
-        give the images of one permutation at one index."""
-        if m.size != self.size:
-            raise ValueError(f"model of size {m.size}, relabellings of size {self.size}")
-        size, rel_part, fun_part, consts = m.encode()
-        perms = self.perms
-        # one column per symbol, one entry per permutation; zip makes the rows
-        rels = [[sum(map(bits.__getitem__, ones)) for bits, _ in self._moves[k]]
-                for ones, k in zip(map(_ones, rel_part), m.sig.relations.values())]
-        funs = [[tuple(map(p.__getitem__, map(table.__getitem__, src)))
-                 for p, (_, src) in zip(perms, self._moves[k])]
-                for table, k in zip(fun_part, m.sig.functions.values())]
-        values = [[p[c] for p in perms] for c in consts]
-        empty = [()] * len(perms)
-        return list(zip([size] * len(perms), list(zip(*rels)) or empty,
-                        list(zip(*funs)) or empty, list(zip(*values)) or empty))
-
-    def orbit(self, m: FiniteModel, nodes: NodeCounter
-              ) -> tuple[dict[tuple, tuple[int, ...]], list[tuple[int, ...]]]:
-        """Sweep every relabelling of m once: (images, stabilizer).
-
-        images maps each distinct image's encoding to the first permutation,
-        in lexicographic order, that gives it: apply_permutation(m, p) has
-        encoding e for p = images[e].  stabilizer lists the permutations
-        that fix m, which is Aut(m) in lexicographic order.  nodes counts
-        one node per permutation applied.
-        """
-        swept = self.images(m)
-        nodes.tick(len(self.perms))
-        enc = m.encode()
-        images: dict[tuple, tuple[int, ...]] = {}
-        stabilizer = []
-        for p, image in zip(self.perms, swept):
-            images.setdefault(image, p)
-            if image == enc:
-                stabilizer.append(p)
-        return images, stabilizer
-
-
-def orbits(relabelling: Relabelling, models: Sequence[FiniteModel], nodes: NodeCounter
-           ) -> Iterator[tuple[list[FiniteModel], list[tuple[int, ...]], list[tuple[int, ...]]]]:
-    """Split models of one signature and size, in encoding order, into classes.
-
-    One sweep of relabelling (made for that signature and size) per
-    isomorphism class, from its least member m, yields (members in encoding
-    order, moves, Aut(m) in lexicographic order), where moves[i] carries
-    m = members[0] onto members[i].  Classes come in the order of their
-    least members; since fixed-width encodings order like their bytes,
-    members[0].encode_bytes() is the canonical key.  InternalError is
-    raised unless every image is one of the models not yet classified (the
-    list is closed under relabelling) and |class| * |Aut(m)| = n!
-    (orbit-stabilizer).
-    """
-    pending = {m.encode(): m for m in models}
-    for m in models:
-        if m.encode() not in pending:
-            continue
-        images, stabilizer = relabelling.orbit(m, nodes)
-        order = sorted(images)
-        expected = len(relabelling.perms) // len(stabilizer)
-        strays = sum(enc not in pending for enc in order)
-        if strays or len(order) != expected:
-            raise InternalError(
-                f"class of {m!r} has {len(order)} members, {strays} of them not "
-                f"enumerated or already classified; orbit-stabilizer expects {expected}")
-        yield [pending.pop(enc) for enc in order], [images[enc] for enc in order], stabilizer
 
 
 def substructure(m: FiniteModel, subset: Iterable[int]) -> tuple[FiniteModel, dict[int, int]]:

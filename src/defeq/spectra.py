@@ -6,10 +6,11 @@ classes of models) realize it as their automorphism group.  Equal spectra
 license an explicit universe-preserving bijection between the two model
 classes that preserves and reflects isomorphisms; build_concrete_iso
 constructs it and verify_concrete_iso checks it from scratch.  Spectra
-and the bijection both come from a Census, which classifies the models of
-one theory at one size with one relabelling sweep per class.  Since
-Iso(M, N) is a coset h Aut(M), the verifier checks isomorphisms class by
-class, one check per model (the coset criterion of VerificationReport).
+and the bijection both come from a census.Census, which classifies the
+models of one theory at one size, as encodings, with one relabelling sweep
+per class.  Since Iso(M, N) is a coset h Aut(M), the verifier checks
+isomorphisms class by class, off the sweeps of a representative and of its
+image (the coset criterion of VerificationReport).
 """
 
 from __future__ import annotations
@@ -19,14 +20,16 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from .folang import Signature, SignatureError
-from .groups import PermutationGroup, canonical_form, form_key, group_to_text
-from .models import (FiniteModel, InternalError, Relabelling, Theory, enumerate_models,
-                     is_isomorphism, orbits)
+from .groups import PermutationGroup, group_to_text
+from .models import FiniteModel, InternalError, Theory, enumerate_models, is_isomorphism
 from .record import Record
 from .ultra import quotient_encoding, ultrafilters_on
 
+# census (Census, Relabelling) is imported where it is used, so that only
+# the commands that classify models load it
+
 __all__ = [
-    "SpectrumEntry", "Spectrum", "SpectrumWitness", "Census", "aut_spec",
+    "SpectrumEntry", "Spectrum", "SpectrumWitness", "aut_spec",
     "spectra", "compare_spectra", "SpectraMismatchError", "ConcreteBijection",
     "build_concrete_iso", "VerificationReport", "verify_concrete_iso",
 ]
@@ -114,79 +117,17 @@ class SpectraMismatchError(ValueError):
         self.witness = witness
 
 
-class Census:
-    """The models of t at one size, classified by one sweep per class (models.orbits).
-
-    cells maps group keys to (canonical group, classes by canonical key), a
-    class being [members in encoding order, representative]: the least
-    member whose group is literally the canonical one, by
-    Aut(p.M) = p Aut(M) p^-1, so canonical_form runs once per class.
-    relabelling holds the index tables of the sweeps (None when there are no
-    models).  The budget bounds enumeration and sweeps apart.
-    """
-
-    __slots__ = ("models", "cells", "relabelling", "_moves")
-
-    def __init__(self, t: Theory, size: int, budget: WorkBudget | None = None):
-        budget = budget or DEFAULT_BUDGET
-        self.models = enumerate_models(t, size, budget)
-        self.relabelling = Relabelling(t.sig, size) if self.models else None
-        nodes = NodeCounter(budget, f"relabelling models at size {size}")
-        found: dict[PermutationGroup, dict[bytes, list]] = {}
-        forms: dict[PermutationGroup, PermutationGroup] = {}  # canonical_form, per group
-        elements: dict[PermutationGroup, frozenset] = {}  # per canonical form
-        for members, moves, stabilizer in orbits(self.relabelling, self.models, nodes):
-            aut = PermutationGroup(size, stabilizer, _trusted=True)
-            canon = forms.get(aut)
-            if canon is None:
-                canon = forms[aut] = canonical_form(aut)
-            if canon not in elements:
-                elements[canon] = frozenset(canon.elements)
-            # canon is a conjugate of Aut(members[0]), so some member has it literally
-            rep = next(m for m, p in zip(members, moves)
-                       if _conjugates_into(aut, p, elements[canon]))
-            found.setdefault(canon, {})[members[0].encode_bytes()] = [members, rep]
-        self.cells: dict[bytes, tuple[PermutationGroup, list[list]]] = {
-            form_key(canon): (canon, [classes[k] for k in sorted(classes)])
-            for canon, classes in found.items()}
-        self._moves: dict[FiniteModel, list[tuple[int, ...]]] | None = None
-
-    @property
-    def moves(self) -> dict[FiniteModel, list[tuple[int, ...]]]:
-        """Each representative mapped to, per member, the first permutation
-        in lexicographic order that carries it onto that member.  Built on
-        first read, by one more sweep of each representative; only the
-        verifier reads it."""
-        if self._moves is None:
-            self._moves = {}
-            for _, classes in self.cells.values():
-                for members, rep in classes:
-                    # reversed, so that the first permutation giving an image is the one kept
-                    first = dict(zip(reversed(self.relabelling.images(rep)),
-                                     reversed(self.relabelling.perms)))
-                    self._moves[rep] = [first[m.encode()] for m in members]
-        return self._moves
-
-    def entries(self) -> dict[bytes, SpectrumEntry]:
-        """This size's spectrum table: group key -> counts."""
-        return {gkey: SpectrumEntry(len(classes), sum(len(ms) for ms, _ in classes), group)
-                for gkey, (group, classes) in self.cells.items()}
-
-
-def _conjugates_into(group: Iterable[tuple[int, ...]], p: tuple[int, ...],
-                     elements: frozenset) -> bool:
-    """Is p g p^-1 in elements for every g of group?  When elements is a
-    group of the same order, that makes p group p^-1 equal to it."""
-    inverse = [0] * len(p)
-    for i, v in enumerate(p):
-        inverse[v] = i
-    return all(tuple([p[g[v]] for v in inverse]) in elements for g in group)
+def _entries(census: Census) -> dict[bytes, SpectrumEntry]:
+    """The spectrum table of a census's size: group key -> counts."""
+    return {gkey: SpectrumEntry(len(classes), sum(len(ms) for ms, _ in classes), group)
+            for gkey, (group, classes) in census.cells.items()}
 
 
 def aut_spec(t: Theory, sizes: Iterable[int], budget: WorkBudget | None = None) -> Spectrum:
     """The automorphism spectrum of t at each of the given sizes."""
+    from .census import Census
     sizes = tuple(sizes)
-    return Spectrum(sizes, {n: Census(t, n, budget).entries() for n in sizes})
+    return Spectrum(sizes, {n: _entries(Census(t, n, budget)) for n in sizes})
 
 
 def _first_difference(n: int, left: dict[bytes, SpectrumEntry],
@@ -205,10 +146,13 @@ def spectra(t1: Theory, t2: Theory, sizes: Iterable[int],
             budget: WorkBudget | None = None) -> Iterator[tuple[int, Census, Census]]:
     """(n, census of t1, census of t2) for each size n in turn; raises
     SpectraMismatchError at the first size whose spectra differ, before any
-    larger size is enumerated (or could exceed the budget)."""
+    larger size is enumerated (or could exceed the budget).  The two
+    censuses of a size share their canonical_form memo."""
+    from .census import Census
     for n in sizes:
-        c1, c2 = Census(t1, n, budget), Census(t2, n, budget)
-        witness = _first_difference(n, c1.entries(), c2.entries())
+        forms: dict = {}  # census.Census's canonical-form memo, shared by both sides
+        c1, c2 = Census(t1, n, budget, forms), Census(t2, n, budget, forms)
+        witness = _first_difference(n, _entries(c1), _entries(c2))
         if witness is not None:
             raise SpectraMismatchError(witness)
         yield n, c1, c2
@@ -229,29 +173,58 @@ def compare_spectra(s1: Spectrum, s2: Spectrum) -> SpectrumWitness | None:
 class ConcreteBijection:
     """An explicit map from Mod(t1) to Mod(t2) on sizes 1..max_size.
 
-    pairs[n] maps each size-n model of t1 to a size-n model of t2.  The map
-    built by build_concrete_iso sends isomorphic models to isomorphic
-    models and preserves every concrete isomorphism; verify_concrete_iso
-    checks that explicitly.
+    The map built by build_concrete_iso sends isomorphic models to
+    isomorphic models and preserves every concrete isomorphism;
+    verify_concrete_iso checks that explicitly.  It is kept a size at a
+    time in two columns: columns[n] = (sources, images), the size-n models
+    in encoding order and, index for index, their images.  The builder
+    stores encodings, over sigs = (t1's signature, t2's); a map handed to
+    the constructor is stored as its models, with sigs (None, None).
+    pairs, apply and items build FiniteModels from encodings on demand.
     """
 
-    __slots__ = ("sizes", "pairs")
+    __slots__ = ("sizes", "sigs", "columns", "_tables")
 
     def __init__(self, sizes: Sequence[int],
                  pairs: dict[int, dict[FiniteModel, FiniteModel]]):
+        """The map pairs[n][M] = b(M) for each size n of sizes."""
         self.sizes = tuple(sizes)
-        self.pairs = pairs
+        self.sigs = (None, None)
+        self.columns = {}
+        for n in self.sizes:
+            rows = sorted(pairs[n].items(), key=lambda row: row[0].encode())
+            self.columns[n] = ([m for m, _ in rows], [bm for _, bm in rows])
+        self._tables: dict[int, dict[FiniteModel, FiniteModel]] = {}
+
+    @classmethod
+    def _from_columns(cls, sizes: Sequence[int], sigs: tuple[Signature, Signature],
+                      columns: dict[int, tuple[list[tuple], list[tuple]]]) -> "ConcreteBijection":
+        b = object.__new__(cls)
+        b.sizes, b.sigs, b.columns, b._tables = tuple(sizes), sigs, columns, {}
+        return b
+
+    def _pairs(self, n: int) -> Iterator[tuple[FiniteModel, FiniteModel]]:
+        return zip(*[column if sig is None else
+                     map(FiniteModel._from_encoding, itertools.repeat(sig), column)
+                     for sig, column in zip(self.sigs, self.columns[n])])
 
     def apply(self, m: FiniteModel) -> FiniteModel:
+        if m.size not in self._tables:
+            self._tables[m.size] = dict(self._pairs(m.size)) if m.size in self.columns else {}
         try:
-            return self.pairs[m.size][m]
+            return self._tables[m.size][m]
         except KeyError:
             raise ValueError(f"bijection not defined on {m!r}") from None
 
     def items(self) -> Iterator[tuple[FiniteModel, FiniteModel]]:
+        """(M, b(M)) for every M, by size and then in encoding order."""
         for n in self.sizes:
-            for m in sorted(self.pairs[n], key=FiniteModel.encode):
-                yield m, self.pairs[n][m]
+            yield from self._pairs(n)
+
+    @property
+    def pairs(self) -> dict[int, dict[FiniteModel, FiniteModel]]:
+        """pairs[n] maps each size-n model to its image, in encoding order."""
+        return {n: dict(self._pairs(n)) for n in self.sizes}
 
 
 def _paired_classes(c1: Census, c2: Census):
@@ -277,18 +250,20 @@ def build_concrete_iso(t1: Theory, t2: Theory, max_size: int,
     b(f.M1rep) = f.M2rep for every permutation f.  Any f carrying M1rep
     onto M gives the same image, which is what makes b well defined; the
     tests iterate all f to confirm.  The images come from one paired sweep
-    of M1rep and M2rep, each with its census's relabellings.
+    of M1rep and M2rep, each with its census's relabellings, and are kept
+    as a column beside the encodings of t1's census.
     """
     sizes = range(1, max_size + 1)
-    pairs: dict[int, dict[FiniteModel, FiniteModel]] = {}
+    columns: dict[int, tuple[list[tuple], list[tuple]]] = {}
     for n, c1, c2 in spectra(t1, t2, sizes, budget):
-        pairs[n] = images = {}
-        for rep1, rep2, members in _paired_classes(c1, c2):
+        # keyed by c1's own encodings, in their order; an update keeps the
+        # key and drops the sweep's equal copy
+        image = dict.fromkeys(c1.encodings)
+        for rep1, rep2, _ in _paired_classes(c1, c2):
             # the i-th relabellings of rep1 and rep2 come from one permutation
-            image = dict(zip(c1.relabelling.images(rep1), c2.relabelling.images(rep2)))
-            for m in members:
-                images[m] = FiniteModel._from_encoding(rep2.sig, image[m.encode()])
-    return ConcreteBijection(tuple(sizes), pairs)
+            image.update(zip(c1.relabelling.images(rep1), c2.relabelling.images(rep2)))
+        columns[n] = (c1.encodings, list(image.values()))
+    return ConcreteBijection._from_columns(sizes, (t1.sig, t2.sig), columns)
 
 
 class VerificationReport(Record):
@@ -329,33 +304,56 @@ class VerificationReport(Record):
         return self.universes_ok and self.iso_ok and self.ultra_ok
 
 
-def _iso_witness(b: ConcreteBijection, n: int, c1: Census,
+def _iso_witness(image: dict[tuple, FiniteModel], n: int, c1: Census,
                  nodes: NodeCounter) -> tuple[FiniteModel, FiniteModel, tuple[int, ...]] | None:
     """The first (M, N, h) of size n, in full-scan order, that breaks iso_ok.
 
-    b is injective here, and a class that passes (a) and (b) of the coset
-    criterion is mapped onto a whole class of b(R)'s.  So a pair of models
-    breaks iso_ok only when both their classes fail: only those pairs are
-    rescanned.
+    image maps each encoding of c1 to b's image of that model.  A class
+    passes (a) and (b) of the coset criterion when the sweeps of its
+    representative R and of b(R) agree at the index of every automorphism
+    of R and of every census move; the move is checked against R's sweep.
+    b is injective here, and a class that passes is mapped onto a whole
+    class of b(R)'s.  So a pair of models breaks iso_ok only when both
+    their classes fail: only those pairs are rescanned.
     """
-    failed: set[FiniteModel] = set()  # the members of classes that fail
+    from .census import Relabelling
+    index = {p: i for i, p in enumerate(c1.relabelling.perms)} if c1.relabelling else {}
+    relabellings: dict[Signature, Relabelling] = {}  # of size n, per image signature
+    failed: set[tuple] = set()  # the members of classes that fail
     for group, classes in c1.cells.values():
         for members, rep in classes:
             nodes.tick(len(members))
-            brep = b.apply(rep)
-            ok = all(is_isomorphism(brep, brep, g) for g in group)  # (a); group is Aut(rep)
+            swept = c1.relabelling.images(rep)
+            brep = image[rep]
+            target = brep.encode()
+            # (a): group is Aut(rep); an image on another universe fixes nothing
+            ok = brep.size == n
+            if ok:
+                relabelling = relabellings.get(brep.sig)
+                if relabelling is None:
+                    relabelling = relabellings[brep.sig] = Relabelling(brep.sig, n)
+                bswept = relabelling.images(target)
+                ok = all(bswept[index[g]] == target for g in group)
             for m, p in zip(members, c1.moves[rep]):
-                if not is_isomorphism(rep, m, p):
-                    raise InternalError(f"census move {p} does not carry {rep!r} onto {m!r}")
-                ok = ok and is_isomorphism(brep, b.apply(m), p)  # (b), on M's universe
+                i = index[p]
+                if swept[i] != m:
+                    raise InternalError(f"census move {p} does not carry "
+                                        f"{FiniteModel._from_encoding(c1.sig, rep)!r} onto "
+                                        f"{FiniteModel._from_encoding(c1.sig, m)!r}")
+                if ok:  # (b), on M's universe
+                    bm = image[m]
+                    if bm.sig != brep.sig:
+                        raise SignatureError("models have different signatures")
+                    ok = bswept[i] == bm.encode()
             if not ok:
                 failed.update(members)
     if not failed:
         return None
     perms = list(itertools.permutations(range(n)))
-    for m, other in itertools.product([m for m in c1.models if m in failed], repeat=2):
+    models = [FiniteModel._from_encoding(c1.sig, enc) for enc in c1.encodings if enc in failed]
+    for m, other in itertools.product(models, repeat=2):
         nodes.tick()
-        bm, bo = b.apply(m), b.apply(other)
+        bm, bo = image[m.encode()], image[other.encode()]
         for h in perms:
             if is_isomorphism(m, other, h) != is_isomorphism(bm, bo, h):
                 return m, other, h
@@ -377,13 +375,13 @@ def _sampled_runs(encs: list[tuple], k: int, sample_budget: int
             left -= len(run)
 
 
-def _ultra_witness(b: ConcreteBijection, sig: Signature, models: list[FiniteModel],
+def _ultra_witness(b: ConcreteBijection, sig: Signature, image: dict[tuple, FiniteModel],
                    index_bound: int, sample_budget: int, budget: WorkBudget,
                    sampled: NodeCounter) -> tuple[int, int, tuple[FiniteModel, ...]] | None:
     """The first sampled (k, point, tuple) whose product b does not commute with.
 
-    b is total on models, which are over sig.  Each model's image is taken
-    once, and the products are made on encodings by ultra.quotient_encoding,
+    image maps the encoding of each model over sig, in order, to b's image
+    of it.  The products are made on encodings by ultra.quotient_encoding,
     the kernel of ultra.ultraproduct, with the same plans and the same
     budget check, made once per factor shape.  The tuples come in runs
     that share all factors but the last, and the last factors' size, so a
@@ -391,11 +389,9 @@ def _ultra_witness(b: ConcreteBijection, sig: Signature, models: list[FiniteMode
     per stretch of the run whose images share their size and signature);
     the tuples are then checked, and counted, one at a time.
     """
-    source = {m.encode(): m for m in models}
-    image = {enc: b.apply(m) for enc, m in source.items()}
     image_enc = {enc: bm.encode() for enc, bm in image.items()}
     mixed = len({bm.sig for bm in image.values()}) > 1  # so a tuple may mix signatures
-    encs = list(source)
+    encs = list(image)
     for k in range(1, index_bound + 1):
         for u in ultrafilters_on(k):
             plan = None
@@ -428,8 +424,8 @@ def _ultra_witness(b: ConcreteBijection, sig: Signature, models: list[FiniteMode
                                                             rights[i:j], target)
                     if left.encode() != right_products[i] or (left.sig is not target
                                                               and left.sig != target):
-                        return k, u.principal_point(), tuple(map(source.__getitem__,
-                                                                 (*head, last)))
+                        return k, u.principal_point(), tuple(
+                            FiniteModel._from_encoding(sig, enc) for enc in (*head, last))
     return None
 
 
@@ -449,17 +445,18 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
     sample_budget per (index set size, point), and its own count against
     the budget ticks once per tuple.
     """
+    from .census import Census
     budget = budget or DEFAULT_BUDGET
     nodes = NodeCounter(budget, "verifying the bijection")
-    all1: list[FiniteModel] = []
+    image: dict[tuple, FiniteModel] = {}  # every checked model's encoding -> its image
     universe_witness = iso_witness = None
     for n in range(1, max_size + 1):
         c1 = Census(t1, n, budget)
-        all1.extend(c1.models)
         mod2set = set(enumerate_models(t2, n, budget))
         seen: set[FiniteModel] = set()
-        for m in c1.models:
-            bm = b.apply(m)  # raises if not total
+        for enc in c1.encodings:
+            m = FiniteModel._from_encoding(t1.sig, enc)
+            bm = image[enc] = b.apply(m)  # raises if not total
             if bm in seen:
                 raise ValueError(f"bijection not injective at {bm!r}")
             seen.add(bm)
@@ -467,10 +464,10 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
                 raise ValueError(f"image {bm!r} is not a model of the target theory")
             if bm.size != n and universe_witness is None:
                 universe_witness = m
-        iso_witness = iso_witness or _iso_witness(b, n, c1, nodes)
+        iso_witness = iso_witness or _iso_witness(image, n, c1, nodes)
 
     sampled = NodeCounter(budget, "sampling ultraproduct tuples")
-    ultra_witness = _ultra_witness(b, t1.sig, all1, index_bound, sample_budget, budget, sampled)
+    ultra_witness = _ultra_witness(b, t1.sig, image, index_bound, sample_budget, budget, sampled)
     return VerificationReport(universe_witness is None, universe_witness,
                               iso_witness is None, iso_witness,
                               ultra_witness is None, ultra_witness, sampled.count)

@@ -1,11 +1,10 @@
 import pytest
 
-from oracles import random_formula
+from oracles import paired_classes, random_formula
 
 from defeq import cli
 from defeq.folang import And, Forall, Iff, Or, Rel, Signature, Var
 from defeq.models import Theory, apply_permutation, find_isomorphisms
-from defeq.spectra import Census, _paired_classes
 
 
 def random_theory(rng, size):
@@ -42,7 +41,7 @@ def replay_images(ta, tb, n):
     Yields (model, image set); a singleton image set per model is what
     makes the spectrum-driven bijection well defined.
     """
-    for rep1, rep2, members in _paired_classes(Census(ta, n), Census(tb, n)):
+    for rep1, rep2, members in paired_classes(ta, tb, n):
         for m in members:
             yield m, {apply_permutation(rep2, f) for f in find_isomorphisms(rep1, m)}
 

@@ -9,6 +9,7 @@ import itertools
 import random
 import re
 from collections.abc import Sequence
+from functools import lru_cache
 
 from defeq.folang import (
     And, App, Const, Eq, Exists, Forall, Formula, Iff, Implies, Not, Or, Rel, Signature, Term,
@@ -16,9 +17,10 @@ from defeq.folang import (
 )
 from defeq.budget import DEFAULT_BUDGET, NodeCounter
 from defeq.definability import _argument_variables
-from defeq.groups import PermutationGroup, canonical_form, form_key
-from defeq.models import FiniteModel, _ones, _tuples, apply_permutation, enumerate_models
-from defeq.spectra import Census, _paired_classes
+from defeq.groups import (PermutationGroup, automorphism_group, canonical_form, compose,
+                          form_key, group_to_text, invert)
+from defeq.models import (FiniteModel, _ones, _tuples, apply_permutation, canonical_key,
+                          enumerate_models, find_isomorphisms)
 from defeq.ultra import Ultrafilter, los_check, ultrafilters_on, ultraproduct
 
 
@@ -28,6 +30,16 @@ def group_key(g: PermutationGroup) -> bytes:
     Two groups get the same key exactly when they are base-isomorphic.
     """
     return form_key(canonical_form(g))
+
+
+def conjugate(g: PermutationGroup, h: Sequence[int]) -> PermutationGroup:
+    """The group {h x h^-1 : x in g}; h must be a bijection of the base."""
+    h = tuple(h)
+    if sorted(h) != list(range(g.base_size)):
+        raise ValueError("not a bijection of the base")
+    hinv = invert(h)
+    return PermutationGroup(g.base_size, (compose(h, compose(x, hinv)) for x in g.elements),
+                            _trusted=True)
 
 
 def reduct(m: FiniteModel, keep) -> FiniteModel:
@@ -140,17 +152,74 @@ def model_text_by_tuples(m: FiniteModel) -> str:
     return " ".join(parts)
 
 
+@lru_cache(maxsize=8)
+def census_cells(t, n):
+    """census.Census.cells on models, built model by model from the
+    definitions, with no sweep: per group key, (canonical group, classes in
+    canonical-key order), a class being [members in encoding order,
+    representative], the least member whose automorphism group is
+    literally the canonical one.  Kept for the last few (t, n) asked for;
+    the caller must not change it."""
+    found = {}
+    for m in enumerate_models(t, n):
+        aut = automorphism_group(m)
+        canon = canonical_form(aut)
+        cls = found.setdefault(canon, {}).setdefault(canonical_key(m), [[], None])
+        cls[0].append(m)
+        if cls[1] is None and aut == canon:
+            cls[1] = m
+    return {form_key(canon): (canon, [classes[k] for k in sorted(classes)])
+            for canon, classes in found.items()}
+
+
+def census_models(census):
+    """The cells of a census.Census with its encodings made models, in the
+    form census_cells gives."""
+    def model(enc):
+        return FiniteModel._from_encoding(census.sig, enc)
+    return {gkey: (group, [[list(map(model, members)), model(rep)] for members, rep in classes])
+            for gkey, (group, classes) in census.cells.items()}
+
+
+def spectrum_lines(t, sizes):
+    """spectra.Spectrum.report_lines of t from census_cells."""
+    lines = []
+    for n in sizes:
+        cells = census_cells(t, n)
+        for gkey in sorted(cells):
+            canon, classes = cells[gkey]
+            lines.append(f"size={n} group={group_to_text(canon)} order={canon.order} "
+                         f"classes={len(classes)} models={sum(len(ms) for ms, _ in classes)}")
+    return lines
+
+
+def paired_classes(t1, t2, n):
+    """(rep1, rep2, members of rep1's class) of build_concrete_iso's
+    pairing, from census_cells: per group key, the classes of both sides
+    in canonical-key order."""
+    cells2 = census_cells(t2, n)
+    for gkey, (_, classes1) in census_cells(t1, n).items():
+        for (members, rep1), (_, rep2) in zip(classes1, cells2[gkey][1]):
+            yield rep1, rep2, members
+
+
 def pairs_by_moves(t1, t2, max_size):
-    """build_concrete_iso's pairs made member by member: per size, each
-    member m of rep1's class goes to apply_permutation(rep2, p) for the
-    census move p carrying rep1 onto m."""
+    """build_concrete_iso's pairs made member by member, in encoding order:
+    per size, each member m of rep1's class goes to apply_permutation(rep2,
+    p) for the least permutation p carrying rep1 onto m."""
     pairs = {}
     for n in range(1, max_size + 1):
-        c1, c2 = Census(t1, n), Census(t2, n)
-        pairs[n] = {m: apply_permutation(rep2, p)
-                    for rep1, rep2, members in _paired_classes(c1, c2)
-                    for m, p in zip(members, c1.moves[rep1])}
+        images = {m: apply_permutation(rep2, find_isomorphisms(rep1, m)[0])
+                  for rep1, rep2, members in paired_classes(t1, t2, n) for m in members}
+        pairs[n] = {m: images[m] for m in sorted(images, key=FiniteModel.encode)}
     return pairs
+
+
+def listing_by_models(pairs):
+    """build-iso's listing of the pairs that pairs_by_moves gives, one line
+    per pair, each model rendered by model_text_by_tuples."""
+    return [f"{model_text_by_tuples(m)} => {model_text_by_tuples(bm)}"
+            for by_size in pairs.values() for m, bm in by_size.items()]
 
 
 def ultra_verdict(b, models, index_bound=2, sample_budget=2000, budget=DEFAULT_BUDGET):

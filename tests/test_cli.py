@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import model_text_by_tuples, random_model
 
 import defeq
-from defeq import cli, folang, spectra, ultra
+from defeq import census, cli, folang, ultra
 from defeq.cli import (
     CliError, dispatch, fixture_path, load_models, load_theory, main,
     model_to_text, parse_model_text, parse_theory_text, theory_to_text,
@@ -93,13 +93,28 @@ def test_model_text_matches_the_tuple_oracle(seed, shape, extra):
         assert parse_model_text(text, sig) == m
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(BYTE_SHAPES),
+       st.sampled_from(["", "f", "c", "fc", "fgcd"]), st.integers(0, 6))
+def test_the_column_renderer_matches_the_tuple_oracle(seed, shape, extra, count):
+    # model_to_text is the column of one model; a column of several, or of none
+    size, arities = shape
+    sig = Signature({f"R{i}": a for i, a in enumerate(arities)},
+                    {name: 1 for name in "fg" if name in extra},
+                    [name for name in "cd" if name in extra])
+    rng = random.Random(seed)
+    ms = [random_model(sig, size, rng) for _ in range(count)]
+    assert list(cli._renderer(sig, size).column([m.encode() for m in ms])) == \
+        [model_text_by_tuples(m) for m in ms] == list(map(model_to_text, ms))
+
+
 def test_a_wide_model_fills_one_text_entry_per_byte():
     # 1,000 bits: the renderer's table for the relation holds the texts of
     # the 125 bytes one model reads, not all 256 values of each byte
     sig = Signature({"Wide": 3})
     m = random_model(sig, 10, random.Random(7))
     assert model_to_text(m) == model_text_by_tuples(m)
-    [(_, _, table)] = cli._renderer(sig, 10).rels
+    [(_, table)] = cli._renderer(sig, 10).rels
     assert 0 < len(table) <= 125
 
 
@@ -214,8 +229,8 @@ def test_a_function_factor_above_the_budget_is_refused_up_front(tmp_path, capsys
 
 
 def test_every_search_command_takes_one_budget_flag(capsys):
-    for command in ("models", "spec", "spec-compare", "build-iso", "ultra", "beth", "idc",
-                    "subclosure"):
+    for command in ("models", "aut", "spec", "spec-compare", "build-iso", "ultra", "beth",
+                    "idc", "subclosure"):
         assert run(command, "--help") == (0, "")
         flags = set(re.findall(r"--max-[a-z-]+", capsys.readouterr().out))
         assert flags - {"--max-size"} == {"--max-nodes"}, command
@@ -232,6 +247,21 @@ def test_the_node_count_of_a_function_search_is_exact(tmp_path, capsys):
     assert run(*models, "--max-nodes", "491") == (2, "")
     assert capsys.readouterr().err == \
         "defeq: work budget exceeded while enumerating models at size 4 (limit 491)\n"
+
+
+def test_aut_counts_each_partial_map_tried(tmp_path, capsys):
+    # with no symbols every map is tried: 3 + 3*2 + 3*2*1 partial maps at size 3,
+    # and 109,600 at size 8
+    small, large = tmp_path / "three.mod", tmp_path / "eight.mod"
+    small.write_text("size 3")
+    large.write_text("size 8")
+    assert run("aut", "--model", str(small), "--max-nodes", "15") == \
+        (0, "[[0,1,2],[0,2,1],[1,0,2],[1,2,0],[2,0,1],[2,1,0]]\n")
+    assert run("aut", "--model", str(small), "--max-nodes", "14") == (2, "")
+    assert run("aut", "--model", str(large), "--max-nodes", "1000") == (2, "")
+    assert capsys.readouterr().err == (
+        "defeq: work budget exceeded while searching for isomorphisms at size 3 (limit 14)\n"
+        "defeq: work budget exceeded while searching for isomorphisms at size 8 (limit 1000)\n")
 
 
 @pytest.mark.parametrize("theory, models, nodes", [
@@ -350,15 +380,16 @@ def test_budget_bounds_the_choice_functions_of_a_verifier_product(tmp_path, caps
 
 def test_internal_errors_exit_3(monkeypatch, capsys):
     # a census that misses one rigid size-2 model breaks closure under relabelling
-    real = spectra.enumerate_models
+    real = census.enumerate_encodings
 
     def one_short(t, n, budget=None):
-        ms = real(t, n, budget)
+        encs = real(t, n, budget)
         if n == 2:
-            ms.remove(next(m for m in ms if automorphism_group(m).order == 1))
-        return ms
+            encs.remove(next(e for e in encs if automorphism_group(
+                FiniteModel._from_encoding(t.sig, e)).order == 1))
+        return encs
 
-    monkeypatch.setattr(spectra, "enumerate_models", one_short)
+    monkeypatch.setattr(census, "enumerate_encodings", one_short)
     assert run("spec", "--theory", "ex1_t2.thy", "--size", "2") == (3, "")
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("defeq: internal error: class of ")
@@ -804,6 +835,22 @@ def test_a_closed_stdout_exits_2_with_one_line():
         os.close(write_end)
     assert done.returncode == 2
     assert done.stderr == b"defeq: cannot write the output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv, closed, want", [
+    # no stdout: one line on stderr, whether or not the command would succeed
+    (("seq", "--variant", "master", "--range", "0..4"), 1,
+     (2, b"", b"defeq: cannot write the output: stdout is closed\n")),
+    (("models", "--theory", "nosuch.thy", "--size", "1"), 1,
+     (2, b"", b"defeq: cannot write the output: stdout is closed\n")),
+    # no stderr: the diagnostic is dropped, never printed on stdout
+    (("models", "--theory", "nosuch.thy", "--size", "1"), 2, (2, b"", b"")),
+    (("seq", "--variant", "mastr", "--range", "0..4"), 2, (2, b"", b"")),
+    (("seq", "--variant", "master", "--range", "0..4"), 2, (0, b"0 1 x 0\n", b"")),
+])
+def test_a_closed_descriptor_gets_no_traceback(argv, closed, want):
+    done = cli_process(*argv, capture_output=True, preexec_fn=lambda: os.close(closed))
+    assert (done.returncode, done.stdout, done.stderr) == want
 
 
 def test_size_4_counts_and_census_build_no_tuple_view(monkeypatch):

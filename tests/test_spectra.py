@@ -7,19 +7,21 @@ import re
 import pytest
 from conftest import random_theory, replay_images
 from hypothesis import assume, given, settings, strategies as st
-from oracles import group_key, pairs_by_moves, ultra_verdict
+from oracles import (census_cells, census_models, group_key, listing_by_models, pairs_by_moves,
+                     spectrum_lines, ultra_verdict)
 
-from defeq import cli, spectra, ultra
+from defeq import census, cli, spectra, ultra
 from defeq.budget import NodeCounter, WorkBudget
+from defeq.census import Census, Relabelling, orbits
 from defeq.folang import Signature, SignatureError, parse_formula
-from defeq.groups import PermutationGroup, automorphism_group, canonical_form, form_key
+from defeq.groups import PermutationGroup, automorphism_group
 from defeq.models import (
-    FiniteModel, InternalError, Relabelling, Theory, apply_permutation, canonical_key,
-    enumerate_models, find_isomorphisms, is_isomorphism, is_model, orbits,
+    FiniteModel, InternalError, Theory, apply_permutation, enumerate_encodings, enumerate_models,
+    find_isomorphisms, is_isomorphism, is_model,
 )
 from defeq.spectra import (
-    Census, ConcreteBijection, SpectraMismatchError, VerificationReport, aut_spec,
-    build_concrete_iso, compare_spectra, verify_concrete_iso,
+    ConcreteBijection, SpectraMismatchError, VerificationReport, aut_spec, build_concrete_iso,
+    compare_spectra, verify_concrete_iso,
 )
 
 TRIVIAL2 = group_key(PermutationGroup(2, [(0, 1)]))
@@ -92,7 +94,7 @@ def test_compare_equal_and_range_mismatch(t2):
 
 
 def test_census_classes_and_representatives(t2):
-    for gkey, (group, classes) in Census(t2, 2).cells.items():
+    for gkey, (group, classes) in census_models(Census(t2, 2)).items():
         assert group_key(group) == gkey
         for members, rep in classes:
             assert members == sorted(members, key=FiniteModel.encode)
@@ -102,31 +104,18 @@ def test_census_classes_and_representatives(t2):
 
 def test_census_checks_orbit_stabilizer(t2, monkeypatch):
     # without one rigid size-2 model, its class is short of n!/|Aut| = 2 members
-    real = spectra.enumerate_models
+    real = census.enumerate_encodings
 
     def one_short(t, n, budget=None):
-        ms = real(t, n, budget)
+        encs = real(t, n, budget)
         if n == 2:
-            ms.remove(next(m for m in ms if automorphism_group(m).order == 1))
-        return ms
+            encs.remove(next(e for e in encs if automorphism_group(
+                FiniteModel._from_encoding(t.sig, e)).order == 1))
+        return encs
 
-    monkeypatch.setattr(spectra, "enumerate_models", one_short)
+    monkeypatch.setattr(census, "enumerate_encodings", one_short)
     with pytest.raises(RuntimeError, match="orbit-stabilizer"):
         aut_spec(t2, [1, 2])
-
-
-def per_model_cells(t, n):
-    """The census built model by model from the public oracles, no sweep."""
-    found = {}
-    for m in enumerate_models(t, n):
-        aut = automorphism_group(m)
-        canon = canonical_form(aut)
-        cls = found.setdefault(canon, {}).setdefault(canonical_key(m), [[], None])
-        cls[0].append(m)
-        if cls[1] is None and aut == canon:
-            cls[1] = m
-    return [(form_key(canon), canon, [classes[k] for k in sorted(classes)])
-            for canon, classes in found.items()]
 
 
 @settings(max_examples=50, deadline=None)
@@ -134,12 +123,13 @@ def per_model_cells(t, n):
 def test_orbit_census_matches_the_per_model_census(seed, size):
     t, candidates = random_theory(random.Random(seed), size)
     assume(candidates <= 1024)
-    census = Census(t, size)
-    assert [(gkey, group, classes) for gkey, (group, classes) in census.cells.items()] \
-        == per_model_cells(t, size)
-    for _, classes in census.cells.values():
+    c = Census(t, size)
+    assert c.encodings == [m.encode() for m in enumerate_models(t, size)]
+    assert list(census_models(c).items()) == list(census_cells(t, size).items())
+    for _, classes in c.cells.values():
         for members, rep in classes:
-            assert [apply_permutation(rep, p) for p in census.moves[rep]] == members
+            rep_model = FiniteModel._from_encoding(t.sig, rep)
+            assert [apply_permutation(rep_model, p).encode() for p in c.moves[rep]] == members
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,13 +138,14 @@ def test_every_image_of_a_class_sweep_is_a_model(seed, size):
     t, candidates = random_theory(random.Random(seed), size)
     assume(candidates <= 4096)
     relabelling, nodes = Relabelling(t.sig, size), NodeCounter(WorkBudget(), "test")
-    for members, _, _ in orbits(relabelling, enumerate_models(t, size), nodes):
+    for members, _, _ in orbits(relabelling, enumerate_encodings(t, size), nodes):
         images, stabilizer = relabelling.orbit(members[0], nodes)
-        assert sorted(images) == [m.encode() for m in members]
+        assert sorted(images) == members
+        least = FiniteModel._from_encoding(t.sig, members[0])
         for enc, p in images.items():
-            image = apply_permutation(members[0], p)
+            image = apply_permutation(least, p)
             assert image.encode() == enc and is_model(image, t)
-        assert stabilizer == find_isomorphisms(members[0], members[0])
+        assert stabilizer == find_isomorphisms(least, least)
 
 
 def test_census_checks_the_sweep_against_orbit_stabilizer(t2, monkeypatch):
@@ -172,8 +163,8 @@ def test_census_checks_the_sweep_against_orbit_stabilizer(t2, monkeypatch):
 
 def test_build_enumerates_each_theory_and_size_once(t2, monkeypatch):
     calls = []
-    real = spectra.enumerate_models
-    monkeypatch.setattr(spectra, "enumerate_models",
+    real = census.enumerate_encodings
+    monkeypatch.setattr(census, "enumerate_encodings",
                         lambda t, n, budget=None: calls.append((t.name, n)) or real(t, n, budget))
     build_concrete_iso(t2, renamed_copy(t2), 2)
     assert sorted(calls) == [("ex1_t2", 1), ("ex1_t2", 2),
@@ -341,7 +332,7 @@ def built(t2):
 
 def test_coset_verdict_equals_the_scan_on_broken_bijections(t2, built):
     t2r, b, census = built
-    classes = [ms for _, cls in census.cells.values() for ms, _ in cls]
+    classes = [ms for _, cls in census_models(census).values() for ms, _ in cls]
     within = next(ms for ms in classes if len(ms) > 1)
     across = [next(ms for ms in classes if len(ms) == 1), within]  # unequal groups
     outside = FiniteModel(t2r.sig, 2, {"Q": [(0, 1)], "S": [(0, 1), (1, 0)]})
@@ -580,3 +571,48 @@ def test_only_the_verifier_reads_the_census_moves(t2, tmp_path, monkeypatch):
         assert cli.dispatch(argv) == want, argv
     with pytest.raises(AssertionError, match="census moves built"):
         cli.dispatch(["build-iso", *pair, "--max-size", "2", "--verify"])
+
+
+# ------------------------------------------------------------
+# the census, the bijection and its listing on encodings, against the
+# model-by-model oracles
+# ------------------------------------------------------------
+
+def as_text(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_build_iso_and_spec_print_what_the_oracles_give(tmp_path_factory, seed, size):
+    t, candidates = random_theory(random.Random(seed), size)
+    assume(candidates <= 4096)
+    tr = renamed_symbols(t)
+    work = tmp_path_factory.mktemp("theories")
+    paths = work / "t.thy", work / "renamed.thy"
+    for path, theory in zip(paths, (t, tr)):
+        path.write_text(cli.theory_to_text(theory))
+    build = ["build-iso", "--t1", str(paths[0]), "--t2", str(paths[1]), "--max-size", str(size)]
+    expected = pairs_by_moves(t, tr, size)
+    listing = listing_by_models(expected)
+    assert cli.dispatch(build) == (0, as_text(listing))
+    assert cli.dispatch(["spec", "--theory", str(paths[0]), "--max-size", str(size)]) == \
+        (0, as_text(spectrum_lines(t, range(1, size + 1))))
+    b = build_concrete_iso(t, tr, size)
+    assert [list(b.pairs[n].items()) for n in b.sizes] == \
+        [list(expected[n].items()) for n in b.sizes]
+    models = [m for pairs in expected.values() for m in pairs]
+    if len(models) <= 20:
+        # the verdicts of the scan and of the loop of two ultraproducts per tuple
+        oracle = ConcreteBijection(range(1, size + 1), expected)
+        witness, checked = ultra_verdict(oracle, models)
+        assert brute_force_verdicts(oracle, t, tr, size) == (None, None) and witness is None
+        verdict = ("verdict universes=PASS isomorphisms=PASS ultraproducts=PASS "
+                   f"checked_tuples={checked}")
+        assert cli.dispatch([*build, "--verify"]) == (0, as_text([*listing, verdict]))
+
+
+def test_the_ex1_t2_listing_at_size_3_is_the_oracle_listing(t2):
+    code, out = cli.dispatch(["build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy",
+                              "--max-size", "3"])
+    assert (code, out) == (0, as_text(listing_by_models(pairs_by_moves(t2, t2, 3))))
