@@ -28,7 +28,6 @@ to arity 1), function arity from the table length.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import operator
 import os
@@ -36,6 +35,7 @@ import re
 import sys
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import definability, folang, groups, irregular, spectra, ultra
 from .budget import DEFAULT_MAX_NODES, BudgetExceededError, NodeCounter, WorkBudget
@@ -633,10 +633,60 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for argv, read straight off _COMMANDS
+    when argv is a plain command line; None for any other.
+
+    A plain line names a command first, then gives exact flags of that
+    command, each at most once, every value a word of its own that does not
+    start with "-"; its required flags and its one size choice are there.
+    Any other line, help and every line argparse must diagnose among them,
+    goes to _build_parser, which alone imports argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, flags = _COMMANDS[argv[0]]
+    options, choice = {}, ()
+    for flag in flags:
+        if isinstance(flag[0], str):
+            options[flag[0]] = flag[1]
+        else:
+            choice = [name for name, _ in flag]
+            options.update(flag)
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        kind = options.get(word)
+        if kind is None or word in given:
+            return None
+        if kind.get("action") == "store_true":
+            given[word] = True
+            continue
+        value = next(words, "-")  # a missing value fails as a flag would
+        if value.startswith("-"):
+            return None
+        if kind.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        given[word] = value
+    if any(kind.get("required") and name not in given for name, kind in options.items()):
+        return None
+    if choice and sum(name in given for name in choice) != 1:
+        return None
+    args = SimpleNamespace(command=argv[0], handler=handler)
+    for name, kind in options.items():
+        default = False if kind.get("action") == "store_true" else kind.get("default")
+        setattr(args, name[2:].replace("-", "_"), given.get(name, default))
+    return args
+
+
+def _build_parser(argv: Sequence[str]):
     """The parser for argv: only its command's subparser when argv[0] names
     one, since argparse then hands every later argument to that subparser;
     every command's otherwise, for the listing and argparse's own errors."""
+    import argparse  # help and diagnostics only; plain lines never load it
     parser = argparse.ArgumentParser(
         prog="defeq",
         description="Finite-model workbench: automorphism spectra, concrete "
@@ -665,11 +715,13 @@ def dispatch(argv: Sequence[str]) -> tuple[int, str]:
     returned text.
     """
     argv = list(argv)
-    try:
-        args = _build_parser(argv).parse_args(argv)
-    except SystemExit as e:
-        code = e.code if isinstance(e.code, int) else 2
-        return code, ""
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except SystemExit as e:
+            code = e.code if isinstance(e.code, int) else 2
+            return code, ""
     try:
         for dest, least, noun in _RANGES:
             _at_least(args, dest, least, noun)

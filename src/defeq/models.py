@@ -336,11 +336,17 @@ def _lanes(width: int) -> tuple[list[int], int]:
     full has every lane set.
     """
     k = min(width, _LANE_BITS)
-    full = (1 << (1 << k)) - 1
-    # a run of 2**j clear then 2**j set lanes, repeated across the block
-    patterns = [((1 << (1 << j)) - 1 << (1 << j)) * (full // ((1 << (2 << j)) - 1))
-                for j in range(k)]
-    return patterns, full
+    lanes = 1 << k
+    patterns = []
+    for j in range(k):
+        # a run of 2**j clear then 2**j set lanes, doubled across the block
+        run = 1 << j
+        p, span = (1 << run) - 1 << run, 2 * run
+        while span < lanes:
+            p |= p << span
+            span *= 2
+        patterns.append(p)
+    return patterns, (1 << lanes) - 1
 
 
 def _blocks(width: int) -> Iterator[tuple[int, list[int]]]:

@@ -19,8 +19,8 @@ from defeq.budget import DEFAULT_BUDGET, NodeCounter
 from defeq.definability import _argument_variables
 from defeq.groups import (PermutationGroup, automorphism_group, canonical_form, compose,
                           form_key, group_to_text, invert)
-from defeq.models import (FiniteModel, _ones, _tuples, apply_permutation, canonical_key,
-                          enumerate_models, find_isomorphisms)
+from defeq.models import (_LANE_BITS, FiniteModel, _ones, _tuples, apply_permutation,
+                          canonical_key, enumerate_models, find_isomorphisms)
 from defeq.ultra import Ultrafilter, los_check, ultrafilters_on, ultraproduct
 
 
@@ -354,3 +354,14 @@ def los_loop(product, levels, key):
     formula of a closed level in turn."""
     failed = [f for f in levels.formulas(key) if not los_check(product, f).ok]
     return len(failed), (failed[0] if failed else None)
+
+
+def lanes_by_division(width: int) -> tuple[list[int], int]:
+    """models._lanes by its closed form: each lane pattern is one period
+    times the repunit full // (2**period - 1), one big-int division per
+    pattern."""
+    k = min(width, _LANE_BITS)
+    full = (1 << (1 << k)) - 1
+    patterns = [((1 << (1 << j)) - 1 << (1 << j)) * (full // ((1 << (2 << j)) - 1))
+                for j in range(k)]
+    return patterns, full

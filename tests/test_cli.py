@@ -1,5 +1,7 @@
 """Command line surface: exit codes, golden output, file formats."""
 
+import contextlib
+import io
 import os
 import random
 import re
@@ -743,6 +745,102 @@ def test_one_command_parser_reads_as_the_full_parser(command, monkeypatch, capsy
         one = cli._build_parser(argv)
         assert list(one._subparsers._group_actions[0].choices) == [command]
         assert parse_outcome(one, argv, capsys) == parse_outcome(full, argv, capsys), argv
+
+
+def argparse_vars(argv):
+    """vars() of the namespace argparse builds for argv; None when it
+    refuses argv or prints help instead."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser(argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def command_flags(command):
+    """(flags, required, choice) of a command: each flag as (name, takes a
+    value, is an int), the names it requires, and the names of its one size
+    choice, if it has one."""
+    flags, required, choice = [], [], []
+    for flag in cli._COMMANDS[command][2]:
+        for name, options in [flag] if isinstance(flag[0], str) else flag:
+            flags.append((name, options.get("action") != "store_true", options.get("type") is int))
+            if options.get("required"):
+                required.append(name)
+            elif not isinstance(flag[0], str):
+                choice.append(name)
+    return flags, required, choice
+
+
+# one line gives no two flags the same value, so a repeated flag's two
+# values differ
+INT_WORDS = ["0", "1", "2", "3", "007", "+4", " 5"]
+STR_WORDS = ["ex1_t1.thy", "a", "", "3", "x=y", "a b"]
+# bad ints, and values that start with "-", which argparse may still take
+NEAR_WORDS = ["x", "", "1.5", "-1", "-2", "-x", "-", "--size"]
+# "wrong arity" gives a switch a value and a flag that takes one none
+NEAR_FORMS = ["abbreviated", "equals", "wrong arity", "help"]
+
+
+@st.composite
+def command_lines(draw, command):
+    """(argv, plain): a command line drawn from a command's flags and their
+    near misses.  plain is True when the command comes first, then nothing
+    but exact flags, each once, with values that do not start with "-"."""
+    flags, required, choice = command_flags(command)
+    by_name = {name: (value, is_int) for name, value, is_int in flags}
+    names = required + draw(st.lists(st.sampled_from(choice), max_size=2) if choice else
+                            st.just([]))
+    if names and draw(st.integers(0, 5)) == 0:
+        names.pop(draw(st.integers(0, len(names) - 1)))
+    names += [name for name in by_name
+              if name not in required + choice and draw(st.booleans())]
+    if names and draw(st.integers(0, 2)) == 0:
+        names.append(draw(st.sampled_from(names)))
+    plain = len(set(names)) == len(names)
+    ints, strs = iter(draw(st.permutations(INT_WORDS))), iter(draw(st.permutations(STR_WORDS)))
+    items = []
+    for name in names:
+        value, is_int = by_name[name]
+        word = next(ints if is_int else strs)
+        if draw(st.integers(0, 9)) == 0:
+            word = draw(st.sampled_from(NEAR_WORDS))
+        form = draw(st.sampled_from(NEAR_FORMS)) if draw(st.integers(0, 9)) == 0 else "exact"
+        plain = plain and form == "exact" and not (value and word.startswith("-"))
+        if form == "abbreviated":
+            name = name[:draw(st.integers(3, len(name) - 1))]
+        if form == "equals":
+            items.append([f"{name}={word}"])
+        elif form == "help":
+            items.append([draw(st.sampled_from(["-h", "--help"]))])
+        elif value != (form == "wrong arity"):
+            items.append([name, word])
+        else:
+            items.append([name])
+    items = draw(st.permutations(items))
+    words = [command] + [word for item in items for word in item]
+    if draw(st.integers(0, 7)) == 0:
+        words = draw(st.permutations(words))
+        plain = False
+    if draw(st.integers(0, 7)) == 0:
+        words.insert(0, draw(st.sampled_from(["--", "-h", "modles", command.upper()])))
+        plain = False
+    return words, plain
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_the_table_reader_reads_as_argparse(command, data):
+    # a line the reader takes must parse to argparse's namespace; a plain
+    # line that argparse takes must be the reader's, so that the fast path
+    # cannot quietly shrink
+    argv, plain = data.draw(command_lines(command))
+    fast, want = cli._plain_args(argv), argparse_vars(argv)
+    if fast is not None:
+        assert vars(fast) == want
+    elif plain:
+        assert want is None
 
 
 FULL_HELP = """\

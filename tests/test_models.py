@@ -6,7 +6,7 @@ import random
 import pytest
 from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
-from oracles import random_formula, random_model, reduct
+from oracles import lanes_by_division, random_formula, random_model, reduct
 
 from defeq import models
 from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
@@ -172,6 +172,12 @@ def flat_model(sig, size, flat):
             for i, (name, arity) in enumerate(sig.relations.items())}
     return FiniteModel(sig, size, rels, dict(zip(sig.functions, flat[k:j])),
                        dict(zip(sig.constants, flat[j:])))
+
+
+def test_lane_patterns_match_their_closed_form():
+    # built by doubling, each pattern must equal one period times a repunit
+    for width in range(1, 21):
+        assert _lanes(width) == lanes_by_division(width), width
 
 
 @settings(max_examples=150, deadline=None)

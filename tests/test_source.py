@@ -1,11 +1,13 @@
 """Source checks on the package itself, read with the standard library's ast."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import defeq
+from test_cli import FULL_HELP, USAGE
 
 SOURCES = sorted(Path(defeq.__file__).parent.glob("*.py"))
 
@@ -56,6 +58,57 @@ def test_the_command_line_imports_no_heavy_module():
     run = subprocess.run([sys.executable, "-S", "-c", script],
                          capture_output=True, text=True, check=True)
     assert run.stdout.splitlines()[-1] == "0 0 31 []"
+
+
+# argparse and what it imports: only help and the command lines argparse
+# must diagnose need them
+PARSER = ("argparse", "gettext", "locale")
+
+
+def fresh_dispatch(cwd, *argvs) -> tuple[str, str, list[int], list[str]]:
+    """(stdout, stderr, exit codes, PARSER's modules loaded) of a fresh
+    interpreter without site that dispatches argvs in order."""
+    src = str(Path(defeq.__file__).parent.parent)
+    script = (f"import sys; sys.path.insert(0, {src!r})\n"
+              "from defeq.cli import dispatch\n"
+              f"codes = [dispatch(argv)[0] for argv in {list(argvs)!r}]\n"
+              f"print(repr((codes, sorted(set({PARSER!r}) & set(sys.modules)))))\n")
+    run = subprocess.run([sys.executable, "-S", "-c", script], cwd=cwd,
+                         env={**os.environ, "COLUMNS": "80"},
+                         capture_output=True, text=True, check=True)
+    *out, last = run.stdout.splitlines(keepends=True)
+    return ("".join(out), run.stderr, *ast.literal_eval(last))
+
+
+def test_plain_command_lines_never_load_argparse(tmp_path):
+    # one command line of each kind the benchmark runs, each read off the
+    # command table
+    (tmp_path / "m.mod").write_text("size 2\nrel E { (0,1) (1,0) }\n")
+    (tmp_path / "n.mod").write_text("size 3\nrel E { (0,1) }\n")
+    (tmp_path / "mutual.thy").write_text(
+        "rel G 2\nrel R 1\naxiom A x. (R(x) <-> (E y. (G(x,y) & G(y,x) & !(x=y))))\n")
+    assert fresh_dispatch(
+        tmp_path,
+        ["models", "--theory", "ex1_t1.thy", "--size", "2", "--count-only"],
+        ["spec", "--theory", "ex1_t1.thy", "--size", "2"],
+        ["build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "2", "--verify"],
+        ["aut", "--model", "m.mod"],
+        ["ultra", "--models", "m.mod,n.mod", "--principal", "1", "--los-depth", "2"],
+        ["beth", "--theory", "mutual.thy", "--target", "R", "--size", "2", "--bound", "7"]) \
+        == ("", "", [0] * 6, [])
+
+
+def test_help_and_a_bad_flag_still_load_argparse(tmp_path):
+    # argparse's text is pinned for CPython 3.11, as in test_cli
+    pinned = sys.version_info[:2] == (3, 11)
+    out, err, codes, loaded = fresh_dispatch(tmp_path, ["--help"])
+    assert (err, codes, "argparse" in loaded) == ("", [0], True)
+    assert out == FULL_HELP if pinned else out.startswith(USAGE)
+    out, err, codes, loaded = fresh_dispatch(
+        tmp_path, ["models", "--theory", "ex1_t1.thy", "--size", "2", "--bogus"])
+    assert (out, codes, "argparse" in loaded) == ("", [2], True)
+    assert err == f"{USAGE}defeq: error: unrecognized arguments: --bogus\n" if pinned else \
+        err.startswith(USAGE)
 
 
 def test_only_the_process_entry_skips_teardown():
