@@ -72,22 +72,6 @@ class Relabelling:
         return list(zip([size] * len(perms), list(zip(*rels)) or empty,
                         list(zip(*funs)) or empty, list(zip(*values)) or empty))
 
-    def orbit(self, enc: tuple, nodes: NodeCounter
-              ) -> tuple[dict[tuple, tuple[int, ...]], list[tuple[int, ...]]]:
-        """Sweep every relabelling of M, with encoding enc, once: (images,
-        stabilizer).
-
-        images maps each distinct image's encoding to the first permutation,
-        in lexicographic order, that gives it.  stabilizer lists the
-        permutations that fix M, which is Aut(M) in lexicographic order.
-        nodes counts one node per permutation applied.
-        """
-        swept = self.images(enc)
-        nodes.tick(len(self.perms))
-        # reversed, so that the first permutation giving an image is the one kept
-        images = dict(zip(reversed(swept), reversed(self.perms)))
-        return images, [p for p, image in zip(self.perms, swept) if image == enc]
-
 
 def _gathered(rows: list[list[int]], ones: list[int]) -> list[int]:
     """sum(row[j] for j in ones) for each row of rows."""
@@ -97,33 +81,35 @@ def _gathered(rows: list[list[int]], ones: list[int]) -> list[int]:
 
 
 def orbits(relabelling: Relabelling, encodings: Sequence[tuple], nodes: NodeCounter
-           ) -> Iterator[tuple[list[tuple], list[tuple[int, ...]], list[tuple[int, ...]]]]:
+           ) -> Iterator[tuple[list[tuple], list[tuple], list[tuple[int, ...]]]]:
     """Split models of one signature and size, as sorted encodings, into classes.
 
     One sweep of relabelling (made for that signature and size) per
     isomorphism class, from its least member m, yields (members in encoding
-    order, moves, Aut(m) in lexicographic order), where moves[i] carries
-    m = members[0] onto members[i]; members are objects of encodings.
-    Classes come in the order of their least members, which are the
-    canonical keys.  InternalError is raised unless every image is one of
-    the models not yet classified (the list is closed under relabelling)
+    order, swept, Aut(m) in lexicographic order), where swept is
+    relabelling.images(m): swept[i] is the encoding of perms[i].m.  members
+    are objects of encodings; nodes counts one node per permutation
+    applied.  Classes come in the order of their least members, which are
+    the canonical keys.  InternalError is raised unless every image is one
+    of the models not yet classified (the list is closed under relabelling)
     and |class| * |Aut(m)| = n! (orbit-stabilizer).
     """
     pending = {enc: i for i, enc in enumerate(encodings)}  # the models not yet classified
     for m in encodings:
         if m not in pending:
             continue
-        images, stabilizer = relabelling.orbit(m, nodes)
-        found = list(map(pending.pop, images, itertools.repeat(None)))
-        expected = len(relabelling.perms) // len(stabilizer)
+        swept, perms = relabelling.images(m), relabelling.perms
+        nodes.tick(len(perms))
+        stabilizer = [p for p, image in zip(perms, swept) if image == m]
+        found = list(map(pending.pop, set(swept), itertools.repeat(None)))
+        expected = len(perms) // len(stabilizer)
         strays = found.count(None)
         if strays or len(found) != expected:
             raise InternalError(
                 f"class of {m} has {len(found)} members, {strays} of them not "
                 f"enumerated or already classified; orbit-stabilizer expects {expected}")
         # encoding order is the order of the positions in encodings
-        order = sorted(zip(found, images.values()))
-        yield [encodings[i] for i, _ in order], [p for _, p in order], stabilizer
+        yield [encodings[i] for i in sorted(found)], swept, stabilizer
 
 
 class Census:
@@ -142,7 +128,7 @@ class Census:
     models).  The budget bounds enumeration and sweeps apart.
     """
 
-    __slots__ = ("sig", "encodings", "cells", "relabelling", "_moves")
+    __slots__ = ("sig", "encodings", "cells", "relabelling")
 
     def __init__(self, t: Theory, size: int, budget: WorkBudget | None = None,
                  forms: dict[PermutationGroup, tuple[PermutationGroup, frozenset]] | None = None):
@@ -154,35 +140,23 @@ class Census:
         nodes = NodeCounter(budget, f"relabelling models at size {size}")
         found: dict[PermutationGroup, list[list]] = {}
         # classes come in the order of their least members, the canonical keys
-        for members, moves, stabilizer in orbits(self.relabelling, self.encodings, nodes):
+        for members, swept, stabilizer in orbits(self.relabelling, self.encodings, nodes):
             aut = PermutationGroup(size, stabilizer, _trusted=True)
             form = forms.get(aut)
             if form is None:
                 canon = canonical_form(aut)
                 form = forms[aut] = canon, frozenset(canon.elements)
             canon, elements = form
-            # canon is a conjugate of Aut(members[0]), so some member has it literally
-            rep = next(m for m, p in zip(members, moves) if _conjugates_into(aut, p, elements))
+            if aut == canon:
+                rep = members[0]
+            else:
+                # canon is a conjugate of Aut(members[0]), so some member has
+                # it literally; Aut(p.M) = p Aut(M) p^-1 for any p carrying M there
+                move = dict(zip(swept, self.relabelling.perms))
+                rep = next(m for m in members if _conjugates_into(aut, move[m], elements))
             found.setdefault(canon, []).append([members, rep])
         self.cells: dict[bytes, tuple[PermutationGroup, list[list]]] = {
             form_key(canon): (canon, classes) for canon, classes in found.items()}
-        self._moves: dict[tuple, list[tuple[int, ...]]] | None = None
-
-    @property
-    def moves(self) -> dict[tuple, list[tuple[int, ...]]]:
-        """Each representative mapped to, per member, the first permutation
-        in lexicographic order that carries it onto that member.  Built on
-        first read, by one more sweep of each representative; only the
-        verifier reads it."""
-        if self._moves is None:
-            self._moves = {}
-            for _, classes in self.cells.values():
-                for members, rep in classes:
-                    # reversed, so that the first permutation giving an image is the one kept
-                    first = dict(zip(reversed(self.relabelling.images(rep)),
-                                     reversed(self.relabelling.perms)))
-                    self._moves[rep] = [first[m] for m in members]
-        return self._moves
 
 
 def _conjugates_into(group: Iterable[tuple[int, ...]], p: tuple[int, ...],

@@ -466,12 +466,25 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
     conjuncts = [_Conjunct(sig, c, size) for ax in t.axioms for c in _split(ax, And)]
 
     nrels = len(sig.relations)
-    widths = [size ** arity for arity in sig.relations.values()]
+    # 2**limit tables outnumber max_nodes, so the search never visits them
+    # all: a wider relation is cut to limit tuple bits, and size ** arity is
+    # not made when the arity alone rules it out.  Filtering or sieving such
+    # a relation is refused at once (over_budget); the walk ticks its first
+    # tables, which the cut leaves as they are, until the budget runs out.
+    limit = budget.max_nodes.bit_length()
+    widths = [min(size ** arity, limit) if size == 1 or arity < limit else limit
+              for arity in sig.relations.values()]
     # what the compiled groups read: relation bitmaps, function tables,
     # constants; while relation i is evaluated in lanes, its slot holds a
     # block's lanes
     data: list = [0] * nrels
     last = nrels - 1
+
+    def over_budget(i: int) -> None:
+        # every table of relation i is about to be evaluated: when there are
+        # more than max_nodes, the one tick for them all raises
+        if widths[i] == limit:
+            nodes.tick(1 << limit)
 
     def filter_tables(i: int, checks: list, spanning: list[_Conjunct]) -> Sequence[int]:
         # relation i's bitmaps on which every check holds; fills subs[c, i],
@@ -481,6 +494,7 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
         if not checks and not mine:
             oks[i] = itertools.repeat(full)  # every lane of every block
             return range(1 << widths[i])
+        over_budget(i)
         kept: list[int] = []
         hits: list[list[int]] = [[] for _ in mine]
         blocks = oks[i] = []
@@ -504,6 +518,7 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
     def sieve(i: int, spans: list[_Conjunct]) -> None:
         # subs[c, i] for the groups at i that read earlier relations, on
         # the kept bitmaps of i, with relations 0..i-1 assigned
+        over_budget(i)
         full = _lanes(widths[i])[1]
         hits: list[list[int]] = [[] for _ in spans]
         for (first, lanes), ok in zip(_blocks(widths[i]), oks[i]):

@@ -9,8 +9,8 @@ constructs it and verify_concrete_iso checks it from scratch.  Spectra
 and the bijection both come from a census.Census, which classifies the
 models of one theory at one size, as encodings, with one relabelling sweep
 per class.  Since Iso(M, N) is a coset h Aut(M), the verifier checks
-isomorphisms class by class, off the sweeps of a representative and of its
-image (the coset criterion of VerificationReport).
+isomorphisms class by class, off the sweep that classifies each class and
+the sweep of its image (the coset criterion of VerificationReport).
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from collections.abc import Iterable, Iterator, Sequence
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from .folang import Signature, SignatureError
 from .groups import PermutationGroup, group_to_text
-from .models import FiniteModel, InternalError, Theory, enumerate_models, is_isomorphism
+from .models import (FiniteModel, InternalError, Theory, enumerate_encodings, enumerate_models,
+                     is_isomorphism)
 from .record import Record
 from .ultra import quotient_encoding, ultrafilters_on
 
-# census (Census, Relabelling) is imported where it is used, so that only
-# the commands that classify models load it
+# census (Census, Relabelling, orbits) is imported where it is used, so
+# that only the commands that classify models load it
 
 __all__ = [
     "SpectrumEntry", "Spectrum", "SpectrumWitness", "aut_spec",
@@ -272,16 +273,16 @@ class VerificationReport(Record):
     universes_ok: every b(M) lives on M's universe.
     iso_ok: for all M, N and every base bijection h, h is an isomorphism
         M -> N exactly when it is one b(M) -> b(N).  Decided by the coset
-        criterion: with each member of a class of t1 written M = p.R for its
-        representative R, an injective b passes exactly when (a) Aut(R) is
-        contained in Aut(b(R)) and (b) b(p.R) = p.b(R).  Sketch: by (b), b
-        maps R's class, n!/|Aut(R)| models, injectively into b(R)'s class,
-        n!/|Aut(b(R))| models, and by (a) that is no larger; so b maps the
-        class onto it, Aut(R) = Aut(b(R)), and distinct classes go to
-        distinct classes.  Iso(p.R, q.R) is the coset q Aut(R) p^-1, and by
-        (b) Iso(b(p.R), b(q.R)) is q Aut(b(R)) p^-1, the same coset; across
-        classes both sides are empty.  Conversely M = N = R gives (a) and
-        h = p gives (b).
+        criterion: with R any member of a class of t1, an injective b
+        passes exactly when b(p.R) = p.b(R) for every permutation p; the
+        condition does not depend on which member is R.  Sketch: p in Aut(R)
+        gives Aut(R) contained in Aut(b(R)).  b maps R's class, n!/|Aut(R)|
+        models, injectively into b(R)'s class, n!/|Aut(b(R))| models, which
+        is no larger; so b maps the class onto it, Aut(R) = Aut(b(R)), and
+        distinct classes go to distinct classes.  Iso(p.R, q.R) is the coset
+        q Aut(R) p^-1, and Iso(b(p.R), b(q.R)) is q Aut(b(R)) p^-1, the same
+        coset; across classes both sides are empty.  Conversely M = R,
+        N = p.R and h = p give the condition.
     ultra_ok: b commutes with ultraproducts over every ultrafilter on index
         sets up to the checked bound, by literal table equality of the
         canonicalized quotients.  Finite index sets only carry principal
@@ -304,53 +305,45 @@ class VerificationReport(Record):
         return self.universes_ok and self.iso_ok and self.ultra_ok
 
 
-def _iso_witness(image: dict[tuple, FiniteModel], n: int, c1: Census,
+def _iso_witness(image: dict[tuple, FiniteModel], n: int, sig: Signature,
+                 classes: Iterable[tuple[list[tuple], list[tuple], list]],
                  nodes: NodeCounter) -> tuple[FiniteModel, FiniteModel, tuple[int, ...]] | None:
     """The first (M, N, h) of size n, in full-scan order, that breaks iso_ok.
 
-    image maps each encoding of c1 to b's image of that model.  A class
-    passes (a) and (b) of the coset criterion when the sweeps of its
-    representative R and of b(R) agree at the index of every automorphism
-    of R and of every census move; the move is checked against R's sweep.
-    b is injective here, and a class that passes is mapped onto a whole
-    class of b(R)'s.  So a pair of models breaks iso_ok only when both
-    their classes fail: only those pairs are rescanned.
+    image maps the encoding of each model over sig checked so far, those of
+    size n among them, to b's image of that model; classes are the classes
+    of the size-n models as census.orbits yields them, each with the sweep
+    of its least member R.  A class passes the coset criterion when the
+    sweep of b(R) agrees with b applied to R's sweep, index by index.  b is
+    injective here, and a class that passes is mapped onto a whole class
+    of b(R)'s.  So a pair of models breaks iso_ok only when both their
+    classes fail: only those pairs are rescanned.
     """
     from .census import Relabelling
-    index = {p: i for i, p in enumerate(c1.relabelling.perms)} if c1.relabelling else {}
     relabellings: dict[Signature, Relabelling] = {}  # of size n, per image signature
     failed: set[tuple] = set()  # the members of classes that fail
-    for group, classes in c1.cells.values():
-        for members, rep in classes:
-            nodes.tick(len(members))
-            swept = c1.relabelling.images(rep)
-            brep = image[rep]
-            target = brep.encode()
-            # (a): group is Aut(rep); an image on another universe fixes nothing
-            ok = brep.size == n
-            if ok:
-                relabelling = relabellings.get(brep.sig)
-                if relabelling is None:
-                    relabelling = relabellings[brep.sig] = Relabelling(brep.sig, n)
-                bswept = relabelling.images(target)
-                ok = all(bswept[index[g]] == target for g in group)
-            for m, p in zip(members, c1.moves[rep]):
-                i = index[p]
-                if swept[i] != m:
-                    raise InternalError(f"census move {p} does not carry "
-                                        f"{FiniteModel._from_encoding(c1.sig, rep)!r} onto "
-                                        f"{FiniteModel._from_encoding(c1.sig, m)!r}")
-                if ok:  # (b), on M's universe
-                    bm = image[m]
-                    if bm.sig != brep.sig:
-                        raise SignatureError("models have different signatures")
-                    ok = bswept[i] == bm.encode()
-            if not ok:
-                failed.update(members)
+    for members, swept, _ in classes:
+        nodes.tick(len(members))
+        brep = image[members[0]]
+        ok = brep.size == n  # b(R) off R's universe fails the class
+        if ok:
+            relabelling = relabellings.get(brep.sig)
+            if relabelling is None:
+                relabelling = relabellings[brep.sig] = Relabelling(brep.sig, n)
+            for enc, target in zip(swept, relabelling.images(brep.encode())):
+                bm = image[enc]
+                if bm.sig != brep.sig:
+                    raise SignatureError("models have different signatures")
+                if bm.encode() != target:
+                    ok = False
+                    break
+        if not ok:
+            failed.update(members)
     if not failed:
         return None
     perms = list(itertools.permutations(range(n)))
-    models = [FiniteModel._from_encoding(c1.sig, enc) for enc in c1.encodings if enc in failed]
+    # sorted encodings are in encoding order
+    models = [FiniteModel._from_encoding(sig, enc) for enc in sorted(failed)]
     for m, other in itertools.product(models, repeat=2):
         nodes.tick()
         bm, bo = image[m.encode()], image[other.encode()]
@@ -433,28 +426,33 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
                         max_size: int, *, index_bound: int = 2,
                         sample_budget: int = 2000,
                         budget: WorkBudget | None = None) -> VerificationReport:
-    """Re-derive the model lists, with a Census of t1 per size that does
-    not read b, and check b against the three verdicts.
+    """Re-derive the model lists, classifying t1's models per size by
+    census.orbits without reading b, and check b against the three verdicts.
 
     Raises ValueError when b is not a total injection from Mod(t1) into
     Mod(t2) on the checked sizes.  Witnesses are the first failures in
     deterministic order; the isomorphism witness is the first that a scan
     of all model pairs and base bijections would meet.  The budget counts
-    a node per member checked and per model pair rescanned.  The
-    ultraproduct verdict draws model tuples in lexicographic order up to
-    sample_budget per (index set size, point), and its own count against
-    the budget ticks once per tuple.
+    a node per member checked and per model pair rescanned; enumeration
+    and the sweeps have counts of their own.  The ultraproduct verdict
+    draws model tuples in lexicographic order up to sample_budget per
+    (index set size, point), and its own count against the budget ticks
+    once per tuple.
     """
-    from .census import Census
+    from .census import Relabelling, orbits
     budget = budget or DEFAULT_BUDGET
     nodes = NodeCounter(budget, "verifying the bijection")
     image: dict[tuple, FiniteModel] = {}  # every checked model's encoding -> its image
     universe_witness = iso_witness = None
     for n in range(1, max_size + 1):
-        c1 = Census(t1, n, budget)
+        encodings = enumerate_encodings(t1, n, budget)
+        sweeps = NodeCounter(budget, f"relabelling models at size {n}")
+        # every class is swept before b is read, so budget and internal
+        # errors come in the order a census of t1 gives them
+        classes = list(orbits(Relabelling(t1.sig, n), encodings, sweeps)) if encodings else []
         mod2set = set(enumerate_models(t2, n, budget))
         seen: set[FiniteModel] = set()
-        for enc in c1.encodings:
+        for enc in encodings:
             m = FiniteModel._from_encoding(t1.sig, enc)
             bm = image[enc] = b.apply(m)  # raises if not total
             if bm in seen:
@@ -464,7 +462,7 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
                 raise ValueError(f"image {bm!r} is not a model of the target theory")
             if bm.size != n and universe_witness is None:
                 universe_witness = m
-        iso_witness = iso_witness or _iso_witness(image, n, c1, nodes)
+        iso_witness = iso_witness or _iso_witness(image, n, t1.sig, classes, nodes)
 
     sampled = NodeCounter(budget, "sampling ultraproduct tuples")
     ultra_witness = _ultra_witness(b, t1.sig, image, index_bound, sample_budget, budget, sampled)

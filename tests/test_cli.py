@@ -230,6 +230,24 @@ def test_a_function_factor_above_the_budget_is_refused_up_front(tmp_path, capsys
                                        "function/constant tables at size 3 (limit 1000)\n")
 
 
+def test_relation_tables_beyond_the_budget_are_refused_when_reached(tmp_path, capsys):
+    # 2**128 and 2**(2**40) tables at size 2, and an arity too large to
+    # raise 2 to: each is refused at the first relation the search reaches,
+    # with no table range made; a wide relation after one with no tables is
+    # never reached
+    widths = []
+    for arity in ("7", "40", "99999999999999999999"):
+        thy = tmp_path / f"p{len(widths)}.thy"
+        thy.write_text(f"rel P {arity}\n")
+        widths.append(run("models", "--theory", str(thy), "--size", "2", "--count-only"))
+    assert widths == [(2, "")] * 3
+    assert capsys.readouterr().err == \
+        "defeq: work budget exceeded while enumerating models at size 2 (limit 5000000)\n" * 3
+    thy = tmp_path / "unreached.thy"
+    thy.write_text("rel A 1\nrel Z 99999999999999999999\naxiom A x. !A(x)\naxiom E x. A(x)\n")
+    assert run("models", "--theory", str(thy), "--size", "2", "--count-only") == (0, "0\n")
+
+
 def test_every_search_command_takes_one_budget_flag(capsys):
     for command in ("models", "aut", "spec", "spec-compare", "build-iso", "ultra", "beth",
                     "idc", "subclosure"):

@@ -24,20 +24,44 @@ def module_level_private_names(tree: ast.Module) -> set[str]:
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
+def class_level_private_names(tree: ast.Module) -> set[str]:
+    """Methods and __slots__ entries of the module's classes that start
+    with one underscore."""
+    names = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+                names.update(c.value for c in ast.walk(node.value)
+                             if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
 def test_every_module_level_private_name_is_read():
     # a private name is for the package alone, so one that the package
-    # never reads is dead code
+    # never reads is dead code: at module level, or a method or a slot of
+    # a class, which must be read as an attribute, not only assigned
     defined: dict[str, str] = {}
+    members: dict[str, str] = {}
     read: set[str] = set()
+    loaded: set[str] = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         defined.update(dict.fromkeys(module_level_private_names(tree), path.name))
+        members.update(dict.fromkeys(class_level_private_names(tree), path.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
     assert sorted(f"{defined[n]}: {n}" for n in set(defined) - read) == []
+    assert sorted(f"{members[n]}: {n}" for n in set(members) - loaded) == []
 
 
 # Modules that cost a command more to import than its own work takes at
