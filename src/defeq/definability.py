@@ -18,7 +18,7 @@ from . import folang
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from .folang import (App, Const, Exists, Forall, Formula, Iff, Not, Rel, Signature,
                      SignatureError, Var)
-from .models import FiniteModel, InternalError, Theory, enumerate_models, is_model, substructure
+from .models import FiniteModel, InternalError, Theory, _rank, _tuples, enumerate_models
 from .record import Record
 
 __all__ = [
@@ -190,7 +190,7 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
         ms = enumerate_models(t, n, budget)
         if _shared_reduct(ms, visible) is not None:
             return None
-        sizes.append(_Points(ms, n, at, arity))
+        sizes.append(_Points(ms, n))
     levels = folang.FormulaLevels(base_sig, variables, formula_bound)
     # (truth at a point that refuted a candidate, target value there)
     refuters: list[tuple[LevelTruth, bool]] = []
@@ -209,7 +209,7 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
                 i = (alive & -alive).bit_length() - 1
                 nodes.tick(start + i + 1 - nodes.count)
                 phi = levels.unrank(key, start - first + i)
-                refuted = _first_refutation(sizes, base_sig, phi, variables)
+                refuted = _first_refutation(sizes, t.sig, at, phi, variables)
                 if refuted is None:
                     # the stream's bound variables avoid base_sig only; renamed
                     # in order onto names that avoid target too, phi becomes the
@@ -229,27 +229,22 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
 
 
 class _Points:
-    """The points (model, argument tuple) of one size, in model lanes.
+    """The models of one size, in model lanes.
 
-    models are the models of t of size size in enumeration order, and
-    args the argument tuples in rank order; a plain scan meets the points
-    model by model, then tuple by tuple.  Models that share their function
-    tables and constants form a batch (positions, data, target): the
-    positions of its models in models, in increasing order, the slots that
-    folang.compile_lanes reads with every relation but the target as a
-    lane relation, lane b being the model at positions[b], and per
-    argument rank j the lane mask of the models where the target holds the
-    j-th tuple.
+    models are the models of t of size size in enumeration order.  Models
+    sharing their function tables and constants form a batch (positions,
+    data): their positions in models, increasing, and the slots that
+    folang.compile_lanes reads with every relation a lane relation, lane b
+    being the model at positions[b].
     """
 
-    __slots__ = ("size", "models", "args", "batches")
+    __slots__ = ("size", "models", "batches")
 
-    def __init__(self, models: list[FiniteModel], size: int, target_at: int, arity: int):
+    def __init__(self, models: list[FiniteModel], size: int):
         from .truth import _transpose
 
         self.size = n = size
         self.models = models
-        self.args = list(itertools.product(range(n), repeat=arity))
         groups: dict[tuple, list[int]] = {}
         for pos, m in enumerate(models):
             _, _, tables, consts = m.encode()
@@ -259,42 +254,52 @@ class _Points:
             bitmaps = [models[pos].encode()[1] for pos in positions]
             rels = [_transpose([b[r] for b in bitmaps], n ** a)
                     for r, a in enumerate(models[0].sig.relations.values())]
-            target = rels.pop(target_at)
-            self.batches.append((positions, [*rels, *tables, *consts], target))
+            self.batches.append((positions, [*rels, *tables, *consts]))
+
+    def first_miss(self, misses: Callable[[int, list], list[int]]) -> tuple[int, int] | None:
+        """(position, j) of the first miss in the order of a plain scan,
+        model by model, then j by j; None if there is none.  misses(full,
+        data) gives, for a batch with lane mask full, per index j the lanes
+        of the batch's models that miss at j.
+        """
+        first = None
+        for positions, data in self.batches:
+            per_j = misses((1 << len(positions)) - 1, data)
+            anywhere = functools.reduce(int.__or__, per_j, 0)
+            if anywhere:
+                b = (anywhere & -anywhere).bit_length() - 1
+                if first is None or positions[b] < first[0]:
+                    first = positions[b], next(j for j, miss in enumerate(per_j) if miss >> b & 1)
+        return first
 
 
-def _first_refutation(sizes: list[_Points], base_sig: Signature, phi: Formula,
+def _first_refutation(sizes: list[_Points], sig: Signature, target_at: int, phi: Formula,
                       variables: tuple[str, ...],
                       ) -> tuple[FiniteModel, tuple[int, ...], bool] | None:
     """(model, argument tuple, target value) of the first point, in the
-    order of a plain scan, where phi disagrees with the target; None if
-    there is none.
+    order of a plain scan, where phi disagrees with the target, relation
+    target_at of sig; None if there is none.
 
     phi is evaluated once per batch and argument tuple, on all the
     batch's models at once; its lanes XOR the target's give the models
-    it fails on at that tuple.  The lowest model of the batches' failures
-    over all tuples, then the first tuple failing there, is the point.
+    it fails on at that tuple.
     """
-    lanes = tuple(base_sig.relations)
+    lanes = tuple(sig.relations)
     for points in sizes:
+        args = _tuples(points.size, len(variables))
         compiled: dict[int, Callable] = {}  # per batch width
-        first = None
-        for positions, data, target in points.batches:
-            full = (1 << len(positions)) - 1
+
+        def misses(full: int, data: list) -> list[int]:
             run = compiled.get(full)
             if run is None:
                 run = compiled[full] = folang.compile_lanes(
-                    base_sig, phi, points.size, full, lanes, variables)
-            misses = [run(data, args) ^ want for args, want in zip(points.args, target)]
-            anywhere = functools.reduce(int.__or__, misses)
-            if anywhere:
-                b = (anywhere & -anywhere).bit_length() - 1
-                j = next(j for j, miss in enumerate(misses) if miss >> b & 1)
-                if first is None or positions[b] < first[0]:
-                    first = positions[b], j, target[j] >> b & 1 == 1
-        if first is not None:
-            pos, j, holds = first
-            return points.models[pos], points.args[j], holds
+                    sig, phi, points.size, full, lanes, variables)
+            return [run(data, a) ^ want for a, want in zip(args, data[target_at])]
+        miss = points.first_miss(misses)
+        if miss is not None:
+            pos, j = miss
+            m = points.models[pos]
+            return m, args[j], m.encode()[1][target_at] >> j & 1 == 1
     return None
 
 
@@ -328,20 +333,39 @@ def substructure_closure_check(t: Theory, max_size: int,
     in order of cardinality then lexicographically.  Subsets that miss a
     constant or are not closed under a function are not substructures and
     are skipped.  None means t held in every induced substructure seen.
-    The budget counts one node per subset tried, over all sizes, apart from
-    the nodes each size's enumeration counts.
+    No substructure is built: it satisfies an axiom exactly when its model
+    does with the quantifiers over the subset, so each axiom is evaluated
+    once per batch of _Points and subset, on all the batch's models at once.
+    The budget counts one node per subset tried over all sizes, ticked a
+    size at a time, apart from the nodes each size's enumeration counts.
     """
     budget = budget or DEFAULT_BUDGET
     nodes = NodeCounter(budget, "checking induced substructures")
+    sig, at = t.sig, len(t.sig.relations)
     for n in range(1, max_size + 1):
-        for m in enumerate_models(t, n, budget):
-            for r in range(1, n + 1):
-                for subset in itertools.combinations(range(n), r):
-                    nodes.tick()
-                    try:
-                        sub, _ = substructure(m, subset)
-                    except ValueError:
-                        continue
-                    if not is_model(sub, t):
-                        return m, subset
+        points = _Points(enumerate_models(t, n, budget), n)
+        subsets = [s for r in range(1, n + 1) for s in itertools.combinations(range(n), r)]
+        compiled: dict[tuple, list[Callable]] = {}  # per batch width and subset
+
+        def escapes(full: int, data: list) -> list[int]:
+            tables = list(zip(data[at:], sig.functions.values()))
+            consts, out = data[at + len(tables):], []
+            for s in subsets:
+                ok = full
+                images = (table[_rank(args, n)] for table, a in tables
+                          for args in itertools.product(s, repeat=a))
+                if set(s).issuperset(itertools.chain(consts, images)):
+                    if (full, s) not in compiled:
+                        compiled[full, s] = [folang.compile_lanes(
+                            sig, ax, n, full, sig.relations, domain=s) for ax in t.axioms]
+                    for run in compiled[full, s]:
+                        ok &= run(data)
+                out.append(full ^ ok)
+            return out
+        miss = points.first_miss(escapes)
+        if miss is not None:
+            pos, k = miss
+            nodes.tick(pos * len(subsets) + k + 1)
+            return points.models[pos], subsets[k]
+        nodes.tick(len(points.models) * len(subsets))
     return None

@@ -648,7 +648,8 @@ def eval_formula(m, f: Formula, assignment: Mapping[str, int] | None = None) -> 
 
 
 def compile_lanes(sig: Signature, f: Formula, size: int, full: int,
-                  lanes: Collection[str] = (), free: Sequence[str] = ()) -> Callable:
+                  lanes: Collection[str] = (), free: Sequence[str] = (),
+                  domain: Sequence[int] | None = None) -> Callable:
     """f, for models of sig on {0..size-1}, on many models at once.
 
     The result takes one sequence: relation bitmaps, function tables and
@@ -671,6 +672,10 @@ def compile_lanes(sig: Signature, f: Formula, size: int, full: int,
     slots live in one list shared by the closures, so a compiled formula
     must not be evaluated by two threads at once.  eval_formula is the
     reference.
+
+    Quantifiers range over domain, range(size) by default; over a subset
+    closed under the functions and holding the constants, that is the
+    truth of f in the substructures on it (relativisation).
     """
     fun_at = {name: len(sig.relations) + i for i, name in enumerate(sig.functions)}
     const_at = {name: len(sig.relations) + len(fun_at) + i for i, name in enumerate(sig.constants)}
@@ -678,7 +683,7 @@ def compile_lanes(sig: Signature, f: Formula, size: int, full: int,
         raise TypeError("lanes takes a collection of relation names, not one name")
     lanes = frozenset(lanes)
     slots = [0] * len(free)
-    domain = range(size)
+    domain = range(size) if domain is None else domain
 
     def term(t: Term, scope: Mapping[str, int]) -> Callable[[Sequence], int]:
         if isinstance(t, Var):

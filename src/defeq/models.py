@@ -25,7 +25,7 @@ __all__ = [
     "FiniteModel", "Theory", "is_model", "enumerate_models", "enumerate_encodings",
     "count_models",
     "find_isomorphisms", "is_isomorphism", "canonical_key",
-    "substructure", "apply_permutation", "InternalError",
+    "apply_permutation", "InternalError",
 ]
 
 
@@ -456,22 +456,23 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
         raise ValueError("universe must be nonempty")
     budget = budget or DEFAULT_BUDGET
     sig = t.sig
-    fun_space = prod(size ** (size ** a) for a in sig.functions.values()) \
+    # 2**limit tables outnumber max_nodes, so the search never visits them
+    # all: a function of limit entries is refused before its table count is
+    # made, a wider relation is cut to limit tuple bits and refused once
+    # filtered, sieved or counted whole (over_budget), and size ** arity is
+    # not made when the arity alone rules it out.  The walk ticks a cut
+    # relation's first tables, left as they are, until the budget runs out.
+    limit = budget.max_nodes.bit_length()
+    wide = size > 1 and any(a >= limit or size ** a >= limit for a in sig.functions.values())
+    fun_space = 0 if wide else prod(size ** (size ** a) for a in sig.functions.values()) \
         * size ** len(sig.constants)
-    if fun_space > budget.max_nodes:
-        raise BudgetExceededError(
-            f"enumerating {fun_space} function/constant tables at size {size}",
-            budget.max_nodes)
+    if wide or fun_space > budget.max_nodes:
+        raise BudgetExceededError(f"enumerating {fun_space or 'too many'} function/constant "
+                                  f"tables at size {size}", budget.max_nodes)
     nodes = NodeCounter(budget, f"enumerating models at size {size}")
     conjuncts = [_Conjunct(sig, c, size) for ax in t.axioms for c in _split(ax, And)]
 
     nrels = len(sig.relations)
-    # 2**limit tables outnumber max_nodes, so the search never visits them
-    # all: a wider relation is cut to limit tuple bits, and size ** arity is
-    # not made when the arity alone rules it out.  Filtering or sieving such
-    # a relation is refused at once (over_budget); the walk ticks its first
-    # tables, which the cut leaves as they are, until the budget runs out.
-    limit = budget.max_nodes.bit_length()
     widths = [min(size ** arity, limit) if size == 1 or arity < limit else limit
               for arity in sig.relations.values()]
     # what the compiled groups read: relation bitmaps, function tables,
@@ -546,6 +547,7 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
                        if all(b in subs[c, i][1] for c in forced[1:])]
         if i == last:
             # every pending conjunct is forced here, so each choice is a model
+            over_budget(i)
             nodes.tick(len(choices))
             yield len(choices), zip(*map(itertools.repeat, data[:i]), choices), \
                 fun_part, const_part
@@ -701,37 +703,3 @@ def canonical_key(m: FiniteModel) -> bytes:
     """
     return min(apply_permutation(m, perm).encode_bytes()
                for perm in itertools.permutations(range(m.size)))
-
-
-def substructure(m: FiniteModel, subset: Iterable[int]) -> tuple[FiniteModel, dict[int, int]]:
-    """Induced substructure on subset, relabeled order-preservingly to 0..k-1.
-
-    subset must be nonempty, contain every constant, and be closed under
-    every function; otherwise ValueError.  Returns the substructure and the
-    old-element -> new-element map.
-    """
-    elems = sorted(set(subset))
-    if not elems:
-        raise ValueError("subset must be nonempty")
-    if not all(0 <= e < m.size for e in elems):
-        raise ValueError("subset not within the universe")
-    inside = set(elems)
-    for name, value in m.consts.items():
-        if value not in inside:
-            raise ValueError(f"subset misses constant {name!r}")
-    for name, arity in m.sig.functions.items():
-        for args in itertools.product(elems, repeat=arity):
-            if m.fun_value(name, args) not in inside:
-                raise ValueError(f"subset not closed under function {name!r}")
-    relabel = {e: i for i, e in enumerate(elems)}
-    size, bitmaps, tables, consts = m.encode()
-    # tuples over elems in lexicographic order are the substructure's in rank order
-    rel_part = tuple(
-        sum(1 << j for j, args in enumerate(itertools.product(elems, repeat=arity))
-            if bits >> _rank(args, size) & 1)
-        for bits, arity in zip(bitmaps, m.sig.relations.values()))
-    fun_part = tuple(
-        tuple(relabel[table[_rank(args, size)]] for args in itertools.product(elems, repeat=arity))
-        for table, arity in zip(tables, m.sig.functions.values()))
-    const_part = tuple(relabel[value] for value in consts)
-    return FiniteModel._from_encoding(m.sig, (len(elems), rel_part, fun_part, const_part)), relabel

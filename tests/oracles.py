@@ -15,12 +15,13 @@ from defeq.folang import (
     And, App, Const, Eq, Exists, Forall, Formula, Iff, Implies, Not, Or, Rel, Signature, Term,
     FormulaSyntaxError, Var, _fresh_names, eval_formula,
 )
-from defeq.budget import DEFAULT_BUDGET, NodeCounter
+from defeq.budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from defeq.definability import _argument_variables
 from defeq.groups import (PermutationGroup, automorphism_group, canonical_form, compose,
                           form_key, group_to_text, invert)
-from defeq.models import (_LANE_BITS, FiniteModel, _ones, _tuples, apply_permutation,
-                          canonical_key, enumerate_models, find_isomorphisms)
+from defeq.models import (_LANE_BITS, FiniteModel, Theory, _ones, _rank, _tuples,
+                          apply_permutation, canonical_key, enumerate_models, find_isomorphisms,
+                          is_model)
 from defeq.ultra import Ultrafilter, los_check, ultrafilters_on, ultraproduct
 
 
@@ -61,6 +62,59 @@ def reduct_expansion_check(t, hidden, max_size):
             first = seen.setdefault(reduct(m, keep).encode_bytes(), m)
             if first is not m:
                 return first, m
+    return None
+
+
+def substructure(m: FiniteModel, subset) -> tuple[FiniteModel, dict[int, int]]:
+    """Induced substructure on subset, relabeled order-preservingly to 0..k-1.
+
+    subset must be nonempty, contain every constant, and be closed under
+    every function; otherwise ValueError.  Returns the substructure and the
+    old-element -> new-element map.
+    """
+    elems = sorted(set(subset))
+    if not elems:
+        raise ValueError("subset must be nonempty")
+    if not all(0 <= e < m.size for e in elems):
+        raise ValueError("subset not within the universe")
+    inside = set(elems)
+    for name, value in m.consts.items():
+        if value not in inside:
+            raise ValueError(f"subset misses constant {name!r}")
+    for name, arity in m.sig.functions.items():
+        for args in itertools.product(elems, repeat=arity):
+            if m.fun_value(name, args) not in inside:
+                raise ValueError(f"subset not closed under function {name!r}")
+    relabel = {e: i for i, e in enumerate(elems)}
+    size, bitmaps, tables, consts = m.encode()
+    # tuples over elems in lexicographic order are the substructure's in rank order
+    rel_part = tuple(
+        sum(1 << j for j, args in enumerate(itertools.product(elems, repeat=arity))
+            if bits >> _rank(args, size) & 1)
+        for bits, arity in zip(bitmaps, m.sig.relations.values()))
+    fun_part = tuple(
+        tuple(relabel[table[_rank(args, size)]] for args in itertools.product(elems, repeat=arity))
+        for table, arity in zip(tables, m.sig.functions.values()))
+    const_part = tuple(relabel[value] for value in consts)
+    return FiniteModel._from_encoding(m.sig, (len(elems), rel_part, fun_part, const_part)), relabel
+
+
+def substructure_scan(t: Theory, max_size: int, budget: WorkBudget = DEFAULT_BUDGET):
+    """substructure_closure_check by the definition: every (model, subset)
+    in scan order, one node each, the substructure built and checked with
+    is_model."""
+    nodes = NodeCounter(budget, "checking induced substructures")
+    for n in range(1, max_size + 1):
+        for m in enumerate_models(t, n, budget):
+            for r in range(1, n + 1):
+                for subset in itertools.combinations(range(n), r):
+                    nodes.tick()
+                    try:
+                        sub, _ = substructure(m, subset)
+                    except ValueError:
+                        continue
+                    if not is_model(sub, t):
+                        return m, subset
     return None
 
 

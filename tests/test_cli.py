@@ -228,6 +228,14 @@ def test_a_function_factor_above_the_budget_is_refused_up_front(tmp_path, capsys
     assert run(*models, "--max-nodes", "1000") == (2, "")
     assert capsys.readouterr().err == ("defeq: work budget exceeded while enumerating 19683 "
                                        "function/constant tables at size 3 (limit 1000)\n")
+    # 2**(2**40) tables, and an arity too large to raise 2 to: refused
+    # before the table count is made
+    for arity in ("40", "99999999999999999999"):
+        thy.write_text(f"fun f {arity}\n")
+        assert run("models", "--theory", str(thy), "--size", "2", "--count-only") == (2, "")
+        assert capsys.readouterr().err == ("defeq: work budget exceeded while enumerating too "
+                                           "many function/constant tables at size 2 "
+                                           "(limit 5000000)\n")
 
 
 def test_relation_tables_beyond_the_budget_are_refused_when_reached(tmp_path, capsys):
@@ -243,6 +251,12 @@ def test_relation_tables_beyond_the_budget_are_refused_when_reached(tmp_path, ca
     assert widths == [(2, "")] * 3
     assert capsys.readouterr().err == \
         "defeq: work budget exceeded while enumerating models at size 2 (limit 5000000)\n" * 3
+    # from 2**62 up, the budget's width-limit table range is too long for len
+    for limit in ("9223372036854775807", "100000000000000000000"):
+        assert run("models", "--theory", str(tmp_path / "p0.thy"), "--size", "2",
+                   "--count-only", "--max-nodes", limit) == (2, "")
+        assert capsys.readouterr().err == \
+            f"defeq: work budget exceeded while enumerating models at size 2 (limit {limit})\n"
     thy = tmp_path / "unreached.thy"
     thy.write_text("rel A 1\nrel Z 99999999999999999999\naxiom A x. !A(x)\naxiom E x. A(x)\n")
     assert run("models", "--theory", str(thy), "--size", "2", "--count-only") == (0, "0\n")

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
 from oracles import (first_refuting_point, random_formula, reduct, reduct_expansion_check,
-                     scan_points)
+                     scan_points, substructure_scan)
 
 from defeq import definability, folang
 from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
@@ -291,13 +291,12 @@ def test_beth_search_tries_earlier_counterexamples_first(monkeypatch):
 
 
 def _target_and_base(t, rng):
-    """A random relation of t, its arity, argument variables and index, and
-    t's signature without it."""
+    """A random relation of t, its argument variables and index, and t's
+    signature without it."""
     target = rng.choice(sorted(t.sig.relations))
-    arity = t.sig.relations[target]
     base_sig = t.sig.restrict([s for s in (*t.sig.relations, *t.sig.functions,
                                            *t.sig.constants) if s != target])
-    return (target, arity, definability._argument_variables(t.sig, arity),
+    return (target, definability._argument_variables(t.sig, t.sig.relations[target]),
             list(t.sig.relations).index(target), base_sig)
 
 
@@ -310,14 +309,13 @@ def test_lane_scan_finds_the_first_refuting_point(seed, size, depth):
     rng = random.Random(seed)
     t, candidates = random_theory(rng, size)
     assume(candidates <= 4096)
-    target, arity, variables, at, base_sig = _target_and_base(t, rng)
-    sizes = [definability._Points(enumerate_models(t, n), n, at, arity)
-             for n in range(1, size + 1)]
+    target, variables, at, base_sig = _target_and_base(t, rng)
+    sizes = [definability._Points(enumerate_models(t, n), n) for n in range(1, size + 1)]
     points = scan_points(t, target, size)
     for _ in range(8):
         phi = random_formula(base_sig, rng, depth, free=variables)
         want = first_refuting_point(points, phi)
-        got = definability._first_refutation(sizes, base_sig, phi, variables)
+        got = definability._first_refutation(sizes, t.sig, at, phi, variables)
         if want is None:
             assert got is None, formula_to_text(phi)
         else:
@@ -332,9 +330,9 @@ def test_lane_scan_takes_the_earliest_model_over_all_batches():
     # the identity's batch, before its own batch's first failure
     sig = Signature({"P": 1, "Q": 1}, {"f": 1}, [])
     t = Theory(sig, [], name="free")
-    sizes = [definability._Points(enumerate_models(t, 2), 2, 1, 1)]
+    sizes = [definability._Points(enumerate_models(t, 2), 2)]
     phi = parse_formula(sig, "A v0. f(v0)=v0")
-    m, args, holds = definability._first_refutation(sizes, sig.restrict(["P", "f"]), phi, ("x1",))
+    m, args, holds = definability._first_refutation(sizes, sig, 1, phi, ("x1",))
     assert (m.funs["f"], m.tuples("P"), m.tuples("Q"), args, holds) == ((0, 1), [], [], (0,), False)
     points = [point for point in scan_points(t, "Q", 2) if point[0].size == 2]
     assert first_refuting_point(points, phi)[0] == m
@@ -359,7 +357,7 @@ def test_beth_search_matches_the_point_scan(seed, size, bound, defined):
         target = _target_and_base(t, rng)[0]
     points = scan_points(t, target, size)
 
-    def per_point(sizes, base_sig, phi, variables):
+    def per_point(sizes, sig, target_at, phi, variables):
         refuted = first_refuting_point(points, phi)
         return refuted and (refuted[0], tuple(map(refuted[1].get, variables)), refuted[2])
 
@@ -402,3 +400,35 @@ def test_marked_point_extension_is_not_closed_with_frozen_witness(subst):
     m, subset = witness
     assert m.size == 2 and subset == (0,)
     assert m.consts["c"] == 0 and m.rels["R"] == frozenset({(0,)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from([None, 1, 5, 40]))
+def test_substructure_closure_matches_the_substructure_scan(seed, size, max_nodes):
+    # random theories, with a unary function or a constant two times in
+    # three, so some subsets are not substructures and models fall into
+    # several batches: the same witness, or the same budget exit, as the
+    # scan that builds every substructure
+    rng = random.Random(seed)
+    t, candidates = random_theory(rng, size)
+    assume(candidates <= 4096)
+    budget = WorkBudget(max_nodes) if max_nodes else WorkBudget()
+    outcomes = []
+    for check in (substructure_closure_check, substructure_scan):
+        try:
+            outcomes.append(check(t, size, budget))
+        except BudgetExceededError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_substructure_closure_never_evaluates_point_by_point(monkeypatch, subst):
+    def refused(*args):
+        raise AssertionError("substructure_closure_check evaluated a formula point by point")
+
+    monkeypatch.setattr(folang, "eval_formula", refused)
+    witness = substructure_closure_check(subst, 3)
+    assert witness is not None and witness[1] == (0,)
+    sig = Signature({"E": 2}, {"f": 1}, ["c"])
+    t = Theory(sig, [parse_formula(sig, "A x. E(x,f(x)) -> E(c,x)")], name="closed")
+    assert substructure_closure_check(t, 3) is None

@@ -6,7 +6,7 @@ import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import random_formula, tokenize_by_match
+from oracles import random_formula, substructure, tokenize_by_match
 
 from defeq import folang
 from defeq.folang import (
@@ -348,6 +348,24 @@ def test_compiled_formula_matches_eval_formula(seed, depth, size):
     for _ in range(5):
         m = random_model(size, rng)
         assert ev(flat_tables(m)) == int(eval_formula(m, f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 4))
+def test_compiled_formula_over_a_domain_is_its_truth_in_the_substructure(seed, depth, size):
+    # quantifiers over a subset S closed under s and holding c: the truth
+    # in the substructure on S (relativisation)
+    rng = random.Random(seed)
+    f = random_formula(SIG, rng, depth)
+    for _ in range(5):
+        m = random_model(size, rng)
+        inside = {m.consts["c"], *rng.sample(range(size), rng.randint(0, size - 1))}
+        while not inside.issuperset(m.funs["s"][e] for e in inside):
+            inside.update(m.funs["s"][e] for e in list(inside))
+        domain = tuple(sorted(inside))
+        sub, _ = substructure(m, domain)
+        ev = compile_lanes(SIG, f, size, 1, domain=domain)
+        assert ev(flat_tables(m)) == int(eval_formula(sub, f)), (formula_to_text(f), m, domain)
 
 
 # ------------------------------------------------------------

@@ -6,14 +6,14 @@ import random
 import pytest
 from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
-from oracles import lanes_by_division, random_formula, random_model, reduct
+from oracles import lanes_by_division, random_formula, random_model, reduct, substructure
 
 from defeq import models
 from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
 from defeq.folang import Signature, compile_lanes, eval_formula, parse_formula
 from defeq.models import (
     FiniteModel, Theory, _blocks, _lanes, apply_permutation, canonical_key, count_models,
-    enumerate_models, find_isomorphisms, is_isomorphism, is_model, substructure,
+    enumerate_models, find_isomorphisms, is_isomorphism, is_model,
 )
 
 SIG_ER = Signature({"E": 2, "R": 2}, {}, [])
