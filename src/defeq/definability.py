@@ -18,7 +18,8 @@ from . import folang
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from .folang import (App, Const, Exists, Forall, Formula, Iff, Not, Rel, Signature,
                      SignatureError, Var)
-from .models import FiniteModel, InternalError, Theory, _rank, _tuples, enumerate_models
+from .models import (FiniteModel, InternalError, Theory, _columns, _definer, _rank, _tuples,
+                     enumerate_encodings)
 from .record import Record
 
 __all__ = [
@@ -91,14 +92,16 @@ def extend_theory(t: Theory, defs: DefinitionSet) -> Theory:
 
 
 def expand_model(m: FiniteModel, defs: DefinitionSet) -> FiniteModel:
-    """The unique expansion of m interpreting each defined relation by its formula."""
+    """The unique expansion of m interpreting each defined relation by its
+    formula, computed as model enumeration computes a defined relation."""
     new_sig = _extended_signature(m.sig, defs)
-    rels = {name: m.tuples(name) for name in m.sig.relations}
+    size, bitmaps, tables, consts = m.encode()
+    data = [*bitmaps, *tables, *consts]
+    rels = dict(zip(m.sig.relations, bitmaps))
     for name, d in defs.items():
-        rels[name] = frozenset(
-            args for args in itertools.product(range(m.size), repeat=d.arity)
-            if folang.eval_formula(m, d.formula, dict(zip(d.variables, args))))
-    return FiniteModel(new_sig, m.size, rels, m.funs, m.consts)
+        rels[name] = _columns(_definer(m.sig, d.variables, d.formula, size)(data), 1)[0]
+    return FiniteModel._from_encoding(
+        new_sig, (size, tuple(map(rels.__getitem__, new_sig.relations)), tables, consts))
 
 
 def _visible(t: Theory, hidden: Iterable[str]) -> list[int]:
@@ -110,20 +113,20 @@ def _visible(t: Theory, hidden: Iterable[str]) -> list[int]:
     return [i for i, name in enumerate(t.sig.relations) if name not in hidden]
 
 
-def _shared_reduct(models: Iterable[FiniteModel], visible: list[int],
-                   ) -> tuple[FiniteModel, FiniteModel] | None:
-    """The first two models, in the given order, whose reducts to the visible
-    relations, every function and every constant agree.
+def _shared_reduct(encs: Iterable[tuple], visible: list[int]) -> tuple[tuple, tuple] | None:
+    """The encodings of the first two models, in the given order, whose
+    reducts to the visible relations, every function and every constant
+    agree.
 
     The models share a signature and a size, so each is keyed on its
     encoding with the hidden relations' bitmaps left out.
     """
-    seen: dict[tuple, FiniteModel] = {}
-    for m in models:
-        _, bitmaps, tables, consts = m.encode()
-        first = seen.setdefault((tables, consts, *[bitmaps[i] for i in visible]), m)
-        if first is not m:
-            return first, m
+    seen: dict[tuple, tuple] = {}
+    for enc in encs:
+        _, bitmaps, tables, consts = enc
+        first = seen.setdefault((tables, consts, *[bitmaps[i] for i in visible]), enc)
+        if first is not enc:
+            return first, enc
     return None
 
 
@@ -138,9 +141,11 @@ def unique_expansion_check(t: Theory, hidden: Iterable[str], max_size: int,
     witness.
     """
     visible = _visible(t, hidden)
-    witnesses = (_shared_reduct(enumerate_models(t, n, budget), visible)
-                 for n in range(1, max_size + 1))
-    return next((w for w in witnesses if w is not None), None)
+    for n in range(1, max_size + 1):
+        pair = _shared_reduct(enumerate_encodings(t, n, budget), visible)
+        if pair is not None:
+            return FiniteModel._from_encoding(t.sig, pair[0]), FiniteModel._from_encoding(t.sig, pair[1])
+    return None
 
 
 def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
@@ -187,10 +192,10 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
     at = list(t.sig.relations).index(target)
     sizes = []
     for n in range(1, max_size + 1):
-        ms = enumerate_models(t, n, budget)
-        if _shared_reduct(ms, visible) is not None:
+        encs = enumerate_encodings(t, n, budget)
+        if _shared_reduct(encs, visible) is not None:
             return None
-        sizes.append(_Points(ms, n))
+        sizes.append(_Points(t.sig, encs, n))
     levels = folang.FormulaLevels(base_sig, variables, formula_bound)
     # (truth at a point that refuted a candidate, target value there)
     refuters: list[tuple[LevelTruth, bool]] = []
@@ -201,9 +206,14 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
         for k, section in enumerate(levels.sections(key)):
             width = levels.section_count(section)
             full = alive = (1 << width) - 1
-            for truth, holds in refuters:
+            for r, (truth, holds) in enumerate(refuters):
                 bits = truth.section(key, k)[0]
                 alive &= bits if holds else full ^ bits
+                if not alive:
+                    # the AND is order-free: the refuter that emptied this
+                    # section goes first from now on, and the rest are not read
+                    refuters.insert(0, refuters.pop(r))
+                    break
             start = nodes.count
             while alive:
                 i = (alive & -alive).bit_length() - 1
@@ -231,29 +241,28 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
 class _Points:
     """The models of one size, in model lanes.
 
-    models are the models of t of size size in enumeration order.  Models
-    sharing their function tables and constants form a batch (positions,
-    data): their positions in models, increasing, and the slots that
-    folang.compile_lanes reads with every relation a lane relation, lane b
-    being the model at positions[b].
+    encs are the encodings of the models of t of size size in enumeration
+    order, on t's signature sig.  Models sharing their function tables and
+    constants form a batch (positions, data): their positions in encs,
+    increasing, and the slots that folang.compile_lanes reads with every
+    relation a lane relation, lane b being the model at positions[b].
     """
 
-    __slots__ = ("size", "models", "batches")
+    __slots__ = ("size", "encs", "batches")
 
-    def __init__(self, models: list[FiniteModel], size: int):
+    def __init__(self, sig: Signature, encs: list[tuple], size: int):
         from .truth import _transpose
 
         self.size = n = size
-        self.models = models
+        self.encs = encs
         groups: dict[tuple, list[int]] = {}
-        for pos, m in enumerate(models):
-            _, _, tables, consts = m.encode()
+        for pos, (_, _, tables, consts) in enumerate(encs):
             groups.setdefault((tables, consts), []).append(pos)
         self.batches = []
         for (tables, consts), positions in groups.items():
-            bitmaps = [models[pos].encode()[1] for pos in positions]
+            bitmaps = [encs[pos][1] for pos in positions]
             rels = [_transpose([b[r] for b in bitmaps], n ** a)
-                    for r, a in enumerate(models[0].sig.relations.values())]
+                    for r, a in enumerate(sig.relations.values())]
             self.batches.append((positions, [*rels, *tables, *consts]))
 
     def first_miss(self, misses: Callable[[int, list], list[int]]) -> tuple[int, int] | None:
@@ -298,8 +307,8 @@ def _first_refutation(sizes: list[_Points], sig: Signature, target_at: int, phi:
         miss = points.first_miss(misses)
         if miss is not None:
             pos, j = miss
-            m = points.models[pos]
-            return m, args[j], m.encode()[1][target_at] >> j & 1 == 1
+            enc = points.encs[pos]
+            return FiniteModel._from_encoding(sig, enc), args[j], enc[1][target_at] >> j & 1 == 1
     return None
 
 
@@ -343,7 +352,7 @@ def substructure_closure_check(t: Theory, max_size: int,
     nodes = NodeCounter(budget, "checking induced substructures")
     sig, at = t.sig, len(t.sig.relations)
     for n in range(1, max_size + 1):
-        points = _Points(enumerate_models(t, n, budget), n)
+        points = _Points(sig, enumerate_encodings(t, n, budget), n)
         subsets = [s for r in range(1, n + 1) for s in itertools.combinations(range(n), r)]
         compiled: dict[tuple, list[Callable]] = {}  # per batch width and subset
 
@@ -366,6 +375,6 @@ def substructure_closure_check(t: Theory, max_size: int,
         if miss is not None:
             pos, k = miss
             nodes.tick(pos * len(subsets) + k + 1)
-            return points.models[pos], subsets[k]
-        nodes.tick(len(points.models) * len(subsets))
+            return FiniteModel._from_encoding(sig, points.encs[pos]), subsets[k]
+        nodes.tick(len(points.encs) * len(subsets))
     return None

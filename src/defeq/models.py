@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce
 from math import prod
 from types import MappingProxyType
 
 from . import folang
 from .budget import DEFAULT_BUDGET, BudgetExceededError, NodeCounter, WorkBudget
-from .folang import And, Formula, Or, Signature, SignatureError
+from .folang import And, Forall, Formula, Iff, Or, Rel, Signature, SignatureError, Var
 
 __all__ = [
     "FiniteModel", "Theory", "is_model", "enumerate_models", "enumerate_encodings",
@@ -107,6 +107,12 @@ class _ByteTable(dict):
         return out
 
 
+# The most elements, and argument tuples of one relation, that a model
+# built from its tables may have: a wider bitmap is refused before it is
+# made (an int of 2**20 bits is 128 KB).
+_MAX_TABLE = 1 << 20
+
+
 class FiniteModel:
     """A finite structure: tables for every symbol of its signature.
 
@@ -114,7 +120,8 @@ class FiniteModel:
     are read-only views of it, built on first use: rels maps relation name
     to a frozenset of argument tuples, funs maps function name to a flat
     value table indexed by argument rank, consts maps constant name to an
-    element.
+    element.  Built from tables, its universe and each relation's argument
+    tuples may number _MAX_TABLE at most.
     """
 
     __slots__ = ("sig", "size", "_enc", "_rels", "_funs", "_consts")
@@ -125,6 +132,14 @@ class FiniteModel:
                  consts: Mapping[str, int] | None = None):
         if size < 1:
             raise ValueError("universe must be nonempty")
+        if size > _MAX_TABLE:
+            raise ValueError(f"universe of {size} elements, more than a model may have "
+                             f"({_MAX_TABLE})")
+        for name, arity in sig.relations.items():
+            # size**arity is made only once the arity alone cannot rule it out
+            if size > 1 and (arity * (size.bit_length() - 1) > _MAX_TABLE.bit_length() or size ** arity > _MAX_TABLE):
+                raise ValueError(f"relation {name!r} has {size}**{arity} argument tuples, "
+                                 f"more than a model may have ({_MAX_TABLE})")
         rels = dict(rels or {})
         funs = dict(funs or {})
         consts = dict(consts or {})
@@ -357,39 +372,159 @@ def _blocks(width: int) -> Iterator[tuple[int, list[int]]]:
         yield high << k, patterns + [full if high >> j & 1 else 0 for j in range(width - k)]
 
 
+def _columns(rows: Sequence[int], lanes: int) -> list[int]:
+    """Per lane b < lanes, the int whose bit j is bit b of rows[j]: from a
+    relation's lane masks per tuple, its bitmap in each lane.
+
+    Each row's bits are spread a whole number of bytes apart, bit b to
+    lane b's field, so that one int's bytes hold every lane's bitmap.
+    """
+    width = (len(rows) + 7) >> 3  # bytes per lane
+    gap, digits = "0" * ((width << 3) - 1), f"0{lanes}b"
+    packed = 0
+    for j, row in enumerate(rows):
+        if row:
+            packed |= int(gap.join(format(row, digits)), 2) << j
+    raw = packed.to_bytes(lanes * width, "little")
+    if width == 1:
+        return list(raw)
+    return [int.from_bytes(raw[o:o + width], "little") for o in range(0, len(raw), width)]
+
+
+def _definer(sig: Signature, variables: Sequence[str], phi: Formula, size: int,
+             full: int = 1, lanes: Collection[str] = ()) -> Callable[[Sequence], list[int]]:
+    """The relation that A x1..xk. (R(x1,..,xk) <-> phi) defines, in lanes:
+    data (the slots of folang.compile_lanes) to one lane mask per argument
+    tuple, in rank order, phi evaluated with variables preset to the tuple.
+    With full = 1, _columns(rows, 1)[0] is R's bitmap."""
+    run = folang.compile_lanes(sig, phi, size, full, lanes, variables)
+    k = len(variables)
+    return lambda data: [run(data, a) for a in _tuples(size, k)]
+
+
+def _definition(f: Formula, taken: Collection[str]) -> tuple[str, tuple[str, ...], Formula] | None:
+    """(R, argument variables, phi) when the closed formula f is
+    A x1..xk. (R(x1,..,xk) <-> phi), either side first, with the xi
+    distinct, k R's arity and R neither in phi nor in taken; else None."""
+    xs = []
+    while isinstance(f, Forall):
+        xs.append(f.var)
+        f = f.body
+    if not isinstance(f, Iff) or len(set(xs)) != len(xs):
+        return None
+    for atom, phi in ((f.left, f.right), (f.right, f.left)):
+        if (isinstance(atom, Rel) and atom.name not in taken
+                and all(isinstance(a, Var) for a in atom.args)
+                and sorted(a.name for a in atom.args) == sorted(xs)
+                and atom.name not in folang.used_symbols(phi)["relations"]):
+            return atom.name, tuple(a.name for a in atom.args), phi
+    return None
+
+
+class _Plan:
+    """Which relations the walk searches and which it computes.
+
+    A top-level conjunct A x1..xk. (R(x1,..,xk) <-> phi) (_definition), the
+    first one of R, defines R, unless R is on a cycle of definitions or
+    has 2**limit tables or more (widths); those R are searched, and their
+    conjuncts stay constraints.  The walk assigns the other relations,
+    walked, in signature order: walked[i] at level i.  A defined relation
+    is computed at the level of the last relation its definition reads, a
+    defined one through its own level, or at level -1, once per
+    function/constant choice, when it reads none.  computed[i] lists
+    (position, definer, moves) per relation computed at level i, in
+    dependency order: its _definer on the level's lanes, and whether it
+    reads a relation of an earlier level >= 0, directly or through one
+    that moves, and so depends on the walk's prefix.  constraints are the
+    other conjuncts.
+    """
+
+    __slots__ = ("walked", "level", "lanes", "full", "computed", "moving", "constraints")
+
+    def __init__(self, sig: Signature, conjuncts: list[Formula], size: int,
+                 widths: list[int], limit: int):
+        defs: dict[str, tuple] = {}  # name: (variables, phi, relations read, conjunct)
+        for c in conjuncts:
+            d = _definition(c, defs)
+            if d is not None:
+                defs[d[0]] = (d[1], d[2], folang.used_symbols(d[2])["relations"], c)
+
+        def on_cycle(name: str) -> bool:
+            seen, stack = set(), [name]
+            while stack:
+                for r in defs[stack.pop()][2] & defs.keys() - seen:
+                    if r == name:
+                        return True
+                    seen.add(r)
+                    stack.append(r)
+            return False
+        for name in [n for n in defs if on_cycle(n)]:
+            del defs[name]
+        self.constraints = [c for c in conjuncts if all(c is not d[3] for d in defs.values())]
+        self.walked = [i for i, name in enumerate(sig.relations) if name not in defs]
+        names = list(sig.relations)
+        level = self.level = {names[j]: i for i, j in enumerate(self.walked)}
+        self.moving: set[str] = set()
+        order: list[str] = []
+
+        def place(name: str) -> None:
+            # name's level, after its defined inputs'
+            reads = defs[name][2]
+            for r in sorted(reads & defs.keys() - level.keys(), key=sig._rel_at.__getitem__):
+                place(r)
+            at = level[name] = max(map(level.__getitem__, reads), default=-1)
+            if any(0 <= level[r] < at or r in self.moving for r in reads):
+                self.moving.add(name)
+            order.append(name)
+        for name in sorted(defs, key=sig._rel_at.__getitem__):
+            if name not in level:
+                place(name)
+        self.lanes = [(names[j], *(n for n in order if level[n] == i))
+                      for i, j in enumerate(self.walked)]
+        self.full = [_lanes(widths[j])[1] for j in self.walked]
+        self.computed: dict[int, list] = {}
+        for name in order:
+            i = level[name]
+            variables, phi = defs[name][:2]
+            run = (_definer(sig, variables, phi, size, self.full[i], self.lanes[i]) if i >= 0
+                   else _definer(sig, variables, phi, size))
+            r, arity = sig._rel_at[name]
+            # one node per argument tuple phi is evaluated at; 2**limit of
+            # them outnumber max_nodes
+            cost = size ** arity if size == 1 or arity < limit else 1 << limit
+            self.computed.setdefault(i, []).append((r, run, name in self.moving, cost))
+
+
 class _Conjunct:
     """One top-level conjunct of an axiom, its disjuncts compiled and grouped.
 
     free is the check (folang.compile_lanes with full = 1) of the
-    disjunction of the relation-free disjuncts, or None.  Every other
-    disjunct goes to the group of the last relation it mentions in
-    signature order: at maps that relation's index j to the lane check of
-    the group's disjunction, with relation j as the lane relation, and
-    spans holds the j whose group also reads an earlier relation.  last is
-    the last relation any disjunct mentions, -1 if none.
+    disjunction of the disjuncts that read no relation of a level >= 0
+    (_Plan), or None.  Every other disjunct goes to the group of the last
+    level it reads: at maps that level i to the lane check of the group's
+    disjunction, with the level's lanes (_Plan.lanes), and spans holds the
+    i whose group also reads an earlier level >= 0 or a relation that
+    moves.  last is the last level any disjunct reads, -1 if none.
     """
 
     __slots__ = ("free", "at", "spans", "last")
 
-    def __init__(self, sig: Signature, f: Formula, size: int):
+    def __init__(self, sig: Signature, f: Formula, size: int, plan: _Plan):
         free: list[Formula] = []
-        groups: dict[str, list[Formula]] = {}
-        wide: set[str] = set()
+        groups: dict[int, list[Formula]] = {}
+        self.spans = set()
         for d in _split(f, Or):
-            used = sorted(folang.used_symbols(d)["relations"], key=sig._rel_at.__getitem__)
-            if not used:
+            used = folang.used_symbols(d)["relations"]
+            i = max(map(plan.level.__getitem__, used), default=-1)
+            if i < 0:
                 free.append(d)
                 continue
-            groups.setdefault(used[-1], []).append(d)
-            if len(used) > 1:
-                wide.add(used[-1])
+            groups.setdefault(i, []).append(d)
+            if any(0 <= plan.level[r] < i or r in plan.moving for r in used):
+                self.spans.add(i)
         self.free = folang.compile_lanes(sig, reduce(Or, free), size, 1) if free else None
-        self.at = {}
-        for name, ds in groups.items():
-            j, arity = sig._rel_at[name]
-            self.at[j] = folang.compile_lanes(sig, reduce(Or, ds), size,
-                                              _lanes(size ** arity)[1], (name,))
-        self.spans = {sig._rel_at[name][0] for name in wide}
+        self.at = {i: folang.compile_lanes(sig, reduce(Or, ds), size, plan.full[i], plan.lanes[i])
+                   for i, ds in groups.items()}
         self.last = max(self.at, default=-1)
 
 
@@ -397,32 +532,45 @@ def enumerate_models(t: Theory, size: int,
                      budget: WorkBudget | None = None) -> list[FiniteModel]:
     """All models of t on the universe {0..size-1}, in encoding order.
 
-    Each axiom is split into top-level conjuncts, and each conjunct into
-    top-level disjuncts, grouped by the last relation they mention and
-    compiled once per group.  For every choice of function tables and
-    constants the relation-free disjuncts are decided first.  A conjunct
-    left with one group, about one relation only, filters that relation's
-    bitmaps, once; a conjunct left with several keeps, per relation whose
-    group mentions that relation only, the sub-list of filtered bitmaps on
-    which the group holds.  The filter evaluates a relation's groups on
-    2**16 bitmaps at a time, one per bit lane of an int (_blocks).
-    Relations are then assigned in signature order.  When the walk reaches
-    relation i, a group that also reads relations before i is evaluated on
-    all of i's filtered bitmaps at once, in lanes, giving its sub-list for
-    this prefix.  A conjunct is satisfied once a bitmap assigned is on the
-    sub-list of one of its groups; at its last relation, that relation runs
-    over the conjunct's sub-list only.  So every full candidate reached is
-    a model, and at the last relation every choice left completes one: the
-    walk hands those choices over at once (_leaves), one comprehension
-    builds their encodings, and count_models only counts them.
+    A relation with an explicit definition, a top-level conjunct
+    A x1..xk. (R(x1,..,xk) <-> phi) with phi free of R, is computed, never
+    searched (_Plan): once the relations its definition reads are
+    assigned, phi is evaluated at each argument tuple, on all the tables
+    of the last of them at once, in lanes, which gives R's bitmap in each
+    lane.  Definitions on a cycle stay constraints.  The walk searches the
+    other relations.  Each other axiom conjunct is split into top-level
+    disjuncts, grouped by the last level they read (a computed relation
+    belongs to the level it is computed at) and compiled once per group.
+    For every choice of function tables and constants the relations
+    computed from none are computed, and the disjuncts that read no other
+    relation decided.  A conjunct left with one group that reads its own
+    level only filters that level's tables, once; a conjunct left with
+    several keeps, per level whose group reads that level only, the
+    sub-list of filtered tables on which the group holds.  The filter
+    evaluates a level's relations on 2**16 tables at a time, one per bit
+    lane of an int (_blocks), with the relations computed there that read
+    no earlier level.  The searched relations are then assigned in
+    signature order.  When the walk reaches level i, a group that also
+    reads earlier levels is evaluated on all of i's filtered tables at
+    once, in lanes, giving its sub-list for this prefix, with the
+    relations computed at i that read earlier levels.  A conjunct is
+    satisfied once a table assigned is on the sub-list of one of its
+    groups; at its last level, that level runs over the conjunct's
+    sub-list only.  So every full candidate reached is a model, and at the
+    last level every choice left completes one: the walk hands those
+    choices over at once (_leaves), one comprehension builds their
+    encodings, and count_models only counts them.
 
     The budget counts candidates actually visited: each function/constant
-    choice probed, each relation bitmap evaluated in lanes, while filtering
-    or at a prefix (ticked a block at a time, before the block is
-    evaluated), and each relation table the walk assigns (those of the
-    last relation ticked at once), so every model reached and every
-    partial candidate on the way to it.  A function/constant factor larger
-    than the budget is refused before the search starts.
+    choice probed, each table evaluated in lanes, while filtering or at a
+    prefix (ticked a block at a time, before the block is evaluated), and
+    each table the walk assigns (those of the last level ticked at once),
+    so every model reached and every partial candidate on the way to it.
+    A computed relation adds one node per argument tuple its definition is
+    evaluated at: per block of its level, ticked with the block, or per
+    function/constant choice, ticked with the choice, at level -1.
+    A function/constant factor larger than the budget is refused before
+    the search starts.
     """
     sig = t.sig
     return [FiniteModel._from_encoding(sig, enc) for enc in enumerate_encodings(t, size, budget)]
@@ -445,13 +593,25 @@ def count_models(t: Theory, size: int, budget: WorkBudget | None = None) -> int:
     return sum(leaf[0] for leaf in _leaves(t, size, budget))
 
 
+def _bitmaps(blocks: Sequence[dict], at: int, k: int, tables: Iterable[int]) -> Iterator[int]:
+    """Relation at's bitmap with each of tables, read off the lane masks
+    of its block in blocks: table b is lane b & (2**k - 1) of block b >> k."""
+    current, columns, mask = -1, [], (1 << k) - 1
+    for b in tables:
+        if b >> k != current:
+            current = b >> k
+            columns = _columns(blocks[current][at], 1 << k)
+        yield columns[b & mask]
+
+
 def _leaves(t: Theory, size: int, budget: WorkBudget | None
             ) -> Iterator[tuple[int, Iterable[tuple[int, ...]], tuple, tuple]]:
     """The search of enumerate_models, one item per leaf: (count, relation
     parts, function tables, constants), the relation parts being the
-    tuples of relation bitmaps of the leaf's count models.  A leaf is a
-    prefix of every relation but the last, with the last relation's choices
-    left, or a function/constant choice when there are no relations."""
+    tuples of relation bitmaps of the leaf's count models, in signature
+    order.  A leaf is a prefix of every searched relation but the last,
+    with the last one's choices left, or a function/constant choice when
+    no relation is searched."""
     if size < 1:
         raise ValueError("universe must be nonempty")
     budget = budget or DEFAULT_BUDGET
@@ -470,73 +630,100 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
         raise BudgetExceededError(f"enumerating {fun_space or 'too many'} function/constant "
                                   f"tables at size {size}", budget.max_nodes)
     nodes = NodeCounter(budget, f"enumerating models at size {size}")
-    conjuncts = [_Conjunct(sig, c, size) for ax in t.axioms for c in _split(ax, And)]
-
     nrels = len(sig.relations)
     widths = [min(size ** arity, limit) if size == 1 or arity < limit else limit
               for arity in sig.relations.values()]
-    # what the compiled groups read: relation bitmaps, function tables,
-    # constants; while relation i is evaluated in lanes, its slot holds a
-    # block's lanes
+    plan = _Plan(sig, [c for ax in t.axioms for c in _split(ax, And)], size, widths, limit)
+    conjuncts = [_Conjunct(sig, c, size, plan) for c in plan.constraints]
+    walked = plan.walked
+    last = len(walked) - 1
+    # what the compiled groups and definitions read: relation bitmaps,
+    # function tables, constants; while level i is evaluated in lanes, the
+    # slots of its relations hold a block's lanes
     data: list = [0] * nrels
-    last = nrels - 1
+    # per level and block: the lane masks (_definer) of the relations
+    # computed there, by position; None for a block with no table kept
+    rows: list[Sequence[dict | None]] = [()] * len(walked)
 
     def over_budget(i: int) -> None:
-        # every table of relation i is about to be evaluated: when there are
+        # every table of level i is about to be evaluated: when there are
         # more than max_nodes, the one tick for them all raises
-        if widths[i] == limit:
+        if widths[walked[i]] == limit:
             nodes.tick(1 << limit)
 
     def filter_tables(i: int, checks: list, spanning: list[_Conjunct]) -> Sequence[int]:
-        # relation i's bitmaps on which every check holds; fills subs[c, i],
-        # and oks[i] with the kept lanes per block when a group spans to i
+        # level i's tables on which every check holds; fills subs[c, i],
+        # oks[i] with the kept lanes per block, and rows[i] with the
+        # relations computed at i that do not move
+        j = walked[i]
         mine = [c for c in spanning if i in c.at and i not in c.spans]
-        full = _lanes(widths[i])[1]
-        if not checks and not mine:
+        fixed = [(r, run, cost) for r, run, moves, cost in plan.computed.get(i, ()) if not moves]
+        full = plan.full[i]
+        if not checks and not mine and not fixed:
             oks[i] = itertools.repeat(full)  # every lane of every block
-            return range(1 << widths[i])
+            rows[i] = itertools.repeat(None)
+            return range(1 << widths[j])
         over_budget(i)
         kept: list[int] = []
         hits: list[list[int]] = [[] for _ in mine]
         blocks = oks[i] = []
-        for first, lanes in _blocks(widths[i]):
-            nodes.tick(full.bit_length())  # one node per table in the block
-            data[i] = lanes
+        made = rows[i] = []
+        for first, lanes in _blocks(widths[j]):
+            # one node per table in the block, and per tuple of each relation computed
+            nodes.tick(full.bit_length() + sum(cost for _, _, cost in fixed))
+            data[j] = lanes
+            block = {}
+            for r, run, _ in fixed:
+                block[r] = data[r] = run(data)
             ok = full
             for check in checks:
                 ok &= check(data)
                 if not ok:
                     break
-            if i in spanned:
-                blocks.append(ok)
-            kept += _ones(ok, first)
+            blocks.append(ok)
+            made.append(block if ok else None)
+            if checks:
+                kept += _ones(ok, first)
             for c, hit in zip(mine, hits):
                 hit += _ones(ok and ok & c.at[i](data), first)
         for c, hit in zip(mine, hits):
             subs[c, i] = (hit, set(hit))
-        return kept
+        return kept if checks else range(1 << widths[j])
 
-    def sieve(i: int, spans: list[_Conjunct]) -> None:
-        # subs[c, i] for the groups at i that read earlier relations, on
-        # the kept bitmaps of i, with relations 0..i-1 assigned
+    def sieve(i: int, spans: list[_Conjunct], moving: list) -> None:
+        # subs[c, i] for the groups at i that read earlier levels, and the
+        # relations computed at i that move, on the kept tables of level i,
+        # with levels 0..i-1 assigned
         over_budget(i)
-        full = _lanes(widths[i])[1]
+        j, full = walked[i], plan.full[i]
         hits: list[list[int]] = [[] for _ in spans]
-        for (first, lanes), ok in zip(_blocks(widths[i]), oks[i]):
+        made = []
+        for (first, lanes), ok, block in zip(_blocks(widths[j]), oks[i], rows[i]):
             if not ok:
+                made.append(None)
                 continue
-            nodes.tick(full.bit_length())
-            data[i] = lanes
+            nodes.tick(full.bit_length() + sum(cost for _, _, cost in moving))
+            data[j] = lanes
+            block = dict(block or ())
+            for r, lane_rows in block.items():
+                data[r] = lane_rows
+            for r, run, _ in moving:
+                block[r] = data[r] = run(data)
+            made.append(block)
             for c, hit in zip(spans, hits):
                 hit += _ones(ok & c.at[i](data), first)
+        if moving:
+            rows[i] = made
         for c, hit in zip(spans, hits):
             subs[c, i] = (hit, set(hit))
 
     def walk(i: int, pending: list[_Conjunct]):
-        if i in spanned:
-            spans = [c for c in pending if i in c.spans]
-            if spans:
-                sieve(i, spans)
+        j = walked[i]
+        here = plan.computed.get(i, ())
+        spans = [c for c in pending if i in c.spans]
+        moving = [(r, run, cost) for r, run, moves, cost in here if moves]
+        if spans or moving:
+            sieve(i, spans, moving)
         forced = [c for c in pending if c.last == i]
         if not forced:
             choices = kept[i]
@@ -545,16 +732,23 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
         else:
             choices = [b for b in subs[forced[0], i][0]
                        if all(b in subs[c, i][1] for c in forced[1:])]
+        k = len(_lanes(widths[j])[0])
+        columns: list[Iterable[int]] = [choices]
+        columns += [_bitmaps(rows[i], r, k, choices) for r, *_ in here]
         if i == last:
             # every pending conjunct is forced here, so each choice is a model
             over_budget(i)
             nodes.tick(len(choices))
-            yield len(choices), zip(*map(itertools.repeat, data[:i]), choices), \
-                fun_part, const_part
+            parts = list(map(itertools.repeat, data[:nrels]))
+            for r, column in zip([j, *(r for r, *_ in here)], columns):
+                parts[r] = column
+            yield len(choices), zip(*parts), fun_part, const_part
             return
-        for bits in choices:
+        for bits, *computed in zip(*columns):
             nodes.tick()
-            data[i] = bits
+            data[j] = bits
+            for (r, *_), value in zip(here, computed):
+                data[r] = value
             yield from walk(i + 1, [c for c in pending
                                     if i not in c.at or bits not in subs[c, i][1]])
 
@@ -562,9 +756,12 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
     for combo in itertools.product(
             *(itertools.product(range(size), repeat=size ** a) for a in sig.functions.values()),
             *(range(size) for _ in sig.constants)):
-        nodes.tick()
+        first = plan.computed.get(-1, ())
+        nodes.tick(1 + sum(cost for *_, cost in first))
         data[nrels:] = combo
-        checks: list[list] = [[] for _ in range(nrels)]
+        for r, run, *_ in first:
+            data[r] = _columns(run(data), 1)[0]
+        checks: list[list] = [[] for _ in walked]
         spanning: list[_Conjunct] = []
         for c in conjuncts:
             if c.free and c.free(data):
@@ -578,14 +775,13 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
                 spanning.append(c)
         else:
             subs: dict[tuple[_Conjunct, int], tuple[list[int], set[int]]] = {}
-            spanned = {i for c in spanning for i in c.spans}
-            oks: list = [None] * nrels
-            kept = [filter_tables(i, checks[i], spanning) for i in range(nrels)]
+            oks: list = [None] * len(walked)
+            kept = [filter_tables(i, checks[i], spanning) for i in range(len(walked))]
             fun_part, const_part = combo[:nfuns], combo[nfuns:]
-            if nrels:
+            if walked:
                 yield from walk(0, spanning)
             else:
-                yield 1, [()], fun_part, const_part
+                yield 1, [tuple(data[:nrels])], fun_part, const_part
 
 
 # ============================================================

@@ -51,6 +51,19 @@ def reduct(m: FiniteModel, keep) -> FiniteModel:
                        {name: m.consts[name] for name in sub.constants})
 
 
+def expansion_by_eval(m: FiniteModel, defs) -> FiniteModel:
+    """expand_model by the definition: each defined relation holds at the
+    argument tuples where eval_formula makes its formula true."""
+    sig = Signature({**m.sig.relations, **{name: d.arity for name, d in defs.items()}},
+                    m.sig.functions, m.sig.constants)
+    rels = {name: m.tuples(name) for name in m.sig.relations}
+    for name, d in defs.items():
+        rels[name] = frozenset(
+            args for args in itertools.product(range(m.size), repeat=d.arity)
+            if eval_formula(m, d.formula, dict(zip(d.variables, args))))
+    return FiniteModel(sig, m.size, rels, m.funs, m.consts)
+
+
 def reduct_expansion_check(t, hidden, max_size):
     """unique_expansion_check by the definition: the first two models of one
     size, in enumeration order, whose reducts forgetting hidden agree."""

@@ -283,6 +283,21 @@ def test_the_node_count_of_a_function_search_is_exact(tmp_path, capsys):
         "defeq: work budget exceeded while enumerating models at size 4 (limit 491)\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    # a universe and a bitmap too wide to build: an OverflowError and a
+    # MemoryError before they were refused
+    ("size 1000000000000 rel E { (999999999999,0) }",
+     "universe of 1000000000000 elements, more than a model may have (1048576)"),
+    ("size 2 rel E { (" + ",".join(["1"] * 40) + ") }",
+     "relation 'E' has 2**40 argument tuples, more than a model may have (1048576)"),
+])
+def test_huge_model_files_are_refused(text, message, tmp_path, capsys):
+    mod = tmp_path / "huge.mod"
+    mod.write_text(text)
+    assert run("aut", "--model", str(mod)) == (2, "")
+    assert capsys.readouterr().err == f"defeq: {message}\n"
+
+
 def test_aut_counts_each_partial_map_tried(tmp_path, capsys):
     # with no symbols every map is tried: 3 + 3*2 + 3*2*1 partial maps at size 3,
     # and 109,600 at size 8
@@ -301,10 +316,14 @@ def test_aut_counts_each_partial_map_tried(tmp_path, capsys):
 @pytest.mark.parametrize("theory, models, nodes", [
     # no disjunct spans two relations, so each relation is filtered on its own
     ("ex1_t2.thy", 538, 2075),
-    # the one (empty) function/constant choice, the 8 R tables walked, le's
-    # 512 tables evaluated in one block of lanes per R table, and the 512 le
-    # tables kept, one per R table that le defines
-    ("glymour_chain.thy", 512, 4617),
+    # R is defined from le, so it is computed, not searched: the one (empty)
+    # function/constant choice, le's 512 tables in one block of lanes plus
+    # R's 3 argument tuples evaluated on it, and the 512 le tables walked,
+    # each with the R it defines
+    ("glymour_chain.thy", 512, 1028),
+    # R is computed from c alone: each of the 3 choices of c, with R's 3
+    # argument tuples evaluated at it
+    ("glymour_subst.thy", 3, 12),
 ])
 def test_the_node_count_of_a_relation_search_is_exact(theory, models, nodes, capsys):
     argv = ("models", "--theory", theory, "--size", "3", "--count-only")

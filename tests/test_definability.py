@@ -6,8 +6,8 @@ import random
 import pytest
 from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
-from oracles import (first_refuting_point, random_formula, reduct, reduct_expansion_check,
-                     scan_points, substructure_scan)
+from oracles import (expansion_by_eval, first_refuting_point, random_formula, random_model,
+                     reduct, reduct_expansion_check, scan_points, substructure_scan)
 
 from defeq import definability, folang
 from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
@@ -19,7 +19,7 @@ from defeq.folang import (
     Signature, SignatureError, enumerate_formulas, eval_formula, formula_to_text,
     free_vars, parse_formula,
 )
-from defeq.models import FiniteModel, Theory, enumerate_models
+from defeq.models import FiniteModel, Theory, enumerate_encodings, enumerate_models
 
 SIG_P = Signature({"P": 1}, {}, [])
 SIG_PR = Signature({"P": 1, "R": 1}, {}, [])
@@ -78,6 +78,23 @@ def test_expand_model_evaluates_the_definition():
     ds2 = defs_over(SIG_P, Q=(("x", "y"), "P(x) & !P(y)"))
     assert expand_model(m, ds2).rels["Q"] == \
         frozenset({(0, 1), (2, 1)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_expand_model_matches_the_evaluation_oracle(seed, size):
+    # random models with a unary function or a constant, random definitions
+    # of arity 1 or 2 over them; no formula is evaluated point by point
+    rng = random.Random(seed)
+    sig = Signature({"P": 1, "G": 2}, *(({"f": 1}, []) if rng.random() < 0.5 else ({}, ["c"])))
+    m = random_model(sig, size, rng)
+    ds = DefinitionSet()
+    for name, variables in (("R", ("x",)), ("S", ("x", "y"))):
+        ds.add(name, variables, random_formula(sig, rng, rng.randint(1, 4), free=variables))
+    want = expansion_by_eval(m, ds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(folang, "eval_formula", None)
+        assert expand_model(m, ds) == want
 
 
 # ------------------------------------------------------------
@@ -178,8 +195,8 @@ def test_beth_search_short_circuits_when_not_implicitly_defined():
 
 def test_beth_search_enumerates_each_theory_and_size_once(subst, monkeypatch):
     calls = []
-    real = definability.enumerate_models
-    monkeypatch.setattr(definability, "enumerate_models",
+    real = definability.enumerate_encodings
+    monkeypatch.setattr(definability, "enumerate_encodings",
                         lambda t, n, budget=None: calls.append((t.name, n)) or real(t, n, budget))
     assert beth_search(subst, "R", 3, 6) is not None
     assert calls == [("glymour_subst", 1), ("glymour_subst", 2), ("glymour_subst", 3)]
@@ -310,7 +327,7 @@ def test_lane_scan_finds_the_first_refuting_point(seed, size, depth):
     t, candidates = random_theory(rng, size)
     assume(candidates <= 4096)
     target, variables, at, base_sig = _target_and_base(t, rng)
-    sizes = [definability._Points(enumerate_models(t, n), n) for n in range(1, size + 1)]
+    sizes = [definability._Points(t.sig, enumerate_encodings(t, n), n) for n in range(1, size + 1)]
     points = scan_points(t, target, size)
     for _ in range(8):
         phi = random_formula(base_sig, rng, depth, free=variables)
@@ -330,7 +347,7 @@ def test_lane_scan_takes_the_earliest_model_over_all_batches():
     # the identity's batch, before its own batch's first failure
     sig = Signature({"P": 1, "Q": 1}, {"f": 1}, [])
     t = Theory(sig, [], name="free")
-    sizes = [definability._Points(enumerate_models(t, 2), 2)]
+    sizes = [definability._Points(sig, enumerate_encodings(t, 2), 2)]
     phi = parse_formula(sig, "A v0. f(v0)=v0")
     m, args, holds = definability._first_refutation(sizes, sig, 1, phi, ("x1",))
     assert (m.funs["f"], m.tuples("P"), m.tuples("Q"), args, holds) == ((0, 1), [], [], (0,), False)
@@ -432,3 +449,34 @@ def test_substructure_closure_never_evaluates_point_by_point(monkeypatch, subst)
     sig = Signature({"E": 2}, {"f": 1}, ["c"])
     t = Theory(sig, [parse_formula(sig, "A x. E(x,f(x)) -> E(c,x)")], name="closed")
     assert substructure_closure_check(t, 3) is None
+
+
+@pytest.mark.parametrize("argv, code, built", [
+    # beth builds a model per refuting point it keeps (counted separately),
+    # idc the two models of its witness, subclosure the model of its
+    # witness, and none of them one per enumerated model
+    (("beth", "--theory", "MUTUAL", "--target", "R", "--size", "3", "--bound", "7"), 0, None),
+    (("beth", "--theory", "ex1_t1.thy", "--target", "R", "--size", "3", "--bound", "3"), 1, 0),
+    (("idc", "--theory", "MUTUAL", "--hidden", "R", "--size", "3"), 0, 0),
+    (("idc", "--theory", "ex1_t1.thy", "--hidden", "R", "--size", "3"), 1, 2),
+    (("subclosure", "--theory", "ex1_t2.thy", "--size", "3"), 0, 0),
+    (("subclosure", "--theory", "glymour_subst.thy", "--size", "3"), 1, 1),
+])
+def test_definability_commands_build_models_for_witnesses_only(argv, code, built, tmp_path,
+                                                                monkeypatch):
+    from defeq import cli, truth
+
+    mutual = tmp_path / "mutual.thy"
+    mutual.write_text("rel G 2\nrel R 1\n"
+                      "axiom A x. (R(x) <-> (E y. (G(x,y) & G(y,x) & !(x=y))))\n")
+    made, refuters = [], []
+    real_model, real_truth = FiniteModel._from_encoding.__func__, truth.LevelTruth.__init__
+    monkeypatch.setattr(FiniteModel, "_from_encoding", classmethod(
+        lambda cls, sig, enc: made.append(enc) or real_model(cls, sig, enc)))
+    monkeypatch.setattr(truth.LevelTruth, "__init__", lambda self, levels, m, a=None:
+                        refuters.append(m) or real_truth(self, levels, m, a))
+    got, _ = cli.dispatch([str(mutual) if a == "MUTUAL" else a for a in argv])
+    assert got == code
+    assert len(made) == (len(refuters) if built is None else built)
+    if built is None:
+        assert 0 < len(refuters) < 100

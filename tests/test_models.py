@@ -10,10 +10,12 @@ from oracles import lanes_by_division, random_formula, random_model, reduct, sub
 
 from defeq import models
 from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
-from defeq.folang import Signature, compile_lanes, eval_formula, parse_formula
+from defeq.cli import parse_theory_text
+from defeq.folang import And, Signature, compile_lanes, eval_formula, parse_formula
 from defeq.models import (
-    FiniteModel, Theory, _blocks, _lanes, apply_permutation, canonical_key, count_models,
-    enumerate_models, find_isomorphisms, is_isomorphism, is_model,
+    FiniteModel, Theory, _blocks, _columns, _lanes, _Plan, _split, apply_permutation,
+    canonical_key, count_models, enumerate_encodings, enumerate_models, find_isomorphisms,
+    is_isomorphism, is_model,
 )
 
 SIG_ER = Signature({"E": 2, "R": 2}, {}, [])
@@ -154,14 +156,92 @@ def brute_force_models(t, size):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
 def test_enumeration_matches_brute_force_on_random_theories(seed, size):
+    # half the two-relation theories start with an explicit definition, so
+    # the computed relations meet the oracle here too
     t, candidates = random_theory(random.Random(seed), size)
     assume(candidates <= 4096)
     sig = t.sig
+    want = brute_force_models(t, size)
+    assert enumerate_encodings(t, size) == want
+    assert count_models(t, size) == len(want)
     got = enumerate_models(t, size)
-    assert [m.encode() for m in got] == brute_force_models(t, size)
+    assert [m.encode() for m in got] == want
     # the enumerator presets each encoding; the tables must agree with it
     assert [FiniteModel(sig, size, m.rels, m.funs, m.consts).encode() for m in got] \
         == [m.encode() for m in got]
+
+
+def searched(t, size):
+    """The relations the enumeration of t at size searches, in walk order;
+    the others are computed from their definitions."""
+    plan = _Plan(t.sig, [c for ax in t.axioms for c in _split(ax, And)], size,
+                 [size ** a for a in t.sig.relations.values()], 62)
+    return [list(t.sig.relations)[j] for j in plan.walked]
+
+
+@pytest.mark.parametrize("text, walked", [
+    # the bench's mutual pair, with the definition either side first
+    ("rel G 2\nrel R 1\naxiom A x. (R(x) <-> (E y. (G(x,y) & G(y,x) & !(x=y))))", ["G"]),
+    ("rel G 2\nrel R 1\naxiom A x. ((E y. (G(x,y) & G(y,x) & !(x=y))) <-> R(x))", ["G"]),
+    # argument variables bound in another order than R reads them
+    ("rel G 2\nrel H 2\naxiom A y. A x. (H(x,y) <-> (G(y,x) | x=y))\n"
+     "axiom E x. E y. (H(x,y) & !G(x,y))", ["G"]),
+    # a chain: B from A, C from A and B, both computed once A is assigned
+    ("rel A 2\nrel B 1\nrel C 1\naxiom A x. (C(x) <-> (E y. (A(x,y) & B(y))))\n"
+     "axiom A x. (B(x) <-> A(x,x))\naxiom E x. C(x)", ["A"]),
+    # D reads both searched relations, so it is computed per table of A
+    ("rel A 1\nrel B 1\nrel D 1\naxiom A x. (D(x) <-> (A(x) & !B(x)))\naxiom E x. D(x)",
+     ["A", "B"]),
+    # a two-relation cycle: both are searched, the definitions stay constraints
+    ("rel P 1\nrel Q 1\naxiom A x. (P(x) <-> !Q(x))\naxiom A x. (Q(x) <-> !P(x))",
+     ["P", "Q"]),
+    # over a constant only: R is computed once per choice of c
+    ("const c\nrel R 1\naxiom A x. (R(x) <-> (E y. E z. !(y=z) & x=c))", []),
+    # and over a function, with a constraint read on the computed bitmap
+    ("fun f 1\nrel P 1\nrel R 1\naxiom A x. (R(x) <-> P(f(x)))\naxiom A x. (R(x) -> P(x))",
+     ["P"]),
+    # the second definition of R is an ordinary constraint
+    ("rel G 2\nrel R 1\naxiom A x. (R(x) <-> G(x,x))\naxiom A x. (R(x) <-> (E y. G(x,y)))",
+     ["G"]),
+    # not a definition: a bound variable R does not read, or R on both sides
+    ("rel G 2\nrel R 1\naxiom A x. A y. (R(x) <-> G(x,y))", ["R"]),
+    ("rel R 1\nrel S 1\naxiom A x. (R(x) <-> (S(x) & R(x)))", ["R", "S"]),
+])
+def test_defined_relations_are_computed_and_match_brute_force(text, walked):
+    t = parse_theory_text(text)
+    for size in (1, 2, 3):
+        assert searched(t, size) == walked
+        want = brute_force_models(t, size)
+        assert enumerate_encodings(t, size) == want
+        assert count_models(t, size) == len(want)
+
+
+def test_a_computed_relation_costs_one_node_per_tuple_and_table():
+    # the mutual pair at size 3: the one function/constant choice, G's 512
+    # tables in one block of lanes plus R's 3 argument tuples, and the 512
+    # G tables walked; at size 4 the sieve visited 1,179,649 nodes
+    t = parse_theory_text(
+        "rel G 2\nrel R 1\naxiom A x. (R(x) <-> (E y. (G(x,y) & G(y,x) & !(x=y))))")
+    for size, models, nodes in ((3, 512, 1 + 512 + 3 + 512), (4, 65536, 1 + 65536 + 4 + 65536)):
+        assert count_models(t, size, WorkBudget(max_nodes=nodes)) == models
+        with pytest.raises(BudgetExceededError):
+            count_models(t, size, WorkBudget(max_nodes=nodes - 1))
+    # a definition of arity 62 at size 2 would be evaluated at 2**62 tuples:
+    # refused before any is made
+    sig = Signature({"G": 1, "W": 62}, {}, [])
+    xs = [f"x{i}" for i in range(62)]
+    wide = Theory(sig, [parse_formula(sig, "".join(f"A {x}. " for x in xs)
+                                      + f"(W({','.join(xs)}) <-> G(x0))")])
+    with pytest.raises(BudgetExceededError):
+        count_models(wide, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 20 - 1), min_size=1, max_size=20), st.integers(1, 20))
+def test_columns_transpose_the_lane_masks(rows, lanes):
+    rows = [row & (1 << lanes) - 1 for row in rows]
+    assert _columns(rows, lanes) == [sum((row >> b & 1) << j for j, row in enumerate(rows))
+                                     for b in range(lanes)]
 
 
 def flat_model(sig, size, flat):
