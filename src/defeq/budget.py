@@ -29,11 +29,13 @@ class WorkBudget(Record):
     enumeration those are the function/constant choices probed, the
     relation bitmaps evaluated while filtering each relation's tables or,
     for axiom parts over several relations, per assignment of the relations
-    before, and the relation tables assigned on the way to full candidates
-    (see models.enumerate_models); candidates ruled out relation by
-    relation are never visited.  Since every function/constant choice is probed, a model
-    search whose function/constant factor alone exceeds max_nodes is refused
-    before it starts.
+    before, the argument tuples at which the definition of a relation
+    computed rather than searched is evaluated, and the relation tables
+    assigned on the way to full candidates (see models.enumerate_models);
+    candidates ruled out relation by relation are never visited.  Since
+    every function/constant choice is probed, a model search whose
+    function/constant factor alone exceeds max_nodes is refused before it
+    starts.
     """
 
     __slots__ = ("max_nodes",)

@@ -18,7 +18,7 @@ from . import folang
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from .folang import (App, Const, Exists, Forall, Formula, Iff, Not, Rel, Signature,
                      SignatureError, Var)
-from .models import (FiniteModel, InternalError, Theory, _columns, _definer, _rank, _tuples,
+from .models import (FiniteModel, InternalError, Theory, _definer, _rank, _transpose, _tuples,
                      enumerate_encodings)
 from .record import Record
 
@@ -99,7 +99,7 @@ def expand_model(m: FiniteModel, defs: DefinitionSet) -> FiniteModel:
     data = [*bitmaps, *tables, *consts]
     rels = dict(zip(m.sig.relations, bitmaps))
     for name, d in defs.items():
-        rels[name] = _columns(_definer(m.sig, d.variables, d.formula, size)(data), 1)[0]
+        rels[name] = _transpose(_definer(m.sig, d.variables, d.formula, size)(data), 1)[0]
     return FiniteModel._from_encoding(
         new_sig, (size, tuple(map(rels.__getitem__, new_sig.relations)), tables, consts))
 
@@ -144,7 +144,7 @@ def unique_expansion_check(t: Theory, hidden: Iterable[str], max_size: int,
     for n in range(1, max_size + 1):
         pair = _shared_reduct(enumerate_encodings(t, n, budget), visible)
         if pair is not None:
-            return FiniteModel._from_encoding(t.sig, pair[0]), FiniteModel._from_encoding(t.sig, pair[1])
+            return tuple(FiniteModel._from_encoding(t.sig, enc) for enc in pair)
     return None
 
 
@@ -251,8 +251,6 @@ class _Points:
     __slots__ = ("size", "encs", "batches")
 
     def __init__(self, sig: Signature, encs: list[tuple], size: int):
-        from .truth import _transpose
-
         self.size = n = size
         self.encs = encs
         groups: dict[tuple, list[int]] = {}

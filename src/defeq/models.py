@@ -137,7 +137,8 @@ class FiniteModel:
                              f"({_MAX_TABLE})")
         for name, arity in sig.relations.items():
             # size**arity is made only once the arity alone cannot rule it out
-            if size > 1 and (arity * (size.bit_length() - 1) > _MAX_TABLE.bit_length() or size ** arity > _MAX_TABLE):
+            if size > 1 and (arity * (size.bit_length() - 1) > _MAX_TABLE.bit_length()
+                             or size ** arity > _MAX_TABLE):
                 raise ValueError(f"relation {name!r} has {size}**{arity} argument tuples, "
                                  f"more than a model may have ({_MAX_TABLE})")
         rels = dict(rels or {})
@@ -372,23 +373,24 @@ def _blocks(width: int) -> Iterator[tuple[int, list[int]]]:
         yield high << k, patterns + [full if high >> j & 1 else 0 for j in range(width - k)]
 
 
-def _columns(rows: Sequence[int], lanes: int) -> list[int]:
-    """Per lane b < lanes, the int whose bit j is bit b of rows[j]: from a
-    relation's lane masks per tuple, its bitmap in each lane.
+def _transpose(columns: Sequence[int], width: int) -> list[int]:
+    """The rows of a bit matrix given by columns: bit i of row j is bit j
+    of columns[i], for j < width; the columns must be below 2**width.
 
-    Each row's bits are spread a whole number of bytes apart, bit b to
-    lane b's field, so that one int's bytes hold every lane's bitmap.
-    """
-    width = (len(rows) + 7) >> 3  # bytes per lane
-    gap, digits = "0" * ((width << 3) - 1), f"0{lanes}b"
-    packed = 0
-    for j, row in enumerate(rows):
-        if row:
-            packed |= int(gap.join(format(row, digits)), 2) << j
-    raw = packed.to_bytes(lanes * width, "little")
-    if width == 1:
-        return list(raw)
-    return [int.from_bytes(raw[o:o + width], "little") for o in range(0, len(raw), width)]
+    The columns are read _TRANSPOSE_CHUNK at a time, so a long list of
+    them, such as all the models of one size, costs little memory."""
+    rows = [0] * width
+    digits = f"0{width}b"
+    for start in range(0, len(columns), _TRANSPOSE_CHUNK):
+        chunk = [format(c, digits) for c in columns[start:start + _TRANSPOSE_CHUNK]]
+        # zip reads one bit position of every column, printed from its top bit
+        for j, bits in enumerate(zip(*chunk)):
+            rows[width - 1 - j] |= int("".join(bits)[::-1], 2) << start
+    return rows
+
+
+# Columns that _transpose prints at once.
+_TRANSPOSE_CHUNK = 4096
 
 
 def _definer(sig: Signature, variables: Sequence[str], phi: Formula, size: int,
@@ -396,13 +398,14 @@ def _definer(sig: Signature, variables: Sequence[str], phi: Formula, size: int,
     """The relation that A x1..xk. (R(x1,..,xk) <-> phi) defines, in lanes:
     data (the slots of folang.compile_lanes) to one lane mask per argument
     tuple, in rank order, phi evaluated with variables preset to the tuple.
-    With full = 1, _columns(rows, 1)[0] is R's bitmap."""
+    With full = 1, _transpose(rows, 1)[0] is R's bitmap."""
     run = folang.compile_lanes(sig, phi, size, full, lanes, variables)
     k = len(variables)
     return lambda data: [run(data, a) for a in _tuples(size, k)]
 
 
-def _definition(f: Formula, taken: Collection[str]) -> tuple[str, tuple[str, ...], Formula] | None:
+def _definition(f: Formula, taken: Collection[str]
+                ) -> tuple[str, tuple[str, ...], Formula] | None:
     """(R, argument variables, phi) when the closed formula f is
     A x1..xk. (R(x1,..,xk) <-> phi), either side first, with the xi
     distinct, k R's arity and R neither in phi nor in taken; else None."""
@@ -425,18 +428,17 @@ class _Plan:
     """Which relations the walk searches and which it computes.
 
     A top-level conjunct A x1..xk. (R(x1,..,xk) <-> phi) (_definition), the
-    first one of R, defines R, unless R is on a cycle of definitions or
-    has 2**limit tables or more (widths); those R are searched, and their
-    conjuncts stay constraints.  The walk assigns the other relations,
-    walked, in signature order: walked[i] at level i.  A defined relation
-    is computed at the level of the last relation its definition reads, a
-    defined one through its own level, or at level -1, once per
-    function/constant choice, when it reads none.  computed[i] lists
-    (position, definer, moves) per relation computed at level i, in
-    dependency order: its _definer on the level's lanes, and whether it
-    reads a relation of an earlier level >= 0, directly or through one
-    that moves, and so depends on the walk's prefix.  constraints are the
-    other conjuncts.
+    first one of R, defines R, unless R is on a cycle of definitions; those
+    R are searched, and their conjuncts stay constraints.  The walk assigns
+    the other relations, walked, in signature order: walked[i] at level i.
+    A defined relation is computed at the level of the last relation its
+    definition reads, a defined one through its own level, or at level -1,
+    once per function/constant choice, when it reads none.  computed[i] lists
+    (position, definer, moves, cost) per relation computed at level i, in
+    dependency order: its _definer on the level's lanes, whether it reads a
+    relation of an earlier level >= 0, directly or through one that moves,
+    and so depends on the walk's prefix, and its cost in nodes per
+    evaluation.  constraints are the other conjuncts.
     """
 
     __slots__ = ("walked", "level", "lanes", "full", "computed", "moving", "constraints")
@@ -600,7 +602,7 @@ def _bitmaps(blocks: Sequence[dict], at: int, k: int, tables: Iterable[int]) -> 
     for b in tables:
         if b >> k != current:
             current = b >> k
-            columns = _columns(blocks[current][at], 1 << k)
+            columns = _transpose(blocks[current][at], 1 << k)
         yield columns[b & mask]
 
 
@@ -642,8 +644,8 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
     # slots of its relations hold a block's lanes
     data: list = [0] * nrels
     # per level and block: the lane masks (_definer) of the relations
-    # computed there, by position; None for a block with no table kept
-    rows: list[Sequence[dict | None]] = [()] * len(walked)
+    # computed there, by position
+    rows: list[Sequence[dict]] = [()] * len(walked)
 
     def over_budget(i: int) -> None:
         # every table of level i is about to be evaluated: when there are
@@ -661,7 +663,7 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
         full = plan.full[i]
         if not checks and not mine and not fixed:
             oks[i] = itertools.repeat(full)  # every lane of every block
-            rows[i] = itertools.repeat(None)
+            rows[i] = itertools.repeat({})
             return range(1 << widths[j])
         over_budget(i)
         kept: list[int] = []
@@ -681,7 +683,7 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
                 if not ok:
                     break
             blocks.append(ok)
-            made.append(block if ok else None)
+            made.append(block)
             if checks:
                 kept += _ones(ok, first)
             for c, hit in zip(mine, hits):
@@ -699,21 +701,19 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
         hits: list[list[int]] = [[] for _ in spans]
         made = []
         for (first, lanes), ok, block in zip(_blocks(widths[j]), oks[i], rows[i]):
+            block = dict(block)
+            made.append(block)
             if not ok:
-                made.append(None)
                 continue
             nodes.tick(full.bit_length() + sum(cost for _, _, cost in moving))
             data[j] = lanes
-            block = dict(block or ())
             for r, lane_rows in block.items():
                 data[r] = lane_rows
             for r, run, _ in moving:
                 block[r] = data[r] = run(data)
-            made.append(block)
             for c, hit in zip(spans, hits):
                 hit += _ones(ok & c.at[i](data), first)
-        if moving:
-            rows[i] = made
+        rows[i] = made
         for c, hit in zip(spans, hits):
             subs[c, i] = (hit, set(hit))
 
@@ -753,14 +753,15 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
                                     if i not in c.at or bits not in subs[c, i][1]])
 
     nfuns = len(sig.functions)
+    unread = plan.computed.get(-1, ())  # computed once per function/constant choice
+    choice_cost = 1 + sum(cost for *_, cost in unread)
     for combo in itertools.product(
             *(itertools.product(range(size), repeat=size ** a) for a in sig.functions.values()),
             *(range(size) for _ in sig.constants)):
-        first = plan.computed.get(-1, ())
-        nodes.tick(1 + sum(cost for *_, cost in first))
+        nodes.tick(choice_cost)
         data[nrels:] = combo
-        for r, run, *_ in first:
-            data[r] = _columns(run(data), 1)[0]
+        for r, run, *_ in unread:
+            data[r] = _transpose(run(data), 1)[0]
         checks: list[list] = [[] for _ in walked]
         spanning: list[_Conjunct] = []
         for c in conjuncts:

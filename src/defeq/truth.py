@@ -14,6 +14,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 from .folang import (And, Const, Exists, Formula, FormulaLevels, Iff, Implies, Or, Rel,
                      SignatureError, Term, UnboundVariableError, Var)
+from .models import _transpose
 
 __all__ = ["LevelTruth"]
 
@@ -194,23 +195,3 @@ def _conjunctions(args: Sequence[Sequence[int]], size: int, full: int) -> list[t
         out = [(rank * size + u, mask & at) for rank, mask in out
                for u, at in enumerate(values) if mask & at]
     return out
-
-
-def _transpose(columns: Sequence[int], width: int) -> list[int]:
-    """The rows of a bit matrix given by columns: bit i of row j is bit j
-    of columns[i], for j < width; the columns must be below 2**width.
-
-    The columns are read _TRANSPOSE_CHUNK at a time, so a long list of
-    them, such as all the models of one size, costs little memory."""
-    rows = [0] * width
-    digits = f"0{width}b"
-    for start in range(0, len(columns), _TRANSPOSE_CHUNK):
-        chunk = [format(c, digits) for c in columns[start:start + _TRANSPOSE_CHUNK]]
-        # zip reads one bit position of every column, printed from its top bit
-        for j, bits in enumerate(zip(*chunk)):
-            rows[width - 1 - j] |= int("".join(bits)[::-1], 2) << start
-    return rows
-
-
-# Columns that _transpose prints at once.
-_TRANSPOSE_CHUNK = 4096

@@ -15,8 +15,8 @@ from defeq.folang import (
     compile_lanes, enumerate_formulas, eval_formula, formula_depth, formula_size,
     formula_to_text, free_vars, parse_formula, validate_formula,
 )
-from defeq.models import FiniteModel
-from defeq.truth import _TRANSPOSE_CHUNK, LevelTruth, _transpose
+from defeq.models import _TRANSPOSE_CHUNK, FiniteModel, _transpose
+from defeq.truth import LevelTruth
 
 SIG = Signature({"E": 2, "R": 2, "P": 1}, {"s": 1}, ["c"])
 

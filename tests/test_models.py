@@ -13,7 +13,7 @@ from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
 from defeq.cli import parse_theory_text
 from defeq.folang import And, Signature, compile_lanes, eval_formula, parse_formula
 from defeq.models import (
-    FiniteModel, Theory, _blocks, _columns, _lanes, _Plan, _split, apply_permutation,
+    FiniteModel, Theory, _blocks, _lanes, _Plan, _split, apply_permutation,
     canonical_key, count_models, enumerate_encodings, enumerate_models, find_isomorphisms,
     is_isomorphism, is_model,
 )
@@ -234,14 +234,6 @@ def test_a_computed_relation_costs_one_node_per_tuple_and_table():
                                       + f"(W({','.join(xs)}) <-> G(x0))")])
     with pytest.raises(BudgetExceededError):
         count_models(wide, 2)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 2 ** 20 - 1), min_size=1, max_size=20), st.integers(1, 20))
-def test_columns_transpose_the_lane_masks(rows, lanes):
-    rows = [row & (1 << lanes) - 1 for row in rows]
-    assert _columns(rows, lanes) == [sum((row >> b & 1) << j for j, row in enumerate(rows))
-                                     for b in range(lanes)]
 
 
 def flat_model(sig, size, flat):
