@@ -45,21 +45,23 @@ class LevelTruth:
     ORed into the mask of each table entry's value), a relation atom ORs
     the AND of its arguments' masks over the relation's tuples, and an
     equation the AND of its sides' masks over the values.  A negation is a
-    complement, a binary section spreads the left level's bits to the
-    right level's stride and
-    multiplies them by a block of the right level's bits, and a quantifier
-    ANDs or ORs the m.size ints of its body that differ in its own name
-    only.  Vectors of the levels below the size bound are kept, as the
-    object stream keeps their formulas.
+    complement, a binary section spreads the left level's bits, and their
+    complement, to the right level's stride and multiplies them by a
+    block of the right level's bits, and a quantifier ANDs or ORs the
+    m.size ints of its body that differ in its own name only.  Vectors of
+    the levels below the size bound are kept, as the object stream keeps
+    their formulas, and so are the spread bits, which the four
+    connectives over one split share.
     """
 
-    __slots__ = ("levels", "m", "assignment", "_vectors")
+    __slots__ = ("levels", "m", "assignment", "_vectors", "_spreads")
 
     def __init__(self, levels: FormulaLevels, m, assignment: Mapping[str, int] | None = None):
         self.levels = levels
         self.m = m
         self.assignment = dict(assignment) if assignment else {}
         self._vectors: dict[tuple[int, int, int], list[int]] = {}
+        self._spreads: dict[tuple, list[tuple[int, int]]] = {}
 
     def vector(self, key: tuple[int, int, int]) -> list[int]:
         """A level's truth vector."""
@@ -101,18 +103,29 @@ class LevelTruth:
         width, stride = levels.count(left), levels.count(right)
         if not width or not stride:
             return [0] * n ** key[1]
-        full_left, full = (1 << width) - 1, (1 << stride) - 1
-        gap, digits = "0" * (stride - 1), f"0{width}b"
+        full = (1 << stride) - 1
         blocks = _BLOCKS[ctor]
         out = []
-        for lbits, rbits in zip(self.vector(left), self.vector(right)):
+        for (holds, fails), rbits in zip(self._spread(left, width, stride), self.vector(right)):
             when_true, when_false = blocks(rbits, full)
-            # bit j * stride set when the j-th left formula holds (fails)
-            bits = int(gap.join(format(lbits, digits)), 2) * when_true if when_true else 0
+            bits = holds * when_true if when_true else 0
             if when_false:
-                bits |= int(gap.join(format(full_left ^ lbits, digits)), 2) * when_false
+                bits |= fails * when_false
             out.append(bits)
         return out
+
+    def _spread(self, left: tuple[int, int, int], width: int, stride: int
+                ) -> list[tuple[int, int]]:
+        # per assignment, bit j * stride set when the j-th formula of level
+        # left holds, and when it fails
+        got = self._spreads.get((left, stride))
+        if got is None:
+            full = (1 << width) - 1
+            gap, digits = "0" * (stride - 1), f"0{width}b"
+            got = self._spreads[left, stride] = [
+                (int(gap.join(format(bits, digits)), 2),
+                 int(gap.join(format(full ^ bits, digits)), 2)) for bits in self.vector(left)]
+        return got
 
     def _atoms(self, atoms: list[Formula], binders: int) -> list[int]:
         # each atom's column, bit a its truth at the a-th assignment, from

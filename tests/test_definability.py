@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import (expansion_by_eval, first_refuting_point, random_formula, random_model,
                      reduct, reduct_expansion_check, scan_points, substructure_scan)
 
-from defeq import definability, folang
+from defeq import cli, definability, folang, truth
 from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
 from defeq.definability import (
     DefinitionSet, beth_search, expand_model, extend_theory,
@@ -464,8 +464,6 @@ def test_substructure_closure_never_evaluates_point_by_point(monkeypatch, subst)
 ])
 def test_definability_commands_build_models_for_witnesses_only(argv, code, built, tmp_path,
                                                                 monkeypatch):
-    from defeq import cli, truth
-
     mutual = tmp_path / "mutual.thy"
     mutual.write_text("rel G 2\nrel R 1\n"
                       "axiom A x. (R(x) <-> (E y. (G(x,y) & G(y,x) & !(x=y))))\n")
