@@ -639,6 +639,13 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
     conjuncts = [_Conjunct(sig, c, size, plan) for c in plan.constraints]
     walked = plan.walked
     last = len(walked) - 1
+    computed = [plan.computed.get(i, ()) for i in range(len(walked))]
+    moving = [[(r, run, cost) for r, run, moves, cost in here if moves] for here in computed]
+    moving_levels = {i for i, m in enumerate(moving) if m}
+    lane_bits = [len(_lanes(widths[j])[0]) for j in walked]
+    # the last relation is the last searched one, with nothing computed at
+    # its level: each leaf's models differ in that relation only
+    plain = walked[-1:] == [nrels - 1] and not computed[-1]
     # what the compiled groups and definitions read: relation bitmaps,
     # function tables, constants; while level i is evaluated in lanes, the
     # slots of its relations hold a block's lanes
@@ -659,7 +666,7 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
         # relations computed at i that do not move
         j = walked[i]
         mine = [c for c in spanning if i in c.at and i not in c.spans]
-        fixed = [(r, run, cost) for r, run, moves, cost in plan.computed.get(i, ()) if not moves]
+        fixed = [(r, run, cost) for r, run, moves, cost in computed[i] if not moves]
         full = plan.full[i]
         if not checks and not mine and not fixed:
             oks[i] = itertools.repeat(full)  # every lane of every block
@@ -718,12 +725,11 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
             subs[c, i] = (hit, set(hit))
 
     def walk(i: int, pending: list[_Conjunct]):
-        j = walked[i]
-        here = plan.computed.get(i, ())
-        spans = [c for c in pending if i in c.spans]
-        moving = [(r, run, cost) for r, run, moves, cost in here if moves]
-        if spans or moving:
-            sieve(i, spans, moving)
+        here = computed[i]
+        if i in sieved:
+            spans = [c for c in pending if i in c.spans]
+            if spans or moving[i]:
+                sieve(i, spans, moving[i])
         forced = [c for c in pending if c.last == i]
         if not forced:
             choices = kept[i]
@@ -732,23 +738,31 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
         else:
             choices = [b for b in subs[forced[0], i][0]
                        if all(b in subs[c, i][1] for c in forced[1:])]
-        k = len(_lanes(widths[j])[0])
-        columns: list[Iterable[int]] = [choices]
-        columns += [_bitmaps(rows[i], r, k, choices) for r, *_ in here]
+        # the bitmaps of the relations computed at i, with each choice
+        columns = [_bitmaps(rows[i], r, lane_bits[i], choices) for r, *_ in here] if here else ()
         if i == last:
             # every pending conjunct is forced here, so each choice is a model
             over_budget(i)
             nodes.tick(len(choices))
+            if plain:
+                yield len(choices), zip(*map(itertools.repeat, data[:nrels - 1]), choices), \
+                    fun_part, const_part
+                return
             parts = list(map(itertools.repeat, data[:nrels]))
-            for r, column in zip([j, *(r for r, *_ in here)], columns):
+            parts[walked[i]] = choices
+            for (r, *_), column in zip(here, columns):
                 parts[r] = column
             yield len(choices), zip(*parts), fun_part, const_part
             return
-        for bits, *computed in zip(*columns):
+        if here:
+            values = zip(*columns)
+        j = walked[i]
+        for bits in choices:
             nodes.tick()
             data[j] = bits
-            for (r, *_), value in zip(here, computed):
-                data[r] = value
+            if here:
+                for (r, *_), value in zip(here, next(values)):
+                    data[r] = value
             yield from walk(i + 1, [c for c in pending
                                     if i not in c.at or bits not in subs[c, i][1]])
 
@@ -776,6 +790,9 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
                 spanning.append(c)
         else:
             subs: dict[tuple[_Conjunct, int], tuple[list[int], set[int]]] = {}
+            # the levels where the walk sieves: groups spanning to them, or
+            # relations computed there that move
+            sieved = {i for c in spanning for i in c.spans} | moving_levels
             oks: list = [None] * len(walked)
             kept = [filter_tables(i, checks[i], spanning) for i in range(len(walked))]
             fun_part, const_part = combo[:nfuns], combo[nfuns:]
