@@ -33,7 +33,7 @@ import operator
 import os
 import re
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -41,7 +41,7 @@ from . import definability, folang, groups, irregular, spectra, ultra
 from .budget import DEFAULT_MAX_NODES, BudgetExceededError, NodeCounter, WorkBudget
 from .folang import FormulaSyntaxError, Signature, SignatureError
 from .models import (FiniteModel, InternalError, Theory, _ByteTable, count_models,
-                     enumerate_models)
+                     enumerate_encodings)
 
 __all__ = [
     "CliError", "parse_theory_text", "load_theory", "theory_to_text",
@@ -409,8 +409,7 @@ def cmd_models(args):
     t = load_theory(args.theory)
     if args.count_only:
         return 0, [str(count_models(t, args.size, _budget(args)))]
-    models = enumerate_models(t, args.size, _budget(args))
-    return 0, _renderer(t.sig, args.size).column([m.encode() for m in models])
+    return 0, _renderer(t.sig, args.size).column(enumerate_encodings(t, args.size, _budget(args)))
 
 
 def cmd_aut(args):
@@ -467,10 +466,6 @@ def cmd_build_iso(args):
         m, other, h = report.iso_witness
         lines.append(f"iso witness: h={','.join(map(str, h))} "
                      f"m: {model_to_text(m)} n: {model_to_text(other)}")
-    if report.ultra_witness is not None:
-        k, point, tup = report.ultra_witness
-        shown = " | ".join(model_to_text(m) for m in tup)
-        lines.append(f"ultra witness: k={k} point={point} models: {shown}")
     return (0 if report.ok else 1), itertools.chain(listing, lines)
 
 
@@ -708,31 +703,35 @@ def _build_parser(argv: Sequence[str]):
     return parser
 
 
-def dispatch(argv: Sequence[str]) -> tuple[int, str]:
-    """Run one command line; returns (exit code, stdout text).
-
-    Diagnostics go straight to stderr, witnesses and results to the
-    returned text.
-    """
+def _run(argv: Sequence[str]) -> tuple[int, Iterable[str]]:
+    """(exit code, stdout lines) of one command line, less one leading "--".
+    Diagnostics go straight to stderr.  A handler does all that can fail
+    before it returns, so its lines are only rendered."""
     argv = list(argv)
+    if argv[:1] == ["--"]:
+        del argv[0]
     args = _plain_args(argv)
     if args is None:
         try:
             args = _build_parser(argv).parse_args(argv)
         except SystemExit as e:
-            code = e.code if isinstance(e.code, int) else 2
-            return code, ""
+            return (e.code if isinstance(e.code, int) else 2), ()
     try:
         for dest, least, noun in _RANGES:
             _at_least(args, dest, least, noun)
         _in_index_set(args)
-        code, lines = args.handler(args)
+        return args.handler(args)
     except (CliError, BudgetExceededError, ValueError, OSError) as e:
         _diagnose(f"defeq: {e}")
-        return 2, ""
+        return 2, ()
     except InternalError as e:
         _diagnose(f"defeq: internal error: {e}")
-        return 3, ""
+        return 3, ()
+
+
+def dispatch(argv: Sequence[str]) -> tuple[int, str]:
+    """Run one command line; returns (exit code, stdout text)."""
+    code, lines = _run(argv)
     return code, "".join(line + "\n" for line in lines)
 
 
@@ -744,8 +743,11 @@ def _diagnose(line: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    code, out = dispatch(sys.argv[1:] if argv is None else argv)
-    sys.stdout.write(out)
+    """Run one command line; its lines go to stdout as rendered, 256 a write."""
+    code, lines = _run(sys.argv[1:] if argv is None else argv)
+    lines = iter(lines)
+    while chunk := "".join(line + "\n" for line in itertools.islice(lines, 256)):
+        sys.stdout.write(chunk)
     return code
 
 

@@ -21,10 +21,11 @@ from collections.abc import Iterable, Iterator, Sequence
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from .folang import Signature, SignatureError
 from .groups import PermutationGroup, group_to_text
-from .models import (FiniteModel, InternalError, Theory, enumerate_encodings, enumerate_models,
-                     is_isomorphism)
+# enumerate_models is unused here but stays importable as spectra's, since
+# the bench's tracer test reads and restores it through this module
+from .models import FiniteModel, InternalError, Theory, enumerate_encodings, enumerate_models
 from .record import Record
-from .ultra import quotient_encoding, ultrafilters_on
+from .ultra import ultrafilters_on
 
 # census (Census, Relabelling, orbits) is imported where it is used, so
 # that only the commands that classify models load it
@@ -284,10 +285,11 @@ class VerificationReport(Record):
         coset; across classes both sides are empty.  Conversely M = R,
         N = p.R and h = p give the condition.
     ultra_ok: b commutes with ultraproducts over every ultrafilter on index
-        sets up to the checked bound, by literal table equality of the
-        canonicalized quotients.  Finite index sets only carry principal
-        ultrafilters, so this verdict is bounded evidence, not a proof of
-        the elementary-embedding condition.
+        sets up to the checked bound, on the sampled tuples.  Each such
+        ultrafilter is principal, at some i, and the quotient of M_0..M_k-1
+        is then literally M_i, so both sides are b(M_i): the verdict holds
+        unless a tuple's images lie over two signatures (SignatureError),
+        and ultra_witness is None.  Bounded evidence, not a proof.
     """
 
     __slots__ = ("universes_ok", "universe_witness", "iso_ok", "iso_witness",
@@ -305,121 +307,129 @@ class VerificationReport(Record):
         return self.universes_ok and self.iso_ok and self.ultra_ok
 
 
-def _iso_witness(image: dict[tuple, FiniteModel], n: int, sig: Signature,
-                 classes: Iterable[tuple[list[tuple], list[tuple], list]],
+def _column(b: ConcreteBijection, n: int, sigs: tuple[Signature, Signature]
+            ) -> tuple[dict[tuple, tuple], dict[tuple, Signature]]:
+    """b at size n on the models over sigs[0], as encodings: (each one's
+    image's, each one's image's signature where that is not sigs[1])."""
+    sources, images = b.columns.get(n, ((), ()))
+    if b.sigs[0] is None:  # a map handed to the constructor keeps its models
+        rows = [(m.encode(), bm) for m, bm in zip(sources, images) if m.sig == sigs[0]]
+        return ({enc: bm.encode() for enc, bm in rows},
+                {enc: bm.sig for enc, bm in rows if bm.sig != sigs[1]})
+    if b.sigs[0] != sigs[0]:
+        return {}, {}
+    return dict(zip(sources, images)), ({} if b.sigs[1] == sigs[1] else
+                                         dict.fromkeys(sources, b.sigs[1]))
+
+
+def _iso_witness(column: dict[tuple, tuple], odd: dict[tuple, Signature], n: int,
+                 sigs: tuple[Signature, Signature], classes: list[tuple[list, list]],
                  nodes: NodeCounter) -> tuple[FiniteModel, FiniteModel, tuple[int, ...]] | None:
     """The first (M, N, h) of size n, in full-scan order, that breaks iso_ok.
 
-    image maps the encoding of each model over sig checked so far, those of
-    size n among them, to b's image of that model; classes are the classes
-    of the size-n models as census.orbits yields them, each with the sweep
-    of its least member R.  A class passes the coset criterion when the
-    sweep of b(R) agrees with b applied to R's sweep, index by index.  b is
-    injective here, and a class that passes is mapped onto a whole class
-    of b(R)'s.  So a pair of models breaks iso_ok only when both their
-    classes fail: only those pairs are rescanned.
+    column and odd are _column's, checked: an image on its model's
+    universe is a model of t2.  classes are the classes of the size-n
+    models in census.orbits' order, as (members, the sweep of the least
+    member R).  A class passes the coset criterion when the sweep of b(R)
+    is b applied to R's sweep, index by index.  b is injective here, and a
+    class that passes is mapped onto a whole class of b(R)'s.  So a pair of
+    models breaks iso_ok only when both their classes fail: only those
+    pairs are rescanned, off one sweep of each model and of its image.
     """
     from .census import Relabelling
-    relabellings: dict[Signature, Relabelling] = {}  # of size n, per image signature
+    target = None  # the relabellings of t2's size-n models, made when first needed
     failed: set[tuple] = set()  # the members of classes that fail
-    for members, swept, _ in classes:
+    for members, swept in classes:
         nodes.tick(len(members))
-        brep = image[members[0]]
-        ok = brep.size == n  # b(R) off R's universe fails the class
+        brep = column[members[0]]
+        ok = brep[0] == n  # b(R) off R's universe fails the class
         if ok:
-            relabelling = relabellings.get(brep.sig)
-            if relabelling is None:
-                relabelling = relabellings[brep.sig] = Relabelling(brep.sig, n)
-            for enc, target in zip(swept, relabelling.images(brep.encode())):
-                bm = image[enc]
-                if bm.sig != brep.sig:
+            target = target or Relabelling(sigs[1], n)
+            for enc, want in zip(swept, target.images(brep)):
+                if enc in odd:
                     raise SignatureError("models have different signatures")
-                if bm.encode() != target:
+                if column[enc] != want:
                     ok = False
                     break
         if not ok:
             failed.update(members)
     if not failed:
         return None
-    perms = list(itertools.permutations(range(n)))
-    # sorted encodings are in encoding order
-    models = [FiniteModel._from_encoding(sig, enc) for enc in sorted(failed)]
-    for m, other in itertools.product(models, repeat=2):
-        nodes.tick()
-        bm, bo = image[m.encode()], image[other.encode()]
-        for h in perms:
-            if is_isomorphism(m, other, h) != is_isomorphism(bm, bo, h):
-                return m, other, h
+    source = Relabelling(sigs[0], n)
+    members = sorted(failed)  # sorted encodings are in encoding order
+    for m in members:
+        swept, bm, bswept = source.images(m), column[m], [None] * len(source.perms)
+        if bm[0] == n:
+            target = target or Relabelling(sigs[1], n)
+            bswept = target.images(bm)
+        for other in members:
+            nodes.tick()
+            if odd.get(m, sigs[1]) != odd.get(other, sigs[1]):
+                raise SignatureError("models have different signatures")
+            bo = column[other]
+            for h, image, bimage in zip(source.perms, swept, bswept):
+                if (image == other) != (bimage == bo):
+                    return (FiniteModel._from_encoding(sigs[0], m),
+                            FiniteModel._from_encoding(sigs[0], other), h)
     raise InternalError(f"the coset verdict failed at size {n}, but no model pair breaks it")
 
 
-def _sampled_runs(encs: list[tuple], k: int, sample_budget: int
-                  ) -> Iterator[tuple[tuple[tuple, ...], list[tuple]]]:
-    """The first sample_budget k-tuples of encs, in lexicographic order, as
-    (head, lasts): the tuples head + (last,) for last in lasts, lasts being
-    a run of encodings of one size."""
-    runs = [list(run) for _, run in itertools.groupby(encs, key=lambda enc: enc[0])]
-    left = sample_budget
-    for head in itertools.product(encs, repeat=k - 1):
-        for run in runs:
-            if left <= 0:
-                return
-            yield head, run[:left]
-            left -= len(run)
+def _ultra_tuples(shapes: list[tuple], index_bound: int, sample_budget: int,
+                  budget: WorkBudget, sampled: NodeCounter) -> None:
+    """Take the tuples of the ultraproduct verdict in turn; build no product.
 
-
-def _ultra_witness(b: ConcreteBijection, sig: Signature, image: dict[tuple, FiniteModel],
-                   index_bound: int, sample_budget: int, budget: WorkBudget,
-                   sampled: NodeCounter) -> tuple[int, int, tuple[FiniteModel, ...]] | None:
-    """The first sampled (k, point, tuple) whose product b does not commute with.
-
-    image maps the encoding of each model over sig, in order, to b's image
-    of it.  The products are made on encodings by ultra.quotient_encoding,
-    the kernel of ultra.ultraproduct, with the same plans and the same
-    budget check, made once per factor shape.  The tuples come in runs
-    that share all factors but the last, and the last factors' size, so a
-    run's products are made by one kernel call per side (on the right, one
-    per stretch of the run whose images share their size and signature);
-    the tuples are then checked, and counted, one at a time.
+    shapes holds, per checked model in order, (its size, its image's size,
+    its image's signature or None for t2's).  Per index set size k and
+    point, the tuples are the first sample_budget k-tuples of the models in
+    lexicographic order, each a node of sampled.  They come in runs that
+    share all factors but the last, and the last's size.  A run whose
+    factor sizes differ from the last run's, and a stretch of it whose
+    images' sizes differ from its factors', ask the ultrafilter for the
+    plan of those sizes, which counts its choice functions, as products
+    would; each plan must collapse to the point: the class of each choice
+    function f is f[point], else InternalError.  A tuple whose images lie
+    over two signatures raises SignatureError.
     """
-    image_enc = {enc: bm.encode() for enc, bm in image.items()}
-    mixed = len({bm.sig for bm in image.values()}) > 1  # so a tuple may mix signatures
-    encs = list(image)
+    # per size: (its number of models, the (start, shape) where the shape changes)
+    runs = [(len(run), [(i, s) for i, s in enumerate(run) if not i or s != run[i - 1]])
+            for run in (list(g) for _, g in itertools.groupby(shapes, key=lambda s: s[0]))]
+    mixed = len({shape[2] for _, segments in runs for _, shape in segments}) > 1
     for k in range(1, index_bound + 1):
         for u in ultrafilters_on(k):
-            plan = None
-            for head, lasts in _sampled_runs(encs, k, sample_budget):
-                sampled.tick()
-                sizes = (*[enc[0] for enc in head], lasts[0][0])
-                if plan is None or plan.sizes != sizes:
-                    plan = u.plan(sizes, budget)
-                products = quotient_encoding(plan, head, lasts, sig)
-                right_head = [image_enc[enc] for enc in head]
-                rights = [image_enc[enc] for enc in lasts]
-                right_products: list[tuple] = []
-                for i, (q, last) in enumerate(zip(products, lasts)):
-                    if i:
-                        sampled.tick()
-                    # a quotient outside models goes through b.apply, which raises if b misses it
-                    left = image.get(q) or b.apply(FiniteModel._from_encoding(sig, q))
-                    if mixed and len({image[enc].sig for enc in (*head, last)}) > 1:
-                        raise SignatureError("ultraproduct factors must share a signature")
-                    if i == len(right_products):
-                        # the stretch from i whose images share a size and a signature
-                        target = image[head[0] if head else last].sig
-                        right_sizes = (*[enc[0] for enc in right_head], rights[i][0])
-                        right_plan = plan if right_sizes == sizes else u.plan(right_sizes, budget)
-                        j = i + 1
-                        while j < len(lasts) and rights[j][0] == rights[i][0] and (
-                                not mixed or image[lasts[j]].sig == target):
-                            j += 1
-                        right_products += quotient_encoding(right_plan, right_head,
-                                                            rights[i:j], target)
-                    if left.encode() != right_products[i] or (left.sig is not target
-                                                              and left.sig != target):
-                        return k, u.principal_point(), tuple(
-                            FiniteModel._from_encoding(sig, enc) for enc in (*head, last))
-    return None
+            point, left, kept = u.principal_point(), sample_budget, None
+            for head in itertools.product(shapes, repeat=k - 1):
+                head_sigs = {s[2] for s in head}
+                for count, segments in runs:
+                    if left <= 0:
+                        break
+                    take = min(left, count)
+                    left -= take
+                    sampled.tick()
+                    sizes = (*[s[0] for s in head], segments[0][1][0])
+                    if sizes != kept:
+                        _collapses(u, sizes, budget, point)
+                        kept = sizes
+                    done = 1  # the tuples of the run counted so far
+                    for start, (_, size, sig) in segments:
+                        if start >= take:
+                            break
+                        sampled.tick(start + 1 - done)
+                        done = start + 1
+                        if mixed and len(head_sigs | {sig}) > 1:
+                            raise SignatureError("ultraproduct factors must share a signature")
+                        images = (*[s[1] for s in head], size)
+                        if images != sizes:
+                            _collapses(u, images, budget, point)
+                    sampled.tick(take - done)
+                if left <= 0:
+                    break
+
+
+def _collapses(u, sizes: tuple[int, ...], budget: WorkBudget, point: int) -> None:
+    """InternalError unless u's plan for these factor sizes collapses to point."""
+    if any(c != f[point] for f, c in u.plan(sizes, budget).class_map.items()):
+        raise InternalError(f"the ultraproduct of factors of sizes {sizes} at point {point} "
+                            f"is not its factor {point}")
 
 
 def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
@@ -432,40 +442,53 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
     Raises ValueError when b is not a total injection from Mod(t1) into
     Mod(t2) on the checked sizes.  Witnesses are the first failures in
     deterministic order; the isomorphism witness is the first that a scan
-    of all model pairs and base bijections would meet.  The budget counts
-    a node per member checked and per model pair rescanned; enumeration
-    and the sweeps have counts of their own.  The ultraproduct verdict
-    draws model tuples in lexicographic order up to sample_budget per
-    (index set size, point), and its own count against the budget ticks
-    once per tuple.
+    of all model pairs and base bijections would meet.  Models are checked
+    as encodings, with b read off its columns a size at a time, and built
+    only for witnesses and diagnostics.  The budget counts a node per
+    member checked and per model pair rescanned; enumeration and the sweeps
+    have counts of their own.  The ultraproduct verdict draws model tuples
+    in lexicographic order up to sample_budget per (index set size,
+    point), and its own count against the budget ticks once per tuple.
     """
     from .census import Relabelling, orbits
     budget = budget or DEFAULT_BUDGET
     nodes = NodeCounter(budget, "verifying the bijection")
-    image: dict[tuple, FiniteModel] = {}  # every checked model's encoding -> its image
+    sigs = (t1.sig, t2.sig)
+    shapes: list[tuple] = []  # per checked model, see _ultra_tuples
     universe_witness = iso_witness = None
     for n in range(1, max_size + 1):
         encodings = enumerate_encodings(t1, n, budget)
         sweeps = NodeCounter(budget, f"relabelling models at size {n}")
         # every class is swept before b is read, so budget and internal
-        # errors come in the order a census of t1 gives them
-        classes = list(orbits(Relabelling(t1.sig, n), encodings, sweeps)) if encodings else []
-        mod2set = set(enumerate_models(t2, n, budget))
-        seen: set[FiniteModel] = set()
+        # errors come in the order a census of t1 gives them; a sweep is
+        # kept as the members it reaches, not as n! encodings of its own
+        classes = [(members, list(map(dict(zip(members, members)).__getitem__, swept)))
+                   for members, swept, _ in orbits(Relabelling(t1.sig, n), encodings, sweeps)
+                   ] if encodings else []
+        models2 = set(enumerate_encodings(t2, n, budget))
+        column, odd = _column(b, n, sigs)
+        seen: set[tuple] = set()
         for enc in encodings:
-            m = FiniteModel._from_encoding(t1.sig, enc)
-            bm = image[enc] = b.apply(m)  # raises if not total
-            if bm in seen:
-                raise ValueError(f"bijection not injective at {bm!r}")
-            seen.add(bm)
-            if bm.size == n and bm not in mod2set:
-                raise ValueError(f"image {bm!r} is not a model of the target theory")
-            if bm.size != n and universe_witness is None:
-                universe_witness = m
-        iso_witness = iso_witness or _iso_witness(image, n, t1.sig, classes, nodes)
+            bm = column.get(enc)
+            if bm is None:
+                raise ValueError(
+                    f"bijection not defined on {FiniteModel._from_encoding(t1.sig, enc)!r}")
+            sig = odd.get(enc)
+            key = bm if sig is None else (sig, bm)
+            if key in seen:
+                raise ValueError("bijection not injective at "
+                                 f"{FiniteModel._from_encoding(sig or t2.sig, bm)!r}")
+            seen.add(key)
+            if bm[0] == n and (sig is not None or bm not in models2):
+                raise ValueError(f"image {FiniteModel._from_encoding(sig or t2.sig, bm)!r} "
+                                 "is not a model of the target theory")
+            if bm[0] != n and universe_witness is None:
+                universe_witness = FiniteModel._from_encoding(t1.sig, enc)
+            shape = (n, bm[0], sig)
+            shapes.append(shapes[-1] if shapes and shapes[-1] == shape else shape)
+        iso_witness = iso_witness or _iso_witness(column, odd, n, sigs, classes, nodes)
 
     sampled = NodeCounter(budget, "sampling ultraproduct tuples")
-    ultra_witness = _ultra_witness(b, t1.sig, image, index_bound, sample_budget, budget, sampled)
+    _ultra_tuples(shapes, index_bound, sample_budget, budget, sampled)
     return VerificationReport(universe_witness is None, universe_witness,
-                              iso_witness is None, iso_witness,
-                              ultra_witness is None, ultra_witness, sampled.count)
+                              iso_witness is None, iso_witness, True, None, sampled.count)

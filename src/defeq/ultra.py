@@ -7,12 +7,11 @@ made once per (factor sizes, ultrafilter) and reused: an Ultrafilter keeps
 the plan of the last factor sizes it was asked for, and every result of
 those sizes shares its read-only class_map.  A relation of the quotient is
 read off byte tables that scatter each factor's bitmap onto the tuples of
-classes, and the membership test is expanded over all factors but the last
-(the cofactors), so products that differ in their last factor only share
-that work.  No step assumes the ultrafilter is principal; that every
-ultrafilter on a finite index set IS principal, and that the quotient then
-collapses to one factor, are theorems the tests check against this
-construction.
+classes, and the membership test is expanded over those bitmaps, so it
+runs once per set of factors that occurs, not once per tuple of classes.
+No step assumes the ultrafilter is principal; that every ultrafilter on
+a finite index set IS principal, and that the quotient then collapses to
+one factor, are theorems the tests check against this construction.
 """
 
 from __future__ import annotations
@@ -203,24 +202,6 @@ class _Plan:
             self._scatter[arity] = out
         return out
 
-    def cofactors(self, head: Sequence[tuple], sig: Signature) -> list[tuple[int, int, _ByteTable]]:
-        """Per relation of sig, (A, B, the last factor's scatter table) for
-        the encodings head of all factors but the last: bit j of A (of B) is
-        set when the factors holding the j-th tuple of classes form a member
-        of the ultrafilter, given that the last factor holds it (does not
-        hold it).  The relation's quotient bitmap is then A & h | B & ~h, h
-        the last factor's bitmap scattered onto the tuples of classes."""
-        last = 1 << len(head)
-        test = self.test
-        out = []
-        for r, arity in enumerate(sig.relations.values()):
-            *tables, table = self.scatter(arity)
-            rows = [sum(t.read(enc[1][r])) for enc, t in zip(head, tables)]
-            full = (1 << len(self.reps) ** arity) - 1
-            out.append((_members(rows, lambda s: test(s | last), full),
-                        _members(rows, test, full), table))
-        return out
-
 
 class UltraproductResult(Record):
     """Quotient model plus the choice-function -> class map, with the
@@ -262,43 +243,33 @@ def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
         if m.sig != sig:
             raise SignatureError("ultraproduct factors must share a signature")
     plan = u.plan(tuple(m.size for m in models), budget)
-    *head, last = [m.encode() for m in models]
-    [enc] = quotient_encoding(plan, head, [last], sig)
+    enc = quotient_encoding(plan, [m.encode() for m in models], sig)
     return UltraproductResult(FiniteModel._from_encoding(sig, enc), plan.class_map,
                               plan.reps, tuple(models), u)
 
 
-def quotient_encoding(plan: _Plan, head: Sequence[tuple], lasts: Sequence[tuple],
-                      sig: Signature) -> list[tuple]:
-    """The quotients' encodings for the factors head + (last,), for each
-    encoding last in lasts, all over sig; plan must be the one for their
-    sizes and ultrafilter (Ultrafilter.plan).
+def quotient_encoding(plan: _Plan, encs: Sequence[tuple], sig: Signature) -> tuple:
+    """The quotient's encoding for the factors with encodings encs, all over
+    sig; plan must be the one for their sizes and ultrafilter
+    (Ultrafilter.plan).
 
     A relation's tuple of classes holds when the factors whose bitmaps
-    hold at its representatives' ranks form a member of the ultrafilter.
-    Its bitmap is read off the cofactors of head (plan.cofactors), made
-    once for all of lasts, and the last factor's bitmap scattered onto the
-    tuples of classes.  Function tables and constants are read through the
-    class map, one quotient at a time.
+    hold at its representatives' ranks form a member of the ultrafilter:
+    each factor's bitmap is scattered onto the tuples of classes
+    (plan.scatter), and the membership test is expanded over those
+    (_members).  Function tables and constants are read through the class
+    map.
     """
-    size = len(plan.reps)
-    columns = [[a & h | b & ~h for h in table.sums(bitmaps)]
-               for (a, b, table), bitmaps in zip(plan.cofactors(head, sig),
-                                                 zip(*[last[1] for last in lasts]))]
-    rel_parts = zip(*columns) if columns else itertools.repeat(())
-    if not (sig.functions or sig.constants):
-        return [(size, rels, (), ()) for rels, _ in zip(rel_parts, lasts)]
+    rels = tuple([_members([sum(t.read(enc[1][r])) for enc, t in zip(encs, plan.scatter(arity))],
+                           plan.test, (1 << len(plan.reps) ** arity) - 1)
+                  for r, arity in enumerate(sig.relations.values())])
     class_of = plan.class_map.__getitem__
-    out = []
-    for rels, last in zip(rel_parts, lasts):
-        encs = (*head, last)
-        fun_part = tuple([
-            tuple(map(class_of, zip(*[list(map(enc[2][g].__getitem__, ranks))
-                                      for enc, ranks in zip(encs, plan.ranks(arity))])))
-            for g, arity in enumerate(sig.functions.values())])
-        const_part = tuple(map(class_of, zip(*[enc[3] for enc in encs])))
-        out.append((size, rels, fun_part, const_part))
-    return out
+    fun_part = tuple([
+        tuple(map(class_of, zip(*[list(map(enc[2][g].__getitem__, ranks))
+                                  for enc, ranks in zip(encs, plan.ranks(arity))])))
+        for g, arity in enumerate(sig.functions.values())])
+    const_part = tuple(map(class_of, zip(*[enc[3] for enc in encs])))
+    return len(plan.reps), rels, fun_part, const_part
 
 
 def diagonal_embedding(m: FiniteModel, u: Ultrafilter,

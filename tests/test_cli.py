@@ -431,6 +431,26 @@ def test_budget_bounds_the_choice_functions_of_a_verifier_product(tmp_path, caps
         "defeq: work budget exceeded while enumerating 9 choice functions (limit 8)\n"
 
 
+@pytest.mark.parametrize("argv, what", [
+    # 4,270 tuples up to size 3: the 4,001st is over the budget
+    (("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "3", "--verify",
+      "--max-nodes", "4000"), "sampling ultraproduct tuples"),
+    # one tuple per (index size, point) of three-element models: at k = 7
+    # their plan has 3^7 choice functions
+    (("build-iso", "--t1", "three.thy", "--t2", "three_copy.thy", "--max-size", "3", "--verify",
+      "--index-bound", "16", "--sample-budget", "1", "--max-nodes", "1000"),
+     "enumerating 2187 choice functions"),
+])
+def test_verifier_budget_exits_keep_their_lines(argv, what, tmp_path, monkeypatch, capsys):
+    three = "axiom E x. E y. E z. (!(x=y) & !(x=z) & !(y=z))\n"
+    (tmp_path / "three.thy").write_text("const a\n" + three)
+    (tmp_path / "three_copy.thy").write_text("const b\n" + three)
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == (2, "")
+    assert capsys.readouterr().err == f"defeq: work budget exceeded while {what} (limit " \
+                                      f"{argv[-1]})\n"
+
+
 def test_internal_errors_exit_3(monkeypatch, capsys):
     # a census that misses one rigid size-2 model breaks closure under relabelling
     real = census.enumerate_encodings
@@ -935,7 +955,8 @@ USAGE = "usage: defeq [-h] COMMAND ...\n"
     (["-h", "models"], (0, FULL_HELP, "")),
     (["modles"], (2, "", f"{USAGE}defeq: error: argument COMMAND: "
                          f"invalid choice: 'modles' {CHOICES}\n")),
-    (["--", "models", "--theory", "ex1_t1.thy", "--size", "2", "--count-only"],
+    # one leading "--" is dropped, so a second one is argparse's command name
+    (["--", "--", "models", "--theory", "ex1_t1.thy", "--size", "2", "--count-only"],
      (2, "", f"{USAGE}defeq: error: argument COMMAND: invalid choice: '--' {CHOICES}\n")),
     (["--jobs=1", "seq", "--variant", "master", "--range", "0..3"],
      (2, "", f"{USAGE}defeq: error: unrecognized arguments: --jobs=1\n")),
@@ -946,6 +967,18 @@ def test_command_lines_that_name_no_command_first(argv, want, monkeypatch, capsy
     code, out = run(*argv)
     captured = capsys.readouterr()
     assert (code, captured.out + out, captured.err) == want
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse text of CPython 3.11")
+def test_one_leading_double_dash_is_dropped(capsys):
+    # on the plain-line path and on argparse's, as if the "--" were not there
+    count = ("models", "--theory", "ex1_t1.thy", "--size", "2", "--count-only")
+    assert run("--", *count) == run(*count) == (0, "31\n")
+    assert run("--", "models", "--theory", "ex1_t1.thy", "--size") == (2, "")
+    assert run("models", "--theory", "ex1_t1.thy", "--size") == (2, "")
+    err = capsys.readouterr().err
+    want = "defeq models: error: argument --size: expected one argument\n"
+    assert err.count(want) == 2 and err.endswith(want)
 
 
 def cli_process(*argv, **options) -> subprocess.CompletedProcess:
@@ -972,6 +1005,38 @@ def test_the_process_writes_what_dispatch_returns(argv, code, capsys):
     assert done.returncode == want[0] == code
     assert done.stdout == want[1].encode()
     assert done.stderr == want_err.encode()
+
+
+_LISTINGS = [("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", str(n),
+              *verify) for n in (1, 2, 3) for verify in ((), ("--verify",))]
+
+
+@pytest.mark.parametrize("argv", [
+    *_LISTINGS,
+    ("models", "--theory", "ex1_t2.thy", "--size", "3"),
+    ("spec", "--theory", "ex1_t2.thy", "--max-size", "3"),
+    ("beth", "--theory", "glymour_chain.thy", "--target", "R", "--size", "3", "--bound", "7"),
+], ids=lambda argv: "-".join(a for a in argv if not a.endswith(".thy") and "--t" not in a))
+def test_the_streamed_output_is_the_dispatched_text(argv):
+    code, out = run(*argv)
+    done = cli_process(*argv, capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), b"")
+
+
+def test_a_budget_exit_streams_nothing():
+    done = cli_process(*_LISTINGS[-1], "--max-nodes", "4000", capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", (
+        b"defeq: work budget exceeded while sampling ultraproduct tuples (limit 4000)\n"))
+
+
+def test_main_writes_a_few_hundred_lines_at_a_time(monkeypatch):
+    # 2 + 18 + 538 pairs and the verdict: 256, 256 and 47 lines
+    writes = []
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    monkeypatch.setattr(sys.stdout, "write", writes.append)
+    assert main(list(_LISTINGS[-1])) == 0
+    assert [w.count("\n") for w in writes] == [256, 256, 47]
+    assert (0, "".join(writes)) == run(*_LISTINGS[-1])
 
 
 def test_a_closed_stdout_exits_2_with_one_line():

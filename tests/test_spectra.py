@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from types import MappingProxyType
 
 import pytest
 from conftest import random_theory, replay_images
@@ -11,7 +12,7 @@ from oracles import (census_cells, census_models, group_key, listing_by_models, 
                      spectrum_lines, ultra_verdict)
 
 from defeq import census, cli, spectra, ultra
-from defeq.budget import NodeCounter, WorkBudget
+from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
 from defeq.census import Census, Relabelling, orbits
 from defeq.folang import Signature, SignatureError, parse_formula
 from defeq.groups import PermutationGroup, automorphism_group
@@ -521,31 +522,28 @@ def test_verifier_report_equals_the_oracle_verdicts(seed, size):
 
 
 def test_ultra_witness_equals_the_oracle_loops(t2, monkeypatch):
-    # a product kernel that flips one bit of the right-hand product of the
-    # 422nd tuple: the second tuple at k = 2 on point 1, after 20 tuples at
-    # k = 1 and 400 on point 0
+    # the verifier reads the verdict off the collapse of every principal
+    # product to its factor, and agrees with the loop that builds both
+    # products of each of the 20 + 2 * 400 tuples; a plan whose class map
+    # breaks the collapse (the (2, 2) plan at point 1, its classes swapped)
+    # is an internal error
     t2r = renamed_copy(t2)
     b = build_concrete_iso(t2, t2r, 2)
     models = [m for n in (1, 2) for m in enumerate_models(t2, n)]
-    real, made = ultra.quotient_encoding, {}  # products made per signature
-
-    def flipped(plan, head, lasts, sig):
-        out = real(plan, head, lasts, sig)
-        before = made.get(sig, 0)
-        made[sig] = before + len(out)
-        if sig == t2r.sig and before < 422 <= made[sig]:
-            size, rel_part, fun_part, const_part = out[421 - before]
-            out[421 - before] = size, (rel_part[0] ^ 1, *rel_part[1:]), fun_part, const_part
-        return out
-
-    monkeypatch.setattr(ultra, "quotient_encoding", flipped)
-    monkeypatch.setattr(spectra, "quotient_encoding", flipped)
     report = verify_concrete_iso(b, t2, t2r, 2)
-    assert set(made) == {t2.sig, t2r.sig} and made[t2r.sig] >= 422
-    assert (report.ultra_ok, report.ultra_witness, report.checked_tuples) == \
-        (False, (2, 1, (models[0], models[1])), 422)
-    made.clear()
+    assert (report.ultra_ok, report.ultra_witness, report.checked_tuples) == (True, None, 820)
     assert ultra_verdict(b, models) == (report.ultra_witness, report.checked_tuples)
+    real = ultra._Plan.__init__
+
+    def corrupted(plan, sizes, test):
+        real(plan, sizes, test)
+        if sizes == (2, 2) and test(0b10):
+            plan.class_map = MappingProxyType({f: 1 - c for f, c in plan.class_map.items()})
+
+    monkeypatch.setattr(ultra._Plan, "__init__", corrupted)
+    with pytest.raises(InternalError, match=r"^the ultraproduct of factors of sizes \(2, 2\) "
+                                            r"at point 1 is not its factor 1$"):
+        verify_concrete_iso(b, t2, t2r, 2)
 
 
 def test_verifier_refuses_products_of_images_over_two_signatures(t2):
@@ -561,6 +559,74 @@ def test_verifier_refuses_products_of_images_over_two_signatures(t2):
         ultra_verdict(b, models)
     with pytest.raises(SignatureError, match="share a signature"):
         verify_concrete_iso(b, t2, t2r, 2)
+
+
+def test_the_verifier_builds_no_product(t2, monkeypatch):
+    # the verdict is read off the collapse, so the product kernel is never
+    # called, and the report is the loop's, which builds both products
+    t2r = renamed_copy(t2)
+    b = build_concrete_iso(t2, t2r, 2)
+    want = ultra_verdict(b, [m for n in (1, 2) for m in enumerate_models(t2, n)])
+
+    def refused(*args):
+        raise AssertionError("the verifier built a product")
+
+    monkeypatch.setattr(ultra, "quotient_encoding", refused)
+    monkeypatch.setattr(spectra, "quotient_encoding", refused, raising=False)
+    report = verify_concrete_iso(b, t2, t2r, 2)
+    assert report.ok and (report.ultra_witness, report.checked_tuples) == want
+
+
+def test_an_image_off_its_universe_counts_its_choice_functions():
+    # one constant, the size-1 model's image swapped with a size-2 one's:
+    # with one tuple per (index size, point), the tuple (M, M) at k = 2 has
+    # 1 choice function and its images 4, which their plan counts first
+    t = Theory(Signature({}, {}, ["a"]), [], name="a")
+    tr = Theory(Signature({}, {}, ["b"]), [], name="b")
+    pairs = {n: dict(d) for n, d in build_concrete_iso(t, tr, 2).pairs.items()}
+    (m1, i1), (m2, i2) = next(iter(pairs[1].items())), next(iter(pairs[2].items()))
+    pairs[1][m1], pairs[2][m2] = i2, i1
+    b = ConcreteBijection((1, 2), pairs)
+    with pytest.raises(BudgetExceededError, match=r"^work budget exceeded while enumerating 4 "
+                                                  r"choice functions \(limit 3\)$"):
+        verify_concrete_iso(b, t, tr, 2, sample_budget=1, budget=WorkBudget(3))
+    report = verify_concrete_iso(b, t, tr, 2, sample_budget=1, budget=WorkBudget(4))
+    assert (report.universe_witness, report.iso_witness, report.ultra_ok,
+            report.checked_tuples) == (m1, (m1, m1, (0,)), True, 3)
+
+
+def test_the_verifier_builds_models_for_witnesses_only(t2, monkeypatch):
+    made = []
+    real = FiniteModel._from_encoding.__func__
+
+    def counted(cls, sig, enc):
+        made.append(enc)
+        return real(cls, sig, enc)
+
+    monkeypatch.setattr(FiniteModel, "_from_encoding", classmethod(counted))
+    for argv in (["build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "3",
+                  "--verify"],
+                 ["models", "--theory", "ex1_t2.thy", "--size", "3"],
+                 ["models", "--theory", "glymour_subst.thy", "--size", "3"]):
+        assert cli.dispatch(argv)[0] == 0
+    assert made == []
+    t2r = renamed_copy(t2)
+    b = build_concrete_iso(t2, t2r, 3)
+    # the first two models of size 3 swap images, then a size-1 and a size-2
+    # model do: an isomorphism witness, then a universe one as well
+    columns = {n: (sources, list(images)) for n, (sources, images) in b.columns.items()}
+    images = columns[3][1]
+    images[0], images[1] = images[1], images[0]
+    for swap in ((), ((1, 0), (2, 0))):
+        if swap:
+            (n1, i1), (n2, i2) = swap
+            columns[n1][1][i1], columns[n2][1][i2] = columns[n2][1][i2], columns[n1][1][i1]
+        made.clear()
+        report = verify_concrete_iso(ConcreteBijection._from_columns(b.sizes, b.sigs, columns),
+                                     t2, t2r, 3)
+        witnesses = [m for m in (report.universe_witness, *report.iso_witness[:2]) if m]
+        assert len(witnesses) == 2 + bool(swap) and not report.ok
+        assert made == [m.encode() for m in witnesses]
 
 
 # ------------------------------------------------------------

@@ -197,11 +197,10 @@ def test_ultraproduct_matches_the_verbatim_oracle(seed, k):
        st.lists(st.integers(1, 3), min_size=1, max_size=2), st.sampled_from(["", "f", "c"]),
        st.none() | st.sets(st.frozensets(st.integers(0, 3)), max_size=10))
 def test_quotient_kernel_matches_the_class_tuple_oracle(seed, sizes, arities, extra, family):
-    # the cofactor kernel against the loop over tuples of classes it
+    # the scatter kernel against the loop over tuples of classes it
     # replaced: on every principal ultrafilter, or on a family of sets that
     # is not an ultrafilter, so that a kernel that took the test for
-    # principal would differ; several last factors at once, as the
-    # verifier asks
+    # principal would differ; one plan for several products of one shape
     rng = random.Random(seed)
     k = len(sizes)
     sig = Signature({f"R{i}": a for i, a in enumerate(arities)},
@@ -215,7 +214,7 @@ def test_quotient_kernel_matches_the_class_tuple_oracle(seed, sizes, arities, ex
     for u in us:
         plan = u.plan(tuple(sizes), WorkBudget())
         assume(len(plan.reps) ** max(arities) <= 4096)
-        assert quotient_encoding(plan, head, lasts, sig) == \
+        assert [quotient_encoding(plan, (*head, last), sig) for last in lasts] == \
             [quotient_by_class_tuples(plan, (*head, last), sig) for last in lasts]
 
 
