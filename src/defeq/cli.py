@@ -41,7 +41,7 @@ from . import definability, folang, groups, irregular, spectra, ultra
 from .budget import DEFAULT_MAX_NODES, BudgetExceededError, NodeCounter, WorkBudget
 from .folang import FormulaSyntaxError, Signature, SignatureError
 from .models import (FiniteModel, InternalError, Theory, _ByteTable, count_models,
-                     enumerate_encodings)
+                     enumerate_models)
 
 __all__ = [
     "CliError", "parse_theory_text", "load_theory", "theory_to_text",
@@ -409,7 +409,8 @@ def cmd_models(args):
     t = load_theory(args.theory)
     if args.count_only:
         return 0, [str(count_models(t, args.size, _budget(args)))]
-    return 0, _renderer(t.sig, args.size).column(enumerate_encodings(t, args.size, _budget(args)))
+    models = enumerate_models(t, args.size, _budget(args))
+    return 0, _renderer(t.sig, args.size).column([m.encode() for m in models])
 
 
 def cmd_aut(args):

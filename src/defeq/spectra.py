@@ -381,48 +381,34 @@ def _ultra_tuples(shapes: list[tuple], index_bound: int, sample_budget: int,
     shapes holds, per checked model in order, (its size, its image's size,
     its image's signature or None for t2's).  Per index set size k and
     point, the tuples are the first sample_budget k-tuples of the models in
-    lexicographic order, each a node of sampled.  They come in runs that
-    share all factors but the last, and the last's size.  A run whose
-    factor sizes differ from the last run's, and a stretch of it whose
-    images' sizes differ from its factors', ask the ultrafilter for the
-    plan of those sizes, which counts its choice functions, as products
-    would; each plan must collapse to the point: the class of each choice
-    function f is f[point], else InternalError.  A tuple whose images lie
-    over two signatures raises SignatureError.
+    lexicographic order, each a node of sampled.  The first tuple of each
+    factor sizes, and the first of each image sizes, asks the ultrafilter
+    for the plan of those sizes, which counts its choice functions, as a
+    product would; each plan must collapse to the point: the class of each
+    choice function f is f[point], else InternalError.  Both depend on
+    the sizes and the point only, so a later tuple of sizes already asked
+    for would pass them again.  A tuple whose images lie over two
+    signatures raises SignatureError.
     """
-    # per size: (its number of models, the (start, shape) where the shape changes)
-    runs = [(len(run), [(i, s) for i, s in enumerate(run) if not i or s != run[i - 1]])
-            for run in (list(g) for _, g in itertools.groupby(shapes, key=lambda s: s[0]))]
-    mixed = len({shape[2] for _, segments in runs for _, shape in segments}) > 1
+    mixed = len({s[2] for s in shapes}) > 1
     for k in range(1, index_bound + 1):
         for u in ultrafilters_on(k):
-            point, left, kept = u.principal_point(), sample_budget, None
-            for head in itertools.product(shapes, repeat=k - 1):
-                head_sigs = {s[2] for s in head}
-                for count, segments in runs:
-                    if left <= 0:
-                        break
-                    take = min(left, count)
-                    left -= take
-                    sampled.tick()
-                    sizes = (*[s[0] for s in head], segments[0][1][0])
-                    if sizes != kept:
-                        _collapses(u, sizes, budget, point)
-                        kept = sizes
-                    done = 1  # the tuples of the run counted so far
-                    for start, (_, size, sig) in segments:
-                        if start >= take:
-                            break
-                        sampled.tick(start + 1 - done)
-                        done = start + 1
-                        if mixed and len(head_sigs | {sig}) > 1:
-                            raise SignatureError("ultraproduct factors must share a signature")
-                        images = (*[s[1] for s in head], size)
-                        if images != sizes:
-                            _collapses(u, images, budget, point)
-                    sampled.tick(take - done)
-                if left <= 0:
-                    break
+            point, asked, last = u.principal_point(), set(), None
+            for tup in itertools.islice(itertools.product(shapes, repeat=k), sample_budget):
+                sampled.tick()
+                if tup == last:  # the shapes of the tuple before, checked there
+                    continue
+                last = tup
+                sizes = tuple([s[0] for s in tup])
+                if sizes not in asked:
+                    _collapses(u, sizes, budget, point)
+                    asked.add(sizes)
+                if mixed and len({s[2] for s in tup}) > 1:
+                    raise SignatureError("ultraproduct factors must share a signature")
+                images = tuple([s[1] for s in tup])
+                if images not in asked:
+                    _collapses(u, images, budget, point)
+                    asked.add(images)
 
 
 def _collapses(u, sizes: tuple[int, ...], budget: WorkBudget, point: int) -> None:
@@ -484,6 +470,8 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
                                  "is not a model of the target theory")
             if bm[0] != n and universe_witness is None:
                 universe_witness = FiniteModel._from_encoding(t1.sig, enc)
+            # neighbours of one shape share one tuple: 4 MB less at size 4,
+            # and _ultra_tuples's comparisons of them stop at identity
             shape = (n, bm[0], sig)
             shapes.append(shapes[-1] if shapes and shapes[-1] == shape else shape)
         iso_witness = iso_witness or _iso_witness(column, odd, n, sigs, classes, nodes)

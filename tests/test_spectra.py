@@ -604,11 +604,8 @@ def test_the_verifier_builds_models_for_witnesses_only(t2, monkeypatch):
         return real(cls, sig, enc)
 
     monkeypatch.setattr(FiniteModel, "_from_encoding", classmethod(counted))
-    for argv in (["build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "3",
-                  "--verify"],
-                 ["models", "--theory", "ex1_t2.thy", "--size", "3"],
-                 ["models", "--theory", "glymour_subst.thy", "--size", "3"]):
-        assert cli.dispatch(argv)[0] == 0
+    assert cli.dispatch(["build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy",
+                         "--max-size", "3", "--verify"])[0] == 0
     assert made == []
     t2r = renamed_copy(t2)
     b = build_concrete_iso(t2, t2r, 3)
