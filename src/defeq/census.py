@@ -1,10 +1,12 @@
-"""The models of one theory at one size, classified into isomorphism classes.
+"""The models of one signature at one size, classified into isomorphism classes.
 
 A Census sweeps every relabelling of one member per class (Relabelling,
-orbits), on model encodings, and groups the classes by the canonical form
-of their automorphism groups.  Spectra, the concrete bijection and its
-verifier are read off it (spectra).  Only the commands that need a census
-import this module.
+orbits), on model encodings that its caller enumerates, and groups the
+classes by the canonical form of their automorphism groups; it keeps each
+class's member count and representative, not its members.  Spectra and
+the concrete bijection are read off it (spectra), and the verifier of the
+bijection checks isomorphisms off the sweeps of orbits (_iso_witness).
+Only the commands that need a census or those sweeps import this module.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
 
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
-from .folang import Signature
+from .folang import Signature, SignatureError
 from .groups import PermutationGroup, canonical_form, form_key
-from .models import InternalError, Theory, _ones, _ranks, enumerate_encodings
+from .models import FiniteModel, InternalError, _ones, _ranks
 
 __all__ = ["Relabelling", "orbits", "Census"]
 
@@ -113,34 +115,34 @@ def orbits(relabelling: Relabelling, encodings: Sequence[tuple], nodes: NodeCoun
 
 
 class Census:
-    """The models of t at one size, classified by one sweep per class (orbits).
+    """The models of one signature at one size, classified by one sweep per
+    class (orbits).
 
-    encodings lists the models' encodings in encoding order
-    (models.enumerate_encodings); the members and representatives below
-    are those same objects.  cells maps group keys to (canonical group,
-    classes in canonical-key order), a class being [members in encoding
-    order, representative]: the least member whose group is literally the
-    canonical one, by Aut(p.M) = p Aut(M) p^-1, so canonical_form runs once
-    per literal group.  forms, the memo of those calls, maps a literal group
-    to its canonical form and that form's element set; the censuses of one
-    size may share it.
-    relabelling holds the index tables of the sweeps (None when there are no
-    models).  The budget bounds enumeration and sweeps apart.
+    encodings, the models' encodings in encoding order
+    (models.enumerate_encodings), is read once and not kept.  cells maps
+    group keys to (canonical group, classes in canonical-key order), a
+    class being (its member count, its representative): the least member
+    whose group is literally the canonical one, by Aut(p.M) = p Aut(M)
+    p^-1, so canonical_form runs once per literal group.  A representative
+    is an object of encodings.  forms, the memo of those calls, maps a
+    literal group to its canonical form and that form's element set; the
+    censuses of one size may share it.  relabelling holds the index tables
+    of the sweeps (None when there are no models).  The budget bounds the
+    sweeps.
     """
 
-    __slots__ = ("sig", "encodings", "cells", "relabelling")
+    __slots__ = ("sig", "cells", "relabelling")
 
-    def __init__(self, t: Theory, size: int, budget: WorkBudget | None = None,
+    def __init__(self, sig: Signature, size: int, encodings: Sequence[tuple],
+                 budget: WorkBudget | None = None,
                  forms: dict[PermutationGroup, tuple[PermutationGroup, frozenset]] | None = None):
-        budget = budget or DEFAULT_BUDGET
         forms = {} if forms is None else forms
-        self.sig = t.sig
-        self.encodings = enumerate_encodings(t, size, budget)
-        self.relabelling = Relabelling(t.sig, size) if self.encodings else None
-        nodes = NodeCounter(budget, f"relabelling models at size {size}")
-        found: dict[PermutationGroup, list[list]] = {}
+        self.sig = sig
+        self.relabelling = Relabelling(sig, size) if encodings else None
+        nodes = NodeCounter(budget or DEFAULT_BUDGET, f"relabelling models at size {size}")
+        found: dict[PermutationGroup, list[tuple[int, tuple]]] = {}
         # classes come in the order of their least members, the canonical keys
-        for members, swept, stabilizer in orbits(self.relabelling, self.encodings, nodes):
+        for members, swept, stabilizer in orbits(self.relabelling, encodings, nodes):
             aut = PermutationGroup(size, stabilizer, _trusted=True)
             form = forms.get(aut)
             if form is None:
@@ -154,8 +156,8 @@ class Census:
                 # it literally; Aut(p.M) = p Aut(M) p^-1 for any p carrying M there
                 move = dict(zip(swept, self.relabelling.perms))
                 rep = next(m for m in members if _conjugates_into(aut, move[m], elements))
-            found.setdefault(canon, []).append([members, rep])
-        self.cells: dict[bytes, tuple[PermutationGroup, list[list]]] = {
+            found.setdefault(canon, []).append((len(members), rep))
+        self.cells: dict[bytes, tuple[PermutationGroup, list[tuple[int, tuple]]]] = {
             form_key(canon): (canon, classes) for canon, classes in found.items()}
 
 
@@ -168,3 +170,55 @@ def _conjugates_into(group: Iterable[tuple[int, ...]], p: tuple[int, ...],
         inverse[v] = i
     return all(tuple(map(p.__getitem__, map(g.__getitem__, inverse))) in elements
                for g in group)
+
+
+def _iso_witness(column: dict[tuple, tuple], odd: dict[tuple, Signature], n: int,
+                 sigs: tuple[Signature, Signature], classes: list[tuple[list, list]],
+                 nodes: NodeCounter) -> tuple[FiniteModel, FiniteModel, tuple[int, ...]] | None:
+    """The first (M, N, h) of size n, in full-scan order, that breaks
+    spectra.VerificationReport.iso_ok for the bijection b.
+
+    column and odd are spectra._column's, checked: an image on its model's
+    universe is a model of t2.  classes are the classes of the size-n
+    models in orbits' order, as (members, the sweep of the least
+    member R).  A class passes the coset criterion when the sweep of b(R)
+    is b applied to R's sweep, index by index.  b is injective here, and a
+    class that passes is mapped onto a whole class of b(R)'s.  So a pair of
+    models breaks iso_ok only when both their classes fail: only those
+    pairs are rescanned, off one sweep of each model and of its image.
+    """
+    target = None  # the relabellings of t2's size-n models, made when first needed
+    failed: set[tuple] = set()  # the members of classes that fail
+    for members, swept in classes:
+        nodes.tick(len(members))
+        brep = column[members[0]]
+        ok = brep[0] == n  # b(R) off R's universe fails the class
+        if ok:
+            target = target or Relabelling(sigs[1], n)
+            for enc, want in zip(swept, target.images(brep)):
+                if enc in odd:
+                    raise SignatureError("models have different signatures")
+                if column[enc] != want:
+                    ok = False
+                    break
+        if not ok:
+            failed.update(members)
+    if not failed:
+        return None
+    source = Relabelling(sigs[0], n)
+    members = sorted(failed)  # sorted encodings are in encoding order
+    for m in members:
+        swept, bm, bswept = source.images(m), column[m], [None] * len(source.perms)
+        if bm[0] == n:
+            target = target or Relabelling(sigs[1], n)
+            bswept = target.images(bm)
+        for other in members:
+            nodes.tick()
+            if odd.get(m, sigs[1]) != odd.get(other, sigs[1]):
+                raise SignatureError("models have different signatures")
+            bo = column[other]
+            for h, image, bimage in zip(source.perms, swept, bswept):
+                if (image == other) != (bimage == bo):
+                    return (FiniteModel._from_encoding(sigs[0], m),
+                            FiniteModel._from_encoding(sigs[0], other), h)
+    raise InternalError(f"the coset verdict failed at size {n}, but no model pair breaks it")

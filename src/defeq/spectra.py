@@ -121,7 +121,7 @@ class SpectraMismatchError(ValueError):
 
 def _entries(census: Census) -> dict[bytes, SpectrumEntry]:
     """The spectrum table of a census's size: group key -> counts."""
-    return {gkey: SpectrumEntry(len(classes), sum(len(ms) for ms, _ in classes), group)
+    return {gkey: SpectrumEntry(len(classes), sum(count for count, _ in classes), group)
             for gkey, (group, classes) in census.cells.items()}
 
 
@@ -129,7 +129,8 @@ def aut_spec(t: Theory, sizes: Iterable[int], budget: WorkBudget | None = None) 
     """The automorphism spectrum of t at each of the given sizes."""
     from .census import Census
     sizes = tuple(sizes)
-    return Spectrum(sizes, {n: _entries(Census(t, n, budget)) for n in sizes})
+    return Spectrum(sizes, {n: _entries(Census(t.sig, n, enumerate_encodings(t, n, budget), budget))
+                            for n in sizes})
 
 
 def _first_difference(n: int, left: dict[bytes, SpectrumEntry],
@@ -144,20 +145,22 @@ def _first_difference(n: int, left: dict[bytes, SpectrumEntry],
     return None
 
 
-def spectra(t1: Theory, t2: Theory, sizes: Iterable[int],
-            budget: WorkBudget | None = None) -> Iterator[tuple[int, Census, Census]]:
-    """(n, census of t1, census of t2) for each size n in turn; raises
-    SpectraMismatchError at the first size whose spectra differ, before any
-    larger size is enumerated (or could exceed the budget).  The two
-    censuses of a size share their canonical_form memo."""
+def spectra(t1: Theory, t2: Theory, sizes: Iterable[int], budget: WorkBudget | None = None
+            ) -> Iterator[tuple[int, list[tuple], Census, Census]]:
+    """(n, t1's encodings, census of t1, census of t2) for each size n in
+    turn; raises SpectraMismatchError at the first size whose spectra
+    differ, before any larger size is enumerated (or could exceed the
+    budget).  The two censuses of a size share their canonical_form memo."""
     from .census import Census
     for n in sizes:
         forms: dict = {}  # census.Census's canonical-form memo, shared by both sides
-        c1, c2 = Census(t1, n, budget, forms), Census(t2, n, budget, forms)
+        encodings = enumerate_encodings(t1, n, budget)
+        c1 = Census(t1.sig, n, encodings, budget, forms)
+        c2 = Census(t2.sig, n, enumerate_encodings(t2, n, budget), budget, forms)
         witness = _first_difference(n, _entries(c1), _entries(c2))
         if witness is not None:
             raise SpectraMismatchError(witness)
-        yield n, c1, c2
+        yield n, encodings, c1, c2
 
 
 def compare_spectra(s1: Spectrum, s2: Spectrum) -> SpectrumWitness | None:
@@ -230,14 +233,14 @@ class ConcreteBijection:
 
 
 def _paired_classes(c1: Census, c2: Census):
-    """(rep1, rep2, members of rep1's class) for classes paired off per cell.
+    """(rep1, rep2) for the classes paired off per cell.
 
     Within each group key the classes of both censuses are paired in
     canonical-key order; the censuses must have equal spectra.
     """
     for gkey, (_, classes1) in c1.cells.items():
-        for (members, rep1), (_, rep2) in zip(classes1, c2.cells[gkey][1]):
-            yield rep1, rep2, members
+        for (_, rep1), (_, rep2) in zip(classes1, c2.cells[gkey][1]):
+            yield rep1, rep2
 
 
 def build_concrete_iso(t1: Theory, t2: Theory, max_size: int,
@@ -253,18 +256,18 @@ def build_concrete_iso(t1: Theory, t2: Theory, max_size: int,
     onto M gives the same image, which is what makes b well defined; the
     tests iterate all f to confirm.  The images come from one paired sweep
     of M1rep and M2rep, each with its census's relabellings, and are kept
-    as a column beside the encodings of t1's census.
+    as a column beside t1's list of encodings; t2's list is not kept.
     """
     sizes = range(1, max_size + 1)
     columns: dict[int, tuple[list[tuple], list[tuple]]] = {}
-    for n, c1, c2 in spectra(t1, t2, sizes, budget):
-        # keyed by c1's own encodings, in their order; an update keeps the
+    for n, encodings, c1, c2 in spectra(t1, t2, sizes, budget):
+        # keyed by t1's own encodings, in their order; an update keeps the
         # key and drops the sweep's equal copy
-        image = dict.fromkeys(c1.encodings)
-        for rep1, rep2, _ in _paired_classes(c1, c2):
+        image = dict.fromkeys(encodings)
+        for rep1, rep2 in _paired_classes(c1, c2):
             # the i-th relabellings of rep1 and rep2 come from one permutation
             image.update(zip(c1.relabelling.images(rep1), c2.relabelling.images(rep2)))
-        columns[n] = (c1.encodings, list(image.values()))
+        columns[n] = (encodings, list(image.values()))
     return ConcreteBijection._from_columns(sizes, (t1.sig, t2.sig), columns)
 
 
@@ -322,58 +325,6 @@ def _column(b: ConcreteBijection, n: int, sigs: tuple[Signature, Signature]
                                          dict.fromkeys(sources, b.sigs[1]))
 
 
-def _iso_witness(column: dict[tuple, tuple], odd: dict[tuple, Signature], n: int,
-                 sigs: tuple[Signature, Signature], classes: list[tuple[list, list]],
-                 nodes: NodeCounter) -> tuple[FiniteModel, FiniteModel, tuple[int, ...]] | None:
-    """The first (M, N, h) of size n, in full-scan order, that breaks iso_ok.
-
-    column and odd are _column's, checked: an image on its model's
-    universe is a model of t2.  classes are the classes of the size-n
-    models in census.orbits' order, as (members, the sweep of the least
-    member R).  A class passes the coset criterion when the sweep of b(R)
-    is b applied to R's sweep, index by index.  b is injective here, and a
-    class that passes is mapped onto a whole class of b(R)'s.  So a pair of
-    models breaks iso_ok only when both their classes fail: only those
-    pairs are rescanned, off one sweep of each model and of its image.
-    """
-    from .census import Relabelling
-    target = None  # the relabellings of t2's size-n models, made when first needed
-    failed: set[tuple] = set()  # the members of classes that fail
-    for members, swept in classes:
-        nodes.tick(len(members))
-        brep = column[members[0]]
-        ok = brep[0] == n  # b(R) off R's universe fails the class
-        if ok:
-            target = target or Relabelling(sigs[1], n)
-            for enc, want in zip(swept, target.images(brep)):
-                if enc in odd:
-                    raise SignatureError("models have different signatures")
-                if column[enc] != want:
-                    ok = False
-                    break
-        if not ok:
-            failed.update(members)
-    if not failed:
-        return None
-    source = Relabelling(sigs[0], n)
-    members = sorted(failed)  # sorted encodings are in encoding order
-    for m in members:
-        swept, bm, bswept = source.images(m), column[m], [None] * len(source.perms)
-        if bm[0] == n:
-            target = target or Relabelling(sigs[1], n)
-            bswept = target.images(bm)
-        for other in members:
-            nodes.tick()
-            if odd.get(m, sigs[1]) != odd.get(other, sigs[1]):
-                raise SignatureError("models have different signatures")
-            bo = column[other]
-            for h, image, bimage in zip(source.perms, swept, bswept):
-                if (image == other) != (bimage == bo):
-                    return (FiniteModel._from_encoding(sigs[0], m),
-                            FiniteModel._from_encoding(sigs[0], other), h)
-    raise InternalError(f"the coset verdict failed at size {n}, but no model pair breaks it")
-
-
 def _ultra_tuples(shapes: list[tuple], index_bound: int, sample_budget: int,
                   budget: WorkBudget, sampled: NodeCounter) -> None:
     """Take the tuples of the ultraproduct verdict in turn; build no product.
@@ -412,8 +363,9 @@ def _ultra_tuples(shapes: list[tuple], index_bound: int, sample_budget: int,
 
 
 def _collapses(u, sizes: tuple[int, ...], budget: WorkBudget, point: int) -> None:
-    """InternalError unless u's plan for these factor sizes collapses to point."""
-    if any(c != f[point] for f, c in u.plan(sizes, budget).class_map.items()):
+    """InternalError unless u's class of each choice function of factors
+    of these sizes, checked as it is classified, is f[point]."""
+    if any(c != f[point] for f, c in u.classes(sizes, budget, [])):
         raise InternalError(f"the ultraproduct of factors of sizes {sizes} at point {point} "
                             f"is not its factor {point}")
 
@@ -436,7 +388,7 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
     in lexicographic order up to sample_budget per (index set size,
     point), and its own count against the budget ticks once per tuple.
     """
-    from .census import Relabelling, orbits
+    from .census import Relabelling, _iso_witness, orbits
     budget = budget or DEFAULT_BUDGET
     nodes = NodeCounter(budget, "verifying the bijection")
     sigs = (t1.sig, t2.sig)

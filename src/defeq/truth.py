@@ -50,8 +50,8 @@ class LevelTruth:
     block of the right level's bits, and a quantifier ANDs or ORs the
     m.size ints of its body that differ in its own name only.  Vectors of
     the levels below the size bound are kept, as the object stream keeps
-    their formulas, and so are the spread bits, which the four
-    connectives over one split share.
+    their formulas.  The spread bits, which the four connectives over one
+    split share, are kept until a level's vector is done.
     """
 
     __slots__ = ("levels", "m", "assignment", "_vectors", "_spreads")
@@ -76,6 +76,7 @@ class LevelTruth:
             shift += self.levels.section_count(section)
         if key[0] < self.levels.size_bound:
             self._vectors[key] = got
+        self._spreads.clear()
         return got
 
     def section(self, key: tuple[int, int, int], k: int) -> list[int]:

@@ -17,9 +17,10 @@ one factor, are theorems the tests check against this construction.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from math import prod
+from operator import eq
 from types import MappingProxyType
 
 from . import folang
@@ -96,17 +97,24 @@ class Ultrafilter:
                 s = [i for i in range(self.size) if bits >> i & 1]
                 raise ValueError(f"must contain exactly one of {s} and its complement")
 
+    def classes(self, sizes: tuple[int, ...], budget: WorkBudget, reps: list) -> Iterator:
+        """(f, its U-agreement class) for each choice function f of factors
+        of these sizes in lexicographic order, reps getting each new class's
+        least member; all count against the budget first, so a shape over
+        the budget is refused before anything is read."""
+        space = prod(sizes)
+        NodeCounter(budget, f"enumerating {space} choice functions").tick(space)
+        return _classes(sizes, self._test, reps)
+
     def plan(self, sizes: tuple[int, ...], budget: WorkBudget) -> "_Plan":
         """The plan of products over this ultrafilter of factors of these
         sizes: the one kept if it is for these sizes, else a new one, kept
-        in its place.  Either way the prod(sizes) choice functions count
-        against the budget first, so a shape over the budget is refused
-        before anything is read."""
-        space = prod(sizes)
-        NodeCounter(budget, f"enumerating {space} choice functions").tick(space)
+        in its place.  Either way classes counts the choice functions."""
+        reps: list[tuple[int, ...]] = []
+        classes = self.classes(sizes, budget, reps)
         plan = self._plan
         if plan is None or plan.sizes != sizes:
-            plan = self._plan = _Plan(sizes, self._test)
+            plan = self._plan = _Plan(sizes, self._test, dict(classes), reps)
         return plan
 
     def contains(self, s: Iterable[int]) -> bool:
@@ -121,6 +129,20 @@ class Ultrafilter:
 
     def __repr__(self) -> str:
         return f"<Ultrafilter on {self.size} indices>"
+
+
+def _classes(sizes: tuple[int, ...], test, reps: list) -> Iterator:
+    # f joins the first class whose least member agrees with it on a member
+    # set of the ultrafilter, else starts a class of its own
+    bits = [1 << i for i in range(len(sizes))]
+    for f in itertools.product(*map(range, sizes)):
+        for ci, rep in enumerate(reps):
+            if test(sum(itertools.compress(bits, map(eq, f, rep)))):
+                yield f, ci
+                break
+        else:
+            reps.append(f)
+            yield f, len(reps) - 1
 
 
 def ultrafilters_on(size: int) -> list[Ultrafilter]:
@@ -151,19 +173,7 @@ class _Plan:
 
     __slots__ = ("sizes", "test", "reps", "class_map", "_ranks", "_scatter")
 
-    def __init__(self, sizes: tuple[int, ...], test) -> None:
-        k = len(sizes)
-        reps: list[tuple[int, ...]] = []
-        class_map: dict[tuple[int, ...], int] = {}
-        for f in itertools.product(*map(range, sizes)):
-            for ci, rep in enumerate(reps):
-                agree = sum(1 << i for i in range(k) if f[i] == rep[i])
-                if test(agree):
-                    class_map[f] = ci
-                    break
-            else:
-                class_map[f] = len(reps)
-                reps.append(f)
+    def __init__(self, sizes: tuple[int, ...], test, class_map: dict, reps: list) -> None:
         self.sizes = sizes
         self.test = test
         self.reps = tuple(reps)

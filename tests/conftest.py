@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import paired_classes, random_formula
+from oracles import paired_members, random_formula
 
 from defeq import cli
 from defeq.folang import And, Forall, Iff, Or, Rel, Signature, Var
@@ -41,9 +41,8 @@ def replay_images(ta, tb, n):
     Yields (model, image set); a singleton image set per model is what
     makes the spectrum-driven bijection well defined.
     """
-    for rep1, rep2, members in paired_classes(ta, tb, n):
-        for m in members:
-            yield m, {apply_permutation(rep2, f) for f in find_isomorphisms(rep1, m)}
+    for m, rep1, rep2 in paired_members(ta, tb, n):
+        yield m, {apply_permutation(rep2, f) for f in find_isomorphisms(rep1, m)}
 
 
 @pytest.fixture(scope="session")

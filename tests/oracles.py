@@ -223,16 +223,16 @@ def model_text_by_tuples(m: FiniteModel) -> str:
 def census_cells(t, n):
     """census.Census.cells on models, built model by model from the
     definitions, with no sweep: per group key, (canonical group, classes in
-    canonical-key order), a class being [members in encoding order,
-    representative], the least member whose automorphism group is
+    canonical-key order), a class being [its member count, representative],
+    the least member in encoding order whose automorphism group is
     literally the canonical one.  Kept for the last few (t, n) asked for;
     the caller must not change it."""
     found = {}
     for m in enumerate_models(t, n):
         aut = automorphism_group(m)
         canon = canonical_form(aut)
-        cls = found.setdefault(canon, {}).setdefault(canonical_key(m), [[], None])
-        cls[0].append(m)
+        cls = found.setdefault(canon, {}).setdefault(canonical_key(m), [0, None])
+        cls[0] += 1
         if cls[1] is None and aut == canon:
             cls[1] = m
     return {form_key(canon): (canon, [classes[k] for k in sorted(classes)])
@@ -244,7 +244,7 @@ def census_models(census):
     form census_cells gives."""
     def model(enc):
         return FiniteModel._from_encoding(census.sig, enc)
-    return {gkey: (group, [[list(map(model, members)), model(rep)] for members, rep in classes])
+    return {gkey: (group, [[count, model(rep)] for count, rep in classes])
             for gkey, (group, classes) in census.cells.items()}
 
 
@@ -256,30 +256,31 @@ def spectrum_lines(t, sizes):
         for gkey in sorted(cells):
             canon, classes = cells[gkey]
             lines.append(f"size={n} group={group_to_text(canon)} order={canon.order} "
-                         f"classes={len(classes)} models={sum(len(ms) for ms, _ in classes)}")
+                         f"classes={len(classes)} models={sum(count for count, _ in classes)}")
     return lines
 
 
-def paired_classes(t1, t2, n):
-    """(rep1, rep2, members of rep1's class) of build_concrete_iso's
-    pairing, from census_cells: per group key, the classes of both sides
-    in canonical-key order."""
+def paired_members(t1, t2, n):
+    """(m, rep1, rep2) for each size-n model m of t1, in encoding order:
+    rep1 is the representative of m's class in census_cells, found by
+    canonical key, and rep2 the class it is paired with in
+    build_concrete_iso's pairing, which pairs off the classes of both
+    sides per group key in canonical-key order."""
     cells2 = census_cells(t2, n)
-    for gkey, (_, classes1) in census_cells(t1, n).items():
-        for (members, rep1), (_, rep2) in zip(classes1, cells2[gkey][1]):
-            yield rep1, rep2, members
+    reps = {canonical_key(rep1): (rep1, rep2)
+            for gkey, (_, classes1) in census_cells(t1, n).items()
+            for (_, rep1), (_, rep2) in zip(classes1, cells2[gkey][1])}
+    for m in enumerate_models(t1, n):
+        yield (m, *reps[canonical_key(m)])
 
 
 def pairs_by_moves(t1, t2, max_size):
     """build_concrete_iso's pairs made member by member, in encoding order:
-    per size, each member m of rep1's class goes to apply_permutation(rep2,
-    p) for the least permutation p carrying rep1 onto m."""
-    pairs = {}
-    for n in range(1, max_size + 1):
-        images = {m: apply_permutation(rep2, find_isomorphisms(rep1, m)[0])
-                  for rep1, rep2, members in paired_classes(t1, t2, n) for m in members}
-        pairs[n] = {m: images[m] for m in sorted(images, key=FiniteModel.encode)}
-    return pairs
+    per size, each model m of t1 goes to apply_permutation(rep2, p) for
+    the least permutation p carrying rep1 onto m (paired_members)."""
+    return {n: {m: apply_permutation(rep2, find_isomorphisms(rep1, m)[0])
+                for m, rep1, rep2 in paired_members(t1, t2, n)}
+            for n in range(1, max_size + 1)}
 
 
 def listing_by_models(pairs):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import model_text_by_tuples, random_model
 
 import defeq
-from defeq import census, cli, folang, ultra
+from defeq import cli, folang, spectra, ultra
 from defeq.cli import (
     CliError, dispatch, fixture_path, load_models, load_theory, main,
     model_to_text, parse_model_text, parse_theory_text, theory_to_text,
@@ -453,7 +453,7 @@ def test_verifier_budget_exits_keep_their_lines(argv, what, tmp_path, monkeypatc
 
 def test_internal_errors_exit_3(monkeypatch, capsys):
     # a census that misses one rigid size-2 model breaks closure under relabelling
-    real = census.enumerate_encodings
+    real = spectra.enumerate_encodings
 
     def one_short(t, n, budget=None):
         encs = real(t, n, budget)
@@ -462,7 +462,7 @@ def test_internal_errors_exit_3(monkeypatch, capsys):
                 FiniteModel._from_encoding(t.sig, e)).order == 1))
         return encs
 
-    monkeypatch.setattr(census, "enumerate_encodings", one_short)
+    monkeypatch.setattr(spectra, "enumerate_encodings", one_short)
     assert run("spec", "--theory", "ex1_t2.thy", "--size", "2") == (3, "")
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("defeq: internal error: class of ")

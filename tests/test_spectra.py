@@ -1,9 +1,11 @@
 """Spectra: frozen cell counts, comparison witnesses, the concrete bijection."""
 
+import gc
 import itertools
 import random
 import re
-from types import MappingProxyType
+import tracemalloc
+import weakref
 
 import pytest
 from conftest import random_theory, replay_images
@@ -17,8 +19,8 @@ from defeq.census import Census, Relabelling, orbits
 from defeq.folang import Signature, SignatureError, parse_formula
 from defeq.groups import PermutationGroup, automorphism_group
 from defeq.models import (
-    FiniteModel, InternalError, Theory, apply_permutation, enumerate_encodings, enumerate_models,
-    find_isomorphisms, is_isomorphism, is_model,
+    FiniteModel, InternalError, Theory, apply_permutation, canonical_key, enumerate_encodings,
+    enumerate_models, find_isomorphisms, is_isomorphism, is_model,
 )
 from defeq.spectra import (
     ConcreteBijection, SpectraMismatchError, VerificationReport, aut_spec, build_concrete_iso,
@@ -94,18 +96,24 @@ def test_compare_equal_and_range_mismatch(t2):
         compare_spectra(s, aut_spec(t2, [1]))
 
 
+def census_of(t, n):
+    """The census of t's models of size n."""
+    return Census(t.sig, n, enumerate_encodings(t, n))
+
+
 def test_census_classes_and_representatives(t2):
-    for gkey, (group, classes) in census_models(Census(t2, 2)).items():
+    models = enumerate_models(t2, 2)  # in encoding order
+    for gkey, (group, classes) in census_models(census_of(t2, 2)).items():
         assert group_key(group) == gkey
-        for members, rep in classes:
-            assert members == sorted(members, key=FiniteModel.encode)
-            assert rep == min((m for m in members if automorphism_group(m) == group),
-                              key=FiniteModel.encode)
+        for count, rep in classes:
+            members = [m for m in models if find_isomorphisms(rep, m)]
+            assert count == len(members)
+            assert rep == next(m for m in members if automorphism_group(m) == group)
 
 
 def test_census_checks_orbit_stabilizer(t2, monkeypatch):
     # without one rigid size-2 model, its class is short of n!/|Aut| = 2 members
-    real = census.enumerate_encodings
+    real = spectra.enumerate_encodings
 
     def one_short(t, n, budget=None):
         encs = real(t, n, budget)
@@ -114,7 +122,7 @@ def test_census_checks_orbit_stabilizer(t2, monkeypatch):
                 FiniteModel._from_encoding(t.sig, e)).order == 1))
         return encs
 
-    monkeypatch.setattr(census, "enumerate_encodings", one_short)
+    monkeypatch.setattr(spectra, "enumerate_encodings", one_short)
     with pytest.raises(RuntimeError, match="orbit-stabilizer"):
         aut_spec(t2, [1, 2])
 
@@ -124,13 +132,21 @@ def test_census_checks_orbit_stabilizer(t2, monkeypatch):
 def test_orbit_census_matches_the_per_model_census(seed, size):
     t, candidates = random_theory(random.Random(seed), size)
     assume(candidates <= 1024)
-    c = Census(t, size)
-    assert c.encodings == [m.encode() for m in enumerate_models(t, size)]
+    encodings = enumerate_encodings(t, size)
+    assert encodings == [m.encode() for m in enumerate_models(t, size)]
+    c = Census(t.sig, size, encodings)
     assert list(census_models(c).items()) == list(census_cells(t, size).items())
+    # orbits' members are the per-model classes, by canonical key
+    classes = {}
+    for m in enumerate_models(t, size):
+        classes.setdefault(canonical_key(m), []).append(m.encode())
     relabelling, nodes = Relabelling(t.sig, size), NodeCounter(WorkBudget(), "test")
-    for members, swept, _ in orbits(relabelling, c.encodings, nodes):
+    found = []
+    for members, swept, _ in orbits(relabelling, encodings, nodes):
         least = FiniteModel._from_encoding(t.sig, members[0])
         assert swept == [apply_permutation(least, p).encode() for p in relabelling.perms]
+        found.append(members)
+    assert found == sorted(classes.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,17 +178,46 @@ def test_census_checks_the_sweep_against_orbit_stabilizer(t2, monkeypatch):
 
     monkeypatch.setattr(Relabelling, "images", lossy)
     with pytest.raises(InternalError, match="1 of them not enumerated .* expects 2"):
-        Census(t2, 2)
+        census_of(t2, 2)
 
 
 def test_build_enumerates_each_theory_and_size_once(t2, monkeypatch):
     calls = []
-    real = census.enumerate_encodings
-    monkeypatch.setattr(census, "enumerate_encodings",
+    real = spectra.enumerate_encodings
+    monkeypatch.setattr(spectra, "enumerate_encodings",
                         lambda t, n, budget=None: calls.append((t.name, n)) or real(t, n, budget))
     build_concrete_iso(t2, renamed_copy(t2), 2)
     assert sorted(calls) == [("ex1_t2", 1), ("ex1_t2", 2),
                              ("ex1_t2-renamed", 1), ("ex1_t2-renamed", 2)]
+
+
+def test_build_holds_only_the_lists_of_t1(t2, monkeypatch):
+    # t1's lists are the source columns; t2's go once its classes are
+    # known, before the classes are paired off
+    class Listed(list):
+        """A list of encodings that takes weak references."""
+
+    made = []
+    real = spectra.enumerate_encodings
+
+    def listed(t, n, budget=None):
+        encodings = Listed(real(t, n, budget))
+        made.append((t.name, n, weakref.ref(encodings)))
+        return encodings
+
+    def alive():
+        gc.collect()
+        return [(name, n) for name, n, ref in made if ref() is not None]
+
+    seen = []
+    real_pairing = spectra._paired_classes
+    monkeypatch.setattr(spectra, "enumerate_encodings", listed)
+    monkeypatch.setattr(spectra, "_paired_classes",
+                        lambda c1, c2: seen.append(alive()) or real_pairing(c1, c2))
+    b = build_concrete_iso(t2, renamed_copy(t2), 2)
+    assert seen == [[("ex1_t2", 1)], [("ex1_t2", 1), ("ex1_t2", 2)]]
+    assert alive() == [("ex1_t2", 1), ("ex1_t2", 2)]
+    assert all(b.columns[n][0] is ref() for name, n, ref in made if name == "ex1_t2")
 
 
 def test_renaming_preserves_the_spectrum(t2):
@@ -331,12 +376,14 @@ def assert_verdicts_agree(pairs, t1, t2, max_size=2):
 def built(t2):
     t2r = renamed_copy(t2)
     b = build_concrete_iso(t2, t2r, 2)
-    return t2r, b, Census(t2, 2)
+    relabelling, nodes = Relabelling(t2.sig, 2), NodeCounter(WorkBudget(), "test")
+    classes = [[FiniteModel._from_encoding(t2.sig, enc) for enc in members]
+               for members, _, _ in orbits(relabelling, enumerate_encodings(t2, 2), nodes)]
+    return t2r, b, classes
 
 
 def test_coset_verdict_equals_the_scan_on_broken_bijections(t2, built):
-    t2r, b, census = built
-    classes = [ms for _, cls in census_models(census).values() for ms, _ in cls]
+    t2r, b, classes = built
     within = next(ms for ms in classes if len(ms) > 1)
     across = [next(ms for ms in classes if len(ms) == 1), within]  # unequal groups
     outside = FiniteModel(t2r.sig, 2, {"Q": [(0, 1)], "S": [(0, 1), (1, 0)]})
@@ -419,7 +466,7 @@ def test_verifier_sweeps_each_class_and_its_image_once(monkeypatch):
     t1 = Theory(sig1, [parse_formula(sig1, loops.format(r="E"))], name="one-loop")
     t2 = Theory(sig2, [parse_formula(sig2, loops.format(r="Q"))], name="one-loop-copy")
     b = build_concrete_iso(t1, t2, 3)
-    classes = sum(len(cls) for n in (1, 2, 3) for _, cls in Census(t1, n).cells.values())
+    classes = sum(len(cls) for n in (1, 2, 3) for _, cls in census_of(t1, n).cells.values())
     sweeps = []
     real = Relabelling.images
     monkeypatch.setattr(Relabelling, "images", lambda self, enc: sweeps.append(enc) or
@@ -533,14 +580,13 @@ def test_ultra_witness_equals_the_oracle_loops(t2, monkeypatch):
     report = verify_concrete_iso(b, t2, t2r, 2)
     assert (report.ultra_ok, report.ultra_witness, report.checked_tuples) == (True, None, 820)
     assert ultra_verdict(b, models) == (report.ultra_witness, report.checked_tuples)
-    real = ultra._Plan.__init__
+    real = ultra._classes
 
-    def corrupted(plan, sizes, test):
-        real(plan, sizes, test)
-        if sizes == (2, 2) and test(0b10):
-            plan.class_map = MappingProxyType({f: 1 - c for f, c in plan.class_map.items()})
+    def corrupted(sizes, test, reps):
+        swap = sizes == (2, 2) and test(0b10)
+        return ((f, 1 - c if swap else c) for f, c in real(sizes, test, reps))
 
-    monkeypatch.setattr(ultra._Plan, "__init__", corrupted)
+    monkeypatch.setattr(ultra, "_classes", corrupted)
     with pytest.raises(InternalError, match=r"^the ultraproduct of factors of sizes \(2, 2\) "
                                             r"at point 1 is not its factor 1$"):
         verify_concrete_iso(b, t2, t2r, 2)
@@ -593,6 +639,46 @@ def test_an_image_off_its_universe_counts_its_choice_functions():
     report = verify_concrete_iso(b, t, tr, 2, sample_budget=1, budget=WorkBudget(4))
     assert (report.universe_witness, report.iso_witness, report.ultra_ok,
             report.checked_tuples) == (m1, (m1, m1, (0,)), True, 3)
+
+
+@pytest.fixture(scope="module")
+def three():
+    """Two copies of a theory whose models all have 3 elements, over other
+    constants, and the bijection between them up to size 3."""
+    axiom = "axiom E x. E y. E z. (!(x=y) & !(x=z) & !(y=z))\n"
+    t = cli.parse_theory_text("const a\n" + axiom, name="three")
+    tr = cli.parse_theory_text("const b\n" + axiom, name="three_copy")
+    return t, tr, build_concrete_iso(t, tr, 3)
+
+
+def test_the_ultraproduct_verdict_keeps_no_partition(three):
+    # one tuple per (index size, point) up to 9 points: at k = 9 each
+    # principal ultrafilter partitions 3^9 choice functions, and a class map
+    # of them took 25 MB; each is checked as it is classified instead
+    t, tr, b = three
+    tracemalloc.start()
+    try:
+        report = verify_concrete_iso(b, t, tr, 3, index_bound=9, sample_budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checked_tuples == 45
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("limit, space", [(8, 9), (100, 243), (19682, 19683)])
+def test_the_ultraproduct_verdict_exits_where_the_products_would(three, limit, space):
+    # at the first k whose 3^k choice functions pass the limit, as the loop
+    # of products meets it
+    t, tr, b = three
+    models = [m for n in (1, 2, 3) for m in enumerate_models(t, n)]
+    with pytest.raises(BudgetExceededError) as want:
+        ultra_verdict(b, models, index_bound=9, sample_budget=1, budget=WorkBudget(limit))
+    with pytest.raises(BudgetExceededError) as got:
+        verify_concrete_iso(b, t, tr, 3, index_bound=9, sample_budget=1,
+                            budget=WorkBudget(limit))
+    assert str(got.value) == str(want.value) == \
+        f"work budget exceeded while enumerating {space} choice functions (limit {limit})"
 
 
 def test_the_verifier_builds_models_for_witnesses_only(t2, monkeypatch):
