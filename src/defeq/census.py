@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
 
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
-from .folang import Signature, SignatureError
+from .folang import Signature
 from .groups import PermutationGroup, canonical_form, form_key
 from .models import FiniteModel, InternalError, _ones, _ranks
 
@@ -96,7 +96,7 @@ def orbits(relabelling: Relabelling, encodings: Sequence[tuple], nodes: NodeCoun
     of the models not yet classified (the list is closed under relabelling)
     and |class| * |Aut(m)| = n! (orbit-stabilizer).
     """
-    pending = {enc: i for i, enc in enumerate(encodings)}  # the models not yet classified
+    pending = dict(zip(encodings, encodings))  # the models not yet classified
     for m in encodings:
         if m not in pending:
             continue
@@ -110,8 +110,8 @@ def orbits(relabelling: Relabelling, encodings: Sequence[tuple], nodes: NodeCoun
             raise InternalError(
                 f"class of {m} has {len(found)} members, {strays} of them not "
                 f"enumerated or already classified; orbit-stabilizer expects {expected}")
-        # encoding order is the order of the positions in encodings
-        yield [encodings[i] for i in sorted(found)], swept, stabilizer
+        found.sort()  # sorted encodings are in encoding order
+        yield found, swept, stabilizer
 
 
 class Census:
@@ -172,20 +172,21 @@ def _conjugates_into(group: Iterable[tuple[int, ...]], p: tuple[int, ...],
                for g in group)
 
 
-def _iso_witness(column: dict[tuple, tuple], odd: dict[tuple, Signature], n: int,
-                 sigs: tuple[Signature, Signature], classes: list[tuple[list, list]],
-                 nodes: NodeCounter) -> tuple[FiniteModel, FiniteModel, tuple[int, ...]] | None:
+def _iso_witness(column: dict[tuple, tuple], n: int, sigs: tuple[Signature, Signature],
+                 classes: list[tuple[list, list]], nodes: NodeCounter
+                 ) -> tuple[FiniteModel, FiniteModel, tuple[int, ...]] | None:
     """The first (M, N, h) of size n, in full-scan order, that breaks
     spectra.VerificationReport.iso_ok for the bijection b.
 
-    column and odd are spectra._column's, checked: an image on its model's
-    universe is a model of t2.  classes are the classes of the size-n
-    models in orbits' order, as (members, the sweep of the least
-    member R).  A class passes the coset criterion when the sweep of b(R)
-    is b applied to R's sweep, index by index.  b is injective here, and a
-    class that passes is mapped onto a whole class of b(R)'s.  So a pair of
-    models breaks iso_ok only when both their classes fail: only those
-    pairs are rescanned, off one sweep of each model and of its image.
+    column maps each size-n model of t1 to its image under b, as encodings,
+    checked: an image on its model's universe is a model of t2.  classes
+    are the classes of the size-n models in orbits' order, as (members,
+    the sweep of the least member R).  A class passes the coset criterion
+    when the sweep of b(R) is b applied to R's sweep, index by index.  b is
+    injective here, and a class that passes is mapped onto a whole class
+    of b(R)'s.  So a pair of models breaks iso_ok only when both their
+    classes fail: only those pairs are rescanned, off one sweep of each
+    model and of its image.
     """
     target = None  # the relabellings of t2's size-n models, made when first needed
     failed: set[tuple] = set()  # the members of classes that fail
@@ -196,8 +197,6 @@ def _iso_witness(column: dict[tuple, tuple], odd: dict[tuple, Signature], n: int
         if ok:
             target = target or Relabelling(sigs[1], n)
             for enc, want in zip(swept, target.images(brep)):
-                if enc in odd:
-                    raise SignatureError("models have different signatures")
                 if column[enc] != want:
                     ok = False
                     break
@@ -214,8 +213,6 @@ def _iso_witness(column: dict[tuple, tuple], odd: dict[tuple, Signature], n: int
             bswept = target.images(bm)
         for other in members:
             nodes.tick()
-            if odd.get(m, sigs[1]) != odd.get(other, sigs[1]):
-                raise SignatureError("models have different signatures")
             bo = column[other]
             for h, image, bimage in zip(source.perms, swept, bswept):
                 if (image == other) != (bimage == bo):

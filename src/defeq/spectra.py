@@ -181,24 +181,31 @@ class ConcreteBijection:
     The map built by build_concrete_iso sends isomorphic models to
     isomorphic models and preserves every concrete isomorphism;
     verify_concrete_iso checks that explicitly.  It is kept a size at a
-    time in two columns: columns[n] = (sources, images), the size-n models
-    in encoding order and, index for index, their images.  The builder
-    stores encodings, over sigs = (t1's signature, t2's); a map handed to
-    the constructor is stored as its models, with sigs (None, None).
-    pairs, apply and items build FiniteModels from encodings on demand.
+    time in two columns of encodings over sigs = (t1's signature, t2's):
+    columns[n] = (sources, images), the size-n models in encoding order
+    and, index for index, their images.  pairs, apply and items build
+    FiniteModels from encodings on demand.
     """
 
     __slots__ = ("sizes", "sigs", "columns", "_tables")
 
     def __init__(self, sizes: Sequence[int],
                  pairs: dict[int, dict[FiniteModel, FiniteModel]]):
-        """The map pairs[n][M] = b(M) for each size n of sizes."""
+        """The map pairs[n][M] = b(M) for each size n of sizes, encoded as
+        build_concrete_iso stores it; SignatureError when its models, or
+        their images, span two signatures."""
         self.sizes = tuple(sizes)
-        self.sigs = (None, None)
+        sigs = []
+        for side, models in (("models", dict.keys), ("images", dict.values)):
+            found = {m.sig for n in self.sizes for m in models(pairs[n])}
+            if len(found) > 1:
+                raise SignatureError(f"the {side} of a bijection must share a signature")
+            sigs.append(next(iter(found), None))
+        self.sigs = tuple(sigs)
         self.columns = {}
         for n in self.sizes:
-            rows = sorted(pairs[n].items(), key=lambda row: row[0].encode())
-            self.columns[n] = ([m for m, _ in rows], [bm for _, bm in rows])
+            rows = sorted((m.encode(), bm.encode()) for m, bm in pairs[n].items())
+            self.columns[n] = ([enc for enc, _ in rows], [benc for _, benc in rows])
         self._tables: dict[int, dict[FiniteModel, FiniteModel]] = {}
 
     @classmethod
@@ -209,8 +216,7 @@ class ConcreteBijection:
         return b
 
     def _pairs(self, n: int) -> Iterator[tuple[FiniteModel, FiniteModel]]:
-        return zip(*[column if sig is None else
-                     map(FiniteModel._from_encoding, itertools.repeat(sig), column)
+        return zip(*[map(FiniteModel._from_encoding, itertools.repeat(sig), column)
                      for sig, column in zip(self.sigs, self.columns[n])])
 
     def apply(self, m: FiniteModel) -> FiniteModel:
@@ -290,19 +296,17 @@ class VerificationReport(Record):
     ultra_ok: b commutes with ultraproducts over every ultrafilter on index
         sets up to the checked bound, on the sampled tuples.  Each such
         ultrafilter is principal, at some i, and the quotient of M_0..M_k-1
-        is then literally M_i, so both sides are b(M_i): the verdict holds
-        unless a tuple's images lie over two signatures (SignatureError),
-        and ultra_witness is None.  Bounded evidence, not a proof.
+        is then literally M_i, so both sides are b(M_i) and the verdict
+        holds.  Bounded evidence, not a proof.
     """
 
     __slots__ = ("universes_ok", "universe_witness", "iso_ok", "iso_witness",
-                 "ultra_ok", "ultra_witness", "checked_tuples")
+                 "ultra_ok", "checked_tuples")
     universes_ok: bool
     universe_witness: FiniteModel | None
     iso_ok: bool
     iso_witness: tuple[FiniteModel, FiniteModel, tuple[int, ...]] | None
     ultra_ok: bool
-    ultra_witness: tuple[int, int, tuple[FiniteModel, ...]] | None
     checked_tuples: int
 
     @property
@@ -310,38 +314,21 @@ class VerificationReport(Record):
         return self.universes_ok and self.iso_ok and self.ultra_ok
 
 
-def _column(b: ConcreteBijection, n: int, sigs: tuple[Signature, Signature]
-            ) -> tuple[dict[tuple, tuple], dict[tuple, Signature]]:
-    """b at size n on the models over sigs[0], as encodings: (each one's
-    image's, each one's image's signature where that is not sigs[1])."""
-    sources, images = b.columns.get(n, ((), ()))
-    if b.sigs[0] is None:  # a map handed to the constructor keeps its models
-        rows = [(m.encode(), bm) for m, bm in zip(sources, images) if m.sig == sigs[0]]
-        return ({enc: bm.encode() for enc, bm in rows},
-                {enc: bm.sig for enc, bm in rows if bm.sig != sigs[1]})
-    if b.sigs[0] != sigs[0]:
-        return {}, {}
-    return dict(zip(sources, images)), ({} if b.sigs[1] == sigs[1] else
-                                         dict.fromkeys(sources, b.sigs[1]))
-
-
 def _ultra_tuples(shapes: list[tuple], index_bound: int, sample_budget: int,
                   budget: WorkBudget, sampled: NodeCounter) -> None:
     """Take the tuples of the ultraproduct verdict in turn; build no product.
 
-    shapes holds, per checked model in order, (its size, its image's size,
-    its image's signature or None for t2's).  Per index set size k and
-    point, the tuples are the first sample_budget k-tuples of the models in
-    lexicographic order, each a node of sampled.  The first tuple of each
-    factor sizes, and the first of each image sizes, asks the ultrafilter
-    for the plan of those sizes, which counts its choice functions, as a
-    product would; each plan must collapse to the point: the class of each
-    choice function f is f[point], else InternalError.  Both depend on
-    the sizes and the point only, so a later tuple of sizes already asked
-    for would pass them again.  A tuple whose images lie over two
-    signatures raises SignatureError.
+    shapes holds, per checked model in order, (its size, its image's
+    size).  Per index set size k and point, the tuples are the first
+    sample_budget k-tuples of the models in lexicographic order, each a
+    node of sampled.  The first tuple of each factor sizes, and the first
+    of each image sizes, asks the ultrafilter for the plan of those sizes,
+    which counts its choice functions, as a product would; each plan must
+    collapse to the point: the class of each choice function f is
+    f[point], else InternalError.  Both depend on the sizes and the point
+    only, so a later tuple of sizes already asked for would pass them
+    again.
     """
-    mixed = len({s[2] for s in shapes}) > 1
     for k in range(1, index_bound + 1):
         for u in ultrafilters_on(k):
             point, asked, last = u.principal_point(), set(), None
@@ -354,8 +341,6 @@ def _ultra_tuples(shapes: list[tuple], index_bound: int, sample_budget: int,
                 if sizes not in asked:
                     _collapses(u, sizes, budget, point)
                     asked.add(sizes)
-                if mixed and len({s[2] for s in tup}) > 1:
-                    raise SignatureError("ultraproduct factors must share a signature")
                 images = tuple([s[1] for s in tup])
                 if images not in asked:
                     _collapses(u, images, budget, point)
@@ -391,7 +376,7 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
     from .census import Relabelling, _iso_witness, orbits
     budget = budget or DEFAULT_BUDGET
     nodes = NodeCounter(budget, "verifying the bijection")
-    sigs = (t1.sig, t2.sig)
+    foreign = b.sigs[1] != t2.sig  # no image can be a model of t2
     shapes: list[tuple] = []  # per checked model, see _ultra_tuples
     universe_witness = iso_witness = None
     for n in range(1, max_size + 1):
@@ -404,31 +389,29 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
                    for members, swept, _ in orbits(Relabelling(t1.sig, n), encodings, sweeps)
                    ] if encodings else []
         models2 = set(enumerate_encodings(t2, n, budget))
-        column, odd = _column(b, n, sigs)
+        column = dict(zip(*b.columns.get(n, ()))) if b.sigs[0] == t1.sig else {}
         seen: set[tuple] = set()
         for enc in encodings:
             bm = column.get(enc)
             if bm is None:
                 raise ValueError(
                     f"bijection not defined on {FiniteModel._from_encoding(t1.sig, enc)!r}")
-            sig = odd.get(enc)
-            key = bm if sig is None else (sig, bm)
-            if key in seen:
+            if bm in seen:
                 raise ValueError("bijection not injective at "
-                                 f"{FiniteModel._from_encoding(sig or t2.sig, bm)!r}")
-            seen.add(key)
-            if bm[0] == n and (sig is not None or bm not in models2):
-                raise ValueError(f"image {FiniteModel._from_encoding(sig or t2.sig, bm)!r} "
+                                 f"{FiniteModel._from_encoding(b.sigs[1], bm)!r}")
+            seen.add(bm)
+            if bm[0] == n and (foreign or bm not in models2):
+                raise ValueError(f"image {FiniteModel._from_encoding(b.sigs[1], bm)!r} "
                                  "is not a model of the target theory")
             if bm[0] != n and universe_witness is None:
                 universe_witness = FiniteModel._from_encoding(t1.sig, enc)
             # neighbours of one shape share one tuple: 4 MB less at size 4,
             # and _ultra_tuples's comparisons of them stop at identity
-            shape = (n, bm[0], sig)
+            shape = (n, bm[0])
             shapes.append(shapes[-1] if shapes and shapes[-1] == shape else shape)
-        iso_witness = iso_witness or _iso_witness(column, odd, n, sigs, classes, nodes)
+        iso_witness = iso_witness or _iso_witness(column, n, (t1.sig, t2.sig), classes, nodes)
 
     sampled = NodeCounter(budget, "sampling ultraproduct tuples")
     _ultra_tuples(shapes, index_bound, sample_budget, budget, sampled)
     return VerificationReport(universe_witness is None, universe_witness,
-                              iso_witness is None, iso_witness, True, None, sampled.count)
+                              iso_witness is None, iso_witness, True, sampled.count)

@@ -291,9 +291,11 @@ def listing_by_models(pairs):
 
 
 def ultra_verdict(b, models, index_bound=2, sample_budget=2000, budget=DEFAULT_BUDGET):
-    """(ultra_witness, checked_tuples) of verify_concrete_iso, by the loop on
-    models: for each sampled tuple, the image under b of the ultraproduct
-    against the ultraproduct of the images, b applied to every member."""
+    """(witness, checked_tuples) by the loop on models: for each sampled
+    tuple, the image under b of the ultraproduct against the ultraproduct
+    of the images, b applied to every member.  witness is the first
+    (k, point, tuple) where they differ, or None; verify_concrete_iso's
+    ultra_ok is witness is None, and its checked_tuples is the count."""
     sampled = NodeCounter(budget, "sampling ultraproduct tuples")
     for k in range(1, index_bound + 1):
         for u in ultrafilters_on(k):

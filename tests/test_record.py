@@ -80,7 +80,7 @@ def sample_records() -> list:
         report, *report.entries, *report.missing, Pattern(3, frozenset({0, 2})),
         ChainStats(3, 1, False), ChainStats(3, 1, True),
         entry, SpectrumWitness(2, b"\x01", entry.group, (1, 2), (0, 0)),
-        VerificationReport(True, None, False, (m, m, (0, 1)), True, None, 5),
+        VerificationReport(True, None, False, (m, m, (0, 1)), True, 5),
         product, los_check(product, parse_formula(sig, "E x. P(x)")),
     ]
 

@@ -565,7 +565,7 @@ def test_verifier_report_equals_the_oracle_verdicts(seed, size):
     universe, iso = brute_force_verdicts(b, t, tr, size)
     witness, checked = ultra_verdict(b, models)
     assert verify_concrete_iso(b, t, tr, size) == VerificationReport(
-        universe is None, universe, iso is None, iso, witness is None, witness, checked)
+        universe is None, universe, iso is None, iso, witness is None, checked)
 
 
 def test_ultra_witness_equals_the_oracle_loops(t2, monkeypatch):
@@ -578,8 +578,8 @@ def test_ultra_witness_equals_the_oracle_loops(t2, monkeypatch):
     b = build_concrete_iso(t2, t2r, 2)
     models = [m for n in (1, 2) for m in enumerate_models(t2, n)]
     report = verify_concrete_iso(b, t2, t2r, 2)
-    assert (report.ultra_ok, report.ultra_witness, report.checked_tuples) == (True, None, 820)
-    assert ultra_verdict(b, models) == (report.ultra_witness, report.checked_tuples)
+    assert (report.ultra_ok, report.checked_tuples) == (True, 820)
+    assert ultra_verdict(b, models) == (None, report.checked_tuples)
     real = ultra._classes
 
     def corrupted(sizes, test, reps):
@@ -592,19 +592,36 @@ def test_ultra_witness_equals_the_oracle_loops(t2, monkeypatch):
         verify_concrete_iso(b, t2, t2r, 2)
 
 
-def test_verifier_refuses_products_of_images_over_two_signatures(t2):
-    # one image on another universe and over another signature: the first
-    # product of a tuple mixing it with an image over t2r's fails, as in the loop
+def test_the_constructor_refuses_images_over_two_signatures(t2):
+    # one image on another universe and over another signature
+    pairs = {n: dict(d) for n, d in build_concrete_iso(t2, renamed_copy(t2), 2).pairs.items()}
+    pairs[1][next(iter(pairs[1]))] = FiniteModel(Signature({"P": 1}), 2, {"P": [(1,)]})
+    with pytest.raises(SignatureError, match="^the images of a bijection must share a signature$"):
+        ConcreteBijection((1, 2), pairs)
+
+
+def test_the_constructor_refuses_models_over_two_signatures(t2):
+    # a model of the renamed copy, mapped to itself, beside t2's models
     t2r = renamed_copy(t2)
     pairs = {n: dict(d) for n, d in build_concrete_iso(t2, t2r, 2).pairs.items()}
-    m = next(iter(pairs[1]))
-    pairs[1][m] = FiniteModel(Signature({"P": 1}), 2, {"P": [(1,)]})
-    b = ConcreteBijection((1, 2), pairs)
-    models = [model for n in (1, 2) for model in enumerate_models(t2, n)]
-    with pytest.raises(SignatureError, match="share a signature"):
-        ultra_verdict(b, models)
-    with pytest.raises(SignatureError, match="share a signature"):
-        verify_concrete_iso(b, t2, t2r, 2)
+    other = enumerate_models(t2r, 1)[0]
+    pairs[1][other] = other
+    with pytest.raises(SignatureError, match="^the models of a bijection must share a signature$"):
+        ConcreteBijection((1, 2), pairs)
+
+
+def test_the_constructor_encodes_as_the_builder_does(t2):
+    b = build_concrete_iso(t2, renamed_copy(t2), 3)
+    made = ConcreteBijection(b.sizes, b.pairs)
+    assert made.sigs == b.sigs and made.columns == b.columns
+
+
+def test_the_verifier_refuses_images_over_a_foreign_signature(t2):
+    # the bijection onto the renamed copy, checked against t2 as its target
+    b = build_concrete_iso(t2, renamed_copy(t2), 2)
+    with pytest.raises(ValueError, match=r"^image FiniteModel\(size=1, Q=\[\], S=\[\]\) "
+                                         r"is not a model of the target theory$"):
+        verify_concrete_iso(b, t2, t2, 2)
 
 
 def test_the_verifier_builds_no_product(t2, monkeypatch):
@@ -620,7 +637,7 @@ def test_the_verifier_builds_no_product(t2, monkeypatch):
     monkeypatch.setattr(ultra, "quotient_encoding", refused)
     monkeypatch.setattr(spectra, "quotient_encoding", refused, raising=False)
     report = verify_concrete_iso(b, t2, t2r, 2)
-    assert report.ok and (report.ultra_witness, report.checked_tuples) == want
+    assert report.ok and (None, report.checked_tuples) == want
 
 
 def test_an_image_off_its_universe_counts_its_choice_functions():
