@@ -110,18 +110,6 @@ class Signature:
     def has_symbol(self, name: str) -> bool:
         return name in self.relations or name in self.functions or name in self.constants
 
-    def restrict(self, keep: Iterable[str]) -> "Signature":
-        """Sub-signature containing exactly the named symbols."""
-        keep = set(keep)
-        unknown = keep - set(self.relations) - set(self.functions) - set(self.constants)
-        if unknown:
-            raise SignatureError(f"not in signature: {sorted(unknown)}")
-        return Signature(
-            {n: a for n, a in self.relations.items() if n in keep},
-            {n: a for n, a in self.functions.items() if n in keep},
-            [c for c in self.constants if c in keep],
-        )
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Signature) and self._key == other._key
 

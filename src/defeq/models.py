@@ -71,15 +71,17 @@ class _ByteTable(dict):
     The key of byte value v at byte position p is p << 8 | v, and its value
     is join([part(j) for each bit j set in v, counted from bit 8p]).  An
     entry is made on first use, so a wide bitmap costs only the entries its
-    bytes reach.
+    bytes reach.  The model renderer (cli._Renderer) keeps one per relation
+    of a signature and size, with the texts of argument tuples as parts;
+    nothing else builds one.
     """
 
-    __slots__ = ("part", "join", "nbytes", "_offsets")
+    __slots__ = ("part", "join", "_offsets")
 
     def __init__(self, width: int, part, join) -> None:
         super().__init__()
-        self.nbytes = (width + 7) >> 3  # of a bitmap of width bits
-        self._offsets = range(0, self.nbytes << 8, 256)  # the keys of byte value 0
+        # the keys of byte value 0, one per byte of a bitmap of width bits
+        self._offsets = range(0, (width + 7) >> 3 << 8, 256)
         self.part = part
         self.join = join
 
@@ -88,14 +90,9 @@ class _ByteTable(dict):
         value = self[key] = self.join([self.part(first + b) for b in range(8) if key >> b & 1])
         return value
 
-    def read(self, bits: int) -> Iterator:
-        """The values of bits' bytes, lowest byte first; a zero byte's value
-        is join([])."""
-        return map(self.__getitem__,
-                   map(operator.add, bits.to_bytes(self.nbytes, "little"), self._offsets))
-
     def sums(self, column: Sequence[int]) -> Iterator:
-        """sum(self.read(bits)) for each bits of column, read one byte
+        """For each bits of column, the values of its bytes added up, lowest
+        byte first, a zero byte's value being join([]); read one byte
         position at a time over the whole column."""
         out = None
         for offset in self._offsets:
@@ -228,9 +225,6 @@ class FiniteModel:
                 return False
             rank = rank * size + a
         return self._enc[1][i] >> rank & 1 == 1
-
-    def fun_value(self, name: str, args: Sequence[int]) -> int:
-        return self.funs[name][_rank(args, self.size)]
 
     # ---- encoding and ordering ----
 

@@ -322,12 +322,12 @@ def _ultra_tuples(shapes: list[tuple], index_bound: int, sample_budget: int,
     size).  Per index set size k and point, the tuples are the first
     sample_budget k-tuples of the models in lexicographic order, each a
     node of sampled.  The first tuple of each factor sizes, and the first
-    of each image sizes, asks the ultrafilter for the plan of those sizes,
-    which counts its choice functions, as a product would; each plan must
-    collapse to the point: the class of each choice function f is
-    f[point], else InternalError.  Both depend on the sizes and the point
-    only, so a later tuple of sizes already asked for would pass them
-    again.
+    of each image sizes, asks the ultrafilter for the partition of those
+    sizes, which counts its choice functions, as a product would; each
+    partition must collapse to the point: the class of each choice
+    function f is f[point], else InternalError.  Both depend on the sizes
+    and the point only, so a later tuple of sizes already asked for would
+    pass them again.
     """
     for k in range(1, index_bound + 1):
         for u in ultrafilters_on(k):

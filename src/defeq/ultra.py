@@ -1,24 +1,21 @@
 """Ultrafilters on finite index sets and explicit ultraproducts.
 
 The quotient is built verbatim: enumerate every choice function, partition
-by U-agreement, then read the tables off class representatives.  The
-partition depends only on the factor sizes and the ultrafilter, so it is
-made once per (factor sizes, ultrafilter) and reused: an Ultrafilter keeps
-the plan of the last factor sizes it was asked for, and every result of
-those sizes shares its read-only class_map.  A relation of the quotient is
-read off byte tables that scatter each factor's bitmap onto the tuples of
-classes, and the membership test is expanded over those bitmaps, so it
-runs once per set of factors that occurs, not once per tuple of classes.
-No step assumes the ultrafilter is principal; that every ultrafilter on
-a finite index set IS principal, and that the quotient then collapses to
-one factor, are theorems the tests check against this construction.
+by U-agreement, then read the tables off class representatives.  Each
+product makes its own partition and keeps nothing for the next.  A
+relation of the quotient is read off each factor's bitmap at the ranks
+its tuples of classes pick there, one row per factor, and the membership
+test is expanded over those rows, so it runs once per set of factors that
+occurs, not once per tuple of classes.  No step assumes the ultrafilter
+is principal; that every ultrafilter on a finite index set IS principal,
+and that the quotient then collapses to one factor, are theorems the
+tests check against this construction.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from functools import lru_cache
 from math import prod
 from operator import eq
 from types import MappingProxyType
@@ -26,8 +23,8 @@ from types import MappingProxyType
 from . import folang
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from .folang import Formula, Signature, SignatureError
-from .models import FiniteModel, _ByteTable
-from .record import Record, _set
+from .models import FiniteModel
+from .record import Record
 
 __all__ = [
     "Ultrafilter", "ultrafilters_on", "UltraproductResult",
@@ -52,18 +49,16 @@ class Ultrafilter:
     masks, a principal ultrafilter ands the mask with its point's bit.
     Construction does not validate; call validate() to check the axioms
     (no empty set, upward closed, closed under intersection, and containing
-    exactly one of each complementary pair).  An ultrafilter also keeps the
-    plan (see plan) of the last factor sizes a product over it was built for.
+    exactly one of each complementary pair).
     """
 
-    __slots__ = ("size", "_test", "_plan")
+    __slots__ = ("size", "_test")
 
     def __init__(self, size: int, members: Iterable[Iterable[int]]):
         if size < 1:
             raise ValueError("index set must be nonempty")
         self.size = size
         self._test = frozenset(_mask(s, size) for s in members).__contains__
-        self._plan: _Plan | None = None
 
     @classmethod
     def principal(cls, point: int, size: int) -> "Ultrafilter":
@@ -106,17 +101,6 @@ class Ultrafilter:
         NodeCounter(budget, f"enumerating {space} choice functions").tick(space)
         return _classes(sizes, self._test, reps)
 
-    def plan(self, sizes: tuple[int, ...], budget: WorkBudget) -> "_Plan":
-        """The plan of products over this ultrafilter of factors of these
-        sizes: the one kept if it is for these sizes, else a new one, kept
-        in its place.  Either way classes counts the choice functions."""
-        reps: list[tuple[int, ...]] = []
-        classes = self.classes(sizes, budget, reps)
-        plan = self._plan
-        if plan is None or plan.sizes != sizes:
-            plan = self._plan = _Plan(sizes, self._test, dict(classes), reps)
-        return plan
-
     def contains(self, s: Iterable[int]) -> bool:
         return bool(self._test(_mask(s, self.size)))
 
@@ -155,68 +139,10 @@ def ultrafilters_on(size: int) -> list[Ultrafilter]:
     return [Ultrafilter.principal(i, size) for i in range(size)]
 
 
-@lru_cache(maxsize=64)
-def _scatter_table(onto: tuple[int, ...]) -> _ByteTable:
-    """The byte table that sends bit r of a factor's bitmap to the tuples of
-    classes in onto[r].  It depends on nothing else, so plans with equal
-    onto share it: a plan rebuilt for factor sizes seen before (an
-    ultrafilter keeps one plan) starts with the entries made before."""
-    return _ByteTable(len(onto), onto.__getitem__, sum)
-
-
-class _Plan:
-    """What an ultraproduct reads that depends only on the factor sizes and
-    the ultrafilter: the U-agreement classes of the choice functions, per
-    arity the ranks that the classes' representatives pick in each factor,
-    and per arity and factor the byte table that scatters the factor's
-    bitmaps onto the tuples of classes (scatter)."""
-
-    __slots__ = ("sizes", "test", "reps", "class_map", "_ranks", "_scatter")
-
-    def __init__(self, sizes: tuple[int, ...], test, class_map: dict, reps: list) -> None:
-        self.sizes = sizes
-        self.test = test
-        self.reps = tuple(reps)
-        self.class_map = MappingProxyType(class_map)
-        self._ranks: dict[int, list[list[int]]] = {}
-        self._scatter: dict[int, list[_ByteTable]] = {}
-
-    def ranks(self, arity: int) -> list[list[int]]:
-        """Per factor i, for each tuple of classes in lexicographic order, the
-        rank of the argument tuple its representatives pick in factor i."""
-        out = self._ranks.get(arity)
-        if out is None:
-            out = []
-            for i, n in enumerate(self.sizes):
-                picked = [rep[i] for rep in self.reps]
-                ranks = [0]
-                for _ in range(arity):
-                    ranks = [r * n + e for r in ranks for e in picked]
-                out.append(ranks)
-            self._ranks[arity] = out
-        return out
-
-    def scatter(self, arity: int) -> list[_ByteTable]:
-        """Per factor i, the table whose read(bits), summed, has bit j set
-        when the j-th tuple of classes picks in factor i a tuple that bits
-        holds.  Each tuple of classes picks one tuple per factor, so the
-        masks of distinct tuples are disjoint and their sum is their union."""
-        out = self._scatter.get(arity)
-        if out is None:
-            out = []
-            for n, ranks in zip(self.sizes, self.ranks(arity)):
-                onto = [0] * n ** arity
-                for j, rank in enumerate(ranks):
-                    onto[rank] |= 1 << j
-                out.append(_scatter_table(tuple(onto)))
-            self._scatter[arity] = out
-        return out
-
-
 class UltraproductResult(Record):
-    """Quotient model plus the choice-function -> class map, with the
-    factors and the ultrafilter it was built from.  Results over the same
-    factor sizes and ultrafilter share one read-only class_map."""
+    """Quotient model plus the read-only choice-function -> class map, with
+    the class representatives, the factors and the ultrafilter it was built
+    from.  Each product partitions its choice functions afresh."""
 
     __slots__ = ("quotient", "class_map", "reps", "factors", "ultrafilter")
     quotient: FiniteModel
@@ -224,15 +150,6 @@ class UltraproductResult(Record):
     reps: tuple[tuple[int, ...], ...]
     factors: tuple[FiniteModel, ...]
     ultrafilter: Ultrafilter
-
-    def __init__(self, quotient: FiniteModel, class_map: Mapping[tuple[int, ...], int],
-                 reps: tuple[tuple[int, ...], ...], factors: tuple[FiniteModel, ...],
-                 ultrafilter: Ultrafilter) -> None:
-        _set(self, "quotient", quotient)
-        _set(self, "class_map", class_map)
-        _set(self, "reps", reps)
-        _set(self, "factors", factors)
-        _set(self, "ultrafilter", ultrafilter)
 
 
 def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
@@ -242,8 +159,8 @@ def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
     Classes are numbered by their lexicographically least choice function,
     in order of first appearance; with initial-segment universes this makes
     the quotient of a principal ultrafilter literally equal to the factor
-    at its principal point.  The classes come from u's plan for these
-    factor sizes (see Ultrafilter.plan), the tables from quotient_encoding.
+    at its principal point.  The classes come from u.classes, the tables
+    from quotient_encoding.
     """
     budget = budget or DEFAULT_BUDGET
     if len(models) != u.size:
@@ -252,34 +169,59 @@ def ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter,
     for m in models[1:]:
         if m.sig != sig:
             raise SignatureError("ultraproduct factors must share a signature")
-    plan = u.plan(tuple(m.size for m in models), budget)
-    enc = quotient_encoding(plan, [m.encode() for m in models], sig)
-    return UltraproductResult(FiniteModel._from_encoding(sig, enc), plan.class_map,
-                              plan.reps, tuple(models), u)
+    reps: list[tuple[int, ...]] = []
+    class_map = dict(u.classes(tuple(m.size for m in models), budget, reps))
+    enc = quotient_encoding(u, reps, class_map, [m.encode() for m in models], sig)
+    return UltraproductResult(FiniteModel._from_encoding(sig, enc), MappingProxyType(class_map),
+                              tuple(reps), tuple(models), u)
 
 
-def quotient_encoding(plan: _Plan, encs: Sequence[tuple], sig: Signature) -> tuple:
+def _ranks(reps: Sequence[tuple[int, ...]], sizes: Sequence[int], arity: int) -> list[list[int]]:
+    """Per factor i, for each tuple of classes in lexicographic order, the
+    rank of the argument tuple its representatives pick in factor i."""
+    out = []
+    for i, n in enumerate(sizes):
+        picked = [rep[i] for rep in reps]
+        ranks = [0]
+        for _ in range(arity):
+            ranks = [r * n + e for r in ranks for e in picked]
+        out.append(ranks)
+    return out
+
+
+def quotient_encoding(u: Ultrafilter, reps: Sequence[tuple[int, ...]],
+                      class_map: Mapping[tuple[int, ...], int], encs: Sequence[tuple],
+                      sig: Signature) -> tuple:
     """The quotient's encoding for the factors with encodings encs, all over
-    sig; plan must be the one for their sizes and ultrafilter
-    (Ultrafilter.plan).
+    sig, whose choice functions u partitions into the classes with
+    representatives reps and the map class_map (Ultrafilter.classes).
 
     A relation's tuple of classes holds when the factors whose bitmaps
-    hold at its representatives' ranks form a member of the ultrafilter:
-    each factor's bitmap is scattered onto the tuples of classes
-    (plan.scatter), and the membership test is expanded over those
-    (_members).  Function tables and constants are read through the class
-    map.
+    hold at its representatives' ranks form a member of the ultrafilter.
+    Per factor, the digits of its bitmap at those ranks make a row with
+    bit j for the j-th tuple of classes, and the membership test is
+    expanded over the rows (_members).  Function tables and constants are
+    read through the class map.
     """
-    rels = tuple([_members([sum(t.read(enc[1][r])) for enc, t in zip(encs, plan.scatter(arity))],
-                           plan.test, (1 << len(plan.reps) ** arity) - 1)
-                  for r, arity in enumerate(sig.relations.values())])
-    class_of = plan.class_map.__getitem__
+    sizes = [enc[0] for enc in encs]
+    ranks = {arity: _ranks(reps, sizes, arity)
+             for arity in {*sig.relations.values(), *sig.functions.values()}}
+    rels = []
+    for r, arity in enumerate(sig.relations.values()):
+        rows = []
+        for enc, picks in zip(encs, ranks[arity]):
+            # the bitmap's digits, lowest first, read at the ranks and the
+            # row made from them, highest first
+            digits = format(enc[1][r], f"0{enc[0] ** arity}b")[::-1]
+            rows.append(int("".join(map(digits.__getitem__, reversed(picks))), 2))
+        rels.append(_members(rows, u._test, (1 << len(reps) ** arity) - 1))
+    class_of = class_map.__getitem__
     fun_part = tuple([
-        tuple(map(class_of, zip(*[list(map(enc[2][g].__getitem__, ranks))
-                                  for enc, ranks in zip(encs, plan.ranks(arity))])))
+        tuple(map(class_of, zip(*[list(map(enc[2][g].__getitem__, picks))
+                                  for enc, picks in zip(encs, ranks[arity])])))
         for g, arity in enumerate(sig.functions.values())])
     const_part = tuple(map(class_of, zip(*[enc[3] for enc in encs])))
-    return len(plan.reps), rels, fun_part, const_part
+    return len(reps), tuple(rels), fun_part, const_part
 
 
 def diagonal_embedding(m: FiniteModel, u: Ultrafilter,

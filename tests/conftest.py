@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import paired_members, random_formula
+from oracles import paired_members, random_formula, restrict
 
 from defeq import cli
 from defeq.folang import And, Forall, Iff, Or, Rel, Signature, Var
@@ -21,7 +21,7 @@ def random_theory(rng, size):
     if len(rels) == 2 and rng.random() < 0.5:
         defined, other = rng.sample(sorted(rels), 2)
         xs = tuple(f"x{i}" for i in range(1, rels[defined] + 1))
-        phi = random_formula(sig.restrict([other, *sig.functions, *sig.constants]), rng,
+        phi = random_formula(restrict(sig, [other, *sig.functions, *sig.constants]), rng,
                              rng.randint(1, 3), free=xs)
         ax = Iff(Rel(defined, tuple(map(Var, xs))), phi)
         for x in reversed(xs):

@@ -12,8 +12,8 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from defeq.folang import (
-    And, App, Const, Eq, Exists, Forall, Formula, Iff, Implies, Not, Or, Rel, Signature, Term,
-    FormulaSyntaxError, Var, _fresh_names, eval_formula,
+    And, App, Const, Eq, Exists, Forall, Formula, Iff, Implies, Not, Or, Rel, Signature,
+    SignatureError, Term, FormulaSyntaxError, Var, _fresh_names, eval_formula,
 )
 from defeq.budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from defeq.definability import _argument_variables
@@ -43,9 +43,25 @@ def conjugate(g: PermutationGroup, h: Sequence[int]) -> PermutationGroup:
                             _trusted=True)
 
 
+def restrict(sig: Signature, keep) -> Signature:
+    """The sub-signature of sig with exactly the symbols named in keep."""
+    keep = set(keep)
+    unknown = keep - set(sig.relations) - set(sig.functions) - set(sig.constants)
+    if unknown:
+        raise SignatureError(f"not in signature: {sorted(unknown)}")
+    return Signature({n: a for n, a in sig.relations.items() if n in keep},
+                     {n: a for n, a in sig.functions.items() if n in keep},
+                     [c for c in sig.constants if c in keep])
+
+
+def fun_value(m: FiniteModel, name: str, args: Sequence[int]) -> int:
+    """The value of function name of m at args, off its table."""
+    return m.funs[name][_rank(args, m.size)]
+
+
 def reduct(m: FiniteModel, keep) -> FiniteModel:
     """m with every symbol not named in keep forgotten; the universe stays put."""
-    sub = m.sig.restrict(keep)
+    sub = restrict(m.sig, keep)
     return FiniteModel(sub, m.size, {name: m.tuples(name) for name in sub.relations},
                        {name: m.funs[name] for name in sub.functions},
                        {name: m.consts[name] for name in sub.constants})
@@ -96,7 +112,7 @@ def substructure(m: FiniteModel, subset) -> tuple[FiniteModel, dict[int, int]]:
             raise ValueError(f"subset misses constant {name!r}")
     for name, arity in m.sig.functions.items():
         for args in itertools.product(elems, repeat=arity):
-            if m.fun_value(name, args) not in inside:
+            if fun_value(m, name, args) not in inside:
                 raise ValueError(f"subset not closed under function {name!r}")
     relabel = {e: i for i, e in enumerate(elems)}
     size, bitmaps, tables, consts = m.encode()
@@ -132,10 +148,9 @@ def substructure_scan(t: Theory, max_size: int, budget: WorkBudget = DEFAULT_BUD
 
 
 def verbatim_ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter):
-    """(quotient, reps, class_map) of ultraproduct, all made afresh in one call:
-    partition every choice function by U-agreement, then read each table
-    entry off the ranks its class tuple's representatives pick per factor."""
-    sig = models[0].sig
+    """(quotient, reps, class_map) of ultraproduct: partition every choice
+    function by U-agreement, then read the tables class tuple by class
+    tuple (quotient_by_class_tuples)."""
     k, test = u.size, u._test
     reps: list[tuple[int, ...]] = []
     class_map: dict[tuple[int, ...], int] = {}
@@ -148,60 +163,38 @@ def verbatim_ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter):
         else:
             class_map[f] = len(reps)
             reps.append(f)
+    sig = models[0].sig
+    enc = quotient_by_class_tuples(u, reps, class_map, [m.encode() for m in models], sig)
+    return FiniteModel._from_encoding(sig, enc), tuple(reps), class_map
 
-    m_count = len(reps)
-    sizes = [m.size for m in models]
-    encs = [m.encode() for m in models]
+
+def quotient_by_class_tuples(u: Ultrafilter, reps, class_map, encs, sig):
+    """ultra.quotient_encoding of the factors with encodings encs, class
+    tuple by class tuple: per relation, the set of factors that hold each
+    tuple of classes at the ranks its representatives pick there, then the
+    membership test on that set; function tables and constants through the
+    class map."""
+    sizes = [enc[0] for enc in encs]
 
     def ranks(classes: tuple[int, ...]) -> list[int]:
         # per factor, the rank of the argument tuple the classes' reps pick there
-        out = []
-        for i, n in enumerate(sizes):
-            r = 0
-            for c in classes:
-                r = r * n + reps[c][i]
-            out.append(r)
-        return out
+        return [_rank([reps[c][i] for c in classes], n) for i, n in enumerate(sizes)]
 
     rel_part = []
     for r, arity in enumerate(sig.relations.values()):
         bits = 0
-        for j, classes in enumerate(itertools.product(range(m_count), repeat=arity)):
+        for j, classes in enumerate(itertools.product(range(len(reps)), repeat=arity)):
             agree = sum(1 << i for i, rank in enumerate(ranks(classes))
                         if encs[i][1][r] >> rank & 1)
-            if test(agree):
+            if u._test(agree):
                 bits |= 1 << j
         rel_part.append(bits)
     fun_part = tuple(
         tuple(class_map[tuple(encs[i][2][g][rank] for i, rank in enumerate(ranks(classes)))]
-              for classes in itertools.product(range(m_count), repeat=arity))
+              for classes in itertools.product(range(len(reps)), repeat=arity))
         for g, arity in enumerate(sig.functions.values()))
     const_part = tuple(class_map[values] for values in zip(*(enc[3] for enc in encs)))
-    quotient = FiniteModel._from_encoding(sig, (m_count, tuple(rel_part), fun_part, const_part))
-    return quotient, tuple(reps), class_map
-
-
-def quotient_by_class_tuples(plan, encs, sig):
-    """ultra.quotient_encoding of the factors with encodings encs, class
-    tuple by class tuple: per relation, the set of factors that hold each
-    tuple of classes at its representatives' ranks, then the membership
-    test on each set; function tables and constants through the class map."""
-    test, class_of = plan.test, plan.class_map.__getitem__
-    rel_part = []
-    for r, arity in enumerate(sig.relations.values()):
-        agree = [0] * len(plan.reps) ** arity
-        for i, (enc, ranks) in enumerate(zip(encs, plan.ranks(arity))):
-            bitmap, bit = enc[1][r], 1 << i
-            if bitmap:
-                agree = [a | bit if bitmap >> rank & 1 else a for a, rank in zip(agree, ranks)]
-        rel_part.append(sum(map((1).__lshift__,
-                                itertools.compress(itertools.count(), map(test, agree)))))
-    fun_part = tuple([
-        tuple(map(class_of, zip(*[list(map(enc[2][g].__getitem__, ranks))
-                                  for enc, ranks in zip(encs, plan.ranks(arity))])))
-        for g, arity in enumerate(sig.functions.values())])
-    const_part = tuple(map(class_of, zip(*[enc[3] for enc in encs]))) if sig.constants else ()
-    return len(plan.reps), tuple(rel_part), fun_part, const_part
+    return len(reps), tuple(rel_part), fun_part, const_part
 
 
 def model_text_by_tuples(m: FiniteModel) -> str:

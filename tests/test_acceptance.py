@@ -10,7 +10,7 @@ import random
 import time
 
 from conftest import replay_images
-from oracles import random_formula
+from oracles import random_formula, restrict
 
 from defeq import cli
 from defeq.cli import dispatch, model_to_text
@@ -180,7 +180,7 @@ def test_criterion_8_marked_point_definability_suite(subst, chain):
         assert unique_expansion_check(t, ["R"], 3) is None
     phi = beth_search(subst, "R", 3, 6)
     assert phi is not None and free_vars(phi) <= {"x1"}
-    base_sig = subst.sig.restrict(["c"])
+    base_sig = restrict(subst.sig, ["c"])
     ref = parse_formula(base_sig, "(E y. E z. !(y=z)) & x1=c")
     base = Theory(base_sig, [], name="base")
     for n in (1, 2, 3):
@@ -202,7 +202,7 @@ def test_criterion_9_spectra_survive_definitional_extension(subst, chain):
     t0 = time.time()
     for t, definition in ((subst, "(E y. E z. !(y=z)) & x=c"),
                           (chain, "(E y. A z. le(z,y)) & (A z. le(z,x))")):
-        base_sig = t.sig.restrict([s for s in ("c", "le") if t.sig.has_symbol(s)])
+        base_sig = restrict(t.sig, [s for s in ("c", "le") if t.sig.has_symbol(s)])
         base = Theory(base_sig, [], name="base")
         ds = DefinitionSet()
         ds.add("R", ("x",), parse_formula(base_sig, definition))

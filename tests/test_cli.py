@@ -10,7 +10,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import model_text_by_tuples, random_model
+from oracles import model_text_by_tuples, random_model, restrict
 
 import defeq
 from defeq import cli, folang, spectra, ultra
@@ -436,7 +436,7 @@ def test_budget_bounds_the_choice_functions_of_a_verifier_product(tmp_path, caps
     (("build-iso", "--t1", "ex1_t2.thy", "--t2", "ex1_t2.thy", "--max-size", "3", "--verify",
       "--max-nodes", "4000"), "sampling ultraproduct tuples"),
     # one tuple per (index size, point) of three-element models: at k = 7
-    # their plan has 3^7 choice functions
+    # their partition has 3^7 choice functions
     (("build-iso", "--t1", "three.thy", "--t2", "three_copy.thy", "--max-size", "3", "--verify",
       "--index-bound", "16", "--sample-budget", "1", "--max-nodes", "1000"),
      "enumerating 2187 choice functions"),
@@ -696,7 +696,7 @@ def test_beth_budget_counts_one_node_per_candidate(capsys):
     code, out = run(*beth)
     assert code == 0
     t = load_theory("glymour_subst.thy")
-    stream = enumerate_formulas(t.sig.restrict(["c"]), ("x1",), 6)
+    stream = enumerate_formulas(restrict(t.sig, ["c"]), ("x1",), 6)
     n = next(i for i, f in enumerate(stream, 1) if formula_to_text(f) + "\n" == out)
     assert n > 1000
     assert run(*beth, "--max-nodes", str(n)) == (0, out)

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
 from oracles import (expansion_by_eval, first_refuting_point, random_formula, random_model,
-                     reduct, reduct_expansion_check, scan_points, substructure_scan)
+                     reduct, reduct_expansion_check, restrict, scan_points, substructure_scan)
 
 from defeq import cli, definability, folang, truth
 from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
@@ -119,19 +119,20 @@ def test_unique_expansion_fails_without_axioms():
 
 def test_unique_expansion_builds_no_signature_per_model(monkeypatch):
     # the mutual pair has 2 models at size 1 and 512 at size 3; keying each
-    # on its encoding needs no reduct signature, so no restrict per model
+    # on its encoding needs no reduct signature, so the signatures made do
+    # not grow with the models
     sig = Signature({"G": 2, "R": 1}, {}, [])
     t = Theory(sig, [parse_formula(
         sig, "A x. (R(x) <-> (E y. (G(x,y) & G(y,x) & !(x=y))))")], name="mutual")
     calls = 0
-    real = Signature.restrict
+    real = Signature.__init__
 
-    def counted(self, keep):
+    def counted(self, *args, **kwargs):
         nonlocal calls
         calls += 1
-        return real(self, keep)
+        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(Signature, "restrict", counted)
+    monkeypatch.setattr(Signature, "__init__", counted)
     counts = []
     for size in (1, 3):
         calls = 0
@@ -177,7 +178,7 @@ def test_beth_search_finds_a_definition():
 def test_beth_search_recovers_the_marked_point_definition(subst):
     phi = beth_search(subst, "R", 3, 6)
     assert phi is not None
-    base_sig = subst.sig.restrict(["c"])
+    base_sig = restrict(subst.sig, ["c"])
     assert not free_vars(phi) - {"x1"}
     ref = parse_formula(base_sig, "(E y. E z. !(y=z)) & x1=c")
     base = Theory(base_sig, [], name="base")
@@ -228,8 +229,8 @@ def full_scan(t, target, max_size, bound):
     assignment in turn, with no cache and no unique-expansion shortcut."""
     arity = t.sig.relations[target]
     variables = tuple(f"x{i}" for i in range(1, arity + 1))  # no test theory declares these
-    base_sig = t.sig.restrict([s for s in (*t.sig.relations, *t.sig.functions,
-                                           *t.sig.constants) if s != target])
+    base_sig = restrict(t.sig, [s for s in (*t.sig.relations, *t.sig.functions,
+                                            *t.sig.constants) if s != target])
     models = [m for n in range(1, max_size + 1) for m in enumerate_models(t, n)]
     for phi in enumerate_formulas(base_sig, variables, bound):
         if all((args in m.rels[target]) == eval_formula(m, phi, dict(zip(variables, args)))
@@ -301,7 +302,7 @@ def test_beth_search_tries_earlier_counterexamples_first(monkeypatch):
     monkeypatch.setattr(folang, "eval_formula", refused)
     phi = beth_search(t, "R", 2, 7)
     monkeypatch.undo()
-    stream = enumerate_formulas(sig.restrict(["G"]), ("x1",), 7)
+    stream = enumerate_formulas(restrict(sig, ["G"]), ("x1",), 7)
     candidates = next(i for i, f in enumerate(stream, 1) if f == phi)
     assert candidates == 34_459
     assert 0 < evaluations <= candidates // 8
@@ -311,8 +312,8 @@ def _target_and_base(t, rng):
     """A random relation of t, its argument variables and index, and t's
     signature without it."""
     target = rng.choice(sorted(t.sig.relations))
-    base_sig = t.sig.restrict([s for s in (*t.sig.relations, *t.sig.functions,
-                                           *t.sig.constants) if s != target])
+    base_sig = restrict(t.sig, [s for s in (*t.sig.relations, *t.sig.functions,
+                                            *t.sig.constants) if s != target])
     return (target, definability._argument_variables(t.sig, t.sig.relations[target]),
             list(t.sig.relations).index(target), base_sig)
 
@@ -407,7 +408,7 @@ def test_universal_style_theories_are_substructure_closed(t2):
 
 
 def test_base_of_the_marked_point_theory_is_closed(subst):
-    base = Theory(subst.sig.restrict(["c"]), [], name="base")
+    base = Theory(restrict(subst.sig, ["c"]), [], name="base")
     assert substructure_closure_check(base, 3) is None
 
 

@@ -6,7 +6,7 @@ import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import random_formula, substructure, tokenize_by_match
+from oracles import random_formula, restrict, substructure, tokenize_by_match
 
 from defeq import folang
 from defeq.folang import (
@@ -37,7 +37,7 @@ def test_signature_rejects_clashing_names():
 
 
 def test_signature_restrict():
-    small = SIG.restrict(["P", "c"])
+    small = restrict(SIG, ["P", "c"])
     assert small.relations == {"P": 1}
     assert small.functions == {}
     assert small.constants == ("c",)

@@ -6,7 +6,8 @@ import random
 import pytest
 from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
-from oracles import lanes_by_division, random_formula, random_model, reduct, substructure
+from oracles import (fun_value, lanes_by_division, random_formula, random_model, reduct,
+                     substructure)
 
 from defeq import models
 from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
@@ -315,7 +316,7 @@ def test_model_validation():
     with pytest.raises(ValueError):
         FiniteModel(sig_fc, 2, {}, {"f": (0, 1)}, {})          # missing const
     m = FiniteModel(sig_fc, 2, {}, {"f": (1, 0)}, {"c": 1})
-    assert m.fun_value("f", [0]) == 1
+    assert fun_value(m, "f", [0]) == 1
 
 
 def test_tables_are_read_only_views_of_the_encoding():
@@ -382,7 +383,7 @@ def naive_isomorphisms(m, n):
             if not ok:
                 break
             for t in itertools.product(range(m.size), repeat=arity):
-                if perm[m.fun_value(name, t)] != n.fun_value(name, tuple(perm[e] for e in t)):
+                if perm[fun_value(m, name, t)] != fun_value(n, name, tuple(perm[e] for e in t)):
                     ok = False
                     break
         if ok:
@@ -419,7 +420,7 @@ def tuple_permutation(m, perm):
     rels = {name: {tuple(perm[e] for e in t) for t in table} for name, table in m.rels.items()}
     funs = {}
     for name, arity in m.sig.functions.items():
-        table = {tuple(perm[a] for a in args): perm[m.fun_value(name, args)]
+        table = {tuple(perm[a] for a in args): perm[fun_value(m, name, args)]
                  for args in itertools.product(range(m.size), repeat=arity)}
         funs[name] = [table[args] for args in itertools.product(range(m.size), repeat=arity)]
     consts = {name: perm[value] for name, value in m.consts.items()}
@@ -435,7 +436,7 @@ def tuple_is_isomorphism(m, n, h):
             return False
     for name, arity in m.sig.functions.items():
         for args in itertools.product(range(m.size), repeat=arity):
-            if h[m.fun_value(name, args)] != n.fun_value(name, tuple(h[a] for a in args)):
+            if h[fun_value(m, name, args)] != fun_value(n, name, tuple(h[a] for a in args)):
                 return False
     return all(h[value] == n.consts[name] for name, value in m.consts.items())
 

@@ -571,8 +571,8 @@ def test_verifier_report_equals_the_oracle_verdicts(seed, size):
 def test_ultra_witness_equals_the_oracle_loops(t2, monkeypatch):
     # the verifier reads the verdict off the collapse of every principal
     # product to its factor, and agrees with the loop that builds both
-    # products of each of the 20 + 2 * 400 tuples; a plan whose class map
-    # breaks the collapse (the (2, 2) plan at point 1, its classes swapped)
+    # products of each of the 20 + 2 * 400 tuples; a partition that breaks
+    # the collapse (the (2, 2) partition at point 1, its classes swapped)
     # is an internal error
     t2r = renamed_copy(t2)
     b = build_concrete_iso(t2, t2r, 2)
@@ -643,7 +643,7 @@ def test_the_verifier_builds_no_product(t2, monkeypatch):
 def test_an_image_off_its_universe_counts_its_choice_functions():
     # one constant, the size-1 model's image swapped with a size-2 one's:
     # with one tuple per (index size, point), the tuple (M, M) at k = 2 has
-    # 1 choice function and its images 4, which their plan counts first
+    # 1 choice function and its images 4, which their partition counts first
     t = Theory(Signature({}, {}, ["a"]), [], name="a")
     tr = Theory(Signature({}, {}, ["b"]), [], name="b")
     pairs = {n: dict(d) for n, d in build_concrete_iso(t, tr, 2).pairs.items()}

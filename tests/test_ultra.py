@@ -1,20 +1,21 @@
 """Ultrafilters and ultraproducts, checked against first principles."""
 
-import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from oracles import (
-    los_loop, quotient_by_class_tuples, random_formula, random_model, verbatim_ultraproduct,
+    fun_value, los_loop, quotient_by_class_tuples, random_formula, random_model,
+    verbatim_ultraproduct,
 )
 
 from defeq.budget import BudgetExceededError, WorkBudget
 from defeq.folang import FormulaLevels, Signature, SignatureError, parse_formula
 from defeq.models import FiniteModel
 from defeq.ultra import (
-    LosLevels, Ultrafilter, _Plan, diagonal_embedding, los_check, quotient_encoding,
+    LosLevels, Ultrafilter, diagonal_embedding, los_check, quotient_encoding,
     ultrafilters_on, ultraproduct,
 )
 
@@ -147,7 +148,7 @@ def tuple_quotient(models, u, res):
     rels = {name: [cs for cs in classes[arity]
                    if u.contains(i for i in range(k) if picked(i, cs) in models[i].rels[name])]
             for name, arity in sig.relations.items()}
-    funs = {name: [res.class_map[tuple(models[i].fun_value(name, picked(i, cs))
+    funs = {name: [res.class_map[tuple(fun_value(models[i], name, picked(i, cs))
                                        for i in range(k))]
                    for cs in classes[arity]]
             for name, arity in sig.functions.items()}
@@ -173,8 +174,9 @@ def test_quotient_tables_match_the_tuple_oracle():
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
 def test_ultraproduct_matches_the_verbatim_oracle(seed, k):
     # calls alternate between factor lists of different sizes and between two
-    # ultrafilters on the same index set, so a plan kept for the wrong
-    # shape, or shared between ultrafilters, gives a wrong quotient
+    # ultrafilters on the same index set, so a product that read anything
+    # left by an earlier call, of another shape or ultrafilter, gives a
+    # wrong quotient
     rng = random.Random(seed)
     subsets = [s for r in range(k + 1) for s in itertools.combinations(range(k), r)]
     us = [Ultrafilter.principal(rng.randrange(k), k),
@@ -197,10 +199,11 @@ def test_ultraproduct_matches_the_verbatim_oracle(seed, k):
        st.lists(st.integers(1, 3), min_size=1, max_size=2), st.sampled_from(["", "f", "c"]),
        st.none() | st.sets(st.frozensets(st.integers(0, 3)), max_size=10))
 def test_quotient_kernel_matches_the_class_tuple_oracle(seed, sizes, arities, extra, family):
-    # the scatter kernel against the loop over tuples of classes it
-    # replaced: on every principal ultrafilter, or on a family of sets that
-    # is not an ultrafilter, so that a kernel that took the test for
-    # principal would differ; one plan for several products of one shape
+    # the kernel, which reads each factor's bitmap at the ranks its tuples
+    # of classes pick, against the loop over tuples of classes: on every
+    # principal ultrafilter, or on a family of sets that is not an
+    # ultrafilter, so that a kernel that took the test for principal
+    # would differ
     rng = random.Random(seed)
     k = len(sizes)
     sig = Signature({f"R{i}": a for i, a in enumerate(arities)},
@@ -209,26 +212,30 @@ def test_quotient_kernel_matches_the_class_tuple_oracle(seed, sizes, arities, ex
         us = ultrafilters_on(k)
     else:
         us = [Ultrafilter(k, [s for s in family if max(s, default=0) < k])]
-    head = [random_model(sig, n, rng).encode() for n in sizes[:-1]]
-    lasts = [random_model(sig, sizes[-1], rng).encode() for _ in range(3)]
+    encs = [random_model(sig, n, rng).encode() for n in sizes]
     for u in us:
-        plan = u.plan(tuple(sizes), WorkBudget())
-        assume(len(plan.reps) ** max(arities) <= 4096)
-        assert [quotient_encoding(plan, (*head, last), sig) for last in lasts] == \
-            [quotient_by_class_tuples(plan, (*head, last), sig) for last in lasts]
+        reps = []
+        class_map = dict(u.classes(tuple(sizes), WorkBudget(), reps))
+        assume(len(reps) ** max(arities) <= 4096)
+        assert quotient_encoding(u, reps, class_map, encs, sig) == \
+            quotient_by_class_tuples(u, reps, class_map, encs, sig)
 
 
-def test_an_ultrafilter_keeps_only_the_last_plan():
-    u = Ultrafilter(2, [{0}, {0, 1}])
-    first = ultraproduct([model_of(1, []), model_of(2, [1])], u)
-    for sizes in [(3, 1), (1, 2), (2, 2)]:
-        res = ultraproduct([model_of(n, [0]) for n in sizes], u)
-    # besides its size and its membership test, u refers to one plan
-    kept = [x for x in gc.get_referents(u) if not callable(x) and not isinstance(x, int)]
-    assert [type(x) for x in kept] == [_Plan] and kept[0].sizes == (2, 2)
-    again = ultraproduct([model_of(2, []), model_of(2, [0, 1])], u)
-    assert again.class_map is res.class_map and again.reps is res.reps
-    assert first.class_map == {(0, 0): 0, (0, 1): 0}
+def test_a_wide_relation_is_read_in_memory_linear_in_its_width():
+    # a 4-ary relation on 12 elements has 20,736 argument tuples, so a
+    # table per bitmap byte of full-width masks would take tens of MB
+    rng = random.Random(12)
+    sig = Signature({"R": 4}, {}, [])
+    ms = [random_model(sig, 12, rng) for _ in range(2)]
+    u = Ultrafilter.principal(1, 2)
+    tracemalloc.start()
+    try:
+        res = ultraproduct(ms, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.quotient == ms[1]
+    assert peak < 4 << 20
 
 
 def test_class_map_is_read_only():
@@ -238,6 +245,8 @@ def test_class_map_is_read_only():
     with pytest.raises(TypeError):
         del res.class_map[(0, 0)]
     assert dict(res.class_map) == {(0, 0): 0, (1, 0): 1}
+    res = ultraproduct([model_of(1, []), model_of(2, [1])], Ultrafilter(2, [{0}, {0, 1}]))
+    assert res.class_map == {(0, 0): 0, (0, 1): 0}
 
 
 def test_class_map_is_consistent_with_representatives():
