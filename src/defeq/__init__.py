@@ -45,7 +45,7 @@ from .spectra import (
     compare_spectra,
     verify_concrete_iso,
 )
-from .ultra import Ultrafilter, diagonal_embedding, los_check, ultraproduct
+from .ultra import Ultrafilter, los_check, ultraproduct
 
 __version__ = "0.1.0"
 
@@ -85,7 +85,6 @@ __all__ = [
     "compare_spectra",
     "verify_concrete_iso",
     "Ultrafilter",
-    "diagonal_embedding",
     "los_check",
     "ultraproduct",
     "__version__",

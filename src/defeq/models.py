@@ -669,8 +669,10 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
         over_budget(i)
         kept: list[int] = []
         hits: list[list[int]] = [[] for _ in mine]
-        blocks = oks[i] = []
-        made = rows[i] = []
+        # a list per block only where it is read: oks[i] by sieve, rows[i]
+        # by sieve and _bitmaps when a relation is computed here
+        blocks = oks[i] = [] if i in sieved else None
+        made = rows[i] = [] if fixed else itertools.repeat({})
         for first, lanes in _blocks(widths[j]):
             # one node per table in the block, and per tuple of each relation computed
             nodes.tick(full.bit_length() + sum(cost for _, _, cost in fixed))
@@ -683,8 +685,10 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
                 ok &= check(data)
                 if not ok:
                     break
-            blocks.append(ok)
-            made.append(block)
+            if blocks is not None:
+                blocks.append(ok)
+            if fixed:
+                made.append(block)
             if checks:
                 kept += _ones(ok, first)
             for c, hit in zip(mine, hits):

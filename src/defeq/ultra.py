@@ -27,9 +27,8 @@ from .models import FiniteModel
 from .record import Record
 
 __all__ = [
-    "Ultrafilter", "ultrafilters_on", "UltraproductResult",
-    "ultraproduct", "quotient_encoding", "diagonal_embedding", "LosReport", "los_check",
-    "LosLevels",
+    "Ultrafilter", "UltraproductResult", "ultraproduct", "quotient_encoding", "LosReport",
+    "los_check", "LosLevels",
 ]
 
 
@@ -104,13 +103,6 @@ class Ultrafilter:
     def contains(self, s: Iterable[int]) -> bool:
         return bool(self._test(_mask(s, self.size)))
 
-    def principal_point(self) -> int:
-        """The point whose singleton is a member; on a finite index set one exists."""
-        points = [i for i in range(self.size) if self._test(1 << i)]
-        if len(points) != 1:
-            raise ValueError("not a principal ultrafilter")
-        return points[0]
-
     def __repr__(self) -> str:
         return f"<Ultrafilter on {self.size} indices>"
 
@@ -127,16 +119,6 @@ def _classes(sizes: tuple[int, ...], test, reps: list) -> Iterator:
         else:
             reps.append(f)
             yield f, len(reps) - 1
-
-
-def ultrafilters_on(size: int) -> list[Ultrafilter]:
-    """Every ultrafilter on {0..size-1}: the principal ones.
-
-    On a finite index set the intersection of all members is a U-member
-    singleton, so this list is exhaustive; the tests verify that by brute
-    force over set families for small sizes.
-    """
-    return [Ultrafilter.principal(i, size) for i in range(size)]
 
 
 class UltraproductResult(Record):
@@ -222,13 +204,6 @@ def quotient_encoding(u: Ultrafilter, reps: Sequence[tuple[int, ...]],
         for g, arity in enumerate(sig.functions.values())])
     const_part = tuple(map(class_of, zip(*[enc[3] for enc in encs])))
     return len(reps), tuple(rels), fun_part, const_part
-
-
-def diagonal_embedding(m: FiniteModel, u: Ultrafilter,
-                       budget: WorkBudget | None = None) -> dict[int, int]:
-    """a -> class of the constant choice function (a,...,a) in the ultrapower."""
-    result = ultraproduct([m] * u.size, u, budget)
-    return {a: result.class_map[(a,) * u.size] for a in range(m.size)}
 
 
 class LosReport(Record):

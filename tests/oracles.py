@@ -22,7 +22,7 @@ from defeq.groups import (PermutationGroup, automorphism_group, canonical_form, 
 from defeq.models import (_LANE_BITS, FiniteModel, Theory, _ones, _rank, _tuples,
                           apply_permutation, canonical_key, enumerate_models, find_isomorphisms,
                           is_model)
-from defeq.ultra import Ultrafilter, los_check, ultrafilters_on, ultraproduct
+from defeq.ultra import Ultrafilter, los_check, ultraproduct
 
 
 def group_key(g: PermutationGroup) -> bytes:
@@ -145,6 +145,32 @@ def substructure_scan(t: Theory, max_size: int, budget: WorkBudget = DEFAULT_BUD
                     if not is_model(sub, t):
                         return m, subset
     return None
+
+
+def ultrafilters_on(size: int) -> list[Ultrafilter]:
+    """Every ultrafilter on {0..size-1}: the principal ones.
+
+    On a finite index set the intersection of all members is a member
+    singleton, so this list is exhaustive;
+    test_every_ultrafilter_on_a_small_index_set_is_principal checks that by
+    brute force over set families for small sizes."""
+    return [Ultrafilter.principal(i, size) for i in range(size)]
+
+
+def principal_point(u: Ultrafilter) -> int:
+    """The point whose singleton is a member of u, or ValueError when no
+    one point's is."""
+    points = [i for i in range(u.size) if u.contains([i])]
+    if len(points) != 1:
+        raise ValueError("not a principal ultrafilter")
+    return points[0]
+
+
+def diagonal_embedding(m: FiniteModel, u: Ultrafilter,
+                       budget: WorkBudget = DEFAULT_BUDGET) -> dict[int, int]:
+    """a -> class of the constant choice function (a,...,a) in the ultrapower."""
+    result = ultraproduct([m] * u.size, u, budget)
+    return {a: result.class_map[(a,) * u.size] for a in range(m.size)}
 
 
 def verbatim_ultraproduct(models: Sequence[FiniteModel], u: Ultrafilter):
@@ -297,7 +323,7 @@ def ultra_verdict(b, models, index_bound=2, sample_budget=2000, budget=DEFAULT_B
                 left = b.apply(ultraproduct(list(tup), u, budget).quotient)
                 right = ultraproduct([b.apply(m) for m in tup], u, budget).quotient
                 if left != right:
-                    return (k, u.principal_point(), tup), sampled.count
+                    return (k, principal_point(u), tup), sampled.count
     return None, sampled.count
 
 

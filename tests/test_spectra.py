@@ -569,27 +569,22 @@ def test_verifier_report_equals_the_oracle_verdicts(seed, size):
 
 
 def test_ultra_witness_equals_the_oracle_loops(t2, monkeypatch):
-    # the verifier reads the verdict off the collapse of every principal
-    # product to its factor, and agrees with the loop that builds both
-    # products of each of the 20 + 2 * 400 tuples; a partition that breaks
-    # the collapse (the (2, 2) partition at point 1, its classes swapped)
-    # is an internal error
+    # the verifier counts the 20 + 2 * 400 tuples and agrees with the loop
+    # that builds both products of each; it classifies no choice function,
+    # so with the partition refused it still gives the loop's report
     t2r = renamed_copy(t2)
     b = build_concrete_iso(t2, t2r, 2)
     models = [m for n in (1, 2) for m in enumerate_models(t2, n)]
     report = verify_concrete_iso(b, t2, t2r, 2)
     assert (report.ultra_ok, report.checked_tuples) == (True, 820)
     assert ultra_verdict(b, models) == (None, report.checked_tuples)
-    real = ultra._classes
 
-    def corrupted(sizes, test, reps):
-        swap = sizes == (2, 2) and test(0b10)
-        return ((f, 1 - c if swap else c) for f, c in real(sizes, test, reps))
+    def refused(*args):
+        raise AssertionError("the verifier classified choice functions")
 
-    monkeypatch.setattr(ultra, "_classes", corrupted)
-    with pytest.raises(InternalError, match=r"^the ultraproduct of factors of sizes \(2, 2\) "
-                                            r"at point 1 is not its factor 1$"):
-        verify_concrete_iso(b, t2, t2r, 2)
+    monkeypatch.setattr(ultra, "_classes", refused)
+    monkeypatch.setattr(ultra.Ultrafilter, "classes", refused)
+    assert verify_concrete_iso(b, t2, t2r, 2) == report
 
 
 def test_the_constructor_refuses_images_over_two_signatures(t2):
@@ -669,9 +664,9 @@ def three():
 
 
 def test_the_ultraproduct_verdict_keeps_no_partition(three):
-    # one tuple per (index size, point) up to 9 points: at k = 9 each
-    # principal ultrafilter partitions 3^9 choice functions, and a class map
-    # of them took 25 MB; each is checked as it is classified instead
+    # one tuple per (index size, point) up to 9 points: at k = 9 a product
+    # would partition 3^9 choice functions, and a class map of them took
+    # 25 MB; the verifier counts them and classifies none
     t, tr, b = three
     tracemalloc.start()
     try:
@@ -696,6 +691,18 @@ def test_the_ultraproduct_verdict_exits_where_the_products_would(three, limit, s
                             budget=WorkBudget(limit))
     assert str(got.value) == str(want.value) == \
         f"work budget exceeded while enumerating {space} choice functions (limit {limit})"
+
+
+@pytest.mark.parametrize("index_bound, limit", [(2, 9), (5, 243)])
+def test_the_ultraproduct_verdict_passes_at_a_shapes_count(three, index_bound, limit):
+    # a limit equal to the choice functions of the widest shape met, 3^k at
+    # the last k, passes, as the loop of products does
+    t, tr, b = three
+    models = [m for n in (1, 2, 3) for m in enumerate_models(t, n)]
+    want = ultra_verdict(b, models, index_bound, sample_budget=1, budget=WorkBudget(limit))
+    report = verify_concrete_iso(b, t, tr, 3, index_bound=index_bound, sample_budget=1,
+                                 budget=WorkBudget(limit))
+    assert report.ok and want == (None, report.checked_tuples)
 
 
 def test_the_verifier_builds_models_for_witnesses_only(t2, monkeypatch):

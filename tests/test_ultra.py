@@ -7,17 +7,14 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from oracles import (
-    fun_value, los_loop, quotient_by_class_tuples, random_formula, random_model,
-    verbatim_ultraproduct,
+    diagonal_embedding, fun_value, los_loop, principal_point, quotient_by_class_tuples,
+    random_formula, random_model, ultrafilters_on, verbatim_ultraproduct,
 )
 
 from defeq.budget import BudgetExceededError, WorkBudget
 from defeq.folang import FormulaLevels, Signature, SignatureError, parse_formula
 from defeq.models import FiniteModel
-from defeq.ultra import (
-    LosLevels, Ultrafilter, diagonal_embedding, los_check, quotient_encoding,
-    ultrafilters_on, ultraproduct,
-)
+from defeq.ultra import LosLevels, Ultrafilter, los_check, quotient_encoding, ultraproduct
 
 SIG = Signature({"P": 1, "E": 2}, {}, ["c"])
 
@@ -64,7 +61,7 @@ def test_principal_ultrafilters_validate():
         for point in range(size):
             u = Ultrafilter.principal(point, size)
             u.validate()
-            assert u.principal_point() == point
+            assert principal_point(u) == point
             assert naive_is_ultrafilter(size, u.members)
     with pytest.raises(ValueError):
         Ultrafilter.principal(3, 3)
@@ -103,6 +100,18 @@ def test_every_ultrafilter_on_a_small_index_set_is_principal():
         expected = {Ultrafilter.principal(p, size).members for p in range(size)}
         assert set(valid) == expected
         assert len(ultrafilters_on(size)) == size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+def test_a_principal_partition_puts_each_choice_function_in_its_points_class(sizes):
+    # the collapse: at every point p, f's class is f[p], so the quotient of
+    # factors of these sizes (at most 4^5 choice functions) is factor p
+    for p in range(len(sizes)):
+        reps = []
+        classes = Ultrafilter.principal(p, len(sizes)).classes(tuple(sizes), WorkBudget(), reps)
+        assert all(c == f[p] for f, c in classes)
+        assert reps == [(0,) * p + (a,) + (0,) * (len(sizes) - p - 1) for a in range(sizes[p])]
 
 
 # ------------------------------------------------------------
