@@ -12,7 +12,8 @@ Only the commands that need a census or those sweeps import this module.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from operator import itemgetter
 
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
@@ -122,20 +123,22 @@ class Census:
     (models.enumerate_encodings), is read once and not kept.  cells maps
     group keys to (canonical group, classes in canonical-key order), a
     class being (its member count, its representative): the least member
-    whose group is literally the canonical one, by Aut(p.M) = p Aut(M)
-    p^-1, so canonical_form runs once per literal group.  A representative
-    is an object of encodings.  forms, the memo of those calls, maps a
-    literal group to its canonical form and that form's element set; the
-    censuses of one size may share it.  relabelling holds the index tables
-    of the sweeps (None when there are no models).  The budget bounds the
-    sweeps.
+    whose group is literally the canonical one.  Since Aut(p.M) = p Aut(M)
+    p^-1, that is the least image of the class's least member under the
+    conjugators of its group's canonical form, read off the class's sweep;
+    canonical_form runs once per literal group.  A representative is an
+    object of encodings.  forms, the memo of those calls, maps a literal
+    group to its canonical form and the indices of its conjugators in
+    relabelling.perms; the censuses of one size may share it.  relabelling
+    holds the index tables of the sweeps (None when there are no models).
+    The budget bounds the sweeps.
     """
 
     __slots__ = ("sig", "cells", "relabelling")
 
     def __init__(self, sig: Signature, size: int, encodings: Sequence[tuple],
                  budget: WorkBudget | None = None,
-                 forms: dict[PermutationGroup, tuple[PermutationGroup, frozenset]] | None = None):
+                 forms: dict[PermutationGroup, tuple[PermutationGroup, list[int]]] | None = None):
         forms = {} if forms is None else forms
         self.sig = sig
         self.relabelling = Relabelling(sig, size) if encodings else None
@@ -144,32 +147,15 @@ class Census:
         # classes come in the order of their least members, the canonical keys
         for members, swept, stabilizer in orbits(self.relabelling, encodings, nodes):
             aut = PermutationGroup(size, stabilizer, _trusted=True)
-            form = forms.get(aut)
-            if form is None:
-                canon = canonical_form(aut)
-                form = forms[aut] = canon, frozenset(canon.elements)
-            canon, elements = form
-            if aut == canon:
-                rep = members[0]
-            else:
-                # canon is a conjugate of Aut(members[0]), so some member has
-                # it literally; Aut(p.M) = p Aut(M) p^-1 for any p carrying M there
-                move = dict(zip(swept, self.relabelling.perms))
-                rep = next(m for m in members if _conjugates_into(aut, move[m], elements))
+            if aut not in forms:
+                canon, conjugators = canonical_form(aut)
+                forms[aut] = canon, [i for i, p in enumerate(self.relabelling.perms)
+                                     if p in conjugators]
+            canon, conjugators = forms[aut]
+            rep = members[bisect_left(members, min(map(swept.__getitem__, conjugators)))]
             found.setdefault(canon, []).append((len(members), rep))
         self.cells: dict[bytes, tuple[PermutationGroup, list[tuple[int, tuple]]]] = {
             form_key(canon): (canon, classes) for canon, classes in found.items()}
-
-
-def _conjugates_into(group: Iterable[tuple[int, ...]], p: tuple[int, ...],
-                     elements: frozenset) -> bool:
-    """Is p g p^-1 in elements for every g of group?  When elements is a
-    group of the same order, that makes p group p^-1 equal to it."""
-    inverse = [0] * len(p)
-    for i, v in enumerate(p):
-        inverse[v] = i
-    return all(tuple(map(p.__getitem__, map(g.__getitem__, inverse))) in elements
-               for g in group)
 
 
 def _iso_witness(column: dict[tuple, tuple], n: int, sigs: tuple[Signature, Signature],

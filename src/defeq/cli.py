@@ -40,8 +40,7 @@ from types import SimpleNamespace
 from . import definability, folang, groups, irregular, spectra, ultra
 from .budget import DEFAULT_MAX_NODES, BudgetExceededError, NodeCounter, WorkBudget
 from .folang import FormulaSyntaxError, Signature, SignatureError
-from .models import (FiniteModel, InternalError, Theory, _ByteTable, count_models,
-                     enumerate_models)
+from .models import FiniteModel, InternalError, Theory, count_models, enumerate_models
 
 __all__ = [
     "CliError", "parse_theory_text", "load_theory", "theory_to_text",
@@ -224,8 +223,8 @@ def _parse_model_raw(text: str) -> _RawModel:
 
 
 def _fun_arity(name: str, table_len: int, size: int) -> int:
-    if size == 1:
-        if table_len != 1:
+    if size < 2:  # no arity is read off the powers of 1, and below 1 the model is refused
+        if size == 1 and table_len != 1:
             raise CliError(f"function {name!r}: table length {table_len} on a 1-element universe")
         return 1
     arity, space = 1, size
@@ -287,6 +286,41 @@ def load_models(paths: Sequence[str]) -> list[FiniteModel]:
     return [_build_model(raw, sig) for raw in raws]
 
 
+class _ByteTable(dict):
+    """Per byte of a relation bitmap, the texts of the argument tuples set in it.
+
+    The key of byte value v at byte position p is p << 8 | v, and its value
+    is the join of part(j) for each bit j set in v, counted from bit 8p.  An
+    entry is made on first use, so a wide bitmap costs only the entries its
+    bytes reach.  _Renderer keeps one per relation of a signature and size.
+    """
+
+    __slots__ = ("part", "_offsets")
+
+    def __init__(self, width: int, part) -> None:
+        super().__init__()
+        # the keys of byte value 0, one per byte of a bitmap of width bits
+        self._offsets = range(0, (width + 7) >> 3 << 8, 256)
+        self.part = part
+
+    def __missing__(self, key: int) -> str:
+        first = key >> 8 << 3
+        value = self[key] = "".join([self.part(first + b) for b in range(8) if key >> b & 1])
+        return value
+
+    def texts(self, column: Sequence[int]) -> Iterator[str]:
+        """For each bits of column, the texts of its bytes, lowest byte
+        first, joined once.  The column's bytes are laid out model after
+        model, 256 models at a time, and read one byte position at a time."""
+        nbytes = len(self._offsets)
+        to_bytes = operator.methodcaller("to_bytes", nbytes, "little")
+        data = b"".join([b"".join(map(to_bytes, column[i:i + 256]))
+                         for i in range(0, len(column), 256)])
+        return map("".join, zip(*[map(self.__getitem__, map(operator.or_, data[p::nbytes],
+                                                            itertools.repeat(offset)))
+                                  for p, offset in enumerate(self._offsets)]))
+
+
 class _Renderer:
     """Model texts, in the model file syntax on one line, for the models of
     one signature and size; _renderer keeps one per (signature, size).
@@ -294,10 +328,9 @@ class _Renderer:
     A model's text is made a column at a time: column() renders a whole
     list of models one symbol after another, and model_to_text is its
     one-model case.  A relation's text is read off a byte table
-    (models._ByteTable) whose entries are the texts of the tuples a bitmap
-    byte holds, each followed by a space, "(a,b) (c,d) ", so the texts of
-    a column are the byte texts summed one byte position at a time
-    (_ByteTable.sums).
+    (_ByteTable) whose entries are the texts of the tuples a bitmap byte
+    holds, each followed by a space, "(a,b) (c,d) ", and a model's text
+    is its byte texts joined once (_ByteTable.texts).
     """
 
     __slots__ = ("size", "head", "rels", "funs", "consts", "values")
@@ -307,7 +340,7 @@ class _Renderer:
         self.head = f"size {size}"
         self.values = [str(v) for v in range(size)]
         self.rels = [(f"rel {name} {{ ",
-                      _ByteTable(size ** arity, self._tuple_text(arity), "".join))
+                      _ByteTable(size ** arity, self._tuple_text(arity)))
                      for name, arity in sig.relations.items()]
         self.funs = [f"fun {name} [ " for name in sig.functions]
         self.consts = [f"const {name} " for name in sig.constants]
@@ -329,7 +362,7 @@ class _Renderer:
         parts = []
         for i, (head, table) in enumerate(self.rels):
             parts.append(map("{}{}}}".format, itertools.repeat(head),
-                             table.sums([enc[1][i] for enc in encs])))
+                             table.texts([enc[1][i] for enc in encs])))
         values = self.values.__getitem__
         for i, head in enumerate(self.funs):
             tables = [enc[2][i] for enc in encs]

@@ -87,28 +87,35 @@ def automorphism_group(m, budget=None) -> PermutationGroup:
     return PermutationGroup(m.size, find_isomorphisms(m, m, budget), _trusted=True)
 
 
-def canonical_form(g: PermutationGroup) -> PermutationGroup:
-    """The lexicographically least conjugate of g over all base bijections.
+def canonical_form(g: PermutationGroup
+                   ) -> tuple[PermutationGroup, frozenset[tuple[int, ...]]]:
+    """The lexicographically least conjugate of g over all base bijections,
+    and its conjugators: the bijections b with b G b^-1 equal to it.
 
     The conjugate set b G b^-1 depends on b only through the left coset bG,
-    so one representative per coset is inspected.
+    so one representative per coset is inspected, and the conjugators are
+    the cosets that reach the least conjugate.
     """
     n = g.base_size
     elems = g.elements
     seen: set[tuple[int, ...]] = set()
     best: tuple[tuple[int, ...], ...] | None = None
+    reaching: set[tuple[int, ...]] = set()
     for b in itertools.permutations(range(n)):
         if b in seen:
             continue
         image = b.__getitem__
-        seen.update(tuple(map(image, x)) for x in elems)  # the coset bG
+        coset = [tuple(map(image, x)) for x in elems]  # bG
+        seen.update(coset)
         binv = invert(b)
         # b x b^-1 takes i to b[x[binv[i]]]
         conj = tuple(sorted(tuple(map(image, map(x.__getitem__, binv))) for x in elems))
         if best is None or conj < best:
-            best = conj
+            best, reaching = conj, set(coset)
+        elif conj == best:
+            reaching.update(coset)
     assert best is not None
-    return PermutationGroup(n, best, _trusted=True)
+    return PermutationGroup(n, best, _trusted=True), frozenset(reaching)
 
 
 def form_key(canon: PermutationGroup) -> bytes:

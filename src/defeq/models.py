@@ -11,7 +11,6 @@ j-th argument tuple in lexicographic order: its mixed-radix rank.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce
 from math import prod
@@ -63,45 +62,6 @@ def _ones(bits: int, start: int = 0) -> list[int]:
     # selects the positions in C, without a Python-level step per bit
     return list(itertools.compress(itertools.count(start),
                                    bin(bits)[:1:-1].encode().translate(_BIT)))
-
-
-class _ByteTable(dict):
-    """Per byte of a bitmap, a value read off the bit positions set in it.
-
-    The key of byte value v at byte position p is p << 8 | v, and its value
-    is join([part(j) for each bit j set in v, counted from bit 8p]).  An
-    entry is made on first use, so a wide bitmap costs only the entries its
-    bytes reach.  The model renderer (cli._Renderer) keeps one per relation
-    of a signature and size, with the texts of argument tuples as parts;
-    nothing else builds one.
-    """
-
-    __slots__ = ("part", "join", "_offsets")
-
-    def __init__(self, width: int, part, join) -> None:
-        super().__init__()
-        # the keys of byte value 0, one per byte of a bitmap of width bits
-        self._offsets = range(0, (width + 7) >> 3 << 8, 256)
-        self.part = part
-        self.join = join
-
-    def __missing__(self, key: int):
-        first = key >> 8 << 3
-        value = self[key] = self.join([self.part(first + b) for b in range(8) if key >> b & 1])
-        return value
-
-    def sums(self, column: Sequence[int]) -> Iterator:
-        """For each bits of column, the values of its bytes added up, lowest
-        byte first, a zero byte's value being join([]); read one byte
-        position at a time over the whole column."""
-        out = None
-        for offset in self._offsets:
-            low = map(operator.rshift, column, itertools.repeat(offset >> 5)) if offset else column
-            keys = map(operator.or_, map(operator.and_, low, itertools.repeat(255)),
-                       itertools.repeat(offset))
-            values = map(self.__getitem__, keys)
-            out = values if out is None else map(operator.add, out, values)
-        return out
 
 
 # The most elements, and argument tuples of one relation, that a model

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from math import prod
 
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
-from .folang import Signature, SignatureError
+from .folang import Signature
 from .groups import PermutationGroup, group_to_text
 # enumerate_models is unused here but stays importable as spectra's, since
 # the bench's tracer test reads and restores it through this module
@@ -183,59 +183,14 @@ class ConcreteBijection:
     verify_concrete_iso checks that explicitly.  It is kept a size at a
     time in two columns of encodings over sigs = (t1's signature, t2's):
     columns[n] = (sources, images), the size-n models in encoding order
-    and, index for index, their images.  pairs, apply and items build
-    FiniteModels from encodings on demand.
+    and, index for index, their images.
     """
 
-    __slots__ = ("sizes", "sigs", "columns", "_tables")
+    __slots__ = ("sizes", "sigs", "columns")
 
-    def __init__(self, sizes: Sequence[int],
-                 pairs: dict[int, dict[FiniteModel, FiniteModel]]):
-        """The map pairs[n][M] = b(M) for each size n of sizes, encoded as
-        build_concrete_iso stores it; SignatureError when its models, or
-        their images, span two signatures."""
-        self.sizes = tuple(sizes)
-        sigs = []
-        for side, models in (("models", dict.keys), ("images", dict.values)):
-            found = {m.sig for n in self.sizes for m in models(pairs[n])}
-            if len(found) > 1:
-                raise SignatureError(f"the {side} of a bijection must share a signature")
-            sigs.append(next(iter(found), None))
-        self.sigs = tuple(sigs)
-        self.columns = {}
-        for n in self.sizes:
-            rows = sorted((m.encode(), bm.encode()) for m, bm in pairs[n].items())
-            self.columns[n] = ([enc for enc, _ in rows], [benc for _, benc in rows])
-        self._tables: dict[int, dict[FiniteModel, FiniteModel]] = {}
-
-    @classmethod
-    def _from_columns(cls, sizes: Sequence[int], sigs: tuple[Signature, Signature],
-                      columns: dict[int, tuple[list[tuple], list[tuple]]]) -> "ConcreteBijection":
-        b = object.__new__(cls)
-        b.sizes, b.sigs, b.columns, b._tables = tuple(sizes), sigs, columns, {}
-        return b
-
-    def _pairs(self, n: int) -> Iterator[tuple[FiniteModel, FiniteModel]]:
-        return zip(*[map(FiniteModel._from_encoding, itertools.repeat(sig), column)
-                     for sig, column in zip(self.sigs, self.columns[n])])
-
-    def apply(self, m: FiniteModel) -> FiniteModel:
-        if m.size not in self._tables:
-            self._tables[m.size] = dict(self._pairs(m.size)) if m.size in self.columns else {}
-        try:
-            return self._tables[m.size][m]
-        except KeyError:
-            raise ValueError(f"bijection not defined on {m!r}") from None
-
-    def items(self) -> Iterator[tuple[FiniteModel, FiniteModel]]:
-        """(M, b(M)) for every M, by size and then in encoding order."""
-        for n in self.sizes:
-            yield from self._pairs(n)
-
-    @property
-    def pairs(self) -> dict[int, dict[FiniteModel, FiniteModel]]:
-        """pairs[n] maps each size-n model to its image, in encoding order."""
-        return {n: dict(self._pairs(n)) for n in self.sizes}
+    def __init__(self, sizes: Sequence[int], sigs: tuple[Signature, Signature],
+                 columns: dict[int, tuple[list[tuple], list[tuple]]]):
+        self.sizes, self.sigs, self.columns = tuple(sizes), sigs, columns
 
 
 def _paired_classes(c1: Census, c2: Census):
@@ -274,7 +229,7 @@ def build_concrete_iso(t1: Theory, t2: Theory, max_size: int,
             # the i-th relabellings of rep1 and rep2 come from one permutation
             image.update(zip(c1.relabelling.images(rep1), c2.relabelling.images(rep2)))
         columns[n] = (encodings, list(image.values()))
-    return ConcreteBijection._from_columns(sizes, (t1.sig, t2.sig), columns)
+    return ConcreteBijection(sizes, (t1.sig, t2.sig), columns)
 
 
 class VerificationReport(Record):

@@ -15,7 +15,7 @@ tests check against this construction.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from math import prod
 from operator import eq
 from types import MappingProxyType
@@ -41,55 +41,28 @@ def _mask(s: Iterable[int], size: int) -> int:
 
 
 class Ultrafilter:
-    """A family of subsets of {0..size-1} intended to be an ultrafilter.
+    """An ultrafilter on {0..size-1}, stored as its membership test.
 
-    The family is stored as one membership test on bit masks (bit i is
-    index i), truthy for a member: a passed family becomes a frozenset of
-    masks, a principal ultrafilter ands the mask with its point's bit.
-    Construction does not validate; call validate() to check the axioms
-    (no empty set, upward closed, closed under intersection, and containing
-    exactly one of each complementary pair).
+    The test takes the bit mask of an index set (bit i is index i) and is
+    truthy for a member.  Every ultrafilter on a finite index set is
+    principal, and principal() is the only one the commands build; the
+    kernels below read any membership test, principal or not.
     """
 
     __slots__ = ("size", "_test")
 
-    def __init__(self, size: int, members: Iterable[Iterable[int]]):
+    def __init__(self, size: int, test: Callable[[int], object]):
         if size < 1:
             raise ValueError("index set must be nonempty")
         self.size = size
-        self._test = frozenset(_mask(s, size) for s in members).__contains__
+        self._test = test
 
     @classmethod
     def principal(cls, point: int, size: int) -> "Ultrafilter":
         """All subsets of {0..size-1} containing the point."""
         if not 0 <= point < size:
             raise ValueError("principal point outside the index set")
-        u = cls(size, ())
-        u._test = (1 << point).__and__
-        return u
-
-    @property
-    def members(self) -> frozenset[frozenset[int]]:
-        """Every member set, found by testing all 2^size subsets."""
-        return frozenset(frozenset(i for i in range(self.size) if bits >> i & 1)
-                         for bits in range(1 << self.size) if self._test(bits))
-
-    def validate(self) -> None:
-        """Raise ValueError naming the first violated ultrafilter axiom."""
-        members = self.members
-        if frozenset() in members:
-            raise ValueError("contains the empty set")
-        for s, t in itertools.product(members, repeat=2):
-            if s & t not in members:
-                raise ValueError(f"not closed under intersection: {sorted(s)} and {sorted(t)}")
-        for s, extra in itertools.product(members, range(self.size)):
-            if s | {extra} not in members:
-                raise ValueError(f"not upward closed at {sorted(s | {extra})}")
-        full = (1 << self.size) - 1
-        for bits in range(1 << self.size):
-            if bool(self._test(bits)) == bool(self._test(full ^ bits)):
-                s = [i for i in range(self.size) if bits >> i & 1]
-                raise ValueError(f"must contain exactly one of {s} and its complement")
+        return cls(size, (1 << point).__and__)
 
     def classes(self, sizes: tuple[int, ...], budget: WorkBudget, reps: list) -> Iterator:
         """(f, its U-agreement class) for each choice function f of factors

@@ -22,7 +22,8 @@ from defeq.groups import (PermutationGroup, automorphism_group, canonical_form, 
 from defeq.models import (_LANE_BITS, FiniteModel, Theory, _ones, _rank, _tuples,
                           apply_permutation, canonical_key, enumerate_models, find_isomorphisms,
                           is_model)
-from defeq.ultra import Ultrafilter, los_check, ultraproduct
+from defeq.spectra import ConcreteBijection
+from defeq.ultra import Ultrafilter, _mask, los_check, ultraproduct
 
 
 def group_key(g: PermutationGroup) -> bytes:
@@ -30,7 +31,7 @@ def group_key(g: PermutationGroup) -> bytes:
 
     Two groups get the same key exactly when they are base-isomorphic.
     """
-    return form_key(canonical_form(g))
+    return form_key(canonical_form(g)[0])
 
 
 def conjugate(g: PermutationGroup, h: Sequence[int]) -> PermutationGroup:
@@ -147,6 +148,18 @@ def substructure_scan(t: Theory, max_size: int, budget: WorkBudget = DEFAULT_BUD
     return None
 
 
+def family_filter(size: int, family) -> Ultrafilter:
+    """The Ultrafilter on {0..size-1} whose members are the sets of family,
+    an ultrafilter or not: its test looks a mask up among the family's."""
+    return Ultrafilter(size, frozenset(_mask(s, size) for s in family).__contains__)
+
+
+def member_sets(u: Ultrafilter) -> frozenset[frozenset[int]]:
+    """Every member set of u, found by testing all 2^size subsets."""
+    return frozenset(frozenset(i for i in range(u.size) if bits >> i & 1)
+                     for bits in range(1 << u.size) if u._test(bits))
+
+
 def ultrafilters_on(size: int) -> list[Ultrafilter]:
     """Every ultrafilter on {0..size-1}: the principal ones.
 
@@ -249,7 +262,7 @@ def census_cells(t, n):
     found = {}
     for m in enumerate_models(t, n):
         aut = automorphism_group(m)
-        canon = canonical_form(aut)
+        canon, _ = canonical_form(aut)
         cls = found.setdefault(canon, {}).setdefault(canonical_key(m), [0, None])
         cls[0] += 1
         if cls[1] is None and aut == canon:
@@ -302,6 +315,24 @@ def pairs_by_moves(t1, t2, max_size):
             for n in range(1, max_size + 1)}
 
 
+def bijection(sigs, pairs):
+    """The spectra.ConcreteBijection over sigs of the map pairs[n][M] = b(M)
+    for each size n of pairs, its columns in encoding order."""
+    columns = {}
+    for n, by_model in pairs.items():
+        rows = sorted((m.encode(), bm.encode()) for m, bm in by_model.items())
+        columns[n] = ([enc for enc, _ in rows], [benc for _, benc in rows])
+    return ConcreteBijection(tuple(pairs), sigs, columns)
+
+
+def bijection_pairs(b):
+    """The model maps of b: per size n of b, each size-n model, in encoding
+    order, to its image."""
+    def models(sig, column):
+        return [FiniteModel._from_encoding(sig, enc) for enc in column]
+    return {n: dict(zip(*map(models, b.sigs, b.columns[n]))) for n in b.sizes}
+
+
 def listing_by_models(pairs):
     """build-iso's listing of the pairs that pairs_by_moves gives, one line
     per pair, each model rendered by model_text_by_tuples."""
@@ -315,13 +346,14 @@ def ultra_verdict(b, models, index_bound=2, sample_budget=2000, budget=DEFAULT_B
     of the images, b applied to every member.  witness is the first
     (k, point, tuple) where they differ, or None; verify_concrete_iso's
     ultra_ok is witness is None, and its checked_tuples is the count."""
+    image = {m: bm for pairs in bijection_pairs(b).values() for m, bm in pairs.items()}
     sampled = NodeCounter(budget, "sampling ultraproduct tuples")
     for k in range(1, index_bound + 1):
         for u in ultrafilters_on(k):
             for tup in itertools.islice(itertools.product(models, repeat=k), sample_budget):
                 sampled.tick()
-                left = b.apply(ultraproduct(list(tup), u, budget).quotient)
-                right = ultraproduct([b.apply(m) for m in tup], u, budget).quotient
+                left = image[ultraproduct(list(tup), u, budget).quotient]
+                right = ultraproduct([image[m] for m in tup], u, budget).quotient
                 if left != right:
                     return (k, principal_point(u), tup), sampled.count
     return None, sampled.count

@@ -10,7 +10,7 @@ import random
 import time
 
 from conftest import replay_images
-from oracles import random_formula, restrict
+from oracles import bijection_pairs, random_formula, random_model, restrict
 
 from defeq import cli
 from defeq.cli import dispatch, model_to_text
@@ -85,9 +85,10 @@ def test_criterion_3_renamed_theory_gets_a_verified_bijection(t2, tmp_path):
     assert report.universes_ok and report.universe_witness is None
     assert report.iso_ok and report.iso_witness is None
     assert report.ok
+    pairs = bijection_pairs(b)
     for n in (1, 2):
         for m, images in replay_images(t2, t2r, n):
-            assert images == {b.apply(m)}, "image depends on the isomorphism"
+            assert images == {pairs[n][m]}, "image depends on the isomorphism"
     code, out = dispatch(["build-iso", "--t1", "ex1_t2.thy", "--t2",
                           str(renamed), "--max-size", "2", "--verify"])
     assert code == 0 and "universes=PASS isomorphisms=PASS" in out
@@ -98,19 +99,9 @@ def test_criterion_3_renamed_theory_gets_a_verified_bijection(t2, tmp_path):
 def test_criterion_4_product_truth_matches_quotient_truth():
     t0 = time.time()
     sig = Signature({"P": 1, "E": 2}, {}, ["c"])
-
-    def random_model(rng):
-        size = rng.choice([1, 2, 3])
-        return FiniteModel(
-            sig, size,
-            {"P": [(a,) for a in range(size) if rng.random() < 0.5],
-             "E": [t for t in itertools.product(range(size), repeat=2)
-                   if rng.random() < 0.3]},
-            {}, {"c": rng.randrange(size)})
-
     rng = random.Random(20260815)
     for _ in range(100):
-        ms = [random_model(rng) for _ in range(rng.choice([2, 3]))]
+        ms = [random_model(sig, rng.choice([1, 2, 3]), rng) for _ in range(rng.choice([2, 3]))]
         point = rng.randrange(len(ms))
         u = Ultrafilter.principal(point, len(ms))
         f = random_formula(sig, rng, rng.choice([2, 3, 4]))

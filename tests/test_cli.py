@@ -290,12 +290,85 @@ def test_the_node_count_of_a_function_search_is_exact(tmp_path, capsys):
      "universe of 1000000000000 elements, more than a model may have (1048576)"),
     ("size 2 rel E { (" + ",".join(["1"] * 40) + ") }",
      "relation 'E' has 2**40 argument tuples, more than a model may have (1048576)"),
+    # a function table's arity was sought among the powers of 0 forever
+    ("size 0 fun f [ 1 2 0 1 ]", "universe must be nonempty"),
+    ("size -2 fun f [ 1 2 0 1 ]", "universe must be nonempty"),
 ])
 def test_huge_model_files_are_refused(text, message, tmp_path, capsys):
     mod = tmp_path / "huge.mod"
     mod.write_text(text)
     assert run("aut", "--model", str(mod)) == (2, "")
     assert capsys.readouterr().err == f"defeq: {message}\n"
+
+
+# The front door under mutation: seed texts of each kind, the mutations
+# made of tokens that include huge sizes, arities and tuple entries, and the
+# commands each mutated text goes through
+FUZZ_SEEDS = {
+    "thy": [theory_to_text(load_theory(name)) for name in
+            ("ex1_t1.thy", "ex1_t2.thy", "glymour_subst.thy", "glymour_chain.thy")]
+           + ["rel P 1\nfun f 1\nconst c\naxiom A x. (P(f(x)) -> P(x)) & f(c) = c\n"],
+    "mod": ["size 3 rel E { (0,1) (1,2) (2,0) } rel P { (1) } fun f [ 1 2 0 ] const c 2",
+            "size 2 rel E { (0,1) (1,0) }", "size 1 rel P { }"],
+    "formula": ["A x. E y. (E(x,y) -> !(x=y))", "f(c) = c & P(f(c))",
+                "(A x. P(x)) <-> E y. E(y,y) | !(y != c)"],
+}
+FUZZ_TOKENS = ["(", ")", "{", "}", "[", "]", ",", ".", "#", "\n", "\t", "\u00e9", "rel", "fun",
+               "const", "size", "axiom", "A", "E", "x", "P", "f(", "=", "!=", "->", "<->", "!",
+               "&", "|", "rel W 1000000\n", "fun g 40\n", "(99999999999,0)",
+               "(" + ",".join(map(str, range(40))) + ")", "(1)", "(0,1)", "(2,2,2)"]
+FUZZ_NUMBERS = ["0", "1", "2", "3", "-1", "40", "1048577", "1000000000000",
+                "99999999999999999999999"]
+
+
+def mutated(text, mutations):
+    """text with each mutation applied in turn: a token inserted between
+    spaces, a span deleted or repeated, or a number replaced."""
+    for kind, at, length, pick in mutations:
+        at %= len(text) + 1
+        if kind == "insert":
+            text = f"{text[:at]} {FUZZ_TOKENS[pick % len(FUZZ_TOKENS)]} {text[at:]}"
+        elif kind == "delete":
+            text = text[:at] + text[at + length:]
+        elif kind == "repeat":
+            text = text[:at] + text[at:at + length] * 3 + text[at:]
+        else:
+            numbers = list(re.finditer(r"\d+", text))
+            if numbers:
+                m = numbers[at % len(numbers)]
+                text = text[:m.start()] + FUZZ_NUMBERS[pick % len(FUZZ_NUMBERS)] + text[m.end():]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_SEEDS)), st.integers(0, 4), st.lists(st.tuples(
+    st.sampled_from(["insert", "delete", "repeat", "number"]), st.integers(0, 10 ** 6),
+    st.integers(1, 12), st.integers(0, 99)), max_size=4))
+def test_mutated_input_exits_0_or_2_with_one_diagnostic(tmp_path_factory, kind, seed, mutations):
+    text = mutated(FUZZ_SEEDS[kind][seed % len(FUZZ_SEEDS[kind])], mutations)
+    path = tmp_path_factory.getbasetemp() / f"fuzz.{kind}"
+    path.write_text("rel E 2\nrel P 1\nfun f 1\nconst c\n" if kind == "formula" else text)
+    budget = ("--max-nodes", "20000")
+    commands = {
+        "thy": [("models", "--theory", str(path), "--size", "2", "--count-only", *budget),
+                ("spec", "--theory", str(path), "--max-size", "2", *budget)],
+        "mod": [("aut", "--model", str(path), *budget),
+                ("ultra", "--models", f"{path},{path}", "--principal", "1", *budget)],
+        "formula": [("parse", "--theory", str(path), "--formula", text)],
+    }[kind]
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = dispatch(argv)
+        lines = err.getvalue().splitlines()
+        assert (code, lines) == (0, []) or \
+            (code == 2 and len(lines) == 1 and lines[0].startswith("defeq: ")), (argv, text)
+    if kind == "mod":
+        try:
+            m = parse_model_text(text)
+        except (CliError, ValueError):
+            return
+        assert parse_model_text(model_to_text(m), m.sig) == m
 
 
 def test_aut_counts_each_partial_map_tried(tmp_path, capsys):

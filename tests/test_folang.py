@@ -6,7 +6,7 @@ import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import random_formula, restrict, substructure, tokenize_by_match
+from oracles import random_formula, random_model, restrict, substructure, tokenize_by_match
 
 from defeq import folang
 from defeq.folang import (
@@ -306,16 +306,6 @@ def flat_tables(m):
     return [*bitmaps, *fun_tables, *constants]
 
 
-def random_model(size, rng, sig=SIG):
-    return FiniteModel(
-        sig, size,
-        {name: [t for t in itertools.product(range(size), repeat=arity) if rng.random() < 0.5]
-         for name, arity in sig.relations.items()},
-        {name: [rng.randrange(size) for _ in range(size ** arity)]
-         for name, arity in sig.functions.items()},
-        {name: rng.randrange(size) for name in sig.constants})
-
-
 @pytest.mark.parametrize("text", [
     # shadowed binders, the outer variable read again after the inner loop
     "A x. P(x) & (E x. !P(x))",
@@ -335,7 +325,7 @@ def test_compiled_formula_cases(text):
     for size in (1, 2, 3):
         ev = compile_lanes(SIG, f, size, 1)
         for _ in range(20):
-            m = random_model(size, rng)
+            m = random_model(SIG, size, rng)
             assert ev(flat_tables(m)) == int(eval_formula(m, f)), (text, m)
 
 
@@ -346,7 +336,7 @@ def test_compiled_formula_matches_eval_formula(seed, depth, size):
     f = random_formula(SIG, rng, depth)
     ev = compile_lanes(SIG, f, size, 1)
     for _ in range(5):
-        m = random_model(size, rng)
+        m = random_model(SIG, size, rng)
         assert ev(flat_tables(m)) == int(eval_formula(m, f))
 
 
@@ -358,7 +348,7 @@ def test_compiled_formula_over_a_domain_is_its_truth_in_the_substructure(seed, d
     rng = random.Random(seed)
     f = random_formula(SIG, rng, depth)
     for _ in range(5):
-        m = random_model(size, rng)
+        m = random_model(SIG, size, rng)
         inside = {m.consts["c"], *rng.sample(range(size), rng.randint(0, size - 1))}
         while not inside.issuperset(m.funs["s"][e] for e in inside):
             inside.update(m.funs["s"][e] for e in list(inside))
@@ -494,7 +484,7 @@ def test_level_truth_matches_eval_formula(seed, size, extra, depth):
     rng = random.Random(seed)
     sig = Signature({"E": 2, "P": 1}, {extra: {"s": 1, "g": 2}[extra]} if extra != "c" else {},
                     ["c"] if extra == "c" else [])
-    m = random_model(size, rng, sig)
+    m = random_model(sig, size, rng)
     x = rng.randrange(size)
     levels = FormulaLevels(sig, ("x",), 4, depth)
     truth = LevelTruth(levels, m, {"x": x})

@@ -1,16 +1,19 @@
 """Permutation groups: composition, automorphisms, canonical keys."""
 
 import itertools
+import random
 
 import pytest
-from oracles import conjugate, group_key
+from conftest import random_theory
+from hypothesis import given, settings, strategies as st
+from oracles import conjugate, group_key, random_model
 
 from defeq.folang import Signature
 from defeq.groups import (
     PermutationGroup, automorphism_group, canonical_form, compose, group_to_text, identity,
     invert,
 )
-from defeq.models import FiniteModel
+from defeq.models import FiniteModel, enumerate_models
 
 SIG_R = Signature({"R": 2}, {}, [])
 
@@ -79,12 +82,43 @@ def test_group_key_is_a_conjugation_invariant():
     assert len({group_key(g) for g in subgroups}) == 4
 
 
+def subgroups_of_s4():
+    """The 30 subgroups of S_4: each is generated by two of its elements."""
+    found = set()
+    for pair in itertools.combinations_with_replacement(itertools.permutations(range(4)), 2):
+        elems = {identity(4), *pair}
+        while (closed := {compose(p, q) for p in elems for q in elems}) != elems:
+            elems = closed
+        found.add(PermutationGroup(4, elems))
+    return found
+
+
+def assert_form_and_conjugators(g):
+    # the least conjugate, and every p with p G p^-1 equal to it, by brute force over S_n
+    form, conjugators = canonical_form(g)
+    perms = list(itertools.permutations(range(g.base_size)))
+    assert form == min((conjugate(g, p) for p in perms), key=lambda h: h.elements)
+    assert conjugators == {p for p in perms if conjugate(g, p) == form}
+
+
 def test_canonical_form_is_minimal_in_its_class():
-    for g in all_subgroups_of_s3():
-        canon = canonical_form(g)
-        conjugates = {conjugate(g, s) for s in itertools.permutations(range(3))}
-        assert canon == min(conjugates, key=lambda h: h.elements)
-        assert canon.order == g.order
+    subgroups = subgroups_of_s4()
+    assert len(subgroups) == 30
+    for g in [*all_subgroups_of_s3(), *subgroups]:
+        assert_form_and_conjugators(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_canonical_forms_of_random_automorphism_groups(seed, size):
+    # the models of a random theory where they are few enough to list,
+    # else random structures over its signature
+    rng = random.Random(seed)
+    t, candidates = random_theory(rng, size)
+    ms = (enumerate_models(t, size) if candidates <= 4096
+          else [random_model(t.sig, size, rng) for _ in range(4)])
+    for g in {automorphism_group(m) for m in ms}:
+        assert_form_and_conjugators(g)
 
 
 def test_group_text_form():

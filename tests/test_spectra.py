@@ -10,14 +10,14 @@ import weakref
 import pytest
 from conftest import random_theory, replay_images
 from hypothesis import assume, given, settings, strategies as st
-from oracles import (census_cells, census_models, group_key, listing_by_models, pairs_by_moves,
-                     spectrum_lines, ultra_verdict)
+from oracles import (bijection, bijection_pairs, census_cells, census_models, group_key,
+                     listing_by_models, pairs_by_moves, spectrum_lines, ultra_verdict)
 
 from defeq import census, cli, spectra, ultra
 from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
 from defeq.census import Census, Relabelling, orbits
-from defeq.folang import Signature, SignatureError, parse_formula
-from defeq.groups import PermutationGroup, automorphism_group
+from defeq.folang import Signature, parse_formula
+from defeq.groups import PermutationGroup, automorphism_group, canonical_form
 from defeq.models import (
     FiniteModel, InternalError, Theory, apply_permutation, canonical_key, enumerate_encodings,
     enumerate_models, find_isomorphisms, is_isomorphism, is_model,
@@ -127,6 +127,18 @@ def test_census_checks_orbit_stabilizer(t2, monkeypatch):
         aut_spec(t2, [1, 2])
 
 
+def test_the_irreflexive_census_at_size_4_matches_the_per_model_census():
+    # loopless digraphs on 4 points: of the 218 classes, 52 have a least
+    # member whose group is a conjugate of the canonical form, not the form
+    # itself, so their representatives come off the form's conjugators
+    sig = Signature({"E": 2})
+    t = Theory(sig, [parse_formula(sig, "A x. !E(x,x)")], name="irreflexive")
+    groups = [PermutationGroup(4, stabilizer) for _, _, stabilizer in orbits(
+        Relabelling(sig, 4), enumerate_encodings(t, 4), NodeCounter(WorkBudget(), "test"))]
+    assert (len(groups), sum(g != canonical_form(g)[0] for g in groups)) == (218, 52)
+    assert list(census_models(census_of(t, 4)).items()) == list(census_cells(t, 4).items())
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
 def test_orbit_census_matches_the_per_model_census(seed, size):
@@ -231,39 +243,38 @@ def test_renaming_preserves_the_spectrum(t2):
 def test_build_concrete_iso_is_a_bijection(t2):
     t2r = renamed_copy(t2)
     b = build_concrete_iso(t2, t2r, 2)
-    source = [m for n in (1, 2) for m in enumerate_models(t2, n)]
-    target = [m for n in (1, 2) for m in enumerate_models(t2r, n)]
-    images = [b.apply(m) for m in source]
+    source = [m.encode() for n in (1, 2) for m in enumerate_models(t2, n)]
+    target = [m.encode() for n in (1, 2) for m in enumerate_models(t2r, n)]
+    assert (b.sizes, b.sigs) == ((1, 2), (t2.sig, t2r.sig))
+    assert [enc for n in b.sizes for enc in b.columns[n][0]] == source
+    images = [enc for n in b.sizes for enc in b.columns[n][1]]
     assert len(source) == 20
-    assert sorted(i.encode() for i in images) == sorted(m.encode() for m in target)
-    for m, bm in zip(source, images):
-        assert bm.size == m.size
-    with pytest.raises(ValueError):
-        b.apply(FiniteModel(t2.sig, 3, {"E": [], "R": []}))
+    assert sorted(images) == sorted(target)
+    assert [bm[0] for bm in images] == [m[0] for m in source]
 
 
 def test_bijection_preserves_and_reflects_isomorphism(t2):
     t2r = renamed_copy(t2)
-    b = build_concrete_iso(t2, t2r, 2)
+    pairs = bijection_pairs(build_concrete_iso(t2, t2r, 2))
     for n in (1, 2):
         ms = enumerate_models(t2, n)
         for m, other in itertools.product(ms, repeat=2):
             assert (find_isomorphisms(m, other) != []) == \
-                   (find_isomorphisms(b.apply(m), b.apply(other)) != [])
+                   (find_isomorphisms(pairs[n][m], pairs[n][other]) != [])
 
 
 def test_bijection_preserves_automorphism_groups_literally(t2):
-    b = build_concrete_iso(t2, renamed_copy(t2), 2)
-    for m, bm in b.items():
-        assert automorphism_group(m) == automorphism_group(bm)
+    for pairs in bijection_pairs(build_concrete_iso(t2, renamed_copy(t2), 2)).values():
+        for m, bm in pairs.items():
+            assert automorphism_group(m) == automorphism_group(bm)
 
 
 def test_image_does_not_depend_on_the_chosen_isomorphism(t2):
     t2r = renamed_copy(t2)
-    b = build_concrete_iso(t2, t2r, 2)
+    pairs = bijection_pairs(build_concrete_iso(t2, t2r, 2))
     for n in (1, 2):
         for m, images in replay_images(t2, t2r, n):
-            assert images == {b.apply(m)}
+            assert images == {pairs[n][m]}
 
 
 def test_image_choice_is_a_singleton_at_size_three(t2):
@@ -306,9 +317,9 @@ def test_verifier_catches_a_cross_class_swap(t2):
     b = build_concrete_iso(t2, t2r, 2)
     m1 = _model_with(t2, 2, [], [(0, 1)])
     m2 = _model_with(t2, 2, [(0, 0)], [])
-    pairs = {n: dict(d) for n, d in b.pairs.items()}
+    pairs = bijection_pairs(b)
     pairs[2][m1], pairs[2][m2] = pairs[2][m2], pairs[2][m1]
-    report = verify_concrete_iso(ConcreteBijection(b.sizes, pairs), t2, t2r, 2)
+    report = verify_concrete_iso(bijection(b.sigs, pairs), t2, t2r, 2)
     assert not report.ok and not report.iso_ok
     m, other, h = report.iso_witness
     assert is_isomorphism(m, other, h) != \
@@ -318,11 +329,11 @@ def test_verifier_catches_a_cross_class_swap(t2):
 def test_verifier_catches_a_universe_change(t2):
     t2r = renamed_copy(t2)
     b = build_concrete_iso(t2, t2r, 2)
-    pairs = {n: dict(d) for n, d in b.pairs.items()}
+    pairs = bijection_pairs(b)
     small = sorted(pairs[1], key=FiniteModel.encode)[0]
     big_image = next(iter(pairs[2].values()))
     pairs[1][small] = big_image
-    report = verify_concrete_iso(ConcreteBijection(b.sizes, pairs), t2, t2r, 2)
+    report = verify_concrete_iso(bijection(b.sigs, pairs), t2, t2r, 2)
     assert not report.universes_ok
     assert report.universe_witness == small
 
@@ -333,23 +344,23 @@ def test_verifier_catches_a_universe_change(t2):
 
 def brute_force_verdicts(b, t1, t2, max_size):
     """The |Mod|^2 * n! scan: universes and isomorphism verdicts with witnesses."""
-    models1 = {}
+    models1, image = {}, bijection_pairs(b)
     for n in range(1, max_size + 1):
         models1[n] = enumerate_models(t1, n)
         mod2set = set(enumerate_models(t2, n))
         seen = set()
         for m in models1[n]:
-            bm = b.apply(m)
+            bm = image[n][m]
             if bm in seen:
                 raise ValueError(f"bijection not injective at {bm!r}")
             seen.add(bm)
             if bm.size == n and bm not in mod2set:
                 raise ValueError(f"image {bm!r} is not a model of the target theory")
     universe_witness = next((m for n in models1 for m in models1[n]
-                             if b.apply(m).size != n), None)
+                             if image[n][m].size != n), None)
     for n in range(1, max_size + 1):
         for m, other in itertools.product(models1[n], repeat=2):
-            bm, bo = b.apply(m), b.apply(other)
+            bm, bo = image[n][m], image[n][other]
             for h in itertools.permutations(range(n)):
                 if is_isomorphism(m, other, h) != is_isomorphism(bm, bo, h):
                     return universe_witness, (m, other, h)
@@ -357,7 +368,7 @@ def brute_force_verdicts(b, t1, t2, max_size):
 
 
 def assert_verdicts_agree(pairs, t1, t2, max_size=2):
-    b = ConcreteBijection(range(1, max_size + 1), pairs)
+    b = bijection((t1.sig, t2.sig), pairs)
     try:
         expected = brute_force_verdicts(b, t1, t2, max_size)
     except ValueError as e:
@@ -390,20 +401,20 @@ def test_coset_verdict_equals_the_scan_on_broken_bijections(t2, built):
     assert outside not in enumerate_models(t2r, 2)
     broken = []
     for m1, m2 in [(within[0], within[1]), (across[0][0], across[1][0])]:
-        pairs = {n: dict(d) for n, d in b.pairs.items()}
+        pairs = bijection_pairs(b)
         pairs[2][m1], pairs[2][m2] = pairs[2][m2], pairs[2][m1]
         broken.append(pairs)
     for change in [lambda p: p[2].update({within[0]: p[2][within[1]]}),   # not injective
                    lambda p: p[2].update({within[0]: outside}),           # outside Mod(t2)
-                   lambda p: p[1].update({next(iter(p[1])): b.apply(within[0])})]:  # universe
-        pairs = {n: dict(d) for n, d in b.pairs.items()}
+                   lambda p: p[1].update({next(iter(p[1])): p[2][within[0]]})]:  # universe
+        pairs = bijection_pairs(b)
         change(pairs)
         broken.append(pairs)
     reports = [assert_verdicts_agree(pairs, t2, t2r) for pairs in broken]
     # a swap inside a two-member class relabels that class: still a good bijection
     assert [r and (r.universes_ok, r.iso_ok) for r in reports] == \
         [(True, True), (True, False), None, None, (False, False)]
-    assert assert_verdicts_agree(b.pairs, t2, t2r).ok
+    assert assert_verdicts_agree(bijection_pairs(b), t2, t2r).ok
 
 
 def test_coset_verdict_equals_the_scan_on_a_three_member_swap():
@@ -412,9 +423,9 @@ def test_coset_verdict_equals_the_scan_on_a_three_member_swap():
     t2 = Theory(Signature({"U": 1}), [], name="unary-renamed")
     b = build_concrete_iso(t1, t2, 3)
     single = [m for m in enumerate_models(t1, 3) if len(m.rels["P"]) == 1]
-    pairs = {n: dict(d) for n, d in b.pairs.items()}
+    pairs = bijection_pairs(b)
+    assert assert_verdicts_agree(pairs, t1, t2, 3).ok
     pairs[3][single[0]], pairs[3][single[1]] = pairs[3][single[1]], pairs[3][single[0]]
-    assert assert_verdicts_agree(b.pairs, t1, t2, 3).ok
     report = assert_verdicts_agree(pairs, t1, t2, 3)
     assert report.universes_ok and not report.iso_ok
 
@@ -429,7 +440,7 @@ def test_rescan_visits_only_the_failing_classes(monkeypatch):
     models = enumerate_models(t1, 3)
     full, loopless2 = models[511], models[255]
     assert loopless2.rels["E"] == full.rels["E"] - {(2, 2)}
-    pairs = {n: dict(d) for n, d in b.pairs.items()}
+    pairs = bijection_pairs(b)
     pairs[3][full], pairs[3][loopless2] = pairs[3][loopless2], pairs[3][full]
     hashes = 0
     real_hash = FiniteModel.__hash__
@@ -448,7 +459,7 @@ def test_rescan_visits_only_the_failing_classes(monkeypatch):
 
     monkeypatch.setattr(FiniteModel, "__hash__", counted)
     monkeypatch.setattr(spectra, "NodeCounter", Recorded)
-    report = verify_concrete_iso(ConcreteBijection(b.sizes, pairs), t1, t2, 3, index_bound=0)
+    report = verify_concrete_iso(bijection(b.sigs, pairs), t1, t2, 3, index_bound=0)
     # (0, 2, 1) moves 2's missing loop to 1, so it fixes b(loopless2) = full alone
     assert report.iso_witness == (loopless2, loopless2, (0, 2, 1))
     # one node per model checked (2 + 16 + 512), then one rescanned pair
@@ -485,7 +496,7 @@ def test_coset_verdict_equals_the_scan_on_random_bijections(t2, built, seed):
     t2r, b, _ = built
     rng = random.Random(seed)
     pairs = {}
-    for n, d in b.pairs.items():
+    for n, d in bijection_pairs(b).items():
         images = list(d.values())
         if rng.random() < 0.5:
             rng.shuffle(images)
@@ -516,7 +527,7 @@ def test_paired_sweep_gives_the_per_member_images(seed, size):
     tr = renamed_symbols(t)
     b = build_concrete_iso(t, tr, size)
     expected = pairs_by_moves(t, tr, size)
-    assert [list(b.pairs[n].items()) for n in b.sizes] == \
+    assert [list(d.items()) for d in bijection_pairs(b).values()] == \
         [list(expected[n].items()) for n in b.sizes]
 
 
@@ -528,15 +539,16 @@ def test_paired_sweep_relabels_each_side_in_its_own_signature():
     marked = Theory(sig, [parse_formula(sig, "E x. (U(x) & (A y. (U(y) -> y=x)))")],
                     name="marked")
     b = build_concrete_iso(point, marked, 3)
-    assert b.pairs == pairs_by_moves(point, marked, 3)
-    assert [bm.tuples("U") for m, bm in b.items() if m.size == 3] == [[(0,)], [(1,)], [(2,)]]
+    pairs = bijection_pairs(b)
+    assert pairs == pairs_by_moves(point, marked, 3)
+    assert [bm.tuples("U") for bm in pairs[3].values()] == [[(0,)], [(1,)], [(2,)]]
     assert verify_concrete_iso(b, point, marked, 3).ok
 
 
 def perturbed(b, rng):
     """b as built, with its images shuffled within one size, or with the
     images of two models of different sizes swapped."""
-    pairs = {n: dict(d) for n, d in b.pairs.items()}
+    pairs = bijection_pairs(b)
     kind, filled = rng.randrange(3), [n for n in pairs if pairs[n]]
     if kind == 1:
         n = rng.choice(filled)
@@ -547,7 +559,7 @@ def perturbed(b, rng):
         n1, n2 = rng.sample(filled, 2)
         m1, m2 = rng.choice(list(pairs[n1])), rng.choice(list(pairs[n2]))
         pairs[n1][m1], pairs[n2][m2] = pairs[n2][m2], pairs[n1][m1]
-    return ConcreteBijection(b.sizes, pairs)
+    return bijection(b.sigs, pairs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -587,28 +599,11 @@ def test_ultra_witness_equals_the_oracle_loops(t2, monkeypatch):
     assert verify_concrete_iso(b, t2, t2r, 2) == report
 
 
-def test_the_constructor_refuses_images_over_two_signatures(t2):
-    # one image on another universe and over another signature
-    pairs = {n: dict(d) for n, d in build_concrete_iso(t2, renamed_copy(t2), 2).pairs.items()}
-    pairs[1][next(iter(pairs[1]))] = FiniteModel(Signature({"P": 1}), 2, {"P": [(1,)]})
-    with pytest.raises(SignatureError, match="^the images of a bijection must share a signature$"):
-        ConcreteBijection((1, 2), pairs)
-
-
-def test_the_constructor_refuses_models_over_two_signatures(t2):
-    # a model of the renamed copy, mapped to itself, beside t2's models
-    t2r = renamed_copy(t2)
-    pairs = {n: dict(d) for n, d in build_concrete_iso(t2, t2r, 2).pairs.items()}
-    other = enumerate_models(t2r, 1)[0]
-    pairs[1][other] = other
-    with pytest.raises(SignatureError, match="^the models of a bijection must share a signature$"):
-        ConcreteBijection((1, 2), pairs)
-
-
 def test_the_constructor_encodes_as_the_builder_does(t2):
+    # the oracle's bijection from model maps, made from the built one's
     b = build_concrete_iso(t2, renamed_copy(t2), 3)
-    made = ConcreteBijection(b.sizes, b.pairs)
-    assert made.sigs == b.sigs and made.columns == b.columns
+    made = bijection(b.sigs, bijection_pairs(b))
+    assert (made.sizes, made.sigs, made.columns) == (b.sizes, b.sigs, b.columns)
 
 
 def test_the_verifier_refuses_images_over_a_foreign_signature(t2):
@@ -641,10 +636,10 @@ def test_an_image_off_its_universe_counts_its_choice_functions():
     # 1 choice function and its images 4, which their partition counts first
     t = Theory(Signature({}, {}, ["a"]), [], name="a")
     tr = Theory(Signature({}, {}, ["b"]), [], name="b")
-    pairs = {n: dict(d) for n, d in build_concrete_iso(t, tr, 2).pairs.items()}
+    pairs = bijection_pairs(build_concrete_iso(t, tr, 2))
     (m1, i1), (m2, i2) = next(iter(pairs[1].items())), next(iter(pairs[2].items()))
     pairs[1][m1], pairs[2][m2] = i2, i1
-    b = ConcreteBijection((1, 2), pairs)
+    b = bijection((t.sig, tr.sig), pairs)
     with pytest.raises(BudgetExceededError, match=r"^work budget exceeded while enumerating 4 "
                                                   r"choice functions \(limit 3\)$"):
         verify_concrete_iso(b, t, tr, 2, sample_budget=1, budget=WorkBudget(3))
@@ -729,8 +724,7 @@ def test_the_verifier_builds_models_for_witnesses_only(t2, monkeypatch):
             (n1, i1), (n2, i2) = swap
             columns[n1][1][i1], columns[n2][1][i2] = columns[n2][1][i2], columns[n1][1][i1]
         made.clear()
-        report = verify_concrete_iso(ConcreteBijection._from_columns(b.sizes, b.sigs, columns),
-                                     t2, t2r, 3)
+        report = verify_concrete_iso(ConcreteBijection(b.sizes, b.sigs, columns), t2, t2r, 3)
         witnesses = [m for m in (report.universe_witness, *report.iso_witness[:2]) if m]
         assert len(witnesses) == 2 + bool(swap) and not report.ok
         assert made == [m.encode() for m in witnesses]
@@ -762,12 +756,12 @@ def test_build_iso_and_spec_print_what_the_oracles_give(tmp_path_factory, seed, 
     assert cli.dispatch(["spec", "--theory", str(paths[0]), "--max-size", str(size)]) == \
         (0, as_text(spectrum_lines(t, range(1, size + 1))))
     b = build_concrete_iso(t, tr, size)
-    assert [list(b.pairs[n].items()) for n in b.sizes] == \
+    assert [list(d.items()) for d in bijection_pairs(b).values()] == \
         [list(expected[n].items()) for n in b.sizes]
     models = [m for pairs in expected.values() for m in pairs]
     if len(models) <= 20:
         # the verdicts of the scan and of the loop of two ultraproducts per tuple
-        oracle = ConcreteBijection(range(1, size + 1), expected)
+        oracle = bijection((t.sig, tr.sig), expected)
         witness, checked = ultra_verdict(oracle, models)
         assert brute_force_verdicts(oracle, t, tr, size) == (None, None) and witness is None
         verdict = ("verdict universes=PASS isomorphisms=PASS ultraproducts=PASS "

@@ -7,8 +7,9 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from oracles import (
-    diagonal_embedding, fun_value, los_loop, principal_point, quotient_by_class_tuples,
-    random_formula, random_model, ultrafilters_on, verbatim_ultraproduct,
+    diagonal_embedding, family_filter, fun_value, los_loop, member_sets, principal_point,
+    quotient_by_class_tuples, random_formula, random_model, ultrafilters_on,
+    verbatim_ultraproduct,
 )
 
 from defeq.budget import BudgetExceededError, WorkBudget
@@ -24,25 +25,12 @@ def model_of(size, p_members, edges=(), c=0):
                        {"P": [(a,) for a in p_members], "E": edges}, {}, {"c": c})
 
 
-def random_family(rng, count):
-    out = []
-    for _ in range(count):
-        size = rng.choice([1, 2, 3])
-        out.append(model_of(
-            size,
-            [a for a in range(size) if rng.random() < 0.5],
-            [t for t in itertools.product(range(size), repeat=2)
-             if rng.random() < 0.3],
-            rng.randrange(size)))
-    return out
-
-
 # ------------------------------------------------------------
 # ultrafilter axioms
 # ------------------------------------------------------------
 
 def naive_is_ultrafilter(size, members):
-    """Definition chasing over the powerset, independent of validate()."""
+    """Definition chasing over the powerset."""
     subsets = [frozenset(s) for r in range(size + 1)
                for s in itertools.combinations(range(size), r)]
     fam = {frozenset(s) for s in members}
@@ -60,9 +48,8 @@ def test_principal_ultrafilters_validate():
     for size in (1, 2, 3, 4):
         for point in range(size):
             u = Ultrafilter.principal(point, size)
-            u.validate()
             assert principal_point(u) == point
-            assert naive_is_ultrafilter(size, u.members)
+            assert naive_is_ultrafilter(size, member_sets(u))
     with pytest.raises(ValueError):
         Ultrafilter.principal(3, 3)
 
@@ -73,17 +60,6 @@ def test_principal_membership_is_the_point_test():
         for point in range(size):
             u = Ultrafilter.principal(point, size)
             assert all(u.contains(s) is (point in s) for s in subsets)
-
-
-def test_validate_names_the_broken_axiom():
-    with pytest.raises(ValueError, match="empty set"):
-        Ultrafilter(2, [frozenset(), frozenset({0}), frozenset({0, 1})]).validate()
-    with pytest.raises(ValueError, match="intersection"):
-        Ultrafilter(3, [{0}, {1}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}]).validate()
-    with pytest.raises(ValueError, match="upward|complement"):
-        Ultrafilter(2, [{0}]).validate()
-    with pytest.raises(ValueError, match="complement|exactly one"):
-        Ultrafilter(2, [{0, 1}]).validate()
 
 
 def test_every_ultrafilter_on_a_small_index_set_is_principal():
@@ -97,7 +73,7 @@ def test_every_ultrafilter_on_a_small_index_set_is_principal():
             fam = [s for s, take in zip(subsets, picks) if take]
             if naive_is_ultrafilter(size, fam):
                 valid.append(frozenset(fam))
-        expected = {Ultrafilter.principal(p, size).members for p in range(size)}
+        expected = {member_sets(Ultrafilter.principal(p, size)) for p in range(size)}
         assert set(valid) == expected
         assert len(ultrafilters_on(size)) == size
 
@@ -128,21 +104,13 @@ def test_principal_quotient_equals_the_pointed_factor_frozen():
 def test_principal_quotient_equals_the_pointed_factor_randomized():
     rng = random.Random(414)
     for _ in range(25):
-        ms = random_family(rng, rng.choice([1, 2, 3]))
+        ms = [random_model(SIG, rng.choice([1, 2, 3]), rng) for _ in range(rng.choice([1, 2, 3]))]
         for point in range(len(ms)):
             res = ultraproduct(ms, Ultrafilter.principal(point, len(ms)))
             assert res.quotient == ms[point]
 
 
 FUN_SIG = Signature({"P": 1, "E": 2}, {"f": 1}, ["c"])
-
-
-def random_fun_model(rng, size):
-    return FiniteModel(
-        FUN_SIG, size,
-        {"P": [(a,) for a in range(size) if rng.random() < 0.5],
-         "E": [t for t in itertools.product(range(size), repeat=2) if rng.random() < 0.4]},
-        {"f": [rng.randrange(size) for _ in range(size)]}, {"c": rng.randrange(size)})
 
 
 def tuple_quotient(models, u, res):
@@ -170,10 +138,11 @@ def test_quotient_tables_match_the_tuple_oracle():
     # loop reads the same way
     rng = random.Random(1018)
     for _ in range(40):
-        ms = [random_fun_model(rng, rng.choice([1, 2, 3])) for _ in range(rng.choice([1, 2, 3]))]
+        ms = [random_model(FUN_SIG, rng.choice([1, 2, 3]), rng)
+              for _ in range(rng.choice([1, 2, 3]))]
         k = len(ms)
         subsets = [s for r in range(k + 1) for s in itertools.combinations(range(k), r)]
-        for u in [*ultrafilters_on(k), Ultrafilter(k, rng.sample(subsets, len(subsets) // 2))]:
+        for u in [*ultrafilters_on(k), family_filter(k, rng.sample(subsets, len(subsets) // 2))]:
             res = ultraproduct(ms, u)
             oracle = tuple_quotient(ms, u, res)
             assert res.quotient == oracle and res.quotient.rels == oracle.rels
@@ -190,9 +159,9 @@ def test_ultraproduct_matches_the_verbatim_oracle(seed, k):
     subsets = [s for r in range(k + 1) for s in itertools.combinations(range(k), r)]
     us = [Ultrafilter.principal(rng.randrange(k), k),
           rng.choice([Ultrafilter.principal(rng.randrange(k), k),
-                      Ultrafilter(k, rng.sample(subsets, rng.randint(0, len(subsets))))])]
-    families = [[random_fun_model(rng, rng.randint(1, 3)) for _ in range(k)] for _ in range(3)]
-    families.append([random_fun_model(rng, m.size) for m in families[0]])
+                      family_filter(k, rng.sample(subsets, rng.randint(0, len(subsets))))])]
+    families = [[random_model(FUN_SIG, rng.randint(1, 3), rng) for _ in range(k)] for _ in range(3)]
+    families.append([random_model(FUN_SIG, m.size, rng) for m in families[0]])
     done = []
     for _ in range(12):
         ms, u = rng.choice(families), rng.choice(us)
@@ -220,7 +189,7 @@ def test_quotient_kernel_matches_the_class_tuple_oracle(seed, sizes, arities, ex
     if family is None:
         us = ultrafilters_on(k)
     else:
-        us = [Ultrafilter(k, [s for s in family if max(s, default=0) < k])]
+        us = [family_filter(k, [s for s in family if max(s, default=0) < k])]
     encs = [random_model(sig, n, rng).encode() for n in sizes]
     for u in us:
         reps = []
@@ -254,7 +223,7 @@ def test_class_map_is_read_only():
     with pytest.raises(TypeError):
         del res.class_map[(0, 0)]
     assert dict(res.class_map) == {(0, 0): 0, (1, 0): 1}
-    res = ultraproduct([model_of(1, []), model_of(2, [1])], Ultrafilter(2, [{0}, {0, 1}]))
+    res = ultraproduct([model_of(1, []), model_of(2, [1])], family_filter(2, [{0}, {0, 1}]))
     assert res.class_map == {(0, 0): 0, (0, 1): 0}
 
 
@@ -316,7 +285,7 @@ def test_los_equivalence_on_random_triples():
     rng = random.Random(20260815)
     failures = 0
     for _ in range(100):
-        ms = random_family(rng, rng.choice([2, 3]))
+        ms = [random_model(SIG, rng.choice([1, 2, 3]), rng) for _ in range(rng.choice([2, 3]))]
         point = rng.randrange(len(ms))
         f = random_formula(SIG, rng, rng.choice([2, 3, 4]))
         report = los_check(ultraproduct(ms, Ultrafilter.principal(point, len(ms))), f)
@@ -361,7 +330,7 @@ def test_batched_los_verdict_matches_a_loop_of_los_check(seed, k, sig_depth, pri
     ms = [random_model(sig, rng.randint(1, 3), rng) for _ in range(k)]
     subsets = [s for r in range(k + 1) for s in itertools.combinations(range(k), r)]
     u = (Ultrafilter.principal(rng.randrange(k), k) if principal
-         else Ultrafilter(k, rng.sample(subsets, rng.randint(0, len(subsets)))))
+         else family_filter(k, rng.sample(subsets, rng.randint(0, len(subsets)))))
     product = ultraproduct(ms, u)
     levels = FormulaLevels(sig, (), (1 << depth) - 1, depth)
     verdicts = LosLevels(product, levels)
