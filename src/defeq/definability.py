@@ -16,8 +16,7 @@ from collections.abc import Callable, Iterable, Mapping
 
 from . import folang
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
-from .folang import (App, Const, Exists, Forall, Formula, Iff, Not, Rel, Signature,
-                     SignatureError, Var)
+from .folang import Forall, Formula, Iff, Rel, Signature, SignatureError, Var
 from .models import (FiniteModel, InternalError, Theory, _definer, _rank, _transpose, _tuples,
                      enumerate_encodings)
 from .record import Record
@@ -196,7 +195,7 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
         if _shared_reduct(encs, visible) is not None:
             return None
         sizes.append(_Points(t.sig, encs, n))
-    levels = folang.FormulaLevels(base_sig, variables, formula_bound)
+    levels = folang.FormulaLevels(base_sig, variables, formula_bound, taken=[target])
     # (truth at a point that refuted a candidate, target value there)
     refuters: list[tuple[LevelTruth, bool]] = []
     nodes = NodeCounter(budget, "scanning candidate defining formulas")
@@ -221,12 +220,7 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
                 phi = levels.unrank(key, start - first + i)
                 refuted = _first_refutation(sizes, t.sig, at, phi, variables)
                 if refuted is None:
-                    # the stream's bound variables avoid base_sig only; renamed
-                    # in order onto names that avoid target too, phi becomes the
-                    # formula a stream over those names holds in its place
-                    names = zip(folang._fresh_names(base_sig, variables), itertools.islice(
-                        folang._fresh_names(t.sig, variables), folang.formula_size(phi)))
-                    return _renamed(phi, dict(names))
+                    return phi
                 m, args, holds = refuted
                 truth = LevelTruth(levels, m, dict(zip(variables, args)))
                 refuters.append((truth, holds))
@@ -308,21 +302,6 @@ def _first_refutation(sizes: list[_Points], sig: Signature, target_at: int, phi:
             enc = points.encs[pos]
             return FiniteModel._from_encoding(sig, enc), args[j], enc[1][target_at] >> j & 1 == 1
     return None
-
-
-def _renamed(node, names: Mapping[str, str]):
-    """node with every variable, bound or free, renamed through names."""
-    if isinstance(node, Var):
-        return Var(names.get(node.name, node.name))
-    if isinstance(node, (Forall, Exists)):
-        return type(node)(names.get(node.var, node.var), _renamed(node.body, names))
-    if isinstance(node, (App, Rel)):
-        return type(node)(node.name, tuple(_renamed(a, names) for a in node.args))
-    if isinstance(node, Not):
-        return Not(_renamed(node.body, names))
-    if isinstance(node, Const):
-        return node
-    return type(node)(_renamed(node.left, names), _renamed(node.right, names))
 
 
 def _argument_variables(sig: Signature, arity: int) -> tuple[str, ...]:

@@ -786,7 +786,8 @@ class FormulaLevels:
 
     A level is a key (size, binders, depth): the formulas of that
     formula_size and of formula_depth <= depth whose free variables are
-    among `free` and the first `binders` names of bound_names.  A level is
+    among `free` and the first `binders` names of bound_names, which avoid
+    the symbols of the signature, `free` and `taken`.  A level is
     a list of sections, in stream order:
 
         ("atoms", atoms)               relation atoms, relations by name, then equations
@@ -806,7 +807,7 @@ class FormulaLevels:
                  "_consts", "_terms", "_sections", "_counts", "_lists")
 
     def __init__(self, sig: Signature, free: Sequence[str], size_bound: int,
-                 depth_bound: int | None = None):
+                 depth_bound: int | None = None, *, taken: Iterable[str] = ()):
         free = tuple(free)
         if len(set(free)) != len(free):
             raise ValueError("free variable names must be distinct")
@@ -818,7 +819,7 @@ class FormulaLevels:
         self.depth = size_bound if depth_bound is None else depth_bound
         # a quantifier with b names in scope needs size and depth above b
         self.bound_names = tuple(itertools.islice(
-            _fresh_names(sig, free), max(min(size_bound, self.depth), 0)))
+            _fresh_names(sig, (*free, *taken)), max(min(size_bound, self.depth), 0)))
         self._rels = sorted(sig.relations.items())
         self._funs = sorted(sig.functions.items())
         self._consts = tuple(Const(c) for c in sig.constants)

@@ -813,9 +813,18 @@ def find_isomorphisms(m: FiniteModel, n: FiniteModel,
     if m.size != n.size:
         return []
     size = m.size
-    cm, cn = _colors(m), _colors(n)
-    if sorted(cm) != sorted(cn):
-        return []
+    nodes = NodeCounter(budget or DEFAULT_BUDGET, f"searching for isomorphisms at size {size}")
+    if n is m:
+        # the identity is an automorphism, so the search ticks at least one
+        # node per element: refuse a universe above the budget before
+        # labelling it
+        if size > nodes.limit:
+            raise BudgetExceededError(nodes.what, nodes.limit)
+        cm = cn = _colors(m)
+    else:
+        cm, cn = _colors(m), _colors(n)
+        if sorted(cm) != sorted(cn):
+            return []
     _, m_bitmaps, m_tables, m_consts = m.encode()
     _, n_bitmaps, n_tables, n_consts = n.encode()
 
@@ -835,7 +844,6 @@ def find_isomorphisms(m: FiniteModel, n: FiniteModel,
     for value, other in zip(m_consts, n_consts):
         const_at[value].append(other)
 
-    nodes = NodeCounter(budget or DEFAULT_BUDGET, f"searching for isomorphisms at size {size}")
     out: list[tuple[int, ...]] = []
     image = [-1] * size
     used = [False] * size

@@ -301,6 +301,24 @@ def test_huge_model_files_are_refused(text, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"defeq: {message}\n"
 
 
+@pytest.mark.parametrize("texts, message", [
+    (["size 1 fun f [ 0 0 ]"], "function 'f': table length 2 on a 1-element universe"),
+    (["size 2 rel E { (0) (0,1) }"], "relation 'E' has tuples of mixed arity [1, 2]"),
+    (["size 2 fun f [ 0 1 ]", "size 2 fun f [ 0 1 1 0 ]"],
+     "function 'f' has inconsistent arity across files"),
+    (["size 2 rel f { (0) }", "size 2 fun f [ 0 1 ]"], "symbol names must be pairwise distinct"),
+    # the signature is read off all the files, so the second one lacks f's table
+    (["size 2 fun f [ 0 1 ]", "size 2 rel E { (0,1) }"], "missing table for function 'f'"),
+])
+def test_model_files_that_disagree_get_one_diagnostic(texts, message, tmp_path, capsys):
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"m{i}.mod")
+        paths[-1].write_text(text)
+    assert run("ultra", "--models", ",".join(map(str, paths)), "--principal", "0") == (2, "")
+    assert capsys.readouterr().err == f"defeq: {message}\n"
+
+
 # The front door under mutation: seed texts of each kind, the mutations
 # made of tokens that include huge sizes, arities and tuple entries, and the
 # commands each mutated text goes through
@@ -317,7 +335,7 @@ FUZZ_TOKENS = ["(", ")", "{", "}", "[", "]", ",", ".", "#", "\n", "\t", "\u00e9"
                "const", "size", "axiom", "A", "E", "x", "P", "f(", "=", "!=", "->", "<->", "!",
                "&", "|", "rel W 1000000\n", "fun g 40\n", "(99999999999,0)",
                "(" + ",".join(map(str, range(40))) + ")", "(1)", "(0,1)", "(2,2,2)"]
-FUZZ_NUMBERS = ["0", "1", "2", "3", "-1", "40", "1048577", "1000000000000",
+FUZZ_NUMBERS = ["0", "1", "2", "3", "-1", "40", "1048576", "1048577", "1000000000000",
                 "99999999999999999999999"]
 
 

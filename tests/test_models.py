@@ -1,5 +1,6 @@
 """Model layer: enumeration counts, ordering, isomorphism search."""
 
+import contextlib
 import itertools
 import random
 import tracemalloc
@@ -106,13 +107,10 @@ def outcome(search, t, size, budget):
         return str(e)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
-def test_count_models_shares_the_search_of_enumerate_models(seed, size):
-    # the same count, the same nodes, and the same budget exits one node
-    # short of them, with no model built for the count
-    t, candidates = random_theory(random.Random(seed), size)
-    assume(candidates <= 4096)
+@contextlib.contextmanager
+def recorded_counters():
+    """(the NodeCounters models makes inside the block, in order, and the
+    block's monkeypatch)."""
     counters = []
 
     class Recording(NodeCounter):
@@ -122,6 +120,17 @@ def test_count_models_shares_the_search_of_enumerate_models(seed, size):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "NodeCounter", Recording)
+        yield counters, mp
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_count_models_shares_the_search_of_enumerate_models(seed, size):
+    # the same count, the same nodes, and the same budget exits one node
+    # short of them, with no model built for the count
+    t, candidates = random_theory(random.Random(seed), size)
+    assume(candidates <= 4096)
+    with recorded_counters() as (counters, mp):
         found = enumerate_models(t, size)
         mp.setattr(FiniteModel, "_from_encoding", None)  # count_models builds no model
         count = count_models(t, size)
@@ -208,6 +217,17 @@ def searched(t, size):
     # not a definition: a bound variable R does not read, or R on both sides
     ("rel G 2\nrel R 1\naxiom A x. A y. (R(x) <-> G(x,y))", ["R"]),
     ("rel R 1\nrel S 1\naxiom A x. (R(x) <-> (S(x) & R(x)))", ["R", "S"]),
+    # B is computed with A, a level before the last, and read at C's
+    ("rel A 1\nrel B 1\nrel C 1\naxiom A x. (B(x) <-> A(x))\naxiom E x. (B(x) & !C(x))",
+     ["A", "C"]),
+    ("rel A 2\nrel B 1\nrel C 1\naxiom A x. (B(x) <-> A(x,x))\naxiom E x. (B(x) & !C(x))",
+     ["A", "C"]),
+    # chains whose inputs are defined later in signature order: C is placed
+    # before B, and D before C
+    ("rel A 1\nrel B 1\nrel C 1\naxiom A x. (B(x) <-> !C(x))\naxiom A x. (C(x) <-> A(x))\n"
+     "axiom E x. B(x)", ["A"]),
+    ("rel A 1\nrel B 1\nrel C 1\nrel D 1\naxiom A x. (B(x) <-> (E y. (C(y) & !A(x))))\n"
+     "axiom A x. (C(x) <-> D(x))\naxiom A x. (D(x) <-> A(x))", ["A"]),
 ])
 def test_defined_relations_are_computed_and_match_brute_force(text, walked):
     t = parse_theory_text(text)
@@ -313,6 +333,131 @@ def test_a_count_across_blocks_keeps_nothing_per_block():
         tracemalloc.stop()
     assert count == 1 << 10
     assert peak < 500_000
+
+
+# ------------------------------------------------------------
+# the lane sieve past one block: relations of more than 16 tuple bits,
+# whose 2^width tables span several blocks of 2^16 lanes
+# ------------------------------------------------------------
+
+# a budget above every table count here, so no relation is cut short
+WIDE = WorkBudget(1 << 40)
+
+
+def encodings_of(sig, size, tables):
+    """The sorted encodings of the models with each of tables, a tuple of
+    argument-tuple sets per relation in signature order."""
+    return sorted(FiniteModel(sig, size, dict(zip(sig.relations, rels))).encode()
+                  for rels in tables)
+
+
+def test_a_symmetric_relation_at_size_5_is_its_closed_form():
+    # E's 2^25 tables span 512 blocks; the 2^15 symmetric ones are the
+    # subsets of the 15 unordered pairs, loops included
+    t = parse_theory_text("rel E 2\naxiom A x. A y. (E(x,y) -> E(y,x))")
+    pairs = list(itertools.combinations_with_replacement(range(5), 2))
+    symmetric = ([{*chosen, *((y, x) for x, y in chosen)}]
+                 for chosen in ([p for j, p in enumerate(pairs) if bits >> j & 1]
+                                for bits in range(1 << len(pairs))))
+    assert enumerate_encodings(t, 5, WIDE) == encodings_of(t.sig, 5, symmetric)
+
+
+@pytest.mark.parametrize("text, size, count", [
+    ("rel P 1\naxiom A x. A y. (P(x) & P(y) -> x = y)", 17, 18),
+    ("rel P 1\naxiom E x. P(x)\naxiom A x. A y. (P(x) & P(y) -> x = y)", 19, 19),
+    ("rel P 1\naxiom A x. A y. (P(x) & P(y) -> x = y)", 22, 23),
+    # a function graph: 5^5 of E's 2^25 tables, 3^9 of T's 2^27
+    ("rel E 2\naxiom A x. E y. E(x,y)\naxiom A x. A y. A z. (E(x,y) & E(x,z) -> y = z)",
+     5, 5 ** 5),
+    ("rel T 3\naxiom A x. A y. E z. T(x,y,z)\n"
+     "axiom A x. A y. A z. A w. (T(x,y,z) & T(x,y,w) -> z = w)", 3, 3 ** 9),
+    # the first table and the last, up to 2^14 blocks apart
+    ("rel P 1\naxiom (A x. P(x)) | (A x. !P(x))", 28, 2),
+    ("rel P 1\naxiom (A x. P(x)) | (A x. !P(x))", 30, 2),
+])
+def test_sampled_tables_past_one_block_match_eval_formula(text, size, count):
+    # random tables, and the tables one bit away from some members, each
+    # decided by eval_formula and looked up in the enumerator's output
+    t = parse_theory_text(text)
+    got = enumerate_encodings(t, size, WIDE)
+    assert len(got) == count
+    members = {enc[1][0] for enc in got}
+    [arity] = t.sig.relations.values()
+    width = size ** arity
+    rng = random.Random(width)
+    near = rng.sample(sorted(members), min(count, 8))
+    tables = [rng.getrandbits(width) for _ in range(100)] + near + \
+        [b ^ 1 << rng.randrange(width) for b in near for _ in range(8)]
+    for bits in tables:
+        m = flat_model(t.sig, size, [bits])
+        assert (bits in members) == all(eval_formula(m, ax) for ax in t.axioms), bits
+
+
+def test_a_relation_computed_from_a_multi_block_relation_before_the_last_level():
+    # B's 2^17 tables span two blocks; D reads B alone, so it is computed
+    # on each of B's blocks, and C is searched after it.  B holds at most
+    # one point b, D every other point, and C one point outside D
+    t = parse_theory_text(
+        "rel B 1\nrel C 1\nrel D 1\naxiom A x. (D(x) <-> (E y. (B(y) & !(x = y))))\n"
+        "axiom A x. A y. (B(x) & B(y) -> x = y)\n"
+        "axiom A x. A y. (C(x) & C(y) -> x = y)\naxiom E x. (C(x) & !D(x))")
+    assert searched(t, 17) == ["B", "C"]
+    points = range(17)
+    want = encodings_of(t.sig, 17, [*(((), {(c,)}, ()) for c in points),
+                                    *(({(b,)}, {(b,)}, {(x,) for x in points if x != b})
+                                      for b in points)])
+    assert enumerate_encodings(t, 17, WIDE) == want
+
+
+def test_a_relation_computed_from_an_earlier_level_and_a_multi_block_relation():
+    # D reads A, searched first, and B: it moves with A, so it is computed
+    # on both of B's blocks once for each of A's 17 tables.  A is one point
+    # a, B at most one point, and D is a unless B holds it
+    t = parse_theory_text(
+        "rel A 1\nrel B 1\nrel D 1\naxiom A x. (D(x) <-> (A(x) & !B(x)))\n"
+        "axiom E x. A(x)\naxiom A x. A y. (A(x) & A(y) -> x = y)\n"
+        "axiom A x. A y. (B(x) & B(y) -> x = y)")
+    assert searched(t, 17) == ["A", "B"]
+    points = range(17)
+    want = encodings_of(t.sig, 17, (({(a,)}, held, {(a,)} - held)
+                                    for a in points for held in [set(), *({(b,)} for b in points)]))
+    assert enumerate_encodings(t, 17, WIDE) == want
+
+
+def test_conjuncts_spanning_two_multi_block_relations():
+    # P and Q each have 2^17 tables in two blocks; both conjuncts read both,
+    # so Q's blocks are sieved once per kept table of P: P is one point, and
+    # Q holds it and at most one point more
+    t = parse_theory_text(
+        "rel P 1\nrel Q 1\naxiom E x. P(x)\naxiom A x. A y. (P(x) & P(y) -> x = y)\n"
+        "axiom A x. (P(x) -> Q(x))\naxiom A x. A y. (Q(x) & Q(y) -> x = y | P(x) | P(y))")
+    got = enumerate_encodings(t, 17, WIDE)
+    assert got == encodings_of(t.sig, 17, (
+        ({(a,)}, {(a,), (b,)}) for a in range(17) for b in range(17)))
+    rng = random.Random(17)
+    for enc in rng.sample(got, 10):
+        for bits in (enc[1][1], enc[1][1] ^ 1 << rng.randrange(17), rng.getrandbits(17)):
+            m = flat_model(t.sig, 17, [enc[1][0], bits])
+            assert (m.encode() in got) == all(eval_formula(m, ax) for ax in t.axioms)
+
+
+def test_a_budget_exit_inside_a_multi_block_level():
+    # P and Q are filtered on their own, two blocks of 2^16 nodes each,
+    # after the one function/constant choice; then P's 18 kept tables are
+    # walked, and Q's 18 are the models under each: 1 + 2^18 + 18 + 18 * 18
+    # nodes.  A budget that runs out inside Q's level stops the search at
+    # the block that crosses it, counted whole: the second, or the first
+    t = parse_theory_text("rel P 1\nrel Q 1\naxiom A x. A y. (P(x) & P(y) -> x = y)\n"
+                          "axiom A x. A y. (Q(x) & Q(y) -> x = y)")
+    kept = 1 + 17  # tables with at most one point
+    nodes = 1 + 4 * (1 << 16) + kept + kept * kept
+    assert count_models(t, 17, WorkBudget(nodes)) == kept * kept
+    with recorded_counters() as (counters, _):
+        for limit, reached in ((nodes - 1, nodes), (1 + 3 * (1 << 16) + 5, 1 + 4 * (1 << 16)),
+                               ((1 << 17) + (1 << 16), 1 + 3 * (1 << 16))):
+            with pytest.raises(BudgetExceededError, match=rf"\(limit {limit}\)$"):
+                count_models(t, 17, WorkBudget(limit))
+            assert counters.pop().count == reached
 
 
 # ------------------------------------------------------------

@@ -614,6 +614,17 @@ def test_the_verifier_refuses_images_over_a_foreign_signature(t2):
         verify_concrete_iso(b, t2, t2, 2)
 
 
+def test_the_verifier_refuses_a_bijection_missing_a_model(t2):
+    # the least size-2 model dropped from the built bijection's map
+    t2r = renamed_copy(t2)
+    b = build_concrete_iso(t2, t2r, 2)
+    pairs = bijection_pairs(b)
+    missing = next(iter(pairs[2]))
+    del pairs[2][missing]
+    with pytest.raises(ValueError, match=f"^bijection not defined on {re.escape(repr(missing))}$"):
+        verify_concrete_iso(bijection(b.sigs, pairs), t2, t2r, 2)
+
+
 def test_the_verifier_builds_no_product(t2, monkeypatch):
     # the verdict is read off the collapse, so the product kernel is never
     # called, and the report is the loop's, which builds both products
