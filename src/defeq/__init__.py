@@ -28,7 +28,7 @@ from .folang import (
     parse_formula,
 )
 from .groups import PermutationGroup, automorphism_group, group_to_text
-from .irregular import emit_ts_axioms, irregularity_report, register_variant, symbols
+from .irregular import emit_ts_axioms, irregularity_report, symbols
 from .models import (
     FiniteModel,
     InternalError,
@@ -70,7 +70,6 @@ __all__ = [
     "group_to_text",
     "emit_ts_axioms",
     "irregularity_report",
-    "register_variant",
     "symbols",
     "FiniteModel",
     "InternalError",

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .folang import (App, Const, Eq, Forall, Formula, Implies, Not, Rel,
-                     Signature, Term, Var)
+from .folang import (MAX_SYNTAX_DEPTH, App, Const, Eq, Forall, Formula, Implies, Not,
+                     Rel, Signature, Term, Var)
 from .models import Theory
 from .record import Record
 
@@ -26,8 +26,7 @@ __all__ = [
     "master_symbol", "membership", "marker_positions", "symbols",
     "Pattern", "parse_pattern", "pattern_occurs_at", "find_pattern",
     "ReportEntry", "IrregularityReport", "irregularity_report",
-    "ChainStats", "chain_stats", "emit_ts_axioms", "register_variant",
-    "VARIANTS",
+    "ChainStats", "chain_stats", "emit_ts_axioms", "VARIANTS",
 ]
 
 
@@ -89,13 +88,6 @@ VARIANTS: dict[str, Callable[[int], bool]] = {
     "s1": _s1,
     "evens": _evens,
 }
-
-
-def register_variant(name: str, predicate: Callable[[int], bool]) -> None:
-    """Extension hook: make a custom membership predicate report-capable."""
-    if name in VARIANTS or name == "master":
-        raise ValueError(f"variant {name!r} already defined")
-    VARIANTS[name] = predicate
 
 
 def membership(variant: str, k: int) -> bool:
@@ -265,6 +257,11 @@ def _numeral(n: int) -> Term:
     return t
 
 
+# The largest depth emit_ts_axioms takes: its deepest axiom,
+# A x. !(suc^depth(x) = x), has depth + 4 nodes on one path.
+_MAX_DEPTH = MAX_SYNTAX_DEPTH - 4
+
+
 PREFIX_ONLY_NOTE = (
     "PREFIX-ONLY: these axioms pin down membership on positions 0..depth-1 "
     "plus finitely many successor facts; the full first-order theory of "
@@ -278,10 +275,15 @@ def emit_ts_axioms(variant: str, depth: int) -> Theory:
     Signature {zero, suc, R}; for n < depth an axiom R(suc^n(zero)) or its
     negation per membership, then suc is injective, avoids zero, and has no
     cycles shorter than depth+1.  The note field carries the PREFIX-ONLY
-    marker; no finite theory here can say more than a prefix.
+    marker; no finite theory here can say more than a prefix.  A depth
+    above 137, whose axioms would nest deeper than MAX_SYNTAX_DEPTH, is
+    refused, so every theory made here reads back.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"depth {depth} is more than {_MAX_DEPTH}: the acyclicity axioms "
+                         f"would nest deeper than a theory may ({MAX_SYNTAX_DEPTH} levels)")
     sig = Signature({"R": 1}, {"suc": 1}, ["zero"])
     axioms: list[Formula] = []
     for n in range(depth):

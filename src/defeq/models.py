@@ -502,14 +502,15 @@ def enumerate_models(t: Theory, size: int,
     relation decided.  A conjunct left with one group that reads its own
     level only filters that level's tables, once; a conjunct left with
     several keeps, per level whose group reads that level only, the
-    sub-list of filtered tables on which the group holds.  The filter
-    evaluates a level's relations on 2**16 tables at a time, one per bit
-    lane of an int (_blocks), with the relations computed there that read
-    no earlier level.  The searched relations are then assigned in
-    signature order.  When the walk reaches level i, a group that also
-    reads earlier levels is evaluated on all of i's filtered tables at
-    once, in lanes, giving its sub-list for this prefix, with the
-    relations computed at i that read earlier levels.  A conjunct is
+    sub-list of filtered tables on which the group holds.  One sweep
+    evaluates a level on 2**16 of its tables at a time, one per bit lane of
+    an int (_blocks): per function/constant choice it filters the level,
+    with the relations computed there that read no earlier level.  The
+    searched relations are then assigned in signature order.  When the
+    walk reaches level i, the same sweep, over the blocks where the filter
+    kept a table, evaluates the groups that also read earlier levels,
+    giving their sub-lists for this prefix, with the relations computed at
+    i that read earlier levels.  A conjunct is
     satisfied once a table assigned is on the sub-list of one of its
     groups; at its last level, that level runs over the conjunct's
     sub-list only.  So every full candidate reached is a model, and at the
@@ -594,6 +595,7 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
     walked = plan.walked
     last = len(walked) - 1
     computed = [plan.computed.get(i, ()) for i in range(len(walked))]
+    fixed = [[(r, run, cost) for r, run, moves, cost in here if not moves] for here in computed]
     moving = [[(r, run, cost) for r, run, moves, cost in here if moves] for here in computed]
     moving_levels = {i for i, m in enumerate(moving) if m}
     lane_bits = [len(_lanes(widths[j])[0]) for j in walked]
@@ -604,9 +606,6 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
     # function tables, constants; while level i is evaluated in lanes, the
     # slots of its relations hold a block's lanes
     data: list = [0] * nrels
-    # per level and block: the lane masks (_definer) of the relations
-    # computed there, by position
-    rows: list[Sequence[dict]] = [()] * len(walked)
 
     def over_budget(i: int) -> None:
         # every table of level i is about to be evaluated: when there are
@@ -614,80 +613,57 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
         if widths[walked[i]] == limit:
             nodes.tick(1 << limit)
 
-    def filter_tables(i: int, checks: list, spanning: list[_Conjunct]) -> Sequence[int]:
-        # level i's tables on which every check holds; fills subs[c, i],
-        # oks[i] with the kept lanes per block, and rows[i] with the
-        # relations computed at i that do not move
-        j = walked[i]
-        mine = [c for c in spanning if i in c.at and i not in c.spans]
-        fixed = [(r, run, cost) for r, run, moves, cost in computed[i] if not moves]
-        full = plan.full[i]
-        if not checks and not mine and not fixed:
-            oks[i] = itertools.repeat(full)  # every lane of every block
-            rows[i] = itertools.repeat({})
+    def sweep(i: int, groups: list[_Conjunct], relations: list, checks: Sequence = ()
+              ) -> Sequence[int]:
+        # one pass over the blocks of level i with a lane kept in oks[i]:
+        # computes relations there into rows[i], and returns the tables on
+        # which every check holds, subs[c, i] holding those on which group
+        # c's check also holds; oks[i] keeps the checked lanes per block
+        # where the walk sieves level i again
+        j, full = walked[i], plan.full[i]
+        if not (groups or relations or checks):
             return range(1 << widths[j])
         over_budget(i)
+        cost = full.bit_length() + sum(cost for _, _, cost in relations)
         kept: list[int] = []
-        hits: list[list[int]] = [[] for _ in mine]
-        # a list per block only where it is read: oks[i] by sieve, rows[i]
-        # by sieve and _bitmaps when a relation is computed here
-        blocks = oks[i] = [] if i in sieved else None
-        made = rows[i] = [] if fixed else itertools.repeat({})
-        for first, lanes in _blocks(widths[j]):
+        hits: list[list[int]] = [[] for _ in groups]
+        blocks = [] if checks and i in sieved else None
+        made = [] if relations else None
+        for (first, lanes), ok, row in zip(_blocks(widths[j]), oks[i], rows[i]):
+            if made is not None:
+                row = dict(row)
+                made.append(row)
+            if not ok:
+                continue
             # one node per table in the block, and per tuple of each relation computed
-            nodes.tick(full.bit_length() + sum(cost for _, _, cost in fixed))
+            nodes.tick(cost)
             data[j] = lanes
-            block = {}
-            for r, run, _ in fixed:
-                block[r] = data[r] = run(data)
-            ok = full
+            for r, lane_rows in row.items():
+                data[r] = lane_rows
+            for r, run, _ in relations:
+                row[r] = data[r] = run(data)
             for check in checks:
                 ok &= check(data)
                 if not ok:
                     break
             if blocks is not None:
                 blocks.append(ok)
-            if fixed:
-                made.append(block)
             if checks:
                 kept += _ones(ok, first)
-            for c, hit in zip(mine, hits):
+            for c, hit in zip(groups, hits):
                 hit += _ones(ok and ok & c.at[i](data), first)
-        for c, hit in zip(mine, hits):
+        if blocks is not None:
+            oks[i] = blocks
+        if made is not None:
+            rows[i] = made
+        for c, hit in zip(groups, hits):
             subs[c, i] = (hit, set(hit))
         return kept if checks else range(1 << widths[j])
-
-    def sieve(i: int, spans: list[_Conjunct], moving: list) -> None:
-        # subs[c, i] for the groups at i that read earlier levels, and the
-        # relations computed at i that move, on the kept tables of level i,
-        # with levels 0..i-1 assigned
-        over_budget(i)
-        j, full = walked[i], plan.full[i]
-        hits: list[list[int]] = [[] for _ in spans]
-        made = []
-        for (first, lanes), ok, block in zip(_blocks(widths[j]), oks[i], rows[i]):
-            block = dict(block)
-            made.append(block)
-            if not ok:
-                continue
-            nodes.tick(full.bit_length() + sum(cost for _, _, cost in moving))
-            data[j] = lanes
-            for r, lane_rows in block.items():
-                data[r] = lane_rows
-            for r, run, _ in moving:
-                block[r] = data[r] = run(data)
-            for c, hit in zip(spans, hits):
-                hit += _ones(ok & c.at[i](data), first)
-        rows[i] = made
-        for c, hit in zip(spans, hits):
-            subs[c, i] = (hit, set(hit))
 
     def walk(i: int, pending: list[_Conjunct]):
         here = computed[i]
         if i in sieved:
-            spans = [c for c in pending if i in c.spans]
-            if spans or moving[i]:
-                sieve(i, spans, moving[i])
+            sweep(i, [c for c in pending if i in c.spans], moving[i])
         forced = [c for c in pending if c.last == i]
         if not forced:
             choices = kept[i]
@@ -751,8 +727,12 @@ def _leaves(t: Theory, size: int, budget: WorkBudget | None
             # the levels where the walk sieves: groups spanning to them, or
             # relations computed there that move
             sieved = {i for c in spanning for i in c.spans} | moving_levels
-            oks: list = [None] * len(walked)
-            kept = [filter_tables(i, checks[i], spanning) for i in range(len(walked))]
+            # per level and block: the lanes kept, and the lane masks
+            # (_definer) of the relations computed there, by position
+            oks: list = [itertools.repeat(full) for full in plan.full]
+            rows: list = [itertools.repeat({})] * len(walked)
+            kept = [sweep(i, [c for c in spanning if i in c.at and i not in c.spans],
+                          fixed[i], checks[i]) for i in range(len(walked))]
             fun_part, const_part = combo[:nfuns], combo[nfuns:]
             if walked:
                 yield from walk(0, spanning)

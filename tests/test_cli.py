@@ -404,24 +404,49 @@ def test_aut_counts_each_partial_map_tried(tmp_path, capsys):
         "defeq: work budget exceeded while searching for isomorphisms at size 8 (limit 1000)\n")
 
 
-@pytest.mark.parametrize("theory, models, nodes", [
+SPANNING = ("rel A 1\nrel E 2\n"
+            "axiom A x. A y. (E(x,y) -> A(x))\naxiom A x. !E(x,x)\n")
+MOVING = ("rel A 1\nrel B 2\nrel D 1\n"
+          "axiom A x. (D(x) <-> (A(x) & (E y. B(x,y))))\n"
+          "axiom A x. A y. (B(x,y) -> B(y,x))\naxiom E x. (A(x) & !D(x))\n")
+ALL_SPANNING = ("rel A 2\nrel B 2\n"
+                "axiom A x. A y. (A(x,y) | B(y,x) | x=y)\naxiom A x. (B(x,x) -> A(x,x))\n")
+
+
+@pytest.mark.parametrize("theory, size, models, nodes", [
     # no disjunct spans two relations, so each relation is filtered on its own
-    ("ex1_t2.thy", 538, 2075),
+    ("ex1_t2.thy", 3, 538, 2075),
     # R is defined from le, so it is computed, not searched: the one (empty)
     # function/constant choice, le's 512 tables in one block of lanes plus
     # R's 3 argument tuples evaluated on it, and the 512 le tables walked,
     # each with the R it defines
-    ("glymour_chain.thy", 512, 1028),
+    ("glymour_chain.thy", 3, 512, 1028),
     # R is computed from c alone: each of the 3 choices of c, with R's 3
     # argument tuples evaluated at it
-    ("glymour_subst.thy", 3, 12),
+    ("glymour_subst.thy", 3, 3, 12),
+    # the choice, E's 512 tables filtered by irreflexivity, then per A
+    # table (8) the table and the 512 E tables sieved again by the axiom
+    # that reads both, and the 125 models
+    (SPANNING, 3, 125, 1 + 512 + 8 * (1 + 512) + 125),
+    # D reads A and B, so it moves: the choice, B's 512 tables filtered by
+    # symmetry, then per A table (8) the table and B's 512 tables sieved
+    # with D's 3 argument tuples, and the 85 models
+    (MOVING, 3, 85, 1 + 512 + 8 * (1 + 512 + 3) + 85),
+    # both axioms read A and B, so B has no filter pass: the choice, per A
+    # table the table and every B table sieved, and the models
+    (ALL_SPANNING, 2, 81, 1 + 16 * (1 + 16) + 81),
+    (ALL_SPANNING, 3, 19683, 1 + 512 * (1 + 512) + 19683),
 ])
-def test_the_node_count_of_a_relation_search_is_exact(theory, models, nodes, capsys):
-    argv = ("models", "--theory", theory, "--size", "3", "--count-only")
+def test_the_node_count_of_a_relation_search_is_exact(theory, size, models, nodes, tmp_path,
+                                                      capsys):
+    if not theory.endswith(".thy"):
+        (tmp_path / "t.thy").write_text(theory)
+        theory = str(tmp_path / "t.thy")
+    argv = ("models", "--theory", theory, "--size", str(size), "--count-only")
     assert run(*argv, "--max-nodes", str(nodes)) == (0, f"{models}\n")
     assert run(*argv, "--max-nodes", str(nodes - 1)) == (2, "")
-    assert capsys.readouterr().err == \
-        f"defeq: work budget exceeded while enumerating models at size 3 (limit {nodes - 1})\n"
+    assert capsys.readouterr().err == ("defeq: work budget exceeded while enumerating models "
+                                       f"at size {size} (limit {nodes - 1})\n")
 
 
 def test_aut_command(tmp_path):
@@ -869,6 +894,18 @@ def test_ts_axioms_command():
     t = parse_theory_text(out, name="echo")
     assert set(t.sig.functions) == {"suc"}
     assert len(t.axioms) == 3 + 2 + 3  # literals, structure, acyclicity
+
+
+def test_ts_axioms_refuses_a_depth_a_theory_file_cannot_hold(capsys):
+    # the acyclicity axiom A x. !(suc^137(x)=x) is 141 levels deep, the most
+    # a theory file may nest
+    code, out = run("ts-axioms", "--variant", "s0", "--depth", "137")
+    assert code == 0
+    assert len(parse_theory_text(out).axioms) == 137 + 2 + 137
+    for depth in ("138", "400"):
+        assert run("ts-axioms", "--variant", "s0", "--depth", depth) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"defeq: depth {depth} is more than 137")
 
 
 def test_usage_errors_and_main(capsys):

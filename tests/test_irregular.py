@@ -7,7 +7,7 @@ from defeq.folang import formula_to_text
 from defeq.irregular import (
     PREFIX_ONLY_NOTE, Pattern, chain_stats, emit_ts_axioms, find_pattern,
     irregularity_report, marker_positions, master_symbol, membership,
-    parse_pattern, pattern_occurs_at, register_variant, symbols,
+    parse_pattern, pattern_occurs_at, symbols,
 )
 from defeq.models import enumerate_models
 
@@ -66,19 +66,6 @@ def test_builtin_variants():
         membership("unknown", 3)
     with pytest.raises(ValueError):
         membership("s0", -1)
-
-
-def test_register_variant():
-    register_variant("test_mod3", lambda k: k % 3 == 0)
-    try:
-        assert symbols("test_mod3", 0, 6) == list("100100")
-        with pytest.raises(ValueError):
-            register_variant("test_mod3", lambda k: True)
-        with pytest.raises(ValueError):
-            register_variant("master", lambda k: True)
-    finally:
-        from defeq.irregular import VARIANTS
-        VARIANTS.pop("test_mod3", None)
 
 
 # ------------------------------------------------------------
