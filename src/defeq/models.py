@@ -510,13 +510,13 @@ def enumerate_models(t: Theory, size: int,
     walk reaches level i, the same sweep, over the blocks where the filter
     kept a table, evaluates the groups that also read earlier levels,
     giving their sub-lists for this prefix, with the relations computed at
-    i that read earlier levels.  A conjunct is
-    satisfied once a table assigned is on the sub-list of one of its
-    groups; at its last level, that level runs over the conjunct's
-    sub-list only.  So every full candidate reached is a model, and at the
-    last level every choice left completes one: the walk hands those
-    choices over at once (_leaves), one comprehension builds their
-    encodings, and count_models only counts them.
+    i that read earlier levels.  A conjunct is satisfied once a table
+    assigned is on the sub-list of one of its groups; at its last level,
+    that level runs over the conjunct's sub-list only.  So every full
+    candidate reached is a model, and at the last level every choice left
+    completes one: the walk hands those choices over at once (_leaves), one
+    comprehension builds their encodings, and count_models only counts
+    them.
 
     The budget counts candidates actually visited: each function/constant
     choice probed, each table evaluated in lanes, while filtering or at a
