@@ -413,40 +413,48 @@ ALL_SPANNING = ("rel A 2\nrel B 2\n"
                 "axiom A x. A y. (A(x,y) | B(y,x) | x=y)\naxiom A x. (B(x,x) -> A(x,x))\n")
 
 
-@pytest.mark.parametrize("theory, size, models, nodes", [
-    # no disjunct spans two relations, so each relation is filtered on its own
-    ("ex1_t2.thy", 3, 538, 2075),
-    # R is defined from le, so it is computed, not searched: the one (empty)
-    # function/constant choice, le's 512 tables in one block of lanes plus
-    # R's 3 argument tuples evaluated on it, and the 512 le tables walked,
-    # each with the R it defines
-    ("glymour_chain.thy", 3, 512, 1028),
-    # R is computed from c alone: each of the 3 choices of c, with R's 3
-    # argument tuples evaluated at it
-    ("glymour_subst.thy", 3, 3, 12),
-    # the choice, E's 512 tables filtered by irreflexivity, then per A
-    # table (8) the table and the 512 E tables sieved again by the axiom
-    # that reads both, and the 125 models
-    (SPANNING, 3, 125, 1 + 512 + 8 * (1 + 512) + 125),
-    # D reads A and B, so it moves: the choice, B's 512 tables filtered by
-    # symmetry, then per A table (8) the table and B's 512 tables sieved
-    # with D's 3 argument tuples, and the 85 models
-    (MOVING, 3, 85, 1 + 512 + 8 * (1 + 512 + 3) + 85),
-    # both axioms read A and B, so B has no filter pass: the choice, per A
-    # table the table and every B table sieved, and the models
-    (ALL_SPANNING, 2, 81, 1 + 16 * (1 + 16) + 81),
-    (ALL_SPANNING, 3, 19683, 1 + 512 * (1 + 512) + 19683),
-])
-def test_the_node_count_of_a_relation_search_is_exact(theory, size, models, nodes, tmp_path,
-                                                      capsys):
-    if not theory.endswith(".thy"):
-        (tmp_path / "t.thy").write_text(theory)
-        theory = str(tmp_path / "t.thy")
+def assert_exact_node_count(theory, size, models, nodes, capsys):
     argv = ("models", "--theory", theory, "--size", str(size), "--count-only")
     assert run(*argv, "--max-nodes", str(nodes)) == (0, f"{models}\n")
     assert run(*argv, "--max-nodes", str(nodes - 1)) == (2, "")
     assert capsys.readouterr().err == ("defeq: work budget exceeded while enumerating models "
                                        f"at size {size} (limit {nodes - 1})\n")
+
+
+@pytest.mark.parametrize("theory, models, nodes", [
+    # no disjunct spans two relations, so each relation is filtered on its own
+    ("ex1_t2.thy", 538, 2075),
+    # R is defined from le, so it is computed, not searched: the one (empty)
+    # function/constant choice, le's 512 tables in one block of lanes plus
+    # R's 3 argument tuples evaluated on it, and the 512 le tables walked,
+    # each with the R it defines
+    ("glymour_chain.thy", 512, 1028),
+    # R is computed from c alone: each of the 3 choices of c, with R's 3
+    # argument tuples evaluated at it
+    ("glymour_subst.thy", 3, 12),
+])
+def test_the_node_count_of_a_relation_search_is_exact(theory, models, nodes, capsys):
+    assert_exact_node_count(theory, 3, models, nodes, capsys)
+
+
+@pytest.mark.parametrize("theory, size, models, nodes", [
+    # the choice, E's 512 tables filtered by irreflexivity, then per A
+    # table (8) the table and the 512 E tables sieved again by the axiom
+    # that reads both, and the 125 models
+    pytest.param(SPANNING, 3, 125, 1 + 512 + 8 * (1 + 512) + 125, id="spanning"),
+    # D reads A and B, so it moves: the choice, B's 512 tables filtered by
+    # symmetry, then per A table (8) the table and B's 512 tables sieved
+    # with D's 3 argument tuples, and the 85 models
+    pytest.param(MOVING, 3, 85, 1 + 512 + 8 * (1 + 512 + 3) + 85, id="moving"),
+    # both axioms read A and B, so B has no filter pass: the choice, per A
+    # table the table and every B table sieved, and the models
+    pytest.param(ALL_SPANNING, 2, 81, 1 + 16 * (1 + 16) + 81, id="all_spanning-2"),
+    pytest.param(ALL_SPANNING, 3, 19683, 1 + 512 * (1 + 512) + 19683, id="all_spanning-3"),
+])
+def test_the_node_count_of_a_per_prefix_sweep_is_exact(theory, size, models, nodes, tmp_path,
+                                                       capsys):
+    (tmp_path / "t.thy").write_text(theory)
+    assert_exact_node_count(str(tmp_path / "t.thy"), size, models, nodes, capsys)
 
 
 def test_aut_command(tmp_path):
