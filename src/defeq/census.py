@@ -120,7 +120,7 @@ class Census:
     class (orbits).
 
     encodings, the models' encodings in encoding order
-    (models.enumerate_encodings), is read once and not kept.  cells maps
+    (models.enumerate_models), is read once and not kept.  cells maps
     group keys to (canonical group, classes in canonical-key order), a
     class being (its member count, its representative): the least member
     whose group is literally the canonical one.  Since Aut(p.M) = p Aut(M)

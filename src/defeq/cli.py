@@ -442,8 +442,7 @@ def cmd_models(args):
     t = load_theory(args.theory)
     if args.count_only:
         return 0, [str(count_models(t, args.size, _budget(args)))]
-    models = enumerate_models(t, args.size, _budget(args))
-    return 0, _renderer(t.sig, args.size).column([m.encode() for m in models])
+    return 0, _renderer(t.sig, args.size).column(enumerate_models(t, args.size, _budget(args)))
 
 
 def cmd_aut(args):

@@ -18,7 +18,7 @@ from . import folang
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from .folang import Forall, Formula, Iff, Rel, Signature, SignatureError, Var
 from .models import (FiniteModel, InternalError, Theory, _definer, _rank, _transpose, _tuples,
-                     enumerate_encodings)
+                     enumerate_models)
 from .record import Record
 
 __all__ = [
@@ -141,7 +141,7 @@ def unique_expansion_check(t: Theory, hidden: Iterable[str], max_size: int,
     """
     visible = _visible(t, hidden)
     for n in range(1, max_size + 1):
-        pair = _shared_reduct(enumerate_encodings(t, n, budget), visible)
+        pair = _shared_reduct(enumerate_models(t, n, budget), visible)
         if pair is not None:
             return tuple(FiniteModel._from_encoding(t.sig, enc) for enc in pair)
     return None
@@ -191,7 +191,7 @@ def beth_search(t: Theory, target: str, max_size: int, formula_bound: int,
     at = list(t.sig.relations).index(target)
     sizes = []
     for n in range(1, max_size + 1):
-        encs = enumerate_encodings(t, n, budget)
+        encs = enumerate_models(t, n, budget)
         if _shared_reduct(encs, visible) is not None:
             return None
         sizes.append(_Points(t.sig, encs, n))
@@ -329,7 +329,7 @@ def substructure_closure_check(t: Theory, max_size: int,
     nodes = NodeCounter(budget, "checking induced substructures")
     sig, at = t.sig, len(t.sig.relations)
     for n in range(1, max_size + 1):
-        points = _Points(sig, enumerate_encodings(t, n, budget), n)
+        points = _Points(sig, enumerate_models(t, n, budget), n)
         subsets = [s for r in range(1, n + 1) for s in itertools.combinations(range(n), r)]
         compiled: dict[tuple, list[Callable]] = {}  # per batch width and subset
 

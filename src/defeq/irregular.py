@@ -95,8 +95,9 @@ def membership(variant: str, k: int) -> bool:
     try:
         pred = VARIANTS[variant]
     except KeyError:
-        raise ValueError(f"unknown variant {variant!r}; known: "
-                         f"{['master'] + sorted(VARIANTS)}") from None
+        what = "variant 'master' has no membership" if variant == "master" else \
+            f"unknown variant {variant!r}"
+        raise ValueError(f"{what}; known: {sorted(VARIANTS)}") from None
     if k < 0:
         raise ValueError("positions start at 0")
     return pred(k)
@@ -108,6 +109,8 @@ def symbols(variant: str, start: int, stop: int) -> list[str]:
         raise ValueError("need 0 <= start <= stop")
     if variant == "master":
         return [master_symbol(k) for k in range(start, stop)]
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; known: {['master'] + sorted(VARIANTS)}")
     return ["1" if membership(variant, k) else "0" for k in range(start, stop)]
 
 
@@ -182,6 +185,11 @@ class IrregularityReport(Record):
         return tuple(e.pattern for e in self.entries if e.count == 0)
 
 
+# The longest patterns irregularity_report lists: the report holds its
+# 2**(max_n+1) - 2 entries at once, and at max_n 20 that is already 2 GB.
+_MAX_REPORT_N = 20
+
+
 def irregularity_report(variant: str, max_n: int, bound: int) -> IrregularityReport:
     """Occurrence counts and first starts for all 2**1 + ... + 2**max_n patterns.
 
@@ -189,9 +197,13 @@ def irregularity_report(variant: str, max_n: int, bound: int) -> IrregularityRep
     scans.  The bit prefix is materialized once and, per n, one pass over
     it histograms the window values and notes where each value first
     starts, so the cost is O(bound * max_n) rather than per-pattern scans.
+    A max_n above _MAX_REPORT_N is refused before any of it is made.
     """
     if max_n < 1 or bound < 1:
         raise ValueError("need max_n >= 1 and bound >= 1")
+    if max_n > _MAX_REPORT_N:
+        raise ValueError(f"pattern length {max_n} is more than {_MAX_REPORT_N}: the report "
+                         f"would hold 2**{max_n + 1} - 2 patterns at once")
     bits = [1 if membership(variant, k) else 0 for k in range(bound)]
     entries = []
     for n in range(1, max_n + 1):

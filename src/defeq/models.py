@@ -21,8 +21,7 @@ from .budget import DEFAULT_BUDGET, BudgetExceededError, NodeCounter, WorkBudget
 from .folang import And, Forall, Formula, Iff, Or, Rel, Signature, SignatureError, Var
 
 __all__ = [
-    "FiniteModel", "Theory", "is_model", "enumerate_models", "enumerate_encodings",
-    "count_models",
+    "FiniteModel", "Theory", "is_model", "enumerate_models", "count_models",
     "find_isomorphisms", "is_isomorphism", "canonical_key",
     "apply_permutation", "InternalError",
 ]
@@ -408,7 +407,9 @@ class _Plan:
         def on_cycle(name: str) -> bool:
             seen, stack = set(), [name]
             while stack:
-                for r in defs[stack.pop()][2] & defs.keys() - seen:
+                # filtered one read at a time: defs.keys() - seen would
+                # pass over every definition at each step
+                for r in [r for r in defs[stack.pop()][2] if r in defs and r not in seen]:
                     if r == name:
                         return True
                     seen.add(r)
@@ -423,18 +424,20 @@ class _Plan:
         self.moving: set[str] = set()
         order: list[str] = []
 
-        def place(name: str) -> None:
-            # name's level, after its defined inputs'
+        # each defined relation's level, once, after its defined inputs';
+        # a stack, not recursion, so that a long chain cannot overflow
+        stack = sorted(defs, key=sig._rel_at.__getitem__, reverse=True)
+        while stack:
+            name = stack[-1]
             reads = defs[name][2]
-            for r in sorted(reads & defs.keys() - level.keys(), key=sig._rel_at.__getitem__):
-                place(r)
-            at = level[name] = max(map(level.__getitem__, reads), default=-1)
-            if any(0 <= level[r] < at or r in self.moving for r in reads):
-                self.moving.add(name)
-            order.append(name)
-        for name in sorted(defs, key=sig._rel_at.__getitem__):
-            if name not in level:
-                place(name)
+            unplaced = [r for r in reads if r in defs and r not in level]
+            if unplaced:
+                stack.append(min(unplaced, key=sig._rel_at.__getitem__))
+            elif stack.pop() not in level:
+                at = level[name] = max(map(level.__getitem__, reads), default=-1)
+                if any(0 <= level[r] < at or r in self.moving for r in reads):
+                    self.moving.add(name)
+                order.append(name)
         self.lanes = [(names[j], *(n for n in order if level[n] == i))
                       for i, j in enumerate(self.walked)]
         self.full = [_lanes(widths[j])[1] for j in self.walked]
@@ -484,9 +487,9 @@ class _Conjunct:
         self.last = max(self.at, default=-1)
 
 
-def enumerate_models(t: Theory, size: int,
-                     budget: WorkBudget | None = None) -> list[FiniteModel]:
-    """All models of t on the universe {0..size-1}, in encoding order.
+def enumerate_models(t: Theory, size: int, budget: WorkBudget | None = None) -> list[tuple]:
+    """The encodings of all models of t on the universe {0..size-1}, sorted;
+    FiniteModel._from_encoding(t.sig, enc) is the model of one.
 
     A relation with an explicit definition, a top-level conjunct
     A x1..xk. (R(x1,..,xk) <-> phi) with phi free of R, is computed, never
@@ -529,14 +532,6 @@ def enumerate_models(t: Theory, size: int,
     A function/constant factor larger than the budget is refused before
     the search starts.
     """
-    sig = t.sig
-    return [FiniteModel._from_encoding(sig, enc) for enc in enumerate_encodings(t, size, budget)]
-
-
-def enumerate_encodings(t: Theory, size: int,
-                        budget: WorkBudget | None = None) -> list[tuple]:
-    """The sorted encodings of enumerate_models(t, size, budget), by its
-    search, building no model."""
     out: list[tuple] = []
     for _, rel_parts, fun_part, const_part in _leaves(t, size, budget):
         out += [(size, rels, fun_part, const_part) for rels in rel_parts]
@@ -546,7 +541,7 @@ def enumerate_encodings(t: Theory, size: int,
 
 def count_models(t: Theory, size: int, budget: WorkBudget | None = None) -> int:
     """len(enumerate_models(t, size, budget)) by the same search, with the
-    same node count and budget exits, building no model."""
+    same node count and budget exits, building no encoding."""
     return sum(leaf[0] for leaf in _leaves(t, size, budget))
 
 

@@ -22,9 +22,7 @@ from math import prod
 from .budget import DEFAULT_BUDGET, NodeCounter, WorkBudget
 from .folang import Signature
 from .groups import PermutationGroup, group_to_text
-# enumerate_models is unused here but stays importable as spectra's, since
-# the bench's tracer test reads and restores it through this module
-from .models import FiniteModel, Theory, enumerate_encodings, enumerate_models
+from .models import FiniteModel, Theory, enumerate_models
 from .record import Record
 
 # census (Census, Relabelling, orbits) is imported where it is used, so
@@ -129,7 +127,7 @@ def aut_spec(t: Theory, sizes: Iterable[int], budget: WorkBudget | None = None) 
     """The automorphism spectrum of t at each of the given sizes."""
     from .census import Census
     sizes = tuple(sizes)
-    return Spectrum(sizes, {n: _entries(Census(t.sig, n, enumerate_encodings(t, n, budget), budget))
+    return Spectrum(sizes, {n: _entries(Census(t.sig, n, enumerate_models(t, n, budget), budget))
                             for n in sizes})
 
 
@@ -154,9 +152,9 @@ def spectra(t1: Theory, t2: Theory, sizes: Iterable[int], budget: WorkBudget | N
     from .census import Census
     for n in sizes:
         forms: dict = {}  # census.Census's canonical-form memo, shared by both sides
-        encodings = enumerate_encodings(t1, n, budget)
+        encodings = enumerate_models(t1, n, budget)
         c1 = Census(t1.sig, n, encodings, budget, forms)
-        c2 = Census(t2.sig, n, enumerate_encodings(t2, n, budget), budget, forms)
+        c2 = Census(t2.sig, n, enumerate_models(t2, n, budget), budget, forms)
         witness = _first_difference(n, _entries(c1), _entries(c2))
         if witness is not None:
             raise SpectraMismatchError(witness)
@@ -331,7 +329,7 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
     shapes: list[tuple] = []  # per checked model, see _ultra_tuples
     universe_witness = iso_witness = None
     for n in range(1, max_size + 1):
-        encodings = enumerate_encodings(t1, n, budget)
+        encodings = enumerate_models(t1, n, budget)
         sweeps = NodeCounter(budget, f"relabelling models at size {n}")
         # every class is swept before b is read, so budget and internal
         # errors come in the order a census of t1 gives them; a sweep is
@@ -339,7 +337,7 @@ def verify_concrete_iso(b: ConcreteBijection, t1: Theory, t2: Theory,
         classes = [(members, list(map(dict(zip(members, members)).__getitem__, swept)))
                    for members, swept, _ in orbits(Relabelling(t1.sig, n), encodings, sweeps)
                    ] if encodings else []
-        models2 = set(enumerate_encodings(t2, n, budget))
+        models2 = set(enumerate_models(t2, n, budget))
         column = dict(zip(*b.columns.get(n, ()))) if b.sigs[0] == t1.sig else {}
         seen: set[tuple] = set()
         for enc in encodings:

@@ -26,6 +26,12 @@ from defeq.spectra import ConcreteBijection
 from defeq.ultra import Ultrafilter, _mask, los_check, ultraproduct
 
 
+def models_of(t: Theory, n: int, budget: WorkBudget | None = None) -> list[FiniteModel]:
+    """The models of t on {0..n-1} in encoding order: enumerate_models'
+    encodings, each made a FiniteModel."""
+    return [FiniteModel._from_encoding(t.sig, enc) for enc in enumerate_models(t, n, budget)]
+
+
 def group_key(g: PermutationGroup) -> bytes:
     """Byte encoding of canonical_form(g).
 
@@ -88,7 +94,7 @@ def reduct_expansion_check(t, hidden, max_size):
             if n not in set(hidden)]
     for n in range(1, max_size + 1):
         seen: dict[bytes, FiniteModel] = {}
-        for m in enumerate_models(t, n):
+        for m in models_of(t, n):
             first = seen.setdefault(reduct(m, keep).encode_bytes(), m)
             if first is not m:
                 return first, m
@@ -135,7 +141,7 @@ def substructure_scan(t: Theory, max_size: int, budget: WorkBudget = DEFAULT_BUD
     is_model."""
     nodes = NodeCounter(budget, "checking induced substructures")
     for n in range(1, max_size + 1):
-        for m in enumerate_models(t, n, budget):
+        for m in models_of(t, n, budget):
             for r in range(1, n + 1):
                 for subset in itertools.combinations(range(n), r):
                     nodes.tick()
@@ -260,7 +266,7 @@ def census_cells(t, n):
     literally the canonical one.  Kept for the last few (t, n) asked for;
     the caller must not change it."""
     found = {}
-    for m in enumerate_models(t, n):
+    for m in models_of(t, n):
         aut = automorphism_group(m)
         canon, _ = canonical_form(aut)
         cls = found.setdefault(canon, {}).setdefault(canonical_key(m), [0, None])
@@ -302,7 +308,7 @@ def paired_members(t1, t2, n):
     reps = {canonical_key(rep1): (rep1, rep2)
             for gkey, (_, classes1) in census_cells(t1, n).items()
             for (_, rep1), (_, rep2) in zip(classes1, cells2[gkey][1])}
-    for m in enumerate_models(t1, n):
+    for m in models_of(t1, n):
         yield (m, *reps[canonical_key(m)])
 
 
@@ -458,7 +464,7 @@ def scan_points(t, target, max_size):
     points = []
     for n in range(1, max_size + 1):
         envs = [dict(zip(variables, args)) for args in itertools.product(range(n), repeat=arity)]
-        for m in enumerate_models(t, n):
+        for m in models_of(t, n):
             bits = m.encode()[1][at]
             points.extend((m, env, bits >> j & 1 == 1) for j, env in enumerate(envs))
     return points

@@ -10,7 +10,7 @@ import random
 import time
 
 from conftest import replay_images
-from oracles import bijection_pairs, random_formula, random_model, restrict
+from oracles import bijection_pairs, models_of, random_formula, random_model, restrict
 
 from defeq import cli
 from defeq.cli import dispatch, model_to_text
@@ -21,7 +21,7 @@ from defeq.groups import automorphism_group
 from defeq.irregular import (
     chain_stats, irregularity_report, marker_positions, membership, symbols,
 )
-from defeq.models import FiniteModel, Theory, enumerate_models
+from defeq.models import FiniteModel, Theory
 from defeq.spectra import aut_spec, build_concrete_iso, compare_spectra, verify_concrete_iso
 from defeq.ultra import Ultrafilter, los_check, ultraproduct
 from defeq.definability import (
@@ -175,7 +175,7 @@ def test_criterion_8_marked_point_definability_suite(subst, chain):
     ref = parse_formula(base_sig, "(E y. E z. !(y=z)) & x1=c")
     base = Theory(base_sig, [], name="base")
     for n in (1, 2, 3):
-        for m in enumerate_models(base, n):
+        for m in models_of(base, n):
             for a in range(n):
                 assert eval_formula(m, phi, {"x1": a}) == \
                     eval_formula(m, ref, {"x1": a})

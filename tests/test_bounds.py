@@ -5,8 +5,8 @@ bound, so a command's peak memory and CPU time are part of what it
 promises.  Each row runs its command in a fresh interpreter that imports
 only resource, sys and defeq.cli before dispatch, the way a user's process
 would, and reads the peak resident set and the CPU time (user plus system)
-of that whole process with getrusage.  The streamed row runs the console
-entry instead, python -m defeq.cli with stdout to a file, and reads the
+of that whole process with getrusage.  The streamed rows run the console
+entry instead, python -m defeq.cli with stdout to a file, and read the
 same figures off the child's rusage.  A row states the files it writes,
 what its output must show, its bounds and why they hold.
 
@@ -199,6 +199,10 @@ ROWS = [
         {}, lambda out: len(out.splitlines()), 66822,
         "the console entry writes the listing as it is made (56.8 MB joined)",
         peak_mb=52, script=STREAM),
+    Row("ex1_t1-list", ("models", "--theory", "ex1_t1.thy", "--size", "4"),
+        {}, lambda out: len(out.splitlines()), 131071,
+        "the listing renders the encodings it enumerates, no model each (50.2 MB)",
+        peak_mb=45, script=STREAM),
     Row("aut-huge-empty", ("aut", "--model", "big.mod", "--max-nodes", "20000"),
         {"big.mod": "size 1048576 rel P { }"}, str, "",
         "a universe above the budget is refused before its elements are labelled (6.5 s)",

@@ -220,6 +220,16 @@ def test_models_command(tmp_path):
     assert code == 2  # budget exhausted
 
 
+def test_the_models_listing_builds_no_model(monkeypatch):
+    # the listing renders the enumerated encodings as they are
+    made = []
+    real = FiniteModel._from_encoding.__func__
+    monkeypatch.setattr(FiniteModel, "_from_encoding", classmethod(
+        lambda cls, sig, enc: made.append(enc) or real(cls, sig, enc)))
+    code, out = run("models", "--theory", "ex1_t2.thy", "--size", "3")
+    assert (code, len(out.splitlines()), made) == (0, 538, [])
+
+
 def test_a_function_factor_above_the_budget_is_refused_up_front(tmp_path, capsys):
     # each of the 3**9 tables of a binary function at size 3 would cost a node
     thy = tmp_path / "f.thy"
@@ -457,6 +467,29 @@ def test_the_node_count_of_a_per_prefix_sweep_is_exact(theory, size, models, nod
     assert_exact_node_count(str(tmp_path / "t.thy"), size, models, nodes, capsys)
 
 
+DIAMOND = ("rel A 1\nrel D1 1\nrel D2 1\nrel D3 1\n"
+           "axiom A x. (D1(x) <-> (D2(x) & D3(x)))\naxiom A x. (D2(x) <-> D3(x))\n"
+           "axiom A x. (D3(x) <-> A(x))\n")
+
+
+def test_a_relation_two_definitions_read_is_computed_once(tmp_path, capsys):
+    # D1 reads D2 and D3, and D2 reads D3: the choice, A's 8 tables in one
+    # block with the 3 argument tuples of each of D1, D2 and D3 (D3 once),
+    # and the 8 models
+    (tmp_path / "t.thy").write_text(DIAMOND)
+    assert_exact_node_count(str(tmp_path / "t.thy"), 3, 8, 1 + 8 + 3 * 3 + 8, capsys)
+
+
+def test_a_long_chain_of_definitions_is_placed_without_recursion(tmp_path):
+    # R0000 <-> R0001 <-> ... <-> R1100: one searched relation, 1,100
+    # computed from it, more links than Python's recursion limit
+    (tmp_path / "chain.thy").write_text("".join(
+        [f"rel R{i:04d} 1\n" for i in range(1101)]
+        + [f"axiom A x. (R{i:04d}(x) <-> R{i + 1:04d}(x))\n" for i in range(1100)]))
+    assert run("models", "--theory", str(tmp_path / "chain.thy"), "--size", "1",
+               "--count-only") == (0, "2\n")
+
+
 def test_aut_command(tmp_path):
     mod = tmp_path / "m.mod"
     mod.write_text("size 2 rel R { (0,1) (1,0) }")
@@ -577,7 +610,7 @@ def test_verifier_budget_exits_keep_their_lines(argv, what, tmp_path, monkeypatc
 
 def test_internal_errors_exit_3(monkeypatch, capsys):
     # a census that misses one rigid size-2 model breaks closure under relabelling
-    real = spectra.enumerate_encodings
+    real = spectra.enumerate_models
 
     def one_short(t, n, budget=None):
         encs = real(t, n, budget)
@@ -586,7 +619,7 @@ def test_internal_errors_exit_3(monkeypatch, capsys):
                 FiniteModel._from_encoding(t.sig, e)).order == 1))
         return encs
 
-    monkeypatch.setattr(spectra, "enumerate_encodings", one_short)
+    monkeypatch.setattr(spectra, "enumerate_models", one_short)
     assert run("spec", "--theory", "ex1_t2.thy", "--size", "2") == (3, "")
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("defeq: internal error: class of ")
@@ -893,6 +926,33 @@ def test_sequence_commands():
     code, out = run("irregular-report", "--variant", "evens", "--max-n", "2",
                     "--bound", "1000")
     assert code == 1 and out.splitlines()[-1].endswith("FAIL missing=:2")
+
+
+MASTER = "variant 'master' has no membership; known: ['evens', 's0', 's1']"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # master is a sequence of three symbols, not a set, so only seq takes it
+    pytest.param(("pattern", "--variant", "master", "--pattern", "0:1", "--bound", "10"),
+                 MASTER, id="pattern-master"),
+    pytest.param(("irregular-report", "--variant", "master", "--max-n", "2", "--bound", "10"),
+                 MASTER, id="irregular-report-master"),
+    pytest.param(("ts-axioms", "--variant", "master", "--depth", "2"), MASTER,
+                 id="ts-axioms-master"),
+    pytest.param(("seq", "--variant", "bogus", "--range", "0..3"),
+                 "unknown variant 'bogus'; known: ['master', 'evens', 's0', 's1']",
+                 id="seq-bogus"),
+    # the report holds all its patterns before its first line
+    pytest.param(("irregular-report", "--variant", "s0", "--max-n", "21", "--bound", "1000"),
+                 "pattern length 21 is more than 20: the report would hold 2**22 - 2 patterns "
+                 "at once", id="max-n-21"),
+    pytest.param(("irregular-report", "--variant", "s0", "--max-n", "64", "--bound", "1000"),
+                 "pattern length 64 is more than 20: the report would hold 2**65 - 2 patterns "
+                 "at once", id="max-n-64"),
+])
+def test_sequence_commands_refuse_what_they_cannot_do(argv, message, capsys):
+    assert run(*argv) == (2, "")
+    assert capsys.readouterr().err == f"defeq: {message}\n"
 
 
 def test_ts_axioms_command():

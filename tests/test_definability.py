@@ -6,8 +6,9 @@ import random
 import pytest
 from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
-from oracles import (expansion_by_eval, first_refuting_point, random_formula, random_model,
-                     reduct, reduct_expansion_check, restrict, scan_points, substructure_scan)
+from oracles import (expansion_by_eval, first_refuting_point, models_of, random_formula,
+                     random_model, reduct, reduct_expansion_check, restrict, scan_points,
+                     substructure_scan)
 
 from defeq import cli, definability, folang, truth
 from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
@@ -19,7 +20,7 @@ from defeq.folang import (
     Signature, SignatureError, enumerate_formulas, eval_formula, formula_to_text,
     free_vars, parse_formula,
 )
-from defeq.models import FiniteModel, Theory, enumerate_encodings, enumerate_models
+from defeq.models import FiniteModel, Theory, enumerate_models
 
 SIG_P = Signature({"P": 1}, {}, [])
 SIG_PR = Signature({"P": 1, "R": 1}, {}, [])
@@ -63,10 +64,9 @@ def test_expansion_is_a_bijection_between_model_classes():
     ext = extend_theory(base, ds)
     for n in (1, 2, 3):
         expanded = sorted(expand_model(m, ds).encode()
-                          for m in enumerate_models(base, n))
-        direct = [m.encode() for m in enumerate_models(ext, n)]
-        assert expanded == direct
-        for m in enumerate_models(ext, n):
+                          for m in models_of(base, n))
+        assert expanded == enumerate_models(ext, n)
+        for m in models_of(ext, n):
             again = expand_model(reduct(m, list(SIG_P.relations)), ds)
             assert again == m
 
@@ -169,7 +169,7 @@ def test_beth_search_finds_a_definition():
     phi = beth_search(t, "R", 2, 2)
     assert phi is not None and free_vars(phi) == {"x1"}
     for n in (1, 2, 3):
-        for m in enumerate_models(Theory(SIG_P, [], name="base"), n):
+        for m in models_of(Theory(SIG_P, [], name="base"), n):
             for a in range(n):
                 assert eval_formula(m, phi, {"x1": a}) == \
                     ((a,) not in m.rels["P"])
@@ -183,7 +183,7 @@ def test_beth_search_recovers_the_marked_point_definition(subst):
     ref = parse_formula(base_sig, "(E y. E z. !(y=z)) & x1=c")
     base = Theory(base_sig, [], name="base")
     for n in (1, 2, 3):
-        for m in enumerate_models(base, n):
+        for m in models_of(base, n):
             for a in range(n):
                 env = {"x1": a}
                 assert eval_formula(m, phi, env) == eval_formula(m, ref, env)
@@ -196,8 +196,8 @@ def test_beth_search_short_circuits_when_not_implicitly_defined():
 
 def test_beth_search_enumerates_each_theory_and_size_once(subst, monkeypatch):
     calls = []
-    real = definability.enumerate_encodings
-    monkeypatch.setattr(definability, "enumerate_encodings",
+    real = definability.enumerate_models
+    monkeypatch.setattr(definability, "enumerate_models",
                         lambda t, n, budget=None: calls.append((t.name, n)) or real(t, n, budget))
     assert beth_search(subst, "R", 3, 6) is not None
     assert calls == [("glymour_subst", 1), ("glymour_subst", 2), ("glymour_subst", 3)]
@@ -218,7 +218,7 @@ def test_beth_definitions_parse_against_their_theory(target, expected):
     phi = beth_search(t, target, 2, 4)
     assert formula_to_text(phi) == expected
     assert parse_formula(t.sig, expected) == phi
-    for m in enumerate_models(t, 2):
+    for m in models_of(t, 2):
         for a in range(2):
             assert eval_formula(m, phi, {free: a for free in free_vars(phi)}) == \
                 ((a,) in m.rels[target])
@@ -231,7 +231,7 @@ def full_scan(t, target, max_size, bound):
     variables = tuple(f"x{i}" for i in range(1, arity + 1))  # no test theory declares these
     base_sig = restrict(t.sig, [s for s in (*t.sig.relations, *t.sig.functions,
                                             *t.sig.constants) if s != target])
-    models = [m for n in range(1, max_size + 1) for m in enumerate_models(t, n)]
+    models = [m for n in range(1, max_size + 1) for m in models_of(t, n)]
     for phi in enumerate_formulas(base_sig, variables, bound):
         if all((args in m.rels[target]) == eval_formula(m, phi, dict(zip(variables, args)))
                for m in models for args in itertools.product(range(m.size), repeat=arity)):
@@ -328,7 +328,7 @@ def test_lane_scan_finds_the_first_refuting_point(seed, size, depth):
     t, candidates = random_theory(rng, size)
     assume(candidates <= 4096)
     target, variables, at, base_sig = _target_and_base(t, rng)
-    sizes = [definability._Points(t.sig, enumerate_encodings(t, n), n) for n in range(1, size + 1)]
+    sizes = [definability._Points(t.sig, enumerate_models(t, n), n) for n in range(1, size + 1)]
     points = scan_points(t, target, size)
     for _ in range(8):
         phi = random_formula(base_sig, rng, depth, free=variables)
@@ -348,7 +348,7 @@ def test_lane_scan_takes_the_earliest_model_over_all_batches():
     # the identity's batch, before its own batch's first failure
     sig = Signature({"P": 1, "Q": 1}, {"f": 1}, [])
     t = Theory(sig, [], name="free")
-    sizes = [definability._Points(sig, enumerate_encodings(t, 2), 2)]
+    sizes = [definability._Points(sig, enumerate_models(t, 2), 2)]
     phi = parse_formula(sig, "A v0. f(v0)=v0")
     m, args, holds = definability._first_refutation(sizes, sig, 1, phi, ("x1",))
     assert (m.funs["f"], m.tuples("P"), m.tuples("Q"), args, holds) == ((0, 1), [], [], (0,), False)

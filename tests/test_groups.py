@@ -6,14 +6,14 @@ import random
 import pytest
 from conftest import random_theory
 from hypothesis import given, settings, strategies as st
-from oracles import conjugate, group_key, random_model
+from oracles import conjugate, group_key, models_of, random_model
 
 from defeq.folang import Signature
 from defeq.groups import (
     PermutationGroup, automorphism_group, canonical_form, compose, group_to_text, identity,
     invert,
 )
-from defeq.models import FiniteModel, enumerate_models
+from defeq.models import FiniteModel
 
 SIG_R = Signature({"R": 2}, {}, [])
 
@@ -115,7 +115,7 @@ def test_canonical_forms_of_random_automorphism_groups(seed, size):
     # else random structures over its signature
     rng = random.Random(seed)
     t, candidates = random_theory(rng, size)
-    ms = (enumerate_models(t, size) if candidates <= 4096
+    ms = (models_of(t, size) if candidates <= 4096
           else [random_model(t.sig, size, rng) for _ in range(4)])
     for g in {automorphism_group(m) for m in ms}:
         assert_form_and_conjugators(g)

@@ -8,8 +8,8 @@ import tracemalloc
 import pytest
 from conftest import random_theory
 from hypothesis import assume, given, settings, strategies as st
-from oracles import (fun_value, lanes_by_division, random_formula, random_model, reduct,
-                     substructure)
+from oracles import (fun_value, lanes_by_division, models_of, random_formula, random_model,
+                     reduct, substructure)
 
 from defeq import models
 from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
@@ -17,7 +17,7 @@ from defeq.cli import parse_theory_text
 from defeq.folang import And, Signature, compile_lanes, eval_formula, parse_formula
 from defeq.models import (
     FiniteModel, Theory, _blocks, _lanes, _Plan, _split, apply_permutation,
-    canonical_key, count_models, enumerate_encodings, enumerate_models, find_isomorphisms,
+    canonical_key, count_models, enumerate_models, find_isomorphisms,
     is_isomorphism, is_model,
 )
 
@@ -62,13 +62,13 @@ def test_enumeration_equals_brute_force_filter(t2):
         m = FiniteModel(SIG_ER, 2, {"E": e, "R": r})
         if is_model(m, t2):
             expected.append(m.encode())
-    got = [m.encode() for m in enumerate_models(t2, 2)]
+    got = enumerate_models(t2, 2)
     assert sorted(expected) == got
 
 
 def test_enumeration_order_is_binary_counter_over_lex_tuples():
     free = Theory(SIG_P, [], name="free")
-    got = [sorted(m.rels["P"]) for m in enumerate_models(free, 2)]
+    got = [sorted(m.rels["P"]) for m in models_of(free, 2)]
     # bit j of the bitmap is the j-th tuple (0,), (1,)
     assert got == [[], [(0,)], [(1,)], [(0,), (1,)]]
 
@@ -76,7 +76,7 @@ def test_enumeration_order_is_binary_counter_over_lex_tuples():
 def test_enumeration_with_functions_and_constants():
     sig = Signature({}, {"f": 1}, ["c"])
     free = Theory(sig, [], name="free")
-    ms = enumerate_models(free, 2)
+    ms = models_of(free, 2)
     assert len(ms) == 2 ** 2 * 2
     assert [(m.funs["f"], m.consts["c"]) for m in ms[:3]] == \
         [((0, 0), 0), ((0, 0), 1), ((0, 1), 0)]
@@ -127,12 +127,12 @@ def recorded_counters():
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
 def test_count_models_shares_the_search_of_enumerate_models(seed, size):
     # the same count, the same nodes, and the same budget exits one node
-    # short of them, with no model built for the count
+    # short of them, with no model built by either
     t, candidates = random_theory(random.Random(seed), size)
     assume(candidates <= 4096)
     with recorded_counters() as (counters, mp):
+        mp.setattr(FiniteModel, "_from_encoding", None)
         found = enumerate_models(t, size)
-        mp.setattr(FiniteModel, "_from_encoding", None)  # count_models builds no model
         count = count_models(t, size)
     assert count == len(found)
     assert len(counters) == 2 and counters[0].count == counters[1].count
@@ -173,13 +173,12 @@ def test_enumeration_matches_brute_force_on_random_theories(seed, size):
     assume(candidates <= 4096)
     sig = t.sig
     want = brute_force_models(t, size)
-    assert enumerate_encodings(t, size) == want
+    assert enumerate_models(t, size) == want
     assert count_models(t, size) == len(want)
-    got = enumerate_models(t, size)
-    assert [m.encode() for m in got] == want
-    # the enumerator presets each encoding; the tables must agree with it
-    assert [FiniteModel(sig, size, m.rels, m.funs, m.consts).encode() for m in got] \
-        == [m.encode() for m in got]
+    # a model made from an encoding reads its tables off it; built from
+    # those tables, it must have the same encoding
+    assert [FiniteModel(sig, size, m.rels, m.funs, m.consts).encode()
+            for m in models_of(t, size)] == want
 
 
 def searched(t, size):
@@ -234,7 +233,7 @@ def test_defined_relations_are_computed_and_match_brute_force(text, walked):
     for size in (1, 2, 3):
         assert searched(t, size) == walked
         want = brute_force_models(t, size)
-        assert enumerate_encodings(t, size) == want
+        assert enumerate_models(t, size) == want
         assert count_models(t, size) == len(want)
 
 
@@ -359,7 +358,7 @@ def test_a_symmetric_relation_at_size_5_is_its_closed_form():
     symmetric = ([{*chosen, *((y, x) for x, y in chosen)}]
                  for chosen in ([p for j, p in enumerate(pairs) if bits >> j & 1]
                                 for bits in range(1 << len(pairs))))
-    assert enumerate_encodings(t, 5, WIDE) == encodings_of(t.sig, 5, symmetric)
+    assert enumerate_models(t, 5, WIDE) == encodings_of(t.sig, 5, symmetric)
 
 
 @pytest.mark.parametrize("text, size, count", [
@@ -379,7 +378,7 @@ def test_sampled_tables_past_one_block_match_eval_formula(text, size, count):
     # random tables, and the tables one bit away from some members, each
     # decided by eval_formula and looked up in the enumerator's output
     t = parse_theory_text(text)
-    got = enumerate_encodings(t, size, WIDE)
+    got = enumerate_models(t, size, WIDE)
     assert len(got) == count
     members = {enc[1][0] for enc in got}
     [arity] = t.sig.relations.values()
@@ -406,7 +405,7 @@ def test_a_relation_computed_from_a_multi_block_relation_before_the_last_level()
     want = encodings_of(t.sig, 17, [*(((), {(c,)}, ()) for c in points),
                                     *(({(b,)}, {(b,)}, {(x,) for x in points if x != b})
                                       for b in points)])
-    assert enumerate_encodings(t, 17, WIDE) == want
+    assert enumerate_models(t, 17, WIDE) == want
 
 
 def test_a_relation_computed_from_an_earlier_level_and_a_multi_block_relation():
@@ -421,7 +420,7 @@ def test_a_relation_computed_from_an_earlier_level_and_a_multi_block_relation():
     points = range(17)
     want = encodings_of(t.sig, 17, (({(a,)}, held, {(a,)} - held)
                                     for a in points for held in [set(), *({(b,)} for b in points)]))
-    assert enumerate_encodings(t, 17, WIDE) == want
+    assert enumerate_models(t, 17, WIDE) == want
 
 
 def test_conjuncts_spanning_two_multi_block_relations():
@@ -431,7 +430,7 @@ def test_conjuncts_spanning_two_multi_block_relations():
     t = parse_theory_text(
         "rel P 1\nrel Q 1\naxiom E x. P(x)\naxiom A x. A y. (P(x) & P(y) -> x = y)\n"
         "axiom A x. (P(x) -> Q(x))\naxiom A x. A y. (Q(x) & Q(y) -> x = y | P(x) | P(y))")
-    got = enumerate_encodings(t, 17, WIDE)
+    got = enumerate_models(t, 17, WIDE)
     assert got == encodings_of(t.sig, 17, (
         ({(a,)}, {(a,), (b,)}) for a in range(17) for b in range(17)))
     rng = random.Random(17)

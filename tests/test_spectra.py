@@ -11,7 +11,8 @@ import pytest
 from conftest import random_theory, replay_images
 from hypothesis import assume, given, settings, strategies as st
 from oracles import (bijection, bijection_pairs, census_cells, census_models, group_key,
-                     listing_by_models, pairs_by_moves, spectrum_lines, ultra_verdict)
+                     listing_by_models, models_of, pairs_by_moves, spectrum_lines,
+                     ultra_verdict)
 
 from defeq import census, cli, spectra, ultra
 from defeq.budget import BudgetExceededError, NodeCounter, WorkBudget
@@ -19,8 +20,8 @@ from defeq.census import Census, Relabelling, orbits
 from defeq.folang import Signature, parse_formula
 from defeq.groups import PermutationGroup, automorphism_group, canonical_form
 from defeq.models import (
-    FiniteModel, InternalError, Theory, apply_permutation, canonical_key, enumerate_encodings,
-    enumerate_models, find_isomorphisms, is_isomorphism, is_model,
+    FiniteModel, InternalError, Theory, apply_permutation, canonical_key, enumerate_models,
+    find_isomorphisms, is_isomorphism, is_model,
 )
 from defeq.spectra import (
     ConcreteBijection, SpectraMismatchError, VerificationReport, aut_spec, build_concrete_iso,
@@ -98,11 +99,11 @@ def test_compare_equal_and_range_mismatch(t2):
 
 def census_of(t, n):
     """The census of t's models of size n."""
-    return Census(t.sig, n, enumerate_encodings(t, n))
+    return Census(t.sig, n, enumerate_models(t, n))
 
 
 def test_census_classes_and_representatives(t2):
-    models = enumerate_models(t2, 2)  # in encoding order
+    models = models_of(t2, 2)  # in encoding order
     for gkey, (group, classes) in census_models(census_of(t2, 2)).items():
         assert group_key(group) == gkey
         for count, rep in classes:
@@ -113,7 +114,7 @@ def test_census_classes_and_representatives(t2):
 
 def test_census_checks_orbit_stabilizer(t2, monkeypatch):
     # without one rigid size-2 model, its class is short of n!/|Aut| = 2 members
-    real = spectra.enumerate_encodings
+    real = spectra.enumerate_models
 
     def one_short(t, n, budget=None):
         encs = real(t, n, budget)
@@ -122,7 +123,7 @@ def test_census_checks_orbit_stabilizer(t2, monkeypatch):
                 FiniteModel._from_encoding(t.sig, e)).order == 1))
         return encs
 
-    monkeypatch.setattr(spectra, "enumerate_encodings", one_short)
+    monkeypatch.setattr(spectra, "enumerate_models", one_short)
     with pytest.raises(RuntimeError, match="orbit-stabilizer"):
         aut_spec(t2, [1, 2])
 
@@ -134,7 +135,7 @@ def test_the_irreflexive_census_at_size_4_matches_the_per_model_census():
     sig = Signature({"E": 2})
     t = Theory(sig, [parse_formula(sig, "A x. !E(x,x)")], name="irreflexive")
     groups = [PermutationGroup(4, stabilizer) for _, _, stabilizer in orbits(
-        Relabelling(sig, 4), enumerate_encodings(t, 4), NodeCounter(WorkBudget(), "test"))]
+        Relabelling(sig, 4), enumerate_models(t, 4), NodeCounter(WorkBudget(), "test"))]
     assert (len(groups), sum(g != canonical_form(g)[0] for g in groups)) == (218, 52)
     assert list(census_models(census_of(t, 4)).items()) == list(census_cells(t, 4).items())
 
@@ -144,13 +145,12 @@ def test_the_irreflexive_census_at_size_4_matches_the_per_model_census():
 def test_orbit_census_matches_the_per_model_census(seed, size):
     t, candidates = random_theory(random.Random(seed), size)
     assume(candidates <= 1024)
-    encodings = enumerate_encodings(t, size)
-    assert encodings == [m.encode() for m in enumerate_models(t, size)]
+    encodings = enumerate_models(t, size)
     c = Census(t.sig, size, encodings)
     assert list(census_models(c).items()) == list(census_cells(t, size).items())
     # orbits' members are the per-model classes, by canonical key
     classes = {}
-    for m in enumerate_models(t, size):
+    for m in models_of(t, size):
         classes.setdefault(canonical_key(m), []).append(m.encode())
     relabelling, nodes = Relabelling(t.sig, size), NodeCounter(WorkBudget(), "test")
     found = []
@@ -167,7 +167,7 @@ def test_every_image_of_a_class_sweep_is_a_model(seed, size):
     t, candidates = random_theory(random.Random(seed), size)
     assume(candidates <= 4096)
     relabelling, nodes = Relabelling(t.sig, size), NodeCounter(WorkBudget(), "test")
-    for members, swept, stabilizer in orbits(relabelling, enumerate_encodings(t, size), nodes):
+    for members, swept, stabilizer in orbits(relabelling, enumerate_models(t, size), nodes):
         assert sorted(set(swept)) == members
         least = FiniteModel._from_encoding(t.sig, members[0])
         for enc, p in zip(swept, relabelling.perms):
@@ -195,8 +195,8 @@ def test_census_checks_the_sweep_against_orbit_stabilizer(t2, monkeypatch):
 
 def test_build_enumerates_each_theory_and_size_once(t2, monkeypatch):
     calls = []
-    real = spectra.enumerate_encodings
-    monkeypatch.setattr(spectra, "enumerate_encodings",
+    real = spectra.enumerate_models
+    monkeypatch.setattr(spectra, "enumerate_models",
                         lambda t, n, budget=None: calls.append((t.name, n)) or real(t, n, budget))
     build_concrete_iso(t2, renamed_copy(t2), 2)
     assert sorted(calls) == [("ex1_t2", 1), ("ex1_t2", 2),
@@ -210,7 +210,7 @@ def test_build_holds_only_the_lists_of_t1(t2, monkeypatch):
         """A list of encodings that takes weak references."""
 
     made = []
-    real = spectra.enumerate_encodings
+    real = spectra.enumerate_models
 
     def listed(t, n, budget=None):
         encodings = Listed(real(t, n, budget))
@@ -223,7 +223,7 @@ def test_build_holds_only_the_lists_of_t1(t2, monkeypatch):
 
     seen = []
     real_pairing = spectra._paired_classes
-    monkeypatch.setattr(spectra, "enumerate_encodings", listed)
+    monkeypatch.setattr(spectra, "enumerate_models", listed)
     monkeypatch.setattr(spectra, "_paired_classes",
                         lambda c1, c2: seen.append(alive()) or real_pairing(c1, c2))
     b = build_concrete_iso(t2, renamed_copy(t2), 2)
@@ -243,8 +243,8 @@ def test_renaming_preserves_the_spectrum(t2):
 def test_build_concrete_iso_is_a_bijection(t2):
     t2r = renamed_copy(t2)
     b = build_concrete_iso(t2, t2r, 2)
-    source = [m.encode() for n in (1, 2) for m in enumerate_models(t2, n)]
-    target = [m.encode() for n in (1, 2) for m in enumerate_models(t2r, n)]
+    source = [enc for n in (1, 2) for enc in enumerate_models(t2, n)]
+    target = [enc for n in (1, 2) for enc in enumerate_models(t2r, n)]
     assert (b.sizes, b.sigs) == ((1, 2), (t2.sig, t2r.sig))
     assert [enc for n in b.sizes for enc in b.columns[n][0]] == source
     images = [enc for n in b.sizes for enc in b.columns[n][1]]
@@ -257,7 +257,7 @@ def test_bijection_preserves_and_reflects_isomorphism(t2):
     t2r = renamed_copy(t2)
     pairs = bijection_pairs(build_concrete_iso(t2, t2r, 2))
     for n in (1, 2):
-        ms = enumerate_models(t2, n)
+        ms = models_of(t2, n)
         for m, other in itertools.product(ms, repeat=2):
             assert (find_isomorphisms(m, other) != []) == \
                    (find_isomorphisms(pairs[n][m], pairs[n][other]) != [])
@@ -305,7 +305,7 @@ def test_build_refuses_unequal_spectra(t1, t2):
 def _model_with(t, n, e_table, r_table):
     e_names = sorted(t.sig.relations)
     want = {e_names[0]: frozenset(e_table), e_names[1]: frozenset(r_table)}
-    for m in enumerate_models(t, n):
+    for m in models_of(t, n):
         if {k: m.rels[k] for k in e_names} == want:
             return m
     raise AssertionError("model not found")
@@ -346,8 +346,8 @@ def brute_force_verdicts(b, t1, t2, max_size):
     """The |Mod|^2 * n! scan: universes and isomorphism verdicts with witnesses."""
     models1, image = {}, bijection_pairs(b)
     for n in range(1, max_size + 1):
-        models1[n] = enumerate_models(t1, n)
-        mod2set = set(enumerate_models(t2, n))
+        models1[n] = models_of(t1, n)
+        mod2set = set(models_of(t2, n))
         seen = set()
         for m in models1[n]:
             bm = image[n][m]
@@ -389,7 +389,7 @@ def built(t2):
     b = build_concrete_iso(t2, t2r, 2)
     relabelling, nodes = Relabelling(t2.sig, 2), NodeCounter(WorkBudget(), "test")
     classes = [[FiniteModel._from_encoding(t2.sig, enc) for enc in members]
-               for members, _, _ in orbits(relabelling, enumerate_encodings(t2, 2), nodes)]
+               for members, _, _ in orbits(relabelling, enumerate_models(t2, 2), nodes)]
     return t2r, b, classes
 
 
@@ -398,7 +398,7 @@ def test_coset_verdict_equals_the_scan_on_broken_bijections(t2, built):
     within = next(ms for ms in classes if len(ms) > 1)
     across = [next(ms for ms in classes if len(ms) == 1), within]  # unequal groups
     outside = FiniteModel(t2r.sig, 2, {"Q": [(0, 1)], "S": [(0, 1), (1, 0)]})
-    assert outside not in enumerate_models(t2r, 2)
+    assert outside.encode() not in enumerate_models(t2r, 2)
     broken = []
     for m1, m2 in [(within[0], within[1]), (across[0][0], across[1][0])]:
         pairs = bijection_pairs(b)
@@ -422,7 +422,7 @@ def test_coset_verdict_equals_the_scan_on_a_three_member_swap():
     t1 = Theory(Signature({"P": 1}), [], name="unary")
     t2 = Theory(Signature({"U": 1}), [], name="unary-renamed")
     b = build_concrete_iso(t1, t2, 3)
-    single = [m for m in enumerate_models(t1, 3) if len(m.rels["P"]) == 1]
+    single = [m for m in models_of(t1, 3) if len(m.rels["P"]) == 1]
     pairs = bijection_pairs(b)
     assert assert_verdicts_agree(pairs, t1, t2, 3).ok
     pairs[3][single[0]], pairs[3][single[1]] = pairs[3][single[1]], pairs[3][single[0]]
@@ -437,7 +437,7 @@ def test_rescan_visits_only_the_failing_classes(monkeypatch):
     t1 = Theory(Signature({"E": 2}), [], name="graph")
     t2 = Theory(Signature({"Q": 2}), [], name="graph-renamed")
     b = build_concrete_iso(t1, t2, 3)
-    models = enumerate_models(t1, 3)
+    models = models_of(t1, 3)
     full, loopless2 = models[511], models[255]
     assert loopless2.rels["E"] == full.rels["E"] - {(2, 2)}
     pairs = bijection_pairs(b)
@@ -570,7 +570,7 @@ def test_verifier_report_equals_the_oracle_verdicts(seed, size):
     rng = random.Random(seed)
     t, candidates = random_theory(rng, size)
     assume((t.sig.functions or t.sig.constants) and candidates <= 4096)
-    models = [m for n in range(1, size + 1) for m in enumerate_models(t, n)]
+    models = [m for n in range(1, size + 1) for m in models_of(t, n)]
     assume(models and all(sum(m.size == n for m in models) <= 40 for n in range(1, size + 1)))
     tr = renamed_symbols(t)
     b = perturbed(build_concrete_iso(t, tr, size), rng)
@@ -586,7 +586,7 @@ def test_ultra_witness_equals_the_oracle_loops(t2, monkeypatch):
     # so with the partition refused it still gives the loop's report
     t2r = renamed_copy(t2)
     b = build_concrete_iso(t2, t2r, 2)
-    models = [m for n in (1, 2) for m in enumerate_models(t2, n)]
+    models = [m for n in (1, 2) for m in models_of(t2, n)]
     report = verify_concrete_iso(b, t2, t2r, 2)
     assert (report.ultra_ok, report.checked_tuples) == (True, 820)
     assert ultra_verdict(b, models) == (None, report.checked_tuples)
@@ -630,7 +630,7 @@ def test_the_verifier_builds_no_product(t2, monkeypatch):
     # called, and the report is the loop's, which builds both products
     t2r = renamed_copy(t2)
     b = build_concrete_iso(t2, t2r, 2)
-    want = ultra_verdict(b, [m for n in (1, 2) for m in enumerate_models(t2, n)])
+    want = ultra_verdict(b, [m for n in (1, 2) for m in models_of(t2, n)])
 
     def refused(*args):
         raise AssertionError("the verifier built a product")
@@ -689,7 +689,7 @@ def test_the_ultraproduct_verdict_exits_where_the_products_would(three, limit, s
     # at the first k whose 3^k choice functions pass the limit, as the loop
     # of products meets it
     t, tr, b = three
-    models = [m for n in (1, 2, 3) for m in enumerate_models(t, n)]
+    models = [m for n in (1, 2, 3) for m in models_of(t, n)]
     with pytest.raises(BudgetExceededError) as want:
         ultra_verdict(b, models, index_bound=9, sample_budget=1, budget=WorkBudget(limit))
     with pytest.raises(BudgetExceededError) as got:
@@ -704,7 +704,7 @@ def test_the_ultraproduct_verdict_passes_at_a_shapes_count(three, index_bound, l
     # a limit equal to the choice functions of the widest shape met, 3^k at
     # the last k, passes, as the loop of products does
     t, tr, b = three
-    models = [m for n in (1, 2, 3) for m in enumerate_models(t, n)]
+    models = [m for n in (1, 2, 3) for m in models_of(t, n)]
     want = ultra_verdict(b, models, index_bound, sample_budget=1, budget=WorkBudget(limit))
     report = verify_concrete_iso(b, t, tr, 3, index_bound=index_bound, sample_budget=1,
                                  budget=WorkBudget(limit))
